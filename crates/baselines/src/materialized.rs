@@ -92,7 +92,6 @@ fn compile_rec(plan: &LogicalPlan, ctx: &ExecContext) -> Result<BoxedOperator> {
                 filter.clone(),
                 ctx.config.vector_size,
                 None,
-                None,
                 naive,
                 false,
             )?))

@@ -49,7 +49,6 @@ struct BenchRecord {
     rows: usize,
     peak_mem_bytes: u64,
     spill_bytes: u64,
-    decode_hit_rate: Option<f64>,
 }
 
 impl BenchRecord {
@@ -64,10 +63,6 @@ impl BenchRecord {
             rows,
             peak_mem_bytes: prof.as_ref().map_or(0, |p| p.mem.peak),
             spill_bytes: prof.as_ref().map_or(0, |p| p.mem.spill_bytes),
-            decode_hit_rate: prof
-                .as_ref()
-                .and_then(|p| p.decode.as_ref())
-                .and_then(|d| d.hit_rate()),
         }
     }
 }
@@ -93,14 +88,13 @@ fn write_bench_json(mode: &str, sf: f64, records: &[BenchRecord], scores: &[(&st
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"dop\": {}, \"wall_ms\": {}, \"rows\": {}, \
-             \"peak_mem_bytes\": {}, \"spill_bytes\": {}, \"decode_cache_hit_rate\": {}}}{}\n",
+             \"peak_mem_bytes\": {}, \"spill_bytes\": {}}}{}\n",
             r.query,
             r.dop,
             json_num(r.wall_ms),
             r.rows,
             r.peak_mem_bytes,
             r.spill_bytes,
-            r.decode_hit_rate.map_or("null".to_string(), json_num),
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
@@ -190,7 +184,7 @@ fn compare_baseline(mode: &str, scores: &[(&str, f64)]) {
 }
 
 /// Per-operator breakdown of the last query, indented for the power listing,
-/// followed by a one-line I/O + decode-cache summary.
+/// followed by a one-line I/O summary.
 fn dump_profile(db: &vw_core::Database) {
     let Some(prof) = db.profile_last_query() else {
         return;
@@ -198,15 +192,11 @@ fn dump_profile(db: &vw_core::Database) {
     for line in prof.render().lines() {
         println!("      | {}", line);
     }
-    let mut io = format!(
+    println!(
         "      | io: {} KiB read, {} KiB skipped",
         prof.disk.bytes_read / 1024,
         prof.disk.bytes_skipped / 1024
     );
-    if let Some(rate) = prof.decode.as_ref().and_then(|d| d.hit_rate()) {
-        io.push_str(&format!(", decode-cache {:.0}% hit", rate * 100.0));
-    }
-    println!("{}", io);
     let mut mem = format!("      | mem: {} KiB peak reserved", prof.mem.peak / 1024);
     if prof.mem.spill_events > 0 {
         mem.push_str(&format!(
@@ -412,10 +402,6 @@ fn run_qthr(sf: f64, streams: usize) {
                     rows: rows.len(),
                     peak_mem_bytes: prof.as_ref().map_or(0, |p| p.mem.peak),
                     spill_bytes: prof.as_ref().map_or(0, |p| p.mem.spill_bytes),
-                    decode_hit_rate: prof
-                        .as_ref()
-                        .and_then(|p| p.decode.as_ref())
-                        .and_then(|d| d.hit_rate()),
                 });
             }
             (records, waited)

@@ -1,19 +1,16 @@
-//! Decoded-slice cache for the compressed-execution scan path.
+//! A memory-bounded LRU of decoded vector slices, keyed `(block, from, to)`.
 //!
-//! Lazy scans decode one ~1K-row vector slice of a column block at a time.
-//! When several cooperative scans (or repeated queries) walk the same table,
-//! each would otherwise re-decode the same slices; this cache shares that
-//! work. Entries are keyed by `(block, from, to)` — the vector boundaries a
-//! scan uses are deterministic per table, so concurrent scans produce
-//! identical keys and hit each other's work.
-//!
-//! Memory-accounted LRU: entries are charged their uncompressed size and the
-//! least-recently-used entries are evicted once the configured capacity is
-//! exceeded. Stable-image blocks are immutable (checkpoints write new blocks
-//! and free old ids), so entries never go stale.
+//! Nothing in the engine uses it: scans decode each vector slice straight
+//! into the batch they return, because on vwbench's `scan` workload a miss
+//! here (decode, deep copy, `Arc`, O(entries) victim scan under a mutex)
+//! cost 37 times the decode it saved and a hit still copied the slice.
+//! What remains — [`DecodeCache::new`], [`get`](DecodeCache::get),
+//! [`insert`](DecodeCache::insert), [`stats`](DecodeCache::stats) — is the
+//! surface vwbench's standalone `bufman.decode_cache.{hit,insert}_us` rungs
+//! link; retire the module with the `bufman.decode_cache.*` rungs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vw_common::BlockId;
 use vw_storage::NullableColumn;
@@ -33,10 +30,10 @@ struct Inner {
     clock: u64,
 }
 
-/// Cumulative counters; snapshot with [`DecodeCache::stats`], diff with
-/// [`DecodeCacheStats::since`].
+/// Cumulative counters of a [`DecodeCache`]; snapshot with
+/// [`DecodeCache::stats`]. `QueryProfile::decode` has this type too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeCacheStats {
+pub struct SliceCacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
@@ -44,29 +41,10 @@ pub struct DecodeCacheStats {
     pub resident_bytes: u64,
 }
 
-impl DecodeCacheStats {
-    /// Counters accumulated since `earlier`. `resident_bytes` is carried
-    /// over as-is (it is a gauge).
-    pub fn since(&self, earlier: &DecodeCacheStats) -> DecodeCacheStats {
-        DecodeCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            resident_bytes: self.resident_bytes,
-        }
-    }
-
-    /// Hit rate over the window, or `None` with no lookups.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
 /// A shared, memory-bounded cache of decoded vector slices.
 pub struct DecodeCache {
     inner: Mutex<Inner>,
-    capacity_bytes: AtomicUsize,
+    capacity_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -80,23 +58,11 @@ impl DecodeCache {
                 bytes: 0,
                 clock: 0,
             }),
-            capacity_bytes: AtomicUsize::new(capacity_bytes),
+            capacity_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Resize the cache at runtime (`SET decode_cache = ...`), evicting LRU
-    /// entries down to the new capacity.
-    pub fn set_capacity(&self, capacity_bytes: usize) {
-        self.capacity_bytes.store(capacity_bytes, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap();
-        self.evict_past_capacity(&mut inner, capacity_bytes);
     }
 
     fn evict_past_capacity(&self, inner: &mut Inner, capacity: usize) {
@@ -137,7 +103,7 @@ impl DecodeCache {
     /// Slices larger than the whole capacity are not cached.
     pub fn insert(&self, key: SliceKey, col: Arc<NullableColumn>) {
         let bytes = slice_bytes(&col);
-        let capacity = self.capacity_bytes();
+        let capacity = self.capacity_bytes;
         if bytes > capacity {
             return;
         }
@@ -158,41 +124,14 @@ impl DecodeCache {
         self.evict_past_capacity(&mut inner, capacity);
     }
 
-    pub fn stats(&self) -> DecodeCacheStats {
+    pub fn stats(&self) -> SliceCacheStats {
         let resident = self.inner.lock().unwrap().bytes as u64;
-        DecodeCacheStats {
+        SliceCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_bytes: resident,
         }
-    }
-
-    /// Expose this cache's counters in a metrics registry as polled gauges
-    /// (read at snapshot time; the get/insert hot paths are untouched).
-    pub fn register_metrics(self: &Arc<Self>, registry: &vw_common::MetricsRegistry) {
-        type PolledStat = (&'static str, fn(&DecodeCacheStats) -> u64);
-        let polled: [PolledStat; 4] = [
-            ("decode_cache_hits", |s| s.hits),
-            ("decode_cache_misses", |s| s.misses),
-            ("decode_cache_evictions", |s| s.evictions),
-            ("decode_cache_resident_bytes", |s| s.resident_bytes),
-        ];
-        for (name, get) in polled {
-            let cache = Arc::clone(self);
-            registry.register_polled(name, "", move || get(&cache.stats()) as f64);
-        }
-        let cache = Arc::clone(self);
-        registry.register_polled("decode_cache_capacity_bytes", "", move || {
-            cache.capacity_bytes() as f64
-        });
-    }
-
-    /// Drop all entries (tests, benchmark phase boundaries).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.map.clear();
-        inner.bytes = 0;
     }
 }
 
@@ -223,10 +162,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.resident_bytes, 32);
-        assert_eq!(s.hit_rate(), Some(0.5));
-        let later = cache.stats().since(&s);
-        assert_eq!(later.hits, 0);
-        assert_eq!(later.resident_bytes, 32);
     }
 
     #[test]
@@ -262,24 +197,6 @@ mod tests {
             ColumnData::I64(v) => assert_eq!(v[0], 4),
             _ => panic!(),
         }
-        cache.clear();
-        assert!(cache.get(&key(1, 0)).is_none());
-        assert_eq!(cache.stats().resident_bytes, 0);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_down() {
-        let cache = DecodeCache::new(128);
-        for b in 0..4 {
-            cache.insert(key(b, 0), col(vec![1, 2, 3, 4]));
-        }
-        assert_eq!(cache.stats().resident_bytes, 128);
-        cache.get(&key(3, 0)).unwrap(); // most recent survives
-        cache.set_capacity(32);
-        assert_eq!(cache.capacity_bytes(), 32);
-        assert_eq!(cache.stats().resident_bytes, 32);
-        assert!(cache.get(&key(3, 0)).is_some());
-        assert!(cache.get(&key(0, 0)).is_none());
     }
 
     #[test]

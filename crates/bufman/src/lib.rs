@@ -20,7 +20,7 @@ pub mod decode;
 pub mod lru;
 
 pub use coop::{Abm, AbmStats, CoopScanHandle, ScanProgress};
-pub use decode::{DecodeCache, DecodeCacheStats};
+pub use decode::{DecodeCache, SliceCacheStats};
 pub use lru::{LruPool, PoolStats};
 
 use std::sync::Arc;

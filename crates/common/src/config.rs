@@ -16,9 +16,6 @@ pub const BLOCK_VALUES: usize = 64 * 1024;
 /// Default size in bytes we model for a physical disk block (compressed).
 pub const BLOCK_BYTES: usize = 512 * 1024;
 
-/// Default DecodeCache capacity (decoded-slice cache in `vw-bufman`).
-pub const DECODE_CACHE_BYTES: usize = 32 << 20;
-
 /// Parse a human-friendly byte size: a plain integer (bytes) or an integer
 /// with a `K`/`M`/`G` suffix, optionally followed by `B` or `iB`
 /// (case-insensitive). All suffixes are binary (powers of 1024): `16MiB`,
@@ -46,9 +43,6 @@ pub fn parse_byte_size(s: &str) -> Option<usize> {
 /// test suite and the qph harness run memory-governed without code changes
 /// (used by the low-memory CI job). `0` or `unbounded` mean no limit.
 pub const MEM_BUDGET_ENV: &str = "VW_MEM_BUDGET";
-
-/// Environment variable consulted for the DecodeCache capacity.
-pub const DECODE_CACHE_ENV: &str = "VW_DECODE_CACHE";
 
 /// Environment variable selecting the aggregation path
 /// (`VW_AGG_PATH=generic` forces the generic hash table everywhere; the
@@ -185,8 +179,10 @@ pub struct EngineConfig {
     /// build, aggregation table, sort buffer) reserve against it and spill
     /// to disk under pressure. Defaults from `VW_MEM_BUDGET` if set.
     pub mem_budget_bytes: Option<usize>,
-    /// DecodeCache capacity in bytes (decoded-slice cache, per Database).
-    /// Defaults to [`DECODE_CACHE_BYTES`], overridable via `VW_DECODE_CACHE`.
+    /// Inert: no query reads it. Scans decode into their own vectors and the
+    /// engine holds no decoded-slice cache. vwbench sizes its standalone
+    /// `DecodeCache` rung from it; retire it with the
+    /// `bufman.decode_cache.*` rungs.
     pub decode_cache_bytes: usize,
     /// Aggregation path selection; defaults from `VW_AGG_PATH` if set.
     pub agg_path: AggPath,
@@ -219,7 +215,7 @@ impl Default for EngineConfig {
             rewrite_nulls: true,
             profiling: true,
             mem_budget_bytes: env_byte_size(MEM_BUDGET_ENV),
-            decode_cache_bytes: env_byte_size(DECODE_CACHE_ENV).unwrap_or(DECODE_CACHE_BYTES),
+            decode_cache_bytes: 32 << 20,
             agg_path: env_agg_path(AGG_PATH_ENV),
             adaptivity: env_adaptivity(ADAPT_ENV),
             log_min_duration_ns: None,

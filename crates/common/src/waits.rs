@@ -4,13 +4,13 @@
 //! slow query and a fast query that *waited* look identical from wall time
 //! alone. This module gives every profiled plan node a [`WaitStats`] cell:
 //! the choke points where an operator can block (block I/O through the ABM,
-//! decode-cache misses, hash-join build waits, spill I/O, morsel-queue
-//! starvation) record the blocked nanoseconds into the class-indexed atomic
+//! a scan vector's decompression, hash-join build waits, spill I/O,
+//! morsel-queue starvation) record the blocked nanoseconds into the class-indexed atomic
 //! arrays. Subtracting total wait from `operator_next_ns` yields compute
 //! time; `vw_waits` rolls the classes up per query.
 //!
-//! Recording is two relaxed atomic adds per *blocking event* — not per
-//! vector — so the attribution machinery costs nothing on the fast path and
+//! Recording is two relaxed atomic adds per *blocking event* — never per
+//! value; the decode class records once per materialized vector — so the attribution machinery costs nothing on the fast path and
 //! is safe to leave always-on alongside profiling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum WaitClass {
     /// Blocked reading a column block from (simulated) disk via the ABM.
     BlockIo = 0,
-    /// Decoding a compressed slice on a DecodeCache miss.
+    /// Decompressing a scan vector's columns into the batch it returns: one
+    /// event per materialized vector. vwbench reports it as
+    /// `bufman.decode_cache.miss_decode_ms`, a name from when only
+    /// decode-cache misses decoded.
     Decode = 1,
     /// Waiting for another worker to finish a shared hash-join build.
     BuildWait = 2,

@@ -12,7 +12,7 @@
 //! that need dense input call [`Batch::compact`].
 
 use vw_common::{BitVec, DataType, Result, Schema, Value, VwError};
-use vw_storage::{ColumnData, NullableColumn, StrColumn};
+use vw_storage::{ColumnData, NullableColumn};
 
 /// A typed vector with an optional byte-per-value NULL indicator.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,27 +67,7 @@ impl ExecVector {
 
     /// Gather positions into a new dense vector.
     pub fn gather(&self, positions: &[u32]) -> ExecVector {
-        let data = match &self.data {
-            ColumnData::Bool(v) => {
-                ColumnData::Bool(positions.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::I32(v) => {
-                ColumnData::I32(positions.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::I64(v) => {
-                ColumnData::I64(positions.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::F64(v) => {
-                ColumnData::F64(positions.iter().map(|&i| v[i as usize]).collect())
-            }
-            ColumnData::Str(v) => {
-                let mut out = StrColumn::with_capacity(positions.len(), positions.len() * 8);
-                for &i in positions {
-                    out.push(v.get(i as usize));
-                }
-                ColumnData::Str(out)
-            }
-        };
+        let data = self.data.gather(positions);
         let nulls = self
             .nulls
             .as_ref()
@@ -254,6 +234,7 @@ impl Batch {
 mod tests {
     use super::*;
     use vw_common::Field;
+    use vw_storage::StrColumn;
 
     fn sample_batch() -> Batch {
         Batch::new(vec![

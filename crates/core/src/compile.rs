@@ -19,7 +19,7 @@ use crate::trace::TraceHandle;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use vw_bufman::{Abm, CoopScanHandle, DecodeCache};
+use vw_bufman::{Abm, CoopScanHandle};
 use vw_common::config::{AggPath, EngineConfig};
 use vw_common::metrics::{MetricsRegistry, LATENCY_BUCKETS_NS};
 use vw_common::{DataType, Result, Schema, TableId, VwError};
@@ -51,9 +51,6 @@ pub struct ExecContext {
     /// on the same plan). Exchange workers all carry `Arc`s to the same
     /// subtree, which is what merges dop>1 stats per plan node.
     pub profile: Option<Arc<OpProfile>>,
-    /// Shared cache of decoded vector slices for compressed execution;
-    /// `None` disables slice caching (scans still run lazily).
-    pub decode_cache: Option<Arc<DecodeCache>>,
     /// Cooperative-scan buffer manager: when attached, table scans register
     /// their block sets and fetch through it, so concurrent queries scanning
     /// the same table share disk bandwidth (system tables are exempt — they
@@ -93,7 +90,6 @@ impl ExecContext {
             shared: None,
             stats: Arc::new(ExecStats::default()),
             profile: None,
-            decode_cache: None,
             buffer: None,
             mem,
             spill_disk: None,
@@ -529,7 +525,6 @@ fn compile_scan(
         filter.clone(),
         ctx.config.vector_size,
         morsels,
-        ctx.decode_cache.clone(),
         !ctx.config.rewrite_nulls,
         ctx.config.adaptivity,
     )?;
@@ -541,7 +536,7 @@ fn compile_scan(
     }
     if let Some(p) = prof {
         // Hands the node's WaitStats to the scan AND its coop handle, so
-        // block I/O, decode misses and morsel contention all land on this
+        // block I/O, slice decodes and morsel contention all land on this
         // plan node's wait ledger.
         scan.set_waits(p.waits().clone());
     }

@@ -223,8 +223,6 @@ pub struct Database {
     /// included in query profiles (attached by benches that drive an ABM
     /// against this database's disk).
     buffer: RwLock<Option<Arc<vw_bufman::Abm>>>,
-    /// Shared cache of decoded vector slices for compressed execution.
-    decode_cache: Arc<vw_bufman::DecodeCache>,
     /// Database-wide metrics registry: counters/gauges/histograms from every
     /// layer (operators, scheduler, caches, disk). Queryable via `vw_metrics`.
     metrics: Arc<MetricsRegistry>,
@@ -277,11 +275,9 @@ impl Database {
     /// Full control over WAL location and simulated-disk profile.
     pub fn with_wal_and_disk(wal_path: PathBuf, disk: SimDiskConfig) -> Result<Database> {
         let config = EngineConfig::default();
-        let decode_cache = Arc::new(vw_bufman::DecodeCache::new(config.decode_cache_bytes));
         let disk = Arc::new(SimDisk::new(disk));
         let metrics = Arc::new(MetricsRegistry::new());
         disk.register_metrics(&metrics);
-        decode_cache.register_metrics(&metrics);
         let core_metrics = CoreMetrics::new(&metrics);
         let sched = Arc::new(Scheduler::new());
         for (name, f) in [
@@ -311,7 +307,6 @@ impl Database {
             next_table_id: AtomicU64::new(1),
             last_profile: RwLock::new(None),
             buffer: RwLock::new(None),
-            decode_cache,
             metrics,
             core_metrics,
             history: Mutex::new(VecDeque::new()),
@@ -353,11 +348,6 @@ impl Database {
         *self.ledger.write() = Arc::new(MemBudget::new(bytes));
     }
 
-    /// The session-wide cache of decoded vector slices.
-    pub fn decode_cache(&self) -> &Arc<vw_bufman::DecodeCache> {
-        &self.decode_cache
-    }
-
     pub fn disk(&self) -> &Arc<SimDisk> {
         &self.disk
     }
@@ -395,13 +385,6 @@ impl Database {
     pub fn set_mem_budget(&self, bytes: Option<usize>) {
         self.config.write().mem_budget_bytes = bytes;
         self.rebuild_ledger();
-    }
-
-    /// Resize the decoded-slice cache (`SET decode_cache = '8MiB'`). Evicts
-    /// down to the new capacity immediately.
-    pub fn set_decode_cache_bytes(&self, bytes: usize) {
-        self.config.write().decode_cache_bytes = bytes;
-        self.decode_cache.set_capacity(bytes);
     }
 
     /// Toggle per-operator profiling (on by default; the per-vector
@@ -628,7 +611,6 @@ impl Database {
             );
         }
         let mut ctx = ExecContext::new(providers, config);
-        ctx.decode_cache = Some(self.decode_cache.clone());
         // Spilled runs/partitions share the database's disk, so spill I/O
         // shows up in the same `DiskStats` the profile already reports.
         ctx.spill_disk = Some(self.disk.clone());
@@ -810,7 +792,6 @@ impl Database {
         }
         let disk_before = self.disk.stats();
         let buf_before = self.buffer.read().as_ref().map(|a| a.stats());
-        let decode_before = self.decode_cache.stats();
         let mut op = compile_plan(&plan, &ctx)?;
         let rows = collect_rows(op.as_mut())?;
         drop(op); // flush profile extras from operators cut short by LIMIT
@@ -860,7 +841,7 @@ impl Database {
                     (Some(now), Some(before)) => Some(now.since(&before)),
                     _ => None,
                 },
-                decode: Some(self.decode_cache.stats().since(&decode_before)),
+                decode: None,
                 mem: ctx.mem.stats(),
                 plan_feedback: (!corrections.is_empty()).then(|| {
                     corrections
@@ -1257,14 +1238,7 @@ impl Database {
     }
 
     fn vw_cache_rows(&self) -> Vec<Vec<Value>> {
-        let d = self.decode_cache.stats();
-        let mut rows = vec![vec![
-            Value::Str("decode".to_string()),
-            Value::I64(d.hits as i64),
-            Value::I64(d.misses as i64),
-            Value::I64(d.evictions as i64),
-            Value::I64(d.resident_bytes as i64),
-        ]];
+        let mut rows = Vec::new();
         if let Some(abm) = self.buffer.read().as_ref() {
             let s = abm.stats();
             rows.push(vec![
@@ -1418,10 +1392,6 @@ impl Database {
     fn apply_set(&self, name: &str, value: &Value) -> Result<()> {
         match name {
             "memory_budget" | "mem_budget" => self.set_mem_budget(set_byte_size(value)?),
-            "decode_cache" | "decode_cache_bytes" => {
-                let bytes = set_byte_size(value)?.unwrap_or(0);
-                self.set_decode_cache_bytes(bytes);
-            }
             "parallelism" | "dop" => self.set_parallelism(set_usize(value)?),
             "vector_size" => self.set_vector_size(set_usize(value)?),
             "profiling" => self.set_profiling(set_bool(value)?),
@@ -1442,17 +1412,12 @@ impl Database {
         Ok(())
     }
 
-    /// Apply a `SET` option to one session's config. The decode cache is a
-    /// shared object, so resizing it stays global even from a session.
+    /// Apply a `SET` option to one session's config.
     fn apply_set_session(&self, session: &Session, name: &str, value: &Value) -> Result<()> {
         match name {
             "memory_budget" | "mem_budget" => {
                 let bytes = set_byte_size(value)?;
                 session.update_config(|c| c.mem_budget_bytes = bytes);
-            }
-            "decode_cache" | "decode_cache_bytes" => {
-                let bytes = set_byte_size(value)?.unwrap_or(0);
-                self.set_decode_cache_bytes(bytes);
             }
             "parallelism" | "dop" => {
                 let dop = set_usize(value)?;
@@ -2320,8 +2285,9 @@ mod tests {
         db.execute("SET profiling = off").unwrap();
         assert!(!db.config().profiling);
         db.execute("SET profiling = on").unwrap();
-        db.execute("SET decode_cache = '1MiB'").unwrap();
-        assert_eq!(db.decode_cache().capacity_bytes(), 1 << 20);
+        // Scans decode into their own vectors: there is no cache to size.
+        let err = db.execute("SET decode_cache = '1MiB'").unwrap_err();
+        assert!(err.to_string().contains("unknown SET option"), "{}", err);
         db.execute("SET agg_path = generic").unwrap();
         assert_eq!(db.config().agg_path, AggPath::Generic);
         db.execute("SET agg_path = 'auto'").unwrap();
@@ -2398,8 +2364,9 @@ mod tests {
             "main disk missing from vw_io: {:?}",
             io.rows
         );
+        // No ABM is attached to this database, so no cache has a row.
         let cache = db.execute("SELECT cache FROM vw_cache").unwrap();
-        assert_eq!(cache.rows[0][0], Value::Str("decode".into()));
+        assert!(cache.rows.is_empty(), "{:?}", cache.rows);
     }
 
     #[test]
@@ -2470,9 +2437,6 @@ mod tests {
         let db = wide_db(2000);
         db.set_parallelism(4);
         let q = "SELECT k, SUM(v) FROM t GROUP BY k";
-        // Warm the decode cache so conditional extras (cache hits) appear in
-        // both runs rather than only the second.
-        db.execute(q).unwrap();
         let keys_of = |p: &Arc<QueryProfile>| -> Vec<Vec<&'static str>> {
             p.nodes()
                 .iter()

@@ -30,7 +30,7 @@ use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use parking_lot::RwLock;
 use std::sync::Arc;
-use vw_bufman::{CoopScanHandle, DecodeCache};
+use vw_bufman::CoopScanHandle;
 use vw_common::waits::{WaitClass, WaitStats, WaitTimer};
 use vw_common::{BlockId, DataType, Result, Schema, Value, VwError};
 use vw_pdt::{Change, Pdt};
@@ -67,6 +67,18 @@ impl UnitSource {
     }
 }
 
+/// A vector whose pushed predicates keep at most one row in this many is
+/// materialized dense: only the survivors are decoded
+/// ([`BlockCursor::decode_selected`]) and the batch carries no selection.
+/// Above that density the whole slice is decoded and the selection rides
+/// along. One in two is where the cheapest columns to decode (plain f64
+/// beside a PFOR key) break even between the two ways — at 50% survivors
+/// `core.vecscan.sel50_mrows_per_s` reads the same either way, and every
+/// sparser vector gains, `sel1_mrows_per_s` more than threefold; string
+/// columns gain at any density, so they never argue for a lower bar
+/// (EXPERIMENTS.md E11 has the sweep).
+const SPARSE_ONE_IN: usize = 2;
+
 /// The unit the scan is currently draining, vector by vector.
 enum Unit {
     /// Fully decoded columns (dirty groups, the append tail, naive mode, and
@@ -89,7 +101,7 @@ struct LazyGroup {
     /// One cursor per projected column, opened on first touch. A column
     /// whose cursor is never opened had its block skipped entirely.
     cursors: Vec<Option<BlockCursor>>,
-    /// Block coordinates per projected column (decode-cache keys).
+    /// Block coordinates per projected column (tags captured key codes).
     block_ids: Vec<BlockId>,
     /// Encoded size per projected column (skipped-bytes accounting).
     enc_bytes: Vec<u64>,
@@ -109,8 +121,6 @@ struct LazyCounters {
     vec_skipped: u64,
     /// Predicate evaluations performed on encoded data.
     enc_evals: u64,
-    /// Decoded slices served from the shared decode cache.
-    cache_hits: u64,
     /// Key-column slices whose decode was skipped: raw dictionary codes were
     /// handed to a fused aggregate instead.
     key_coded: u64,
@@ -129,8 +139,6 @@ pub struct VecScan {
     enc_preds: Vec<(usize, Pred)>,
     /// What remains of the filter after pushdown (lazy path).
     residual: Option<ExprEvaluator>,
-    /// Shared cache of decoded vector slices, when the session has one.
-    decode_cache: Option<Arc<DecodeCache>>,
     vector_size: usize,
     units: UnitSource,
     current: Option<Unit>,
@@ -310,7 +318,6 @@ impl VecScan {
     /// * `filter` — predicate over the projected schema (optional),
     /// * `morsels` — shared work queue when running inside an Exchange
     ///   worker; `None` for a serial scan over all units,
-    /// * `decode_cache` — shared cache of decoded vector slices (lazy path),
     /// * `naive_nulls` — use the naive NULL interpreter (experiment E8),
     /// * `adaptive` — enable micro-adaptive ordering of pushed conjuncts.
     #[allow(clippy::too_many_arguments)]
@@ -321,7 +328,6 @@ impl VecScan {
         filter: Option<Expr>,
         vector_size: usize,
         morsels: Option<Arc<MorselQueue>>,
-        decode_cache: Option<Arc<DecodeCache>>,
         naive_nulls: bool,
         adaptive: bool,
     ) -> Result<VecScan> {
@@ -372,7 +378,6 @@ impl VecScan {
             filter,
             enc_preds,
             residual,
-            decode_cache,
             vector_size: vector_size.max(1),
             units,
             current: None,
@@ -412,7 +417,7 @@ impl VecScan {
         }
     }
 
-    /// Attribute this scan's blocked time (block I/O, decode-cache misses,
+    /// Attribute this scan's blocked time (block I/O, slice decodes,
     /// morsel-queue contention) to `waits`. Call order with [`set_coop`] is
     /// immaterial: whichever comes second completes the plumbing.
     ///
@@ -612,10 +617,10 @@ impl VecScan {
             let cb = &grp.columns[self.projection[*k]];
             match pred.decide(&cb.minmax, cb.has_nulls) {
                 Some(false) => {
+                    // The blocks live on the group's partition shard.
+                    let disk = guard.partition_disk(guard.partition_of_group(g));
                     for &c in &self.projection {
-                        guard
-                            .disk()
-                            .note_skipped(grp.columns[c].encoded_bytes as u64);
+                        disk.note_skipped(grp.columns[c].encoded_bytes as u64);
                     }
                     drop(guard);
                     self.groups_pruned += 1;
@@ -688,7 +693,6 @@ impl VecScan {
     /// predicates on the encoded data, and only materialize the vector's
     /// columns when rows survive. `Ok(None)` means nothing survived.
     fn lazy_step(&mut self) -> Result<Option<Batch>> {
-        let cache = self.decode_cache.clone();
         let vs = self.vector_size;
         // A stash entry must only describe the batch this step returns.
         for s in &mut self.key_stash {
@@ -747,28 +751,40 @@ impl VecScan {
             }
             return Ok(None);
         }
+        // Few survivors: decode only those and emit a dense batch.
+        let sparse = sel.take_if(|s| s.len() * SPARSE_ONE_IN <= n);
+        // Decoding straight into the batch is this step's one stall worth
+        // naming; one timer per vector covers all of its columns.
+        let decode_timer = self
+            .waits
+            .as_deref()
+            .map(|w| WaitTimer::start(w, WaitClass::Decode));
         let mut columns = Vec::with_capacity(self.projection.len());
         for k in 0..self.projection.len() {
+            let cur = cursor_at(
+                &self.storage,
+                self.coop.as_ref(),
+                &self.projection,
+                lg.group,
+                &mut lg.cursors,
+                k,
+            )?;
             // Fused-aggregate key capture: when the block is PDICT-coded,
             // skip the decode and stash the raw codes; the batch carries a
-            // placeholder column that MUST NOT enter the decode cache. On
-            // fallback the aggregate rebuilds the real column from the codes.
+            // placeholder column. On fallback the aggregate rebuilds the
+            // real column from the codes.
             if let Some(kpos) = self.key_cols.iter().position(|c| *c == Some(k)) {
-                let cur = cursor_at(
-                    &self.storage,
-                    self.coop.as_ref(),
-                    &self.projection,
-                    lg.group,
-                    &mut lg.cursors,
-                    k,
-                )?;
-                if let Some((codes, dict)) = cur.dict_codes(from, to) {
-                    let nulls = cur.nulls_slice(from, to);
-                    ctr.key_coded += 1;
-                    let mut ph = StrColumn::with_capacity(n, 0);
-                    for _ in 0..n {
-                        ph.push("");
+                if let Some((mut codes, dict)) = cur.dict_codes(from, to) {
+                    let mut nulls = cur.nulls_slice(from, to);
+                    if let Some(s) = &sparse {
+                        codes = s.iter().map(|&p| codes[p as usize]).collect();
+                        nulls = nulls.map(|b| s.iter().map(|&p| b[p as usize]).collect());
                     }
+                    ctr.key_coded += 1;
+                    let ph = StrColumn {
+                        offsets: vec![0; codes.len() + 1],
+                        bytes: Vec::new(),
+                    };
                     columns.push(ExecVector::new(ColumnData::Str(ph), nulls.clone()));
                     self.key_stash[kpos] = Some(KeyCodes {
                         codes,
@@ -779,47 +795,23 @@ impl VecScan {
                     continue;
                 }
             }
-            let key = (lg.block_ids[k], from as u32, to as u32);
-            let col = match cache.as_deref().and_then(|c| c.get(&key)) {
-                Some(hit) => {
-                    ctr.cache_hits += 1;
-                    (*hit).clone()
-                }
-                None => {
-                    let cur = cursor_at(
-                        &self.storage,
-                        self.coop.as_ref(),
-                        &self.projection,
-                        lg.group,
-                        &mut lg.cursors,
-                        k,
-                    )?;
-                    // A cache miss pays the decode; time it as a wait so the
-                    // profile can split compute from stalled-on-decode.
-                    let t = self
-                        .waits
-                        .as_deref()
-                        .map(|w| WaitTimer::start(w, WaitClass::Decode));
-                    let col = cur.decode_slice(from, to)?;
-                    drop(t);
-                    ctr.vec_decoded += 1;
-                    if let Some(c) = cache.as_deref() {
-                        c.insert(key, Arc::new(col.clone()));
-                    }
-                    col
-                }
+            let col = match &sparse {
+                Some(s) => cur.decode_selected(from, to, s)?,
+                None => cur.decode_slice(from, to)?,
             };
+            ctr.vec_decoded += 1;
             columns.push(ExecVector::from_storage(col));
         }
+        drop(decode_timer);
         if done {
             self.finish_lazy_group();
         }
         let mut batch = Batch::new(columns);
-        batch.rows = n;
-        if let Some(s) = sel {
-            if s.len() < n {
-                batch.sel = Some(s);
-            }
+        if let Some(s) = sparse {
+            batch.rows = s.len();
+        } else {
+            batch.rows = n;
+            batch.sel = sel.filter(|s| s.len() < n);
         }
         if let Some(r) = &self.residual {
             let v = r.eval(&batch)?;
@@ -841,9 +833,10 @@ impl VecScan {
     fn finish_lazy_group(&mut self) {
         if let Some(Unit::Lazy(lg)) = self.current.take() {
             let guard = self.storage.read();
+            let disk = guard.partition_disk(guard.partition_of_group(lg.group));
             for (k, c) in lg.cursors.iter().enumerate() {
                 if c.is_none() {
-                    guard.disk().note_skipped(lg.enc_bytes[k]);
+                    disk.note_skipped(lg.enc_bytes[k]);
                 }
             }
         }
@@ -1047,9 +1040,6 @@ impl super::Operator for VecScan {
         if c.enc_evals > 0 {
             v.push(("enc_evals", c.enc_evals));
         }
-        if c.cache_hits > 0 {
-            v.push(("cache_hits", c.cache_hits));
-        }
         if c.key_coded > 0 {
             v.push(("key_coded", c.key_coded));
         }
@@ -1160,7 +1150,6 @@ mod tests {
             filter,
             vs,
             None,
-            None,
             false,
             true,
         )
@@ -1185,7 +1174,7 @@ mod tests {
         let pdt = Arc::new(Pdt::new(10));
         let rows = scan_all(&t, &pdt, vec![1, 0], None, 4);
         assert_eq!(rows[3], vec![Value::I64(3), Value::I64(3)]);
-        let s = VecScan::new(t, pdt, vec![1, 0], None, 4, None, None, false, true).unwrap();
+        let s = VecScan::new(t, pdt, vec![1, 0], None, 4, None, false, true).unwrap();
         assert_eq!(s.schema().field(0).name, "q");
         assert_eq!(s.schema().field(1).name, "k");
     }
@@ -1275,7 +1264,6 @@ mod tests {
                 None,
                 64,
                 Some(q.clone()),
-                None,
                 false,
                 true,
             )
@@ -1304,6 +1292,39 @@ mod tests {
         assert_eq!(rows.len(), 5);
     }
 
+    /// The density rule, observed in the batches themselves: a vector that
+    /// keeps at most every second row comes out dense (survivors only, no
+    /// selection), a fuller one keeps its selection over the whole slice.
+    #[test]
+    fn sparse_vectors_come_out_dense() {
+        let t = make_table(4000, 4000);
+        let pdt = Arc::new(Pdt::new(4000));
+        // q = i % 10: `q < 2` keeps 2 rows in 10, `q < 8` keeps 8 in 10.
+        for (bound, dense) in [(2, true), (8, false)] {
+            let f = Expr::binary(BinOp::Lt, Expr::col(1), Expr::lit(Value::I64(bound)));
+            let mut scan = VecScan::new(
+                t.clone(),
+                pdt.clone(),
+                vec![0, 1, 2],
+                Some(f),
+                100,
+                None,
+                false,
+                true,
+            )
+            .unwrap();
+            let mut rows = 0;
+            while let Some(batch) = scan.next().unwrap() {
+                rows += batch.len();
+                assert_eq!(batch.sel.is_none(), dense, "bound {}", bound);
+                let physical = if dense { 10 * bound as usize } else { 100 };
+                assert_eq!(batch.rows, physical, "bound {}", bound);
+                assert!(batch.columns.iter().all(|c| c.len() == physical));
+            }
+            assert_eq!(rows, 400 * bound as usize);
+        }
+    }
+
     /// The acceptance shape for adaptivity: the selective conjunct is LAST
     /// in the written predicate order, so the static order always evaluates
     /// the pass-everything conjunct first. Adaptive ordering must converge
@@ -1321,7 +1342,7 @@ mod tests {
                 Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(Value::I64(40))),
             );
             let mut scan =
-                VecScan::new(t, pdt, vec![0, 1], Some(f), 64, None, None, false, adaptive).unwrap();
+                VecScan::new(t, pdt, vec![0, 1], Some(f), 64, None, false, adaptive).unwrap();
             let rows = collect_rows(&mut scan).unwrap();
             let extras = scan.profile_extras();
             let get = |key: &str| {

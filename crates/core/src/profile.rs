@@ -377,9 +377,10 @@ pub struct QueryProfile {
     /// Buffer-manager counters for this query, when an ABM is attached to
     /// the database (cooperative-scan workloads).
     pub buffer: Option<vw_bufman::AbmStats>,
-    /// Decode-cache counters for this query (compressed execution), when the
-    /// session shares a decoded-slice cache.
-    pub decode: Option<vw_bufman::DecodeCacheStats>,
+    /// Always `None`: scans decode into their own vectors, there is no
+    /// decoded-slice cache to count. vwbench reads the field; retire it with
+    /// the `bufman.decode_cache.*` rungs.
+    pub decode: Option<vw_bufman::SliceCacheStats>,
     /// Execution-memory accounting: budget, high-water mark and spill volume
     /// for this query (all operators, all workers).
     pub mem: crate::mem::MemStats,
@@ -455,17 +456,6 @@ impl QueryProfile {
                 "Buffer: {} loads, {} shared hits\n",
                 b.loads, b.shared_hits
             ));
-        }
-        if let Some(d) = &self.decode {
-            if d.hits + d.misses > 0 {
-                s.push_str(&format!(
-                    "Decode-cache: {} hits, {} misses ({:.1}% hit rate), {} KiB resident\n",
-                    d.hits,
-                    d.misses,
-                    d.hit_rate().unwrap_or(0.0) * 100.0,
-                    d.resident_bytes / 1024
-                ));
-            }
         }
         if self.mem.peak > 0 || self.mem.limit.is_some() {
             let budget = match self.mem.limit {

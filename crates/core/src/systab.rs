@@ -102,7 +102,7 @@ pub fn system_schema(name: &str) -> Schema {
             Field::new("bytes_skipped", DataType::I64),
             Field::new("virtual_read_ms", DataType::F64),
         ]),
-        // One row per attached cache (decode cache always; ABM when present).
+        // One row per attached cache (the ABM, when the database has one).
         "vw_cache" => Schema::new(vec![
             Field::new("cache", DataType::Str),
             Field::new("hits", DataType::I64),

@@ -320,9 +320,9 @@ fn eval_rec(e: &Expr, schema: &Schema, batch: &Batch, sel: Option<&[u32]>) -> Re
                 other => return Err(VwError::Exec(format!("LIKE on {}", other.type_name()))),
             };
             let mut out = vec![false; col.len()];
-            let pat = pattern.as_bytes();
+            let matcher = LikeMatcher::new(pattern);
             prim::for_each_lane(sel, col.len(), |i| {
-                out[i] = vw_plan::expr::like_match(pat, col.get_bytes(i)) != *negated;
+                out[i] = matcher.matches(col.get_bytes(i)) != *negated;
             });
             Ok(ExecVector::new(ColumnData::Bool(out), v.nulls))
         }
@@ -791,6 +791,81 @@ fn eval_kleene(
     ))
 }
 
+/// A LIKE pattern classified once per evaluated vector, so the common
+/// shapes skip `like_match`'s byte-by-byte backtracking: with `lit` free of
+/// wildcards, `lit` is an equality test, `lit%` a prefix test, `%lit` a
+/// suffix test and `%lit%` a substring search. Anything with `_` or a `%`
+/// inside `lit` keeps the general matcher. Byte semantics, like
+/// `like_match`.
+#[derive(Debug, PartialEq)]
+enum LikeMatcher<'a> {
+    Exact(&'a [u8]),
+    Prefix(&'a [u8]),
+    Suffix(&'a [u8]),
+    Contains(&'a [u8]),
+    General(&'a [u8]),
+}
+
+impl<'a> LikeMatcher<'a> {
+    fn new(pattern: &'a str) -> LikeMatcher<'a> {
+        let pat = pattern.as_bytes();
+        // Runs of `%` at either end equal one `%`.
+        let lead = pat.iter().take_while(|&&b| b == b'%').count();
+        if lead == pat.len() {
+            // Empty pattern: only "" matches. All `%`: everything does.
+            return if pat.is_empty() {
+                LikeMatcher::Exact(pat)
+            } else {
+                LikeMatcher::Contains(&[])
+            };
+        }
+        let trail = pat.iter().rev().take_while(|&&b| b == b'%').count();
+        let lit = &pat[lead..pat.len() - trail];
+        if lit.iter().any(|&b| b == b'%' || b == b'_') {
+            return LikeMatcher::General(pat);
+        }
+        match (lead > 0, trail > 0) {
+            (false, false) => LikeMatcher::Exact(lit),
+            (false, true) => LikeMatcher::Prefix(lit),
+            (true, false) => LikeMatcher::Suffix(lit),
+            (true, true) => LikeMatcher::Contains(lit),
+        }
+    }
+
+    #[inline]
+    fn matches(&self, s: &[u8]) -> bool {
+        match *self {
+            LikeMatcher::Exact(lit) => s == lit,
+            LikeMatcher::Prefix(lit) => s.starts_with(lit),
+            LikeMatcher::Suffix(lit) => s.ends_with(lit),
+            LikeMatcher::Contains(lit) => contains_bytes(s, lit),
+            LikeMatcher::General(pat) => vw_plan::expr::like_match(pat, s),
+        }
+    }
+}
+
+/// Substring search: scan for the needle's first byte, then compare the
+/// rest. Needles are a few bytes and haystacks a few dozen.
+fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
+    let Some((&first, rest)) = needle.split_first() else {
+        return true;
+    };
+    if hay.len() < needle.len() {
+        return false;
+    }
+    // Starts from which the whole needle still fits.
+    let starts = &hay[..=hay.len() - needle.len()];
+    let mut from = 0;
+    while let Some(off) = starts[from..].iter().position(|&b| b == first) {
+        let at = from + off;
+        if &hay[at + 1..at + needle.len()] == rest {
+            return true;
+        }
+        from = at + 1;
+    }
+    false
+}
+
 fn eval_in_list(
     v: &ExecVector,
     list: &[Value],
@@ -1248,5 +1323,52 @@ mod tests {
             e,
             vec![Value::I32(1996), Value::I32(1997), Value::I32(1998)],
         );
+    }
+
+    #[test]
+    fn like_patterns_classify_by_shape() {
+        use LikeMatcher::*;
+        assert_eq!(LikeMatcher::new("%special%"), Contains(b"special"));
+        assert_eq!(LikeMatcher::new("%%special%%"), Contains(b"special"));
+        assert_eq!(LikeMatcher::new("PROMO%"), Prefix(b"PROMO"));
+        assert_eq!(LikeMatcher::new("%BRASS"), Suffix(b"BRASS"));
+        assert_eq!(LikeMatcher::new("SHIP"), Exact(b"SHIP"));
+        assert_eq!(LikeMatcher::new(""), Exact(b""));
+        assert_eq!(LikeMatcher::new("%"), Contains(b""));
+        assert_eq!(LikeMatcher::new("%%"), Contains(b""));
+        assert_eq!(LikeMatcher::new("a%b"), General(b"a%b"));
+        assert_eq!(LikeMatcher::new("%a%b%"), General(b"%a%b%"));
+        assert_eq!(LikeMatcher::new("SH_P"), General(b"SH_P"));
+        assert_eq!(LikeMatcher::new("%_"), General(b"%_"));
+    }
+
+    /// Pieces the LIKE property test draws patterns and strings from: both
+    /// wildcards, ASCII that repeats (so partial matches and backtracking
+    /// happen), and two- and four-byte UTF-8.
+    const LIKE_PIECES: [&str; 8] = ["%", "_", "a", "b", "ab", "é", "𝄞", " "];
+
+    fn from_pieces(picks: &[usize]) -> String {
+        picks.iter().map(|&i| LIKE_PIECES[i]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+
+        /// Whatever shape the classifier picks, it answers as `like_match`
+        /// does. Strings draw from the wildcard-free pieces only.
+        #[test]
+        fn classified_like_equals_like_match(
+            pattern in proptest::collection::vec(0usize..LIKE_PIECES.len(), 0..7),
+            string in proptest::collection::vec(2usize..LIKE_PIECES.len(), 0..9),
+        ) {
+            let (pattern, string) = (from_pieces(&pattern), from_pieces(&string));
+            proptest::prop_assert_eq!(
+                LikeMatcher::new(&pattern).matches(string.as_bytes()),
+                vw_plan::expr::like_match(pattern.as_bytes(), string.as_bytes()),
+                "pattern {:?} string {:?}",
+                pattern,
+                string
+            );
+        }
     }
 }

@@ -12,16 +12,26 @@
 //!    reference — predicate runs on decoded vectors);
 //! 2. `Scan` with the predicate embedded (the lazy path — predicate runs
 //!    on encoded data where the codec supports it);
-//! 3. the full `Database::run_plan` pipeline at dop 4 (optimizer pushdown
-//!    plus the morsel-parallel scan).
+//! 3. the same pushed scan under an Exchange at dop 4.
+//!
+//! The table is built by hand so that it has several small row groups, some
+//! of them with pending PDT changes (those decode eagerly, beside clean
+//! groups that stay encoded), and the engine's vector size is drawn from 1,
+//! a non-divisor of the group size and the default.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::Arc;
+use vw_common::config::EngineConfig;
 use vw_common::rng::Xoshiro256;
-use vw_common::{DataType, Field, Schema, Value};
+use vw_common::{DataType, Field, Schema, TableId, Value};
 use vw_core::compile::compile_plan;
 use vw_core::operators::collect_rows;
-use vw_core::Database;
+use vw_core::{Database, ExecContext, TableProvider};
+use vw_pdt::Pdt;
+use vw_plan::rewrite::parallelize;
 use vw_plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan};
+use vw_storage::{SimDisk, SimDiskConfig, TableBuilder};
 
 /// Random table whose columns steer the codec chooser in different
 /// directions. Column 0 is a strictly increasing key used to canonicalize
@@ -113,51 +123,200 @@ fn sort_canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
+/// A conjunct the codec cursors cannot evaluate, so the scan keeps it as the
+/// residual filter over whatever batch the pushed conjuncts leave.
+fn gen_residual(r: &mut Xoshiro256) -> Expr {
+    match r.next_below(3) {
+        // column against column
+        0 => Expr::binary(BinOp::Ne, Expr::col(1), Expr::col(2)),
+        // arithmetic under the comparison
+        1 => Expr::binary(
+            BinOp::Gt,
+            Expr::binary(BinOp::Add, Expr::col(1), Expr::col(2)),
+            Expr::lit(Value::I64(r.range_i64(0, 12))),
+        ),
+        _ => Expr::Like {
+            e: Box::new(Expr::col(4)),
+            pattern: format!("u{}%", r.next_below(10)),
+            negated: r.chance(0.3),
+        },
+    }
+}
+
+/// `sm < k` keeps about `k / 16` of the non-NULL rows of every vector: the
+/// listed literals sit on both sides of the scan's one-in-two density rule,
+/// so one run materializes sparse vectors dense and another keeps the
+/// selection.
+fn gen_density_pred(r: &mut Xoshiro256) -> Expr {
+    let k = [1, 4, 7, 9, 12, 15][r.next_below(6) as usize];
+    Expr::binary(BinOp::Lt, Expr::col(1), Expr::lit(Value::I64(k)))
+}
+
+const T: TableId = TableId(1);
+
+/// The random table as `rows_per_group`-row groups, with deletes, modifies
+/// and inserts pending against a random few of them (and sometimes an
+/// append), behind a hand-built execution context.
+fn gen_table(
+    r: &mut Xoshiro256,
+    n: usize,
+    rows_per_group: usize,
+    vector_size: usize,
+) -> ExecContext {
+    let disk = Arc::new(SimDisk::new(SimDiskConfig::default()));
+    let mut b = TableBuilder::with_group_size(schema(), disk, rows_per_group);
+    for row in gen_rows(r, n) {
+        b.push_row(row).unwrap();
+    }
+    let storage = b.finish().unwrap();
+    let mut pdt = Pdt::new(n as u64);
+    let groups = n.div_ceil(rows_per_group);
+    let fresh_row = |r: &mut Xoshiro256| {
+        let mut row = gen_rows(r, 1).remove(0);
+        row[0] = Value::I64(10_000_000 + r.range_i64(0, 1_000_000));
+        row
+    };
+    for _ in 0..r.next_below(3) {
+        // All three kinds of change inside one group; others stay clean.
+        let g = r.next_below(groups as u64) as usize;
+        let lo = (g * rows_per_group) as u64;
+        let hi = ((g + 1) * rows_per_group).min(n) as u64;
+        let sid = |r: &mut Xoshiro256| lo + r.next_below(hi - lo);
+        if let Some(rid) = pdt.rid_of_sid(sid(r)) {
+            pdt.modify_at(rid, 1, Value::I64(r.range_i64(0, 15)))
+                .unwrap();
+        }
+        if let Some(rid) = pdt.rid_of_sid(sid(r)) {
+            pdt.delete_at(rid).unwrap();
+        }
+        if let Some(rid) = pdt.rid_of_sid(sid(r)) {
+            pdt.insert_at(rid, fresh_row(r)).unwrap();
+        }
+    }
+    if r.chance(0.3) {
+        let end = pdt.current_rows();
+        pdt.insert_at(end, fresh_row(r)).unwrap();
+    }
+    let mut tables = HashMap::new();
+    tables.insert(
+        T,
+        TableProvider {
+            pdt: Arc::new(pdt),
+            storage: Arc::new(parking_lot::RwLock::new(storage)),
+        },
+    );
+    let config = EngineConfig {
+        vector_size,
+        ..EngineConfig::default()
+    };
+    ExecContext::new(tables, config)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn pushed_predicate_matches_vectorized_filter(seed in 0u64..1_000_000) {
         let mut r = Xoshiro256::seeded(seed);
         let n = 1500 + r.next_below(2000) as usize;
-        let rows = gen_rows(&mut r, n);
-        let mut pred = gen_pred(&mut r, n);
+        let rows_per_group = [600, 1000][r.next_below(2) as usize];
+        // 1, a non-divisor of either group size, and the default.
+        let vector_size = [1, 7, 1024][r.next_below(3) as usize];
+        let mut pred = if r.chance(0.5) {
+            gen_density_pred(&mut r)
+        } else {
+            gen_pred(&mut r, n)
+        };
         if r.chance(0.4) {
             pred = Expr::and(pred, gen_pred(&mut r, n));
         }
-
-        let db = Database::new().unwrap();
+        if r.chance(0.5) {
+            pred = Expr::and(pred, gen_residual(&mut r));
+        }
+        let ctx = gen_table(&mut r, n, rows_per_group, vector_size);
         let schema = schema();
-        let tid = db.create_table("t", schema.clone()).unwrap();
-        db.bulk_load("t", rows).unwrap();
-        let ctx = db.exec_context(None).unwrap();
 
         // Reference: bare scan + vectorized filter (no pushdown).
-        let unpushed = LogicalPlan::scan("t", tid, schema.clone()).filter(pred.clone());
+        let unpushed = LogicalPlan::scan("t", T, schema.clone()).filter(pred.clone());
         let mut op = compile_plan(&unpushed, &ctx).unwrap();
         let want = collect_rows(op.as_mut()).unwrap();
 
         // Lazy path: same predicate embedded in the scan node.
         let pushed = LogicalPlan::Scan {
             table: "t".into(),
-            table_id: tid,
-            schema: schema.clone(),
+            table_id: T,
+            schema,
             projection: None,
             filter: Some(pred.clone()),
         };
         let mut op = compile_plan(&pushed, &ctx).unwrap();
         let got = collect_rows(op.as_mut()).unwrap();
-        prop_assert_eq!(&got, &want, "pushed scan diverged (pred {:?})", pred);
+        prop_assert_eq!(
+            &got,
+            &want,
+            "pushed scan diverged (pred {:?}, vector size {}, groups of {})",
+            pred,
+            vector_size,
+            rows_per_group
+        );
 
-        // Full pipeline at dop 4: optimizer pushdown + morsel parallelism.
-        db.set_parallelism(4);
-        let plan = LogicalPlan::scan("t", tid, schema).filter(pred.clone());
-        let par = db.run_plan(plan).unwrap().rows;
+        // The same scan behind an Exchange: four workers on one morsel queue.
+        let mut op = compile_plan(&parallelize(pushed, 4), &ctx).unwrap();
+        let par = collect_rows(op.as_mut()).unwrap();
         prop_assert_eq!(
             sort_canonical(par),
             sort_canonical(want),
-            "dop-4 run diverged (pred {:?})",
-            pred
+            "dop-4 run diverged (pred {:?}, vector size {}, groups of {})",
+            pred,
+            vector_size,
+            rows_per_group
         );
+    }
+}
+
+/// A scan keeps nothing between queries: the same statement twice decodes
+/// the same number of column vectors, and the profile has no decoded-slice
+/// cache to report.
+#[test]
+fn repeated_scan_decodes_the_same_vectors_again() {
+    let db = Database::new().unwrap();
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::I64),
+        Field::new("v", DataType::I64),
+        Field::new("tag", DataType::Str),
+    ]);
+    db.create_table("t", schema).unwrap();
+    db.bulk_load(
+        "t",
+        (0..20_000i64).map(|i| {
+            vec![
+                Value::I64(i),
+                Value::I64(i % 16),
+                Value::Str(format!("t{}", i % 5)),
+            ]
+        }),
+    )
+    .unwrap();
+    let decoded = |sql: &str| {
+        db.execute(sql).unwrap();
+        let prof = db.profile_last_query().expect("profiling is on by default");
+        assert!(prof.decode.is_none());
+        let scan = prof
+            .nodes()
+            .into_iter()
+            .find(|node| node.op_name() == "Scan")
+            .expect("scan node");
+        let extras: std::collections::BTreeMap<_, _> = scan.extras().into_iter().collect();
+        assert!(!extras.contains_key("cache_hits"));
+        extras.get("vec_decoded").copied().unwrap_or(0)
+    };
+    // Sparse vectors (1 in 16 survives) and dense ones (15 in 16).
+    for sql in [
+        "SELECT SUM(k), COUNT(tag) FROM t WHERE v < 1",
+        "SELECT SUM(k), COUNT(tag) FROM t WHERE v < 15",
+    ] {
+        let first = decoded(sql);
+        assert!(first > 0, "{sql}: nothing decoded");
+        assert_eq!(decoded(sql), first, "{sql}: second run decoded differently");
     }
 }
 

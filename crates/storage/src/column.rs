@@ -194,9 +194,28 @@ impl ColumnData {
             ColumnData::I64(v) => ColumnData::I64(v[from..to].to_vec()),
             ColumnData::F64(v) => ColumnData::F64(v[from..to].to_vec()),
             ColumnData::Str(v) => {
-                let mut out = StrColumn::new();
-                for i in from..to {
-                    out.push(v.get(i));
+                // One copy of the byte range, offsets rebased to it.
+                let (lo, hi) = (v.offsets[from], v.offsets[to]);
+                ColumnData::Str(StrColumn {
+                    offsets: v.offsets[from..=to].iter().map(|o| o - lo).collect(),
+                    bytes: v.bytes[lo as usize..hi as usize].to_vec(),
+                })
+            }
+        }
+    }
+
+    /// Copy the listed positions, in list order, into a new dense column.
+    pub fn gather(&self, positions: &[u32]) -> ColumnData {
+        let at = |&i: &u32| i as usize;
+        match self {
+            ColumnData::Bool(v) => ColumnData::Bool(positions.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::I32(v) => ColumnData::I32(positions.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::I64(v) => ColumnData::I64(positions.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::F64(v) => ColumnData::F64(positions.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::Str(v) => {
+                let mut out = StrColumn::with_capacity(positions.len(), positions.len() * 8);
+                for i in positions {
+                    out.push(v.get(at(i)));
                 }
                 ColumnData::Str(out)
             }
@@ -260,6 +279,16 @@ impl NullableColumn {
         } else {
             self.data.get_value(i, ty)
         }
+    }
+
+    /// Copy the listed positions, in list order, into a new chunk; the
+    /// indicator is dropped when no gathered position is NULL.
+    pub fn gather(&self, positions: &[u32]) -> NullableColumn {
+        let nulls = self
+            .nulls
+            .as_ref()
+            .map(|b| positions.iter().map(|&p| b.get(p as usize)).collect());
+        NullableColumn::new(self.data.gather(positions), nulls).normalize()
     }
 
     /// Drop the indicator if it is all-false (normalization after merges).

@@ -82,21 +82,65 @@ pub fn unpack(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
     out
 }
 
-/// Unpack values `from..to` of `width` bits from `bytes` without touching
-/// the preceding packed data: the lazy-scan cursors use this to decode one
-/// ~1K-value vector slice out of a 64K-value block.
-pub fn unpack_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64> {
+/// Visit values `from..to` of `width` bits from `bytes`, in order, as
+/// `f(i, value)` with `i` counting from 0, without touching the preceding
+/// packed data: the lazy-scan cursors decode and compare one ~1K-value
+/// vector slice out of a 64K-value block through this.
+///
+/// Widths up to 56 take one unaligned 64-bit load, a shift and a mask per
+/// value (a value starts at most 7 bits into its first byte, so it never
+/// leaves the loaded word); the last few values, whose 8-byte window would
+/// run past `bytes`, load through a zero-padded copy. Wider values keep the
+/// 128-bit residue buffer of [`unpack`].
+#[inline(always)]
+pub fn unpack_range(
+    bytes: &[u8],
+    from: usize,
+    to: usize,
+    width: u32,
+    mut f: impl FnMut(usize, u64),
+) {
     assert!(width <= 64);
     assert!(from <= to);
-    let n = to - from;
     if width == 0 {
-        return vec![0; n];
+        for i in 0..to - from {
+            f(i, 0);
+        }
+        return;
     }
     assert!(
         bytes.len() >= packed_len(to, width),
         "truncated packed data"
     );
-    let start_bit = from * width as usize;
+    let w = width as usize;
+    if width <= 56 {
+        let mask = (1u64 << width) - 1;
+        // Value `v` starts in byte `v * w / 8`; its window fits while that
+        // byte is at most `len - 8`, i.e. for `v < ceil((len - 7) * 8 / w)`.
+        let fit = if bytes.len() >= 8 {
+            ((bytes.len() - 7) * 8).div_ceil(w)
+        } else {
+            0
+        };
+        let fast_to = to.min(fit).max(from);
+        let mut bit = from * w;
+        for i in 0..fast_to - from {
+            let byte = bit >> 3;
+            let word = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
+            f(i, (word >> (bit & 7)) & mask);
+            bit += w;
+        }
+        for i in fast_to - from..to - from {
+            let rest = &bytes[bit >> 3..];
+            let mut buf = [0u8; 8];
+            let take = rest.len().min(8);
+            buf[..take].copy_from_slice(&rest[..take]);
+            f(i, (u64::from_le_bytes(buf) >> (bit & 7)) & mask);
+            bit += w;
+        }
+        return;
+    }
+    let start_bit = from * w;
     let mut pos = start_bit / 8;
     let skip = (start_bit % 8) as u32;
     let mask: u128 = if width == 64 {
@@ -104,7 +148,6 @@ pub fn unpack_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64
     } else {
         (1u128 << width) - 1
     };
-    let mut out = Vec::with_capacity(n);
     // Prime the residue with the partial leading byte, pre-shifted so the
     // first value's low bit sits at bit 0.
     let mut buf: u128 = 0;
@@ -114,7 +157,7 @@ pub fn unpack_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64
         bits = 8 - skip;
         pos += 1;
     }
-    for _ in 0..n {
+    for i in 0..to - from {
         while bits < width {
             if pos + 8 <= bytes.len() {
                 let w = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
@@ -129,16 +172,52 @@ pub fn unpack_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64
                 bits = width;
             }
         }
-        out.push((buf & mask) as u64);
+        f(i, (buf & mask) as u64);
         buf >>= width;
         bits -= width;
     }
-    out
+}
+
+/// Value `idx` of `width` bits from `bytes`: random access for the scans'
+/// selection-aware decode, which visits only the surviving positions.
+#[inline]
+pub fn unpack_at(bytes: &[u8], idx: usize, width: u32) -> u64 {
+    assert!(width <= 64);
+    if width == 0 {
+        return 0;
+    }
+    assert!(
+        bytes.len() >= packed_len(idx + 1, width),
+        "truncated packed data"
+    );
+    let bit = idx * width as usize;
+    let rest = &bytes[bit >> 3..];
+    if width <= 56 {
+        if let Some(window) = rest.first_chunk::<8>() {
+            return (u64::from_le_bytes(*window) >> (bit & 7)) & ((1u64 << width) - 1);
+        }
+    }
+    // A value spans at most 7 + 64 bits: nine bytes, zero-padded at the end.
+    let mut buf = [0u8; 16];
+    let take = rest.len().min(9);
+    buf[..take].copy_from_slice(&rest[..take]);
+    let mask: u128 = if width == 64 {
+        u64::MAX as u128
+    } else {
+        (1u128 << width) - 1
+    };
+    ((u128::from_le_bytes(buf) >> (bit & 7)) & mask) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn collect_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64> {
+        let mut out = vec![0u64; to - from];
+        unpack_range(bytes, from, to, width, |i, v| out[i] = v);
+        out
+    }
 
     #[test]
     fn roundtrip_all_widths() {
@@ -208,13 +287,16 @@ mod tests {
             // Odd offsets exercise every partial-leading-byte skip.
             for (from, to) in [(0, 137), (1, 137), (7, 100), (63, 64), (99, 99), (136, 137)] {
                 assert_eq!(
-                    unpack_range(&packed, from, to, width),
+                    collect_range(&packed, from, to, width),
                     &values[from..to],
                     "width {} range {}..{}",
                     width,
                     from,
                     to
                 );
+            }
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(unpack_at(&packed, i, width), v, "width {} at {}", width, i);
             }
         }
     }
@@ -226,7 +308,7 @@ mod tests {
         for from in 0..values.len() {
             for to in from..=values.len() {
                 assert_eq!(
-                    unpack_range(&packed, from, to, 3),
+                    collect_range(&packed, from, to, 3),
                     &values[from..to],
                     "{}..{}",
                     from,

@@ -21,7 +21,7 @@
 
 use crate::block::{MinMax, PruneOp};
 use crate::column::{ColumnData, NullableColumn, StrColumn};
-use crate::compress::bitpack::{packed_len, unpack_range};
+use crate::compress::bitpack::{packed_len, unpack_at, unpack_range};
 use crate::compress::{CompressionScheme, PHYS_BOOL, PHYS_F64, PHYS_I32, PHYS_I64, PHYS_STR};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -145,6 +145,17 @@ struct Frame {
     exc_val: Vec<i64>,
 }
 
+impl Frame {
+    /// Index range into `exc_pos` / `exc_val` of the exceptions positioned
+    /// in `[from, to)`.
+    fn exceptions_in(&self, from: usize, to: usize) -> (usize, usize) {
+        (
+            self.exc_pos.partition_point(|&p| (p as usize) < from),
+            self.exc_pos.partition_point(|&p| (p as usize) < to),
+        )
+    }
+}
+
 struct DictState {
     dict: Arc<StrColumn>,
     /// Absolute offset of the packed codes within the block bytes.
@@ -152,6 +163,33 @@ struct DictState {
     width: u32,
     /// Per-predicate bitmap over dictionary codes, built once per block.
     pred_sets: Vec<(Pred, Vec<bool>)>,
+}
+
+impl DictState {
+    /// The packed codes of a block of `n` values.
+    fn codes<'a>(&self, bytes: &'a [u8], n: usize) -> &'a [u8] {
+        &bytes[self.codes_start..self.codes_start + packed_len(n, self.width)]
+    }
+}
+
+/// Element `idx` of an array of `N`-byte values starting at byte `base`.
+#[inline]
+fn fixed_at<const N: usize>(bytes: &[u8], base: usize, idx: usize) -> [u8; N] {
+    let at = base + idx * N;
+    bytes[at..at + N].try_into().unwrap()
+}
+
+/// Append dictionary entry `code` to `out`; `false` when the code lies
+/// outside the dictionary. The entry's bytes are copied as they are: the
+/// dictionary was checked to be UTF-8 when the block was opened.
+#[inline]
+fn push_entry(out: &mut StrColumn, dict: &StrColumn, code: usize) -> bool {
+    if code >= dict.len() {
+        return false;
+    }
+    out.bytes.extend_from_slice(dict.get_bytes(code));
+    out.offsets.push(out.bytes.len() as u32);
+    true
 }
 
 enum State {
@@ -266,34 +304,24 @@ impl BlockCursor {
         let phys = self.phys;
         let data = match &mut self.state {
             State::Bool(bits) => ColumnData::Bool((from..to).map(|i| bits.get(i)).collect()),
-            State::PlainInt { width } => {
-                let w = *width;
-                let start = self.body + from * w;
-                let mut wide = Vec::with_capacity(to - from);
-                for i in 0..(to - from) {
-                    let mut buf = [0u8; 8];
-                    buf[..w].copy_from_slice(&bytes[start + i * w..start + (i + 1) * w]);
-                    let mut v = i64::from_le_bytes(buf);
-                    if w == 4 {
-                        // sign-extend 4-byte values
-                        v = (v as i32) as i64;
-                    }
-                    wide.push(v);
-                }
-                int_data(phys, wide)?
-            }
-            State::PlainF64 => {
-                let start = self.body + from * 8;
-                ColumnData::F64(
-                    (0..to - from)
-                        .map(|i| {
-                            f64::from_le_bytes(
-                                bytes[start + i * 8..start + i * 8 + 8].try_into().unwrap(),
-                            )
-                        })
-                        .collect(),
-                )
-            }
+            State::PlainInt { width: 4 } => ColumnData::I32(
+                bytes[self.body + from * 4..self.body + to * 4]
+                    .chunks_exact(4)
+                    .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
+            State::PlainInt { .. } => ColumnData::I64(
+                bytes[self.body + from * 8..self.body + to * 8]
+                    .chunks_exact(8)
+                    .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
+            State::PlainF64 => ColumnData::F64(
+                bytes[self.body + from * 8..self.body + to * 8]
+                    .chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                    .collect(),
+            ),
             State::PlainStr {
                 str_start,
                 offs_start,
@@ -323,7 +351,7 @@ impl BlockCursor {
                     _ => int_data(phys, raw.iter().map(|b| i64::from_le_bytes(*b)).collect())?,
                 }
             }
-            State::Pfor(f) => int_data(phys, frame_values(f, bytes, from, to))?,
+            State::Pfor(f) => frame_column(f, bytes, phys, from, to)?,
             State::PforDelta {
                 frame,
                 pos,
@@ -331,19 +359,13 @@ impl BlockCursor {
                 ck,
             } => int_data(phys, delta_values(frame, bytes, pos, acc, ck, from, to))?,
             State::Pdict(d) => {
-                let codes = unpack_range(
-                    &bytes[d.codes_start..d.codes_start + packed_len(self.n, d.width)],
-                    from,
-                    to,
-                    d.width,
-                );
                 let mut out = StrColumn::with_capacity(to - from, 0);
-                for c in codes {
-                    let c = c as usize;
-                    if c >= d.dict.len() {
-                        return Err(err("pdict code"));
-                    }
-                    out.push(d.dict.get(c));
+                let mut bad = false;
+                unpack_range(d.codes(bytes, self.n), from, to, d.width, |_, c| {
+                    bad |= !push_entry(&mut out, &d.dict, c as usize);
+                });
+                if bad {
+                    return Err(err("pdict code"));
                 }
                 ColumnData::Str(out)
             }
@@ -352,6 +374,81 @@ impl BlockCursor {
             .nulls
             .as_ref()
             .map(|b| (from..to).map(|i| b.get(i)).collect::<BitVec>());
+        Ok(NullableColumn::new(data, nulls).normalize())
+    }
+
+    /// Decode only the positions `from + sel[i]` of `[from, to)`, in the
+    /// order `sel` lists them: what a scan materializes when its pushed
+    /// predicates left few survivors in the vector. Equal to `decode_slice`
+    /// followed by a gather, but PLAIN, PFOR and PDICT blocks are read by
+    /// random access, so the cost follows `sel.len()` and not `to - from`;
+    /// RLE, PFOR-DELTA and boolean blocks decode the slice and gather.
+    pub fn decode_selected(
+        &mut self,
+        from: usize,
+        to: usize,
+        sel: &[u32],
+    ) -> Result<NullableColumn> {
+        if from > to || to > self.n {
+            return Err(err("slice out of range"));
+        }
+        if sel.iter().any(|&p| p as usize >= to - from) {
+            return Err(err("selected position out of range"));
+        }
+        let bytes: &[u8] = &self.bytes;
+        let at = |p: &u32| from + *p as usize;
+        let data = match &self.state {
+            State::PlainInt { width: 4 } => ColumnData::I32(
+                sel.iter()
+                    .map(|p| i32::from_le_bytes(fixed_at(bytes, self.body, at(p))))
+                    .collect(),
+            ),
+            State::PlainInt { .. } => ColumnData::I64(
+                sel.iter()
+                    .map(|p| i64::from_le_bytes(fixed_at(bytes, self.body, at(p))))
+                    .collect(),
+            ),
+            State::PlainF64 => ColumnData::F64(
+                sel.iter()
+                    .map(|p| f64::from_le_bytes(fixed_at(bytes, self.body, at(p))))
+                    .collect(),
+            ),
+            State::PlainStr {
+                str_start,
+                offs_start,
+            } => {
+                let off_at = |i| u32::from_le_bytes(fixed_at(bytes, *offs_start, i)) as usize;
+                let mut out = StrColumn::with_capacity(sel.len(), 0);
+                for p in sel {
+                    let i = at(p);
+                    // Offsets and UTF-8 were validated when the block opened.
+                    out.bytes.extend_from_slice(
+                        &bytes[str_start + off_at(i)..str_start + off_at(i + 1)],
+                    );
+                    out.offsets.push(out.bytes.len() as u32);
+                }
+                ColumnData::Str(out)
+            }
+            State::Pfor(f) => frame_selected(f, bytes, self.phys, from, to, sel)?,
+            State::Pdict(d) => {
+                let codes = d.codes(bytes, self.n);
+                let mut out = StrColumn::with_capacity(sel.len(), 0);
+                for p in sel {
+                    let c = unpack_at(codes, at(p), d.width) as usize;
+                    if !push_entry(&mut out, &d.dict, c) {
+                        return Err(err("pdict code"));
+                    }
+                }
+                ColumnData::Str(out)
+            }
+            State::Bool(_) | State::Rle { .. } | State::PforDelta { .. } => {
+                return Ok(self.decode_slice(from, to)?.gather(sel));
+            }
+        };
+        let nulls = self
+            .nulls
+            .as_ref()
+            .map(|b| sel.iter().map(|p| b.get(at(p))).collect::<BitVec>());
         Ok(NullableColumn::new(data, nulls).normalize())
     }
 
@@ -465,16 +562,15 @@ impl BlockCursor {
         let State::Pdict(d) = &self.state else {
             return None;
         };
-        let raw = unpack_range(
-            &self.bytes[d.codes_start..d.codes_start + packed_len(self.n, d.width)],
-            from,
-            to,
-            d.width,
-        );
-        if raw.iter().any(|&c| c as usize >= d.dict.len()) {
+        let mut codes = vec![0u32; to - from];
+        // Code widths are at most 32 bits (checked when the block opened).
+        unpack_range(d.codes(&self.bytes, self.n), from, to, d.width, |i, c| {
+            codes[i] = c as u32
+        });
+        if codes.iter().any(|&c| c as usize >= d.dict.len()) {
             return None;
         }
-        Some((raw.iter().map(|&c| c as u32).collect(), Arc::clone(&d.dict)))
+        Some((codes, Arc::clone(&d.dict)))
     }
 
     /// NULL indicator for values `[from, to)`, widened to byte-per-value;
@@ -490,6 +586,20 @@ impl BlockCursor {
     /// materializing `decode_slice` that usually follows is cheap.
     fn eval_generic(&mut self, pred: &Pred, from: usize, to: usize) -> Result<Vec<u32>> {
         let col = self.decode_slice(from, to)?;
+        // Integers against an integer literal — a key lookup on a sorted
+        // (PFOR-DELTA) column — compare without a branch per value; the
+        // caller drops NULL positions.
+        if let Pred::Cmp { op, value } = pred {
+            match (&col.data, value.as_i64()) {
+                (ColumnData::I64(v), Some(lit)) => {
+                    return Ok(select_ints(v.iter().copied(), *op, lit))
+                }
+                (ColumnData::I32(v), Some(lit)) => {
+                    return Ok(select_ints(v.iter().map(|&x| x as i64), *op, lit))
+                }
+                _ => {}
+            }
+        }
         let mut sel = Vec::new();
         for i in 0..col.len() {
             if col.is_null(i) {
@@ -687,8 +797,18 @@ fn parse_plain_str(b: &[u8], body: usize, n: usize) -> Result<State> {
 /// Widened i64 values back to their physical column type.
 fn int_data(phys: u8, wide: Vec<i64>) -> Result<ColumnData> {
     if phys == PHYS_I32 {
-        let narrow: Option<Vec<i32>> = wide.iter().map(|&v| i32::try_from(v).ok()).collect();
-        Ok(ColumnData::I32(narrow.ok_or_else(|| err("i32 overflow"))?))
+        let mut fits = true;
+        let narrow = wide
+            .iter()
+            .map(|&v| {
+                fits &= v as i32 as i64 == v;
+                v as i32
+            })
+            .collect();
+        if !fits {
+            return Err(err("i32 overflow"));
+        }
+        Ok(ColumnData::I32(narrow))
     } else {
         Ok(ColumnData::I64(wide))
     }
@@ -714,17 +834,72 @@ fn rle_slice(vals: &[[u8; 8]], starts: &[usize], from: usize, to: usize) -> Vec<
 /// Decode frame values `[from, to)`: unpack the delta range, add the base,
 /// patch exceptions.
 fn frame_values(f: &Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
-    let deltas = unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width);
-    let mut vals: Vec<i64> = deltas
-        .iter()
-        .map(|&d| (f.base as i128 + d as i128) as i64)
-        .collect();
-    let lo = f.exc_pos.partition_point(|&p| (p as usize) < from);
-    let hi = f.exc_pos.partition_point(|&p| (p as usize) < to);
+    let mut vals = vec![0i64; to - from];
+    // Wrapping: a width-64 delta reaches past `i64::MAX - base`.
+    unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width, |i, d| {
+        vals[i] = f.base.wrapping_add(d as i64)
+    });
+    let (lo, hi) = f.exceptions_in(from, to);
     for k in lo..hi {
         vals[f.exc_pos[k] as usize - from] = f.exc_val[k];
     }
     vals
+}
+
+/// Can every packed (non-exception) value of the frame be narrowed to i32?
+/// Decided once per frame from `base` and `width`.
+fn frame_fits_i32(f: &Frame) -> bool {
+    f.width < 32 && f.base >= i32::MIN as i64 && f.base + ((1i64 << f.width) - 1) <= i32::MAX as i64
+}
+
+/// Frame values `[from, to)` in the column's physical type. An i32 column
+/// whose frame fits i32 unpacks, adds the base and narrows in one pass into
+/// one allocation, checking only the patched exceptions for overflow;
+/// otherwise every value is checked after patching.
+fn frame_column(f: &Frame, bytes: &[u8], phys: u8, from: usize, to: usize) -> Result<ColumnData> {
+    if phys != PHYS_I32 || !frame_fits_i32(f) {
+        return int_data(phys, frame_values(f, bytes, from, to));
+    }
+    let mut vals = vec![0i32; to - from];
+    unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width, |i, d| {
+        vals[i] = (f.base + d as i64) as i32
+    });
+    let (lo, hi) = f.exceptions_in(from, to);
+    for k in lo..hi {
+        vals[f.exc_pos[k] as usize - from] =
+            i32::try_from(f.exc_val[k]).map_err(|_| err("i32 overflow"))?;
+    }
+    Ok(ColumnData::I32(vals))
+}
+
+/// Frame values at positions `from + sel[i]`, by random access into the
+/// packed deltas; exceptions inside `[from, to)` are looked up per position.
+fn frame_selected(
+    f: &Frame,
+    bytes: &[u8],
+    phys: u8,
+    from: usize,
+    to: usize,
+    sel: &[u32],
+) -> Result<ColumnData> {
+    let packed = &bytes[f.packed.0..f.packed.1];
+    let (lo, hi) = f.exceptions_in(from, to);
+    let exc_pos = &f.exc_pos[lo..hi];
+    let value_at = |i: usize| f.base.wrapping_add(unpack_at(packed, i, f.width) as i64);
+    let wide = if exc_pos.is_empty() {
+        sel.iter().map(|&p| value_at(from + p as usize)).collect()
+    } else {
+        sel.iter()
+            .map(|&p| {
+                let i = from + p as usize;
+                match exc_pos.binary_search(&(i as u32)) {
+                    Ok(k) => f.exc_val[lo + k],
+                    Err(_) => value_at(i),
+                }
+            })
+            .collect()
+    };
+    int_data(phys, wide)
 }
 
 /// Decode PFOR-DELTA values `[from, to)`, resuming the prefix sum from the
@@ -769,17 +944,81 @@ fn delta_values(
     out
 }
 
+/// Positions of the values passing `test`, ascending, built without a branch
+/// per value: every index is written and the output cursor advances by the
+/// test's result.
+#[inline(always)]
+fn select_where<T>(vals: impl ExactSizeIterator<Item = T>, test: impl Fn(T) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; vals.len()];
+    let mut k = 0usize;
+    for (i, v) in vals.enumerate() {
+        out[k] = i as u32;
+        k += test(v) as usize;
+    }
+    out.truncate(k);
+    out
+}
+
+/// `select_where(v <op> lit)` with the operator matched once, outside the
+/// per-value loop.
+fn select_ints(vals: impl ExactSizeIterator<Item = i64>, op: PredOp, lit: i64) -> Vec<u32> {
+    match op {
+        PredOp::Eq => select_where(vals, |v| v == lit),
+        PredOp::Ne => select_where(vals, |v| v != lit),
+        PredOp::Lt => select_where(vals, |v| v < lit),
+        PredOp::Le => select_where(vals, |v| v <= lit),
+        PredOp::Gt => select_where(vals, |v| v > lit),
+        PredOp::Ge => select_where(vals, |v| v >= lit),
+    }
+}
+
+/// Positions of `[from, to)` whose packed value passes `test`, relative to
+/// `from`; branch-free like [`select_where`]. `skip` lists ascending
+/// absolute positions (PFOR exceptions) whose packed value means nothing;
+/// `skip_matches(k)` decides the `k`-th of them instead.
+#[inline(always)]
+fn select_packed(
+    packed: &[u8],
+    width: u32,
+    from: usize,
+    to: usize,
+    skip: &[u32],
+    skip_matches: impl Fn(usize) -> bool,
+    mut test: impl FnMut(u64) -> bool,
+) -> Vec<u32> {
+    let mut out = vec![0u32; to - from];
+    let mut k = 0usize;
+    let mut start = from;
+    for (e, &p) in skip.iter().enumerate() {
+        let p = p as usize;
+        unpack_range(packed, start, p, width, |i, v| {
+            out[k] = (start - from + i) as u32;
+            k += test(v) as usize;
+        });
+        out[k] = (p - from) as u32;
+        k += skip_matches(e) as usize;
+        start = p + 1;
+    }
+    unpack_range(packed, start, to, width, |i, v| {
+        out[k] = (start - from + i) as u32;
+        k += test(v) as usize;
+    });
+    out.truncate(k);
+    out
+}
+
 /// PFOR predicate in delta space: translate the literal once, compare packed
-/// deltas as unsigned ints, patch exceptions with a real i64 compare.
+/// deltas as unsigned ints, decide exceptions with a real i64 compare.
 fn pfor_eval(f: &Frame, bytes: &[u8], op: PredOp, lit: i64, from: usize, to: usize) -> Vec<u32> {
-    let n = to - from;
     let t = lit as i128 - f.base as i128;
     let limit: i128 = if f.width == 64 {
         u64::MAX as i128
     } else {
         (1i128 << f.width) - 1
     };
-    let mut mask: Vec<bool>;
+    let (lo, hi) = f.exceptions_in(from, to);
+    let exc_pos = &f.exc_pos[lo..hi];
+    let exc_matches = |k: usize| op.matches_ord(f.exc_val[lo + k].cmp(&lit));
     if !(0..=limit).contains(&t) {
         // The literal is outside the packed domain, so every non-exception
         // value compares the same way — no unpack needed at all.
@@ -789,21 +1028,39 @@ fn pfor_eval(f: &Frame, bytes: &[u8], op: PredOp, lit: i64, from: usize, to: usi
             PredOp::Lt | PredOp::Le => t > limit,
             PredOp::Gt | PredOp::Ge => t < 0,
         };
-        mask = vec![all; n];
-    } else {
-        let tu = t as u64;
-        let deltas = unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width);
-        mask = deltas.iter().map(|&d| op.matches_ord(d.cmp(&tu))).collect();
+        let rel = |p: usize| (p - from) as u32;
+        let mut sel = Vec::with_capacity(if all { to - from } else { exc_pos.len() });
+        let mut start = from;
+        for (k, &p) in exc_pos.iter().enumerate() {
+            if all {
+                sel.extend(rel(start)..rel(p as usize));
+            }
+            if exc_matches(k) {
+                sel.push(rel(p as usize));
+            }
+            start = p as usize + 1;
+        }
+        if all {
+            sel.extend(rel(start)..rel(to));
+        }
+        return sel;
     }
-    let lo = f.exc_pos.partition_point(|&p| (p as usize) < from);
-    let hi = f.exc_pos.partition_point(|&p| (p as usize) < to);
-    for k in lo..hi {
-        mask[f.exc_pos[k] as usize - from] = op.matches_ord(f.exc_val[k].cmp(&lit));
+    let tu = t as u64;
+    let packed = &bytes[f.packed.0..f.packed.1];
+    // The operator is matched once, outside the per-value loop.
+    macro_rules! run {
+        ($test:expr) => {
+            select_packed(packed, f.width, from, to, exc_pos, exc_matches, $test)
+        };
     }
-    mask.iter()
-        .enumerate()
-        .filter_map(|(i, &m)| m.then_some(i as u32))
-        .collect()
+    match op {
+        PredOp::Eq => run!(|d| d == tu),
+        PredOp::Ne => run!(|d| d != tu),
+        PredOp::Lt => run!(|d| d < tu),
+        PredOp::Le => run!(|d| d <= tu),
+        PredOp::Gt => run!(|d| d > tu),
+        PredOp::Ge => run!(|d| d >= tu),
+    }
 }
 
 /// RLE predicate: one comparison per run, O(runs) selection output.
@@ -866,19 +1123,26 @@ fn pdict_eval(
         d.pred_sets.push((pred.clone(), set));
     }
     let set = &d.pred_sets.iter().find(|(p, _)| p == pred).unwrap().1;
-    let codes = unpack_range(
-        &bytes[d.codes_start..d.codes_start + packed_len(n, d.width)],
+    // The bitmap answers every predicate shape, so the loop has no operator
+    // to match; a code outside the dictionary is remembered, not branched on.
+    let mut corrupt = false;
+    let sel = select_packed(
+        d.codes(bytes, n),
+        d.width,
         from,
         to,
-        d.width,
+        &[],
+        |_| false,
+        |c| match set.get(c as usize) {
+            Some(&m) => m,
+            None => {
+                corrupt = true;
+                false
+            }
+        },
     );
-    let mut sel = Vec::new();
-    for (k, &c) in codes.iter().enumerate() {
-        match set.get(c as usize).copied() {
-            Some(true) => sel.push(k as u32),
-            Some(false) => {}
-            None => return Err(err("pdict code")),
-        }
+    if corrupt {
+        return Err(err("pdict code"));
     }
     Ok(sel)
 }
@@ -1034,6 +1298,7 @@ mod tests {
 
     fn check_slices(col: &NullableColumn, cur: &mut BlockCursor) {
         let n = col.len();
+        let mut r = Xoshiro256::seeded(n as u64);
         let step = (n / 7).max(1);
         let mut from = 0;
         while from < n {
@@ -1042,12 +1307,48 @@ mod tests {
                 cur.decode_slice(from, to).unwrap(),
                 expected_slice(col, from, to)
             );
+            check_selected(col, cur, &mut r, from, to);
             from = to;
         }
         // out-of-order and overlapping accesses
         for (a, b) in [(0, n), (n / 2, n), (0, n / 2), (n / 3, 2 * n / 3), (n, n)] {
             assert_eq!(cur.decode_slice(a, b).unwrap(), expected_slice(col, a, b));
+            check_selected(col, cur, &mut r, a, b);
         }
+    }
+
+    /// `decode_selected` ≡ `decode_slice` then gather, for the empty, single,
+    /// last-position and full selections of `[from, to)` and random
+    /// ascending ones at three densities; a position at `to - from` is an
+    /// error.
+    fn check_selected(
+        col: &NullableColumn,
+        cur: &mut BlockCursor,
+        r: &mut Xoshiro256,
+        from: usize,
+        to: usize,
+    ) {
+        let len = (to - from) as u32;
+        let mut sels: Vec<Vec<u32>> = vec![vec![], (0..len).collect()];
+        if len > 0 {
+            sels.push(vec![r.next_below(len as u64) as u32]);
+            sels.push(vec![len - 1]);
+            for keep in [0.02, 0.3, 0.8] {
+                sels.push((0..len).filter(|_| r.chance(keep)).collect());
+            }
+        }
+        let full = expected_slice(col, from, to);
+        for sel in sels {
+            assert_eq!(
+                cur.decode_selected(from, to, &sel).unwrap(),
+                full.gather(&sel),
+                "range {}..{} sel {:?}",
+                from,
+                to,
+                sel
+            );
+        }
+        assert!(cur.decode_selected(from, to, &[len]).is_err());
     }
 
     fn naive_sel(col: &NullableColumn, pred: &Pred, from: usize, to: usize) -> Vec<u32> {
@@ -1075,20 +1376,7 @@ mod tests {
     }
 
     fn int_preds(lit: i64) -> Vec<Pred> {
-        [
-            PredOp::Eq,
-            PredOp::Ne,
-            PredOp::Lt,
-            PredOp::Le,
-            PredOp::Gt,
-            PredOp::Ge,
-        ]
-        .iter()
-        .map(|&op| Pred::Cmp {
-            op,
-            value: Value::I64(lit),
-        })
-        .collect()
+        all_ops(Value::I64(lit))
     }
 
     #[test]
@@ -1327,6 +1615,291 @@ mod tests {
         check_preds(&col, &mut cur, &preds);
     }
 
+    fn all_ops(value: Value) -> Vec<Pred> {
+        [
+            PredOp::Eq,
+            PredOp::Ne,
+            PredOp::Lt,
+            PredOp::Le,
+            PredOp::Gt,
+            PredOp::Ge,
+        ]
+        .iter()
+        .map(|&op| Pred::Cmp {
+            op,
+            value: value.clone(),
+        })
+        .collect()
+    }
+
+    /// A PFOR block built by hand: `deltas[i]` packed at `width` bits over
+    /// `base`, except at the listed exception positions, which store 0 and
+    /// carry their value in the exception list. Returns the block and the
+    /// column it must decode to.
+    fn hand_pfor(
+        phys: u8,
+        nulls: Option<&BitVec>,
+        base: i64,
+        width: u32,
+        deltas: &[u64],
+        exceptions: &[(u32, i64)],
+    ) -> (Vec<u8>, ColumnData) {
+        let n = deltas.len();
+        let mut packed_in = deltas.to_vec();
+        let mut vals: Vec<i64> = deltas
+            .iter()
+            .map(|&d| (base as i128 + d as i128) as i64)
+            .collect();
+        for &(p, v) in exceptions {
+            packed_in[p as usize] = 0;
+            vals[p as usize] = v;
+        }
+        let mut blk = match nulls {
+            Some(b) => {
+                let mut out = vec![1u8];
+                out.extend_from_slice(&b.to_bytes());
+                out
+            }
+            None => vec![0u8],
+        };
+        blk.extend_from_slice(&[phys, 2]); // scheme = Pfor
+        blk.extend_from_slice(&(n as u32).to_le_bytes());
+        blk.extend_from_slice(&base.to_le_bytes());
+        blk.push(width as u8);
+        blk.extend_from_slice(&(exceptions.len() as u32).to_le_bytes());
+        blk.extend_from_slice(&crate::compress::bitpack::pack(&packed_in, width));
+        for (p, _) in exceptions {
+            blk.extend_from_slice(&p.to_le_bytes());
+        }
+        for (_, v) in exceptions {
+            blk.extend_from_slice(&v.to_le_bytes());
+        }
+        let data = if phys == PHYS_I32 {
+            ColumnData::I32(vals.iter().map(|&v| v as i32).collect())
+        } else {
+            ColumnData::I64(vals)
+        };
+        (blk, data)
+    }
+
+    /// Every packed width that changes the unpack path (0, 1, the widest
+    /// that fits an i32 frame, the last single-load width, the first
+    /// residue-loop width, 64) × no, some and only exceptions × NULLs:
+    /// slices, selections and all six operators with literals below, inside
+    /// and above the packed domain and on exception values.
+    #[test]
+    fn pfor_widths_exceptions_and_nulls() {
+        let mut r = Xoshiro256::seeded(5);
+        let n = 700usize;
+        for width in [0u32, 1, 31, 56, 57, 64] {
+            for exc_share in [0.0, 0.07, 1.0] {
+                for with_nulls in [false, true] {
+                    let limit = if width == 64 {
+                        u64::MAX
+                    } else {
+                        (1u64 << width) - 1
+                    };
+                    let base: i64 = if width == 64 { i64::MIN } else { -1000 };
+                    let deltas: Vec<u64> = (0..n)
+                        .map(|i| match i % 3 {
+                            0 => 0,
+                            1 => limit,
+                            _ => r.next_u64() & limit,
+                        })
+                        .collect();
+                    let mut exceptions: Vec<(u32, i64)> = Vec::new();
+                    for p in 0..n as u32 {
+                        if r.chance(exc_share) {
+                            exceptions.push((p, r.range_i64(i64::MIN / 2, i64::MAX / 2)));
+                        }
+                    }
+                    let nulls: Option<BitVec> =
+                        with_nulls.then(|| (0..n).map(|i| i % 5 == 2).collect());
+                    let (blk, data) =
+                        hand_pfor(PHYS_I64, nulls.as_ref(), base, width, &deltas, &exceptions);
+                    let col = NullableColumn::new(data, nulls);
+                    let tag = format!("width {} exceptions {}", width, exceptions.len());
+                    assert_eq!(decode_block(&blk).unwrap(), col, "{}", tag);
+                    let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+                    check_slices(&col, &mut cur);
+                    let top = (base as i128 + limit as i128) as i64;
+                    let mut lits = vec![base, top, i64::MIN, i64::MAX, 0];
+                    lits.extend([base.checked_sub(1), top.checked_add(1)].iter().flatten());
+                    lits.push((base as i128 + (deltas[2] as i128)) as i64);
+                    lits.extend(exceptions.iter().take(2).map(|&(_, v)| v));
+                    for lit in lits {
+                        check_preds(&col, &mut cur, &all_ops(Value::I64(lit)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// An i32 column narrows per frame when `base` and `width` allow it and
+    /// per value when they do not; either way a value outside i32 is an
+    /// error, whether it comes packed or as an exception.
+    #[test]
+    fn pfor_i32_narrowing_keeps_its_overflow_checks() {
+        let deltas: Vec<u64> = (0..300u64).map(|i| i % 128).collect();
+        // Fits: checked once for the frame.
+        let (blk, data) = hand_pfor(PHYS_I32, None, i32::MAX as i64 - 127, 7, &deltas, &[]);
+        let col = NullableColumn::not_null(data);
+        let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+        check_slices(&col, &mut cur);
+        check_preds(&col, &mut cur, &all_ops(Value::I64(i32::MAX as i64 - 3)));
+        // The frame could overflow but no value does: checked per value.
+        let small: Vec<u64> = (0..300u64).map(|i| i % 100).collect();
+        let (blk, data) = hand_pfor(PHYS_I32, None, i32::MAX as i64 - 100, 7, &small, &[]);
+        let col = NullableColumn::not_null(data);
+        let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+        check_slices(&col, &mut cur);
+        // One packed value overflows.
+        let (blk, _) = hand_pfor(PHYS_I32, None, i32::MAX as i64 - 100, 7, &deltas, &[]);
+        let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+        assert!(cur.decode_slice(0, 300).is_err());
+        assert!(cur.decode_selected(0, 300, &[101]).is_err());
+        assert!(cur.decode_selected(0, 300, &[100]).is_ok());
+        // An exception overflows a frame that fits.
+        let (blk, _) = hand_pfor(PHYS_I32, None, 0, 7, &deltas, &[(9, i32::MAX as i64 + 1)]);
+        let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+        assert!(cur.decode_slice(0, 300).is_err());
+        assert!(cur.decode_selected(0, 300, &[9]).is_err());
+        assert!(cur.decode_slice(10, 300).is_ok());
+    }
+
+    #[test]
+    fn plain_and_rle_blocks_of_every_physical_type() {
+        let mut r = Xoshiro256::seeded(17);
+        let n = 900usize;
+        let nulls: BitVec = (0..n).map(|i| i % 7 == 3).collect();
+        let i64s: Vec<i64> = (0..n).map(|_| r.range_i64(-40, 40)).collect();
+        let runs: Vec<i64> = (0..n).map(|i| (i / 37) as i64 % 5 - 2).collect();
+        for (data, scheme) in [
+            (ColumnData::I64(i64s.clone()), CompressionScheme::Plain),
+            (
+                ColumnData::I32(i64s.iter().map(|&v| v as i32).collect()),
+                CompressionScheme::Plain,
+            ),
+            (ColumnData::I64(runs.clone()), CompressionScheme::Rle),
+            (
+                ColumnData::I32(runs.iter().map(|&v| v as i32).collect()),
+                CompressionScheme::Rle,
+            ),
+            (ColumnData::I64(i64s.clone()), CompressionScheme::PforDelta),
+        ] {
+            for with_nulls in [false, true] {
+                let mut blk = match with_nulls {
+                    true => {
+                        let mut out = vec![1u8];
+                        out.extend_from_slice(&nulls.to_bytes());
+                        out
+                    }
+                    false => vec![0u8],
+                };
+                blk.extend_from_slice(&compress_with(&data, scheme));
+                let col = NullableColumn::new(data.clone(), with_nulls.then(|| nulls.clone()));
+                let mut cur = BlockCursor::new(Arc::new(blk)).unwrap();
+                assert_eq!(cur.scheme(), scheme);
+                check_slices(&col, &mut cur);
+                for lit in [-41, -40, 0, 1, 39, 40, i64::MIN, i64::MAX] {
+                    check_preds(&col, &mut cur, &all_ops(Value::I64(lit)));
+                }
+                check_preds(&col, &mut cur, &all_ops(Value::F64(0.5)));
+            }
+        }
+        // f64: plain, and RLE over runs; NaN sits in the data, never in a
+        // pushed literal.
+        let mut f: Vec<f64> = (0..n).map(|i| (i % 50) as f64 * 0.5 - 3.0).collect();
+        f[11] = f64::NAN;
+        let plain = NullableColumn::new(ColumnData::F64(f), Some(nulls.clone()));
+        let (mut cur, scheme) = cursor_of(&plain);
+        assert_eq!(scheme, CompressionScheme::Plain);
+        check_nan_aware_slices(&plain, &mut cur);
+        for lit in [-3.5, -3.0, 2.25, 21.5, 22.0] {
+            check_preds(&plain, &mut cur, &all_ops(Value::F64(lit)));
+        }
+        let bools = NullableColumn::new(
+            ColumnData::Bool((0..n).map(|i| i % 3 == 0).collect()),
+            Some(nulls),
+        );
+        let (mut cur, _) = cursor_of(&bools);
+        check_slices(&bools, &mut cur);
+    }
+
+    /// `check_slices` for a column holding NaN, which `assert_eq!` on the
+    /// decoded columns cannot compare: bit patterns instead.
+    fn check_nan_aware_slices(col: &NullableColumn, cur: &mut BlockCursor) {
+        let bits = |c: &NullableColumn| match &c.data {
+            ColumnData::F64(v) => (
+                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                c.nulls.clone(),
+            ),
+            _ => panic!("f64 column expected"),
+        };
+        let n = col.len();
+        let mut r = Xoshiro256::seeded(3);
+        for (a, b) in [(0, n), (5, 40), (n - 1, n), (n, n)] {
+            let full = expected_slice(col, a, b);
+            assert_eq!(bits(&cur.decode_slice(a, b).unwrap()), bits(&full));
+            let sel: Vec<u32> = (0..(b - a) as u32).filter(|_| r.chance(0.4)).collect();
+            assert_eq!(
+                bits(&cur.decode_selected(a, b, &sel).unwrap()),
+                bits(&full.gather(&sel))
+            );
+        }
+    }
+
+    #[test]
+    fn pdict_dictionary_sizes_selections_and_corrupt_codes() {
+        for n_dict in [1usize, 255, 256, 65536] {
+            let reps = if n_dict >= 65536 { 2 } else { 5 };
+            let strings: Vec<String> = (0..n_dict * reps)
+                .map(|i| format!("val{:05}", (i * 7 + i / 3) % n_dict))
+                .collect();
+            let nulls: BitVec = (0..strings.len()).map(|i| i % 11 == 4).collect();
+            let col = NullableColumn::new(
+                ColumnData::Str(StrColumn::from_iter(strings.iter().map(|s| s.as_str()))),
+                Some(nulls),
+            );
+            let (mut cur, scheme) = cursor_of(&col);
+            assert_eq!(scheme, CompressionScheme::Pdict, "dict size {}", n_dict);
+            let n = col.len();
+            let mut r = Xoshiro256::seeded(n_dict as u64);
+            for (a, b) in [(0, n.min(1024)), (n - n.min(700), n), (n / 2, n / 2 + 1)] {
+                assert_eq!(cur.decode_slice(a, b).unwrap(), expected_slice(&col, a, b));
+                check_selected(&col, &mut cur, &mut r, a, b);
+            }
+            let mut preds = all_ops(Value::Str("val00000".into()));
+            preds.extend(all_ops(Value::Str(format!("val{:05}", n_dict / 2))));
+            preds.extend(all_ops(Value::Str("zzz".into())));
+            preds.push(Pred::InStr {
+                values: vec!["val00000".into(), "nope".into()],
+                negated: false,
+            });
+            check_preds(&col, &mut cur, &preds);
+        }
+        // Three entries need two bits, so code 3 is outside the dictionary.
+        let domain = ["a", "bb", "ccc"];
+        let col = NullableColumn::not_null(ColumnData::Str(StrColumn::from_iter(
+            (0..64).map(|i| domain[i % 3]),
+        )));
+        let (mut bytes, scheme) = encode_block(&col);
+        assert_eq!(scheme, CompressionScheme::Pdict);
+        *bytes.last_mut().unwrap() = 0xFF; // positions 60..64 now hold code 3
+        let mut cur = BlockCursor::new(Arc::new(bytes)).unwrap();
+        let eq_a = &all_ops(Value::Str("a".into()))[0];
+        assert_eq!(
+            cur.decode_slice(0, 60).unwrap(),
+            expected_slice(&col, 0, 60)
+        );
+        assert!(cur.decode_slice(0, 64).is_err());
+        assert!(cur.decode_selected(0, 64, &[5, 61]).is_err());
+        assert!(cur.decode_selected(0, 64, &[5, 59]).is_ok());
+        assert!(cur.eval_pred(eq_a, 32, 64).is_err());
+        assert!(cur.eval_pred(eq_a, 0, 60).is_ok());
+        assert!(cur.dict_codes(0, 64).is_none());
+    }
+
     #[test]
     fn empty_block_and_bad_ranges() {
         let col = NullableColumn::not_null(ColumnData::I64(vec![]));
@@ -1338,6 +1911,10 @@ mod tests {
         let (mut cur, _) = cursor_of(&col);
         assert!(cur.decode_slice(2, 1).is_err());
         assert!(cur.eval_pred(&int_preds(1)[0], 0, 4).is_err());
+        assert!(cur.decode_selected(2, 1, &[]).is_err());
+        assert!(cur.decode_selected(0, 4, &[0]).is_err());
+        assert!(cur.decode_selected(1, 3, &[2]).is_err());
+        assert!(cur.decode_selected(1, 3, &[1]).is_ok());
     }
 
     #[test]

@@ -28,8 +28,10 @@ fn main() -> Result<(), vectorwise::VwError> {
         }),
     )?;
 
-    // A short mixed workload, parallel so the trace has several workers.
+    // A short mixed workload, parallel so the trace has several workers,
+    // its scans sharing one cooperative buffer manager (`vw_cache`'s row).
     db.set_parallelism(4);
+    db.enable_cooperative_scans(64 << 20);
     db.execute("SELECT kind, COUNT(*) AS n, SUM(amount) AS total FROM events GROUP BY kind")?;
     db.execute("SELECT COUNT(*) FROM events WHERE amount > 100.0")?;
     db.execute(

@@ -216,6 +216,39 @@ fn range_predicate_prunes_partitions_and_their_disks() {
         &physical.execute(sql).unwrap().rows,
         "pruning query",
     );
+    // Skips decided while the scan runs land on the shard too, never on the
+    // base device. Neither predicate is one the planner prunes with (string
+    // IN-lists are decided per group when the scan opens it): the first is
+    // outside every group's zone map, so each group is skipped unread; the
+    // second is inside it but matches no row, so only the predicate column's
+    // block is ever opened.
+    let skipped_by_disk = || -> Vec<(String, i64)> {
+        physical
+            .execute("SELECT disk, bytes_skipped FROM vw_io")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| match (&r[0], &r[1]) {
+                (Value::Str(d), Value::I64(b)) => (d.clone(), *b),
+                other => panic!("unexpected vw_io row {other:?}"),
+            })
+            .collect()
+    };
+    for in_list in ["'ZZZ'", "'AIRX'"] {
+        let sql = format!(
+            "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_shipmode IN ({in_list})"
+        );
+        let before = skipped_by_disk();
+        let rows = physical.execute(&sql).unwrap().rows;
+        assert_identical(&plain.execute(&sql).unwrap().rows, &rows, "per-group skip");
+        for ((disk, was), (_, now)) in before.iter().zip(skipped_by_disk()) {
+            if disk.starts_with("lineitem.p") {
+                assert!(now > *was, "{in_list}: {disk} recorded no skipped bytes");
+            } else {
+                assert_eq!(now, *was, "{in_list}: skip charged to {disk}");
+            }
+        }
+    }
 }
 
 /// Checkpoint-under-churn property: an ORDER BY table stays value-identical

@@ -85,6 +85,8 @@ fn tpch_q1_dop4_trace_covers_all_workers() {
 fn every_system_table_is_queryable_after_a_workload() {
     let (db, cat) = tpch_db(0.002);
     db.set_parallelism(2);
+    // `vw_cache` has one row per attached cache, and the ABM is the only one.
+    db.enable_cooperative_scans(8 << 20);
     for (_, plan) in all_queries(&cat).into_iter().take(4) {
         db.run_plan(plan).expect("workload query");
     }
