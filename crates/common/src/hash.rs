@@ -45,6 +45,37 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     hash_u64(h ^ bytes.len() as u64)
 }
 
+/// Key word every NULL hashes as, so NULL group keys collide into one group.
+pub const NULL_KEY_WORD: u64 = 0x6e75_6c6c;
+
+/// Fold one key column of a whole vector into the hash lane array `out`:
+/// `out[j]` belongs to row `sel[j]` (row `j` without a selection) and
+/// `word(row)` is that row's key as a 64-bit word. The first key column seeds
+/// the lanes with [`hash_u64`]; further columns mix in with [`hash_combine`].
+/// The caller matches the column type once and passes a monomorphic `word`,
+/// so nothing is dispatched per row.
+#[inline]
+pub fn hash_lanes(sel: Option<&[u32]>, out: &mut [u64], first: bool, word: impl Fn(usize) -> u64) {
+    match (sel, first) {
+        (None, true) => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, h)| *h = hash_u64(word(i))),
+        (None, false) => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, h)| *h = hash_combine(*h, word(i))),
+        (Some(s), true) => out
+            .iter_mut()
+            .zip(s)
+            .for_each(|(h, &i)| *h = hash_u64(word(i as usize))),
+        (Some(s), false) => out
+            .iter_mut()
+            .zip(s)
+            .for_each(|(h, &i)| *h = hash_combine(*h, word(i as usize))),
+    }
+}
+
 /// An `std::hash::Hasher` wrapper so std collections can use our function.
 #[derive(Default)]
 pub struct FxLikeHasher {

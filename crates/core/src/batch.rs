@@ -12,7 +12,7 @@
 //! that need dense input call [`Batch::compact`].
 
 use vw_common::{BitVec, DataType, Result, Schema, Value, VwError};
-use vw_storage::{ColumnData, NullableColumn};
+use vw_storage::{ColumnData, NullableColumn, StrColumn};
 
 /// A typed vector with an optional byte-per-value NULL indicator.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,12 +67,20 @@ impl ExecVector {
 
     /// Gather positions into a new dense vector.
     pub fn gather(&self, positions: &[u32]) -> ExecVector {
-        let data = self.data.gather(positions);
-        let nulls = self
-            .nulls
-            .as_ref()
-            .map(|n| positions.iter().map(|&i| n[i as usize]).collect());
-        ExecVector { data, nulls }
+        let mut out = self.empty_like(positions.len());
+        out.extend_from(self, Some(positions));
+        out
+    }
+
+    /// An empty vector of this one's physical type with room for `n` rows.
+    pub fn empty_like(&self, n: usize) -> ExecVector {
+        ExecVector::not_null(match &self.data {
+            ColumnData::Bool(_) => ColumnData::Bool(Vec::with_capacity(n)),
+            ColumnData::I32(_) => ColumnData::I32(Vec::with_capacity(n)),
+            ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(n)),
+            ColumnData::F64(_) => ColumnData::F64(Vec::with_capacity(n)),
+            ColumnData::Str(_) => ColumnData::Str(StrColumn::with_capacity(n, n * 8)),
+        })
     }
 
     /// Copy positions `[from, to)` into a new vector (scan batching).
@@ -93,6 +101,64 @@ impl ExecVector {
             data,
             nulls: Some(vec![true; len]),
         }
+    }
+
+    /// An empty, growable vector of logical type `ty`.
+    pub fn empty(ty: DataType) -> ExecVector {
+        ExecVector::not_null(ColumnData::empty(ty))
+    }
+
+    /// Append rows of `src` (same physical type): the listed `lanes` in list
+    /// order, or every row. The column type is matched once per call.
+    pub fn extend_from(&mut self, src: &ExecVector, lanes: Option<&[u32]>) {
+        fn ext<T: Copy>(dst: &mut Vec<T>, src: &[T], lanes: Option<&[u32]>) {
+            match lanes {
+                Some(l) => dst.extend(l.iter().map(|&i| src[i as usize])),
+                None => dst.extend_from_slice(src),
+            }
+        }
+        let before = self.len();
+        match (&mut self.data, &src.data) {
+            (ColumnData::Bool(d), ColumnData::Bool(s)) => ext(d, s, lanes),
+            (ColumnData::I32(d), ColumnData::I32(s)) => ext(d, s, lanes),
+            (ColumnData::I64(d), ColumnData::I64(s)) => ext(d, s, lanes),
+            (ColumnData::F64(d), ColumnData::F64(s)) => ext(d, s, lanes),
+            (ColumnData::Str(d), ColumnData::Str(s)) => match lanes {
+                Some(l) => {
+                    for &i in l {
+                        d.bytes.extend_from_slice(s.get_bytes(i as usize));
+                        d.offsets.push(d.bytes.len() as u32);
+                    }
+                }
+                None => {
+                    let base = d.bytes.len() as u32;
+                    d.bytes.extend_from_slice(&s.bytes);
+                    d.offsets.extend(s.offsets[1..].iter().map(|o| o + base));
+                }
+            },
+            (d, s) => panic!("extend_from: {} <- {}", d.type_name(), s.type_name()),
+        }
+        let added = self.len() - before;
+        match (&mut self.nulls, &src.nulls) {
+            (None, None) => {}
+            (Some(d), None) => d.resize(before + added, false),
+            (d, Some(s)) => {
+                let d = d.get_or_insert_with(|| vec![false; before]);
+                ext(d, s, lanes);
+            }
+        }
+    }
+
+    /// Heap bytes held, by capacity (what the allocator handed out).
+    pub fn heap_bytes(&self) -> usize {
+        let data = match &self.data {
+            ColumnData::Bool(v) => v.capacity(),
+            ColumnData::I32(v) => v.capacity() * 4,
+            ColumnData::I64(v) => v.capacity() * 8,
+            ColumnData::F64(v) => v.capacity() * 8,
+            ColumnData::Str(v) => v.bytes.capacity() + v.offsets.capacity() * 4,
+        };
+        data + self.nulls.as_ref().map_or(0, |n| n.capacity())
     }
 
     /// Build from `Value`s (test helper and slow paths).
@@ -234,7 +300,6 @@ impl Batch {
 mod tests {
     use super::*;
     use vw_common::Field;
-    use vw_storage::StrColumn;
 
     fn sample_batch() -> Batch {
         Batch::new(vec![

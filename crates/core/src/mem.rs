@@ -271,6 +271,22 @@ impl MemTracker {
         self.budget.release(bytes);
     }
 
+    /// Bring the share of this reservation a caller tracks in `*held` to
+    /// `want` bytes (a structure's heap footprint, re-measured). Shrinking
+    /// always succeeds; growth the budget refuses changes nothing and returns
+    /// `false`, unless `force`.
+    pub fn resize(&mut self, held: &mut usize, want: usize, force: bool) -> bool {
+        if want <= *held {
+            self.shrink(*held - want);
+        } else if force {
+            self.force_grow(want - *held);
+        } else if !self.try_grow(want - *held) {
+            return false;
+        }
+        *held = want;
+        true
+    }
+
     /// Release everything this tracker holds.
     pub fn release_all(&mut self) {
         self.budget.release(self.reserved);

@@ -1,11 +1,12 @@
 //! Vectorized hash aggregation, with the partial/final split used by the
 //! Volcano parallelizer (see `vw_plan::rewrite::parallel`).
 //!
-//! Group lookup is allocation-free on the hot path: hash lanes directly from
-//! the key columns, verify candidates by lane comparison, and only when a
-//! *new* group is born are its key values materialized — into a flat
-//! interned key buffer ([`KeyStore`]: one `Vec<Value>` with a fixed stride,
-//! not one allocation per group).
+//! A vector's group keys are mapped to a `gid` vector by the shared flat hash
+//! table ([`GroupIndex`]: group ids dense in first-seen order, keys interned
+//! in typed columns) and the `gid`s address the same struct-of-arrays
+//! [`Accumulators`] the perfect-hash path addresses with composed key codes —
+//! the two paths differ only in how a slot is computed. Results leave as
+//! columns gathered from the key and accumulator columns.
 //! Aggregate arguments are evaluated vector-at-a-time with the batch's
 //! selection vector, so the classic `Scan → Filter → Aggregate` pipeline
 //! never materializes survivors.
@@ -17,9 +18,11 @@
 //! top bits of the group hash, and the table restarts empty. A group's hash
 //! is deterministic in its (normalized) key values, so every fragment of
 //! one group lands in the same partition. At end of input the partitions
-//! drain one at a time: fragments re-aggregate with the same `combine`
+//! drain one at a time: fragments re-aggregate with the same combine
 //! semantics the Final phase uses, then finish for the operator's own phase
-//! — correct for Single, Partial and Final alike.
+//! — correct for Single, Partial and Final alike. The reservation is the
+//! table's heap footprint by capacity (buckets, chains, hashes, interned
+//! keys, accumulator columns), trued up after every vector.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,283 +34,69 @@ use crate::profile::OpProfile;
 use crate::spill::{read_batch, spill_disk, write_batch};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
-use vw_common::hash::FxHashMap;
 use vw_common::waits::WaitStats;
-use vw_common::{DataType, Field, Histogram, Result, Schema, Value, VwError};
+use vw_common::{DataType, Field, Histogram, Result, Schema, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::rewrite::parallel::partial_avg_count_columns;
 use vw_plan::{AggExpr, AggFunc};
 use vw_storage::{ColumnData, SimDisk, SpillFile, StrColumn};
 
-use super::perfect::{self, BatchKey, KeyCoderSpec, PerfectTable};
+use super::hash_table::GroupIndex;
+use super::perfect::{self, Accumulators, BatchKey, KeyCoderSpec, PerfectTable};
 use super::scan::KeyCodes;
-use super::{hash_lane, BoxedOperator, Operator, VecScan};
+use super::{BoxedOperator, Operator, VecScan};
 
 /// Spill fan-out: partitions are selected by the top 3 bits of the group
 /// hash, so re-spilled fragments of one group always meet again.
 const SPILL_PARTITIONS: usize = 8;
 
-/// One aggregate's running state.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumI { sum: i64, seen: bool },
-    SumF { sum: f64, seen: bool },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, count: i64 },
-}
-
-impl AggState {
-    fn new(func: AggFunc, arg_ty: Option<DataType>) -> AggState {
-        match func {
-            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => match arg_ty {
-                Some(DataType::F64) => AggState::SumF {
-                    sum: 0.0,
-                    seen: false,
-                },
-                _ => AggState::SumI {
-                    sum: 0,
-                    seen: false,
-                },
-            },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-        }
-    }
-
-    /// Single-phase update from one lane of the argument vector.
-    fn update(&mut self, arg: Option<(&ExecVector, usize, DataType)>) -> Result<()> {
-        match self {
-            AggState::Count(n) => match arg {
-                None => *n += 1, // COUNT(*)
-                Some((v, i, _)) => {
-                    if !v.is_null(i) {
-                        *n += 1;
-                    }
-                }
-            },
-            AggState::SumI { sum, seen } => {
-                let (v, i, _) = arg.ok_or_else(|| VwError::Exec("SUM needs arg".into()))?;
-                if !v.is_null(i) {
-                    *sum = sum.wrapping_add(lane_i64(v, i)?);
-                    *seen = true;
-                }
-            }
-            AggState::SumF { sum, seen } => {
-                let (v, i, _) = arg.ok_or_else(|| VwError::Exec("SUM needs arg".into()))?;
-                if !v.is_null(i) {
-                    *sum += lane_f64(v, i)?;
-                    *seen = true;
-                }
-            }
-            AggState::Min(cur) => {
-                let (v, i, ty) = arg.ok_or_else(|| VwError::Exec("MIN needs arg".into()))?;
-                if !v.is_null(i) {
-                    let val = v.get_value(i, ty);
-                    if cur.as_ref().is_none_or(|c| val.total_cmp(c).is_lt()) {
-                        *cur = Some(val);
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                let (v, i, ty) = arg.ok_or_else(|| VwError::Exec("MAX needs arg".into()))?;
-                if !v.is_null(i) {
-                    let val = v.get_value(i, ty);
-                    if cur.as_ref().is_none_or(|c| val.total_cmp(c).is_gt()) {
-                        *cur = Some(val);
-                    }
-                }
-            }
-            AggState::Avg { sum, count } => {
-                let (v, i, _) = arg.ok_or_else(|| VwError::Exec("AVG needs arg".into()))?;
-                if !v.is_null(i) {
-                    *sum += lane_f64(v, i)?;
-                    *count += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Final-phase update: combine a partial value (and hidden count for AVG).
-    fn combine(
-        &mut self,
-        arg: (&ExecVector, usize, DataType),
-        hidden_count: Option<(&ExecVector, usize)>,
-    ) -> Result<()> {
-        let (v, i, ty) = arg;
-        if v.is_null(i) {
-            return Ok(());
-        }
-        match self {
-            AggState::Count(n) => *n += lane_i64(v, i)?,
-            AggState::SumI { sum, seen } => {
-                *sum = sum.wrapping_add(lane_i64(v, i)?);
-                *seen = true;
-            }
-            AggState::SumF { sum, seen } => {
-                *sum += lane_f64(v, i)?;
-                *seen = true;
-            }
-            AggState::Min(cur) => {
-                let val = v.get_value(i, ty);
-                if cur.as_ref().is_none_or(|c| val.total_cmp(c).is_lt()) {
-                    *cur = Some(val);
-                }
-            }
-            AggState::Max(cur) => {
-                let val = v.get_value(i, ty);
-                if cur.as_ref().is_none_or(|c| val.total_cmp(c).is_gt()) {
-                    *cur = Some(val);
-                }
-            }
-            AggState::Avg { sum, count } => {
-                *sum += lane_f64(v, i)?;
-                let (hc, hi) =
-                    hidden_count.ok_or_else(|| VwError::Exec("AVG final needs count".into()))?;
-                *count += lane_i64(hc, hi)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Finish into the output value for the given phase.
-    fn finish(&self, phase: AggPhase) -> Value {
-        match self {
-            AggState::Count(n) => Value::I64(*n),
-            AggState::SumI { sum, seen } => {
-                if *seen {
-                    Value::I64(*sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumF { sum, seen } => {
-                if *seen {
-                    Value::F64(*sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else if phase == AggPhase::Partial {
-                    Value::F64(*sum) // partial carries raw sum + hidden count
-                } else {
-                    Value::F64(*sum / *count as f64)
-                }
-            }
-        }
-    }
-
-    /// The hidden count value (partial AVG output).
-    fn hidden_count(&self) -> Value {
-        match self {
-            AggState::Avg { count, .. } => Value::I64(*count),
-            _ => Value::Null,
-        }
-    }
-}
-
-#[inline]
-pub(crate) fn lane_i64(v: &ExecVector, i: usize) -> Result<i64> {
-    match &v.data {
-        ColumnData::I64(x) => Ok(x[i]),
-        ColumnData::I32(x) => Ok(x[i] as i64),
-        ColumnData::Bool(x) => Ok(x[i] as i64),
-        other => Err(VwError::Exec(format!(
-            "integer aggregate over {}",
-            other.type_name()
-        ))),
-    }
-}
-
-#[inline]
-pub(crate) fn lane_f64(v: &ExecVector, i: usize) -> Result<f64> {
-    match &v.data {
-        ColumnData::F64(x) => Ok(x[i]),
-        ColumnData::I64(x) => Ok(x[i] as f64),
-        ColumnData::I32(x) => Ok(x[i] as f64),
-        other => Err(VwError::Exec(format!(
-            "numeric aggregate over {}",
-            other.type_name()
-        ))),
-    }
-}
-
-/// Interned group keys: one flat buffer with a fixed stride of
-/// `width = group_by.len()` values per group (the keys of group `g` live at
-/// `flat[g*width..(g+1)*width]`), instead of a `Vec<Value>` per group.
-struct KeyStore {
-    flat: Vec<Value>,
-    width: usize,
-    groups: usize,
-}
-
-impl KeyStore {
-    fn new(width: usize) -> KeyStore {
-        KeyStore {
-            flat: Vec::new(),
-            width,
-            groups: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.groups
-    }
-
-    fn is_empty(&self) -> bool {
-        self.groups == 0
-    }
-
-    fn keys(&self, g: usize) -> &[Value] {
-        &self.flat[g * self.width..(g + 1) * self.width]
-    }
-
-    /// Intern one group's keys; returns its id.
-    fn push(&mut self, keys: impl Iterator<Item = Value>) -> usize {
-        self.flat.extend(keys);
-        debug_assert_eq!(self.flat.len(), (self.groups + 1) * self.width);
-        self.groups += 1;
-        self.groups - 1
-    }
-
-    fn clear(&mut self) {
-        self.flat.clear();
-        self.groups = 0;
-    }
-}
-
-/// The resident aggregation state: hash table, interned keys, group hashes
-/// (kept for spill partitioning) and per-group aggregate states.
+/// The resident aggregation state of the generic path: the group directory
+/// and one accumulator slot per group id.
 struct GroupTable {
-    buckets: FxHashMap<u64, Vec<u32>>,
-    keys: KeyStore,
-    hashes: Vec<u64>,
-    states: Vec<Vec<AggState>>,
+    groups: GroupIndex,
+    accs: Accumulators,
+    /// Scratch: the group id of each lane of the vector being absorbed.
+    gids: Vec<u32>,
 }
 
 impl GroupTable {
-    fn new(width: usize) -> GroupTable {
-        GroupTable {
-            buckets: FxHashMap::default(),
-            keys: KeyStore::new(width),
-            hashes: Vec::new(),
-            states: Vec::new(),
-        }
+    fn heap_bytes(&self) -> usize {
+        self.groups.heap_bytes() + self.accs.heap_bytes() + self.gids.capacity() * 4
     }
 
-    fn clear(&mut self) {
-        self.buckets.clear();
-        self.keys.clear();
-        self.hashes.clear();
-        self.states.clear();
+    /// Fold rows `lanes` in: key columns to group ids, then one pass per
+    /// aggregate over its accumulator column. Returns `(lookup, update)`
+    /// nanoseconds when `timed`.
+    fn absorb(
+        &mut self,
+        keys: &[&ExecVector],
+        lanes: &[u32],
+        combine: bool,
+        args: &[Option<&ExecVector>],
+        hidden: &[Option<&ExecVector>],
+        timed: bool,
+    ) -> Result<(u64, u64)> {
+        let t0 = timed.then(Instant::now);
+        self.groups.find_or_insert(keys, lanes, &mut self.gids);
+        if self.groups.len() > self.accs.len() {
+            // In step with the bucket array: room until its next doubling.
+            self.accs.resize(self.groups.table().capacity());
+        }
+        let t1 = timed.then(Instant::now);
+        self.accs.fold(combine, &self.gids, lanes, args, hidden)?;
+        Ok(match (t0, t1) {
+            (Some(t0), Some(t1)) => ((t1 - t0).as_nanos() as u64, t1.elapsed().as_nanos() as u64),
+            _ => (0, 0),
+        })
+    }
+
+    /// Output rows of groups `ids` for `phase` (keys, finished aggregates,
+    /// hidden AVG counts when emitting partials).
+    fn batch(&self, ids: &[u32], phase: AggPhase) -> Batch {
+        let keys = self.groups.keys().iter().map(|k| k.gather(ids));
+        let mut out = Batch::new(keys.chain(self.accs.finish(ids, phase)).collect());
+        out.rows = ids.len();
+        out
     }
 }
 
@@ -420,9 +209,6 @@ pub struct HashAggregate {
     /// Columns in the (partial) input carrying hidden AVG counts:
     /// `(agg index, input column)`.
     hidden_in: Vec<(usize, usize)>,
-    /// Layout of spilled group rows: keys, partial aggregate values, hidden
-    /// AVG counts (the Partial-phase output layout, whatever `phase` is).
-    spill_schema: Schema,
     /// Indices (into `aggs`) of the AVG aggregates, in order.
     avg_idxs: Vec<usize>,
     mem: MemTracker,
@@ -446,6 +232,23 @@ pub struct HashAggregate {
     /// Cross-query aggregation-path feedback store and this aggregate's
     /// shape key, when the database attached one (adaptivity on).
     feedback: Option<(Arc<AggFeedback>, AggShapeKey)>,
+    /// Bytes reserved against the budget for the resident generic table.
+    table_bytes: usize,
+    /// `EXPLAIN ANALYZE` figures of the generic path.
+    stats: TableStats,
+}
+
+/// Generic-path counters: groups emitted, the largest bucket array and the
+/// bucket-array doublings over every table the run held (a spill restarts
+/// the table), and (profiling on) time mapping keys to group ids vs updating
+/// accumulators, summed per vector.
+#[derive(Default)]
+struct TableStats {
+    groups: u64,
+    ht_slots: u64,
+    ht_rehashes: u64,
+    lookup_ns: u64,
+    update_ns: u64,
 }
 
 impl HashAggregate {
@@ -541,38 +344,12 @@ impl HashAggregate {
         } else {
             Vec::new()
         };
-        // Spill rows use the Partial output layout regardless of phase.
-        let mut spill_fields: Vec<Field> = group_by
-            .iter()
-            .map(|&g| {
-                let f = in_schema.field(g);
-                Field {
-                    name: f.name.clone(),
-                    ty: f.ty,
-                    nullable: true,
-                }
-            })
-            .collect();
-        for (a, ty) in aggs.iter().zip(&arg_types) {
-            spill_fields.push(Field {
-                name: a.name.clone(),
-                ty: output_type(a.func, *ty, AggPhase::Partial),
-                nullable: true,
-            });
-        }
         let avg_idxs: Vec<usize> = aggs
             .iter()
             .enumerate()
             .filter(|(_, a)| a.func == AggFunc::Avg)
             .map(|(i, _)| i)
             .collect();
-        for &i in &avg_idxs {
-            spill_fields.push(Field {
-                name: format!("__{}_count", aggs[i].name),
-                ty: DataType::I64,
-                nullable: true,
-            });
-        }
         Ok(HashAggregate {
             input,
             group_by,
@@ -584,7 +361,6 @@ impl HashAggregate {
             in_schema,
             vector_size: vector_size.max(1),
             hidden_in,
-            spill_schema: Schema::new(spill_fields),
             avg_idxs,
             mem: MemTracker::detached(),
             disk: None,
@@ -598,6 +374,8 @@ impl HashAggregate {
             ran_perfect: false,
             perfect_fallback: false,
             feedback: None,
+            table_bytes: 0,
+            stats: TableStats::default(),
         })
     }
 
@@ -667,15 +445,54 @@ impl HashAggregate {
         self.waits = Some(waits);
     }
 
+    fn key_types(&self) -> Vec<DataType> {
+        let types = self.group_by.iter();
+        types.map(|&g| self.in_schema.field(g).ty).collect()
+    }
+
+    fn new_table(&self) -> GroupTable {
+        GroupTable {
+            groups: GroupIndex::new(&self.key_types()),
+            accs: Accumulators::new(&self.aggs, &self.arg_types, 0),
+            gids: Vec::new(),
+        }
+    }
+
+    /// Fold rows `lanes` into `table`, then true the reservation up to the
+    /// table's footprint. When the budget refuses the growth the whole table
+    /// (this vector's groups included) is spilled — unless `force`: a
+    /// draining partition is a minimal working unit and must stay resident.
+    #[allow(clippy::too_many_arguments)]
+    fn absorb(
+        &mut self,
+        table: &mut GroupTable,
+        keys: &[&ExecVector],
+        lanes: &[u32],
+        combine: bool,
+        args: &[Option<&ExecVector>],
+        hidden: &[Option<&ExecVector>],
+        force: bool,
+    ) -> Result<()> {
+        let timed = self.waits.is_some();
+        let (lookup, update) = table.absorb(keys, lanes, combine, args, hidden, timed)?;
+        self.stats.lookup_ns += lookup;
+        self.stats.update_ns += update;
+        let want = table.heap_bytes();
+        if !self.mem.resize(&mut self.table_bytes, want, force) {
+            self.spill_table(table)?;
+        }
+        Ok(())
+    }
+
     fn run(&mut self) -> Result<()> {
-        let mut table = GroupTable::new(self.group_by.len());
-        // Bytes currently reserved against the budget for `table`.
-        let mut table_bytes = 0usize;
-        let key_types: Vec<DataType> = self
-            .group_by
-            .iter()
-            .map(|&g| self.in_schema.field(g).ty)
+        let mut table = self.new_table();
+        let key_types = self.key_types();
+        // `aggs[k]`'s hidden AVG count column in the (partial) input.
+        let hidden_cols: Vec<Option<usize>> = (0..self.aggs.len())
+            .map(|k| self.hidden_in.iter().find(|(ai, _)| *ai == k).map(|h| h.1))
             .collect();
+        let combine = self.phase == AggPhase::Final;
+        let mut identity: Vec<u32> = Vec::new();
 
         // Arm the direct-array table. A refused reservation means the
         // generic path from batch one — and no key-code capture either,
@@ -705,17 +522,17 @@ impl HashAggregate {
                 .iter()
                 .map(|ev| ev.as_ref().map(|e| e.eval(&batch)).transpose())
                 .collect::<Result<_>>()?;
+            let args: Vec<Option<&ExecVector>> = args.iter().map(|a| a.as_ref()).collect();
+            if combine && args.iter().any(|a| a.is_none()) {
+                return Err(VwError::Exec("final agg needs arg".into()));
+            }
+            if identity.len() < batch.rows {
+                identity = (0..batch.rows as u32).collect();
+            }
 
             // Direct-array fast path: compose slots, accumulate, next batch.
             if let Some(t) = pt.as_mut() {
-                let sel_owned: Vec<u32>;
-                let lanes: &[u32] = match &batch.sel {
-                    Some(s) => s,
-                    None => {
-                        sel_owned = (0..batch.rows as u32).collect();
-                        &sel_owned
-                    }
-                };
+                let lanes = batch.sel.as_deref().unwrap_or(&identity[..batch.rows]);
                 let keys: Vec<BatchKey<'_>> = self
                     .group_by
                     .iter()
@@ -730,14 +547,7 @@ impl HashAggregate {
                         None => BatchKey::Column(&batch.columns[g]),
                     })
                     .collect();
-                let hidden: Vec<Option<&ExecVector>> = (0..self.aggs.len())
-                    .map(|k| {
-                        self.hidden_in
-                            .iter()
-                            .find(|(ai, _)| *ai == k)
-                            .map(|(_, col)| &batch.columns[*col])
-                    })
-                    .collect();
+                let hidden = hidden_refs(&hidden_cols, &batch);
                 if t.absorb(&keys, lanes, &args, self.phase, &hidden)? {
                     continue;
                 }
@@ -751,114 +561,22 @@ impl HashAggregate {
             if let Some(t) = pt.take() {
                 // Out-of-domain key: graceful fallback. Re-emit the resident
                 // direct-array state as partial rows and merge them into the
-                // generic table with combine() semantics, then continue
+                // generic table with combine semantics, then continue
                 // generically (capture off).
                 self.perfect_fallback = true;
                 self.feedback_refusal();
                 self.input.disable_capture();
-                let rows = t.rows(AggPhase::Partial, &self.avg_idxs);
+                let partial = t.batch(&t.occupied_slots(), AggPhase::Partial);
                 let reserved = t.reserved_bytes;
                 drop(t);
                 self.mem.shrink(reserved);
-                if !rows.is_empty() {
-                    let pb = Batch::from_rows(&self.spill_schema, &rows)?;
-                    let nb = self.merge_partial_batch(&mut table, &pb)?;
-                    if nb > 0 {
-                        if self.mem.try_grow(nb) {
-                            table_bytes += nb;
-                        } else {
-                            self.spill_table(&mut table, &mut table_bytes)?;
-                        }
-                    }
-                }
+                self.merge_partial_batch(&mut table, &partial, false)?;
             }
 
-            let sel_owned: Vec<u32>;
-            let lanes: &[u32] = match &batch.sel {
-                Some(s) => s,
-                None => {
-                    sel_owned = (0..batch.rows as u32).collect();
-                    &sel_owned
-                }
-            };
-            // Memory cost of groups born in this batch (accounted per batch,
-            // not per row, to keep the fast path cheap).
-            let mut new_bytes = 0usize;
-            for &lane in lanes {
-                let i = lane as usize;
-                // group lookup
-                let mut h = 0u64;
-                for &g in &self.group_by {
-                    h = hash_lane(&batch.columns[g], i, h);
-                }
-                let bucket = table.buckets.entry(h).or_default();
-                let mut gid: Option<u32> = None;
-                for &cand in bucket.iter() {
-                    let keys = table.keys.keys(cand as usize);
-                    let ok = self
-                        .group_by
-                        .iter()
-                        .enumerate()
-                        .all(|(k, &g)| value_lane_eq(&keys[k], &batch.columns[g], i));
-                    if ok {
-                        gid = Some(cand);
-                        break;
-                    }
-                }
-                let gid = match gid {
-                    Some(g) => g as usize,
-                    None => {
-                        let id = table.keys.push(
-                            self.group_by
-                                .iter()
-                                .zip(&key_types)
-                                // Store the canonical key (folds -0.0 to 0.0,
-                                // canonicalizes NaN) so the emitted group key
-                                // matches the row-engine's normalized keys.
-                                .map(|(&g, &ty)| batch.columns[g].get_value(i, ty).normalize_key()),
-                        );
-                        bucket.push(id as u32);
-                        new_bytes += group_cost(table.keys.keys(id), self.aggs.len());
-                        table.hashes.push(h);
-                        table.states.push(
-                            self.aggs
-                                .iter()
-                                .zip(&self.arg_types)
-                                .map(|(a, ty)| AggState::new(a.func, *ty))
-                                .collect(),
-                        );
-                        id
-                    }
-                };
-                // update states
-                for (k, st) in table.states[gid].iter_mut().enumerate() {
-                    if self.phase == AggPhase::Final {
-                        let arg = args[k]
-                            .as_ref()
-                            .ok_or_else(|| VwError::Exec("final agg needs arg".into()))?;
-                        let hidden = self
-                            .hidden_in
-                            .iter()
-                            .find(|(ai, _)| *ai == k)
-                            .map(|(_, col)| (&batch.columns[*col], i));
-                        st.combine((arg, i, self.arg_types[k].unwrap_or(DataType::F64)), hidden)?;
-                    } else {
-                        let arg = args[k]
-                            .as_ref()
-                            .map(|v| (v, i, self.arg_types[k].unwrap_or(DataType::I64)));
-                        st.update(arg)?;
-                    }
-                }
-            }
-            if new_bytes > 0 {
-                if self.mem.try_grow(new_bytes) {
-                    table_bytes += new_bytes;
-                } else {
-                    // Pressure: spill every resident group (including this
-                    // batch's) as partial rows and restart the table empty.
-                    self.spill_table(&mut table, &mut table_bytes)?;
-                }
-            }
+            let lanes = batch.sel.as_deref().unwrap_or(&identity[..batch.rows]);
+            let keys: Vec<&ExecVector> = self.group_by.iter().map(|&g| &batch.columns[g]).collect();
+            let hidden = hidden_refs(&hidden_cols, &batch);
+            self.absorb(&mut table, &keys, lanes, combine, &args, &hidden, false)?;
         }
 
         // The whole input fit the direct-array domain: finish straight from
@@ -866,23 +584,21 @@ impl HashAggregate {
         if let Some(t) = pt.take() {
             self.ran_perfect = true;
             self.feedback_success();
-            let rows = t.rows(self.phase, &self.avg_idxs);
-            self.feedback_groups(rows.len() as u64);
+            let slots = t.occupied_slots();
+            self.feedback_groups(slots.len() as u64);
+            let chunks = slots.chunks(self.vector_size);
+            self.output = chunks.rev().map(|c| t.batch(c, self.phase)).collect();
             let reserved = t.reserved_bytes;
             drop(t);
             self.mem.shrink(reserved);
-            for chunk in rows.chunks(self.vector_size) {
-                self.output.push(Batch::from_rows(&self.out_schema, chunk)?);
-            }
-            self.output.reverse(); // pop() from the back in order
             return Ok(());
         }
 
         if self.partitions.is_some() {
             // Spilled at least once: flush the remainder and drain
             // partition-at-a-time from `next()`.
-            if !table.keys.is_empty() {
-                self.spill_table(&mut table, &mut table_bytes)?;
+            if !table.groups.is_empty() {
+                self.spill_table(&mut table)?;
             }
             let parts = self.partitions.take().unwrap();
             self.drain = parts.into_iter().filter(|f| !f.is_empty()).collect();
@@ -891,178 +607,108 @@ impl HashAggregate {
         }
 
         // Scalar aggregate over empty input still yields one row.
-        if table.keys.is_empty() && self.group_by.is_empty() {
-            table.keys.push(std::iter::empty());
-            table.hashes.push(0);
-            table.states.push(
-                self.aggs
-                    .iter()
-                    .zip(&self.arg_types)
-                    .map(|(a, ty)| AggState::new(a.func, *ty))
-                    .collect(),
-            );
+        if table.groups.is_empty() && self.group_by.is_empty() {
+            table.groups.find_or_insert(&[], &[], &mut table.gids);
+            table.accs.resize(1);
         }
-
-        // Emit result rows chunked at vector size.
-        let rows = self.result_rows(&table);
-        self.feedback_groups(rows.len() as u64);
-        for chunk in rows.chunks(self.vector_size) {
-            self.output.push(Batch::from_rows(&self.out_schema, chunk)?);
-        }
-        self.output.reverse(); // pop() from the back in order
+        self.feedback_groups(table.groups.len() as u64);
+        self.emit(&table);
+        self.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
 
-    /// Output rows for the operator's own phase (group keys, finished
-    /// aggregates, hidden AVG counts when emitting partials).
-    fn result_rows(&self, table: &GroupTable) -> Vec<Vec<Value>> {
-        let mut rows = Vec::with_capacity(table.keys.len());
-        for g in 0..table.keys.len() {
-            let mut row: Vec<Value> = table.keys.keys(g).to_vec();
-            let sts = &table.states[g];
-            for st in sts {
-                row.push(st.finish(self.phase));
-            }
-            if self.phase == AggPhase::Partial {
-                for &k in &self.avg_idxs {
-                    row.push(sts[k].hidden_count());
-                }
-            }
-            rows.push(row);
-        }
-        rows
+    /// Queue every group of `table` as output batches of the operator's own
+    /// phase, in group order, chunked at the vector size (`output` pops from
+    /// the back).
+    fn emit(&mut self, table: &GroupTable) {
+        self.note_table(table);
+        self.stats.groups += table.groups.len() as u64;
+        let ids: Vec<u32> = (0..table.groups.len() as u32).collect();
+        let chunks = ids.chunks(self.vector_size).rev();
+        self.output
+            .extend(chunks.map(|c| table.batch(c, self.phase)));
     }
 
-    /// Serialize every resident group as a partial row into its hash
-    /// partition, then restart the table empty and release its reservation.
-    fn spill_table(&mut self, table: &mut GroupTable, table_bytes: &mut usize) -> Result<()> {
-        if self.partitions.is_none() {
-            let disk = spill_disk(&self.disk);
-            self.partitions = Some(
-                (0..SPILL_PARTITIONS)
-                    .map(|_| SpillFile::new(disk.clone()))
-                    .collect(),
-            );
+    fn note_table(&mut self, table: &GroupTable) {
+        let ht = table.groups.table();
+        self.stats.ht_slots = self.stats.ht_slots.max(ht.slots() as u64);
+        self.stats.ht_rehashes += ht.rehashes();
+    }
+
+    /// Write every resident group as a partial row into its hash partition,
+    /// then restart the table empty and release its reservation.
+    fn spill_table(&mut self, table: &mut GroupTable) -> Result<()> {
+        let disk = spill_disk(&self.disk);
+        let parts = self.partitions.get_or_insert_with(|| {
+            let files = (0..SPILL_PARTITIONS).map(|_| SpillFile::new(disk.clone()));
+            files.collect()
+        });
+        let mut part_ids: Vec<Vec<u32>> = vec![Vec::new(); SPILL_PARTITIONS];
+        for (g, h) in table.groups.table().hashes().iter().enumerate() {
+            part_ids[(h >> 61) as usize].push(g as u32);
         }
-        let mut part_rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); SPILL_PARTITIONS];
-        for g in 0..table.keys.len() {
-            let p = (table.hashes[g] >> 61) as usize;
-            let mut row: Vec<Value> = table.keys.keys(g).to_vec();
-            let sts = &table.states[g];
-            for st in sts {
-                row.push(st.finish(AggPhase::Partial));
-            }
-            for &k in &self.avg_idxs {
-                row.push(sts[k].hidden_count());
-            }
-            part_rows[p].push(row);
-        }
-        let parts = self.partitions.as_mut().unwrap();
         let span = self.trace.as_ref().map(|t| t.start());
         let mut spilled = 0u64;
-        for (p, rows) in part_rows.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let b = Batch::from_rows(&self.spill_schema, &rows)?;
+        for (p, ids) in part_ids
+            .iter()
+            .enumerate()
+            .filter(|(_, ids)| !ids.is_empty())
+        {
+            let b = table.batch(ids, AggPhase::Partial);
             let bytes = write_batch(&mut parts[p], &b, self.waits.as_deref())?;
             self.mem.note_spill(bytes);
-            spilled += bytes as u64;
+            spilled += bytes;
         }
         if let (Some(t), Some(start)) = (&self.trace, span) {
             t.span_arg("spill write", "spill", start, Some(("bytes", spilled)));
         }
-        table.clear();
-        self.mem.shrink(*table_bytes);
-        *table_bytes = 0;
+        self.note_table(table);
+        *table = self.new_table();
+        self.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
 
-    /// Merge one batch of partial-aggregate rows (the [`Self::spill_schema`]
-    /// layout: keys, partial values, hidden AVG counts) into `table` with
-    /// combine() semantics — exactly like the Final phase merges worker
-    /// partials. Returns the estimated resident cost of the groups born
-    /// here, so callers can account against the budget.
-    fn merge_partial_batch(&self, table: &mut GroupTable, batch: &Batch) -> Result<usize> {
-        let width = self.group_by.len();
-        let naggs = self.aggs.len();
-        let key_types: Vec<DataType> = self.spill_schema.fields()[..width]
-            .iter()
-            .map(|f| f.ty)
-            .collect();
+    /// Merge one batch of partial-aggregate rows (the spill layout: keys,
+    /// partial values, hidden AVG counts — whatever `phase` is) into `table` with
+    /// combine semantics — exactly like the Final phase merges worker
+    /// partials. `force` as in [`Self::absorb`].
+    fn merge_partial_batch(
+        &mut self,
+        table: &mut GroupTable,
+        batch: &Batch,
+        force: bool,
+    ) -> Result<()> {
+        let (width, naggs) = (self.group_by.len(), self.aggs.len());
+        let cols = &batch.columns;
+        let keys: Vec<&ExecVector> = cols[..width].iter().collect();
+        let args: Vec<Option<&ExecVector>> = cols[width..width + naggs].iter().map(Some).collect();
         // Hidden-count column per aggregate in the spill layout.
-        let hidden_col: Vec<Option<usize>> = (0..naggs)
-            .map(|k| {
-                self.avg_idxs
-                    .iter()
-                    .position(|&a| a == k)
-                    .map(|pos| width + naggs + pos)
-            })
+        let hidden: Vec<Option<&ExecVector>> = (0..naggs)
+            .map(|k| self.avg_idxs.iter().position(|&a| a == k))
+            .map(|pos| pos.map(|pos| &cols[width + naggs + pos]))
             .collect();
-        let mut new_bytes = 0usize;
-        for i in 0..batch.rows {
-            let mut h = 0u64;
-            for col in &batch.columns[..width] {
-                h = hash_lane(col, i, h);
-            }
-            let bucket = table.buckets.entry(h).or_default();
-            let mut gid: Option<u32> = None;
-            for &cand in bucket.iter() {
-                let keys = table.keys.keys(cand as usize);
-                let ok = (0..width).all(|k| value_lane_eq(&keys[k], &batch.columns[k], i));
-                if ok {
-                    gid = Some(cand);
-                    break;
-                }
-            }
-            let gid = match gid {
-                Some(g) => g as usize,
-                None => {
-                    let id = table.keys.push(
-                        key_types
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &ty)| batch.columns[k].get_value(i, ty).normalize_key()),
-                    );
-                    bucket.push(id as u32);
-                    new_bytes += group_cost(table.keys.keys(id), naggs);
-                    table.hashes.push(h);
-                    table.states.push(
-                        self.aggs
-                            .iter()
-                            .zip(&self.arg_types)
-                            .map(|(a, ty)| AggState::new(a.func, *ty))
-                            .collect(),
-                    );
-                    id
-                }
-            };
-            for (k, st) in table.states[gid].iter_mut().enumerate() {
-                let ty = self.spill_schema.field(width + k).ty;
-                let hidden = hidden_col[k].map(|c| (&batch.columns[c], i));
-                st.combine((&batch.columns[width + k], i, ty), hidden)?;
-            }
-        }
-        Ok(new_bytes)
+        let lanes: Vec<u32> = (0..batch.rows as u32).collect();
+        self.absorb(table, &keys, &lanes, true, &args, &hidden, force)
     }
 
     /// Re-aggregate one spilled partition and queue its output batches.
     /// Only this partition is resident (the drain's minimal working unit).
     fn drain_partition(&mut self, file: SpillFile) -> Result<()> {
-        let resident = file.bytes() as usize;
-        self.mem.force_grow(resident);
-        let mut table = GroupTable::new(self.group_by.len());
+        let mut table = self.new_table();
         for c in 0..file.chunk_count() {
             let batch = read_batch(&file, c, self.waits.as_deref())?;
-            self.merge_partial_batch(&mut table, &batch)?;
+            self.merge_partial_batch(&mut table, &batch, true)?;
         }
-        let rows = self.result_rows(&table);
-        for chunk in rows.chunks(self.vector_size).rev() {
-            self.output.push(Batch::from_rows(&self.out_schema, chunk)?);
-        }
-        self.mem.shrink(resident);
+        self.emit(&table);
+        self.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
+}
+
+/// The hidden AVG count column of each aggregate in `batch` (`cols[k]` is its
+/// position for aggregate `k`, if it has one).
+fn hidden_refs<'a>(cols: &[Option<usize>], batch: &'a Batch) -> Vec<Option<&'a ExecVector>> {
+    cols.iter().map(|c| c.map(|c| &batch.columns[c])).collect()
 }
 
 /// Rebuild captured-but-undecoded key columns from their PDICT codes (the
@@ -1079,19 +725,6 @@ fn patch_key_columns(batch: &mut Batch, key_codes: &[Option<KeyCodes>], group_by
     }
 }
 
-/// Estimated resident cost of one group: interned keys + aggregate states +
-/// bucket bookkeeping.
-fn group_cost(keys: &[Value], naggs: usize) -> usize {
-    let key_bytes: usize = keys
-        .iter()
-        .map(|v| match v {
-            Value::Str(s) => 24 + s.len(),
-            _ => 16,
-        })
-        .sum();
-    key_bytes + naggs * 48 + 32
-}
-
 fn output_type(func: AggFunc, arg_ty: Option<DataType>, _phase: AggPhase) -> DataType {
     match func {
         AggFunc::CountStar | AggFunc::Count => DataType::I64,
@@ -1101,27 +734,6 @@ fn output_type(func: AggFunc, arg_ty: Option<DataType>, _phase: AggPhase) -> Dat
             _ => DataType::I64,
         },
         AggFunc::Min | AggFunc::Max => arg_ty.unwrap_or(DataType::I64),
-    }
-}
-
-/// Allocation-free comparison between a stored key `Value` and a column lane.
-fn value_lane_eq(key: &Value, col: &ExecVector, i: usize) -> bool {
-    if col.is_null(i) {
-        return key.is_null();
-    }
-    match (key, &col.data) {
-        (Value::Null, _) => false,
-        (Value::Bool(k), ColumnData::Bool(v)) => *k == v[i],
-        (Value::I32(k), ColumnData::I32(v)) => *k == v[i],
-        (Value::Date(k), ColumnData::I32(v)) => *k == v[i],
-        (Value::I64(k), ColumnData::I64(v)) => *k == v[i],
-        // Stored keys are already normalized; normalize the probe side so
-        // -0.0 matches the 0.0 group and NaN matches the NaN group.
-        (Value::F64(k), ColumnData::F64(v)) => {
-            k.to_bits() == vw_common::normalize_key_f64(v[i]).to_bits()
-        }
-        (Value::Str(k), ColumnData::Str(v)) => k.as_bytes() == v.get_bytes(i),
-        _ => false,
     }
 }
 
@@ -1157,6 +769,16 @@ impl Operator for HashAggregate {
             if self.perfect_fallback {
                 ex.push(("agg_fallback", 1));
             }
+            if !self.ran_perfect {
+                let st = &self.stats;
+                ex.push(("groups", st.groups));
+                ex.push(("ht_slots", st.ht_slots));
+                ex.push(("ht_rehashes", st.ht_rehashes));
+                if self.waits.is_some() {
+                    ex.push(("lookup_ns", st.lookup_ns));
+                    ex.push(("update_ns", st.update_ns));
+                }
+            }
         }
         if self.input.is_fused() {
             ex.push(("fused_scan", 1));
@@ -1173,6 +795,7 @@ impl Operator for HashAggregate {
 mod tests {
     use super::*;
     use crate::operators::{collect_rows, BatchSource};
+    use vw_common::Value;
     use vw_plan::Expr;
 
     fn source(rows: Vec<Vec<Value>>) -> BoxedOperator {

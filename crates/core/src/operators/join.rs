@@ -29,13 +29,14 @@ use crate::spill::{batch_bytes, read_batch, spill_disk, write_batch};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use std::sync::Arc;
-use vw_common::hash::FxHashMap;
+use std::time::Instant;
 use vw_common::waits::{WaitClass, WaitStats};
 use vw_common::{Result, Schema, VwError};
 use vw_plan::{Expr, JoinKind};
 use vw_storage::{ColumnData, SimDisk, SpillFile};
 
-use super::{concat_batches, hash_lane, lanes_eq, BoxedOperator, Operator};
+use super::hash_table::{hash_keys, null_key_mask, verify_keys, FlatTable};
+use super::{concat_batches, empty_columns, lap, BoxedOperator, Operator};
 
 /// Spill fan-out; partitions are chosen by the top 3 bits of the key hash.
 const SPILL_PARTITIONS: usize = 8;
@@ -49,7 +50,6 @@ pub struct HashJoin {
     on: Vec<(usize, usize)>,
     residual: Option<ExprEvaluator>,
     out_schema: Schema,
-    left_schema: Schema,
     right_schema: Schema,
     build: Option<Arc<BuildData>>,
     /// When probing inside a morsel-parallel Exchange: the once-cell all
@@ -69,37 +69,61 @@ pub struct HashJoin {
     trace: Option<TraceHandle>,
     /// Wait-state sink of the owning plan node (None = profiling off).
     waits: Option<Arc<WaitStats>>,
+    /// Lanes of the probe vector in flight, reused across vectors.
+    scratch: Scratch,
+    prof: JoinProfile,
 }
 
-/// An in-memory build table: gathered columns + hash → row-index chains.
+/// Key hashes of one probe vector, its `(probe row, build row)` candidate
+/// pairs and their key-equality verdicts.
+#[derive(Default)]
+struct Scratch {
+    hashes: Vec<u64>,
+    pi: Vec<u32>,
+    bi: Vec<u32>,
+    ok: Vec<bool>,
+}
+
+/// `EXPLAIN ANALYZE` figures: time building, matching (hash, chain walk,
+/// verify) and assembling output (residual, gathers) — one sample per
+/// `next()` step, taken only while profiling — and the shape of the tables
+/// this instance built or loaded.
+#[derive(Default)]
+struct JoinProfile {
+    build_ns: u64,
+    probe_ns: u64,
+    emit_ns: u64,
+    ht_slots: u64,
+    ht_max_chain: u64,
+}
+
+/// An in-memory build table: the build rows as dense columns plus the flat
+/// hash table over their keys (entry id = build row).
 struct MemTable {
     columns: Vec<ExecVector>,
-    /// hash → build row indexes (collision chains resolved by verify).
-    table: FxHashMap<u64, Vec<u32>>,
+    table: FlatTable,
 }
 
 impl MemTable {
-    fn empty() -> MemTable {
-        MemTable {
-            columns: Vec::new(),
-            table: FxHashMap::default(),
-        }
+    /// Hash dense `columns` on the right-side `on` keys; rows with a NULL key
+    /// stay out of the table (they never match).
+    fn build(columns: Vec<ExecVector>, rows: usize, on: &[(usize, usize)]) -> MemTable {
+        let keys: Vec<&ExecVector> = on.iter().map(|&(_, rc)| &columns[rc]).collect();
+        let mut hashes = Vec::with_capacity(rows);
+        hash_keys(&keys, None, rows, &mut hashes);
+        let table = FlatTable::build(hashes, null_key_mask(&keys).as_deref());
+        MemTable { columns, table }
     }
 
-    /// Hash dense `columns` on the right-side `on` keys.
-    fn build(columns: Vec<ExecVector>, rows: usize, on: &[(usize, usize)]) -> MemTable {
-        let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        'row: for i in 0..rows {
-            let mut h = 0u64;
-            for &(_, rc) in on {
-                if columns[rc].is_null(i) {
-                    continue 'row; // NULL keys never match
-                }
-                h = hash_lane(&columns[rc], i, h);
-            }
-            table.entry(h).or_default().push(i as u32);
-        }
-        MemTable { columns, table }
+    /// A table over no rows: LEFT/ANTI probes still surface their unmatched
+    /// rows against it.
+    fn empty(schema: &Schema) -> MemTable {
+        MemTable::build(empty_columns(schema), 0, &[])
+    }
+
+    /// Heap bytes held, by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes() + self.columns.iter().map(|c| c.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -112,7 +136,8 @@ enum BuildRepr {
 
 /// Frozen build side of a hash join. Immutable once built, so probe workers
 /// can share it behind an `Arc`; spilled partitions are read through `&self`.
-/// Holds its memory reservation (`mem`) for as long as it lives.
+/// Holds its memory reservation (`mem`: the build columns and the table's
+/// arrays, by capacity) for as long as it lives.
 pub struct BuildData {
     repr: BuildRepr,
     rows: u64,
@@ -123,14 +148,15 @@ impl BuildData {
     /// An empty build side (matches nothing). For tests and placeholders.
     pub fn empty() -> BuildData {
         BuildData {
-            repr: BuildRepr::Mem(MemTable::empty()),
+            repr: BuildRepr::Mem(MemTable::empty(&Schema::new(Vec::new()))),
             rows: 0,
             mem: MemTracker::detached(),
         }
     }
 
     /// Drain `right` and hash its rows on the `on` keys, reserving against
-    /// `mem` and switching to hash-partitioned spill files under pressure.
+    /// `mem` and switching to hash-partitioned spill files under pressure —
+    /// when a batch, or at the end the table over all of them, does not fit.
     fn from_operator(
         right: &mut dyn Operator,
         on: &[(usize, usize)],
@@ -138,53 +164,50 @@ impl BuildData {
         disk: &Option<Arc<SimDisk>>,
         waits: Option<&WaitStats>,
     ) -> Result<BuildData> {
-        let ncols = right.schema().len();
+        let key_cols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
         let mut pending: Vec<Batch> = Vec::new();
-        let mut pending_bytes = 0usize;
         let mut parts: Option<Vec<SpillFile>> = None;
         let mut rows_total = 0u64;
+        // Go grace: partition everything resident, release its reservation.
+        let mut spill_pending = |pending: &mut Vec<Batch>, mem: &mut MemTracker| {
+            let files = parts.get_or_insert_with(|| {
+                let d = spill_disk(disk);
+                let files = (0..SPILL_PARTITIONS).map(|_| SpillFile::new(d.clone()));
+                files.collect()
+            });
+            for b in pending.drain(..) {
+                spill_partitioned(&b, &key_cols, false, files, mem, waits, None)?;
+            }
+            mem.release_all();
+            Ok::<bool, VwError>(true)
+        };
+        let mut spilled = false;
         while let Some(b) = right.next()? {
             let b = b.compact();
             if b.rows == 0 {
                 continue;
             }
             rows_total += b.rows as u64;
-            if let Some(files) = &mut parts {
-                partition_build_batch(&b, on, files, &mut mem, waits)?;
-                continue;
+            let fits = !spilled && mem.try_grow(batch_bytes(&b));
+            pending.push(b);
+            if !fits {
+                spilled = spill_pending(&mut pending, &mut mem)?;
             }
-            // Reserve batch bytes plus the hash-table share (~16B/row) up
-            // front, so the later table build is already paid for.
-            let cost = batch_bytes(&b) + b.rows * 16;
-            if mem.try_grow(cost) {
-                pending_bytes += cost;
-                pending.push(b);
-                continue;
-            }
-            // Pressure: go grace — partition everything accumulated so far
-            // plus this batch, release the in-memory reservation.
-            let d = spill_disk(disk);
-            let mut files: Vec<SpillFile> = (0..SPILL_PARTITIONS)
-                .map(|_| SpillFile::new(d.clone()))
-                .collect();
-            for pb in pending.drain(..) {
-                partition_build_batch(&pb, on, &mut files, &mut mem, waits)?;
-            }
-            mem.shrink(pending_bytes);
-            pending_bytes = 0;
-            partition_build_batch(&b, on, &mut files, &mut mem, waits)?;
-            parts = Some(files);
+        }
+        // The table over the resident rows is the last thing that must fit.
+        let rows: usize = pending.iter().map(|b| b.rows).sum();
+        if rows > 0 && !mem.try_grow(FlatTable::bytes_for(rows)) {
+            spill_pending(&mut pending, &mut mem)?;
         }
         let repr = match parts {
             Some(files) => BuildRepr::Spilled(files),
-            None if pending.is_empty() => BuildRepr::Mem(MemTable {
-                columns: empty_columns(right.schema()),
-                table: FxHashMap::default(),
-            }),
+            None if pending.is_empty() => BuildRepr::Mem(MemTable::empty(right.schema())),
             None => {
-                let batch = concat_batches(pending, ncols);
-                let rows = batch.rows;
-                BuildRepr::Mem(MemTable::build(batch.columns, rows, on))
+                let batch = concat_batches(pending, right.schema().len());
+                let mt = MemTable::build(batch.columns, batch.rows, on);
+                let mut held = mem.reserved() as usize;
+                mem.resize(&mut held, mt.heap_bytes(), true);
+                BuildRepr::Mem(mt)
             }
         };
         Ok(BuildData {
@@ -200,42 +223,41 @@ impl BuildData {
     }
 }
 
-/// Typed zero-row columns: downstream code indexes columns even when the
-/// build side produced no rows (or an empty spill partition).
-fn empty_columns(schema: &Schema) -> Vec<ExecVector> {
-    schema
-        .fields()
-        .iter()
-        .map(|f| ExecVector::not_null(ColumnData::empty(f.ty)))
-        .collect()
-}
-
-/// Route one dense build batch into the hash partitions (NULL keys dropped).
-fn partition_build_batch(
+/// Route one dense batch into the hash partitions, chosen by the top bits of
+/// the key hash. Rows with a NULL key match nothing: they are dropped, or —
+/// `keep_null`, the probe side of LEFT/ANTI, which must still surface them —
+/// ride along in partition 0.
+fn spill_partitioned(
     b: &Batch,
-    on: &[(usize, usize)],
+    key_cols: &[usize],
+    keep_null: bool,
     files: &mut [SpillFile],
     mem: &mut MemTracker,
     waits: Option<&WaitStats>,
+    trace: Option<&TraceHandle>,
 ) -> Result<()> {
+    let keys: Vec<&ExecVector> = key_cols.iter().map(|&c| &b.columns[c]).collect();
+    let mut hashes = Vec::new();
+    hash_keys(&keys, None, b.rows, &mut hashes);
+    let nulls = null_key_mask(&keys);
     let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); SPILL_PARTITIONS];
-    'row: for i in 0..b.rows {
-        let mut h = 0u64;
-        for &(_, rc) in on {
-            if b.columns[rc].is_null(i) {
-                continue 'row;
-            }
-            h = hash_lane(&b.columns[rc], i, h);
+    for (i, &h) in hashes.iter().enumerate() {
+        if !nulls.as_ref().is_some_and(|n| n[i]) {
+            part_rows[(h >> 61) as usize].push(i as u32);
+        } else if keep_null {
+            part_rows[0].push(i as u32);
         }
-        part_rows[(h >> 61) as usize].push(i as u32);
     }
-    for (p, idx) in part_rows.into_iter().enumerate() {
+    for (p, idx) in part_rows.iter().enumerate() {
         if idx.is_empty() {
             continue;
         }
-        let sub = Batch::new(b.columns.iter().map(|c| c.gather(&idx)).collect());
+        let sub = Batch::new(b.columns.iter().map(|c| c.gather(idx)).collect());
         let bytes = write_batch(&mut files[p], &sub, waits)?;
         mem.note_spill(bytes);
+        if let Some(t) = trace {
+            t.instant("spill write", "spill", Some(("bytes", bytes)));
+        }
     }
     Ok(())
 }
@@ -251,6 +273,38 @@ struct GraceProbe {
     /// The current partition's build table (force-reserved working unit).
     loaded: Option<MemTable>,
     loaded_bytes: usize,
+}
+
+/// Keep the pairs whose verdict in `keep` is true.
+fn retain_pairs(pi: &mut Vec<u32>, bi: &mut Vec<u32>, keep: &[bool]) {
+    for idx in [pi, bi] {
+        let mut k = keep.iter();
+        idx.retain(|_| *k.next().expect("one verdict per pair"));
+    }
+}
+
+/// The selected rows of `probe` that do (`want`) or do not occur in `pi`.
+fn rows_where(probe: &Batch, pi: &[u32], want: bool) -> Vec<u32> {
+    let mut matched = vec![false; probe.rows];
+    for &p in pi {
+        matched[p as usize] = true;
+    }
+    let keep = |i: &u32| matched[*i as usize] == want;
+    match &probe.sel {
+        Some(s) => s.iter().copied().filter(keep).collect(),
+        None => (0..probe.rows as u32).filter(keep).collect(),
+    }
+}
+
+/// The probe columns at rows `idx` — moved out, not copied, when `idx` is
+/// every row of a dense batch in order (each probe row matched exactly once:
+/// the shape of a foreign-key join).
+fn take_rows(probe: &mut Batch, idx: &[u32]) -> Vec<ExecVector> {
+    let whole = probe.sel.is_none() && idx.len() == probe.rows;
+    if whole && idx.iter().enumerate().all(|(k, &i)| i as usize == k) {
+        return std::mem::take(&mut probe.columns);
+    }
+    probe.columns.iter().map(|c| c.gather(idx)).collect()
 }
 
 impl HashJoin {
@@ -293,7 +347,6 @@ impl HashJoin {
             on,
             residual,
             out_schema,
-            left_schema,
             right_schema,
             build: None,
             shared: None,
@@ -304,6 +357,8 @@ impl HashJoin {
             grace: None,
             trace: None,
             waits: None,
+            scratch: Scratch::default(),
+            prof: JoinProfile::default(),
         })
     }
 
@@ -339,6 +394,19 @@ impl HashJoin {
         self.waits = Some(waits);
     }
 
+    /// A lap clock, running only while profiling.
+    fn clock(&self) -> Option<Instant> {
+        self.waits.as_ref().map(|_| Instant::now())
+    }
+
+    /// Record the shape of a table this instance built or loaded.
+    fn note_table(&mut self, mt: &MemTable) {
+        self.prof.ht_slots = self.prof.ht_slots.max(mt.table.slots() as u64);
+        if self.waits.is_some() {
+            self.prof.ht_max_chain = self.prof.ht_max_chain.max(mt.table.max_chain());
+        }
+    }
+
     fn build_side(&mut self) -> Result<()> {
         let mut right = self.right.take().expect("build called twice");
         let on = self.on.clone();
@@ -356,16 +424,24 @@ impl HashJoin {
             BuildData::from_operator(right.as_mut(), &on, mem, &disk, waits.as_deref())
         };
         let span = self.trace.as_ref().map(|t| t.start());
-        let t0 = self.waits.as_ref().map(|_| std::time::Instant::now());
+        let t0 = self.clock();
         let data = match &self.shared {
             Some(slot) => slot.clone().get_or_build(make)?,
             None => Arc::new(make()?),
         };
         self.build_executed = executed.load(std::sync::atomic::Ordering::Relaxed);
-        // Workers that arrived while a sibling built were *blocked*; the
-        // executing worker's time is build compute, not a wait.
-        if let (Some(w), Some(t0), false) = (&self.waits, t0, self.build_executed) {
-            w.record(WaitClass::BuildWait, t0.elapsed().as_nanos() as u64);
+        if let (Some(w), Some(t0)) = (&self.waits, t0) {
+            // Workers that arrived while a sibling built were *blocked*; the
+            // executing worker's time is build compute, not a wait.
+            let ns = t0.elapsed().as_nanos() as u64;
+            if self.build_executed {
+                self.prof.build_ns += ns;
+            } else {
+                w.record(WaitClass::BuildWait, ns);
+            }
+        }
+        if let (true, BuildRepr::Mem(mt)) = (self.build_executed, &data.repr) {
+            self.note_table(mt);
         }
         if let (Some(t), Some(start)) = (&self.trace, span) {
             // The same call site is a build on the executing worker and a
@@ -388,157 +464,99 @@ impl HashJoin {
         Ok(())
     }
 
-    /// Candidate (probe, build) pairs for one dense probe batch.
-    fn match_pairs(&self, probe: &Batch, mt: &MemTable) -> (Vec<u32>, Vec<u32>) {
-        let mut probe_idx = Vec::new();
-        let mut build_idx = Vec::new();
-        'row: for i in 0..probe.rows {
-            let mut h = 0u64;
-            for &(lc, _) in &self.on {
-                if probe.columns[lc].is_null(i) {
-                    continue 'row;
-                }
-                h = hash_lane(&probe.columns[lc], i, h);
-            }
-            if let Some(cands) = mt.table.get(&h) {
-                for &bj in cands {
-                    let ok = self.on.iter().all(|&(lc, rc)| {
-                        lanes_eq(&probe.columns[lc], i, &mt.columns[rc], bj as usize)
-                    });
-                    if ok {
-                        probe_idx.push(i as u32);
-                        build_idx.push(bj);
-                    }
-                }
-            }
+    /// Verified `(probe row, build row)` pairs of one probe batch, left in
+    /// the scratch lanes: ordered by probe row, a row's matches in ascending
+    /// build-row order. Only the selected probe rows are hashed and probed.
+    fn match_pairs(&mut self, probe: &Batch, mt: &MemTable) {
+        let sc = &mut self.scratch;
+        let keys: Vec<&ExecVector> = self.on.iter().map(|&(lc, _)| &probe.columns[lc]).collect();
+        let sel = probe.sel.as_deref();
+        hash_keys(&keys, sel, probe.rows, &mut sc.hashes);
+        sc.pi.clear();
+        sc.bi.clear();
+        let skip = null_key_mask(&keys); // NULL keys never match
+        mt.table
+            .candidates(&sc.hashes, sel, skip.as_deref(), &mut sc.pi, &mut sc.bi);
+        sc.ok.clear();
+        sc.ok.resize(sc.pi.len(), true);
+        for &(lc, rc) in &self.on {
+            verify_keys(
+                &probe.columns[lc],
+                &sc.pi,
+                &mt.columns[rc],
+                &sc.bi,
+                &mut sc.ok,
+            );
         }
-        (probe_idx, build_idx)
+        if sc.ok.contains(&false) {
+            retain_pairs(&mut sc.pi, &mut sc.bi, &sc.ok);
+        }
     }
 
-    /// Assemble the combined (left ++ right) batch for matched pairs.
-    fn combined_batch(&self, probe: &Batch, mt: &MemTable, pi: &[u32], bi: &[u32]) -> Batch {
-        let mut cols = Vec::with_capacity(self.left_schema.len() + self.right_schema.len());
-        for c in &probe.columns {
-            cols.push(c.gather(pi));
-        }
-        for c in &mt.columns {
-            cols.push(c.gather(bi));
-        }
-        Batch::new(cols)
-    }
-
-    /// Run one dense probe batch through match → residual → kind assembly.
+    /// Run one probe batch through match → residual → kind assembly.
     /// `Ok(None)` means this batch produced no output rows.
-    fn emit_for_probe(&self, probe: &Batch, mt: &MemTable) -> Result<Option<Batch>> {
-        let (mut pi, mut bi) = self.match_pairs(probe, mt);
+    fn emit_for_probe(&mut self, mut probe: Batch, mt: &MemTable) -> Result<Option<Batch>> {
+        let mut clock = self.clock();
+        self.match_pairs(&probe, mt);
+        lap(&mut clock, &mut self.prof.probe_ns);
+        let Scratch { pi, bi, .. } = &mut self.scratch;
         // Residual predicate filters candidate pairs.
-        if let Some(res) = &self.residual {
-            if !pi.is_empty() {
-                let combined = self.combined_batch(probe, mt, &pi, &bi);
-                let v = res.eval(&combined)?;
-                let vals = match &v.data {
-                    ColumnData::Bool(b) => b,
-                    _ => return Err(VwError::Exec("residual must be boolean".into())),
-                };
-                let keep: Vec<usize> = (0..pi.len())
-                    .filter(|&k| vals[k] && !v.is_null(k))
-                    .collect();
-                pi = keep.iter().map(|&k| pi[k]).collect();
-                bi = keep.iter().map(|&k| bi[k]).collect();
-            }
+        if let (Some(res), false) = (&self.residual, pi.is_empty()) {
+            let left = probe.columns.iter().map(|c| c.gather(pi));
+            let right = mt.columns.iter().map(|c| c.gather(bi));
+            let v = res.eval(&Batch::new(left.chain(right).collect()))?;
+            let ColumnData::Bool(vals) = &v.data else {
+                return Err(VwError::Exec("residual must be boolean".into()));
+            };
+            let keep: Vec<bool> = (0..pi.len()).map(|k| vals[k] && !v.is_null(k)).collect();
+            retain_pairs(pi, bi, &keep);
         }
-        let out = match self.kind {
-            JoinKind::Inner => {
-                if pi.is_empty() {
-                    return Ok(None);
-                }
-                self.combined_batch(probe, mt, &pi, &bi)
-            }
+        let rows = match self.kind {
+            JoinKind::Inner => std::mem::take(pi),
+            // Matched pairs, then the null-padded unmatched probe rows.
             JoinKind::Left => {
-                // matched pairs + null-padded unmatched probe rows
-                let mut matched = vec![false; probe.rows];
-                for &p in &pi {
-                    matched[p as usize] = true;
-                }
-                let unmatched: Vec<u32> = (0..probe.rows as u32)
-                    .filter(|&i| !matched[i as usize])
-                    .collect();
-                let mut cols = Vec::with_capacity(self.left_schema.len() + self.right_schema.len());
-                let all_pi: Vec<u32> = pi
-                    .iter()
-                    .copied()
-                    .chain(unmatched.iter().copied())
-                    .collect();
-                if all_pi.is_empty() {
-                    return Ok(None);
-                }
-                for c in &probe.columns {
-                    cols.push(c.gather(&all_pi));
-                }
-                for (k, c) in mt.columns.iter().enumerate() {
-                    let matched_part = c.gather(&bi);
-                    let pad = ExecVector::all_null(self.right_schema.field(k).ty, unmatched.len());
-                    cols.push(super::concat_vectors(&[matched_part, pad]));
-                }
-                Batch::new(cols)
+                let unmatched = rows_where(&probe, pi, false);
+                let mut rows = std::mem::take(pi);
+                rows.extend(unmatched);
+                rows
             }
-            JoinKind::Semi | JoinKind::Anti => {
-                let mut matched = vec![false; probe.rows];
-                for &p in &pi {
-                    matched[p as usize] = true;
-                }
-                let want = self.kind == JoinKind::Semi;
-                let keep: Vec<u32> = (0..probe.rows as u32)
-                    .filter(|&i| matched[i as usize] == want)
-                    .collect();
-                if keep.is_empty() {
-                    return Ok(None);
-                }
-                let cols = probe.columns.iter().map(|c| c.gather(&keep)).collect();
-                Batch::new(cols)
-            }
+            JoinKind::Semi | JoinKind::Anti => rows_where(&probe, pi, self.kind == JoinKind::Semi),
         };
-        Ok(Some(out))
+        let out = (!rows.is_empty()).then(|| {
+            let mut cols = take_rows(&mut probe, &rows);
+            if matches!(self.kind, JoinKind::Inner | JoinKind::Left) {
+                for (c, f) in mt.columns.iter().zip(self.right_schema.fields()) {
+                    let mut col = c.gather(bi);
+                    if rows.len() > bi.len() {
+                        col.extend_from(&ExecVector::all_null(f.ty, rows.len() - bi.len()), None);
+                    }
+                    cols.push(col);
+                }
+            }
+            Batch::new(cols)
+        });
+        if self.kind == JoinKind::Inner || self.kind == JoinKind::Left {
+            *pi = rows; // hand the allocation back to the scratch lanes
+        }
+        lap(&mut clock, &mut self.prof.emit_ns);
+        Ok(out)
     }
 
     /// Drain the probe input into hash partitions aligned with the spilled
-    /// build. NULL-keyed probe rows match nothing; LEFT/ANTI still need to
-    /// surface them, so they ride along in partition 0.
+    /// build.
     fn init_grace(&mut self) -> Result<GraceProbe> {
         let d = spill_disk(&self.disk);
         let mut files: Vec<SpillFile> = (0..SPILL_PARTITIONS)
             .map(|_| SpillFile::new(d.clone()))
             .collect();
+        let key_cols: Vec<usize> = self.on.iter().map(|&(lc, _)| lc).collect();
         let keep_null = matches!(self.kind, JoinKind::Left | JoinKind::Anti);
         while let Some(b) = self.left.next()? {
             let b = b.compact();
-            if b.rows == 0 {
-                continue;
-            }
-            let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); SPILL_PARTITIONS];
-            'row: for i in 0..b.rows {
-                let mut h = 0u64;
-                for &(lc, _) in &self.on {
-                    if b.columns[lc].is_null(i) {
-                        if keep_null {
-                            part_rows[0].push(i as u32);
-                        }
-                        continue 'row;
-                    }
-                    h = hash_lane(&b.columns[lc], i, h);
-                }
-                part_rows[(h >> 61) as usize].push(i as u32);
-            }
-            for (p, idx) in part_rows.into_iter().enumerate() {
-                if idx.is_empty() {
-                    continue;
-                }
-                let sub = Batch::new(b.columns.iter().map(|c| c.gather(&idx)).collect());
-                let bytes = write_batch(&mut files[p], &sub, self.waits.as_deref())?;
-                self.mem.note_spill(bytes);
-                if let Some(t) = &self.trace {
-                    t.instant("spill write", "spill", Some(("bytes", bytes as u64)));
-                }
+            if b.rows > 0 {
+                let (waits, trace) = (self.waits.as_deref(), self.trace.as_ref());
+                let mem = &mut self.mem;
+                spill_partitioned(&b, &key_cols, keep_null, &mut files, mem, waits, trace)?;
             }
         }
         Ok(GraceProbe {
@@ -562,32 +580,25 @@ impl HashJoin {
                 return Ok(None);
             }
             if g.loaded.is_none() {
-                // One resident build partition is the join's minimal working
-                // unit — reserve it unconditionally so every plan completes.
+                let mut clock = self.clock();
                 let f = &build_files[g.part];
-                let mut chunks: Vec<Batch> = Vec::new();
-                let mut bytes = 0usize;
-                for ci in 0..f.chunk_count() {
-                    let b = read_batch(f, ci, self.waits.as_deref())?;
-                    bytes += batch_bytes(&b) + b.rows * 16;
-                    chunks.push(b);
-                }
-                self.mem.force_grow(bytes);
-                g.loaded_bytes = bytes;
+                let chunks = (0..f.chunk_count())
+                    .map(|ci| read_batch(f, ci, self.waits.as_deref()))
+                    .collect::<Result<Vec<Batch>>>()?;
                 let mt = if chunks.is_empty() {
-                    // Empty build partition: LEFT/ANTI probes still surface
-                    // their unmatched rows against it.
-                    MemTable {
-                        columns: empty_columns(&self.right_schema),
-                        table: FxHashMap::default(),
-                    }
+                    MemTable::empty(&self.right_schema)
                 } else {
                     let batch = concat_batches(chunks, self.right_schema.len());
-                    let rows = batch.rows;
-                    MemTable::build(batch.columns, rows, &self.on)
+                    MemTable::build(batch.columns, batch.rows, &self.on)
                 };
+                // One resident build partition is the join's minimal working
+                // unit — reserve it unconditionally so every plan completes.
+                g.loaded_bytes = mt.heap_bytes();
+                self.mem.force_grow(g.loaded_bytes);
+                self.note_table(&mt);
                 g.loaded = Some(mt);
                 g.chunk = 0;
+                lap(&mut clock, &mut self.prof.build_ns);
             }
             if g.chunk >= g.probe_parts[g.part].chunk_count() {
                 g.loaded = None;
@@ -602,7 +613,7 @@ impl HashJoin {
                 continue;
             }
             let mt = g.loaded.as_ref().unwrap();
-            if let Some(out) = self.emit_for_probe(&probe, mt)? {
+            if let Some(out) = self.emit_for_probe(probe, mt)? {
                 return Ok(Some(out));
             }
         }
@@ -640,6 +651,16 @@ impl Operator for HashJoin {
             ex.push(("spill_parts", spill_parts));
             ex.push(("spill_bytes", spill_bytes));
         }
+        let p = &self.prof;
+        if p.ht_slots > 0 {
+            ex.push(("ht_slots", p.ht_slots));
+        }
+        if self.waits.is_some() {
+            ex.push(("ht_max_chain", p.ht_max_chain));
+            ex.push(("build_ns", p.build_ns));
+            ex.push(("probe_ns", p.probe_ns));
+            ex.push(("emit_ns", p.emit_ns));
+        }
         ex
     }
 
@@ -650,14 +671,13 @@ impl Operator for HashJoin {
         let build = self.build.clone().unwrap();
         match &build.repr {
             BuildRepr::Mem(mt) => loop {
-                let Some(batch) = self.left.next()? else {
+                let Some(probe) = self.left.next()? else {
                     return Ok(None);
                 };
-                let probe = batch.compact();
-                if probe.rows == 0 {
+                if probe.is_empty() {
                     continue;
                 }
-                if let Some(out) = self.emit_for_probe(&probe, mt)? {
+                if let Some(out) = self.emit_for_probe(probe, mt)? {
                     return Ok(Some(out));
                 }
             },

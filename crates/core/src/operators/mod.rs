@@ -8,6 +8,7 @@
 pub mod aggregate;
 pub mod exchange;
 pub mod filter;
+pub mod hash_table;
 pub mod join;
 pub mod limit;
 pub mod merge_join;
@@ -27,9 +28,9 @@ pub use scan::VecScan;
 pub use sort::{TopN, VecSort};
 
 use crate::batch::{Batch, ExecVector};
-use vw_common::hash::{hash_bytes, hash_combine, hash_u64};
-use vw_common::{normalize_key_f64, Result, Schema, Value};
-use vw_storage::{ColumnData, StrColumn};
+use std::time::Instant;
+use vw_common::{Result, Schema, Value};
+use vw_storage::ColumnData;
 
 /// A vectorized operator: the unit of query-plan composition.
 pub trait Operator: Send {
@@ -64,51 +65,6 @@ pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<Value>>> {
     Ok(out)
 }
 
-/// Hash one lane of a column into an accumulator (join/aggregate keys).
-/// NULL hashes to a fixed marker so NULL groups collide (GROUP BY treats
-/// NULLs as equal); join code must additionally reject NULL keys.
-#[inline]
-pub fn hash_lane(col: &ExecVector, i: usize, acc: u64) -> u64 {
-    if col.is_null(i) {
-        return hash_combine(acc, 0x6e75_6c6c);
-    }
-    let h = match &col.data {
-        ColumnData::Bool(v) => hash_u64(v[i] as u64),
-        ColumnData::I32(v) => hash_u64(v[i] as i64 as u64),
-        ColumnData::I64(v) => hash_u64(v[i] as u64),
-        // Normalize before hashing so 0.0/-0.0 and all NaN payloads land in
-        // the same bucket (SQL key equality, not bit equality).
-        ColumnData::F64(v) => hash_u64(normalize_key_f64(v[i]).to_bits()),
-        ColumnData::Str(v) => hash_bytes(v.get_bytes(i)),
-    };
-    hash_combine(acc, h)
-}
-
-/// Allocation-free equality between two column lanes (hash-table verify).
-/// NULL == NULL here (GROUP BY semantics); join code rejects NULL keys
-/// before ever probing.
-#[inline]
-pub fn lanes_eq(a: &ExecVector, i: usize, b: &ExecVector, j: usize) -> bool {
-    match (a.is_null(i), b.is_null(j)) {
-        (true, true) => return true,
-        (false, false) => {}
-        _ => return false,
-    }
-    match (&a.data, &b.data) {
-        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
-        (ColumnData::I32(x), ColumnData::I32(y)) => x[i] == y[j],
-        (ColumnData::I64(x), ColumnData::I64(y)) => x[i] == y[j],
-        (ColumnData::I32(x), ColumnData::I64(y)) => x[i] as i64 == y[j],
-        (ColumnData::I64(x), ColumnData::I32(y)) => x[i] == y[j] as i64,
-        (ColumnData::F64(x), ColumnData::F64(y)) => {
-            // Key equality on normalized bits: 0.0 == -0.0, NaN == NaN.
-            normalize_key_f64(x[i]).to_bits() == normalize_key_f64(y[j]).to_bits()
-        }
-        (ColumnData::Str(x), ColumnData::Str(y)) => x.get_bytes(i) == y.get_bytes(j),
-        _ => false,
-    }
-}
-
 /// Allocation-free ordering between two lanes of the *same* column type.
 /// NULLs sort first (consistent with `Value::total_cmp`).
 #[inline]
@@ -124,52 +80,17 @@ pub fn lanes_cmp(a: &ExecVector, i: usize, b: &ExecVector, j: usize) -> std::cmp
         (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i].cmp(&y[j]),
         (ColumnData::I32(x), ColumnData::I32(y)) => x[i].cmp(&y[j]),
         (ColumnData::I64(x), ColumnData::I64(y)) => x[i].cmp(&y[j]),
-        (ColumnData::F64(x), ColumnData::F64(y)) => {
-            x[i].partial_cmp(&y[j]).unwrap_or(Ordering::Equal)
-        }
+        (ColumnData::F64(x), ColumnData::F64(y)) => f64_total_cmp(x[i], y[j]),
         (ColumnData::Str(x), ColumnData::Str(y)) => x.get_bytes(i).cmp(y.get_bytes(j)),
         _ => Ordering::Equal,
     }
 }
 
-/// Ordering of two lanes under one sort key: the direction applies to
-/// values, while NULL placement (`nulls_first`) is absolute — `DESC NULLS
-/// FIRST` still puts NULLs first. For default keys (`nulls_first == asc`)
-/// this equals the engine's historical `lanes_cmp`-then-reverse behaviour.
+/// `Value::total_cmp` on two doubles: numeric order (so `-0.0` equals `0.0`)
+/// with NaNs placed by IEEE total order, which keeps the order total.
 #[inline]
-pub fn sort_key_cmp(
-    k: &vw_plan::SortKey,
-    a: &ExecVector,
-    i: usize,
-    b: &ExecVector,
-    j: usize,
-) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a.is_null(i), b.is_null(j)) {
-        (true, true) => Ordering::Equal,
-        (true, false) => {
-            if k.nulls_first {
-                Ordering::Less
-            } else {
-                Ordering::Greater
-            }
-        }
-        (false, true) => {
-            if k.nulls_first {
-                Ordering::Greater
-            } else {
-                Ordering::Less
-            }
-        }
-        (false, false) => {
-            let o = lanes_cmp(a, i, b, j);
-            if k.asc {
-                o
-            } else {
-                o.reverse()
-            }
-        }
-    }
+pub fn f64_total_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.total_cmp(&b))
 }
 
 /// Concatenate column chunks of identical physical type.
@@ -177,71 +98,11 @@ pub fn concat_vectors(parts: &[ExecVector]) -> ExecVector {
     if parts.len() == 1 {
         return parts[0].clone();
     }
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let any_nulls = parts.iter().any(|p| p.nulls.is_some());
-    let mut nulls = if any_nulls {
-        Some(Vec::with_capacity(total))
-    } else {
-        None
-    };
-    let data = match &parts[0].data {
-        ColumnData::Bool(_) => {
-            let mut out = Vec::with_capacity(total);
-            for p in parts {
-                if let ColumnData::Bool(v) = &p.data {
-                    out.extend_from_slice(v);
-                }
-            }
-            ColumnData::Bool(out)
-        }
-        ColumnData::I32(_) => {
-            let mut out = Vec::with_capacity(total);
-            for p in parts {
-                if let ColumnData::I32(v) = &p.data {
-                    out.extend_from_slice(v);
-                }
-            }
-            ColumnData::I32(out)
-        }
-        ColumnData::I64(_) => {
-            let mut out = Vec::with_capacity(total);
-            for p in parts {
-                if let ColumnData::I64(v) = &p.data {
-                    out.extend_from_slice(v);
-                }
-            }
-            ColumnData::I64(out)
-        }
-        ColumnData::F64(_) => {
-            let mut out = Vec::with_capacity(total);
-            for p in parts {
-                if let ColumnData::F64(v) = &p.data {
-                    out.extend_from_slice(v);
-                }
-            }
-            ColumnData::F64(out)
-        }
-        ColumnData::Str(_) => {
-            let mut out = StrColumn::with_capacity(total, total * 8);
-            for p in parts {
-                if let ColumnData::Str(v) = &p.data {
-                    for s in v.iter() {
-                        out.push(s);
-                    }
-                }
-            }
-            ColumnData::Str(out)
-        }
-    };
-    if let Some(nv) = &mut nulls {
-        for p in parts {
-            match &p.nulls {
-                Some(n) => nv.extend_from_slice(n),
-                None => nv.extend(std::iter::repeat_n(false, p.len())),
-            }
-        }
+    let mut out = parts[0].empty_like(parts.iter().map(|p| p.len()).sum());
+    for p in parts {
+        out.extend_from(p, None);
     }
-    ExecVector::new(data, nulls)
+    out
 }
 
 /// Concatenate dense batches column-wise into one batch. `ncols` lets a
@@ -280,13 +141,7 @@ pub fn drain_to_single_batch(op: &mut dyn Operator) -> Result<Batch> {
     if batches == 0 {
         // Preserve the column structure: downstream operators index columns
         // even over empty inputs.
-        let columns: Vec<ExecVector> = op
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| ExecVector::not_null(vw_storage::ColumnData::empty(f.ty)))
-            .collect();
-        return Ok(Batch::new(columns));
+        return Ok(Batch::new(empty_columns(op.schema())));
     }
     if ncols == 0 {
         let mut b = Batch::new(vec![]);
@@ -295,6 +150,23 @@ pub fn drain_to_single_batch(op: &mut dyn Operator) -> Result<Batch> {
     }
     let columns: Vec<ExecVector> = parts.iter().map(|p| concat_vectors(p)).collect();
     Ok(Batch::new(columns))
+}
+
+/// Add the time since `*from` to `*acc` and restart the lap. The clock is
+/// `None` unless the query is profiled, so the off path takes no timestamps.
+pub(crate) fn lap(from: &mut Option<Instant>, acc: &mut u64) {
+    if let Some(t) = from {
+        let now = Instant::now();
+        *acc += (now - *t).as_nanos() as u64;
+        *t = now;
+    }
+}
+
+/// Typed zero-row columns: downstream code indexes columns even over empty
+/// inputs.
+pub fn empty_columns(schema: &Schema) -> Vec<ExecVector> {
+    let fields = schema.fields().iter();
+    fields.map(|f| ExecVector::empty(f.ty)).collect()
 }
 
 /// A fixed list of batches as an operator (tests, exchange plumbing).
@@ -346,12 +218,16 @@ mod tests {
             ExecVector::from_values(DataType::I64, &[Value::I64(5), Value::Null, Value::I64(7)])
                 .unwrap();
         let b = ExecVector::from_values(DataType::I64, &[Value::I64(5)]).unwrap();
-        assert_eq!(hash_lane(&a, 0, 0), hash_lane(&b, 0, 0));
-        assert_ne!(hash_lane(&a, 2, 0), hash_lane(&b, 0, 0));
-        assert!(lanes_eq(&a, 0, &b, 0));
-        assert!(!lanes_eq(&a, 2, &b, 0));
-        assert!(!lanes_eq(&a, 1, &b, 0)); // null vs value
-        assert!(lanes_eq(&a, 1, &a, 1)); // null == null (group-by semantics)
+        let (mut ha, mut hb) = (Vec::new(), Vec::new());
+        hash_table::hash_keys(&[&a], None, 3, &mut ha);
+        hash_table::hash_keys(&[&b], None, 1, &mut hb);
+        assert_eq!(ha[0], hb[0]);
+        assert_ne!(ha[2], hb[0]);
+        // 5 = 5, 7 != 5, NULL != 5, and NULL = NULL (group-by semantics).
+        let mut ok = vec![true; 4];
+        hash_table::verify_keys(&a, &[0, 2, 1, 1], &b, &[0, 0, 0, 0], &mut ok[..3]);
+        hash_table::verify_keys(&a, &[1], &a, &[1], &mut ok[3..]);
+        assert_eq!(ok, vec![true, false, false, true]);
     }
 
     #[test]

@@ -17,15 +17,15 @@
 //! layout the spill machinery uses) and merging those rows with `combine`
 //! semantics. Correctness never depends on the hints being right.
 
-use std::sync::Arc;
+use std::cmp::Ordering;
 
-use vw_common::{BlockId, DataType, Result, Value, VwError};
+use vw_common::{BlockId, DataType, Result, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::{AggExpr, AggFunc};
 use vw_storage::{ColumnData, StrColumn};
 
-use super::aggregate::{lane_f64, lane_i64};
-use crate::batch::ExecVector;
+use super::f64_total_cmp;
+use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
 
 /// Hard cap on the flat accumulator array (slots, not bytes): beyond this
@@ -163,26 +163,32 @@ impl KeyCoder {
         Some(off as u16 + 1)
     }
 
-    /// Reconstruct the key `Value` a code stands for (code 0 = NULL).
-    fn key_value(&self, code: u16, ty: DataType) -> Value {
-        if code == 0 {
-            return Value::Null;
-        }
-        match self {
+    /// The key column the listed codes stand for (code 0 = NULL).
+    fn key_column(&self, codes: &[u32], ty: DataType) -> ExecVector {
+        let nulls: Vec<bool> = codes.iter().map(|&c| c == 0).collect();
+        let data = match self {
             KeyCoder::TinyStr { seen, .. } => {
-                let bytes = &seen[code as usize - 1];
-                Value::Str(String::from_utf8_lossy(bytes).into_owned())
+                let mut out = StrColumn::with_capacity(codes.len(), codes.len() * 8);
+                for &c in codes {
+                    if c != 0 {
+                        out.bytes.extend_from_slice(&seen[c as usize - 1]);
+                    }
+                    out.offsets.push(out.bytes.len() as u32);
+                }
+                ColumnData::Str(out)
             }
             KeyCoder::IntRange { lo, .. } => {
-                let v = lo + code as i64 - 1;
+                let values = codes.iter().map(|&c| lo.wrapping_add(c as i64 - 1));
                 match ty {
-                    DataType::I32 => Value::I32(v as i32),
-                    DataType::Date => Value::Date(v as i32),
-                    _ => Value::I64(v),
+                    DataType::I32 | DataType::Date => {
+                        ColumnData::I32(values.map(|v| v as i32).collect())
+                    }
+                    _ => ColumnData::I64(values.collect()),
                 }
             }
-            KeyCoder::Bool => Value::Bool(code == 2),
-        }
+            KeyCoder::Bool => ColumnData::Bool(codes.iter().map(|&c| c == 2).collect()),
+        };
+        ExecVector::new(data, nulls.contains(&true).then_some(nulls))
     }
 }
 
@@ -200,285 +206,410 @@ pub enum BatchKey<'a> {
     },
 }
 
-/// One aggregate's accumulators, struct-of-arrays over slots. Semantics
-/// mirror the generic path's `AggState` exactly (including NULL handling,
-/// wrapping integer sums and `total_cmp` for MIN/MAX).
+/// Visit `(slot, value)` for every non-NULL lane of a typed value slice.
+#[inline]
+fn visit<T: Copy>(
+    x: &[T],
+    nulls: Option<&[bool]>,
+    slots: &[u32],
+    lanes: &[u32],
+    mut f: impl FnMut(usize, T),
+) {
+    let pairs = slots.iter().zip(lanes);
+    match nulls {
+        None => pairs.for_each(|(&s, &i)| f(s as usize, x[i as usize])),
+        Some(n) => pairs
+            .filter(|(_, &i)| !n[i as usize])
+            .for_each(|(&s, &i)| f(s as usize, x[i as usize])),
+    }
+}
+
+/// [`visit`] over an integer-valued vector (bool/i32/date/i64), widened.
+fn visit_i64(
+    v: &ExecVector,
+    slots: &[u32],
+    lanes: &[u32],
+    mut f: impl FnMut(usize, i64),
+) -> Result<()> {
+    let n = v.nulls.as_deref();
+    match &v.data {
+        ColumnData::I64(x) => visit(x, n, slots, lanes, f),
+        ColumnData::I32(x) => visit(x, n, slots, lanes, |s, a| f(s, a as i64)),
+        ColumnData::Bool(x) => visit(x, n, slots, lanes, |s, a| f(s, a as i64)),
+        other => {
+            return Err(VwError::Exec(format!(
+                "integer aggregate over {}",
+                other.type_name()
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// [`visit`] over a numeric vector, as doubles.
+fn visit_f64(
+    v: &ExecVector,
+    slots: &[u32],
+    lanes: &[u32],
+    mut f: impl FnMut(usize, f64),
+) -> Result<()> {
+    let n = v.nulls.as_deref();
+    match &v.data {
+        ColumnData::F64(x) => visit(x, n, slots, lanes, f),
+        ColumnData::I64(x) => visit(x, n, slots, lanes, |s, a| f(s, a as f64)),
+        ColumnData::I32(x) => visit(x, n, slots, lanes, |s, a| f(s, a as f64)),
+        other => {
+            return Err(VwError::Exec(format!(
+                "numeric aggregate over {}",
+                other.type_name()
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// One aggregate's accumulators, struct-of-arrays over slots: a slot is a
+/// composed key code on the perfect path and a group id on the generic one,
+/// which is the only difference between the two. NULL inputs are skipped,
+/// integer sums wrap, MIN/MAX keep the first of equal values and order
+/// doubles like `Value::total_cmp`.
 enum AccCol {
     Count(Vec<i64>),
-    SumI { sum: Vec<i64>, seen: Vec<bool> },
-    SumF { sum: Vec<f64>, seen: Vec<bool> },
-    Min(Vec<Option<Value>>),
-    Max(Vec<Option<Value>>),
-    Avg { sum: Vec<f64>, count: Vec<i64> },
+    SumI {
+        sum: Vec<i64>,
+        seen: Vec<bool>,
+    },
+    SumF {
+        sum: Vec<f64>,
+        seen: Vec<bool>,
+    },
+    Avg {
+        sum: Vec<f64>,
+        count: Vec<i64>,
+    },
+    /// MIN/MAX over bool/i32/date/i64 (`ty`), widened to `i64`.
+    BestI {
+        best: Vec<i64>,
+        seen: Vec<bool>,
+        min: bool,
+        ty: DataType,
+    },
+    BestF {
+        best: Vec<f64>,
+        seen: Vec<bool>,
+        min: bool,
+    },
+    BestS {
+        best: Vec<Option<Box<[u8]>>>,
+        min: bool,
+        /// Bytes of the strings held (memory accounting).
+        bytes: usize,
+    },
 }
 
 impl AccCol {
-    fn new(func: AggFunc, arg_ty: Option<DataType>, slots: usize) -> AccCol {
-        match func {
-            AggFunc::CountStar | AggFunc::Count => AccCol::Count(vec![0; slots]),
-            AggFunc::Sum => match arg_ty {
-                Some(DataType::F64) => AccCol::SumF {
-                    sum: vec![0.0; slots],
-                    seen: vec![false; slots],
-                },
-                _ => AccCol::SumI {
-                    sum: vec![0; slots],
-                    seen: vec![false; slots],
-                },
+    fn new(func: AggFunc, arg_ty: Option<DataType>) -> AccCol {
+        let min = func == AggFunc::Min;
+        match (func, arg_ty) {
+            (AggFunc::CountStar | AggFunc::Count, _) => AccCol::Count(Vec::new()),
+            (AggFunc::Avg, _) => AccCol::Avg {
+                sum: Vec::new(),
+                count: Vec::new(),
             },
-            AggFunc::Min => AccCol::Min(vec![None; slots]),
-            AggFunc::Max => AccCol::Max(vec![None; slots]),
-            AggFunc::Avg => AccCol::Avg {
-                sum: vec![0.0; slots],
-                count: vec![0; slots],
+            (AggFunc::Sum, Some(DataType::F64)) => AccCol::SumF {
+                sum: Vec::new(),
+                seen: Vec::new(),
+            },
+            (AggFunc::Sum, _) => AccCol::SumI {
+                sum: Vec::new(),
+                seen: Vec::new(),
+            },
+            (_, Some(DataType::F64)) => AccCol::BestF {
+                best: Vec::new(),
+                seen: Vec::new(),
+                min,
+            },
+            (_, Some(DataType::Str)) => AccCol::BestS {
+                best: Vec::new(),
+                min,
+                bytes: 0,
+            },
+            (_, ty) => AccCol::BestI {
+                best: Vec::new(),
+                seen: Vec::new(),
+                min,
+                ty: ty.unwrap_or(DataType::I64),
             },
         }
     }
 
-    /// Estimated bytes per slot (budget accounting).
-    fn bytes_per_slot(func: AggFunc, arg_ty: Option<DataType>) -> usize {
-        match func {
-            AggFunc::CountStar | AggFunc::Count => 8,
-            AggFunc::Sum => 9,
-            AggFunc::Avg => 16,
-            AggFunc::Min | AggFunc::Max => {
-                let _ = arg_ty;
-                std::mem::size_of::<Option<Value>>()
+    fn resize(&mut self, n: usize) {
+        match self {
+            AccCol::Count(c) => c.resize(n, 0),
+            AccCol::SumI { sum: v, seen } | AccCol::BestI { best: v, seen, .. } => {
+                v.resize(n, 0);
+                seen.resize(n, false);
             }
+            AccCol::SumF { sum: v, seen } | AccCol::BestF { best: v, seen, .. } => {
+                v.resize(n, 0.0);
+                seen.resize(n, false);
+            }
+            AccCol::Avg { sum, count } => {
+                sum.resize(n, 0.0);
+                count.resize(n, 0);
+            }
+            AccCol::BestS { best, .. } => best.resize(n, None),
         }
     }
 
-    /// Single/Partial-phase update of one vector. `slots[j]` is the slot of
-    /// lane `lanes[j]`. Dense fast arms cover the NULL-free numeric shapes
-    /// the Q1/Q6 hot loops hit; everything else goes lane-at-a-time.
-    fn update_batch(
+    /// Heap bytes held, by capacity.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            AccCol::Count(c) => c.capacity() * 8,
+            AccCol::SumI { sum: v, seen } | AccCol::BestI { best: v, seen, .. } => {
+                v.capacity() * 8 + seen.capacity()
+            }
+            AccCol::SumF { sum: v, seen } | AccCol::BestF { best: v, seen, .. } => {
+                v.capacity() * 8 + seen.capacity()
+            }
+            AccCol::Avg { sum, count } => (sum.capacity() + count.capacity()) * 8,
+            AccCol::BestS { best, bytes, .. } => best.capacity() * 16 + bytes,
+        }
+    }
+
+    /// Fold one vector in: `slots[j]` is the slot of row `lanes[j]`. With
+    /// `combine` the rows are partial aggregates (Final phase, spill drain,
+    /// perfect-to-generic fallback) and `hidden` carries the AVG counts.
+    fn fold(
         &mut self,
+        combine: bool,
         slots: &[u32],
         lanes: &[u32],
         arg: Option<&ExecVector>,
-    ) -> Result<()> {
-        match self {
-            AccCol::Count(n) => match arg {
-                None => {
-                    for &s in slots {
-                        n[s as usize] += 1;
-                    }
-                }
-                Some(v) => match &v.nulls {
-                    None => {
-                        for &s in slots {
-                            n[s as usize] += 1;
-                        }
-                    }
-                    Some(nulls) => {
-                        for (j, &s) in slots.iter().enumerate() {
-                            if !nulls[lanes[j] as usize] {
-                                n[s as usize] += 1;
-                            }
-                        }
-                    }
-                },
-            },
-            AccCol::SumI { sum, seen } => {
-                let v = arg.ok_or_else(|| VwError::Exec("SUM needs arg".into()))?;
-                if let (ColumnData::I64(x), None) = (&v.data, &v.nulls) {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let s = s as usize;
-                        sum[s] = sum[s].wrapping_add(x[lanes[j] as usize]);
-                        seen[s] = true;
-                    }
-                } else {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let i = lanes[j] as usize;
-                        if !v.is_null(i) {
-                            let s = s as usize;
-                            sum[s] = sum[s].wrapping_add(lane_i64(v, i)?);
-                            seen[s] = true;
-                        }
-                    }
-                }
-            }
-            AccCol::SumF { sum, seen } => {
-                let v = arg.ok_or_else(|| VwError::Exec("SUM needs arg".into()))?;
-                if let (ColumnData::F64(x), None) = (&v.data, &v.nulls) {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let s = s as usize;
-                        sum[s] += x[lanes[j] as usize];
-                        seen[s] = true;
-                    }
-                } else {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let i = lanes[j] as usize;
-                        if !v.is_null(i) {
-                            let s = s as usize;
-                            sum[s] += lane_f64(v, i)?;
-                            seen[s] = true;
-                        }
-                    }
-                }
-            }
-            AccCol::Min(cur) => {
-                let v = arg.ok_or_else(|| VwError::Exec("MIN needs arg".into()))?;
-                min_max_batch(cur, slots, lanes, v, true);
-            }
-            AccCol::Max(cur) => {
-                let v = arg.ok_or_else(|| VwError::Exec("MAX needs arg".into()))?;
-                min_max_batch(cur, slots, lanes, v, false);
-            }
-            AccCol::Avg { sum, count } => {
-                let v = arg.ok_or_else(|| VwError::Exec("AVG needs arg".into()))?;
-                if let (ColumnData::F64(x), None) = (&v.data, &v.nulls) {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let s = s as usize;
-                        sum[s] += x[lanes[j] as usize];
-                        count[s] += 1;
-                    }
-                } else {
-                    for (j, &s) in slots.iter().enumerate() {
-                        let i = lanes[j] as usize;
-                        if !v.is_null(i) {
-                            let s = s as usize;
-                            sum[s] += lane_f64(v, i)?;
-                            count[s] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Final-phase update: combine partial values (and hidden AVG counts).
-    fn combine_batch(
-        &mut self,
-        slots: &[u32],
-        lanes: &[u32],
-        arg: &ExecVector,
         hidden: Option<&ExecVector>,
     ) -> Result<()> {
+        let need = |what: &str| VwError::Exec(format!("aggregate needs {what}"));
+        if let (AccCol::Count(n), false) = (&mut *self, combine) {
+            // COUNT(*) and COUNT(x): rows, or rows where x is not NULL.
+            match arg.and_then(|v| v.nulls.as_deref()) {
+                None => slots.iter().for_each(|&s| n[s as usize] += 1),
+                Some(nulls) => visit(nulls, Some(nulls), slots, lanes, |s, _| n[s] += 1),
+            }
+            return Ok(());
+        }
+        let v = arg.ok_or_else(|| need("an argument"))?;
         match self {
-            AccCol::Count(n) => {
-                for (j, &s) in slots.iter().enumerate() {
-                    let i = lanes[j] as usize;
-                    if !arg.is_null(i) {
-                        n[s as usize] += lane_i64(arg, i)?;
-                    }
+            AccCol::Count(n) => visit_i64(v, slots, lanes, |s, x| n[s] += x),
+            AccCol::SumI { sum, seen } => visit_i64(v, slots, lanes, |s, x| {
+                sum[s] = sum[s].wrapping_add(x);
+                seen[s] = true;
+            }),
+            AccCol::SumF { sum, seen } => visit_f64(v, slots, lanes, |s, x| {
+                sum[s] += x;
+                seen[s] = true;
+            }),
+            AccCol::Avg { sum, count } => {
+                if combine {
+                    // A partial AVG is NULL exactly when its count is 0.
+                    let hc = hidden.ok_or_else(|| need("the partial AVG count"))?;
+                    visit_i64(hc, slots, lanes, |s, c| count[s] += c)?;
+                    visit_f64(v, slots, lanes, |s, x| sum[s] += x)
+                } else {
+                    visit_f64(v, slots, lanes, |s, x| {
+                        sum[s] += x;
+                        count[s] += 1;
+                    })
                 }
             }
-            AccCol::SumI { sum, seen } => {
-                for (j, &s) in slots.iter().enumerate() {
-                    let i = lanes[j] as usize;
-                    if !arg.is_null(i) {
-                        let s = s as usize;
-                        sum[s] = sum[s].wrapping_add(lane_i64(arg, i)?);
+            AccCol::BestI {
+                best, seen, min, ..
+            } => {
+                let min = *min;
+                visit_i64(v, slots, lanes, |s, x| {
+                    if !seen[s] || (if min { x < best[s] } else { x > best[s] }) {
+                        best[s] = x;
                         seen[s] = true;
                     }
-                }
+                })
             }
-            AccCol::SumF { sum, seen } => {
-                for (j, &s) in slots.iter().enumerate() {
-                    let i = lanes[j] as usize;
-                    if !arg.is_null(i) {
-                        let s = s as usize;
-                        sum[s] += lane_f64(arg, i)?;
+            AccCol::BestF { best, seen, min } => {
+                let want = if *min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                visit_f64(v, slots, lanes, |s, x| {
+                    if !seen[s] || f64_total_cmp(x, best[s]) == want {
+                        best[s] = x;
                         seen[s] = true;
                     }
-                }
+                })
             }
-            AccCol::Min(cur) => min_max_batch(cur, slots, lanes, arg, true),
-            AccCol::Max(cur) => min_max_batch(cur, slots, lanes, arg, false),
-            AccCol::Avg { sum, count } => {
-                let (hc, _) = (
-                    hidden.ok_or_else(|| VwError::Exec("AVG final needs count".into()))?,
-                    0,
-                );
-                for (j, &s) in slots.iter().enumerate() {
-                    let i = lanes[j] as usize;
-                    if !arg.is_null(i) {
-                        let s = s as usize;
-                        sum[s] += lane_f64(arg, i)?;
-                        count[s] += lane_i64(hc, i)?;
+            AccCol::BestS { best, min, bytes } => {
+                let ColumnData::Str(col) = &v.data else {
+                    return Err(need("a string argument"));
+                };
+                let want = if *min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                for (&s, &i) in slots.iter().zip(lanes) {
+                    let (cur, x) = (&mut best[s as usize], col.get_bytes(i as usize));
+                    if !v.is_null(i as usize) && cur.as_deref().is_none_or(|c| x.cmp(c) == want) {
+                        *bytes += x.len();
+                        *bytes -= cur.as_deref().map_or(0, |c| c.len());
+                        *cur = Some(x.into());
                     }
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Finished output value of one slot, mirroring `AggState::finish`.
-    fn finish(&self, slot: usize, phase: AggPhase) -> Value {
-        match self {
-            AccCol::Count(n) => Value::I64(n[slot]),
-            AccCol::SumI { sum, seen } => {
-                if seen[slot] {
-                    Value::I64(sum[slot])
-                } else {
-                    Value::Null
-                }
-            }
-            AccCol::SumF { sum, seen } => {
-                if seen[slot] {
-                    Value::F64(sum[slot])
-                } else {
-                    Value::Null
-                }
-            }
-            AccCol::Min(v) | AccCol::Max(v) => v[slot].clone().unwrap_or(Value::Null),
-            AccCol::Avg { sum, count } => {
-                if count[slot] == 0 {
-                    Value::Null
-                } else if phase == AggPhase::Partial {
-                    Value::F64(sum[slot])
-                } else {
-                    Value::F64(sum[slot] / count[slot] as f64)
-                }
+                Ok(())
             }
         }
     }
 
-    /// Hidden AVG count of one slot (partial output layout).
-    fn hidden_count(&self, slot: usize) -> Value {
+    /// The finished output column over slots `ids`.
+    fn finish(&self, ids: &[u32], phase: AggPhase) -> ExecVector {
+        fn col<T>(
+            ids: &[u32],
+            data: impl Fn(Vec<T>) -> ColumnData,
+            value: impl Fn(usize) -> T,
+            valid: impl Fn(usize) -> bool,
+        ) -> ExecVector {
+            let nulls: Vec<bool> = ids.iter().map(|&s| !valid(s as usize)).collect();
+            let values = ids.iter().map(|&s| value(s as usize)).collect();
+            ExecVector::new(data(values), nulls.contains(&true).then_some(nulls))
+        }
         match self {
-            AccCol::Avg { count, .. } => Value::I64(count[slot]),
-            _ => Value::Null,
+            AccCol::Count(n) => col(ids, ColumnData::I64, |s| n[s], |_| true),
+            AccCol::SumI { sum, seen } => col(ids, ColumnData::I64, |s| sum[s], |s| seen[s]),
+            AccCol::SumF { sum, seen } => col(ids, ColumnData::F64, |s| sum[s], |s| seen[s]),
+            // A partial AVG carries the raw sum; its count rides beside it.
+            AccCol::Avg { sum, count } if phase == AggPhase::Partial => {
+                col(ids, ColumnData::F64, |s| sum[s], |s| count[s] != 0)
+            }
+            AccCol::Avg { sum, count } => col(
+                ids,
+                ColumnData::F64,
+                |s| sum[s] / count[s] as f64,
+                |s| count[s] != 0,
+            ),
+            AccCol::BestI { best, seen, ty, .. } => match ty {
+                DataType::Bool => col(ids, ColumnData::Bool, |s| best[s] != 0, |s| seen[s]),
+                DataType::I32 | DataType::Date => {
+                    col(ids, ColumnData::I32, |s| best[s] as i32, |s| seen[s])
+                }
+                _ => col(ids, ColumnData::I64, |s| best[s], |s| seen[s]),
+            },
+            AccCol::BestF { best, seen, .. } => col(ids, ColumnData::F64, |s| best[s], |s| seen[s]),
+            AccCol::BestS { best, .. } => {
+                let mut out = StrColumn::with_capacity(ids.len(), ids.len() * 8);
+                for &s in ids {
+                    let bytes = best[s as usize].as_deref().unwrap_or_default();
+                    out.bytes.extend_from_slice(bytes);
+                    out.offsets.push(out.bytes.len() as u32);
+                }
+                let nulls: Vec<bool> = ids.iter().map(|&s| best[s as usize].is_none()).collect();
+                ExecVector::new(ColumnData::Str(out), nulls.contains(&true).then_some(nulls))
+            }
         }
     }
 }
 
-/// Shared MIN/MAX loop (update and combine treat non-null lanes the same).
-fn min_max_batch(
-    cur: &mut [Option<Value>],
-    slots: &[u32],
-    lanes: &[u32],
-    v: &ExecVector,
-    is_min: bool,
-) {
-    let ty = match &v.data {
-        ColumnData::Bool(_) => DataType::Bool,
-        ColumnData::I32(_) => DataType::I32,
-        ColumnData::I64(_) => DataType::I64,
-        ColumnData::F64(_) => DataType::F64,
-        ColumnData::Str(_) => DataType::Str,
-    };
-    for (j, &s) in slots.iter().enumerate() {
-        let i = lanes[j] as usize;
-        if v.is_null(i) {
-            continue;
-        }
-        let val = v.get_value(i, ty);
-        let slot = &mut cur[s as usize];
-        let better = slot.as_ref().is_none_or(|c| {
-            let ord = val.total_cmp(c);
-            if is_min {
-                ord.is_lt()
-            } else {
-                ord.is_gt()
-            }
-        });
-        if better {
-            *slot = Some(val);
-        }
+/// The accumulator columns of every aggregate of one operator, shared by the
+/// perfect and the generic path.
+pub struct Accumulators {
+    cols: Vec<AccCol>,
+    slots: usize,
+}
+
+impl Accumulators {
+    pub fn new(aggs: &[AggExpr], arg_types: &[Option<DataType>], slots: usize) -> Accumulators {
+        let cols = aggs.iter().zip(arg_types);
+        let mut accs = Accumulators {
+            cols: cols.map(|(a, ty)| AccCol::new(a.func, *ty)).collect(),
+            slots: 0,
+        };
+        accs.resize(slots);
+        accs
     }
+
+    /// Slots allocated.
+    pub fn len(&self) -> usize {
+        self.slots
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots == 0
+    }
+
+    /// Grow to `slots` zeroed slots.
+    pub fn resize(&mut self, slots: usize) {
+        self.cols.iter_mut().for_each(|c| c.resize(slots));
+        self.slots = slots;
+    }
+
+    /// Heap bytes held, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.cols.iter().map(|c| c.heap_bytes()).sum()
+    }
+
+    /// Fold one vector into every aggregate: `slots[j]` is the slot of row
+    /// `lanes[j]`, `args[k]` the evaluated argument of aggregate `k`. With
+    /// `combine`, rows are partial aggregates and `hidden[k]` is the AVG
+    /// count column of aggregate `k`.
+    pub fn fold(
+        &mut self,
+        combine: bool,
+        slots: &[u32],
+        lanes: &[u32],
+        args: &[Option<&ExecVector>],
+        hidden: &[Option<&ExecVector>],
+    ) -> Result<()> {
+        for (k, acc) in self.cols.iter_mut().enumerate() {
+            acc.fold(combine, slots, lanes, args[k], hidden[k])?;
+        }
+        Ok(())
+    }
+
+    /// Output columns over slots `ids` for `phase`: one finished column per
+    /// aggregate, then — emitting partials — the hidden AVG counts. With
+    /// `phase == Partial` this is the spill/fallback layout after the keys.
+    pub fn finish(&self, ids: &[u32], phase: AggPhase) -> Vec<ExecVector> {
+        let mut out: Vec<ExecVector> = self.cols.iter().map(|c| c.finish(ids, phase)).collect();
+        if phase == AggPhase::Partial {
+            for c in &self.cols {
+                if let AccCol::Avg { count, .. } = c {
+                    let counts = ids.iter().map(|&s| count[s as usize]).collect();
+                    out.push(ExecVector::not_null(ColumnData::I64(counts)));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// `slot_buf[j] += code(lanes[j]) * stride` for one key column, a NULL lane
+/// coding 0. Returns `false` at the first lane that has no code.
+#[inline]
+fn add_codes(
+    nulls: Option<&[bool]>,
+    lanes: &[u32],
+    stride: u32,
+    slot_buf: &mut [u32],
+    mut code: impl FnMut(usize) -> Option<u16>,
+) -> bool {
+    for (slot, &lane) in slot_buf.iter_mut().zip(lanes) {
+        let i = lane as usize;
+        let c = match nulls {
+            Some(n) if n[i] => 0,
+            _ => match code(i) {
+                Some(c) => c,
+                None => return false,
+            },
+        };
+        *slot += c as u32 * stride;
+    }
+    true
 }
 
 /// The direct-array aggregation table.
@@ -488,9 +619,8 @@ pub struct PerfectTable {
     caps: Vec<u32>,
     /// `strides[k] = Π caps[..k]`; a tuple's slot is `Σ code_k · strides[k]`.
     strides: Vec<u32>,
-    slots: usize,
     occupied: Vec<bool>,
-    accs: Vec<AccCol>,
+    accs: Accumulators,
     /// Scratch: slot per lane of the batch being absorbed.
     slot_buf: Vec<u32>,
     /// Per key column: cached dict-code → key-code remap for one block.
@@ -524,12 +654,8 @@ impl PerfectTable {
         if slots > MAX_SLOTS {
             return None;
         }
-        let per_slot: usize = 1 + aggs
-            .iter()
-            .zip(arg_types)
-            .map(|(a, ty)| AccCol::bytes_per_slot(a.func, *ty))
-            .sum::<usize>();
-        let reserved = slots * per_slot + 256;
+        let accs = Accumulators::new(aggs, arg_types, slots);
+        let reserved = slots + accs.heap_bytes() + 256;
         if !mem.try_grow(reserved) {
             return None;
         }
@@ -542,13 +668,8 @@ impl PerfectTable {
             key_types: key_types.to_vec(),
             caps,
             strides,
-            slots,
             occupied,
-            accs: aggs
-                .iter()
-                .zip(arg_types)
-                .map(|(a, ty)| AccCol::new(a.func, *ty, slots))
-                .collect(),
+            accs,
             slot_buf: Vec::new(),
             remaps: key_types.iter().map(|_| None).collect(),
             reserved_bytes: reserved,
@@ -566,7 +687,7 @@ impl PerfectTable {
         &mut self,
         keys: &[BatchKey<'_>],
         lanes: &[u32],
-        args: &[Option<ExecVector>],
+        args: &[Option<&ExecVector>],
         phase: AggPhase,
         hidden: &[Option<&ExecVector>],
     ) -> Result<bool> {
@@ -577,7 +698,7 @@ impl PerfectTable {
         for (k, key) in keys.iter().enumerate() {
             let stride = self.strides[k];
             let in_domain = match key {
-                BatchKey::Column(v) => self.code_column(k, v, lanes, stride, &mut slot_buf)?,
+                BatchKey::Column(v) => self.code_column(k, v, lanes, stride, &mut slot_buf),
                 BatchKey::Dict {
                     block,
                     codes,
@@ -594,18 +715,11 @@ impl PerfectTable {
         for &s in &slot_buf {
             self.occupied[s as usize] = true;
         }
-        for (k, acc) in self.accs.iter_mut().enumerate() {
-            if phase == AggPhase::Final {
-                let arg = args[k]
-                    .as_ref()
-                    .ok_or_else(|| VwError::Exec("final agg needs arg".into()))?;
-                acc.combine_batch(&slot_buf, lanes, arg, hidden[k])?;
-            } else {
-                acc.update_batch(&slot_buf, lanes, args[k].as_ref())?;
-            }
-        }
+        let r = self
+            .accs
+            .fold(phase == AggPhase::Final, &slot_buf, lanes, args, hidden);
         self.slot_buf = slot_buf;
-        Ok(true)
+        r.map(|()| true)
     }
 
     /// Add key `k`'s contribution from a materialized column. Returns
@@ -617,68 +731,24 @@ impl PerfectTable {
         lanes: &[u32],
         stride: u32,
         slot_buf: &mut [u32],
-    ) -> Result<bool> {
-        let coder = &mut self.coders[k];
+    ) -> bool {
+        let (coder, nulls) = (&mut self.coders[k], v.nulls.as_deref());
         match &v.data {
-            ColumnData::Str(col) => {
-                for (j, &lane) in lanes.iter().enumerate() {
-                    let i = lane as usize;
-                    let code = if v.nulls.as_ref().is_some_and(|n| n[i]) {
-                        0
-                    } else {
-                        match coder.code_str(col.get_bytes(i)) {
-                            Some(c) => c,
-                            None => return Ok(false),
-                        }
-                    };
-                    slot_buf[j] += code as u32 * stride;
-                }
-            }
+            ColumnData::Str(col) => add_codes(nulls, lanes, stride, slot_buf, |i| {
+                coder.code_str(col.get_bytes(i))
+            }),
             ColumnData::Bool(col) => {
-                if !matches!(coder, KeyCoder::Bool) {
-                    return Ok(false);
-                }
-                for (j, &lane) in lanes.iter().enumerate() {
-                    let i = lane as usize;
-                    let code = if v.nulls.as_ref().is_some_and(|n| n[i]) {
-                        0
-                    } else {
-                        1 + col[i] as u32
-                    };
-                    slot_buf[j] += code * stride;
-                }
+                matches!(coder, KeyCoder::Bool)
+                    && add_codes(nulls, lanes, stride, slot_buf, |i| Some(1 + col[i] as u16))
             }
             ColumnData::I64(col) => {
-                for (j, &lane) in lanes.iter().enumerate() {
-                    let i = lane as usize;
-                    let code = if v.nulls.as_ref().is_some_and(|n| n[i]) {
-                        0
-                    } else {
-                        match coder.code_int(col[i]) {
-                            Some(c) => c,
-                            None => return Ok(false),
-                        }
-                    };
-                    slot_buf[j] += code as u32 * stride;
-                }
+                add_codes(nulls, lanes, stride, slot_buf, |i| coder.code_int(col[i]))
             }
-            ColumnData::I32(col) => {
-                for (j, &lane) in lanes.iter().enumerate() {
-                    let i = lane as usize;
-                    let code = if v.nulls.as_ref().is_some_and(|n| n[i]) {
-                        0
-                    } else {
-                        match coder.code_int(col[i] as i64) {
-                            Some(c) => c,
-                            None => return Ok(false),
-                        }
-                    };
-                    slot_buf[j] += code as u32 * stride;
-                }
-            }
-            ColumnData::F64(_) => return Ok(false),
+            ColumnData::I32(col) => add_codes(nulls, lanes, stride, slot_buf, |i| {
+                coder.code_int(col[i] as i64)
+            }),
+            ColumnData::F64(_) => false,
         }
-        Ok(true)
     }
 
     /// Add key `k`'s contribution from undecoded dictionary codes, remapping
@@ -704,67 +774,52 @@ impl PerfectTable {
             self.remaps[k] = Some((block, remap));
         }
         let remap = &self.remaps[k].as_ref().unwrap().1;
-        for (j, &lane) in lanes.iter().enumerate() {
-            let i = lane as usize;
-            let code = if nulls.is_some_and(|n| n[i]) {
-                0
-            } else {
-                let c = remap[codes[i] as usize];
-                if c == u16::MAX {
-                    return false;
-                }
-                c as u32
-            };
-            slot_buf[j] += code * stride;
-        }
-        true
+        add_codes(nulls, lanes, stride, slot_buf, |i| {
+            Some(remap[codes[i] as usize]).filter(|&c| c != u16::MAX)
+        })
     }
 
-    /// Number of occupied slots (groups).
-    pub fn n_groups(&self) -> usize {
-        self.occupied.iter().filter(|&&b| b).count()
+    /// The occupied slots (groups), ascending.
+    pub fn occupied_slots(&self) -> Vec<u32> {
+        let slots = 0..self.occupied.len() as u32;
+        slots.filter(|&s| self.occupied[s as usize]).collect()
     }
 
-    /// Emit every occupied slot as an output row for `phase`: decoded group
-    /// keys, finished aggregates, hidden AVG counts when emitting partials.
-    /// With `phase == Partial` the rows are layout-compatible with the
-    /// generic path's spill rows, which is how fallback hands resident state
-    /// to the hash table.
-    pub fn rows(&self, phase: AggPhase, avg_idxs: &[usize]) -> Vec<Vec<Value>> {
-        let width = self.coders.len();
-        let mut out = Vec::with_capacity(self.n_groups());
-        for slot in 0..self.slots {
-            if !self.occupied[slot] {
-                continue;
-            }
-            let mut row = Vec::with_capacity(width + self.accs.len() + avg_idxs.len());
-            for k in 0..width {
-                let code = (slot as u32 / self.strides[k]) % self.caps[k];
-                row.push(self.coders[k].key_value(code as u16, self.key_types[k]));
-            }
-            for acc in &self.accs {
-                row.push(acc.finish(slot, phase));
-            }
-            if phase == AggPhase::Partial {
-                for &k in avg_idxs {
-                    row.push(self.accs[k].hidden_count(slot));
-                }
-            }
-            out.push(row);
+    /// Output rows of slots `ids` for `phase`: decoded group keys, finished
+    /// aggregates, hidden AVG counts when emitting partials. With `phase ==
+    /// Partial` the batch has the generic path's spill layout, which is how
+    /// fallback hands resident state to the hash table.
+    pub fn batch(&self, ids: &[u32], phase: AggPhase) -> Batch {
+        let mut cols = Vec::with_capacity(self.coders.len());
+        for (k, coder) in self.coders.iter().enumerate() {
+            let code = |&s: &u32| (s / self.strides[k]) % self.caps[k];
+            let codes: Vec<u32> = ids.iter().map(code).collect();
+            cols.push(coder.key_column(&codes, self.key_types[k]));
         }
+        cols.extend(self.accs.finish(ids, phase));
+        let mut out = Batch::new(cols);
+        out.rows = ids.len();
         out
     }
 }
-
-/// Group keys never materialize `Arc`s, but the side channel hands the dict
-/// over as one; re-export the alias the scan uses so callers share a name.
-pub type DictRef = Arc<StrColumn>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::{MemBudget, MemTracker};
+    use std::sync::Arc;
+    use vw_common::{Field, Schema, Value};
     use vw_plan::Expr;
+
+    /// Every occupied slot as rows of `(key, n[, s])`, sorted by key.
+    fn rows(t: &PerfectTable, key: DataType, naggs: usize) -> Vec<Vec<Value>> {
+        let mut fields = vec![Field::nullable("k", key)];
+        fields.extend((0..naggs).map(|i| Field::nullable(format!("a{i}"), DataType::I64)));
+        let batch = t.batch(&t.occupied_slots(), AggPhase::Single);
+        let mut rows = batch.to_rows(&Schema::new(fields));
+        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        rows
+    }
 
     fn aggs() -> Vec<AggExpr> {
         vec![
@@ -821,17 +876,15 @@ mod tests {
             .absorb(
                 &[BatchKey::Column(&keys)],
                 &lanes,
-                &[None, Some(vals)],
+                &[None, Some(&vals)],
                 AggPhase::Single,
                 &[None, None],
             )
             .unwrap();
         assert!(ok);
-        assert_eq!(t.n_groups(), 2);
-        let mut rows = t.rows(AggPhase::Single, &[]);
-        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        assert_eq!(t.occupied_slots().len(), 2);
         assert_eq!(
-            rows,
+            rows(&t, DataType::Str, 2),
             vec![
                 vec![Value::Str("a".into()), Value::I64(3), Value::I64(8)],
                 vec![Value::Str("b".into()), Value::I64(2), Value::I64(7)],
@@ -854,25 +907,25 @@ mod tests {
             .absorb(
                 &[BatchKey::Column(&good)],
                 &lanes,
-                &[None, Some(vals.clone())],
+                &[None, Some(&vals)],
                 AggPhase::Single,
                 &[None, None],
             )
             .unwrap());
-        assert_eq!(t.n_groups(), 3);
+        assert_eq!(t.occupied_slots().len(), 3);
         // A batch with one out-of-range key must not perturb anything.
         let bad = ExecVector::not_null(ColumnData::I64(vec![1, 99, 2]));
         assert!(!t
             .absorb(
                 &[BatchKey::Column(&bad)],
                 &lanes,
-                &[None, Some(vals)],
+                &[None, Some(&vals)],
                 AggPhase::Single,
                 &[None, None],
             )
             .unwrap());
-        assert_eq!(t.n_groups(), 3);
-        let rows = t.rows(AggPhase::Single, &[]);
+        assert_eq!(t.occupied_slots().len(), 3);
+        let rows = rows(&t, DataType::I64, 2);
         let total: i64 = rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
         assert_eq!(total, 3, "counts unchanged after rejected batch");
     }
@@ -913,10 +966,8 @@ mod tests {
                 &[None],
             )
             .unwrap());
-        let mut rows = t.rows(AggPhase::Single, &[]);
-        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(
-            rows,
+            rows(&t, DataType::Str, 1),
             vec![
                 vec![Value::Null, Value::I64(2)],
                 vec![Value::Str("x".into()), Value::I64(1)],

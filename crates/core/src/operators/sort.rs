@@ -1,28 +1,277 @@
-//! Vectorized sort: drain, order indexes by key columns, emit gathered
-//! batches. NULLs order first on ascending keys (consistent with
-//! `Value::total_cmp`, which all engines share).
+//! Vectorized sort over **normalized keys**. Each row's ORDER BY columns are
+//! encoded once into a fixed number of `u64` words whose plain unsigned
+//! comparison is the requested order ([`KeyLayout`]): direction and NULL
+//! placement are folded in, doubles order like `Value::total_cmp` (`-0.0` as
+//! `0.0`, NaNs by IEEE total order), strings contribute an 8-byte prefix and
+//! are compared in full only on a prefix tie. The words travel with the row
+//! number, so sorting is one in-place `sort_unstable` over small arrays, and
+//! stable on input order.
 //!
-//! Under a [`MemTracker`] budget this becomes an **external merge sort**:
-//! input batches accumulate until the budget pressures, at which point the
-//! buffered rows are sorted into a *run* and spilled (run = a spill file of
-//! sorted chunks). At end of input, zero runs means the classic in-memory
-//! path ran unchanged; otherwise the runs are k-way merged with one resident
-//! chunk per run (the minimal working unit, force-reserved). Runs partition
-//! the input sequentially and ties prefer the lower run index, so the merge
-//! reproduces the in-memory sort's stable input-order tiebreak exactly.
+//! Under a [`MemTracker`] budget [`VecSort`] becomes an **external merge
+//! sort**: input batches accumulate until the budget pressures, at which
+//! point the buffered rows are sorted into a *run* and spilled (run = a spill
+//! file of sorted chunks). At end of input, zero runs means the in-memory
+//! path ran; otherwise the runs are k-way merged with one resident chunk per
+//! run (the minimal working unit, force-reserved), comparing the same keys.
+//! Runs partition the input sequentially and ties prefer the lower run index,
+//! so the merge reproduces the in-memory sort's input-order tiebreak exactly.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
-use crate::batch::Batch;
+use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
 use crate::spill::{batch_bytes, read_batch, spill_disk, write_batch};
 use crate::trace::TraceHandle;
 use vw_common::waits::WaitStats;
-use vw_common::{Result, Schema};
+use vw_common::{DataType, Result, Schema};
 use vw_plan::SortKey;
-use vw_storage::{SimDisk, SpillFile};
+use vw_storage::{ColumnData, SimDisk, SpillFile};
 
-use super::{concat_batches, BoxedOperator, Operator, VecLimit};
+use super::{concat_batches, empty_columns, lap, BatchSource, BoxedOperator, Operator, VecLimit};
+
+/// A bit field inside a key: `word`, and the left shift of its lowest bit.
+#[derive(Clone, Copy)]
+struct Field {
+    word: usize,
+    shift: u32,
+}
+
+/// One ORDER BY column's place in the key: an optional 1-bit NULL flag, then
+/// the value field.
+struct KeyPart {
+    key: SortKey,
+    flag: Option<Field>,
+    value: Field,
+    /// Mask of the value field's width (applied inverted for DESC).
+    mask: u64,
+}
+
+/// How rows are encoded into comparable words. Fields are packed in ORDER BY
+/// order from the top bit of word 0 and never straddle a word; per type:
+///
+/// | column | bits | encoding (ascending) |
+/// |---|---|---|
+/// | NULL flag (only if the column can hold NULLs) | 1 | NULLS FIRST: 0 = NULL; NULLS LAST: 1 = NULL; a NULL's value field is 0 |
+/// | bool | 1 | the bit |
+/// | i32 / date | 32 | sign bit flipped |
+/// | i64 | 64 | sign bit flipped |
+/// | f64 | 64 | `-0.0` → `0.0`; sign bit flipped if positive, all bits if negative |
+/// | string | 64 | first 8 bytes, big-endian, zero-padded; ties need the full compare |
+///
+/// DESC inverts the value field. A key is `words` words; buffers carry one
+/// more word per row — its number — so equal keys keep input order.
+pub(crate) struct KeyLayout {
+    parts: Vec<KeyPart>,
+    words: usize,
+    /// `(word after a string prefix, its key index)`: comparison must stop
+    /// there for the full string compare before looking further.
+    str_ends: Vec<(usize, usize)>,
+}
+
+impl KeyLayout {
+    /// Layout for `keys` over `schema`; key `i` gets a NULL flag iff
+    /// `flagged[i]`.
+    fn new(keys: &[SortKey], schema: &Schema, flagged: &[bool]) -> KeyLayout {
+        let mut bit = 0usize; // next free bit, counted from the top of word 0
+        let mut place = |bits: usize| {
+            if bit % 64 + bits > 64 {
+                bit = bit.next_multiple_of(64);
+            }
+            bit += bits;
+            Field {
+                word: (bit - 1) / 64,
+                shift: ((64 - bit % 64) % 64) as u32,
+            }
+        };
+        let (mut parts, mut str_ends) = (Vec::new(), Vec::new());
+        for (i, key) in keys.iter().enumerate() {
+            let flag = flagged[i].then(|| place(1));
+            let bits = match ColumnData::physical_type(schema.field(key.col).ty) {
+                DataType::Bool => 1,
+                DataType::I32 => 32,
+                _ => 64,
+            };
+            let value = place(bits);
+            if schema.field(key.col).ty == DataType::Str {
+                str_ends.push((value.word + 1, i));
+            }
+            parts.push(KeyPart {
+                key: *key,
+                flag,
+                value,
+                mask: u64::MAX >> (64 - bits),
+            });
+        }
+        KeyLayout {
+            parts,
+            words: bit.div_ceil(64),
+            str_ends,
+        }
+    }
+
+    /// Words per row in a key buffer: the key, then the row number.
+    fn stride(&self) -> usize {
+        self.words + 1
+    }
+
+    /// Bytes of the key buffer and the `u32` row order a sort of `rows` rows
+    /// holds.
+    fn sort_bytes(&self, rows: usize) -> usize {
+        rows * (self.stride() * 8 + 4)
+    }
+
+    /// Append the keys of the dense `rows` of `cols` to `out` (row-number
+    /// word left 0), each key column's type matched once.
+    fn encode(&self, cols: &[ExecVector], rows: usize, out: &mut Vec<u64>) {
+        let base = out.len();
+        out.resize(base + rows * self.stride(), 0);
+        let out = &mut out[base..];
+        for p in &self.parts {
+            let col = &cols[p.key.col];
+            let inv = if p.key.asc { 0 } else { p.mask };
+            match &col.data {
+                ColumnData::Bool(v) => self.put(out, p, col, |r| v[r] as u64 ^ inv),
+                ColumnData::I32(v) => {
+                    self.put(out, p, col, |r| (v[r] as u32 ^ 0x8000_0000) as u64 ^ inv)
+                }
+                ColumnData::I64(v) => self.put(out, p, col, |r| v[r] as u64 ^ (1 << 63) ^ inv),
+                ColumnData::F64(v) => self.put(out, p, col, |r| {
+                    let b = (if v[r] == 0.0 { 0.0 } else { v[r] }).to_bits();
+                    (if b >> 63 == 1 { !b } else { b | 1 << 63 }) ^ inv
+                }),
+                ColumnData::Str(v) => self.put(out, p, col, |r| {
+                    let s = v.get_bytes(r);
+                    let mut prefix = [0u8; 8];
+                    prefix[..s.len().min(8)].copy_from_slice(&s[..s.len().min(8)]);
+                    u64::from_be_bytes(prefix) ^ inv
+                }),
+            }
+        }
+    }
+
+    fn put(&self, out: &mut [u64], p: &KeyPart, col: &ExecVector, val: impl Fn(usize) -> u64) {
+        let rows = out.chunks_exact_mut(self.stride()).enumerate();
+        let Some(flag) = p.flag else {
+            debug_assert!(!col.nulls.as_ref().is_some_and(|n| n.contains(&true)));
+            return rows.for_each(|(r, k)| k[p.value.word] |= val(r) << p.value.shift);
+        };
+        let (null_bit, value_bit) = if p.key.nulls_first { (0, 1) } else { (1, 0) };
+        for (r, k) in rows {
+            if col.is_null(r) {
+                k[flag.word] |= null_bit << flag.shift;
+            } else {
+                k[flag.word] |= value_bit << flag.shift;
+                k[p.value.word] |= val(r) << p.value.shift;
+            }
+        }
+    }
+
+    /// Order of two buffer rows (key words, then row number). `tie(key)`
+    /// settles the string key `key` whose prefixes (and NULL flags) tied.
+    fn cmp_rows(&self, a: &[u64], b: &[u64], tie: impl Fn(usize) -> Ordering) -> Ordering {
+        let mut from = 0;
+        for &(end, key) in &self.str_ends {
+            let ord = a[from..end].cmp(&b[from..end]).then_with(|| tie(key));
+            if ord != Ordering::Equal {
+                return ord;
+            }
+            from = end;
+        }
+        a[from..].cmp(&b[from..])
+    }
+
+    /// The full compare behind a string prefix tie: row `i` of `a` against
+    /// row `j` of `b` (same batch or not) on key `key`. The NULL flags tied
+    /// too, so the rows are both NULL or both not.
+    fn str_tie(
+        &self,
+        key: usize,
+        a: &[ExecVector],
+        i: usize,
+        b: &[ExecVector],
+        j: usize,
+    ) -> Ordering {
+        let k = &self.parts[key].key;
+        let (a, b) = (&a[k.col], &b[k.col]);
+        let (ColumnData::Str(x), ColumnData::Str(y), false) = (&a.data, &b.data, a.is_null(i))
+        else {
+            return Ordering::Equal;
+        };
+        let ord = x.get_bytes(i).cmp(y.get_bytes(j));
+        if k.asc {
+            ord
+        } else {
+            ord.reverse()
+        }
+    }
+
+    /// Sort the rows of a key buffer over `cols` in place: by key, then row
+    /// number. Keys of up to four words sort as fixed-size arrays.
+    fn sort(&self, keys: &mut [u64], cols: &[ExecVector]) {
+        fn sort_n<const N: usize>(layout: &KeyLayout, keys: &mut [u64], cols: &[ExecVector]) {
+            let (rows, _) = keys.as_chunks_mut::<N>();
+            if layout.str_ends.is_empty() {
+                return rows.sort_unstable();
+            }
+            let tie = |a: &[u64; N], b: &[u64; N], key| {
+                layout.str_tie(key, cols, a[N - 1] as usize, cols, b[N - 1] as usize)
+            };
+            rows.sort_unstable_by(|a, b| layout.cmp_rows(a, b, |key| tie(a, b, key)));
+        }
+        match self.stride() {
+            2 => sort_n::<2>(self, keys, cols),
+            3 => sort_n::<3>(self, keys, cols),
+            4 => sort_n::<4>(self, keys, cols),
+            5 => sort_n::<5>(self, keys, cols),
+            s => {
+                // Wider keys: sort row positions, then permute the buffer.
+                let row = |i: &u32| &keys[*i as usize * s..][..s];
+                let mut order: Vec<u32> = (0..(keys.len() / s) as u32).collect();
+                order.sort_unstable_by(|i, j| {
+                    let (a, b) = (row(i), row(j));
+                    let tie =
+                        |key| self.str_tie(key, cols, a[s - 1] as usize, cols, b[s - 1] as usize);
+                    self.cmp_rows(a, b, tie)
+                });
+                let sorted: Vec<u64> = order.iter().flat_map(|i| row(i).iter().copied()).collect();
+                keys.copy_from_slice(&sorted);
+            }
+        }
+    }
+}
+
+/// Which key columns of `cols` hold a NULL (and so need a flag bit).
+fn nullable_keys(keys: &[SortKey], cols: &[ExecVector]) -> Vec<bool> {
+    let has_null = |k: &SortKey| {
+        cols[k.col]
+            .nulls
+            .as_ref()
+            .is_some_and(|n| n.contains(&true))
+    };
+    keys.iter().map(has_null).collect()
+}
+
+/// `EXPLAIN ANALYZE` figures of the sort operators: widest key in bytes, and
+/// (profiling only) time encoding keys vs sorting them, one sample per batch
+/// or run.
+#[derive(Default)]
+struct SortProfile {
+    key_bytes: u64,
+    encode_ns: u64,
+    sort_ns: u64,
+}
+
+impl SortProfile {
+    fn extras(&self, timed: bool, ex: &mut Vec<(&'static str, u64)>) {
+        ex.push(("key_bytes", self.key_bytes));
+        if timed {
+            ex.push(("encode_ns", self.encode_ns));
+            ex.push(("sort_ns", self.sort_ns));
+        }
+    }
+}
 
 /// Sort operator.
 pub struct VecSort {
@@ -36,11 +285,18 @@ pub struct VecSort {
     trace: Option<TraceHandle>,
     /// Wait-state sink of the owning plan node (None = profiling off).
     waits: Option<Arc<WaitStats>>,
+    prof: SortProfile,
 }
 
 enum State {
     Pending,
-    InMem(Vec<Batch>),
+    /// The whole input and its row numbers in output order; chunks are
+    /// gathered as they are pulled, so a LIMIT above pays for what it takes.
+    InMem {
+        batch: Batch,
+        order: Vec<u32>,
+        pos: usize,
+    },
     Merge(MergeState),
 }
 
@@ -57,6 +313,7 @@ impl VecSort {
             state: State::Pending,
             trace: None,
             waits: None,
+            prof: SortProfile::default(),
         }
     }
 
@@ -80,53 +337,58 @@ impl VecSort {
         self.disk = Some(disk);
     }
 
-    /// Sort `batch`'s rows, returning the gathered output chunks in emission
-    /// order (the shared kernel of both the in-memory and the spill path).
-    fn sorted_chunks(&self, batch: &Batch) -> Vec<Batch> {
-        let mut idx: Vec<u32> = (0..batch.rows as u32).collect();
-        let cols = &batch.columns;
-        idx.sort_by(|&a, &b| {
-            for k in &self.keys {
-                let c = &cols[k.col];
-                let ord = super::sort_key_cmp(k, c, a as usize, c, b as usize);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            // stable tiebreak on input order for determinism
-            a.cmp(&b)
-        });
-        idx.chunks(self.vector_size)
-            .map(|chunk| Batch::new(batch.columns.iter().map(|c| c.gather(chunk)).collect()))
-            .collect()
+    /// The layout of a sort over `batches`: a NULL flag only on the key
+    /// columns that hold a NULL in one of them.
+    fn layout_for(&self, batches: &[Batch]) -> KeyLayout {
+        let mut flagged = vec![false; self.keys.len()];
+        for b in batches {
+            let nullable = nullable_keys(&self.keys, &b.columns);
+            flagged.iter_mut().zip(nullable).for_each(|(f, n)| *f |= n);
+        }
+        KeyLayout::new(&self.keys, &self.schema, &flagged)
     }
 
-    /// Sort the buffered batches into one run and spill it.
-    fn flush_run(
-        &mut self,
-        pending: &mut Vec<Batch>,
-        pending_bytes: &mut usize,
-        runs: &mut Vec<SpillFile>,
-    ) -> Result<()> {
+    /// `batch`'s row numbers in output order — encode its rows, number them
+    /// `0..`, sort — the shared kernel of the in-memory and the run path.
+    fn sorted_order(&mut self, batch: &Batch, layout: &KeyLayout) -> Vec<u32> {
+        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        let s = layout.stride();
+        let mut keys = Vec::new();
+        layout.encode(&batch.columns, batch.rows, &mut keys);
+        for (r, k) in keys.chunks_exact_mut(s).enumerate() {
+            k[s - 1] = r as u64;
+        }
+        lap(&mut clock, &mut self.prof.encode_ns);
+        layout.sort(&mut keys, &batch.columns);
+        lap(&mut clock, &mut self.prof.sort_ns);
+        self.prof.key_bytes = self.prof.key_bytes.max(layout.words as u64 * 8);
+        keys.chunks_exact(s).map(|k| k[s - 1] as u32).collect()
+    }
+
+    /// Sort the buffered batches into one run and spill it. The run's key
+    /// buffer is part of the minimal working unit.
+    fn flush_run(&mut self, pending: &mut Vec<Batch>, runs: &mut Vec<SpillFile>) -> Result<()> {
         let span = self.trace.as_ref().map(|t| t.start());
+        let layout = self.layout_for(pending);
         let batch = concat_batches(std::mem::take(pending), self.schema.len());
+        self.mem.force_grow(layout.sort_bytes(batch.rows));
+        let order = self.sorted_order(&batch, &layout);
         let mut file = SpillFile::new(spill_disk(&self.disk));
-        for chunk in self.sorted_chunks(&batch) {
+        for chunk in order.chunks(self.vector_size) {
+            let chunk = Batch::new(batch.columns.iter().map(|c| c.gather(chunk)).collect());
             write_batch(&mut file, &chunk, self.waits.as_deref())?;
         }
         self.mem.note_spill(file.bytes());
         if let (Some(t), Some(start)) = (&self.trace, span) {
             t.span_arg("spill write", "spill", start, Some(("bytes", file.bytes())));
         }
-        self.mem.shrink(*pending_bytes);
-        *pending_bytes = 0;
+        self.mem.release_all();
         runs.push(file);
         Ok(())
     }
 
     fn run(&mut self) -> Result<State> {
         let mut pending: Vec<Batch> = Vec::new();
-        let mut pending_bytes = 0usize;
         let mut runs: Vec<SpillFile> = Vec::new();
         while let Some(b) = self.input.next()? {
             let b = b.compact();
@@ -136,7 +398,7 @@ impl VecSort {
             let bytes = batch_bytes(&b);
             if !self.mem.try_grow(bytes) {
                 if !pending.is_empty() {
-                    self.flush_run(&mut pending, &mut pending_bytes, &mut runs)?;
+                    self.flush_run(&mut pending, &mut runs)?;
                 }
                 if !self.mem.try_grow(bytes) {
                     // A single input batch larger than the whole budget is
@@ -144,145 +406,172 @@ impl VecSort {
                     self.mem.force_grow(bytes);
                 }
             }
-            pending_bytes += bytes;
             pending.push(b);
         }
-        if runs.is_empty() {
-            if pending.is_empty() {
-                return Ok(State::InMem(Vec::new()));
-            }
-            // Never pressured: the classic in-memory sort.
-            let batch = concat_batches(pending, self.schema.len());
-            let mut out = self.sorted_chunks(&batch);
-            out.reverse();
-            return Ok(State::InMem(out));
+        let rows: usize = pending.iter().map(|b| b.rows).sum();
+        let layout = self.layout_for(&pending);
+        if runs.is_empty() && self.mem.try_grow(layout.sort_bytes(rows)) {
+            // Never pressured, key buffer included: the in-memory sort.
+            let batch = match pending.is_empty() {
+                true => Batch::new(empty_columns(&self.schema)),
+                false => concat_batches(pending, self.schema.len()),
+            };
+            let order = self.sorted_order(&batch, &layout);
+            let held =
+                batch.columns.iter().map(|c| c.heap_bytes()).sum::<usize>() + order.capacity() * 4;
+            let mut reserved = self.mem.reserved() as usize;
+            self.mem.resize(&mut reserved, held, true);
+            return Ok(State::InMem {
+                batch,
+                order,
+                pos: 0,
+            });
         }
         if !pending.is_empty() {
-            self.flush_run(&mut pending, &mut pending_bytes, &mut runs)?;
+            self.flush_run(&mut pending, &mut runs)?;
         }
+        let layout = KeyLayout::new(&self.keys, &self.schema, &vec![true; self.keys.len()]);
         let waits = self.waits.clone();
         let cursors = runs
             .into_iter()
-            .map(|file| RunCursor::open(file, &mut self.mem, waits.as_deref()))
+            .map(|file| RunCursor::open(file, &layout, &mut self.mem, waits.as_deref()))
             .collect::<Result<Vec<_>>>()?;
-        Ok(State::Merge(MergeState { cursors }))
+        Ok(State::Merge(MergeState { layout, cursors }))
     }
 }
 
-/// One sorted run being merged: the resident chunk plus a read position.
+/// A run's current row: its chunk's columns, its position there, its key.
+type RunRow<'a> = (&'a [ExecVector], usize, &'a [u64]);
+
+/// One sorted run being merged: the resident chunk, its keys and a read
+/// position.
 struct RunCursor {
     file: SpillFile,
     next_chunk: usize,
     batch: Option<Batch>,
+    keys: Vec<u64>,
     pos: usize,
     resident_bytes: usize,
 }
 
 impl RunCursor {
-    fn open(file: SpillFile, mem: &mut MemTracker, waits: Option<&WaitStats>) -> Result<RunCursor> {
+    fn open(
+        file: SpillFile,
+        layout: &KeyLayout,
+        mem: &mut MemTracker,
+        waits: Option<&WaitStats>,
+    ) -> Result<RunCursor> {
         let mut c = RunCursor {
             file,
             next_chunk: 0,
             batch: None,
+            keys: Vec::new(),
             pos: 0,
             resident_bytes: 0,
         };
-        c.load_next(mem, waits)?;
+        c.load_next(layout, mem, waits)?;
         Ok(c)
     }
 
-    fn load_next(&mut self, mem: &mut MemTracker, waits: Option<&WaitStats>) -> Result<()> {
-        mem.shrink(self.resident_bytes);
-        self.resident_bytes = 0;
+    fn load_next(
+        &mut self,
+        layout: &KeyLayout,
+        mem: &mut MemTracker,
+        waits: Option<&WaitStats>,
+    ) -> Result<()> {
         self.batch = None;
+        self.keys.clear();
+        let mut resident = 0;
         if self.next_chunk < self.file.chunk_count() {
             let b = read_batch(&self.file, self.next_chunk, waits)?;
             self.next_chunk += 1;
-            self.resident_bytes = batch_bytes(&b);
-            // One chunk per run is the merge's minimal working unit.
-            mem.force_grow(self.resident_bytes);
+            layout.encode(&b.columns, b.rows, &mut self.keys);
+            resident = batch_bytes(&b) + self.keys.capacity() * 8;
             self.pos = 0;
             self.batch = Some(b);
         }
+        // One chunk per run is the merge's minimal working unit.
+        mem.resize(&mut self.resident_bytes, resident, true);
         Ok(())
     }
 
-    fn current(&self) -> Option<(&Batch, usize)> {
-        self.batch.as_ref().map(|b| (b, self.pos))
-    }
-
-    fn advance(&mut self, mem: &mut MemTracker, waits: Option<&WaitStats>) -> Result<()> {
-        self.pos += 1;
-        if self.batch.as_ref().is_some_and(|b| self.pos >= b.rows) {
-            self.load_next(mem, waits)?;
-        }
-        Ok(())
+    /// The current row: its chunk's columns, position and key words.
+    fn current(&self, layout: &KeyLayout) -> Option<RunRow<'_>> {
+        let b = self.batch.as_ref()?;
+        Some((
+            &b.columns,
+            self.pos,
+            &self.keys[self.pos * layout.stride()..][..layout.words],
+        ))
     }
 }
 
 struct MergeState {
+    /// Every key flagged: chunks of different runs must encode alike.
+    layout: KeyLayout,
     cursors: Vec<RunCursor>,
 }
 
 impl MergeState {
-    /// Emit the next merged output batch (row-assembled; this path only runs
-    /// after a spill, where I/O dominates).
+    /// The run whose current row comes next. The lower run index wins ties
+    /// (`min_by` keeps the first minimum): runs hold sequential input
+    /// segments, so this preserves stability.
+    fn pick(&self) -> Option<usize> {
+        let rows = self.cursors.iter().enumerate();
+        let rows = rows.filter_map(|(ci, cur)| Some((ci, cur.current(&self.layout)?)));
+        let next = rows.min_by(|(_, a), (_, b)| {
+            let tie = |key| self.layout.str_tie(key, a.0, a.1, b.0, b.1);
+            self.layout.cmp_rows(a.2, b.2, tie)
+        });
+        next.map(|(ci, _)| ci)
+    }
+
+    /// Emit the next merged output batch. Consecutive picks from one run's
+    /// chunk are copied with one gather per column.
     fn next_batch(
         &mut self,
-        keys: &[SortKey],
         schema: &Schema,
         vector_size: usize,
         mem: &mut MemTracker,
         waits: Option<&WaitStats>,
     ) -> Result<Option<Batch>> {
-        let mut rows: Vec<Vec<vw_common::Value>> = Vec::new();
-        while rows.len() < vector_size {
-            let mut best: Option<usize> = None;
-            for (ci, cur) in self.cursors.iter().enumerate() {
-                let Some((b, i)) = cur.current() else {
-                    continue;
-                };
-                let better = match best {
-                    None => true,
-                    Some(bi) => {
-                        let (bb, bj) = self.cursors[bi].current().unwrap();
-                        // Lower run index wins ties: runs hold sequential
-                        // input segments, so this preserves stability.
-                        cmp_rows(keys, b, i, bb, bj).is_lt()
-                    }
-                };
-                if better {
-                    best = Some(ci);
+        fn copy_rows(out: &mut [ExecVector], from: &RunCursor, lanes: &mut Vec<u32>) {
+            if let Some(chunk) = &from.batch {
+                for (o, c) in out.iter_mut().zip(&chunk.columns) {
+                    o.extend_from(c, Some(lanes));
                 }
             }
-            let Some(bi) = best else {
+            lanes.clear();
+        }
+        let mut out = empty_columns(schema);
+        let mut rows = 0;
+        // Rows `lanes` of cursor `from`'s chunk are picked but not yet copied.
+        let (mut from, mut lanes) = (0, Vec::new());
+        while rows < vector_size {
+            let Some(ci) = self.pick() else {
                 break;
             };
-            let (b, i) = self.cursors[bi].current().unwrap();
-            rows.push(
-                b.columns
-                    .iter()
-                    .zip(schema.fields())
-                    .map(|(c, f)| c.get_value(i, f.ty))
-                    .collect(),
-            );
-            self.cursors[bi].advance(mem, waits)?;
+            if ci != from {
+                copy_rows(&mut out, &self.cursors[from], &mut lanes);
+                from = ci;
+            }
+            let cur = &mut self.cursors[ci];
+            lanes.push(cur.pos as u32);
+            cur.pos += 1;
+            rows += 1;
+            if cur.batch.as_ref().is_some_and(|b| cur.pos == b.rows) {
+                copy_rows(&mut out, cur, &mut lanes);
+                cur.load_next(&self.layout, mem, waits)?;
+            }
         }
-        if rows.is_empty() {
+        copy_rows(&mut out, &self.cursors[from], &mut lanes);
+        if rows == 0 {
             return Ok(None);
         }
-        Ok(Some(Batch::from_rows(schema, &rows)?))
+        let mut b = Batch::new(out);
+        b.rows = rows;
+        Ok(Some(b))
     }
-}
-
-fn cmp_rows(keys: &[SortKey], a: &Batch, i: usize, b: &Batch, j: usize) -> std::cmp::Ordering {
-    for k in keys {
-        let ord = super::sort_key_cmp(k, &a.columns[k.col], i, &b.columns[k.col], j);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 impl Operator for VecSort {
@@ -296,20 +585,18 @@ impl Operator for VecSort {
         }
         match &mut self.state {
             State::Pending => unreachable!(),
-            State::InMem(out) => Ok(out.pop()),
-            State::Merge(m) => {
-                let keys = std::mem::take(&mut self.keys);
-                let waits = self.waits.clone();
-                let r = m.next_batch(
-                    &keys,
-                    &self.schema,
-                    self.vector_size,
-                    &mut self.mem,
-                    waits.as_deref(),
-                );
-                self.keys = keys;
-                r
+            State::InMem { batch, order, pos } => {
+                let chunk = &order[*pos..(*pos + self.vector_size).min(order.len())];
+                *pos += chunk.len();
+                let cols = batch.columns.iter().map(|c| c.gather(chunk));
+                Ok((!chunk.is_empty()).then(|| Batch::new(cols.collect())))
             }
+            State::Merge(m) => m.next_batch(
+                &self.schema,
+                self.vector_size,
+                &mut self.mem,
+                self.waits.as_deref(),
+            ),
         }
     }
 
@@ -319,20 +606,22 @@ impl Operator for VecSort {
             ex.push(("spill_runs", self.mem.spill_events()));
             ex.push(("spill_bytes", self.mem.spill_bytes()));
         }
+        self.prof.extras(self.waits.is_some(), &mut ex);
         ex
     }
 }
 
 /// Bounded Top-N: the fused form of `Limit(offset, fetch)` over
-/// `Sort(keys)`. Instead of materializing and sorting the whole input it
-/// keeps only the best `offset + fetch` rows, periodically compacting a
-/// 2N-row buffer with the same stable comparator as [`VecSort`] — entries
-/// carry their input sequence number, so ties keep the first arrivals and
-/// the kept prefix is exactly what a full stable sort would emit first.
+/// `Sort(keys)`. It keeps a pool of candidate rows — columns plus normalized
+/// keys — and compares each incoming vector's keys with the current N-th key:
+/// only rows that can still make the cut are copied into the pool, which is
+/// sorted and cut back to N whenever it reaches 2N rows. Pool order is
+/// arrival order among equal keys, so ties keep the first arrivals and the
+/// kept prefix is exactly what a full stable sort would emit first.
 ///
-/// Memory-safe: the buffer is charged to the query's [`MemTracker`]; if the
+/// Memory-safe: the pool is charged to the query's [`MemTracker`]; if the
 /// reservation fails the operator falls back to a full external [`VecSort`]
-/// (fed the buffered rows plus the rest of the input) under [`VecLimit`],
+/// (fed the pooled rows plus the rest of the input) under [`VecLimit`],
 /// preserving exact output equivalence.
 pub struct TopN {
     input: Option<BoxedOperator>,
@@ -348,6 +637,9 @@ pub struct TopN {
     waits: Option<Arc<WaitStats>>,
     state: TopNState,
     fell_back: bool,
+    prof: SortProfile,
+    /// Input rows the cut-off dropped before they were materialised.
+    cut_rows: u64,
 }
 
 enum TopNState {
@@ -356,9 +648,39 @@ enum TopNState {
     Fallback(BoxedOperator),
 }
 
+/// Top-N's candidate rows: `cols` holds them in arrival order (after a cut:
+/// sorted order, later arrivals behind), `keys` their key-buffer rows
+/// numbered by pool position.
+struct Pool {
+    cols: Vec<ExecVector>,
+    keys: Vec<u64>,
+    layout: KeyLayout,
+    flagged: Vec<bool>,
+    /// Whether the pool was cut: row `n - 1` then holds the N-th best key.
+    cut: bool,
+}
+
+impl Pool {
+    fn rows(&self) -> usize {
+        self.cols.first().map_or(0, |c| c.len())
+    }
+
+    /// Sort the pool and keep its best `n` rows, in order.
+    fn cut_to(&mut self, n: usize) {
+        let s = self.layout.stride();
+        self.layout.sort(&mut self.keys, &self.cols);
+        self.keys.truncate(n * s);
+        let order: Vec<u32> = self.keys.chunks_exact(s).map(|k| k[s - 1] as u32).collect();
+        self.cols = self.cols.iter().map(|c| c.gather(&order)).collect();
+        for (r, k) in self.keys.chunks_exact_mut(s).enumerate() {
+            k[s - 1] = r as u64;
+        }
+    }
+}
+
 impl TopN {
-    /// Largest `offset + fetch` the planner fuses into a heap Top-N; above
-    /// this a full sort pipes into a plain limit.
+    /// Largest `offset + fetch` the planner fuses into a Top-N; above this a
+    /// full sort pipes into a plain limit.
     pub const MAX_N: u64 = 8192;
 
     pub fn new(
@@ -383,6 +705,8 @@ impl TopN {
             waits: None,
             state: TopNState::Pending,
             fell_back: false,
+            prof: SortProfile::default(),
+            cut_rows: 0,
         }
     }
 
@@ -403,132 +727,125 @@ impl TopN {
         self.trace = Some(trace);
     }
 
-    fn cmp_entries(
-        keys: &[SortKey],
-        a: &(Vec<vw_common::Value>, u64),
-        b: &(Vec<vw_common::Value>, u64),
-    ) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        for k in keys {
-            let (x, y) = (&a.0[k.col], &b.0[k.col]);
-            let ord = match (x.is_null(), y.is_null()) {
-                (true, true) => Ordering::Equal,
-                (true, false) => {
-                    if k.nulls_first {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    }
-                }
-                (false, true) => {
-                    if k.nulls_first {
-                        Ordering::Greater
-                    } else {
-                        Ordering::Less
-                    }
-                }
-                (false, false) => {
-                    let o = x.total_cmp(y);
-                    if k.asc {
-                        o
-                    } else {
-                        o.reverse()
-                    }
-                }
-            };
-            if ord != Ordering::Equal {
-                return ord;
+    /// Append to the pool the rows of dense `b` that can still make the cut.
+    fn admit(&mut self, pool: &mut Pool, b: &Batch, scratch: &mut Vec<u64>) {
+        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        // A key column turned out to hold NULLs: it needs a flag bit, so
+        // re-encode the pool under the wider layout.
+        let nullable = nullable_keys(&self.keys, &b.columns);
+        if nullable.iter().zip(&pool.flagged).any(|(&n, &f)| n && !f) {
+            pool.flagged
+                .iter_mut()
+                .zip(nullable)
+                .for_each(|(f, n)| *f |= n);
+            pool.layout = KeyLayout::new(&self.keys, &self.schema, &pool.flagged);
+            pool.keys.clear();
+            pool.layout.encode(&pool.cols, pool.rows(), &mut pool.keys);
+            let s = pool.layout.stride();
+            for (r, k) in pool.keys.chunks_exact_mut(s).enumerate() {
+                k[s - 1] = r as u64;
             }
         }
-        a.1.cmp(&b.1) // stable: earlier input wins ties
+        let (layout, s) = (&pool.layout, pool.layout.stride());
+        scratch.clear();
+        layout.encode(&b.columns, b.rows, scratch);
+        // Against the N-th key a later row loses a full tie, and only a tie
+        // on a string prefix leaves the comparison open.
+        let decided = layout.str_ends.first().map_or(layout.words, |e| e.0);
+        let bound = pool
+            .cut
+            .then(|| pool.keys[(self.n - 1) * s..][..decided].to_vec());
+        let survives = |k: &[u64]| {
+            bound
+                .as_ref()
+                .is_none_or(|bound| match k[..decided].cmp(bound) {
+                    Ordering::Less => true,
+                    Ordering::Equal => !layout.str_ends.is_empty(),
+                    Ordering::Greater => false,
+                })
+        };
+        let keys = scratch.chunks_exact(s).enumerate();
+        let lanes: Vec<u32> = keys
+            .filter(|(_, k)| survives(k))
+            .map(|(r, _)| r as u32)
+            .collect();
+        self.cut_rows += (b.rows - lanes.len()) as u64;
+        for (at, &r) in (pool.rows()..).zip(&lanes) {
+            pool.keys
+                .extend_from_slice(&scratch[r as usize * s..][..s - 1]);
+            pool.keys.push(at as u64); // numbered by pool position
+        }
+        for (p, c) in pool.cols.iter_mut().zip(&b.columns) {
+            p.extend_from(c, Some(&lanes));
+        }
+        lap(&mut clock, &mut self.prof.encode_ns);
+        if pool.rows() >= (2 * self.n).max(1024) {
+            pool.cut_to(self.n);
+            pool.cut = pool.rows() == self.n;
+            lap(&mut clock, &mut self.prof.sort_ns);
+        }
     }
 
     fn run(&mut self) -> Result<TopNState> {
         let mut input = self.input.take().expect("TopN input consumed twice");
-        let cap = (2 * self.n).max(1024);
-        let mut buf: Vec<(Vec<vw_common::Value>, u64)> = Vec::new();
-        let mut seq = 0u64;
-        let mut reserved = 0usize;
-        let est_bytes = |buf: &Vec<(Vec<vw_common::Value>, u64)>| -> usize {
-            // Rough accounting: per-row overhead + values (strings by length).
-            buf.iter()
-                .map(|(r, _)| {
-                    32 + r
-                        .iter()
-                        .map(|v| match v {
-                            vw_common::Value::Str(s) => 32 + s.len(),
-                            _ => 16,
-                        })
-                        .sum::<usize>()
-                })
-                .sum()
+        let flagged = vec![false; self.keys.len()];
+        let mut pool = Pool {
+            cols: empty_columns(&self.schema),
+            keys: Vec::new(),
+            layout: KeyLayout::new(&self.keys, &self.schema, &flagged),
+            flagged,
+            cut: false,
         };
+        let (mut scratch, mut held) = (Vec::new(), 0usize);
         while let Some(b) = input.next()? {
             let b = b.compact();
-            for i in 0..b.rows {
-                let row: Vec<vw_common::Value> = b
-                    .columns
-                    .iter()
-                    .zip(self.schema.fields())
-                    .map(|(c, f)| c.get_value(i, f.ty))
-                    .collect();
-                buf.push((row, seq));
-                seq += 1;
+            if b.rows == 0 || self.n == 0 {
+                continue;
             }
-            if buf.len() >= cap {
-                buf.sort_by(|a, b| Self::cmp_entries(&self.keys, a, b));
-                buf.truncate(self.n);
+            self.admit(&mut pool, &b, &mut scratch);
+            let want = pool.cols.iter().map(|c| c.heap_bytes()).sum::<usize>()
+                + (pool.keys.capacity() + scratch.capacity()) * 8;
+            if self.mem.resize(&mut held, want, false) {
+                continue;
             }
-            let want = est_bytes(&buf);
-            if want > reserved {
-                if !self.mem.try_grow(want - reserved) {
-                    // Budget pressure: hand everything to an external sort.
-                    self.mem.shrink(reserved);
-                    self.fell_back = true;
-                    buf.sort_by_key(|x| x.1); // restore arrival order
-                    let rows: Vec<Vec<vw_common::Value>> =
-                        buf.into_iter().map(|(r, _)| r).collect();
-                    let buffered = Box::new(super::BatchSource::from_rows(
-                        self.schema.clone(),
-                        &rows,
-                        self.vector_size,
-                    )?);
-                    let chained: BoxedOperator = Box::new(ChainOp {
-                        schema: self.schema.clone(),
-                        first: Some(buffered),
-                        rest: input,
-                    });
-                    let mut sort = VecSort::new(chained, self.keys.clone(), self.vector_size);
-                    sort.set_mem_tracker(std::mem::replace(&mut self.mem, MemTracker::detached()));
-                    if let Some(d) = &self.disk {
-                        sort.set_spill_disk(d.clone());
-                    }
-                    if let Some(t) = &self.trace {
-                        sort.set_trace(t.clone());
-                    }
-                    if let Some(w) = &self.waits {
-                        sort.set_waits(w.clone());
-                    }
-                    let limited = VecLimit::new(
-                        Box::new(sort),
-                        self.offset as u64,
-                        (self.n - self.offset) as u64,
-                    );
-                    return Ok(TopNState::Fallback(Box::new(limited)));
-                }
-                reserved = want;
+            // Budget pressure: hand the pool and the rest of the input to an
+            // external sort (equal keys are pooled in arrival order, so its
+            // stable order is the same).
+            self.mem.shrink(held);
+            self.fell_back = true;
+            let pooled = Box::new(BatchSource::new(
+                self.schema.clone(),
+                vec![Batch::new(std::mem::take(&mut pool.cols))],
+            ));
+            let chained: BoxedOperator = Box::new(ChainOp {
+                schema: self.schema.clone(),
+                first: Some(pooled),
+                rest: input,
+            });
+            let mut sort = VecSort::new(chained, self.keys.clone(), self.vector_size);
+            sort.set_mem_tracker(std::mem::replace(&mut self.mem, MemTracker::detached()));
+            if let Some(d) = &self.disk {
+                sort.set_spill_disk(d.clone());
             }
+            if let Some(t) = &self.trace {
+                sort.set_trace(t.clone());
+            }
+            if let Some(w) = &self.waits {
+                sort.set_waits(w.clone());
+            }
+            let fetch = (self.n - self.offset) as u64;
+            let limited = VecLimit::new(Box::new(sort), self.offset as u64, fetch);
+            return Ok(TopNState::Fallback(Box::new(limited)));
         }
-        buf.sort_by(|a, b| Self::cmp_entries(&self.keys, a, b));
-        buf.truncate(self.n);
-        let rows: Vec<Vec<vw_common::Value>> =
-            buf.into_iter().skip(self.offset).map(|(r, _)| r).collect();
-        let mut out = Vec::new();
-        for chunk in rows.chunks(self.vector_size) {
-            out.push(Batch::from_rows(&self.schema, chunk)?);
-        }
-        out.reverse();
-        Ok(TopNState::InMem(out))
+        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        pool.cut_to(self.n);
+        lap(&mut clock, &mut self.prof.sort_ns);
+        self.prof.key_bytes = pool.layout.words as u64 * 8;
+        let kept: Vec<u32> = (self.offset.min(pool.rows()) as u32..pool.rows() as u32).collect();
+        let chunks = kept.chunks(self.vector_size).rev();
+        let gather =
+            |chunk: &[u32]| Batch::new(pool.cols.iter().map(|c| c.gather(chunk)).collect());
+        Ok(TopNState::InMem(chunks.map(gather).collect()))
     }
 }
 
@@ -580,6 +897,8 @@ impl Operator for TopN {
         } else {
             ex.push(("peak_bytes", self.mem.peak()));
         }
+        ex.push(("topn_cut_rows", self.cut_rows));
+        self.prof.extras(self.waits.is_some(), &mut ex);
         ex
     }
 }
@@ -811,6 +1130,53 @@ mod tests {
         assert_eq!(got, want, "fallback path must match sort+limit");
         let extras: std::collections::BTreeMap<_, _> = topn.profile_extras().into_iter().collect();
         assert_eq!(extras["topn_fallback"], 1);
+    }
+
+    /// A string key's 8-byte prefix decides nothing among rows that share
+    /// it: sort, merge and the Top-N cut-off all fall through to the full
+    /// compare (ASC and DESC, string as last and as first key).
+    #[test]
+    fn string_prefix_ties_use_the_full_compare() {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::I64),
+            Field::nullable("s", DataType::Str),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..3000)
+            .map(|i| {
+                let s = match i % 97 {
+                    0 => Value::Null,
+                    1 => Value::Str("commonpr".into()),
+                    _ => Value::Str(format!("commonprefix-{:04}", (i * 7919) % 3000)),
+                };
+                vec![Value::I64((i % 3) as i64), s]
+            })
+            .collect();
+        for keys in [
+            vec![SortKey::asc(0), SortKey::asc(1)],
+            vec![SortKey::desc(1), SortKey::asc(0)],
+        ] {
+            let mut want = rows.clone();
+            want.sort_by(|a, b| {
+                let ord = |k: &SortKey| {
+                    let o = a[k.col].total_cmp(&b[k.col]);
+                    if k.asc {
+                        o
+                    } else {
+                        o.reverse()
+                    }
+                };
+                keys.iter()
+                    .map(ord)
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
+            let src = || Box::new(BatchSource::from_rows(schema.clone(), &rows, 100).unwrap());
+            let mut topn = TopN::new(src(), keys.clone(), 0, 40, 64);
+            assert_eq!(collect_rows(&mut topn).unwrap(), want[..40], "{keys:?}");
+            let mut tiny = VecSort::new(src(), keys.clone(), 64);
+            tiny.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(16 << 10)))));
+            assert_eq!(collect_rows(&mut tiny).unwrap(), want, "{keys:?}");
+        }
     }
 
     /// fetch = 0 and empty input are both fine.

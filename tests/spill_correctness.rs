@@ -205,3 +205,86 @@ proptest! {
         }
     }
 }
+
+/// The extras `EXPLAIN ANALYZE` prints for the operators named `op`, summed
+/// over the last query's plan nodes.
+fn extras_of(db: &Database, op: &str) -> std::collections::HashMap<&'static str, u64> {
+    let prof = db.profile_last_query().expect("profiling on by default");
+    let nodes = prof.nodes().into_iter().filter(|n| n.op_name() == op);
+    let mut sum = std::collections::HashMap::new();
+    for (k, v) in nodes.flat_map(|n| n.extras()) {
+        *sum.entry(k).or_insert(0) += v;
+    }
+    sum
+}
+
+/// Memory accounting is measured, not estimated: the aggregate's `peak_bytes`
+/// is what its table asked the allocator for. The expected figure is built
+/// here from the layout alone (DESIGN.md, "The flat hash table") and the two
+/// counts the profile reports: `ht_slots` bucket heads of 4 bytes; per group a
+/// 4-byte chain link, its 8-byte hash and its interned 8-byte key, in vectors
+/// grown by doubling; and accumulator columns of `ht_slots / 2` slots (the
+/// table's capacity before it next doubles) — SUM(i64) 8 + 1, COUNT(*) 8.
+#[test]
+fn aggregate_peak_bytes_is_the_tables_footprint() {
+    const GROUPS: i64 = 150_000;
+    let db = Database::new().unwrap();
+    db.create_table(
+        "t",
+        Schema::new(vec![
+            Field::new("k", DataType::I64),
+            Field::new("v", DataType::I64),
+        ]),
+    )
+    .unwrap();
+    let rows = (0..2 * GROUPS).map(|i| vec![Value::I64(i * 7919 % GROUPS), Value::I64(i)]);
+    db.bulk_load("t", rows).unwrap();
+    db.set_mem_budget(None);
+    let plan = scan(&db, "t").aggregate(
+        vec![0],
+        vec![
+            agg(AggFunc::Sum, Some(1), "s"),
+            agg(AggFunc::CountStar, None, "n"),
+        ],
+    );
+    assert_eq!(db.run_plan(plan).unwrap().rows.len(), GROUPS as usize);
+    let ex = extras_of(&db, "Aggregate");
+    assert_eq!(ex["groups"], GROUPS as u64);
+    let (slots, grown) = (ex["ht_slots"], ex["groups"].next_power_of_two());
+    let allocated = slots * 4 + grown * (4 + 8 + 8) + slots / 2 * (8 + 1 + 8);
+    let peak = ex["peak_bytes"];
+    assert!(
+        peak.abs_diff(allocated) * 10 <= allocated,
+        "peak_bytes {peak} is not within 10% of the {allocated} bytes allocated"
+    );
+}
+
+/// Everything a spilling join, aggregate and sort reserved — tables, key
+/// buffers, resident partitions and runs — is handed back: the database-wide
+/// ledger reads the same after the query as before it.
+#[test]
+fn ledger_returns_to_its_pre_query_value_after_spills() {
+    let db = spill_db(7, 6000, 3000);
+    let join = scan(&db, "fact").join(scan(&db, "dim"), JoinKind::Left, vec![(0, 0)]);
+    let aggregate = scan(&db, "fact").aggregate(
+        vec![1, 3],
+        vec![
+            agg(AggFunc::Avg, Some(2), "avg_f"),
+            agg(AggFunc::Max, Some(3), "max_s"),
+        ],
+    );
+    let sort = scan(&db, "fact").sort(vec![SortKey::desc(3), SortKey::asc(2)]);
+    db.set_mem_budget(Some(TIGHT_BUDGET));
+    let ledger = db.ledger();
+    let before = ledger.reserved();
+    for (plan, op) in [(join, "Join"), (aggregate, "Aggregate"), (sort, "Sort")] {
+        for dop in [1, 4] {
+            db.set_parallelism(dop);
+            assert!(!db.run_plan(plan.clone()).unwrap().rows.is_empty());
+            let spilled = db.profile_last_query().unwrap().mem.spill_bytes;
+            assert!(dop > 1 || spilled > 0, "{op}: 32 KiB must force a spill");
+            assert!(dop > 1 || extras_of(&db, op)["peak_bytes"] > 0);
+            assert_eq!(ledger.reserved(), before, "{op} at dop {dop}");
+        }
+    }
+}

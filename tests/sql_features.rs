@@ -500,3 +500,122 @@ fn explain_all_feature_shapes() {
         assert!(!r.rows.is_empty(), "{}", sql);
     }
 }
+
+/// ORDER BY is one total order — `Value::total_cmp` — on every path: the
+/// in-memory sort, Top-N, and the merge of spilled runs. A `DOUBLE` column
+/// holding NaN used to abort the process on the full-sort path (`LIMIT
+/// 10000`): NaN compared `Equal` to everything there, which is not a total
+/// order, and `slice::sort_by` panics on one.
+#[test]
+fn order_by_doubles_with_nan_is_one_total_order_on_every_path() {
+    use vectorwise::sql::{bind, parse_statement, BoundStatement};
+    use vectorwise::{DataType, Field, Schema};
+    let d = Database::new().unwrap();
+    d.create_table(
+        "t",
+        Schema::new(vec![
+            Field::new("id", DataType::I64),
+            Field::nullable("x", DataType::F64),
+        ]),
+    )
+    .unwrap();
+    let x = |i: i64| match i % 12 {
+        0 => Value::F64(f64::NAN),
+        3 | 9 => Value::F64(f64::from_bits(0x7ff8_0000_0000_0000 + i as u64 % 5)),
+        6 => Value::F64(-f64::NAN),
+        1 => Value::F64(0.0),
+        7 => Value::F64(-0.0),
+        4 => Value::Null,
+        5 => Value::F64(f64::NEG_INFINITY),
+        _ => Value::F64(((i * 7919) % 1000 - 500) as f64 / 8.0),
+    };
+    d.bulk_load("t", (0..20_000).map(|i| vec![Value::I64(i), x(i)]))
+        .unwrap();
+
+    let row_engine = |sql: &str| {
+        let BoundStatement::Query(plan) = bind(&parse_statement(sql).unwrap(), &d).unwrap() else {
+            panic!("not a query: {sql}")
+        };
+        common::run_row_engine(&d, &d.optimize_plan(plan))
+    };
+    for dir in ["ASC", "DESC"] {
+        for nulls in ["NULLS FIRST", "NULLS LAST"] {
+            for (limit, rows) in [(" LIMIT 5", 5), (" LIMIT 10000", 10_000), ("", 20_000)] {
+                let sql = format!("SELECT id, x FROM t ORDER BY x {dir} {nulls}, id{limit}");
+                let want = row_engine(&sql);
+                assert_eq!(want.len(), rows);
+                for budget in [None, Some(96 << 10)] {
+                    d.set_mem_budget(budget);
+                    let got = d.execute(&sql).unwrap().rows;
+                    // `Value` equality is bitwise on doubles: NaN payloads
+                    // and the sign of zero must land in the same places.
+                    assert_eq!(got, want, "{sql} under {budget:?}");
+                    if budget.is_some() && rows > 5 {
+                        let spilled = d.profile_last_query().unwrap().mem.spill_bytes;
+                        assert!(spilled > 0, "{sql}: the budget must force runs");
+                    }
+                }
+                d.set_mem_budget(None);
+            }
+        }
+    }
+}
+
+/// `EXPLAIN ANALYZE` shows what the hash and sort operators did: where a join
+/// spent its time and how its table came out (sized from the three build
+/// rows, not a fixed allocation), the aggregate's group directory, and the
+/// sort key's width and cost; Top-N also counts the rows its cut-off dropped
+/// before materialising them.
+#[test]
+fn explain_analyze_reports_hash_table_and_sort_key_figures() {
+    let d = db();
+    let analyze = |sql: &str| {
+        let r = d.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let lines = r.rows.iter().map(|row| row[0].to_string());
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    // Grouping by a DOUBLE keeps the aggregate on the hash-table path.
+    let sql = "SELECT e.salary, COUNT(*) AS n FROM emp e JOIN dept d ON e.dept = d.name \
+               GROUP BY e.salary ORDER BY n DESC, e.salary";
+    let plan = analyze(sql);
+    let line = |op: &str| {
+        let found = plan.lines().find(|l| l.trim_start().starts_with(op));
+        found
+            .unwrap_or_else(|| panic!("no {op} in\n{plan}"))
+            .to_string()
+    };
+    for key in [
+        "build_rows=3",
+        "ht_slots=16",
+        "ht_max_chain=",
+        "build_ns=",
+        "probe_ns=",
+        "emit_ns=",
+    ] {
+        assert!(line("INNERJoin").contains(key), "{key} missing:\n{plan}");
+    }
+    for key in [
+        "agg_path_generic=1",
+        "groups=5",
+        "ht_slots=16",
+        "ht_rehashes=0",
+        "lookup_ns=",
+        "update_ns=",
+    ] {
+        assert!(line("Aggregate").contains(key), "{key} missing:\n{plan}");
+    }
+    // `n DESC` then the DOUBLE: 64 + 64 bits, neither column nullable here.
+    for key in ["key_bytes=16", "encode_ns=", "sort_ns="] {
+        assert!(line("Sort").contains(key), "{key} missing:\n{plan}");
+    }
+    let topn = analyze(&format!("{sql} LIMIT 2"));
+    for key in [
+        "topn=1",
+        "topn_cut_rows=0",
+        "key_bytes=16",
+        "encode_ns=",
+        "sort_ns=",
+    ] {
+        assert!(topn.contains(key), "{key} missing:\n{topn}");
+    }
+}
