@@ -23,18 +23,14 @@ use vw_bufman::{Abm, CoopScanHandle};
 use vw_common::config::{AggPath, EngineConfig};
 use vw_common::metrics::{MetricsRegistry, LATENCY_BUCKETS_NS};
 use vw_common::{DataType, Result, Schema, TableId, VwError};
-use vw_pdt::Pdt;
 use vw_plan::{AggExpr, Expr, LogicalPlan};
 use vw_storage::block::MinMax;
 use vw_storage::{SimDisk, TableStorage};
 
 /// Everything the engine needs to scan one table: the stable columnar image
-/// and the PDT snapshot to merge over it.
-#[derive(Clone)]
-pub struct TableProvider {
-    pub storage: Arc<RwLock<TableStorage>>,
-    pub pdt: Arc<Pdt>,
-}
+/// and the PDT snapshot to merge over it — one version of the table, as the
+/// transaction manager hands it out.
+pub type TableProvider = vw_txn::TableVersion;
 
 /// Execution context: table resolution + engine configuration.
 #[derive(Clone)]
@@ -647,6 +643,7 @@ mod tests {
     use super::*;
     use crate::operators::collect_rows;
     use vw_common::{DataType, Field, Schema, Value};
+    use vw_pdt::Pdt;
     use vw_plan::plan::AggPhase;
     use vw_plan::rewrite::parallelize;
     use vw_plan::{AggExpr, AggFunc, BinOp, Expr, JoinKind, SortKey};

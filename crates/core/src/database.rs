@@ -7,19 +7,21 @@
 //! over PDT-merged columnar storage, under snapshot-isolated transactions
 //! with a WAL (`vw-txn`).
 //!
-//! Queries run against an immutable snapshot (Arc'd master PDTs + immutable
-//! stable storage between checkpoints), so readers never block writers.
+//! Queries run against an immutable snapshot — for every table the stable
+//! image and the master PDT over it, pinned as a pair — so readers never
+//! block writers, and a checkpoint never changes what a running query reads.
 
 use crate::compile::{compile_plan, ExecContext, TableProvider};
 use crate::events::{EventLog, LogEvent, Severity, EVENT_LOG_CAP};
 use crate::mem::MemBudget;
-use crate::operators::collect_rows;
+use crate::operators::{collect_rows, Operator, VecScan};
 use crate::profile::{OpProfile, QueryProfile, Timeline};
 use crate::sched::{AdmissionStats, Scheduler};
 use crate::session::Session;
 use crate::systab;
 use crate::trace::{TraceCollector, TraceHandle};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::vexpr::ExprEvaluator;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,12 +34,12 @@ use vw_common::{DataType, Result, Schema, TableId, TableLayout, Value, VwError};
 use vw_pdt::Pdt;
 use vw_plan::{
     apply_interesting_orders, estimate_rows, fingerprint, fold_constants, optimize_with_feedback,
-    parallelize, prune_columns, push_down_filters, recordable, CardFeedback, LogicalPlan,
+    parallelize, prune_columns, push_down_filters, recordable, CardFeedback, Expr, LogicalPlan,
     TableStats,
 };
 use vw_sql::{bind, parse_statement, BoundStatement, CatalogView, SetScope};
 use vw_storage::{SimDisk, SimDiskConfig, TableBuilder, TableStorage};
-use vw_txn::{checkpoint_table, materialize_image, Transaction, TxnManager};
+use vw_txn::{checkpoint_table, Transaction, TxnManager};
 
 /// Admission waits at or above this emit an `admission_wait` event into the
 /// structured log (shorter stalls still show in `vw_waits` and the timeline).
@@ -127,9 +129,14 @@ impl QueryResult {
     }
 }
 
+/// Catalog entry: what never changes about a table. Its data — the current
+/// version — lives with the transaction manager.
 struct TableEntry {
     id: TableId,
-    storage: Arc<RwLock<TableStorage>>,
+    schema: Schema,
+    /// The declared sort order, when scanning the table's groups in storage
+    /// order delivers it ([`TableLayout::delivers_declared_order`]).
+    ordered_by: Option<Vec<vw_common::SortSpec>>,
 }
 
 /// One entry in the query-history ring buffer. Queryable through the
@@ -251,11 +258,6 @@ pub struct Database {
     agg_feedback: Arc<crate::adapt::AggFeedback>,
     /// Structured event log (`vw_log`, [`Database::drain_events`]).
     events: Arc<EventLog>,
-    /// Count of in-flight checkpoints + condvar. Queries entering execution
-    /// wait for it to reach zero, attributing the blocked time to the
-    /// timeline's checkpoint phase; with no checkpoint running the check is
-    /// one uncontended lock.
-    checkpoint_gate: (Mutex<usize>, Condvar),
 }
 
 static DB_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -318,7 +320,6 @@ impl Database {
             card_feedback: Mutex::new(CardFeedback::new()),
             agg_feedback: Arc::new(crate::adapt::AggFeedback::new()),
             events: Arc::new(EventLog::new(EVENT_LOG_CAP, event_log_on)),
-            checkpoint_gate: (Mutex::new(0), Condvar::new()),
         })
     }
 
@@ -492,54 +493,54 @@ impl Database {
             return Err(VwError::Catalog(format!("table '{}' already exists", name)));
         }
         let id = TableId::new(self.next_table_id.fetch_add(1, Ordering::Relaxed));
-        let mut storage = TableStorage::new(schema, self.disk.clone());
+        let mut storage = TableStorage::new(schema.clone(), self.disk.clone());
         storage.set_name(name);
+        let ordered_by = layout
+            .delivers_declared_order()
+            .then(|| layout.order.clone());
         if !layout.is_trivial() {
             storage.set_layout(layout)?;
         }
-        self.txn.read().register_table(id, 0);
-        tables.insert(
-            name.to_string(),
-            TableEntry {
-                id,
-                storage: Arc::new(RwLock::new(storage)),
-            },
-        );
+        self.txn.read().register_table(id, storage);
+        let entry = TableEntry {
+            id,
+            schema,
+            ordered_by,
+        };
+        tables.insert(name.to_string(), entry);
         Ok(id)
+    }
+
+    fn table_id(&self, name: &str) -> Result<TableId> {
+        let tables = self.tables.read();
+        let entry = tables
+            .get(name)
+            .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
+        Ok(entry.id)
     }
 
     /// Bulk-load rows directly into stable storage (initial load path,
     /// bypassing the WAL — like any warehouse bulk loader). The table must
     /// be empty.
     pub fn bulk_load(&self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) -> Result<u64> {
-        let entry_storage;
-        let entry_id;
-        {
-            let tables = self.tables.read();
-            let entry = tables
-                .get(name)
-                .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
-            entry_storage = entry.storage.clone();
-            entry_id = entry.id;
-        }
-        let mut storage = entry_storage.write();
-        if storage.n_rows() != 0 || !self.txn.read().current_pdt(entry_id)?.is_empty() {
+        let id = self.table_id(name)?;
+        let mgr = self.txn.read();
+        let empty = mgr.current(id)?;
+        if empty.storage.read().n_rows() != 0 || !empty.pdt.is_empty() {
             return Err(VwError::Invalid(format!(
                 "bulk_load requires empty table '{}'",
                 name
             )));
         }
         // `for_table` carries the declared layout (and partition shards)
-        // into the rebuilt storage, so the load lands sorted/partitioned.
-        let mut builder = TableBuilder::for_table(storage.fresh_like());
+        // into the loaded image, so the load lands sorted/partitioned.
+        let mut builder = TableBuilder::for_table(empty.storage.read().fresh_like());
         let mut n = 0u64;
         for row in rows {
             builder.push_row(row)?;
             n += 1;
         }
-        *storage = builder.finish()?;
-        storage.set_name(name);
-        self.txn.read().register_table(entry_id, n);
+        mgr.register_table(id, builder.finish()?);
         Ok(n)
     }
 
@@ -552,11 +553,8 @@ impl Database {
 
     /// Current (stable + deltas) row count of a table.
     pub fn table_rows(&self, name: &str) -> Result<u64> {
-        let tables = self.tables.read();
-        let entry = tables
-            .get(name)
-            .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
-        Ok(self.txn.read().current_pdt(entry.id)?.current_rows())
+        let id = self.table_id(name)?;
+        Ok(self.txn.read().current_pdt(id)?.current_rows())
     }
 
     /// The schema of a table.
@@ -565,17 +563,7 @@ impl Database {
         let entry = tables
             .get(name)
             .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
-        let schema = entry.storage.read().schema().clone();
-        Ok(schema)
-    }
-
-    fn entry_by_id(&self, id: TableId) -> Result<(String, Arc<RwLock<TableStorage>>)> {
-        let tables = self.tables.read();
-        tables
-            .iter()
-            .find(|(_, e)| e.id == id)
-            .map(|(n, e)| (n.clone(), e.storage.clone()))
-            .ok_or_else(|| VwError::Catalog(format!("unknown table {}", id)))
+        Ok(entry.schema.clone())
     }
 
     // ------------------------------------------------------------ execution
@@ -594,28 +582,31 @@ impl Database {
         txn: Option<&Transaction>,
         config: EngineConfig,
     ) -> Result<ExecContext> {
-        let tables = self.tables.read();
-        let mgr = self.txn.read();
-        let mut providers = HashMap::new();
-        for entry in tables.values() {
-            let pdt = match txn {
-                Some(t) => Arc::new(t.effective_pdt(entry.id)?.clone()),
-                None => mgr.current_pdt(entry.id)?,
-            };
-            providers.insert(
-                entry.id,
-                TableProvider {
-                    storage: entry.storage.clone(),
-                    pdt,
-                },
-            );
+        Ok(self.context_over(self.pin_versions(txn), config))
+    }
+
+    /// The version of every table a statement reads: the ones its
+    /// transaction pinned at `begin`, or else the current ones, taken in the
+    /// critical section a checkpoint installs its image in — so image and
+    /// PDT always belong together, and stay the statement's to its end.
+    fn pin_versions(&self, txn: Option<&Transaction>) -> HashMap<TableId, TableProvider> {
+        match txn {
+            Some(t) => t.views(),
+            None => self.txn.read().versions(),
         }
-        let mut ctx = ExecContext::new(providers, config);
+    }
+
+    fn context_over(
+        &self,
+        versions: HashMap<TableId, TableProvider>,
+        config: EngineConfig,
+    ) -> ExecContext {
+        let mut ctx = ExecContext::new(versions, config);
         // Spilled runs/partitions share the database's disk, so spill I/O
         // shows up in the same `DiskStats` the profile already reports.
         ctx.spill_disk = Some(self.disk.clone());
         ctx.buffer = self.buffer.read().clone();
-        Ok(ctx)
+        ctx
     }
 
     /// Optimize + rewrite a logical plan per current config and stats.
@@ -668,14 +659,11 @@ impl Database {
         let mut delivered = vw_plan::DeliveredOrders::new();
         let txn = self.txn.read();
         for entry in self.tables.read().values() {
-            let storage = entry.storage.read();
-            let layout = storage.layout();
-            if !layout.delivers_declared_order() {
+            let Some(order) = &entry.ordered_by else {
                 continue;
-            }
-            let clean = txn.current_pdt(entry.id).is_ok_and(|p| p.is_empty());
-            if clean {
-                delivered.insert(entry.id, layout.order.clone());
+            };
+            if txn.current_pdt(entry.id).is_ok_and(|p| p.is_empty()) {
+                delivered.insert(entry.id, order.clone());
             }
         }
         delivered
@@ -756,18 +744,13 @@ impl Database {
                 vec![("wait_ms", format!("{:.3}", admission_ns as f64 / 1e6))],
             );
         }
-        // Don't start executing mid-checkpoint: wait out any in-flight
-        // checkpoint, attributing the blocked time to the checkpoint phase.
-        let t_ckpt = Instant::now();
-        {
-            let (lock, cv) = &self.checkpoint_gate;
-            let mut n = lock.lock();
-            while *n > 0 {
-                cv.wait(&mut n);
-            }
-        }
-        let checkpoint_ns = t_ckpt.elapsed().as_nanos() as u64;
-        let mut ctx = self.exec_context_with(txn, config)?;
+        // Pinning the table versions is the one place a query meets a
+        // checkpoint: it waits while one swaps its image in, never while one
+        // builds it. That wait is the timeline's checkpoint phase.
+        let t_pin = Instant::now();
+        let versions = self.pin_versions(txn);
+        let checkpoint_ns = t_pin.elapsed().as_nanos() as u64;
+        let mut ctx = self.context_over(versions, config);
         if ledger.limit().is_some() {
             // Chain the per-query budget onto the shared ledger so
             // concurrent queries see each other's memory pressure.
@@ -1215,10 +1198,10 @@ impl Database {
     /// family shares one block space).
     fn vw_io_rows(&self) -> Vec<Vec<Value>> {
         let mut disks: Vec<Arc<SimDisk>> = vec![self.disk.clone()];
-        for entry in self.tables.read().values() {
-            for d in entry.storage.read().partition_disks() {
-                disks.push(d.clone());
-            }
+        let mut images: Vec<_> = self.txn.read().images().into_iter().collect();
+        images.sort_by_key(|(id, _)| *id);
+        for (_, image) in images {
+            disks.extend(image.read().partition_disks().iter().cloned());
         }
         disks
             .iter()
@@ -1343,9 +1326,7 @@ impl Database {
                 check_writable(table)?;
                 let mut txn = self.begin();
                 let n = rows.len();
-                for row in rows {
-                    txn.append(table, row)?;
-                }
+                txn.append_many(table, rows)?;
                 self.commit(txn)?;
                 Ok(count_result("inserted", n))
             }
@@ -1498,9 +1479,7 @@ impl Database {
             BoundStatement::Insert { table, rows } => {
                 check_writable(table)?;
                 let n = rows.len();
-                for row in rows {
-                    txn.append(table, row)?;
-                }
+                txn.append_many(table, rows)?;
                 Ok(count_result("inserted", n))
             }
             BoundStatement::Update {
@@ -1523,82 +1502,115 @@ impl Database {
         }
     }
 
-    /// Rows of a table as seen by a transaction (or the committed snapshot),
-    /// in RID order — the reference row view for DML.
-    fn current_rows_of(&self, txn: &Transaction, table: TableId) -> Result<Vec<Vec<Value>>> {
-        let (_, storage) = self.entry_by_id(table)?;
-        let storage = storage.read();
-        let pdt = txn.effective_pdt(table)?;
-        let cols = materialize_image(pdt, &storage)?;
-        let schema = storage.schema();
-        let n = cols.first().map_or(0, |c| c.len());
-        Ok((0..n)
-            .map(|i| {
-                cols.iter()
-                    .zip(schema.fields())
-                    .map(|(c, f)| c.get_value(i, f.ty))
-                    .collect()
-            })
-            .collect())
+    /// The scan UPDATE and DELETE find their rows with: serial, over the
+    /// version of the table the transaction sees, `predicate` pushed into it
+    /// (zone maps, encoded predicates and sparse decode apply as for any
+    /// query), producing only the columns `reads` names — and the RID of
+    /// every row. Returns the scan and, for each storage column in `reads`,
+    /// its position in the scan's output.
+    fn dml_scan(
+        &self,
+        view: TableProvider,
+        predicate: Option<&Expr>,
+        mut reads: Vec<usize>,
+        config: &EngineConfig,
+    ) -> Result<(VecScan, impl Fn(usize) -> usize)> {
+        if let Some(p) = predicate {
+            p.columns(&mut reads);
+        }
+        reads.sort_unstable();
+        reads.dedup();
+        let projection = reads.clone();
+        let slot = move |c: usize| reads.binary_search(&c).expect("a column the scan reads");
+        let mut scan = VecScan::new(
+            view.storage,
+            view.pdt,
+            projection,
+            predicate.map(|p| p.remap_columns(&slot)),
+            config.vector_size,
+            None,
+            !config.rewrite_nulls,
+            config.adaptivity,
+        )?;
+        scan.set_emit_rids();
+        Ok((scan, slot))
     }
 
+    /// UPDATE by position: scan for the rows, evaluate the assignments a
+    /// vector at a time against the rows as they are (every assignment sees
+    /// the pre-update values), and only when the whole statement has
+    /// evaluated hand positions and new values to the PDT in one batch — a
+    /// statement that fails leaves the transaction as it found it.
     fn apply_update(
         &self,
         txn: &mut Transaction,
         table: TableId,
-        assignments: &[(usize, vw_plan::Expr)],
-        predicate: Option<&vw_plan::Expr>,
+        assignments: &[(usize, Expr)],
+        predicate: Option<&Expr>,
     ) -> Result<usize> {
-        let rows = self.current_rows_of(txn, table)?;
-        let mut n = 0usize;
-        for (rid, row) in rows.iter().enumerate() {
-            if let Some(p) = predicate {
-                if p.eval_row(row)? != Value::Bool(true) {
-                    continue;
-                }
-            }
-            // All assignments see the pre-update row (SQL semantics).
-            for (col, e) in assignments {
-                let mut v = e.eval_row(row)?;
-                let want = {
-                    let (_, storage) = self.entry_by_id(table)?;
-                    let s = storage.read().schema().field(*col).ty;
-                    s
-                };
-                if !v.is_null() {
-                    v = v
-                        .cast_to(want)
-                        .ok_or_else(|| VwError::Exec(format!("cannot store {} as {}", v, want)))?;
-                }
-                txn.modify_at(table, rid as u64, *col as u32, v)?;
-            }
-            n += 1;
+        let config = self.config();
+        let view = txn.view(table)?;
+        let (cols, types): (Vec<u32>, Vec<DataType>) = {
+            let storage = view.storage.read();
+            assignments
+                .iter()
+                .map(|(c, _)| (*c as u32, storage.schema().field(*c).ty))
+                .unzip()
+        };
+        let mut reads = Vec::new();
+        for (_, e) in assignments {
+            e.columns(&mut reads);
         }
-        Ok(n)
+        let (mut scan, slot) = self.dml_scan(view, predicate, reads, &config)?;
+        let exprs = assignments
+            .iter()
+            .map(|(_, e)| {
+                let e = e.remap_columns(&slot);
+                ExprEvaluator::new(e, scan.schema(), !config.rewrite_nulls)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut rids: Vec<u64> = Vec::new();
+        let mut values: Vec<Vec<Value>> = Vec::new();
+        while let Some(batch) = scan.next()? {
+            let vectors = exprs
+                .iter()
+                .map(|e| e.eval(&batch))
+                .collect::<Result<Vec<_>>>()?;
+            for i in batch.positions() {
+                let mut row = Vec::with_capacity(cols.len());
+                for ((vector, expr), want) in vectors.iter().zip(&exprs).zip(&types) {
+                    let v = vector.get_value(i, expr.output_type());
+                    let stored = v
+                        .cast_to(*want)
+                        .ok_or_else(|| VwError::Exec(format!("cannot store {} as {}", v, want)))?;
+                    row.push(stored);
+                }
+                rids.push(scan.rids()[i]);
+                values.push(row);
+            }
+        }
+        // The scan shares the transaction's PDT; writing it while that view
+        // is held would copy it first.
+        drop(scan);
+        txn.modify_many(table, &rids, &cols, values)?;
+        Ok(rids.len())
     }
 
+    /// DELETE by position: the scan reads the predicate's columns only.
     fn apply_delete(
         &self,
         txn: &mut Transaction,
         table: TableId,
-        predicate: Option<&vw_plan::Expr>,
+        predicate: Option<&Expr>,
     ) -> Result<usize> {
-        let rows = self.current_rows_of(txn, table)?;
+        let view = txn.view(table)?;
+        let (mut scan, _) = self.dml_scan(view, predicate, Vec::new(), &self.config())?;
         let mut rids: Vec<u64> = Vec::new();
-        for (rid, row) in rows.iter().enumerate() {
-            match predicate {
-                Some(p) => {
-                    if p.eval_row(row)? == Value::Bool(true) {
-                        rids.push(rid as u64);
-                    }
-                }
-                None => rids.push(rid as u64),
-            }
+        while let Some(batch) = scan.next()? {
+            rids.extend(batch.positions().map(|i| scan.rids()[i]));
         }
-        // Descending order keeps earlier RIDs stable while deleting.
-        for &rid in rids.iter().rev() {
-            txn.delete_at(table, rid)?;
-        }
+        drop(scan);
+        txn.delete_many(table, &rids)?;
         Ok(rids.len())
     }
 
@@ -1634,34 +1646,18 @@ impl Database {
 
     // ---------------------------------------------------------- maintenance
 
-    /// Fold a table's PDT into stable storage and truncate the WAL.
+    /// Fold a table's PDT into its stable storage: build the next image
+    /// (rewriting only the column blocks the PDT touches), install it as the
+    /// table's new version and trim the WAL of what it contains. Returns
+    /// the stable row count.
     ///
-    /// While the checkpoint runs, [`Database::run_query`] holds new queries
-    /// at the checkpoint gate and attributes the blocked time to the
-    /// `checkpoint` lifecycle phase.
+    /// Queries running or starting meanwhile keep the version they pinned;
+    /// they wait, if at all, for the swap ([`Timeline`]'s `checkpoint`
+    /// phase). Commits to this table wait for the checkpoint.
     pub fn checkpoint(&self, name: &str) -> Result<u64> {
-        let (id, storage) = {
-            let tables = self.tables.read();
-            let entry = tables
-                .get(name)
-                .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
-            (entry.id, entry.storage.clone())
-        };
+        let id = self.table_id(name)?;
         let t0 = Instant::now();
-        {
-            let (lock, _) = &self.checkpoint_gate;
-            *lock.lock() += 1;
-        }
-        let result = {
-            let mgr = self.txn.read();
-            let mut storage = storage.write();
-            checkpoint_table(&mgr, id, &mut storage)
-        };
-        {
-            let (lock, cv) = &self.checkpoint_gate;
-            *lock.lock() -= 1;
-            cv.notify_all();
-        }
+        let done = checkpoint_table(&self.txn.read(), id)?;
         self.events.emit(
             Severity::Info,
             "checkpoint",
@@ -1673,24 +1669,23 @@ impl Database {
                     "wall_ms",
                     format!("{:.3}", t0.elapsed().as_secs_f64() * 1e3),
                 ),
+                ("blocks_total", done.image.blocks_total.to_string()),
+                ("blocks_rewritten", done.image.blocks_rewritten.to_string()),
+                ("bytes_written", done.image.bytes_written.to_string()),
+                ("swap_wait_us", done.swap_wait.as_micros().to_string()),
             ],
         );
-        result
+        Ok(done.rows)
     }
 
     /// Build optimizer statistics for a table from a sample of its stable
     /// image.
     pub fn analyze(&self, name: &str) -> Result<()> {
-        let (id, storage) = {
-            let tables = self.tables.read();
-            let entry = tables
-                .get(name)
-                .ok_or_else(|| VwError::Catalog(format!("unknown table '{}'", name)))?;
-            (entry.id, entry.storage.clone())
-        };
-        let storage = storage.read();
+        let id = self.table_id(name)?;
+        let version = self.txn.read().current(id)?;
+        let storage = version.storage.read();
         let schema = storage.schema().clone();
-        let n_rows = self.txn.read().current_pdt(id)?.current_rows();
+        let n_rows = version.pdt.current_rows();
         // Sample up to ~4 row groups.
         let mut samples: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
         let step = (storage.group_count() / 4).max(1);
@@ -1710,15 +1705,11 @@ impl Database {
     }
 
     /// Simulate a crash: throw away all in-memory transaction state and
-    /// recover it from the WAL (stable storage survives on the SimDisk).
+    /// recover it from the WAL over the stable images, which survive (on the
+    /// SimDisk) with the log position each is current to.
     pub fn simulate_crash_and_recover(&self) -> Result<()> {
-        let tables = self.tables.read();
-        let table_rows: HashMap<TableId, u64> = tables
-            .values()
-            .map(|e| (e.id, e.storage.read().n_rows()))
-            .collect();
-        let recovered = TxnManager::recover(&self.wal_path, &table_rows)?;
-        *self.txn.write() = recovered;
+        let mut mgr = self.txn.write();
+        *mgr = TxnManager::recover(&self.wal_path, &mgr.images())?;
         Ok(())
     }
 }
@@ -1904,7 +1895,7 @@ impl CatalogView for Database {
         let tables = self.tables.read();
         tables
             .get(name)
-            .map(|e| (e.id, e.storage.read().schema().clone()))
+            .map(|e| (e.id, e.schema.clone()))
             .or_else(|| systab::system_table(name))
     }
 
@@ -1996,6 +1987,24 @@ mod tests {
         // deleted rows are gone from queries
         let r = db.execute("SELECT COUNT(*) FROM items").unwrap();
         assert_eq!(r.rows[0][0], Value::I64(3));
+    }
+
+    /// DML finds its rows with one serial scan whatever `SET dop` says.
+    #[test]
+    fn dml_runs_serially_at_any_dop() {
+        let db = wide_db(2000); // k = i % 10, v = i
+        db.execute("SET dop = 4").unwrap();
+        let r = db.execute("UPDATE t SET k = -1 WHERE v < 100").unwrap();
+        assert_eq!(r.rows[0][0], Value::I64(100));
+        let r = db.execute("DELETE FROM t WHERE v >= 1900").unwrap();
+        assert_eq!(r.rows[0][0], Value::I64(100));
+        let r = db
+            .execute("SELECT COUNT(*), MIN(k), MAX(v) FROM t")
+            .unwrap();
+        assert_eq!(
+            r.rows[0],
+            vec![Value::I64(1900), Value::I64(-1), Value::I64(1899)]
+        );
     }
 
     #[test]
@@ -2868,12 +2877,27 @@ mod tests {
     fn checkpoint_emits_event() {
         let db = sample_db();
         db.checkpoint("items").unwrap();
+        db.execute("UPDATE items SET qty = qty + 1 WHERE id = 1")
+            .unwrap();
+        db.checkpoint("items").unwrap();
         let ev = db
             .events()
             .snapshot()
             .into_iter()
-            .find(|e| e.event == "checkpoint")
+            .rfind(|e| e.event == "checkpoint")
             .expect("checkpoint event");
         assert!(ev.detail().contains("table=items"));
+        // Of the row's group, only the updated column's block is rewritten.
+        let field = |name: &str| {
+            let (_, v) = ev.fields.iter().find(|(k, _)| *k == name).expect(name);
+            v.parse::<u64>().expect(name)
+        };
+        let columns = db.table_schema("items").unwrap().len() as u64;
+        let partitions = vw_common::config::env_default_partitions().unwrap_or(1) as u64;
+        assert!(field("blocks_total") >= columns);
+        assert!(field("blocks_total") <= columns * partitions);
+        assert_eq!(field("blocks_rewritten"), 1);
+        assert!(field("bytes_written") > 0);
+        field("swap_wait_us");
     }
 }

@@ -13,11 +13,19 @@
 //! many tiny ones) no longer serializes the query behind one thread, and no
 //! worker exits while unclaimed work remains.
 //!
-//! Pruning vs PDTs: a row group may only be skipped by its MinMax stats if
-//! the PDT holds **no** changes for its SID range — a modify could move a
-//! value into the predicate's range. Appended rows (inserts at
-//! `sid == stable_rows`) form a virtual tail group that is never pruned; in
-//! morsel mode the tail is one queue unit claimed by exactly one worker.
+//! Pruning vs PDTs: a row group's MinMax stats describe its stable rows
+//! only, so a group with PDT changes is skipped when the stats exclude a
+//! conjunct *and* no change can add a row that satisfies it — a delete never
+//! can, a modify only by writing the conjunct's column, an insert only by
+//! its own value there. Appended rows (inserts at `sid == stable_rows`) form
+//! a virtual tail group that is never pruned; in morsel mode the tail is one
+//! queue unit claimed by exactly one worker.
+//!
+//! Row ids: the rows a unit produces before filtering are consecutive in
+//! the merged image, starting at [`Pdt::first_rid_from`] of the unit's first
+//! stable row — known without touching data. A scan asked to
+//! ([`VecScan::set_emit_rids`]) reports the RID of every physical row of the
+//! batch it returns; UPDATE and DELETE find their rows this way.
 
 use crate::adapt::{
     encode_order, AdaptiveOrder, MAX_REPORTED_CONJUNCTS, PRED_EVAL_KEYS, PRED_PASS_KEYS,
@@ -33,10 +41,11 @@ use std::sync::Arc;
 use vw_bufman::CoopScanHandle;
 use vw_common::waits::{WaitClass, WaitStats, WaitTimer};
 use vw_common::{BlockId, DataType, Result, Schema, Value, VwError};
-use vw_pdt::{Change, Pdt};
+use vw_pdt::{Change, Entry, Pdt};
 use vw_plan::{BinOp, Expr};
-use vw_storage::block::PruneOp;
+use vw_storage::block::{MinMax, PruneOp};
 use vw_storage::{BlockCursor, ColumnData, Pred, PredOp, StrColumn, TableStorage};
+use vw_txn::merge_column;
 
 /// Undecoded group-key payload for one batch: the PDICT codes of a key
 /// column plus the block's dictionary, handed to a fused aggregate instead
@@ -87,6 +96,8 @@ enum Unit {
         cols: Vec<ExecVector>,
         len: usize,
         off: usize,
+        /// RID of the unit's first row.
+        rid_base: u64,
     },
     /// Compressed execution: columns stay encoded; predicates run on the
     /// codec cursors and only surviving vectors are materialized.
@@ -98,6 +109,8 @@ struct LazyGroup {
     group: usize,
     len: usize,
     off: usize,
+    /// RID of the group's first row.
+    rid_base: u64,
     /// One cursor per projected column, opened on first touch. A column
     /// whose cursor is never opened had its block skipped entirely.
     cursors: Vec<Option<BlockCursor>>,
@@ -174,6 +187,8 @@ pub struct VecScan {
     /// Wait-state sink (the owning plan node's [`WaitStats`]). `None` when
     /// profiling is off — no timestamps are taken then.
     waits: Option<Arc<WaitStats>>,
+    /// RIDs of the physical rows of the batch just returned, when asked for.
+    rids: Option<Vec<u64>>,
 }
 
 /// A planned scan-unit list plus the zone-map pruning outcome.
@@ -246,6 +261,7 @@ impl VecScan {
             let grp = guard.group(g);
             let (lo, hi) =
                 pdt.entry_range_for_sids(grp.start_row, grp.start_row + grp.n_rows as u64);
+            let entries = &pdt.entries()[lo..hi];
             let dirty = lo != hi;
             if !dirty && partitions_pruned > 0 {
                 let p = guard.partition_of_group(g);
@@ -261,10 +277,13 @@ impl VecScan {
                     continue;
                 }
             }
-            if !dirty && !prune.is_empty() {
+            if !prune.is_empty() {
                 let keep = prune.iter().all(|(out_col, op, v)| {
                     let storage_col = projection[*out_col];
                     grp.columns[storage_col].minmax.may_match(*op, v)
+                        || entries
+                            .iter()
+                            .any(|e| entry_may_match(e, storage_col, *op, v))
                 });
                 if !keep {
                     groups_pruned += 1;
@@ -392,7 +411,21 @@ impl VecScan {
             trace: None,
             coop: None,
             waits: None,
+            rids: None,
         })
+    }
+
+    /// Report the RID of every row produced: after each `next()`,
+    /// [`VecScan::rids`] holds one per physical row of the batch.
+    pub fn set_emit_rids(&mut self) {
+        self.rids = Some(Vec::new());
+    }
+
+    /// RIDs of the physical rows of the batch `next()` just returned (its
+    /// selection, if any, indexes this slice like it does the columns).
+    /// Empty unless [`VecScan::set_emit_rids`] was called.
+    pub fn rids(&self) -> &[u64] {
+        self.rids.as_deref().unwrap_or(&[])
     }
 
     /// Record morsel claims into the query trace timeline.
@@ -463,32 +496,30 @@ impl VecScan {
         match unit {
             Morsel::Group(g) => {
                 let guard = self.storage.read();
-                let grp_start;
-                let grp_rows;
-                {
+                let (grp_start, grp_rows) = {
                     let grp = guard.group(g);
-                    grp_start = grp.start_row;
-                    grp_rows = grp.n_rows;
-                }
+                    (grp.start_row, grp.n_rows)
+                };
                 let (lo, hi) = self
                     .pdt
                     .entry_range_for_sids(grp_start, grp_start + grp_rows as u64);
+                let entries = &self.pdt.entries()[lo..hi];
                 let mut cols = Vec::with_capacity(self.projection.len());
                 for &c in &self.projection {
-                    let col = match &self.coop {
+                    let mut col = match &self.coop {
                         Some(h) => {
                             let bytes = h.fetch(guard.column_block_id(g, c)?)?;
                             guard.decode_column_from(g, c, &bytes)?
                         }
                         None => guard.read_column(g, c)?,
                     };
+                    if !entries.is_empty() {
+                        col = merge_column(&col, c, entries, grp_start)?;
+                    }
                     cols.push(ExecVector::from_storage(col));
                 }
-                drop(guard);
-                if lo == hi {
-                    return Ok((cols, grp_rows));
-                }
-                self.merge_group(cols, grp_start, grp_rows, lo, hi)
+                let delta: i64 = entries.iter().map(|e| e.change.delta()).sum();
+                Ok((cols, (grp_rows as i64 + delta) as usize))
             }
             Morsel::AppendTail => {
                 let stable = self.pdt.stable_rows();
@@ -507,92 +538,27 @@ impl VecScan {
         }
     }
 
-    /// Merge PDT entries `[lo, hi)` into the decoded group columns.
-    /// Value-based slow path — only taken for groups with pending deltas.
-    fn merge_group(
-        &self,
-        cols: Vec<ExecVector>,
-        grp_start: u64,
-        grp_rows: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Result<(Vec<ExecVector>, usize)> {
-        let schema = &self.out_schema;
-        let entries = &self.pdt.entries()[lo..hi];
-        let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(grp_rows); cols.len()];
-        let mut emitted = 0usize;
-        let mut e_idx = 0usize;
-        for local in 0..grp_rows {
-            let sid = grp_start + local as u64;
-            // Emit inserts positioned before this stable tuple.
-            while e_idx < entries.len() && entries[e_idx].sid == sid {
-                match &entries[e_idx].change {
-                    Change::Insert { row, .. } => {
-                        for (k, &c) in self.projection.iter().enumerate() {
-                            out[k].push(row[c].clone());
-                        }
-                        emitted += 1;
-                        e_idx += 1;
-                    }
-                    _ => break,
-                }
-            }
-            // The stable tuple itself: deleted / modified / untouched.
-            let tuple_entry = entries
-                .get(e_idx)
-                .filter(|e| e.sid == sid && !e.change.is_insert());
-            match tuple_entry.map(|e| &e.change) {
-                Some(Change::Delete) => {
-                    e_idx += 1;
-                }
-                Some(Change::Modify(mods)) => {
-                    for (k, &c) in self.projection.iter().enumerate() {
-                        let v = match mods.get(&(c as u32)) {
-                            Some(nv) => nv.clone(),
-                            None => cols[k].get_value(local, schema.field(k).ty),
-                        };
-                        out[k].push(v);
-                    }
-                    emitted += 1;
-                    e_idx += 1;
-                }
-                _ => {
-                    for (k, col) in cols.iter().enumerate() {
-                        out[k].push(col.get_value(local, schema.field(k).ty));
-                    }
-                    emitted += 1;
-                }
-            }
-        }
-        debug_assert_eq!(e_idx, entries.len(), "unconsumed PDT entries in group");
-        debug_assert!(out.first().is_none_or(|c| c.len() == emitted));
-        let n = emitted;
-        let columns = schema
-            .fields()
-            .iter()
-            .zip(out)
-            .map(|(f, vals)| ExecVector::from_values(f.ty, &vals))
-            .collect::<Result<Vec<_>>>()?;
-        Ok((columns, n))
-    }
-
     /// Turn a claimed unit into drainable state. `None` means the unit
     /// produced nothing (empty, or skipped whole by predicate `decide`).
     fn open_unit(&mut self, unit: Morsel) -> Result<Option<Unit>> {
+        let (first_sid, stable_rows) = match unit {
+            Morsel::Group(g) => {
+                let guard = self.storage.read();
+                let grp = guard.group(g);
+                (grp.start_row, grp.n_rows as u64)
+            }
+            Morsel::AppendTail => (self.pdt.stable_rows(), 0),
+        };
+        let rid_base = self.pdt.first_rid_from(first_sid);
         if let Morsel::Group(g) = unit {
             if !self.enc_preds.is_empty() {
-                let (grp_start, grp_rows) = {
-                    let guard = self.storage.read();
-                    let grp = guard.group(g);
-                    (grp.start_row, grp.n_rows)
-                };
                 let (lo, hi) = self
                     .pdt
-                    .entry_range_for_sids(grp_start, grp_start + grp_rows as u64);
+                    .entry_range_for_sids(first_sid, first_sid + stable_rows);
                 // Only clean groups can stay encoded: PDT deltas are merged
-                // value-wise over decoded columns.
+                // over decoded columns.
                 if lo == hi {
-                    return self.open_lazy_group(g);
+                    return self.open_lazy_group(g, rid_base);
                 }
             }
         }
@@ -600,13 +566,18 @@ impl VecScan {
         if len == 0 {
             return Ok(None);
         }
-        Ok(Some(Unit::Eager { cols, len, off: 0 }))
+        Ok(Some(Unit::Eager {
+            cols,
+            len,
+            off: 0,
+            rid_base,
+        }))
     }
 
     /// Open a clean group for compressed execution. Zone maps decide each
     /// pushed predicate where possible: an impossible predicate skips the
     /// group without reading any block, an always-true one is dropped.
-    fn open_lazy_group(&mut self, g: usize) -> Result<Option<Unit>> {
+    fn open_lazy_group(&mut self, g: usize, rid_base: u64) -> Result<Option<Unit>> {
         let guard = self.storage.read();
         let grp = guard.group(g);
         if grp.n_rows == 0 {
@@ -633,7 +604,7 @@ impl VecScan {
         let block_ids = self
             .projection
             .iter()
-            .map(|&c| grp.columns[c].block_id)
+            .map(|&c| grp.columns[c].block_id())
             .collect();
         let enc_bytes = self
             .projection
@@ -645,6 +616,7 @@ impl VecScan {
             group: g,
             len: grp.n_rows,
             off: 0,
+            rid_base,
             cursors,
             block_ids,
             enc_bytes,
@@ -655,12 +627,22 @@ impl VecScan {
     /// One vector step over the current eager unit. `Ok(None)` means the
     /// vector was filtered out entirely (the caller keeps looping).
     fn eager_step(&mut self) -> Result<Option<Batch>> {
-        let Some(Unit::Eager { cols, len, off }) = self.current.as_mut() else {
+        let Some(Unit::Eager {
+            cols,
+            len,
+            off,
+            rid_base,
+        }) = self.current.as_mut()
+        else {
             unreachable!("eager_step without an eager unit")
         };
         let from = *off;
         let to = (from + self.vector_size).min(*len);
         let slice: Vec<ExecVector> = cols.iter().map(|c| c.slice(from, to)).collect();
+        if let Some(rids) = &mut self.rids {
+            rids.clear();
+            rids.extend(*rid_base + from as u64..*rid_base + to as u64);
+        }
         *off = to;
         let n = to - from;
         if *off >= *len {
@@ -753,6 +735,14 @@ impl VecScan {
         }
         // Few survivors: decode only those and emit a dense batch.
         let sparse = sel.take_if(|s| s.len() * SPARSE_ONE_IN <= n);
+        if let Some(rids) = &mut self.rids {
+            let first = lg.rid_base + from as u64;
+            rids.clear();
+            match &sparse {
+                Some(s) => rids.extend(s.iter().map(|&p| first + p as u64)),
+                None => rids.extend(first..first + n as u64),
+            }
+        }
         // Decoding straight into the batch is this step's one stall worth
         // naming; one timer per vector covers all of its columns.
         let decode_timer = self
@@ -973,6 +963,23 @@ fn pred_cmp_op(op: BinOp) -> Option<PredOp> {
         BinOp::Ge => PredOp::Ge,
         _ => return None,
     })
+}
+
+/// Could this PDT entry put a row satisfying `col <op> bound` into its
+/// group? Only by the value it gives the row in `col`: a delete adds no row,
+/// and a modify that leaves `col` alone keeps a value the zone map covers.
+fn entry_may_match(e: &Entry, col: usize, op: PruneOp, bound: &Value) -> bool {
+    let v = match &e.change {
+        Change::Insert { row, .. } => &row[col],
+        Change::Modify(mods) => match mods.get(&(col as u32)) {
+            Some(v) => v,
+            None => return false,
+        },
+        Change::Delete => return false,
+    };
+    // Judged as a zone map over the one value, so exactly as conservative
+    // as group pruning; a comparison with NULL never selects.
+    !v.is_null() && MinMax::of_value(v).may_match(op, bound)
 }
 
 /// Extract `col <op> literal` conjuncts usable for zone-map pruning.
@@ -1240,6 +1247,142 @@ mod tests {
         let rows = scan_all(&t, &pdt, vec![0], Some(f), 64);
         // rows: k=0, k=1 from group 0, and the modified k=1 in group 1
         assert_eq!(rows.len(), 3);
+    }
+
+    /// Units the planner keeps for `k <op> bound` over column 0.
+    fn kept_units(t: &Arc<RwLock<TableStorage>>, pdt: &Pdt, op: BinOp, bound: i64) -> Vec<Morsel> {
+        let f = Expr::binary(op, Expr::col(0), Expr::lit(Value::I64(bound)));
+        VecScan::plan_units(t, pdt, &[0, 1], Some(&f))
+    }
+
+    /// A dirty group is pruned when its zone map excludes the predicate and
+    /// none of its entries can add a qualifying row — each kind of entry.
+    #[test]
+    fn dirty_groups_are_pruned_when_no_entry_can_qualify() {
+        let t = make_table(300, 100); // k = 0..299 in three groups
+        let row = |k: i64| vec![Value::I64(k), Value::I64(0), Value::Null];
+        let only_group_0 = vec![Morsel::Group(0)];
+        let groups_0_and_1 = vec![Morsel::Group(0), Morsel::Group(1)];
+
+        // A delete adds no row.
+        let mut pdt = Pdt::new(300);
+        pdt.delete_at(150).unwrap();
+        assert_eq!(kept_units(&t, &pdt, BinOp::Lt, 50), only_group_0);
+
+        // A modify of another column leaves k inside the zone map.
+        let mut pdt = Pdt::new(300);
+        pdt.modify_at(150, 1, Value::I64(7)).unwrap();
+        assert_eq!(kept_units(&t, &pdt, BinOp::Lt, 50), only_group_0);
+
+        // A modify of k counts by its new value: 60 does not qualify, NULL
+        // never does, 7 does.
+        for (new_k, kept) in [
+            (Value::I64(60), &only_group_0),
+            (Value::Null, &only_group_0),
+            (Value::I64(7), &groups_0_and_1),
+        ] {
+            let mut pdt = Pdt::new(300);
+            pdt.modify_at(150, 0, new_k).unwrap();
+            assert_eq!(&kept_units(&t, &pdt, BinOp::Lt, 50), kept);
+        }
+
+        // An insert counts by its own value.
+        for (k, kept) in [(60, &only_group_0), (7, &groups_0_and_1)] {
+            let mut pdt = Pdt::new(300);
+            pdt.insert_at(150, row(k)).unwrap();
+            assert_eq!(&kept_units(&t, &pdt, BinOp::Lt, 50), kept);
+        }
+
+        // Pruned or not, the rows are the same as without zone maps.
+        let mut pdt = Pdt::new(300);
+        pdt.delete_at(10).unwrap();
+        pdt.insert_at(150, row(7)).unwrap();
+        pdt.modify_at(250, 0, Value::I64(3)).unwrap();
+        pdt.modify_at(160, 0, Value::I64(500)).unwrap();
+        let pdt = Arc::new(pdt);
+        let f = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(Value::I64(50)));
+        let rows = scan_all(&t, &pdt, vec![0], Some(f), 64);
+        let mut keys: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        keys.sort_unstable();
+        let mut want: Vec<i64> = (0..50).filter(|k| *k != 10).chain([3, 7]).collect();
+        want.sort_unstable();
+        assert_eq!(keys, want);
+    }
+
+    /// The RIDs a scan reports are positions in the merged image: what
+    /// `Pdt::resolve` finds there is the row the scan produced — over clean
+    /// groups (lazy, dense and sparse), dirty groups and the append tail.
+    #[test]
+    fn emitted_rids_are_positions_in_resolve_order() {
+        let t = make_table(300, 100);
+        let mut pdt = Pdt::new(300);
+        let row = |k: i64| vec![Value::I64(k), Value::I64(k % 10), Value::Null];
+        pdt.delete_at(5).unwrap();
+        pdt.insert_at(120, row(1000)).unwrap();
+        pdt.insert_at(120, row(1001)).unwrap();
+        pdt.modify_at(130, 0, Value::I64(1002)).unwrap();
+        pdt.delete_at(199).unwrap();
+        for k in 0..3 {
+            pdt.insert_at(pdt.current_rows(), row(2000 + k)).unwrap();
+        }
+        let pdt = Arc::new(pdt);
+        // The key every RID holds, from the PDT alone.
+        let stable = t.read();
+        let key_at = |rid: u64| match pdt.resolve(rid).unwrap() {
+            vw_pdt::Loc::Inserted(e) => pdt.inserted_row(e)[0].clone(),
+            vw_pdt::Loc::Stable { sid, modify } => modify
+                .and_then(|m| pdt.mods_of(m).get(&0).cloned())
+                .unwrap_or_else(|| stable.read_row(sid).unwrap()[0].clone()),
+        };
+        let filters = [
+            None,
+            // 1 row in 10: sparse vectors in the clean group.
+            Some(Expr::binary(
+                BinOp::Eq,
+                Expr::col(1),
+                Expr::lit(Value::I64(3)),
+            )),
+            // 9 in 10: dense vectors with a selection.
+            Some(Expr::binary(
+                BinOp::Ne,
+                Expr::col(1),
+                Expr::lit(Value::I64(3)),
+            )),
+            Some(Expr::binary(
+                BinOp::Ge,
+                Expr::col(0),
+                Expr::lit(Value::I64(250)),
+            )),
+        ];
+        for filter in filters {
+            for vs in [1, 7, 1024] {
+                let mut scan = VecScan::new(
+                    t.clone(),
+                    pdt.clone(),
+                    vec![1, 0],
+                    filter.clone().map(|f| f.remap_columns(&|c| 1 - c)),
+                    vs,
+                    None,
+                    false,
+                    true,
+                )
+                .unwrap();
+                scan.set_emit_rids();
+                let mut seen = Vec::new();
+                while let Some(batch) = scan.next().unwrap() {
+                    assert_eq!(scan.rids().len(), batch.rows);
+                    for i in batch.positions() {
+                        let rid = scan.rids()[i];
+                        assert_eq!(batch.columns[1].get_value(i, DataType::I64), key_at(rid));
+                        seen.push(rid);
+                    }
+                }
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "RIDs ascend");
+                if filter.is_none() {
+                    assert_eq!(seen, (0..pdt.current_rows()).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 
     #[test]

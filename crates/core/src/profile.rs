@@ -315,7 +315,9 @@ pub struct Timeline {
     pub optimize_ns: u64,
     /// Blocked in the admission controller before execution could start.
     pub admission_ns: u64,
-    /// Blocked behind a checkpoint/reorganize (storage-lock interference).
+    /// Pinning the table versions the query reads: the one point where it
+    /// can wait for a checkpoint, and then only for the swap that installs
+    /// the new image, not for building it.
     pub checkpoint_ns: u64,
     /// Compile + execute + drain (everything after admission).
     pub execute_ns: u64,

@@ -28,6 +28,15 @@ pub enum Loc {
     Stable { sid: u64, modify: Option<usize> },
 }
 
+/// What a batch operation finds at one of its RIDs.
+enum Occupant {
+    /// A PDT insert, or a stable tuple that already carries a modify: the
+    /// entry itself, taken out of the list.
+    Entry(Entry),
+    /// A stable tuple no entry refers to yet.
+    Stable(u64),
+}
+
 /// A Positional Delta Tree over a stable image of `stable_rows` tuples.
 #[derive(Debug, Clone, Default)]
 pub struct Pdt {
@@ -179,6 +188,21 @@ impl Pdt {
         Some((sid as i64 + delta) as u64)
     }
 
+    /// RID of the first row a merge of the stable range starting at `sid`
+    /// produces: `sid` shifted by every insert and delete before it. The
+    /// inserts positioned at `sid` itself are the first rows of that range,
+    /// so a scan unit's rows are numbered from here in merge order without
+    /// looking at any data.
+    pub fn first_rid_from(&self, sid: u64) -> u64 {
+        let j = self.entries.partition_point(|e| e.key() < (sid, 0));
+        let delta = self
+            .delta_before
+            .get(j)
+            .copied()
+            .unwrap_or(self.total_delta);
+        (sid as i64 + delta) as u64
+    }
+
     /// What occupies `rid` in the current image.
     pub fn resolve(&self, rid: u64) -> Result<Loc> {
         if rid >= self.current_rows() {
@@ -308,6 +332,137 @@ impl Pdt {
         // Modifies don't shift RIDs; rebuild only needed when an entry was
         // added, handled above. Rebuild unconditionally for simplicity of the
         // Inserted path too (cheap relative to the Vec insert).
+        Ok(())
+    }
+
+    /// Append `rows` behind the last tuple, in order.
+    pub fn append_many(&mut self, rows: Vec<Vec<Value>>) {
+        let sid = self.stable_rows;
+        let first = self.entries.partition_point(|e| e.key() < (sid, 0));
+        let next_seq = (self.entries.len() - first) as u32;
+        self.entries.extend(
+            (next_seq..)
+                .zip(rows)
+                .map(|(seq, row)| Entry::insert(sid, seq, next_tag(), row)),
+        );
+        self.rebuild();
+    }
+
+    /// Delete the tuples at `rids`: strictly ascending positions in the image
+    /// as it is before the call. Nothing changes when a RID is invalid.
+    pub fn delete_many(&mut self, rids: &[u64]) -> Result<()> {
+        self.rewrite_at(rids, |occupant| match occupant {
+            Occupant::Entry(e) if e.change.is_insert() => None,
+            Occupant::Entry(e) => Some(Entry::delete(e.sid)),
+            Occupant::Stable(sid) => Some(Entry::delete(sid)),
+        })?;
+        // Dropped inserts leave gaps in the sequence numbers of their SID.
+        let mut prev: Option<(u64, u32)> = None;
+        for e in &mut self.entries {
+            if e.change.is_insert() {
+                e.seq = match prev {
+                    Some((sid, seq)) if sid == e.sid => seq + 1,
+                    _ => 0,
+                };
+                prev = Some((e.sid, e.seq));
+            }
+        }
+        Ok(())
+    }
+
+    /// Overwrite columns `cols` of the tuples at `rids` (strictly ascending
+    /// positions in the current image); the k-th tuple gets `values[k]`, one
+    /// value per entry of `cols`. Nothing changes when an argument is invalid.
+    pub fn modify_many(
+        &mut self,
+        rids: &[u64],
+        cols: &[u32],
+        values: Vec<Vec<Value>>,
+    ) -> Result<()> {
+        if values.len() != rids.len() || values.iter().any(|v| v.len() != cols.len()) {
+            return Err(VwError::Invalid(
+                "modify_many: values do not match the RIDs and columns".into(),
+            ));
+        }
+        // Inserted rows know the table's arity; stable tuples are patched by
+        // column number alone, as in `modify_at`.
+        let arity = self.entries.iter().find_map(|e| match &e.change {
+            Change::Insert { row, .. } => Some(row.len()),
+            _ => None,
+        });
+        if let Some(&col) = cols
+            .iter()
+            .find(|&&c| arity.is_some_and(|a| c as usize >= a))
+        {
+            return Err(VwError::Invalid(format!("modify col {} out of range", col)));
+        }
+        let mut values = values.into_iter();
+        self.rewrite_at(rids, |occupant| {
+            let new = cols
+                .iter()
+                .copied()
+                .zip(values.next().expect("one per RID"));
+            Some(match occupant {
+                Occupant::Entry(mut e) => {
+                    match &mut e.change {
+                        Change::Insert { row, .. } => new.for_each(|(c, v)| row[c as usize] = v),
+                        Change::Modify(m) => m.extend(new),
+                        Change::Delete => unreachable!("a delete occupies no RID"),
+                    }
+                    e
+                }
+                Occupant::Stable(sid) => Entry::modify(sid, new.collect()),
+            })
+        })
+    }
+
+    /// One pass over the entry list for a batch of RIDs: `op(occupant)`
+    /// returns what takes the place of the next RID's occupant in the list
+    /// (`None` removes an insert), then the positional arrays are rebuilt
+    /// once. RIDs are validated before anything is touched.
+    fn rewrite_at(
+        &mut self,
+        rids: &[u64],
+        mut op: impl FnMut(Occupant) -> Option<Entry>,
+    ) -> Result<()> {
+        if let Some(w) = rids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(VwError::Invalid(format!(
+                "batch RIDs not strictly ascending ({} then {})",
+                w[0], w[1]
+            )));
+        }
+        if let Some(&last) = rids.last().filter(|&&r| r >= self.current_rows()) {
+            return Err(VwError::Invalid(format!(
+                "rid {} out of range ({} rows)",
+                last,
+                self.current_rows()
+            )));
+        }
+        let old = std::mem::take(&mut self.entries);
+        let mut out = Vec::with_capacity(old.len() + rids.len());
+        let mut it = old.into_iter().enumerate().peekable();
+        for &rid in rids {
+            // Everything before the occupant of `rid`, including the deletes
+            // whose would-be RID it reuses.
+            while let Some((_, e)) = it.next_if(|(i, e)| {
+                self.rids[*i] < rid || (self.rids[*i] == rid && e.change.is_delete())
+            }) {
+                out.push(e);
+            }
+            let occupant = match it.next_if(|(i, _)| self.rids[*i] == rid) {
+                Some((_, e)) => Occupant::Entry(e),
+                None => {
+                    let delta = it
+                        .peek()
+                        .map_or(self.total_delta, |(i, _)| self.delta_before[*i]);
+                    Occupant::Stable((rid as i64 - delta) as u64)
+                }
+            };
+            out.extend(op(occupant));
+        }
+        out.extend(it.map(|(_, e)| e));
+        self.entries = out;
+        self.rebuild();
         Ok(())
     }
 
@@ -544,6 +699,146 @@ mod tests {
                     Loc::Stable { sid: s2, .. } => assert_eq!(s2, sid),
                     other => panic!("sid {} rid {} resolved to {:?}", sid, rid, other),
                 }
+            }
+        }
+    }
+
+    /// A PDT with every kind of entry, built by random single-row ops.
+    fn churned(seed: u64, n_stable: u64, steps: u64) -> Pdt {
+        use vw_common::rng::Xoshiro256;
+        let mut pdt = Pdt::new(n_stable);
+        let mut r = Xoshiro256::seeded(seed);
+        for step in 0..steps {
+            let len = pdt.current_rows();
+            match r.next_below(3) {
+                0 => pdt
+                    .insert_at(
+                        r.next_below(len + 1),
+                        vec![Value::I64(step as i64), Value::Null],
+                    )
+                    .unwrap(),
+                1 if len > 0 => pdt.delete_at(r.next_below(len)).unwrap(),
+                2 if len > 0 => pdt
+                    .modify_at(r.next_below(len), 0, Value::I64(-(step as i64)))
+                    .unwrap(),
+                _ => {}
+            }
+        }
+        pdt
+    }
+
+    /// Ignoring insert tags, which every call draws fresh.
+    fn untagged(pdt: &Pdt) -> Vec<(u64, u32, Change)> {
+        pdt.entries()
+            .iter()
+            .map(|e| {
+                let change = match &e.change {
+                    Change::Insert { row, .. } => Change::Insert {
+                        tag: 0,
+                        row: row.clone(),
+                    },
+                    other => other.clone(),
+                };
+                (e.sid, e.seq, change)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_ops_equal_their_single_row_loops() {
+        use vw_common::rng::Xoshiro256;
+        let mut r = Xoshiro256::seeded(99);
+        for round in 0..40 {
+            let base = churned(round, 30, 60);
+            let len = base.current_rows();
+            let rids: Vec<u64> = (0..len).filter(|_| r.next_below(3) == 0).collect();
+
+            let mut batch = base.clone();
+            batch.delete_many(&rids).unwrap();
+            let mut single = base.clone();
+            for &rid in rids.iter().rev() {
+                single.delete_at(rid).unwrap();
+            }
+            batch.check_invariants().unwrap();
+            assert_eq!(batch.entries(), single.entries(), "delete round {}", round);
+            assert_eq!(batch.current_rows(), single.current_rows());
+
+            let values: Vec<Vec<Value>> = rids
+                .iter()
+                .map(|&rid| vec![Value::I64(rid as i64), Value::I64(7)])
+                .collect();
+            let mut batch = base.clone();
+            batch.modify_many(&rids, &[1, 0], values.clone()).unwrap();
+            let mut single = base.clone();
+            for (&rid, v) in rids.iter().zip(&values) {
+                single.modify_at(rid, 1, v[0].clone()).unwrap();
+                single.modify_at(rid, 0, v[1].clone()).unwrap();
+            }
+            batch.check_invariants().unwrap();
+            assert_eq!(batch.entries(), single.entries(), "modify round {}", round);
+
+            let rows: Vec<Vec<Value>> = (0..r.next_below(4))
+                .map(|i| vec![Value::I64(i as i64), Value::Null])
+                .collect();
+            let mut batch = base.clone();
+            batch.append_many(rows.clone());
+            let mut single = base.clone();
+            for row in rows {
+                single.insert_at(single.current_rows(), row).unwrap();
+            }
+            batch.check_invariants().unwrap();
+            assert_eq!(
+                untagged(&batch),
+                untagged(&single),
+                "append round {}",
+                round
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_batches_change_nothing() {
+        let base = churned(5, 20, 40);
+        let len = base.current_rows();
+        let mut pdt = base.clone();
+        assert!(pdt.delete_many(&[3, 3]).is_err());
+        assert!(pdt.delete_many(&[4, 2]).is_err());
+        assert!(pdt.delete_many(&[0, len]).is_err());
+        assert!(pdt
+            .modify_many(&[0, len], &[0], vec![vec![Value::I64(1)]; 2])
+            .is_err());
+        // inserted rows have two columns
+        assert!(pdt
+            .modify_many(&[0], &[2], vec![vec![Value::I64(1)]])
+            .is_err());
+        assert!(pdt
+            .modify_many(&[0, 1], &[0], vec![vec![Value::I64(1)]])
+            .is_err());
+        assert!(pdt
+            .modify_many(&[0], &[0, 1], vec![vec![Value::I64(1)]])
+            .is_err());
+        assert_eq!(pdt.entries(), base.entries());
+        pdt.check_invariants().unwrap();
+        // Empty batches are fine.
+        pdt.delete_many(&[]).unwrap();
+        pdt.modify_many(&[], &[0], vec![]).unwrap();
+        assert_eq!(pdt.entries(), base.entries());
+    }
+
+    #[test]
+    fn first_rid_from_numbers_merge_order() {
+        for seed in 0..10 {
+            let pdt = churned(seed, 40, 80);
+            // Rows of the stable range [sid, ..) start where every earlier
+            // stable tuple and insert has been counted.
+            for sid in 0..=40u64 {
+                let before = (0..pdt.current_rows())
+                    .filter(|&rid| match pdt.resolve(rid).unwrap() {
+                        Loc::Inserted(j) => pdt.entries()[j].sid < sid,
+                        Loc::Stable { sid: s, .. } => s < sid,
+                    })
+                    .count() as u64;
+                assert_eq!(pdt.first_rid_from(sid), before, "seed {} sid {}", seed, sid);
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::entry::{Change, Entry, TUPLE_SEQ};
 use crate::pdt::Pdt;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use vw_common::{Result, Value, VwError};
 
 /// One transaction-level change in stable coordinates.
@@ -116,55 +116,60 @@ fn advance(entries: &[Entry], from: usize, sid: u64) -> usize {
 fn diff_sid_group(s: &[Entry], w: &[Entry], sid: u64, ops: &mut Vec<StableOp>) -> Result<()> {
     // --- Inserts: match by tag. Working-only tags are new inserts; their
     // position is pinned by the next surviving snapshot tag after them.
-    let s_inserts: Vec<&Entry> = s.iter().filter(|e| e.change.is_insert()).collect();
-    let w_inserts: Vec<&Entry> = w.iter().filter(|e| e.change.is_insert()).collect();
-    let s_tags: Vec<u64> = s_inserts.iter().map(|e| e.change.tag().unwrap()).collect();
+    fn tagged(entries: &[Entry]) -> Vec<(u64, &[Value])> {
+        entries
+            .iter()
+            .filter_map(|e| match &e.change {
+                Change::Insert { tag, row } => Some((*tag, row.as_slice())),
+                _ => None,
+            })
+            .collect()
+    }
+    let (s_inserts, w_inserts) = (tagged(s), tagged(w));
+    let s_rows: HashMap<u64, &[Value]> = s_inserts.iter().copied().collect();
+    let w_tags: HashSet<u64> = w_inserts.iter().map(|(tag, _)| *tag).collect();
 
     // Deleted snapshot inserts.
-    for e in &s_inserts {
-        let tag = e.change.tag().unwrap();
-        if !w_inserts.iter().any(|we| we.change.tag() == Some(tag)) {
-            ops.push(StableOp::DeleteInserted { sid, tag });
+    for (tag, _) in &s_inserts {
+        if !w_tags.contains(tag) {
+            ops.push(StableOp::DeleteInserted { sid, tag: *tag });
+        }
+    }
+    // For each working insert, the first surviving snapshot insert that
+    // follows it in working order.
+    let mut before_tags = vec![None; w_inserts.len()];
+    let mut next_surviving = None;
+    for (k, (tag, _)) in w_inserts.iter().enumerate().rev() {
+        before_tags[k] = next_surviving;
+        if s_rows.contains_key(tag) {
+            next_surviving = Some(*tag);
         }
     }
     // New and modified inserts, in working order.
-    for (k, e) in w_inserts.iter().enumerate() {
-        let tag = e.change.tag().unwrap();
-        let row = match &e.change {
-            Change::Insert { row, .. } => row,
-            _ => unreachable!(),
-        };
-        if let Some(se) = s_inserts.iter().find(|se| se.change.tag() == Some(tag)) {
+    for ((tag, row), before_tag) in w_inserts.iter().zip(before_tags) {
+        let tag = *tag;
+        match s_rows.get(&tag) {
             // Survived: payload may have been patched.
-            let s_row = match &se.change {
-                Change::Insert { row, .. } => row,
-                _ => unreachable!(),
-            };
-            if s_row != row {
-                let mut mods = BTreeMap::new();
+            Some(s_row) if s_row == row => {}
+            Some(s_row) => {
                 if s_row.len() != row.len() {
                     return Err(VwError::Invalid("insert arity changed".into()));
                 }
-                for (c, (a, b)) in s_row.iter().zip(row.iter()).enumerate() {
-                    if a != b {
-                        mods.insert(c as u32, b.clone());
-                    }
-                }
+                let mods = s_row
+                    .iter()
+                    .zip(row.iter())
+                    .enumerate()
+                    .filter(|(_, (a, b))| a != b)
+                    .map(|(c, (_, b))| (c as u32, b.clone()))
+                    .collect();
                 ops.push(StableOp::ModifyInserted { sid, tag, mods });
             }
-        } else {
-            // New insert: pinned before the first surviving snapshot insert
-            // that follows it in working order.
-            let before_tag = w_inserts[k + 1..]
-                .iter()
-                .filter_map(|we| we.change.tag())
-                .find(|t| s_tags.contains(t));
-            ops.push(StableOp::Insert {
+            None => ops.push(StableOp::Insert {
                 sid,
                 before_tag,
                 tag,
-                row: row.clone(),
-            });
+                row: row.to_vec(),
+            }),
         }
     }
 

@@ -7,7 +7,9 @@
 
 use crate::column::{ColumnData, NullableColumn};
 use crate::compress::{compress_data, decompress_data, CompressionScheme};
+use crate::simdisk::SimDisk;
 use std::cmp::Ordering;
+use std::sync::Arc;
 use vw_common::{BitVec, BlockId, Result, Value, VwError};
 
 /// Min/max statistics over the *non-null* values of a block.
@@ -92,6 +94,29 @@ impl MinMax {
         }
     }
 
+    /// Stats of a block holding just `v` (`None` for NULL, which no
+    /// comparison selects, and for NaN, as in [`MinMax::from_column`]).
+    pub fn of_value(v: &Value) -> MinMax {
+        match v {
+            Value::Null => MinMax::None,
+            Value::Bool(b) => MinMax::Int {
+                min: *b as i64,
+                max: *b as i64,
+            },
+            Value::I32(x) | Value::Date(x) => MinMax::Int {
+                min: *x as i64,
+                max: *x as i64,
+            },
+            Value::I64(x) => MinMax::Int { min: *x, max: *x },
+            Value::F64(x) if x.is_nan() => MinMax::None,
+            Value::F64(x) => MinMax::Float { min: *x, max: *x },
+            Value::Str(s) => MinMax::Str {
+                min: s.clone(),
+                max: s.clone(),
+            },
+        }
+    }
+
     /// Can a block with these stats possibly contain a value satisfying
     /// `value <op> bound`? `false` means the whole block is prunable.
     pub fn may_match(&self, op: PruneOp, bound: &Value) -> bool {
@@ -143,11 +168,47 @@ fn int_minmax(it: impl Iterator<Item = i64>) -> MinMax {
     }
 }
 
+/// Ownership of one stored block. Successive images of a table share the
+/// blocks a checkpoint did not rewrite by cloning the `Arc` around their
+/// lease; the block leaves its disk when the last image holding it is
+/// dropped, so a reader still scanning an old image never loses a block.
+pub(crate) struct BlockLease {
+    id: BlockId,
+    disk: Arc<SimDisk>,
+}
+
+impl BlockLease {
+    /// Write `bytes` to `disk` and own the resulting block.
+    pub(crate) fn write(disk: &Arc<SimDisk>, bytes: Vec<u8>) -> Arc<BlockLease> {
+        Arc::new(BlockLease {
+            id: disk.write_block(bytes),
+            disk: disk.clone(),
+        })
+    }
+
+    pub(crate) fn id(&self) -> BlockId {
+        self.id
+    }
+}
+
+impl Drop for BlockLease {
+    fn drop(&mut self) {
+        self.disk.free_block(self.id);
+    }
+}
+
+impl std::fmt::Debug for BlockLease {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "BlockLease({})", self.id)
+    }
+}
+
 /// Catalog entry for one stored column block.
 #[derive(Debug, Clone)]
 pub struct ColumnBlock {
-    /// Where the encoded bytes live on the simulated disk.
-    pub block_id: BlockId,
+    /// Where the encoded bytes live on the simulated disk, and the claim
+    /// that keeps them there while any image refers to this block.
+    pub(crate) block: Arc<BlockLease>,
     /// Values in this block.
     pub n_values: usize,
     /// Compression scheme chosen for the value payload.
@@ -160,6 +221,12 @@ pub struct ColumnBlock {
     pub encoded_bytes: usize,
     /// Uncompressed size of the values (compression-ratio accounting).
     pub raw_bytes: usize,
+}
+
+impl ColumnBlock {
+    pub fn block_id(&self) -> BlockId {
+        self.block.id()
+    }
 }
 
 /// Encode a column chunk (values + indicator) into a self-describing payload.

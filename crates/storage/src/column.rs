@@ -204,6 +204,26 @@ impl ColumnData {
         }
     }
 
+    /// Append positions `[from, to)` of `src`, a column of the same physical
+    /// type.
+    pub fn extend_from_range(&mut self, src: &ColumnData, from: usize, to: usize) {
+        match (self, src) {
+            (ColumnData::Bool(d), ColumnData::Bool(s)) => d.extend_from_slice(&s[from..to]),
+            (ColumnData::I32(d), ColumnData::I32(s)) => d.extend_from_slice(&s[from..to]),
+            (ColumnData::I64(d), ColumnData::I64(s)) => d.extend_from_slice(&s[from..to]),
+            (ColumnData::F64(d), ColumnData::F64(s)) => d.extend_from_slice(&s[from..to]),
+            (ColumnData::Str(d), ColumnData::Str(s)) => {
+                let (lo, hi) = (s.offsets[from], s.offsets[to]);
+                let base = d.bytes.len() as u32;
+                d.bytes
+                    .extend_from_slice(&s.bytes[lo as usize..hi as usize]);
+                d.offsets
+                    .extend(s.offsets[from + 1..=to].iter().map(|o| o - lo + base));
+            }
+            (d, s) => panic!("extend_from_range: {} <- {}", d.type_name(), s.type_name()),
+        }
+    }
+
     /// Copy the listed positions, in list order, into a new dense column.
     pub fn gather(&self, positions: &[u32]) -> ColumnData {
         let at = |&i: &u32| i as usize;
@@ -281,6 +301,42 @@ impl NullableColumn {
         }
     }
 
+    /// An empty, growable chunk of logical type `ty`.
+    pub fn empty(ty: DataType) -> Self {
+        NullableColumn::not_null(ColumnData::empty(ty))
+    }
+
+    /// Append one value; NULL stores the safe placeholder under a set bit.
+    pub fn push(&mut self, value: &Value) -> Result<(), VwError> {
+        let at = self.len();
+        if value.is_null() {
+            self.data.push_safe_null();
+            self.nulls
+                .get_or_insert_with(|| BitVec::filled(at, false))
+                .push(true);
+        } else {
+            self.data.push_value(value)?;
+            if let Some(n) = &mut self.nulls {
+                n.push(false);
+            }
+        }
+        Ok(())
+    }
+
+    /// Append rows `[from, to)` of `src`, a chunk of the same physical type.
+    pub fn extend_from_range(&mut self, src: &NullableColumn, from: usize, to: usize) {
+        let at = self.len();
+        self.data.extend_from_range(&src.data, from, to);
+        match (&mut self.nulls, &src.nulls) {
+            (None, None) => {}
+            (Some(d), None) => (from..to).for_each(|_| d.push(false)),
+            (d, Some(s)) => {
+                let d = d.get_or_insert_with(|| BitVec::filled(at, false));
+                (from..to).for_each(|i| d.push(s.get(i)));
+            }
+        }
+    }
+
     /// Copy the listed positions, in list order, into a new chunk; the
     /// indicator is dropped when no gathered position is NULL.
     pub fn gather(&self, positions: &[u32]) -> NullableColumn {
@@ -303,23 +359,11 @@ impl NullableColumn {
 
     /// Build from `Value`s (bulk-load path). `ty` is the logical type.
     pub fn from_values(ty: DataType, values: &[Value]) -> Result<Self, VwError> {
-        let mut data = ColumnData::empty(ty);
-        let mut nulls = BitVec::new();
-        let mut any_null = false;
+        let mut col = NullableColumn::empty(ty);
         for v in values {
-            if v.is_null() {
-                data.push_safe_null();
-                nulls.push(true);
-                any_null = true;
-            } else {
-                data.push_value(v)?;
-                nulls.push(false);
-            }
+            col.push(v)?;
         }
-        Ok(NullableColumn {
-            data,
-            nulls: if any_null { Some(nulls) } else { None },
-        })
+        Ok(col)
     }
 }
 

@@ -31,4 +31,6 @@ pub use compress::{compress_data, decompress_data, CompressionScheme};
 pub use cursor::{BlockCursor, Pred, PredOp};
 pub use simdisk::{DiskStats, SimDisk, SimDiskConfig};
 pub use spill::{SpillCol, SpillFile, SpilledCol};
-pub use table::{concat_columns, read_all_columns, RowGroup, TableBuilder, TableStorage};
+pub use table::{
+    concat_columns, read_all_columns, GroupEdit, ImageStats, RowGroup, TableBuilder, TableStorage,
+};

@@ -6,13 +6,13 @@
 //! I/O and compression, row-group-wise locality so a scan needing k columns
 //! touches k co-located blocks per group.
 //!
-//! `TableStorage` is the *stable* image of a table: immutable between
-//! checkpoints. All updates go through PDTs (`vw-pdt`) layered on top by the
-//! transaction system; a checkpoint rebuilds the stable image via
-//! [`TableStorage::rebuild_from_chunks`].
+//! `TableStorage` is the *stable* image of a table: immutable once built.
+//! All updates go through PDTs (`vw-pdt`) layered on top by the transaction
+//! system; a checkpoint derives the next image from the current one with
+//! [`TableStorage::next_image`], sharing every block it does not rewrite.
 
-use crate::block::{decode_block, encode_block, ColumnBlock, MinMax, PruneOp};
-use crate::column::{ColumnData, NullableColumn};
+use crate::block::{decode_block, encode_block, BlockLease, ColumnBlock, MinMax, PruneOp};
+use crate::column::NullableColumn;
 use crate::cursor::BlockCursor;
 use crate::simdisk::SimDisk;
 use std::cmp::Ordering;
@@ -58,6 +58,33 @@ pub struct TableStorage {
     /// unbounded). Partition `p` holds rows with
     /// `bounds[p-1] <= key < bounds[p]`; NULL keys land in partition 0.
     part_bounds: Vec<Option<Value>>,
+    /// Position of the last log record folded into this image: recovery
+    /// replays only this table's record sections past it.
+    checkpoint_lsn: u64,
+}
+
+/// What a checkpoint does to one row group of the current image when it
+/// builds the next one ([`TableStorage::next_image`]).
+pub enum GroupEdit {
+    /// No change: the next image shares every block of the group.
+    Keep,
+    /// Same rows, new values in some columns: only the listed
+    /// `(column, values)` are re-encoded, the other blocks are shared.
+    Patch(Vec<(usize, NullableColumn)>),
+    /// The row set changed: all columns are re-encoded from these values
+    /// (no rows = the group is dropped).
+    Replace(Vec<NullableColumn>),
+}
+
+/// How much of an image [`TableStorage::next_image`] had to write.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ImageStats {
+    /// Column blocks of the new image.
+    pub blocks_total: usize,
+    /// Of those, blocks encoded and written for it (the rest are shared).
+    pub blocks_rewritten: usize,
+    /// Encoded bytes of the written blocks.
+    pub bytes_written: usize,
 }
 
 impl TableStorage {
@@ -80,6 +107,7 @@ impl TableStorage {
             part_disks: Vec::new(),
             part_extents: Vec::new(),
             part_bounds: Vec::new(),
+            checkpoint_lsn: 0,
         }
     }
 
@@ -248,7 +276,18 @@ impl TableStorage {
             part_disks: self.part_disks.clone(),
             part_extents: Vec::new(),
             part_bounds: Vec::new(),
+            checkpoint_lsn: self.checkpoint_lsn,
         }
+    }
+
+    /// Log position this image is current to (0 = nothing folded yet).
+    pub fn checkpoint_lsn(&self) -> u64 {
+        self.checkpoint_lsn
+    }
+
+    /// Stamp the image with the position of the last log record it contains.
+    pub fn set_checkpoint_lsn(&mut self, lsn: u64) {
+        self.checkpoint_lsn = lsn;
     }
 
     pub fn n_rows(&self) -> u64 {
@@ -325,30 +364,18 @@ impl TableStorage {
         let mut from = 0;
         while from < n {
             let to = (from + self.rows_per_group).min(n);
-            let mut blocks = Vec::with_capacity(columns.len());
-            for col in columns {
-                let piece = NullableColumn::new(
-                    col.data.slice(from, to),
-                    col.nulls
-                        .as_ref()
-                        .map(|b| (from..to).map(|i| b.get(i)).collect()),
-                )
-                .normalize();
-                let minmax = MinMax::from_column(&piece);
-                let raw_bytes = piece.data.uncompressed_bytes();
-                let (bytes, scheme) = encode_block(&piece);
-                let encoded_bytes = bytes.len();
-                let block_id = disk.write_block(bytes);
-                blocks.push(ColumnBlock {
-                    block_id,
-                    n_values: to - from,
-                    scheme,
-                    minmax,
-                    has_nulls: piece.nulls.is_some(),
-                    encoded_bytes,
-                    raw_bytes,
-                });
-            }
+            let blocks = columns
+                .iter()
+                .map(|col| {
+                    let piece = NullableColumn::new(
+                        col.data.slice(from, to),
+                        col.nulls
+                            .as_ref()
+                            .map(|b| (from..to).map(|i| b.get(i)).collect()),
+                    );
+                    write_column_block(piece, &disk)
+                })
+                .collect();
             self.row_groups.push(RowGroup {
                 n_rows: to - from,
                 start_row: self.n_rows,
@@ -375,12 +402,12 @@ impl TableStorage {
     /// to register a scan's block set with the buffer manager and to fetch
     /// blocks through it instead of straight off the disk.
     pub fn column_block_id(&self, group: usize, col: usize) -> Result<BlockId> {
-        Ok(self.block_at(group, col)?.block_id)
+        Ok(self.block_at(group, col)?.block_id())
     }
 
     /// Read and decode one column of one row group from its disk.
     pub fn read_column(&self, group: usize, col: usize) -> Result<NullableColumn> {
-        let id = self.block_at(group, col)?.block_id;
+        let id = self.block_at(group, col)?.block_id();
         let bytes = self.disk_for_group(group).read_block(id)?;
         self.decode_column_from(group, col, &bytes)
     }
@@ -409,7 +436,7 @@ impl TableStorage {
     /// decode vector slices on demand and evaluate predicates on the encoded
     /// form.
     pub fn read_column_cursor(&self, group: usize, col: usize) -> Result<BlockCursor> {
-        let id = self.block_at(group, col)?.block_id;
+        let id = self.block_at(group, col)?.block_id();
         let bytes = self.disk_for_group(group).read_block(id)?;
         self.column_cursor_from(group, col, bytes)
     }
@@ -466,17 +493,8 @@ impl TableStorage {
     /// partitions whose bounds are recomputed as equal-count quantiles of
     /// the partition key.
     pub fn rebuild_from_chunks(&mut self, chunks: &[Vec<NullableColumn>]) -> Result<()> {
-        let old: Vec<(BlockId, Arc<SimDisk>)> = (0..self.row_groups.len())
-            .flat_map(|g| {
-                let d = self.disk_for_group(g).clone();
-                self.row_groups[g]
-                    .columns
-                    .iter()
-                    .map(move |c| (c.block_id, d.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        self.row_groups.clear();
+        // Dropped (and its blocks freed) once the new image is written.
+        let _old = std::mem::take(&mut self.row_groups);
         self.n_rows = 0;
         self.part_extents.clear();
         self.part_bounds.clear();
@@ -502,10 +520,117 @@ impl TableStorage {
             };
             self.reorganize(cols)?;
         }
-        for (id, d) in old {
-            d.free_block(id);
-        }
         Ok(())
+    }
+
+    /// Build the next image of this table from this one, by column block.
+    ///
+    /// `edit(g)` says what happens to row group `g`; `tail` holds rows
+    /// appended behind the last group. Groups keep their boundaries (an
+    /// edited group that outgrew the group size is split, an emptied one is
+    /// dropped), and the tail is folded into a partial last group before it
+    /// is split at the group size — so as long as no group changes its row
+    /// count the result is, block for block, the image a full rebuild of the
+    /// same rows would write. Declared sort orders and partition bounds are
+    /// carried over, not re-established: the caller only takes this path
+    /// for changes that cannot move a row.
+    pub fn next_image(
+        &self,
+        mut edit: impl FnMut(usize) -> Result<GroupEdit>,
+        mut tail: Option<Vec<NullableColumn>>,
+    ) -> Result<(TableStorage, ImageStats)> {
+        let mut out = self.fresh_like();
+        out.part_bounds = self.part_bounds.clone();
+        let (mut shared_blocks, mut shared_bytes) = (0usize, 0usize);
+        let last = self.row_groups.len().checked_sub(1);
+        for p in 0..self.partition_count() {
+            let (start, end) = self.partition_extent(p);
+            let first_out = out.row_groups.len();
+            let disk = self.partition_disk(p).clone();
+            for g in start..end {
+                let src = &self.row_groups[g];
+                let mut e = edit(g)?;
+                // A partial last group takes the appended rows in.
+                if Some(g) == last && tail.is_some() {
+                    let rows = match &e {
+                        GroupEdit::Replace(cols) => cols.first().map_or(0, |c| c.len()),
+                        _ => src.n_rows,
+                    };
+                    if rows > 0 && rows < self.rows_per_group {
+                        let cols = self.edited_columns(g, e)?;
+                        let tail = tail.take().expect("checked above");
+                        e = GroupEdit::Replace(
+                            cols.into_iter()
+                                .zip(tail)
+                                .enumerate()
+                                .map(|(c, (a, b))| concat_columns(self.schema.field(c).ty, &[a, b]))
+                                .collect::<Result<_>>()?,
+                        );
+                    }
+                }
+                match e {
+                    GroupEdit::Replace(cols) => out.append_chunk_on(&cols, disk.clone())?,
+                    GroupEdit::Keep | GroupEdit::Patch(_) => {
+                        let mut columns = src.columns.clone();
+                        if let GroupEdit::Patch(patched) = e {
+                            for (c, col) in patched {
+                                if col.len() != src.n_rows {
+                                    return Err(VwError::Storage(format!(
+                                        "patched column has {} rows, group {} has {}",
+                                        col.len(),
+                                        g,
+                                        src.n_rows
+                                    )));
+                                }
+                                columns[c] = write_column_block(col, &disk);
+                            }
+                        }
+                        for (new, old) in columns.iter().zip(&src.columns) {
+                            if new.block_id() == old.block_id() {
+                                shared_blocks += 1;
+                                shared_bytes += old.encoded_bytes;
+                            }
+                        }
+                        out.row_groups.push(RowGroup {
+                            n_rows: src.n_rows,
+                            start_row: out.n_rows,
+                            columns,
+                        });
+                        out.n_rows += src.n_rows as u64;
+                    }
+                }
+            }
+            if p + 1 == self.partition_count() {
+                if let Some(tail) = tail.take() {
+                    out.append_chunk_on(&tail, disk)?;
+                }
+            }
+            if !self.part_disks.is_empty() {
+                out.part_extents.push((first_out, out.row_groups.len()));
+            }
+        }
+        let blocks_total = out.row_groups.len() * self.schema.len();
+        let stats = ImageStats {
+            blocks_total,
+            blocks_rewritten: blocks_total - shared_blocks,
+            bytes_written: out.encoded_bytes() - shared_bytes,
+        };
+        Ok((out, stats))
+    }
+
+    /// All columns of group `g` as `edit` leaves them, decoded.
+    fn edited_columns(&self, g: usize, edit: GroupEdit) -> Result<Vec<NullableColumn>> {
+        let mut patched = match edit {
+            GroupEdit::Replace(cols) => return Ok(cols),
+            GroupEdit::Keep => Vec::new(),
+            GroupEdit::Patch(p) => p,
+        };
+        (0..self.schema.len())
+            .map(|c| match patched.iter().position(|(pc, _)| *pc == c) {
+                Some(i) => Ok(patched.swap_remove(i).1),
+                None => self.read_column(g, c),
+            })
+            .collect()
     }
 
     /// Rewrite full-table columns in declared order, bucketed by range
@@ -624,6 +749,24 @@ impl TableStorage {
     }
 }
 
+/// Encode one column of one row group and store it on `disk`.
+fn write_column_block(piece: NullableColumn, disk: &Arc<SimDisk>) -> ColumnBlock {
+    let piece = piece.normalize();
+    let minmax = MinMax::from_column(&piece);
+    let raw_bytes = piece.data.uncompressed_bytes();
+    let (bytes, scheme) = encode_block(&piece);
+    let encoded_bytes = bytes.len();
+    ColumnBlock {
+        block: BlockLease::write(disk, bytes),
+        n_values: piece.len(),
+        scheme,
+        minmax,
+        has_nulls: piece.nulls.is_some(),
+        encoded_bytes,
+        raw_bytes,
+    }
+}
+
 /// Row-at-a-time loader that buffers rows and flushes PAX groups.
 pub struct TableBuilder {
     table: TableStorage,
@@ -723,30 +866,24 @@ pub fn read_all_columns(table: &TableStorage) -> Result<Vec<NullableColumn>> {
 
 /// Concatenate column chunks of the same logical type.
 pub fn concat_columns(ty: vw_common::DataType, parts: &[NullableColumn]) -> Result<NullableColumn> {
-    let mut data = ColumnData::empty(ty);
-    let mut nulls = vw_common::BitVec::new();
-    let mut any_null = false;
+    let mut out = NullableColumn::empty(ty);
     for p in parts {
-        for i in 0..p.len() {
-            if p.is_null(i) {
-                data.push_safe_null();
-                nulls.push(true);
-                any_null = true;
-            } else {
-                data.push_value(&p.data.get_value(i, ty))?;
-                nulls.push(false);
-            }
+        if p.data.type_name() != out.data.type_name() {
+            return Err(VwError::Storage(format!(
+                "cannot concatenate a {} chunk into a {} column",
+                p.data.type_name(),
+                ty
+            )));
         }
+        out.extend_from_range(p, 0, p.len());
     }
-    Ok(NullableColumn {
-        data,
-        nulls: if any_null { Some(nulls) } else { None },
-    })
+    Ok(out.normalize())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use crate::simdisk::SimDiskConfig;
     use vw_common::{DataType, Field};
 
@@ -891,6 +1028,162 @@ mod tests {
         assert_eq!(t.read_row(10).unwrap(), rows[10]);
     }
 
+    fn columns_of(rows: &[Vec<Value>]) -> Vec<NullableColumn> {
+        lineitem_like_schema()
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(c, f)| {
+                let vals: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                NullableColumn::from_values(f.ty, &vals).unwrap()
+            })
+            .collect()
+    }
+
+    fn block_ids(t: &TableStorage) -> Vec<Vec<BlockId>> {
+        t.groups()
+            .iter()
+            .map(|g| g.columns.iter().map(|c| c.block_id()).collect())
+            .collect()
+    }
+
+    /// Encoded bytes of every block, in (group, column) order.
+    fn image_bytes(t: &TableStorage) -> Vec<Vec<u8>> {
+        block_ids(t)
+            .into_iter()
+            .flatten()
+            .map(|id| t.disk().read_block(id).unwrap().to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn next_image_shares_patches_and_folds_the_tail_like_a_rebuild() {
+        let d = disk();
+        let mut b = TableBuilder::with_group_size(lineitem_like_schema(), d.clone(), 100);
+        let mut rows = build_rows(250);
+        for r in rows.clone() {
+            b.push_row(r).unwrap();
+        }
+        let t = b.finish().unwrap();
+        // Group 1: quantity of its row 5 becomes 999; 70 rows are appended.
+        rows[105][1] = Value::I64(999);
+        let mut quantity = t.read_column(1, 1).unwrap();
+        match &mut quantity.data {
+            ColumnData::I64(v) => v[5] = 999,
+            _ => unreachable!(),
+        }
+        let tail: Vec<Vec<Value>> = (0..70)
+            .map(|i| {
+                vec![
+                    Value::I64(1000 + i),
+                    Value::I64(1),
+                    Value::Date(9000),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        rows.extend(tail.clone());
+        let mut patch = Some(quantity);
+        let (next, stats) = t
+            .next_image(
+                |g| {
+                    Ok(if g == 1 {
+                        GroupEdit::Patch(vec![(1, patch.take().unwrap())])
+                    } else {
+                        GroupEdit::Keep
+                    })
+                },
+                Some(columns_of(&tail)),
+            )
+            .unwrap();
+        // 250 + 70 rows: the partial third group (50) takes the tail in and
+        // splits at the group size.
+        assert_eq!(next.n_rows(), 320);
+        let sizes: Vec<usize> = next.groups().iter().map(|g| g.n_rows).collect();
+        assert_eq!(sizes, vec![100, 100, 100, 20]);
+        let starts: Vec<u64> = next.groups().iter().map(|g| g.start_row).collect();
+        assert_eq!(starts, vec![0, 100, 200, 300]);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(&next.read_row(i as u64).unwrap(), row, "row {}", i);
+        }
+        // Group 0 is shared whole, group 1 but for the patched column.
+        let (old, new) = (block_ids(&t), block_ids(&next));
+        assert_eq!(old[0], new[0]);
+        for c in 0..4 {
+            assert_eq!(old[1][c] == new[1][c], c != 1, "column {}", c);
+        }
+        assert_eq!(
+            stats,
+            ImageStats {
+                blocks_total: 16,
+                blocks_rewritten: 1 + 2 * 4,
+                bytes_written: next.encoded_bytes()
+                    - next
+                        .group(0)
+                        .columns
+                        .iter()
+                        .map(|c| c.encoded_bytes)
+                        .sum::<usize>()
+                    - [0, 2, 3]
+                        .iter()
+                        .map(|&c| next.group(1).columns[c].encoded_bytes)
+                        .sum::<usize>(),
+            }
+        );
+        // The same rows loaded from scratch give the same bytes.
+        let mut b = TableBuilder::with_group_size(lineitem_like_schema(), disk(), 100);
+        for r in rows {
+            b.push_row(r).unwrap();
+        }
+        assert_eq!(image_bytes(&next), image_bytes(&b.finish().unwrap()));
+        // Blocks live as long as an image refers to them.
+        let live = d.block_count();
+        assert_eq!(live, 3 * 4 + 9);
+        drop(t);
+        assert_eq!(d.block_count(), 16);
+        drop(next);
+        assert_eq!(d.block_count(), 0);
+    }
+
+    #[test]
+    fn next_image_replaces_splits_and_drops_groups() {
+        let d = disk();
+        let mut b = TableBuilder::with_group_size(lineitem_like_schema(), d.clone(), 50);
+        let rows = build_rows(150);
+        for r in rows.clone() {
+            b.push_row(r).unwrap();
+        }
+        let t = b.finish().unwrap();
+        // Group 0 grows to 70 rows, group 1 loses all of its rows.
+        let grown: Vec<Vec<Value>> = rows[..50].iter().chain(&rows[..20]).cloned().collect();
+        let (next, stats) = t
+            .next_image(
+                |g| {
+                    Ok(match g {
+                        0 => GroupEdit::Replace(columns_of(&grown)),
+                        1 => GroupEdit::Replace(columns_of(&[])),
+                        _ => GroupEdit::Keep,
+                    })
+                },
+                None,
+            )
+            .unwrap();
+        let sizes: Vec<usize> = next.groups().iter().map(|g| g.n_rows).collect();
+        assert_eq!(sizes, vec![50, 20, 50]);
+        assert_eq!(next.n_rows(), 120);
+        assert_eq!(next.group(2).start_row, 70);
+        assert_eq!(next.read_row(60).unwrap(), rows[10]);
+        assert_eq!(next.read_row(119).unwrap(), rows[149]);
+        assert_eq!(block_ids(&t)[2], block_ids(&next)[2]);
+        assert_eq!((stats.blocks_total, stats.blocks_rewritten), (12, 8));
+        // Emptying the table leaves an image without groups.
+        let (empty, stats) = next
+            .next_image(|_| Ok(GroupEdit::Replace(columns_of(&[]))), None)
+            .unwrap();
+        assert_eq!((empty.n_rows(), empty.group_count()), (0, 0));
+        assert_eq!(stats, ImageStats::default());
+    }
+
     #[test]
     fn compression_kicks_in_on_real_shapes() {
         let mut b = TableBuilder::with_group_size(lineitem_like_schema(), disk(), 10_000);
@@ -947,7 +1240,7 @@ mod tests {
         let mut t = b.finish().unwrap();
         t.set_name("lineitem");
         // Corrupt the quantity block of group 0 on disk.
-        let blk = t.group(0).columns[1].block_id;
+        let blk = t.group(0).columns[1].block_id();
         let bytes = d.read_block(blk).unwrap();
         d.overwrite_block(blk, bytes[..2].to_vec()).unwrap();
         let msg = t.read_column(0, 1).unwrap_err().to_string();

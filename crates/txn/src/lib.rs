@@ -9,18 +9,21 @@
 //!   transactions are logged (one record per commit, carrying the
 //!   transaction's translated PDT ops per table), which is the natural WAL
 //!   shape for optimistic CC.
-//! * [`manager`] — [`TxnManager`]: per-table versioned master PDTs
-//!   (immutable `Arc` snapshots = free consistent reads), transactions with
-//!   private working PDTs, commit-time positional conflict detection via
-//!   [`vw_pdt::Footprint`], and crash recovery by WAL replay.
-//! * [`checkpoint`] — folds a table's master PDT into its stable columnar
-//!   image (`vw_storage::TableStorage`) and truncates the log, bounding both
-//!   PDT memory and recovery time.
+//! * [`manager`] — [`TxnManager`]: the current *version* of every table
+//!   (an immutable stable image and the master PDT over it, handed out as a
+//!   pair of `Arc`s = free consistent reads), transactions that pin their
+//!   versions and write private working PDTs, commit-time positional
+//!   conflict detection via [`vw_pdt::Footprint`], and crash recovery by
+//!   WAL replay.
+//! * [`checkpoint`] — builds a table's next stable image from the current
+//!   one and its master PDT, block by block, installs it as a new version
+//!   and trims the log of what it contains, bounding both PDT memory and
+//!   recovery time.
 
 pub mod checkpoint;
 pub mod manager;
 pub mod wal;
 
-pub use checkpoint::{checkpoint_table, materialize_image};
-pub use manager::{Transaction, TxnManager};
+pub use checkpoint::{checkpoint_table, merge_column, CheckpointStats};
+pub use manager::{Image, TableVersion, Transaction, TxnManager};
 pub use wal::{Wal, WalRecord};
