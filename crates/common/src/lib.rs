@@ -15,6 +15,7 @@ pub mod error;
 pub mod hash;
 pub mod ids;
 pub mod layout;
+pub mod like;
 pub mod metrics;
 pub mod rng;
 pub mod schema;

@@ -10,12 +10,17 @@
 //! clustered date column whose predicate goes from all-pass to all-fail
 //! mid-scan).
 //!
-//! Correctness note: both consumers evaluate conjunctions by *intersecting*
-//! per-conjunct selection sets (sorted-position intersection in the scan,
-//! chained selection-vector refinement in the filter), and intersection is
-//! commutative — so any order produces bit-identical results. Adaptivity
-//! changes only how much work is spent discovering the same rows; the
-//! property tests in `tests/adaptive.rs` pin this down.
+//! Correctness note: both consumers evaluate a conjunction as a chain — each
+//! conjunct narrows what the ones before it left (a candidate list over the
+//! encoded blocks in the scan, the batch's selection vector in the filter) —
+//! and the rows that pass every conjunct are the same in any order, so any
+//! order produces bit-identical results. Adaptivity changes only how much
+//! work is spent discovering the same rows; the property tests in
+//! `tests/adaptive.rs` pin this down. What an order *can* change is whether
+//! a conjunct that raises an error (a division, a cast) meets the row it
+//! raises on, so such conjuncts are never ranked: they keep their place at
+//! the end of the chain ([`AdaptiveOrder::pin_tail`]), behind every conjunct
+//! that cannot fail.
 //!
 //! [`AggFeedback`] is the cross-query half: per `(table, key-set)` it
 //! remembers observed group counts and perfect-hash refusals (budget or
@@ -84,6 +89,8 @@ pub struct AdaptiveOrder {
     ticks: u64,
     reorders: u64,
     enabled: bool,
+    /// Conjuncts `ranked..` are never re-ranked.
+    ranked: usize,
 }
 
 impl AdaptiveOrder {
@@ -98,7 +105,15 @@ impl AdaptiveOrder {
             ticks: 0,
             reorders: 0,
             enabled,
+            ranked: n,
         }
+    }
+
+    /// Keep conjuncts `from..` where they are, after the ranked ones: the
+    /// place of the conjuncts that can raise an error.
+    pub fn pin_tail(mut self, from: usize) -> AdaptiveOrder {
+        self.ranked = from.min(self.order.len());
+        self
     }
 
     pub fn enabled(&self) -> bool {
@@ -135,7 +150,7 @@ impl AdaptiveOrder {
     /// Advance one unit of work (a row-group or a batch); re-ranks on period
     /// boundaries. Returns `true` if the order changed.
     pub fn tick(&mut self) -> bool {
-        if !self.enabled || self.order.len() < 2 {
+        if !self.enabled || self.ranked < 2 {
             return false;
         }
         self.ticks += 1;
@@ -144,7 +159,7 @@ impl AdaptiveOrder {
         }
         let mut next = self.order.clone();
         // Stable sort on rank: ties keep the static (plan) order.
-        next.sort_by(|&a, &b| {
+        next[..self.ranked].sort_by(|&a, &b| {
             self.stats[a]
                 .rank()
                 .total_cmp(&self.stats[b].rank())
@@ -351,6 +366,24 @@ mod tests {
         assert_eq!(a.reorders(), 0);
         // Disabled observation is free (stats stay zero).
         assert_eq!(a.stats()[1].evals, 0);
+    }
+
+    #[test]
+    fn pinned_tail_is_never_ranked() {
+        // Conjunct 2 is by far the best filter, but it can raise: it stays
+        // last, and the two before it still trade places.
+        let mut a = AdaptiveOrder::new(3, 1, true).pin_tail(2);
+        a.observe(0, 1000, 990, 1000);
+        a.observe(1, 1000, 500, 1000);
+        a.observe(2, 1000, 1, 10);
+        a.tick();
+        assert_eq!(a.order(), &[1, 0, 2]);
+        // With one conjunct left to rank there is nothing to decide.
+        let mut a = AdaptiveOrder::new(2, 1, true).pin_tail(1);
+        a.observe(0, 1000, 990, 1000);
+        a.observe(1, 1000, 1, 10);
+        assert!(!a.tick());
+        assert_eq!(a.order(), &[0, 1]);
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! vectors instead of copying survivors — the X100 trick that makes selective
 //! scans nearly free. Kernels take the selection as a parameter; operators
 //! that need dense input call [`Batch::compact`].
+//!
+//! A string vector may arrive in **dictionary form** (`ColumnData::Dict`:
+//! codes over the dictionary of the PDICT block a scan read them from) and
+//! stays that way through selection, compaction and gathers. Operators
+//! that know the form work on the codes; every other consumer first calls
+//! [`Batch::materialize`] / [`ExecVector::materialize`], the one way back to
+//! strings. Appending vectors of two different dictionaries materializes
+//! too: the codes of one dictionary mean nothing in another.
 
 use vw_common::{BitVec, DataType, Result, Schema, Value, VwError};
 use vw_storage::{ColumnData, NullableColumn, StrColumn};
@@ -80,7 +88,18 @@ impl ExecVector {
             ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(n)),
             ColumnData::F64(_) => ColumnData::F64(Vec::with_capacity(n)),
             ColumnData::Str(_) => ColumnData::Str(StrColumn::with_capacity(n, n * 8)),
+            ColumnData::Dict(d) => ColumnData::Dict(d.empty_like(n)),
         })
+    }
+
+    /// This vector with a dictionary column turned into its strings (any
+    /// other vector as it is): what a consumer that does not read codes
+    /// calls first.
+    pub fn materialize(self) -> ExecVector {
+        ExecVector {
+            data: self.data.materialize(),
+            nulls: self.nulls,
+        }
     }
 
     /// Copy positions `[from, to)` into a new vector (scan batching).
@@ -110,6 +129,9 @@ impl ExecVector {
 
     /// Append rows of `src` (same physical type): the listed `lanes` in list
     /// order, or every row. The column type is matched once per call.
+    /// Dictionary vectors stay coded only while both sides share one
+    /// dictionary; otherwise this vector becomes (or already is) a string
+    /// column and the appended rows are copied out of `src`'s dictionary.
     pub fn extend_from(&mut self, src: &ExecVector, lanes: Option<&[u32]>) {
         fn ext<T: Copy>(dst: &mut Vec<T>, src: &[T], lanes: Option<&[u32]>) {
             match lanes {
@@ -118,6 +140,14 @@ impl ExecVector {
             }
         }
         let before = self.len();
+        let keeps_codes = matches!(
+            (&self.data, &src.data),
+            (ColumnData::Dict(d), ColumnData::Dict(s)) if d.same_dict(s)
+        );
+        if matches!(self.data, ColumnData::Dict(_)) && !keeps_codes {
+            let coded = std::mem::replace(&mut self.data, ColumnData::Bool(Vec::new()));
+            self.data = coded.materialize();
+        }
         match (&mut self.data, &src.data) {
             (ColumnData::Bool(d), ColumnData::Bool(s)) => ext(d, s, lanes),
             (ColumnData::I32(d), ColumnData::I32(s)) => ext(d, s, lanes),
@@ -136,6 +166,17 @@ impl ExecVector {
                     d.offsets.extend(s.offsets[1..].iter().map(|o| o + base));
                 }
             },
+            (ColumnData::Dict(d), ColumnData::Dict(s)) => d.extend_from(s, lanes),
+            (ColumnData::Str(d), ColumnData::Dict(s)) => {
+                let mut push = |i: usize| {
+                    d.bytes.extend_from_slice(s.get_bytes(i));
+                    d.offsets.push(d.bytes.len() as u32);
+                };
+                match lanes {
+                    Some(l) => l.iter().for_each(|&i| push(i as usize)),
+                    None => (0..s.len()).for_each(push),
+                }
+            }
             (d, s) => panic!("extend_from: {} <- {}", d.type_name(), s.type_name()),
         }
         let added = self.len() - before;
@@ -157,6 +198,7 @@ impl ExecVector {
             ColumnData::I64(v) => v.capacity() * 8,
             ColumnData::F64(v) => v.capacity() * 8,
             ColumnData::Str(v) => v.bytes.capacity() + v.offsets.capacity() * 4,
+            ColumnData::Dict(v) => v.heap_bytes(),
         };
         data + self.nulls.as_ref().map_or(0, |n| n.capacity())
     }
@@ -256,6 +298,15 @@ impl Batch {
         }
     }
 
+    /// The batch dense and free of dictionary vectors: what sorts, join
+    /// build sides, spills, the Exchange hand-off and the baselines' barrier
+    /// take in.
+    pub fn materialize(self) -> Batch {
+        let mut b = self.compact();
+        b.columns = b.columns.into_iter().map(|c| c.materialize()).collect();
+        b
+    }
+
     /// Read one logical row as `Value`s (result delivery; not a hot path).
     pub fn row_values(&self, logical: usize, schema: &Schema) -> Vec<Value> {
         let phys = match &self.sel {
@@ -299,7 +350,9 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use vw_common::Field;
+    use vw_storage::DictColumn;
 
     fn sample_batch() -> Batch {
         Batch::new(vec![
@@ -391,6 +444,115 @@ mod tests {
         assert_eq!(g.data, ColumnData::Bool(vec![true, true]));
         let f = ExecVector::not_null(ColumnData::F64(vec![1.5, 2.5]));
         assert_eq!(f.gather(&[1]).data, ColumnData::F64(vec![2.5]));
+    }
+
+    fn dict_vector(dict: &Arc<StrColumn>, codes: &[u32], nulls: Option<Vec<bool>>) -> ExecVector {
+        let col = DictColumn::new(codes.to_vec(), Arc::clone(dict)).expect("codes in range");
+        ExecVector::new(ColumnData::Dict(col), nulls)
+    }
+
+    fn strings(v: &ExecVector) -> Vec<Value> {
+        (0..v.len())
+            .map(|i| v.get_value(i, DataType::Str))
+            .collect()
+    }
+
+    fn strs(words: &[&str]) -> Vec<Value> {
+        words.iter().map(|w| Value::Str(w.to_string())).collect()
+    }
+
+    /// Codes travel only beside codes of the same dictionary. Selecting,
+    /// gathering and appending over one dictionary keep the vector coded;
+    /// the moment a second dictionary (or plain strings) joins, the vector
+    /// is strings — the same words in another order must never be read
+    /// through the wrong dictionary.
+    #[test]
+    fn codes_of_two_dictionaries_never_mix() {
+        let fruit = Arc::new(StrColumn::from_iter(["apple", "banana", "cherry"]));
+        let reordered = Arc::new(StrColumn::from_iter(["cherry", "apple", "banana"]));
+        let a = dict_vector(&fruit, &[0, 1, 2, 1], Some(vec![false, false, true, false]));
+        let b = dict_vector(&fruit, &[2, 2], None);
+        let c = dict_vector(&reordered, &[0, 1, 2], None);
+        assert!(DictColumn::new(vec![0, 3], Arc::clone(&fruit)).is_none());
+
+        let g = a.gather(&[3, 0]);
+        assert!(matches!(&g.data, ColumnData::Dict(d) if d.codes() == [1, 0]));
+        assert_eq!(strings(&g), strs(&["banana", "apple"]));
+
+        let mut same = a.gather(&[0, 1]);
+        same.extend_from(&b, None);
+        same.extend_from(&a, Some(&[2]));
+        assert!(matches!(&same.data, ColumnData::Dict(d) if d.codes() == [0, 1, 2, 2, 2]));
+        assert_eq!(
+            same.nulls,
+            Some(vec![false, false, false, false, true]),
+            "the indicator follows the codes"
+        );
+
+        // A second dictionary: strings from here on, each read through its own.
+        let mut mixed = same.clone();
+        mixed.extend_from(&c, Some(&[0, 1]));
+        assert!(matches!(mixed.data, ColumnData::Str(_)));
+        let mut want = strs(&["apple", "banana", "cherry", "cherry"]);
+        want.extend([
+            Value::Null,
+            Value::Str("cherry".into()),
+            Value::Str("apple".into()),
+        ]);
+        assert_eq!(strings(&mixed), want);
+        // ... and a third vector, of either dictionary, appends as strings.
+        mixed.extend_from(&b, None);
+        mixed.extend_from(&c, None);
+        assert_eq!(
+            strings(&mixed)[7..],
+            strs(&["cherry", "cherry", "cherry", "apple", "banana"])
+        );
+
+        // Plain strings beside codes, either way round.
+        let plain = ExecVector::not_null(ColumnData::Str(StrColumn::from_iter(["x"])));
+        let mut coded_first = b.clone();
+        coded_first.extend_from(&plain, None);
+        assert_eq!(strings(&coded_first), strs(&["cherry", "cherry", "x"]));
+        let mut plain_first = plain.clone();
+        plain_first.extend_from(&c, Some(&[2, 0]));
+        assert_eq!(strings(&plain_first), strs(&["x", "banana", "cherry"]));
+
+        // Compaction keeps codes; `materialize` is the way out.
+        let batch = Batch::with_sel(vec![a.clone(), c.gather(&[0, 1, 2, 0])], vec![1, 3]);
+        let dense = batch.clone().compact();
+        assert!(dense
+            .columns
+            .iter()
+            .all(|c| matches!(c.data, ColumnData::Dict(_))));
+        let flat = batch.materialize();
+        assert!(flat.sel.is_none());
+        assert!(flat
+            .columns
+            .iter()
+            .all(|c| matches!(c.data, ColumnData::Str(_))));
+        assert_eq!(strings(&flat.columns[0]), strs(&["banana", "banana"]));
+        assert_eq!(strings(&flat.columns[1]), strs(&["apple", "cherry"]));
+    }
+
+    /// A dictionary belongs to the block it was read from, not to the
+    /// vectors over it: however many columns of a batch share it, and
+    /// however large it is, they account for their codes alone.
+    #[test]
+    fn a_dictionary_is_never_charged_to_the_vectors_over_it() {
+        let words: Vec<String> = (0..5000)
+            .map(|i| format!("a long dictionary entry {i}"))
+            .collect();
+        let big = Arc::new(StrColumn::from_iter(words.iter().map(|w| w.as_str())));
+        let small = Arc::new(StrColumn::from_iter(["a"]));
+        let codes: Vec<u32> = (0..100).collect();
+        let over_big = dict_vector(&big, &codes, None);
+        let over_small = dict_vector(&small, &[0; 100], None);
+        assert_eq!(over_big.heap_bytes(), 400);
+        assert_eq!(over_big.heap_bytes(), over_small.heap_bytes());
+        let batch = Batch::new(vec![over_big.clone(), over_big.gather(&codes), over_small]);
+        assert_eq!(crate::spill::batch_bytes(&batch), 3 * 400);
+        // Once strings, the bytes are the vector's own.
+        assert!(over_big.materialize().heap_bytes() > 100 * 20);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::mem::{MemBudget, MemTracker};
 use crate::morsel::{ExecStats, Morsel, MorselQueue, SharedExec};
 use crate::operators::perfect;
 use crate::operators::{
-    BoxedOperator, Exchange, HashAggregate, HashJoin, MergeJoin, Operator, TopN, VecFilter,
-    VecLimit, VecProject, VecScan, VecSort,
+    BoxedOperator, Exchange, HashAggregate, HashJoin, MergeJoin, TopN, VecFilter, VecLimit,
+    VecProject, VecScan, VecSort,
 };
 use crate::profile::{OpProfile, ProfiledOp};
 use crate::trace::TraceHandle;
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use vw_bufman::{Abm, CoopScanHandle};
 use vw_common::config::{AggPath, EngineConfig};
 use vw_common::metrics::{MetricsRegistry, LATENCY_BUCKETS_NS};
-use vw_common::{DataType, Result, Schema, TableId, VwError};
-use vw_plan::{AggExpr, Expr, LogicalPlan};
+use vw_common::{Result, Schema, TableId, VwError};
+use vw_plan::{Expr, LogicalPlan};
 use vw_storage::block::MinMax;
 use vw_storage::{SimDisk, TableStorage};
 
@@ -209,98 +209,52 @@ fn compile_rec(
             aggs,
             phase,
         } => {
-            // Scan→aggregate fusion: when the aggregate reads straight off a
-            // scan (the post-rewrite shape of Q1/Q6-style queries), the
-            // aggregate drives the scan itself. The scan's plan-profile node
-            // is handed to the fused driver so EXPLAIN ANALYZE and the
-            // operator_next_ns histogram still see the scan.
-            let fuse = ctx.config.agg_path == AggPath::Auto
-                && matches!(&**input, LogicalPlan::Scan { .. });
-            if let (
-                true,
-                LogicalPlan::Scan {
-                    table_id,
-                    schema,
-                    projection,
-                    filter,
-                    ..
-                },
-            ) = (fuse, &**input)
-            {
-                let scan_prof = child_prof(0);
-                let mut scan =
-                    compile_scan(ctx, state, *table_id, schema, projection, filter, scan_prof)?;
-                let key_types: Vec<DataType> = group_by
+            let child = compile_rec(input, ctx, state, child_prof(0))?;
+            let mut agg =
+                HashAggregate::new(child, group_by.clone(), aggs.clone(), *phase, vs, naive)?;
+            agg.set_mem_tracker(ctx.tracker());
+            if let Some(d) = &ctx.spill_disk {
+                agg.set_spill_disk(d.clone());
+            }
+            if let Some(t) = &ctx.trace {
+                agg.set_trace(t.clone());
+            }
+            if let Some(p) = prof {
+                agg.set_waits(p.waits().clone());
+            }
+            if ctx.config.agg_path == AggPath::Auto {
+                // Where a group key is a stored column handed up unchanged,
+                // its zone maps bound the key domain: integer keys become
+                // eligible for the direct-array path. Bool and
+                // low-cardinality string keys are eligible without.
+                let sources: Vec<Option<(TableId, usize)>> =
+                    group_by.iter().map(|&g| stored_column(input, g)).collect();
+                let hints = sources
                     .iter()
-                    .map(|&g| scan.schema().field(g).ty)
-                    .collect();
-                let proj: Vec<usize> = match projection {
-                    Some(p) => p.clone(),
-                    None => (0..schema.len()).collect(),
-                };
-                let provider = ctx.provider(*table_id)?;
-                let hints = int_key_hints(&provider.storage, &proj, group_by);
-                // Shape key in storage-column space: stable across queries
-                // whatever projection the rewriter picked.
-                let shape_keys: Vec<usize> = group_by
+                    .map(|src| {
+                        let (table, col) = (*src)?;
+                        int_key_hint(&ctx.provider(table).ok()?.storage, col)
+                    })
+                    .collect::<Vec<_>>();
+                // The aggregation's shape across queries: the table and the
+                // stored columns grouped on, whatever the projection above.
+                let shape = sources
                     .iter()
-                    .map(|&g| proj.get(g).copied().unwrap_or(g))
-                    .collect();
+                    .copied()
+                    .collect::<Option<Vec<_>>>()
+                    .filter(|keys| !keys.is_empty() && keys.iter().all(|k| k.0 == keys[0].0))
+                    .map(|keys| {
+                        let cols: Vec<usize> = keys.iter().map(|k| k.1).collect();
+                        (keys[0].0.as_u64(), cols)
+                    });
+                let feedback = ctx.agg_feedback.as_ref().filter(|_| ctx.config.adaptivity);
                 // History veto: if this (table, key-set) has already refused
                 // the perfect-hash path (budget) or blown past its domain,
                 // skip the speculative attempt and go generic from batch one.
-                let veto = ctx.config.adaptivity
-                    && ctx.agg_feedback.as_ref().is_some_and(|fb| {
-                        fb.veto_perfect(
-                            table_id.as_u64(),
-                            shape_keys.clone(),
-                            perfect::MAX_SLOTS as u64,
-                        )
-                    });
-                if !veto && perfect::plan_specs(&key_types, &hints).is_some() {
-                    // Dictionary-coded string keys can skip decoding entirely
-                    // — unless an aggregate argument also reads the column,
-                    // in which case the decoded values are still needed.
-                    let arg_cols = agg_arg_cols(aggs);
-                    let capture: Vec<Option<usize>> = group_by
-                        .iter()
-                        .map(|&g| {
-                            (scan.schema().field(g).ty == DataType::Str && !arg_cols.contains(&g))
-                                .then_some(g)
-                        })
-                        .collect();
-                    if capture.iter().any(|c| c.is_some()) {
-                        scan.set_key_cols(capture);
-                    }
-                }
-                let hist = match (&ctx.metrics, scan_prof) {
-                    (Some(m), Some(p)) => {
-                        Some(m.histogram("operator_next_ns", p.op_name(), LATENCY_BUCKETS_NS))
-                    }
-                    _ => None,
-                };
-                let mut agg = HashAggregate::new_fused(
-                    scan,
-                    scan_prof.cloned(),
-                    hist,
-                    group_by.clone(),
-                    aggs.clone(),
-                    *phase,
-                    vs,
-                    naive,
-                )?;
-                agg.set_mem_tracker(ctx.tracker());
-                if let Some(d) = &ctx.spill_disk {
-                    agg.set_spill_disk(d.clone());
-                }
-                if let Some(t) = &ctx.trace {
-                    agg.set_trace(t.clone());
-                }
-                if let Some(p) = prof {
-                    agg.set_waits(p.waits().clone());
-                }
-                if let (true, Some(fb)) = (ctx.config.adaptivity, &ctx.agg_feedback) {
-                    agg.set_agg_feedback(fb.clone(), table_id.as_u64(), shape_keys);
+                let mut veto = false;
+                if let (Some(fb), Some((table, cols))) = (feedback, shape) {
+                    veto = fb.veto_perfect(table, cols.clone(), perfect::MAX_SLOTS as u64);
+                    agg.set_agg_feedback(fb.clone(), table, cols);
                 }
                 if veto {
                     // The adaptive path overrode the static choice; surface
@@ -312,29 +266,8 @@ fn compile_rec(
                 } else {
                     agg.enable_perfect(&hints);
                 }
-                Box::new(agg)
-            } else {
-                let child = compile_rec(input, ctx, state, child_prof(0))?;
-                let mut agg =
-                    HashAggregate::new(child, group_by.clone(), aggs.clone(), *phase, vs, naive)?;
-                agg.set_mem_tracker(ctx.tracker());
-                if let Some(d) = &ctx.spill_disk {
-                    agg.set_spill_disk(d.clone());
-                }
-                if let Some(t) = &ctx.trace {
-                    agg.set_trace(t.clone());
-                }
-                if let Some(p) = prof {
-                    agg.set_waits(p.waits().clone());
-                }
-                if ctx.config.agg_path == AggPath::Auto {
-                    // Non-fused inputs have no storage-level MinMax hints, but
-                    // bool/low-cardinality-string keys can still take the
-                    // direct-array path.
-                    agg.enable_perfect(&vec![None; group_by.len()]);
-                }
-                Box::new(agg)
             }
+            Box::new(agg)
         }
         LogicalPlan::MergeJoin { left, right, on } => {
             let l = compile_rec(left, ctx, state, child_prof(0))?;
@@ -427,9 +360,7 @@ fn finish_op(op: BoxedOperator, ctx: &ExecContext, prof: Option<&Arc<OpProfile>>
     }
 }
 
-/// Compile one `LogicalPlan::Scan` node into a [`VecScan`]. Shared between
-/// the plain Scan arm (which boxes it) and the fused aggregate arm (which
-/// hands it to [`HashAggregate::new_fused`] unboxed).
+/// Compile one `LogicalPlan::Scan` node into a [`VecScan`].
 fn compile_scan(
     ctx: &ExecContext,
     state: &mut CompileState,
@@ -562,80 +493,55 @@ fn coop_blocks(
     out
 }
 
-/// Per-group-key `(min, max)` hints for integer-typed keys, folded from the
-/// storage blocks' zone maps across every row group. A key whose column has
-/// any non-integer or absent MinMax gets `None` (not perfect-hash eligible on
-/// the value-range basis; PDT-resident rows outside the hinted range are
-/// handled by the aggregate's runtime fallback).
-fn int_key_hints(
-    storage: &Arc<RwLock<TableStorage>>,
-    projection: &[usize],
-    group_by: &[usize],
-) -> Vec<Option<(i64, i64)>> {
+/// The stored column that output column `col` of `plan` hands up unchanged:
+/// through projections that pass it on as a plain column reference (the
+/// shape the binder gives every `GROUP BY` of SQL text) and through filters,
+/// down to the scan.
+fn stored_column(plan: &LogicalPlan, col: usize) -> Option<(TableId, usize)> {
+    match plan {
+        LogicalPlan::Scan {
+            table_id,
+            projection,
+            ..
+        } => {
+            let stored = match projection {
+                Some(p) => *p.get(col)?,
+                None => col,
+            };
+            Some((*table_id, stored))
+        }
+        LogicalPlan::Project { input, exprs } => match exprs.get(col)?.0 {
+            Expr::Col(c) => stored_column(input, c),
+            _ => None,
+        },
+        LogicalPlan::Filter { input, .. } => stored_column(input, col),
+        _ => None,
+    }
+}
+
+/// The `(min, max)` of an integer-typed stored column, folded from its
+/// blocks' zone maps across every row group; `None` when any block's stats
+/// are of another kind (not perfect-hash eligible on the value-range basis).
+/// PDT-resident rows outside the range are handled by the aggregate's
+/// runtime fallback.
+fn int_key_hint(storage: &Arc<RwLock<TableStorage>>, col: usize) -> Option<(i64, i64)> {
     let st = storage.read();
-    group_by
-        .iter()
-        .map(|&g| {
-            let col = *projection.get(g)?;
-            let mut acc: Option<(i64, i64)> = None;
-            for gi in 0..st.group_count() {
-                let block = st.group(gi).columns.get(col)?;
-                match block.minmax {
-                    MinMax::Int { min, max } => {
-                        acc = Some(match acc {
-                            Some((lo, hi)) => (lo.min(min), hi.max(max)),
-                            None => (min, max),
-                        });
-                    }
-                    // An all-NULL block reports no bounds but adds no values
-                    // outside whatever the other blocks report.
-                    MinMax::None => {}
-                    _ => return None,
-                }
+    let mut acc: Option<(i64, i64)> = None;
+    for gi in 0..st.group_count() {
+        match st.group(gi).columns.get(col)?.minmax {
+            MinMax::Int { min, max } => {
+                acc = Some(match acc {
+                    Some((lo, hi)) => (lo.min(min), hi.max(max)),
+                    None => (min, max),
+                });
             }
-            acc
-        })
-        .collect()
-}
-
-/// Every input-column ordinal referenced by any aggregate argument
-/// expression. Group-key columns in this set must still be decoded by the
-/// scan even when their key codes are captured.
-fn agg_arg_cols(aggs: &[AggExpr]) -> Vec<usize> {
-    let mut cols = Vec::new();
-    for a in aggs {
-        if let Some(e) = &a.arg {
-            expr_cols(e, &mut cols);
+            // An all-NULL block reports no bounds but adds no values
+            // outside whatever the other blocks report.
+            MinMax::None => {}
+            _ => return None,
         }
     }
-    cols
-}
-
-fn expr_cols(e: &Expr, out: &mut Vec<usize>) {
-    match e {
-        Expr::Col(i) => out.push(*i),
-        Expr::Lit(_) | Expr::Placeholder => {}
-        Expr::Cast(e, _) => expr_cols(e, out),
-        Expr::Binary { l, r, .. } => {
-            expr_cols(l, out);
-            expr_cols(r, out);
-        }
-        Expr::Unary { e, .. } => expr_cols(e, out),
-        Expr::Case { whens, otherwise } => {
-            for (w, t) in whens {
-                expr_cols(w, out);
-                expr_cols(t, out);
-            }
-            if let Some(el) = otherwise {
-                expr_cols(el, out);
-            }
-        }
-        Expr::Like { e, .. }
-        | Expr::InList { e, .. }
-        | Expr::Substr { e, .. }
-        | Expr::Extract { e, .. }
-        | Expr::AddMonths { e, .. } => expr_cols(e, out),
-    }
+    acc
 }
 
 #[cfg(test)]

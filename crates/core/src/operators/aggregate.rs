@@ -6,7 +6,11 @@
 //! in typed columns) and the `gid`s address the same struct-of-arrays
 //! [`Accumulators`] the perfect-hash path addresses with composed key codes —
 //! the two paths differ only in how a slot is computed. Results leave as
-//! columns gathered from the key and accumulator columns.
+//! columns gathered from the key and accumulator columns. A group key in
+//! dictionary form is consumed as it comes on both paths: the perfect table
+//! maps dictionary codes to its key codes through one small table per
+//! dictionary, the generic table hashes each dictionary entry once and
+//! stores a key's bytes when its group is born.
 //! Aggregate arguments are evaluated vector-at-a-time with the batch's
 //! selection vector, so the classic `Scan → Filter → Aggregate` pipeline
 //! never materializes survivors.
@@ -30,21 +34,19 @@ use std::time::Instant;
 use crate::adapt::{AggFeedback, AggShapeKey};
 use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
-use crate::profile::OpProfile;
 use crate::spill::{read_batch, spill_disk, write_batch};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use vw_common::waits::WaitStats;
-use vw_common::{DataType, Field, Histogram, Result, Schema, VwError};
+use vw_common::{DataType, Field, Result, Schema, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::rewrite::parallel::partial_avg_count_columns;
 use vw_plan::{AggExpr, AggFunc};
-use vw_storage::{ColumnData, SimDisk, SpillFile, StrColumn};
+use vw_storage::{SimDisk, SpillFile};
 
 use super::hash_table::GroupIndex;
-use super::perfect::{self, Accumulators, BatchKey, KeyCoderSpec, PerfectTable};
-use super::scan::KeyCodes;
-use super::{BoxedOperator, Operator, VecScan};
+use super::perfect::{self, Accumulators, KeyCoderSpec, PerfectTable};
+use super::{BoxedOperator, Operator};
 
 /// Spill fan-out: partitions are selected by the top 3 bits of the group
 /// hash, so re-spilled fragments of one group always meet again.
@@ -100,104 +102,9 @@ impl GroupTable {
     }
 }
 
-/// A scan fused directly under the aggregate: the aggregate pulls from the
-/// scan with a plain method call instead of a boxed-operator hop, and the
-/// scan's PDICT key codes ride along uncopied. The scan's profile node and
-/// latency histogram are still fed — fusing an operator out of the tree must
-/// not fuse it out of `EXPLAIN ANALYZE`.
-pub struct FusedScan {
-    scan: VecScan,
-    /// The scan's node in the plan profile tree, when profiling is on.
-    node: Option<Arc<OpProfile>>,
-    /// The scan's `operator_next_ns` histogram, when metrics are wired.
-    hist: Option<Arc<Histogram>>,
-    /// Scan extras are flushed into the node once, at first end-of-stream
-    /// (mirrors the profiling wrapper the fusion replaced).
-    flushed: bool,
-}
-
-impl FusedScan {
-    pub fn new(
-        scan: VecScan,
-        node: Option<Arc<OpProfile>>,
-        hist: Option<Arc<Histogram>>,
-    ) -> FusedScan {
-        FusedScan {
-            scan,
-            node,
-            hist,
-            flushed: false,
-        }
-    }
-
-    fn next(&mut self) -> Result<Option<(Batch, Vec<Option<KeyCodes>>)>> {
-        let t0 = Instant::now();
-        let r = self.scan.next();
-        let elapsed = t0.elapsed();
-        let produced = match &r {
-            Ok(Some(b)) => Some(b.len()),
-            _ => None,
-        };
-        if let Some(n) = &self.node {
-            n.record_next(elapsed, produced);
-        }
-        if let Some(h) = &self.hist {
-            h.record(elapsed.as_nanos() as u64);
-        }
-        if !matches!(&r, Ok(Some(_))) && !self.flushed {
-            self.flushed = true;
-            if let Some(n) = &self.node {
-                for (k, v) in self.scan.profile_extras() {
-                    n.add_extra(k, v);
-                }
-            }
-        }
-        match r? {
-            Some(b) => {
-                let codes = self.scan.take_key_codes();
-                Ok(Some((b, codes)))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-/// Where the aggregate's input comes from: a boxed child operator (the
-/// general case) or a fused scan.
-pub enum AggInput {
-    Op(BoxedOperator),
-    Fused(Box<FusedScan>),
-}
-
-impl AggInput {
-    fn schema(&self) -> &Schema {
-        match self {
-            AggInput::Op(op) => op.schema(),
-            AggInput::Fused(f) => f.scan.schema(),
-        }
-    }
-
-    fn next(&mut self) -> Result<Option<(Batch, Vec<Option<KeyCodes>>)>> {
-        match self {
-            AggInput::Op(op) => Ok(op.next()?.map(|b| (b, Vec::new()))),
-            AggInput::Fused(f) => f.next(),
-        }
-    }
-
-    fn disable_capture(&mut self) {
-        if let AggInput::Fused(f) = self {
-            f.scan.disable_capture();
-        }
-    }
-
-    fn is_fused(&self) -> bool {
-        matches!(self, AggInput::Fused(_))
-    }
-}
-
 /// Hash aggregation operator.
 pub struct HashAggregate {
-    input: AggInput,
+    input: BoxedOperator,
     group_by: Vec<usize>,
     aggs: Vec<AggExpr>,
     arg_evals: Vec<Option<ExprEvaluator>>,
@@ -254,48 +161,6 @@ struct TableStats {
 impl HashAggregate {
     pub fn new(
         input: BoxedOperator,
-        group_by: Vec<usize>,
-        aggs: Vec<AggExpr>,
-        phase: AggPhase,
-        vector_size: usize,
-        naive_nulls: bool,
-    ) -> Result<HashAggregate> {
-        Self::build(
-            AggInput::Op(input),
-            group_by,
-            aggs,
-            phase,
-            vector_size,
-            naive_nulls,
-        )
-    }
-
-    /// Build an aggregate fused directly over a scan (no boxed hop, PDICT
-    /// key codes ride along). `node`/`hist` keep the scan visible to the
-    /// profile tree and the `operator_next_ns` metrics despite the fusion.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_fused(
-        scan: VecScan,
-        node: Option<Arc<OpProfile>>,
-        hist: Option<Arc<Histogram>>,
-        group_by: Vec<usize>,
-        aggs: Vec<AggExpr>,
-        phase: AggPhase,
-        vector_size: usize,
-        naive_nulls: bool,
-    ) -> Result<HashAggregate> {
-        Self::build(
-            AggInput::Fused(Box::new(FusedScan::new(scan, node, hist))),
-            group_by,
-            aggs,
-            phase,
-            vector_size,
-            naive_nulls,
-        )
-    }
-
-    fn build(
-        input: AggInput,
         group_by: Vec<usize>,
         aggs: Vec<AggExpr>,
         phase: AggPhase,
@@ -495,8 +360,7 @@ impl HashAggregate {
         let mut identity: Vec<u32> = Vec::new();
 
         // Arm the direct-array table. A refused reservation means the
-        // generic path from batch one — and no key-code capture either,
-        // since only the perfect table can consume codes.
+        // generic path from batch one.
         let mut pt: Option<PerfectTable> = self.perfect_specs.as_ref().and_then(|specs| {
             PerfectTable::try_new(
                 specs,
@@ -506,16 +370,13 @@ impl HashAggregate {
                 &mut self.mem,
             )
         });
-        if pt.is_none() {
-            self.input.disable_capture();
-            // A planned-but-refused table (budget said no) is a refusal the
-            // feedback store should remember; never having planned one isn't.
-            if self.perfect_specs.is_some() {
-                self.feedback_refusal();
-            }
+        // A planned-but-refused table (budget said no) is a refusal the
+        // feedback store should remember; never having planned one isn't.
+        if pt.is_none() && self.perfect_specs.is_some() {
+            self.feedback_refusal();
         }
 
-        while let Some((mut batch, key_codes)) = self.input.next()? {
+        while let Some(batch) = self.input.next()? {
             // Evaluate aggregate argument expressions with the selection.
             let args: Vec<Option<ExecVector>> = self
                 .arg_evals
@@ -530,42 +391,24 @@ impl HashAggregate {
                 identity = (0..batch.rows as u32).collect();
             }
 
+            let lanes = batch.sel.as_deref().unwrap_or(&identity[..batch.rows]);
+            let keys: Vec<&ExecVector> = self.group_by.iter().map(|&g| &batch.columns[g]).collect();
+            let hidden = hidden_refs(&hidden_cols, &batch);
+
             // Direct-array fast path: compose slots, accumulate, next batch.
             if let Some(t) = pt.as_mut() {
-                let lanes = batch.sel.as_deref().unwrap_or(&identity[..batch.rows]);
-                let keys: Vec<BatchKey<'_>> = self
-                    .group_by
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &g)| match key_codes.get(k).and_then(|c| c.as_ref()) {
-                        Some(kc) => BatchKey::Dict {
-                            block: kc.block,
-                            codes: &kc.codes,
-                            nulls: kc.nulls.as_deref(),
-                            dict: &kc.dict,
-                        },
-                        None => BatchKey::Column(&batch.columns[g]),
-                    })
-                    .collect();
-                let hidden = hidden_refs(&hidden_cols, &batch);
                 if t.absorb(&keys, lanes, &args, self.phase, &hidden)? {
                     continue;
                 }
             }
 
-            // Captured-but-undecoded key columns must be materialized before
-            // the generic path (or a falling-back perfect table) touches the
-            // batch.
-            patch_key_columns(&mut batch, &key_codes, &self.group_by);
-
             if let Some(t) = pt.take() {
                 // Out-of-domain key: graceful fallback. Re-emit the resident
                 // direct-array state as partial rows and merge them into the
                 // generic table with combine semantics, then continue
-                // generically (capture off).
+                // generically.
                 self.perfect_fallback = true;
                 self.feedback_refusal();
-                self.input.disable_capture();
                 let partial = t.batch(&t.occupied_slots(), AggPhase::Partial);
                 let reserved = t.reserved_bytes;
                 drop(t);
@@ -573,9 +416,6 @@ impl HashAggregate {
                 self.merge_partial_batch(&mut table, &partial, false)?;
             }
 
-            let lanes = batch.sel.as_deref().unwrap_or(&identity[..batch.rows]);
-            let keys: Vec<&ExecVector> = self.group_by.iter().map(|&g| &batch.columns[g]).collect();
-            let hidden = hidden_refs(&hidden_cols, &batch);
             self.absorb(&mut table, &keys, lanes, combine, &args, &hidden, false)?;
         }
 
@@ -711,20 +551,6 @@ fn hidden_refs<'a>(cols: &[Option<usize>], batch: &'a Batch) -> Vec<Option<&'a E
     cols.iter().map(|c| c.map(|c| &batch.columns[c])).collect()
 }
 
-/// Rebuild captured-but-undecoded key columns from their PDICT codes (the
-/// placeholder the scan shipped must never reach a generic consumer).
-fn patch_key_columns(batch: &mut Batch, key_codes: &[Option<KeyCodes>], group_by: &[usize]) {
-    for (k, kc) in key_codes.iter().enumerate() {
-        let Some(kc) = kc else { continue };
-        let g = group_by[k];
-        let mut col = StrColumn::with_capacity(kc.codes.len(), kc.codes.len() * 8);
-        for &code in &kc.codes {
-            col.push(kc.dict.get(code as usize));
-        }
-        batch.columns[g] = ExecVector::new(ColumnData::Str(col), kc.nulls.clone());
-    }
-}
-
 fn output_type(func: AggFunc, arg_ty: Option<DataType>, _phase: AggPhase) -> DataType {
     match func {
         AggFunc::CountStar | AggFunc::Count => DataType::I64,
@@ -779,9 +605,6 @@ impl Operator for HashAggregate {
                     ex.push(("update_ns", st.update_ns));
                 }
             }
-        }
-        if self.input.is_fused() {
-            ex.push(("fused_scan", 1));
         }
         if self.mem.spill_events() > 0 {
             ex.push(("spill_parts", self.mem.spill_events()));

@@ -81,9 +81,10 @@ impl Exchange {
                 loop {
                     match op.next() {
                         Ok(Some(batch)) => {
-                            // Compact before crossing threads: selection
-                            // vectors are a producer-local optimization.
-                            if tx.send(Ok(batch.compact())).is_err() {
+                            // Dense strings cross threads: selection vectors
+                            // and dictionary codes are producer-local
+                            // optimizations.
+                            if tx.send(Ok(batch.materialize())).is_err() {
                                 return; // consumer went away
                             }
                         }

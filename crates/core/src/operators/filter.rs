@@ -1,33 +1,34 @@
 //! The vectorized filter: evaluates a boolean expression per batch and emits
 //! a *selection vector* — no survivor copying (the X100 selection idiom).
 //!
-//! With adaptivity enabled the predicate's top-level conjuncts are compiled
-//! separately and evaluated in an observed-cost/selectivity order (see
-//! [`crate::adapt`]): each conjunct refines the batch's selection vector,
-//! and an empty selection short-circuits the rest. Chained selection
-//! refinement drops exactly the rows where any conjunct is false or NULL —
-//! the same set a single three-valued `AND` evaluation drops — so results
-//! are identical in any order; only the work spent differs.
+//! The predicate's top-level conjuncts are compiled separately and evaluated
+//! as a chain: each conjunct refines the batch's selection vector, and an
+//! empty selection short-circuits the rest. A conjunct therefore only sees
+//! rows that survived the conjuncts before it — the same rule the scan's
+//! pushed conjuncts follow — and the chain drops exactly the rows where any
+//! conjunct is false or NULL, the set a single three-valued `AND` evaluation
+//! keeps out. Conjuncts that can raise an error (a division, a cast) run
+//! last, in plan order, so no reordering can make a statement fail that the
+//! written order lets pass; with adaptivity on, the others are re-ranked by
+//! observed cost and selectivity (see [`crate::adapt`]).
 
 use crate::adapt::{
     encode_order, AdaptiveOrder, FILTER_RERANK_BATCHES, MAX_REPORTED_CONJUNCTS, PRED_EVAL_KEYS,
     PRED_PASS_KEYS,
 };
 use crate::batch::Batch;
-use crate::primitives::sel_from_bool;
 use crate::vexpr::ExprEvaluator;
-use vw_common::{Result, Schema, VwError};
+use std::time::Instant;
+use vw_common::{Result, Schema};
 use vw_plan::Expr;
-use vw_storage::ColumnData;
 
 use super::{BoxedOperator, Operator};
 
 /// Filter operator.
 pub struct VecFilter {
     input: BoxedOperator,
-    /// Whole-predicate evaluator (static path; also the naive-NULL mode).
-    predicate: Option<ExprEvaluator>,
-    /// Per-conjunct evaluators in static (plan) order (adaptive path).
+    /// Per-conjunct evaluators: those that cannot fail in plan order, then
+    /// those that can, in plan order.
     conjuncts: Vec<ExprEvaluator>,
     adapt: AdaptiveOrder,
     schema: Schema,
@@ -38,10 +39,10 @@ impl VecFilter {
         Self::with_adaptivity(input, predicate, naive_nulls, false)
     }
 
-    /// Like [`VecFilter::new`]; when `adaptive` is set and the predicate has
-    /// more than one conjunct, enables micro-adaptive conjunct ordering.
-    /// The naive-NULL mode (experiment E8) always takes the static path —
-    /// it exists to model an engine *without* these optimizations.
+    /// Like [`VecFilter::new`]; `adaptive` lets the order of the conjuncts
+    /// follow what the filter observes of them, where there is more than
+    /// one to order. The naive-NULL mode (experiment E8) keeps the static
+    /// order — it exists to model an engine *without* these optimizations.
     pub fn with_adaptivity(
         input: BoxedOperator,
         predicate: Expr,
@@ -51,39 +52,22 @@ impl VecFilter {
         let schema = input.schema().clone();
         let mut parts = Vec::new();
         vw_plan::rewrite::pushdown::split_conjunction(&predicate, &mut parts);
-        if adaptive && !naive_nulls && parts.len() > 1 {
-            let conjuncts = parts
-                .into_iter()
-                .map(|e| ExprEvaluator::new(e, &schema, false))
-                .collect::<Result<Vec<_>>>()?;
-            let adapt = AdaptiveOrder::new(conjuncts.len(), FILTER_RERANK_BATCHES, true);
-            Ok(VecFilter {
-                input,
-                predicate: None,
-                conjuncts,
-                adapt,
-                schema,
-            })
-        } else {
-            let predicate = ExprEvaluator::new(predicate, &schema, naive_nulls)?;
-            Ok(VecFilter {
-                input,
-                predicate: Some(predicate),
-                conjuncts: Vec::new(),
-                adapt: AdaptiveOrder::new(0, FILTER_RERANK_BATCHES, false),
-                schema,
-            })
-        }
-    }
-
-    fn bool_vals(v: &crate::batch::ExecVector) -> Result<&[bool]> {
-        match &v.data {
-            ColumnData::Bool(b) => Ok(b),
-            other => Err(VwError::Exec(format!(
-                "filter produced {}, expected booleans",
-                other.type_name()
-            ))),
-        }
+        // Stable: plan order on either side.
+        parts.sort_by_key(|e| e.can_raise());
+        let infallible = parts.iter().filter(|e| !e.can_raise()).count();
+        let conjuncts = parts
+            .into_iter()
+            .map(|e| ExprEvaluator::new(e, &schema, naive_nulls))
+            .collect::<Result<Vec<_>>>()?;
+        let adaptive = adaptive && !naive_nulls && infallible > 1;
+        let adapt = AdaptiveOrder::new(conjuncts.len(), FILTER_RERANK_BATCHES, adaptive)
+            .pin_tail(infallible);
+        Ok(VecFilter {
+            input,
+            conjuncts,
+            adapt,
+            schema,
+        })
     }
 }
 
@@ -116,47 +100,25 @@ impl Operator for VecFilter {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        loop {
-            let Some(mut batch) = self.input.next()? else {
-                return Ok(None);
-            };
-            if let Some(predicate) = &self.predicate {
-                // Static path: one three-valued evaluation of the whole tree.
-                let v = predicate.eval(&batch)?;
-                let vals = Self::bool_vals(&v)?;
-                let mut sel = Vec::new();
-                sel_from_bool(vals, v.nulls.as_deref(), batch.sel.as_deref(), &mut sel);
-                if sel.is_empty() {
-                    continue;
-                }
-                batch.sel = Some(sel);
-                return Ok(Some(batch));
-            }
-            // Adaptive path: conjuncts refine the selection in learned order.
+        while let Some(mut batch) = self.input.next()? {
             self.adapt.tick();
-            let order: Vec<usize> = self.adapt.order().to_vec();
-            let mut alive = true;
-            for &cid in &order {
-                let rows_in = batch.sel.as_ref().map_or(batch.rows, |s| s.len());
-                let t0 = std::time::Instant::now();
-                let v = self.conjuncts[cid].eval(&batch)?;
-                let vals = Self::bool_vals(&v)?;
-                let mut sel = Vec::new();
-                sel_from_bool(vals, v.nulls.as_deref(), batch.sel.as_deref(), &mut sel);
-                self.adapt
-                    .observe(cid, rows_in, sel.len(), t0.elapsed().as_nanos() as u64);
-                let empty = sel.is_empty();
-                batch.sel = Some(sel);
-                if empty {
-                    alive = false;
+            let mut clock = self.adapt.enabled().then(Instant::now);
+            for at in 0..self.conjuncts.len() {
+                let cid = self.adapt.order()[at];
+                let rows_in = batch.len();
+                let kept = self.conjuncts[cid].narrow(&mut batch)?;
+                let mut ns = 0;
+                super::lap(&mut clock, &mut ns);
+                self.adapt.observe(cid, rows_in, kept, ns);
+                if kept == 0 {
                     break;
                 }
             }
-            if !alive {
-                continue;
+            if !batch.is_empty() {
+                return Ok(Some(batch));
             }
-            return Ok(Some(batch));
         }
+        Ok(None)
     }
 }
 
@@ -273,12 +235,49 @@ mod tests {
         assert!(extras.iter().any(|(k, _)| *k == "pred0_pass_pct"));
     }
 
-    /// A single-conjunct predicate silently takes the static path.
+    /// A single-conjunct predicate has nothing to order.
     #[test]
     fn single_conjunct_stays_static() {
         let pred = Expr::binary(BinOp::Ge, Expr::col(0), Expr::lit(Value::I64(3)));
         let f = VecFilter::with_adaptivity(source(), pred, false, true).unwrap();
-        assert!(f.predicate.is_some());
+        assert!(!f.adapt.enabled());
         assert!(f.profile_extras().is_empty());
+    }
+
+    /// A conjunct sees only the rows the conjuncts before it left, and one
+    /// that can raise runs after those that cannot, however the predicate
+    /// was written and whatever the filter has observed.
+    #[test]
+    fn fallible_conjuncts_run_last_on_the_survivors() {
+        // 10 / k raises on the k = 0 row unless `k <> 0` went first.
+        let div = Expr::binary(
+            BinOp::Gt,
+            Expr::binary(BinOp::Div, Expr::lit(Value::I64(10)), Expr::col(0)),
+            Expr::lit(Value::I64(1)),
+        );
+        let nonzero = Expr::binary(BinOp::Ne, Expr::col(0), Expr::lit(Value::I64(0)));
+        let small = Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(Value::I64(19)));
+        let written = [
+            Expr::and(nonzero.clone(), Expr::and(div.clone(), small.clone())),
+            Expr::and(div.clone(), Expr::and(small, nonzero)),
+        ];
+        for pred in written {
+            for adaptive in [false, true] {
+                let mut f =
+                    VecFilter::with_adaptivity(source(), pred.clone(), false, adaptive).unwrap();
+                let rows = collect_rows(&mut f).unwrap();
+                // 10 / k > 1 for k in 1..=4 (integer division: 10 / 5 = 2 too).
+                let ks: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
+                assert_eq!(ks, (1..=5).map(Value::I64).collect::<Vec<_>>());
+                assert_eq!(
+                    *f.adapt.order().last().unwrap(),
+                    2,
+                    "the division stays last"
+                );
+            }
+        }
+        // On its own the division meets the zero.
+        let mut f = VecFilter::new(source(), div, false).unwrap();
+        assert!(f.next().is_err());
     }
 }

@@ -22,7 +22,11 @@
 //!
 //! Key equality is SQL grouping equality: NULL equals NULL (the join never
 //! lets a NULL key in), `0.0` equals `-0.0`, every NaN equals every NaN, and
-//! an `I32` key equals the `I64` key of the same value.
+//! an `I32` key equals the `I64` key of the same value. A string key in
+//! dictionary form hashes and compares as the string it stands for — the
+//! hash computed once per dictionary entry, not per row — so it meets string
+//! keys of any other form; the table's own key columns are always strings,
+//! a group's bytes copied out of the dictionary when the group is born.
 
 use crate::batch::ExecVector;
 use vw_common::hash::{hash_bytes, hash_lanes, NULL_KEY_WORD};
@@ -48,6 +52,15 @@ pub fn hash_keys(cols: &[&ExecVector], sel: Option<&[u32]>, rows: usize, out: &m
                 normalize_key_f64(v[i]).to_bits()
             }),
             ColumnData::Str(v) => fold(nulls, sel, out, first, |i| hash_bytes(v.get_bytes(i))),
+            ColumnData::Dict(v) if v.dict().len() <= out.len() => {
+                let dict = v.dict();
+                let entries: Vec<u64> = (0..dict.len())
+                    .map(|e| hash_bytes(dict.get_bytes(e)))
+                    .collect();
+                let codes = v.codes();
+                fold(nulls, sel, out, first, |i| entries[codes[i] as usize])
+            }
+            ColumnData::Dict(v) => fold(nulls, sel, out, first, |i| hash_bytes(v.get_bytes(i))),
         }
     }
 }
@@ -112,6 +125,15 @@ pub fn verify_keys(a: &ExecVector, ai: &[u32], b: &ExecVector, bi: &[u32], ok: &
             normalize_key_f64(x[i]).to_bits() == normalize_key_f64(y[j]).to_bits()
         }),
         (ColumnData::Str(x), ColumnData::Str(y)) => {
+            check(nulls, ai, bi, ok, |i, j| x.get_bytes(i) == y.get_bytes(j))
+        }
+        (ColumnData::Dict(x), ColumnData::Str(y)) => {
+            check(nulls, ai, bi, ok, |i, j| x.get_bytes(i) == y.get_bytes(j))
+        }
+        (ColumnData::Str(x), ColumnData::Dict(y)) => {
+            check(nulls, ai, bi, ok, |i, j| x.get_bytes(i) == y.get_bytes(j))
+        }
+        (ColumnData::Dict(x), ColumnData::Dict(y)) => {
             check(nulls, ai, bi, ok, |i, j| x.get_bytes(i) == y.get_bytes(j))
         }
         _ => ok.fill(false),
@@ -586,6 +608,71 @@ mod tests {
         assert_eq!(gids, vec![0, 1, 0, 2, 1, 2]);
         assert_eq!(g.keys()[0].data, ColumnData::I64(vec![10, 20, 30]));
         assert_eq!(g.table().max_chain(), 3);
+    }
+
+    /// A key in dictionary form is the string it stands for: it hashes and
+    /// compares like the plain string (on the per-entry and on the per-lane
+    /// path), equal words of two dictionaries land in one group, and the
+    /// group's key is stored as bytes, once, when the group is born.
+    #[test]
+    fn dictionary_keys_are_their_strings() {
+        use std::sync::Arc;
+        use vw_storage::DictColumn;
+        let dict = |words: &[&str], codes: &[u32], nulls: Option<Vec<bool>>| {
+            let d = Arc::new(StrColumn::from_iter(words.iter().copied()));
+            let col = DictColumn::new(codes.to_vec(), d).unwrap();
+            ExecVector::new(ColumnData::Dict(col), nulls)
+        };
+        let a = dict(
+            &["x", "yy", "zzz"],
+            &[0, 1, 2, 1, 0],
+            Some(vec![false, false, false, false, true]),
+        );
+        let plain = vec_of(
+            DataType::Str,
+            &[
+                Value::Str("x".into()),
+                Value::Str("yy".into()),
+                Value::Str("zzz".into()),
+                Value::Str("yy".into()),
+                Value::Null,
+            ],
+        );
+        let (mut ha, mut hp) = (Vec::new(), Vec::new());
+        hash_keys(&[&a], None, 5, &mut ha);
+        hash_keys(&[&plain], None, 5, &mut hp);
+        assert_eq!(ha, hp, "one hash per dictionary entry");
+        // Fewer lanes than entries: hashed per lane.
+        hash_keys(&[&a], Some(&[3, 0]), 5, &mut ha);
+        assert_eq!(ha, vec![hp[3], hp[0]]);
+
+        let mut ok = vec![true; 5];
+        verify_keys(&a, &[0, 1, 2, 3, 4], &plain, &[0, 1, 2, 1, 4], &mut ok);
+        assert_eq!(ok, vec![true; 5]);
+        verify_keys(&plain, &[0, 1], &a, &[1, 1], &mut ok[..2]);
+        assert_eq!(ok[..2], [false, true]);
+        // The same words under other codes.
+        let b = dict(&["zzz", "x", "new"], &[0, 1, 2], None);
+        let mut ok = vec![true; 3];
+        verify_keys(&a, &[2, 0, 1], &b, &[0, 1, 2], &mut ok);
+        assert_eq!(ok, vec![true, true, false]);
+
+        let mut g = GroupIndex::new(&[DataType::Str]);
+        let mut gids = Vec::new();
+        g.find_or_insert(&[&a], &[0, 1, 2, 3, 4], &mut gids);
+        assert_eq!(gids, vec![0, 1, 2, 1, 3]);
+        g.find_or_insert(&[&b], &[0, 1, 2], &mut gids);
+        assert_eq!(gids, vec![2, 0, 4]);
+        g.find_or_insert(&[&plain], &[4, 2], &mut gids);
+        assert_eq!(gids, vec![3, 2]);
+        let keys = &g.keys()[0];
+        assert!(matches!(keys.data, ColumnData::Str(_)), "stored as strings");
+        let stored: Vec<Value> = (0..5).map(|i| keys.get_value(i, DataType::Str)).collect();
+        let word = |w: &str| Value::Str(w.into());
+        assert_eq!(
+            stored,
+            vec![word("x"), word("yy"), word("zzz"), Value::Null, word("new")]
+        );
     }
 
     #[test]

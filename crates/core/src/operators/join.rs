@@ -183,7 +183,9 @@ impl BuildData {
         };
         let mut spilled = false;
         while let Some(b) = right.next()? {
-            let b = b.compact();
+            // The build side outlives the blocks it was read from: strings,
+            // not codes over their dictionaries.
+            let b = b.materialize();
             if b.rows == 0 {
                 continue;
             }

@@ -130,7 +130,7 @@ impl MergeJoin {
             self.flush_pairs();
             match self.left.next()? {
                 Some(b) => {
-                    self.lbatch = Some(b.compact());
+                    self.lbatch = Some(b.materialize());
                     self.lpos = 0;
                 }
                 None => {
@@ -161,7 +161,7 @@ impl MergeJoin {
             }
             match self.right.next()? {
                 Some(b) => {
-                    self.rbatch = Some(b.compact());
+                    self.rbatch = Some(b.materialize());
                     self.rpos = 0;
                 }
                 None => {

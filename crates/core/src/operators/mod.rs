@@ -55,12 +55,13 @@ pub trait Operator: Send {
 /// Boxed operator trees.
 pub type BoxedOperator = Box<dyn Operator>;
 
-/// Drain an operator into rows (tests and result delivery).
+/// Drain an operator into rows (tests and result delivery): the boundary
+/// where a dictionary vector that travelled all the way becomes strings.
 pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<Value>>> {
     let schema = op.schema().clone();
     let mut out = Vec::new();
     while let Some(batch) = op.next()? {
-        out.extend(batch.to_rows(&schema));
+        out.extend(batch.materialize().to_rows(&schema));
     }
     Ok(out)
 }
@@ -123,15 +124,15 @@ pub fn concat_batches(parts: Vec<Batch>, ncols: usize) -> Batch {
     out
 }
 
-/// Drain and concatenate an operator's whole output into one dense batch
-/// (build sides, sort input).
+/// Drain and concatenate an operator's whole output into one dense batch of
+/// plain columns (the materializing baseline's barrier).
 pub fn drain_to_single_batch(op: &mut dyn Operator) -> Result<Batch> {
     let ncols = op.schema().len();
     let mut parts: Vec<Vec<ExecVector>> = vec![Vec::new(); ncols];
     let mut total_rows = 0usize;
     let mut batches = 0usize;
     while let Some(b) = op.next()? {
-        let b = b.compact();
+        let b = b.materialize();
         total_rows += b.rows;
         batches += 1;
         for (c, col) in b.columns.into_iter().enumerate() {

@@ -18,8 +18,9 @@
 //! semantics. Correctness never depends on the hints being right.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use vw_common::{BlockId, DataType, Result, VwError};
+use vw_common::{DataType, Result, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::{AggExpr, AggFunc};
 use vw_storage::{ColumnData, StrColumn};
@@ -190,20 +191,6 @@ impl KeyCoder {
         };
         ExecVector::new(data, nulls.contains(&true).then_some(nulls))
     }
-}
-
-/// One key column of a batch, as presented to [`PerfectTable::absorb`].
-pub enum BatchKey<'a> {
-    /// A materialized column (generic shape).
-    Column(&'a ExecVector),
-    /// A PDICT-coded column that was never decoded: per-row dictionary
-    /// codes plus the block's dictionary (the fused-scan side channel).
-    Dict {
-        block: BlockId,
-        codes: &'a [u32],
-        nulls: Option<&'a [bool]>,
-        dict: &'a StrColumn,
-    },
 }
 
 /// Visit `(slot, value)` for every non-NULL lane of a typed value slice.
@@ -446,8 +433,15 @@ impl AccCol {
                 })
             }
             AccCol::BestS { best, min, bytes } => {
-                let ColumnData::Str(col) = &v.data else {
-                    return Err(need("a string argument"));
+                // The extremes outlive the vector, and its dictionary.
+                let flat;
+                let col = match &v.data {
+                    ColumnData::Str(col) => col,
+                    ColumnData::Dict(d) => {
+                        flat = d.materialize();
+                        &flat
+                    }
+                    _ => return Err(need("a string argument")),
                 };
                 let want = if *min {
                     Ordering::Less
@@ -623,9 +617,11 @@ pub struct PerfectTable {
     accs: Accumulators,
     /// Scratch: slot per lane of the batch being absorbed.
     slot_buf: Vec<u32>,
-    /// Per key column: cached dict-code → key-code remap for one block.
-    /// `u16::MAX` marks a dictionary entry outside the coder's domain.
-    remaps: Vec<Option<(BlockId, Vec<u16>)>>,
+    /// Per key column: the dictionary code → key code table of the
+    /// dictionary last seen there (a scan hands out the vectors of one block,
+    /// hence one dictionary, in a row). `u16::MAX` marks an entry outside
+    /// the coder's domain.
+    remaps: Vec<Option<(Arc<StrColumn>, Vec<u16>)>>,
     /// Bytes reserved against the memory budget at construction; the owner
     /// shrinks its tracker by this amount when the table is dropped.
     pub reserved_bytes: usize,
@@ -676,7 +672,7 @@ impl PerfectTable {
         })
     }
 
-    /// Absorb one batch. `keys[k]` presents group key `k`, `lanes` are the
+    /// Absorb one batch. `keys[k]` is group key `k`'s column, `lanes` are the
     /// selected physical rows, `args[k]`/`hidden[k]` the evaluated argument
     /// (and hidden AVG count column, Final phase) of aggregate `k`.
     ///
@@ -685,7 +681,7 @@ impl PerfectTable {
     /// the caller then falls back to the generic table.
     pub fn absorb(
         &mut self,
-        keys: &[BatchKey<'_>],
+        keys: &[&ExecVector],
         lanes: &[u32],
         args: &[Option<&ExecVector>],
         phase: AggPhase,
@@ -697,16 +693,7 @@ impl PerfectTable {
         slot_buf.resize(lanes.len(), 0);
         for (k, key) in keys.iter().enumerate() {
             let stride = self.strides[k];
-            let in_domain = match key {
-                BatchKey::Column(v) => self.code_column(k, v, lanes, stride, &mut slot_buf),
-                BatchKey::Dict {
-                    block,
-                    codes,
-                    nulls,
-                    dict,
-                } => self.code_dict(k, *block, codes, *nulls, dict, lanes, stride, &mut slot_buf),
-            };
-            if !in_domain {
+            if !self.code_column(k, key, lanes, stride, &mut slot_buf) {
                 self.slot_buf = slot_buf;
                 return Ok(false);
             }
@@ -722,8 +709,9 @@ impl PerfectTable {
         r.map(|()| true)
     }
 
-    /// Add key `k`'s contribution from a materialized column. Returns
-    /// `false` when some lane is out of domain (fallback).
+    /// Add key `k`'s contribution. Returns `false` when some lane is out of
+    /// domain (fallback). A dictionary vector is coded through a table from
+    /// dictionary codes to key codes, built once per dictionary.
     fn code_column(
         &mut self,
         k: usize,
@@ -737,6 +725,21 @@ impl PerfectTable {
             ColumnData::Str(col) => add_codes(nulls, lanes, stride, slot_buf, |i| {
                 coder.code_str(col.get_bytes(i))
             }),
+            ColumnData::Dict(col) => {
+                let dict = col.dict();
+                let remap = match &mut self.remaps[k] {
+                    Some((known, remap)) if Arc::ptr_eq(known, dict) => remap,
+                    slot => {
+                        let entries = (0..dict.len()).map(|e| dict.get_bytes(e));
+                        let remap = entries.map(|e| coder.code_str(e).unwrap_or(u16::MAX));
+                        &mut slot.insert((Arc::clone(dict), remap.collect())).1
+                    }
+                };
+                let codes = col.codes();
+                add_codes(nulls, lanes, stride, slot_buf, |i| {
+                    Some(remap[codes[i] as usize]).filter(|&c| c != u16::MAX)
+                })
+            }
             ColumnData::Bool(col) => {
                 matches!(coder, KeyCoder::Bool)
                     && add_codes(nulls, lanes, stride, slot_buf, |i| Some(1 + col[i] as u16))
@@ -749,34 +752,6 @@ impl PerfectTable {
             }),
             ColumnData::F64(_) => false,
         }
-    }
-
-    /// Add key `k`'s contribution from undecoded dictionary codes, remapping
-    /// dict codes to key codes once per block and caching the remap.
-    #[allow(clippy::too_many_arguments)]
-    fn code_dict(
-        &mut self,
-        k: usize,
-        block: BlockId,
-        codes: &[u32],
-        nulls: Option<&[bool]>,
-        dict: &StrColumn,
-        lanes: &[u32],
-        stride: u32,
-        slot_buf: &mut [u32],
-    ) -> bool {
-        let cached = matches!(&self.remaps[k], Some((b, _)) if *b == block);
-        if !cached {
-            let coder = &mut self.coders[k];
-            let remap: Vec<u16> = (0..dict.len())
-                .map(|e| coder.code_str(dict.get_bytes(e)).unwrap_or(u16::MAX))
-                .collect();
-            self.remaps[k] = Some((block, remap));
-        }
-        let remap = &self.remaps[k].as_ref().unwrap().1;
-        add_codes(nulls, lanes, stride, slot_buf, |i| {
-            Some(remap[codes[i] as usize]).filter(|&c| c != u16::MAX)
-        })
     }
 
     /// The occupied slots (groups), ascending.
@@ -874,7 +849,7 @@ mod tests {
         let lanes: Vec<u32> = (0..5).collect();
         let ok = t
             .absorb(
-                &[BatchKey::Column(&keys)],
+                &[&keys],
                 &lanes,
                 &[None, Some(&vals)],
                 AggPhase::Single,
@@ -905,7 +880,7 @@ mod tests {
         let lanes: Vec<u32> = (0..3).collect();
         assert!(t
             .absorb(
-                &[BatchKey::Column(&good)],
+                &[&good],
                 &lanes,
                 &[None, Some(&vals)],
                 AggPhase::Single,
@@ -917,7 +892,7 @@ mod tests {
         let bad = ExecVector::not_null(ColumnData::I64(vec![1, 99, 2]));
         assert!(!t
             .absorb(
-                &[BatchKey::Column(&bad)],
+                &[&bad],
                 &lanes,
                 &[None, Some(&vals)],
                 AggPhase::Single,
@@ -928,6 +903,58 @@ mod tests {
         let rows = rows(&t, DataType::I64, 2);
         let total: i64 = rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
         assert_eq!(total, 3, "counts unchanged after rejected batch");
+    }
+
+    /// Dictionary keys are coded through one table per dictionary: the same
+    /// word under different codes of two dictionaries is one group, a word
+    /// first seen in the second dictionary a new one, and a dictionary with
+    /// more entries than the coder has codes only matters once a row uses
+    /// one of the entries left without.
+    #[test]
+    fn dictionary_keys_are_coded_per_dictionary() {
+        use vw_storage::DictColumn;
+        let dict_key = |words: &[String], codes: &[u32]| {
+            let d = Arc::new(StrColumn::from_iter(words.iter().map(|w| w.as_str())));
+            let col = DictColumn::new(codes.to_vec(), d).unwrap();
+            ExecVector::new(ColumnData::Dict(col), None)
+        };
+        let words = |w: &[&str]| w.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let specs = plan_specs(&[DataType::Str], &[None]).unwrap();
+        let aggs = aggs();
+        let arg_types = vec![None, Some(DataType::I64)];
+        let mut mem = MemTracker::new(Arc::new(MemBudget::new(None)));
+        let mut t =
+            PerfectTable::try_new(&specs, &[DataType::Str], &aggs, &arg_types, &mut mem).unwrap();
+        let absorb = |t: &mut PerfectTable, key: &ExecVector, lanes: &[u32]| {
+            let vals = ExecVector::not_null(ColumnData::I64(vec![1; key.len()]));
+            t.absorb(
+                &[key],
+                lanes,
+                &[None, Some(&vals)],
+                AggPhase::Single,
+                &[None, None],
+            )
+            .unwrap()
+        };
+        let first = dict_key(&words(&["a", "b", "c"]), &[0, 1, 2, 0]);
+        assert!(absorb(&mut t, &first, &[0, 1, 2, 3]));
+        // Another block: other codes for the same words, and a new word.
+        let second = dict_key(&words(&["c", "d", "a"]), &[0, 1, 2, 2]);
+        assert!(absorb(&mut t, &second, &[0, 1, 2, 3]));
+        // Back to the first dictionary.
+        assert!(absorb(&mut t, &first, &[1]));
+        let count = |w: &str, n: i64| vec![Value::Str(w.into()), Value::I64(n), Value::I64(n)];
+        assert_eq!(
+            rows(&t, DataType::Str, 2),
+            vec![count("a", 4), count("b", 2), count("c", 2), count("d", 1)]
+        );
+        // 40 more entries than the coder can hold: fine while rows use the
+        // ones that got a code, a fallback (state untouched) when not.
+        let many: Vec<String> = (0..40).map(|i| format!("w{i:02}")).collect();
+        let wide = dict_key(&many, &(0..40).collect::<Vec<u32>>());
+        assert!(absorb(&mut t, &wide, &[0, 5, 27]));
+        assert!(!absorb(&mut t, &wide, &[0, 39]));
+        assert_eq!(t.occupied_slots().len(), 4 + 3);
     }
 
     #[test]
@@ -958,13 +985,7 @@ mod tests {
         );
         let lanes: Vec<u32> = (0..3).collect();
         assert!(t
-            .absorb(
-                &[BatchKey::Column(&keys)],
-                &lanes,
-                &[None],
-                AggPhase::Single,
-                &[None],
-            )
+            .absorb(&[&keys], &lanes, &[None], AggPhase::Single, &[None],)
             .unwrap());
         assert_eq!(
             rows(&t, DataType::Str, 1),

@@ -1,11 +1,15 @@
 //! The vectorized projection: evaluates output expressions per batch.
 //!
 //! Compacts its input first (string-producing kernels want dense lanes), so
-//! a `Filter → Project` pipeline materializes survivors exactly once.
+//! a `Filter → Project` pipeline materializes survivors exactly once. An
+//! output that is a plain column reference is the input's vector itself,
+//! moved out of the compacted batch once nothing else reads it: whatever
+//! form it came in — a dictionary vector under a `GROUP BY` key, say — is
+//! the form it leaves in.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, ExecVector};
 use crate::vexpr::ExprEvaluator;
-use vw_common::{Field, Result, Schema};
+use vw_common::{DataType, Field, Result, Schema, VwError};
 use vw_plan::Expr;
 
 use super::{BoxedOperator, Operator};
@@ -14,6 +18,10 @@ use super::{BoxedOperator, Operator};
 pub struct VecProject {
     input: BoxedOperator,
     exprs: Vec<ExprEvaluator>,
+    /// Per output that is a plain column reference: the input column, and
+    /// whether this output is the last one to want it (the vector is moved)
+    /// or an earlier one (it is copied). Computed outputs run first.
+    passed: Vec<Option<(usize, bool)>>,
     schema: Schema,
 }
 
@@ -36,9 +44,22 @@ impl VecProject {
             });
             evaluators.push(ev);
         }
+        let mut passed: Vec<Option<(usize, bool)>> = evaluators
+            .iter()
+            .map(|ev| match ev.expr() {
+                Expr::Col(c) => Some((*c, false)),
+                _ => None,
+            })
+            .collect();
+        let mut taken = Vec::new();
+        for (c, last) in passed.iter_mut().rev().flatten() {
+            *last = !taken.contains(c);
+            taken.push(*c);
+        }
         Ok(VecProject {
             input,
             exprs: evaluators,
+            passed,
             schema: Schema::new(fields),
         })
     }
@@ -53,12 +74,24 @@ impl Operator for VecProject {
         let Some(batch) = self.input.next()? else {
             return Ok(None);
         };
-        let dense = batch.compact();
-        let mut columns = Vec::with_capacity(self.exprs.len());
-        for ev in &self.exprs {
-            columns.push(ev.eval(&dense)?);
+        let mut dense = batch.compact();
+        let mut columns: Vec<Option<ExecVector>> = Vec::with_capacity(self.exprs.len());
+        for (ev, passed) in self.exprs.iter().zip(&self.passed) {
+            columns.push(match passed {
+                None => Some(ev.eval(&dense)?),
+                Some(_) => None,
+            });
         }
-        let mut out = Batch::new(columns);
+        let missing = || VwError::Exec("projected column missing from the batch".into());
+        for (out, passed) in columns.iter_mut().zip(&self.passed) {
+            let Some((c, last)) = *passed else { continue };
+            let col = dense.columns.get_mut(c).ok_or_else(missing)?;
+            *out = Some(match last {
+                true => std::mem::replace(col, ExecVector::empty(DataType::Bool)),
+                false => col.clone(),
+            });
+        }
+        let mut out = Batch::new(columns.into_iter().flatten().collect());
         out.rows = dense.rows; // zero-column projections keep row counts
         Ok(Some(out))
     }

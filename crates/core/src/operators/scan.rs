@@ -21,43 +21,46 @@
 //! a virtual tail group that is never pruned; in morsel mode the tail is one
 //! queue unit claimed by exactly one worker.
 //!
+//! Filtering: the filter's conjuncts form one chain, and a conjunct only ever
+//! sees the rows that survived the conjuncts before it. Conjuncts a codec
+//! cursor can evaluate (`col <op> literal`, string `IN`, `LIKE`) come first,
+//! in the order their observed cost and selectivity rank them, and narrow
+//! one ascending candidate list over the encoded blocks of a clean group:
+//! the first through [`BlockCursor::eval_pred`], the rest through
+//! [`BlockCursor::narrow`]. What is left is decoded — only the survivors
+//! when few are left, PDICT columns as dictionary vectors — and the other
+//! conjuncts refine the batch's selection, those that can raise an error
+//! last. Units that are decoded whole (a group with PDT changes, the append
+//! tail) run the same chain with every conjunct evaluated by the vectorized
+//! kernels.
+//!
 //! Row ids: the rows a unit produces before filtering are consecutive in
 //! the merged image, starting at [`Pdt::first_rid_from`] of the unit's first
 //! stable row — known without touching data. A scan asked to
 //! ([`VecScan::set_emit_rids`]) reports the RID of every physical row of the
 //! batch it returns; UPDATE and DELETE find their rows this way.
 
+use super::lap;
 use crate::adapt::{
     encode_order, AdaptiveOrder, MAX_REPORTED_CONJUNCTS, PRED_EVAL_KEYS, PRED_PASS_KEYS,
     SCAN_RERANK_VECTORS,
 };
 use crate::batch::{Batch, ExecVector};
 use crate::morsel::{Morsel, MorselQueue};
-use crate::primitives::sel_from_bool;
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use parking_lot::RwLock;
 use std::sync::Arc;
+use std::time::Instant;
 use vw_bufman::CoopScanHandle;
+use vw_common::like::LikePattern;
 use vw_common::waits::{WaitClass, WaitStats, WaitTimer};
-use vw_common::{BlockId, DataType, Result, Schema, Value, VwError};
+use vw_common::{DataType, Result, Schema, Value};
 use vw_pdt::{Change, Entry, Pdt};
 use vw_plan::{BinOp, Expr};
 use vw_storage::block::{MinMax, PruneOp};
-use vw_storage::{BlockCursor, ColumnData, Pred, PredOp, StrColumn, TableStorage};
+use vw_storage::{BlockCursor, ColumnData, Pred, PredOp, TableStorage};
 use vw_txn::merge_column;
-
-/// Undecoded group-key payload for one batch: the PDICT codes of a key
-/// column plus the block's dictionary, handed to a fused aggregate instead
-/// of the decoded strings (see [`VecScan::set_key_cols`]). `codes[i]` is the
-/// dictionary code of physical row `i` of the batch; NULL rows still carry a
-/// valid code and are masked by `nulls`.
-pub struct KeyCodes {
-    pub codes: Vec<u32>,
-    pub nulls: Option<Vec<bool>>,
-    pub dict: Arc<StrColumn>,
-    pub block: BlockId,
-}
 
 /// Where the scan's units come from: a private list (serial scan) or the
 /// shared work-stealing queue of the surrounding Exchange.
@@ -78,7 +81,8 @@ impl UnitSource {
 
 /// A vector whose pushed predicates keep at most one row in this many is
 /// materialized dense: only the survivors are decoded
-/// ([`BlockCursor::decode_selected`]) and the batch carries no selection.
+/// ([`BlockCursor::vector`] with the candidate list) and the batch carries
+/// no selection.
 /// Above that density the whole slice is decoded and the selection rides
 /// along. One in two is where the cheapest columns to decode (plain f64
 /// beside a PFOR key) break even between the two ways — at 50% survivors
@@ -88,10 +92,20 @@ impl UnitSource {
 /// (EXPERIMENTS.md E11 has the sweep).
 const SPARSE_ONE_IN: usize = 2;
 
+/// A conjunct of the scan's filter that the codec cursors can evaluate.
+struct Pushed {
+    /// Output column and predicate: the conjunct over a clean group's
+    /// encoded blocks.
+    col: usize,
+    pred: Pred,
+    /// The same conjunct over decoded vectors, for units decoded whole.
+    eval: ExprEvaluator,
+}
+
 /// The unit the scan is currently draining, vector by vector.
 enum Unit {
-    /// Fully decoded columns (dirty groups, the append tail, naive mode, and
-    /// scans without pushable predicates).
+    /// Columns decoded whole, because PDT deltas are merged over decoded
+    /// columns: groups with pending changes, and the append tail.
     Eager {
         cols: Vec<ExecVector>,
         len: usize,
@@ -99,8 +113,9 @@ enum Unit {
         /// RID of the unit's first row.
         rid_base: u64,
     },
-    /// Compressed execution: columns stay encoded; predicates run on the
-    /// codec cursors and only surviving vectors are materialized.
+    /// A clean group: columns stay encoded; predicates run on the codec
+    /// cursors and each vector is decoded straight into the batch it leaves
+    /// in, as far as its rows survive.
     Lazy(LazyGroup),
 }
 
@@ -114,15 +129,12 @@ struct LazyGroup {
     /// One cursor per projected column, opened on first touch. A column
     /// whose cursor is never opened had its block skipped entirely.
     cursors: Vec<Option<BlockCursor>>,
-    /// Block coordinates per projected column (tags captured key codes).
-    block_ids: Vec<BlockId>,
     /// Encoded size per projected column (skipped-bytes accounting).
     enc_bytes: Vec<u64>,
-    /// Pushed predicates still live for this group after zone-map `decide`
-    /// dropped the always-true ones: `(conjunct id, output column,
-    /// predicate)`. The conjunct id indexes the scan-wide adaptive-order
-    /// stats; evaluation order is decided per vector, not here.
-    preds: Vec<(usize, usize, Pred)>,
+    /// Per pushed conjunct (by conjunct id): does this group still have to
+    /// evaluate it, or did its zone map already say every row passes?
+    /// Evaluation order is decided per vector, not here.
+    live: Vec<bool>,
 }
 
 /// Compressed-execution counters surfaced by `EXPLAIN ANALYZE`.
@@ -134,9 +146,15 @@ struct LazyCounters {
     vec_skipped: u64,
     /// Predicate evaluations performed on encoded data.
     enc_evals: u64,
-    /// Key-column slices whose decode was skipped: raw dictionary codes were
-    /// handed to a fused aggregate instead.
-    key_coded: u64,
+    /// Column-vector slices shipped as dictionary codes, no string built.
+    vec_coded: u64,
+    /// Time in the steps of a vector over a clean group, one clock reading
+    /// per step and only while profiling: narrowing the candidate list on
+    /// the encoded blocks, decoding what is left, the remaining conjuncts
+    /// over the decoded batch (this last one over decoded units too).
+    pred_ns: u64,
+    decode_ns: u64,
+    residual_ns: u64,
 }
 
 /// The vectorized scan operator.
@@ -146,12 +164,13 @@ pub struct VecScan {
     /// Storage column indexes produced, in output order.
     projection: Vec<usize>,
     out_schema: Schema,
-    /// The full filter, for units that must decode eagerly.
-    filter: Option<ExprEvaluator>,
-    /// Filter conjuncts evaluable inside codec cursors (lazy path).
-    enc_preds: Vec<(usize, Pred)>,
-    /// What remains of the filter after pushdown (lazy path).
-    residual: Option<ExprEvaluator>,
+    /// The filter as a chain of conjuncts: first the ones the codec cursors
+    /// can evaluate (their index is their conjunct id), then the others in
+    /// plan order, those that can raise an error last.
+    pushed: Vec<Pushed>,
+    rest: Vec<ExprEvaluator>,
+    /// The candidate list of the vector in hand.
+    cands: Vec<u32>,
     vector_size: usize,
     units: UnitSource,
     current: Option<Unit>,
@@ -167,17 +186,10 @@ pub struct VecScan {
     /// range predicates. Same recording rule as `groups_pruned`.
     partitions: u64,
     partitions_pruned: u64,
-    /// Per group key of a fused aggregate: the output position whose decode
-    /// should be skipped when the block is PDICT-coded, or `None` for keys
-    /// that must decode normally. Empty = no capture.
-    key_cols: Vec<Option<usize>>,
-    /// Per key column (in `key_cols` order): the codes of the batch just
-    /// produced, when its decode was skipped.
-    key_stash: Vec<Option<KeyCodes>>,
     /// Micro-adaptive ordering of the pushed conjuncts: observed per-vector
-    /// selectivity and cost re-rank `enc_preds` every few vectors so the
-    /// cheapest/most-selective predicate empties the selection first (and
-    /// the rest are never evaluated on that vector).
+    /// selectivity and cost re-rank them every few vectors so the
+    /// cheapest/most-selective predicate empties the candidate list first
+    /// (and the rest are never evaluated on that vector).
     adapt: AdaptiveOrder,
     /// Query trace: morsel claims become per-worker instant events.
     trace: Option<TraceHandle>,
@@ -364,39 +376,44 @@ impl VecScan {
                 UnitSource::Local(su.units.into_iter())
             }
         };
-        // Split the filter into codec-evaluable conjuncts and a residual.
-        // The naive mode (experiment E8) deliberately bypasses compressed
-        // execution: it models an engine without these optimizations.
-        let mut enc_preds = Vec::new();
-        let mut residual = None;
-        if !naive_nulls {
-            if let Some(f) = &filter {
-                let (pushed, rest) = classify_pushdown(f, &out_schema);
-                if !pushed.is_empty() {
-                    enc_preds = pushed;
-                    residual = rest
-                        .map(|e| ExprEvaluator::new(e, &out_schema, naive_nulls))
-                        .transpose()?;
+        // The filter as a chain. The naive mode (experiment E8) models an
+        // engine without compressed execution: nothing is pushed, and every
+        // conjunct runs through the row-at-a-time interpreter.
+        let mut parts = Vec::new();
+        if let Some(f) = &filter {
+            vw_plan::rewrite::pushdown::split_conjunction(f, &mut parts);
+        }
+        let (mut pushed, mut rest) = (Vec::new(), Vec::new());
+        for e in parts {
+            match pushable_pred(&e, &out_schema).filter(|_| !naive_nulls) {
+                Some((col, pred)) => {
+                    let eval = ExprEvaluator::new(e, &out_schema, naive_nulls)?;
+                    pushed.push(Pushed { col, pred, eval })
                 }
+                None => rest.push(e),
             }
         }
-        let filter = filter
-            .map(|f| ExprEvaluator::new(f, &out_schema, naive_nulls))
-            .transpose()?;
+        // Stable: plan order within those that can raise and those that
+        // cannot. No pushable conjunct can.
+        rest.sort_by_key(|e| e.can_raise());
+        let rest = rest
+            .into_iter()
+            .map(|e| ExprEvaluator::new(e, &out_schema, naive_nulls))
+            .collect::<Result<Vec<_>>>()?;
         // One conjunct can't be reordered; keep the machinery off entirely.
         let adapt = AdaptiveOrder::new(
-            enc_preds.len(),
+            pushed.len(),
             SCAN_RERANK_VECTORS,
-            adaptive && enc_preds.len() > 1,
+            adaptive && pushed.len() > 1,
         );
         Ok(VecScan {
             storage,
             pdt,
             projection,
             out_schema,
-            filter,
-            enc_preds,
-            residual,
+            pushed,
+            rest,
+            cands: Vec::new(),
             vector_size: vector_size.max(1),
             units,
             current: None,
@@ -405,8 +422,6 @@ impl VecScan {
             groups_pruned,
             partitions,
             partitions_pruned,
-            key_cols: Vec::new(),
-            key_stash: Vec::new(),
             adapt,
             trace: None,
             coop: None,
@@ -460,35 +475,6 @@ impl VecScan {
             c.set_waits(waits.clone());
         }
         self.waits = Some(waits);
-    }
-
-    /// Ask the scan to skip decoding these output columns when a block is
-    /// PDICT-coded, stashing the raw codes for [`VecScan::take_key_codes`]
-    /// instead (the batch then carries a placeholder column there). The list
-    /// is indexed by the fused aggregate's group-key position; `None` keys
-    /// always decode. Only a fused aggregate may request this, and only for
-    /// key columns no other expression reads. Refused when a residual filter
-    /// must evaluate over the batch — it could reference any column.
-    pub fn set_key_cols(&mut self, cols: Vec<Option<usize>>) {
-        if self.residual.is_some() {
-            return;
-        }
-        self.key_stash = cols.iter().map(|_| None).collect();
-        self.key_cols = cols;
-    }
-
-    /// Stop key-code capture (perfect-hash fallback): subsequent batches
-    /// decode every column normally.
-    pub fn disable_capture(&mut self) {
-        self.key_cols.clear();
-        self.key_stash.clear();
-    }
-
-    /// Key codes of the batch just returned by `next()`, indexed like the
-    /// `set_key_cols` list. `None` entries were decoded normally.
-    pub fn take_key_codes(&mut self) -> Vec<Option<KeyCodes>> {
-        let fresh = self.key_cols.iter().map(|_| None).collect();
-        std::mem::replace(&mut self.key_stash, fresh)
     }
 
     /// Load the columns of a scan unit, merging PDT changes.
@@ -551,15 +537,13 @@ impl VecScan {
         };
         let rid_base = self.pdt.first_rid_from(first_sid);
         if let Morsel::Group(g) = unit {
-            if !self.enc_preds.is_empty() {
-                let (lo, hi) = self
-                    .pdt
-                    .entry_range_for_sids(first_sid, first_sid + stable_rows);
-                // Only clean groups can stay encoded: PDT deltas are merged
-                // over decoded columns.
-                if lo == hi {
-                    return self.open_lazy_group(g, rid_base);
-                }
+            let (lo, hi) = self
+                .pdt
+                .entry_range_for_sids(first_sid, first_sid + stable_rows);
+            // Every clean group stays encoded, pushed conjuncts or not; PDT
+            // deltas are merged over decoded columns.
+            if lo == hi {
+                return self.open_lazy_group(g, rid_base);
             }
         }
         let (cols, len) = self.load_unit(unit)?;
@@ -583,10 +567,10 @@ impl VecScan {
         if grp.n_rows == 0 {
             return Ok(None);
         }
-        let mut preds = Vec::new();
-        for (cid, (k, pred)) in self.enc_preds.iter().enumerate() {
-            let cb = &grp.columns[self.projection[*k]];
-            match pred.decide(&cb.minmax, cb.has_nulls) {
+        let mut live = vec![true; self.pushed.len()];
+        for (cid, c) in self.pushed.iter().enumerate() {
+            let cb = &grp.columns[self.projection[c.col]];
+            match c.pred.decide(&cb.minmax, cb.has_nulls) {
                 Some(false) => {
                     // The blocks live on the group's partition shard.
                     let disk = guard.partition_disk(guard.partition_of_group(g));
@@ -597,15 +581,10 @@ impl VecScan {
                     self.groups_pruned += 1;
                     return Ok(None);
                 }
-                Some(true) => {}
-                None => preds.push((cid, *k, pred.clone())),
+                Some(true) => live[cid] = false,
+                None => {}
             }
         }
-        let block_ids = self
-            .projection
-            .iter()
-            .map(|&c| grp.columns[c].block_id())
-            .collect();
         let enc_bytes = self
             .projection
             .iter()
@@ -618,9 +597,8 @@ impl VecScan {
             off: 0,
             rid_base,
             cursors,
-            block_ids,
             enc_bytes,
-            preds,
+            live,
         })))
     }
 
@@ -653,38 +631,28 @@ impl VecScan {
         }
         let mut batch = Batch::new(slice);
         batch.rows = n;
-        if let Some(f) = &self.filter {
-            let v = f.eval(&batch)?;
-            let vals = match &v.data {
-                vw_storage::ColumnData::Bool(b) => b,
-                _ => return Err(VwError::Exec("filter must produce booleans".into())),
-            };
-            let mut sel = Vec::new();
-            sel_from_bool(vals, v.nulls.as_deref(), None, &mut sel);
-            if sel.is_empty() {
-                return Ok(None);
-            }
-            if sel.len() < batch.rows {
-                batch.sel = Some(sel);
+        // The chain of a clean group, the pushed conjuncts in the same
+        // learned order, every one over decoded vectors.
+        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        let pushed = self.adapt.order().iter().map(|&cid| &self.pushed[cid].eval);
+        for conjunct in pushed.chain(&self.rest) {
+            if conjunct.narrow(&mut batch)? == 0 {
+                break;
             }
         }
-        Ok(Some(batch))
+        lap(&mut clock, &mut self.counters.residual_ns);
+        Ok((!batch.is_empty()).then_some(batch))
     }
 
-    /// One vector step over the current lazy group: evaluate the pushed
-    /// predicates on the encoded data, and only materialize the vector's
-    /// columns when rows survive. `Ok(None)` means nothing survived.
+    /// One vector step over the current lazy group: narrow the candidate
+    /// list on the encoded data, and only materialize the vector's columns
+    /// when rows survive. `Ok(None)` means nothing survived.
     fn lazy_step(&mut self) -> Result<Option<Batch>> {
         let vs = self.vector_size;
-        // A stash entry must only describe the batch this step returns.
-        for s in &mut self.key_stash {
-            *s = None;
-        }
         // Re-rank window advances per vector so even single-group tables
         // adapt; the order just decided applies to this vector.
         self.adapt.tick();
-        let adaptive = self.adapt.enabled();
-        let order: Vec<usize> = self.adapt.order().to_vec();
+        let profiled = self.waits.is_some();
         let Some(Unit::Lazy(lg)) = self.current.as_mut() else {
             unreachable!("lazy_step without a lazy unit")
         };
@@ -694,39 +662,45 @@ impl VecScan {
         let done = lg.off >= lg.len;
         let n = to - from;
         let ctr = &mut self.counters;
-        let mut sel: Option<Vec<u32>> = None;
-        // Conjunction by sorted-position intersection is commutative, so any
-        // evaluation order yields bit-identical selections; the adaptive
-        // order only changes how soon an empty intersection short-circuits
-        // the remaining (never-evaluated) conjuncts.
-        for &cid in &order {
-            let Some((_, k, pred)) = lg.preds.iter().find(|(c, _, _)| *c == cid) else {
-                continue; // dropped by zone-map `decide` for this group
-            };
+        // `narrowed`: `cands` lists the rows still standing; before the
+        // first live conjunct every row of the vector is.
+        let mut narrowed = false;
+        // One clock reading per conjunct serves the step's total and, with
+        // adaptivity on, each conjunct's cost.
+        let mut clock = (profiled || self.adapt.enabled()).then(Instant::now);
+        for at in 0..self.pushed.len() {
+            let cid = self.adapt.order()[at];
+            if !lg.live[cid] {
+                continue; // every row of this group passes it
+            }
+            let Pushed { col, pred, .. } = &self.pushed[cid];
             let cur = cursor_at(
                 &self.storage,
                 self.coop.as_ref(),
                 &self.projection,
                 lg.group,
                 &mut lg.cursors,
-                *k,
+                *col,
             )?;
             ctr.enc_evals += 1;
-            let t0 = adaptive.then(std::time::Instant::now);
-            let s = cur.eval_pred(pred, from, to)?;
-            if let Some(t0) = t0 {
-                self.adapt
-                    .observe(cid, n, s.len(), t0.elapsed().as_nanos() as u64);
-            }
-            sel = Some(match sel {
-                None => s,
-                Some(prev) => intersect_sorted(&prev, &s),
-            });
-            if sel.as_ref().unwrap().is_empty() {
+            let rows_in = if narrowed {
+                let rows_in = self.cands.len();
+                cur.narrow(cid, pred, from, to, &mut self.cands)?;
+                rows_in
+            } else {
+                self.cands = cur.eval_pred(pred, from, to)?;
+                narrowed = true;
+                n
+            };
+            let mut ns = 0;
+            lap(&mut clock, &mut ns);
+            ctr.pred_ns += ns;
+            self.adapt.observe(cid, rows_in, self.cands.len(), ns);
+            if self.cands.is_empty() {
                 break;
             }
         }
-        if sel.as_ref().is_some_and(|s| s.is_empty()) {
+        if narrowed && self.cands.is_empty() {
             ctr.vec_skipped += self.projection.len() as u64;
             if done {
                 self.finish_lazy_group();
@@ -734,21 +708,16 @@ impl VecScan {
             return Ok(None);
         }
         // Few survivors: decode only those and emit a dense batch.
-        let sparse = sel.take_if(|s| s.len() * SPARSE_ONE_IN <= n);
+        let sparse = narrowed && self.cands.len() * SPARSE_ONE_IN <= n;
+        let survivors = sparse.then_some(&self.cands[..]);
         if let Some(rids) = &mut self.rids {
             let first = lg.rid_base + from as u64;
             rids.clear();
-            match &sparse {
+            match survivors {
                 Some(s) => rids.extend(s.iter().map(|&p| first + p as u64)),
                 None => rids.extend(first..first + n as u64),
             }
         }
-        // Decoding straight into the batch is this step's one stall worth
-        // naming; one timer per vector covers all of its columns.
-        let decode_timer = self
-            .waits
-            .as_deref()
-            .map(|w| WaitTimer::start(w, WaitClass::Decode));
         let mut columns = Vec::with_capacity(self.projection.len());
         for k in 0..self.projection.len() {
             let cur = cursor_at(
@@ -759,64 +728,42 @@ impl VecScan {
                 &mut lg.cursors,
                 k,
             )?;
-            // Fused-aggregate key capture: when the block is PDICT-coded,
-            // skip the decode and stash the raw codes; the batch carries a
-            // placeholder column. On fallback the aggregate rebuilds the
-            // real column from the codes.
-            if let Some(kpos) = self.key_cols.iter().position(|c| *c == Some(k)) {
-                if let Some((mut codes, dict)) = cur.dict_codes(from, to) {
-                    let mut nulls = cur.nulls_slice(from, to);
-                    if let Some(s) = &sparse {
-                        codes = s.iter().map(|&p| codes[p as usize]).collect();
-                        nulls = nulls.map(|b| s.iter().map(|&p| b[p as usize]).collect());
-                    }
-                    ctr.key_coded += 1;
-                    let ph = StrColumn {
-                        offsets: vec![0; codes.len() + 1],
-                        bytes: Vec::new(),
-                    };
-                    columns.push(ExecVector::new(ColumnData::Str(ph), nulls.clone()));
-                    self.key_stash[kpos] = Some(KeyCodes {
-                        codes,
-                        nulls,
-                        dict,
-                        block: lg.block_ids[k],
-                    });
-                    continue;
-                }
+            let col = cur.vector(from, to, survivors)?;
+            match col.data {
+                ColumnData::Dict(_) => ctr.vec_coded += 1,
+                _ => ctr.vec_decoded += 1,
             }
-            let col = match &sparse {
-                Some(s) => cur.decode_selected(from, to, s)?,
-                None => cur.decode_slice(from, to)?,
-            };
-            ctr.vec_decoded += 1;
             columns.push(ExecVector::from_storage(col));
         }
-        drop(decode_timer);
+        // Decoding straight into the batch is this step's one stall worth
+        // naming; the step's clock reading covers all of its columns.
+        if let Some(w) = &self.waits {
+            let mut ns = 0;
+            lap(&mut clock, &mut ns);
+            ctr.decode_ns += ns;
+            w.record(WaitClass::Decode, ns);
+        }
         if done {
             self.finish_lazy_group();
         }
         let mut batch = Batch::new(columns);
-        if let Some(s) = sparse {
-            batch.rows = s.len();
+        if sparse {
+            batch.rows = self.cands.len();
         } else {
             batch.rows = n;
-            batch.sel = sel.filter(|s| s.len() < n);
-        }
-        if let Some(r) = &self.residual {
-            let v = r.eval(&batch)?;
-            let vals = match &v.data {
-                vw_storage::ColumnData::Bool(b) => b,
-                _ => return Err(VwError::Exec("filter must produce booleans".into())),
-            };
-            let mut out = Vec::new();
-            sel_from_bool(vals, v.nulls.as_deref(), batch.sel.as_deref(), &mut out);
-            if out.is_empty() {
-                return Ok(None);
+            if narrowed && self.cands.len() < n {
+                batch.sel = Some(std::mem::take(&mut self.cands));
             }
-            batch.sel = (out.len() < batch.rows).then_some(out);
         }
-        Ok(Some(batch))
+        for conjunct in &self.rest {
+            if conjunct.narrow(&mut batch)? == 0 {
+                break;
+            }
+        }
+        if profiled {
+            lap(&mut clock, &mut self.counters.residual_ns);
+        }
+        Ok((!batch.is_empty()).then_some(batch))
     }
 
     /// Account the blocks a finished lazy group never opened as skipped I/O.
@@ -856,43 +803,9 @@ fn cursor_at<'a>(
     Ok(cursors[k].as_mut().unwrap())
 }
 
-/// Intersect two ascending position lists (conjunction of pushed predicates).
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Split a filter into codec-evaluable conjuncts (`(output column, Pred)`)
-/// and the residual expression the vectorized evaluator keeps.
-fn classify_pushdown(filter: &Expr, schema: &Schema) -> (Vec<(usize, Pred)>, Option<Expr>) {
-    let mut conjuncts = Vec::new();
-    vw_plan::rewrite::pushdown::split_conjunction(filter, &mut conjuncts);
-    let mut pushed = Vec::new();
-    let mut rest = Vec::new();
-    for c in conjuncts {
-        match pushable_pred(&c, schema) {
-            Some(p) => pushed.push(p),
-            None => rest.push(c),
-        }
-    }
-    (pushed, vw_plan::rewrite::pushdown::conjoin(rest))
-}
-
 /// A conjunct the codec cursors evaluate with the exact semantics of the
-/// vectorized comparison kernels: `col <op> literal` over a compatible type
-/// pair, or a NULL-free string IN-list.
+/// vectorized kernels: `col <op> literal` over a compatible type pair, a
+/// NULL-free string IN-list, or `[NOT] LIKE` over a string column.
 fn pushable_pred(e: &Expr, schema: &Schema) -> Option<(usize, Pred)> {
     match e {
         Expr::Binary { op, l, r } => {
@@ -948,6 +861,22 @@ fn pushable_pred(e: &Expr, schema: &Schema) -> Option<(usize, Pred)> {
                     negated: *negated,
                 },
             ))
+        }
+        Expr::Like {
+            e,
+            pattern,
+            negated,
+        } => {
+            let Expr::Col(i) = &**e else { return None };
+            (schema.field(*i).ty == DataType::Str).then(|| {
+                (
+                    *i,
+                    Pred::Like {
+                        pattern: LikePattern::new(pattern),
+                        negated: *negated,
+                    },
+                )
+            })
         }
         _ => None,
     }
@@ -1047,8 +976,13 @@ impl super::Operator for VecScan {
         if c.enc_evals > 0 {
             v.push(("enc_evals", c.enc_evals));
         }
-        if c.key_coded > 0 {
-            v.push(("key_coded", c.key_coded));
+        if c.vec_coded > 0 {
+            v.push(("vec_coded", c.vec_coded));
+        }
+        if self.waits.is_some() {
+            v.push(("pred_ns", c.pred_ns));
+            v.push(("decode_ns", c.decode_ns));
+            v.push(("residual_ns", c.residual_ns));
         }
         if self.adapt.enabled() {
             v.push(("adapt_order", encode_order(self.adapt.order())));
@@ -1466,6 +1400,87 @@ mod tests {
             }
             assert_eq!(rows, 400 * bound as usize);
         }
+    }
+
+    /// Every clean group goes through the cursors, filter or none: vectors
+    /// are decoded one at a time (and counted), the PDICT column leaves as
+    /// codes, and a pushed `LIKE` is one encoded evaluation per vector. A
+    /// group with pending changes is decoded whole and yields strings.
+    #[test]
+    fn clean_groups_decode_vector_at_a_time_and_ship_codes() {
+        let t = make_table(3000, 1000);
+        let extra = |scan: &VecScan, key: &str| {
+            let found = scan.profile_extras().into_iter().find(|(k, _)| *k == key);
+            found.map_or(0, |(_, v)| v)
+        };
+        let coded = |b: &Batch| matches!(b.columns[1].data, ColumnData::Dict(_));
+        let clean = Arc::new(Pdt::new(3000));
+        let mut scan = VecScan::new(
+            t.clone(),
+            clean.clone(),
+            vec![0, 2],
+            None,
+            256,
+            None,
+            false,
+            true,
+        )
+        .unwrap();
+        let mut rows = 0;
+        while let Some(b) = scan.next().unwrap() {
+            assert!(coded(&b) && b.rows <= 256);
+            rows += b.len();
+        }
+        assert_eq!(rows, 3000);
+        // 3 groups of 4 vectors, two columns each.
+        assert_eq!(extra(&scan, "vec_decoded"), 12);
+        assert_eq!(extra(&scan, "vec_coded"), 12);
+
+        // tag LIKE 't1%' keeps the rows with i % 3 = 1 that are not NULL.
+        let like = Expr::Like {
+            e: Box::new(Expr::col(1)),
+            pattern: "t1%".into(),
+            negated: false,
+        };
+        let mut scan = VecScan::new(
+            t.clone(),
+            clean,
+            vec![0, 2],
+            Some(like.clone()),
+            256,
+            None,
+            false,
+            true,
+        )
+        .unwrap();
+        let got = collect_rows(&mut scan).unwrap();
+        let want = (0..3000).filter(|i| i % 3 == 1 && i % 4 != 0).count();
+        assert_eq!(got.len(), want);
+        assert!(got.iter().all(|r| r[1] == Value::Str("t1".into())));
+        assert_eq!(extra(&scan, "enc_evals"), 12);
+
+        // The second group dirty: its batches are decoded strings.
+        let mut pdt = Pdt::new(3000);
+        pdt.modify_at(1500, 1, Value::I64(7)).unwrap();
+        let mut scan = VecScan::new(
+            t,
+            Arc::new(pdt),
+            vec![0, 2],
+            Some(like),
+            256,
+            None,
+            false,
+            true,
+        )
+        .unwrap();
+        let (mut rows, mut plain) = (0, 0);
+        while let Some(b) = scan.next().unwrap() {
+            rows += b.len();
+            plain += !coded(&b) as usize;
+        }
+        assert_eq!(rows, want);
+        assert_eq!(plain, 4, "the dirty group's four vectors");
+        assert_eq!(extra(&scan, "enc_evals"), 8);
     }
 
     /// The acceptance shape for adaptivity: the selective conjunct is LAST

@@ -147,6 +147,7 @@ impl KeyLayout {
                     prefix[..s.len().min(8)].copy_from_slice(&s[..s.len().min(8)]);
                     u64::from_be_bytes(prefix) ^ inv
                 }),
+                ColumnData::Dict(_) => unreachable!("sort input is materialized"),
             }
         }
     }
@@ -391,7 +392,7 @@ impl VecSort {
         let mut pending: Vec<Batch> = Vec::new();
         let mut runs: Vec<SpillFile> = Vec::new();
         while let Some(b) = self.input.next()? {
-            let b = b.compact();
+            let b = b.materialize();
             if b.rows == 0 {
                 continue;
             }
@@ -798,7 +799,7 @@ impl TopN {
         };
         let (mut scratch, mut held) = (Vec::new(), 0usize);
         while let Some(b) = input.next()? {
-            let b = b.compact();
+            let b = b.materialize();
             if b.rows == 0 || self.n == 0 {
                 continue;
             }

@@ -16,15 +16,23 @@
 //! the lanes each branch owns — the vectorized equivalent of short-circuit
 //! evaluation, and the reason a division inside an untaken branch never
 //! faults.
+//!
+//! A string column may come in dictionary form (`ColumnData::Dict`, see
+//! [`crate::batch`]). Comparisons with a literal, `IN`, `LIKE` and `IS
+//! [NOT] NULL` — and so the `CASE WHEN` conditions built from them — decide
+//! each dictionary entry once and fetch the verdicts by code ([`dict_lanes`]);
+//! a bare column reference passes the vector on as it is; every other node
+//! materializes its operand first.
 
 use crate::batch::{Batch, ExecVector};
 use crate::primitives as prim;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use vw_common::date::{add_months, month_of, parse_date, year_of};
+use vw_common::like::LikePattern;
 use vw_common::{DataType, Result, Schema, Value, VwError};
 use vw_plan::{BinOp, DatePart, Expr, UnOp};
-use vw_storage::{ColumnData, StrColumn};
+use vw_storage::{ColumnData, DictColumn, StrColumn};
 
 /// A bound, validated expression ready for vectorized evaluation.
 pub struct ExprEvaluator {
@@ -73,6 +81,29 @@ impl ExprEvaluator {
             let v = eval_rec(&self.expr, &self.schema, batch, sel)?;
             coerce_to(v, self.out_type, sel)
         }
+    }
+}
+
+impl ExprEvaluator {
+    /// One step of a conjunction: evaluate this (boolean) conjunct over the
+    /// batch's selected rows and keep, in the batch's selection, those where
+    /// it is true. Every conjunction in the engine — a scan's decoded units
+    /// and residual, `VecFilter` — is a chain of these, so a conjunct only
+    /// ever sees rows that survived the conjuncts before it. Returns the
+    /// survivors' count.
+    pub fn narrow(&self, batch: &mut Batch) -> Result<usize> {
+        let v = self.eval(batch)?;
+        let ColumnData::Bool(vals) = &v.data else {
+            return Err(VwError::Exec(format!(
+                "filter produced {}, expected booleans",
+                v.data.type_name()
+            )));
+        };
+        let mut sel = Vec::new();
+        prim::sel_from_bool(vals, v.nulls.as_deref(), batch.sel.as_deref(), &mut sel);
+        let kept = sel.len();
+        batch.sel = (kept < batch.rows).then_some(sel);
+        Ok(kept)
     }
 }
 
@@ -129,7 +160,7 @@ fn coerce_to(v: ExecVector, ty: DataType, sel: Option<&[u32]>) -> Result<ExecVec
         ColumnData::I32(_) => DataType::I32,
         ColumnData::I64(_) => DataType::I64,
         ColumnData::F64(_) => DataType::F64,
-        ColumnData::Str(_) => DataType::Str,
+        ColumnData::Str(_) | ColumnData::Dict(_) => DataType::Str,
     };
     if want == have {
         return Ok(v);
@@ -254,7 +285,7 @@ fn eval_rec(e: &Expr, schema: &Schema, batch: &Batch, sel: Option<&[u32]>) -> Re
             .ok_or_else(|| VwError::Exec(format!("batch has no column #{}", i))),
         Expr::Lit(v) => materialize_const(v, batch.rows),
         Expr::Cast(inner, ty) => {
-            let v = eval_rec(inner, schema, batch, sel)?;
+            let v = eval_rec(inner, schema, batch, sel)?.materialize();
             cast_vector(v, *ty, sel)
         }
         Expr::Binary { op, l, r } => eval_binary(*op, l, r, schema, batch, sel),
@@ -315,15 +346,19 @@ fn eval_rec(e: &Expr, schema: &Schema, batch: &Batch, sel: Option<&[u32]>) -> Re
             negated,
         } => {
             let v = eval_rec(e, schema, batch, sel)?;
-            let col = match &v.data {
-                ColumnData::Str(s) => s,
+            // Classified once per vector: most patterns never reach the
+            // general matcher.
+            let pattern = LikePattern::new(pattern);
+            let test = |s: &[u8]| pattern.matches(s) != *negated;
+            let out = match &v.data {
+                ColumnData::Str(col) => {
+                    let mut out = vec![false; col.len()];
+                    prim::for_each_lane(sel, col.len(), |i| out[i] = test(col.get_bytes(i)));
+                    out
+                }
+                ColumnData::Dict(d) => dict_lanes(d, sel, test),
                 other => return Err(VwError::Exec(format!("LIKE on {}", other.type_name()))),
             };
-            let mut out = vec![false; col.len()];
-            let matcher = LikeMatcher::new(pattern);
-            prim::for_each_lane(sel, col.len(), |i| {
-                out[i] = matcher.matches(col.get_bytes(i)) != *negated;
-            });
             Ok(ExecVector::new(ColumnData::Bool(out), v.nulls))
         }
         Expr::InList { e, list, negated } => {
@@ -331,7 +366,7 @@ fn eval_rec(e: &Expr, schema: &Schema, batch: &Batch, sel: Option<&[u32]>) -> Re
             eval_in_list(&v, list, *negated, sel)
         }
         Expr::Substr { e, start, len } => {
-            let v = eval_rec(e, schema, batch, sel)?;
+            let v = eval_rec(e, schema, batch, sel)?.materialize();
             let col = match &v.data {
                 ColumnData::Str(s) => s,
                 other => return Err(VwError::Exec(format!("SUBSTRING on {}", other.type_name()))),
@@ -503,6 +538,14 @@ fn eval_binary_const(
                 let (ord, eq_ok, ne_mode) = cmp_spec(op);
                 prim::cmp_str_cv(s, cv, ord, eq_ok, ne_mode, sel, &mut out);
             }
+            (ColumnData::Dict(d), Value::Str(cv)) => {
+                let (want, eq_ok, ne_mode) = cmp_spec(op);
+                // Byte order is string order for UTF-8.
+                out = dict_lanes(d, sel, |s| match s.cmp(cv.as_bytes()) {
+                    Ordering::Equal => !ne_mode && (eq_ok || want == Ordering::Equal),
+                    ord => ne_mode || ord == want,
+                });
+            }
             (ColumnData::F64(_), _) | (_, Value::F64(_)) => {
                 let Some(cf) = c.as_f64() else {
                     return Ok(None);
@@ -600,6 +643,7 @@ fn eval_binary_vectors(
     rv: ExecVector,
     sel: Option<&[u32]>,
 ) -> Result<ExecVector> {
+    let (lv, rv) = (lv.materialize(), rv.materialize());
     let nulls = prim::merge_nulls(lv.nulls.as_ref(), rv.nulls.as_ref(), sel);
     if op.is_comparison() {
         let out = eval_comparison(op, &lv, &rv, sel)?;
@@ -791,79 +835,23 @@ fn eval_kleene(
     ))
 }
 
-/// A LIKE pattern classified once per evaluated vector, so the common
-/// shapes skip `like_match`'s byte-by-byte backtracking: with `lit` free of
-/// wildcards, `lit` is an equality test, `lit%` a prefix test, `%lit` a
-/// suffix test and `%lit%` a substring search. Anything with `_` or a `%`
-/// inside `lit` keeps the general matcher. Byte semantics, like
-/// `like_match`.
-#[derive(Debug, PartialEq)]
-enum LikeMatcher<'a> {
-    Exact(&'a [u8]),
-    Prefix(&'a [u8]),
-    Suffix(&'a [u8]),
-    Contains(&'a [u8]),
-    General(&'a [u8]),
-}
-
-impl<'a> LikeMatcher<'a> {
-    fn new(pattern: &'a str) -> LikeMatcher<'a> {
-        let pat = pattern.as_bytes();
-        // Runs of `%` at either end equal one `%`.
-        let lead = pat.iter().take_while(|&&b| b == b'%').count();
-        if lead == pat.len() {
-            // Empty pattern: only "" matches. All `%`: everything does.
-            return if pat.is_empty() {
-                LikeMatcher::Exact(pat)
-            } else {
-                LikeMatcher::Contains(&[])
-            };
-        }
-        let trail = pat.iter().rev().take_while(|&&b| b == b'%').count();
-        let lit = &pat[lead..pat.len() - trail];
-        if lit.iter().any(|&b| b == b'%' || b == b'_') {
-            return LikeMatcher::General(pat);
-        }
-        match (lead > 0, trail > 0) {
-            (false, false) => LikeMatcher::Exact(lit),
-            (false, true) => LikeMatcher::Prefix(lit),
-            (true, false) => LikeMatcher::Suffix(lit),
-            (true, true) => LikeMatcher::Contains(lit),
-        }
+/// `out[i] = test(string i)` over the selected lanes of a dictionary vector:
+/// every dictionary entry is decided once and the verdicts fetched by code —
+/// unless the dictionary holds more entries than there are lanes to decide.
+/// NULL lanes carry a valid code like any other; the caller's indicator
+/// masks their verdict.
+fn dict_lanes(d: &DictColumn, sel: Option<&[u32]>, test: impl Fn(&[u8]) -> bool) -> Vec<bool> {
+    let n = d.len();
+    let mut out = vec![false; n];
+    let dict = d.dict();
+    if dict.len() <= sel.map_or(n, |s| s.len()) {
+        let verdicts: Vec<bool> = (0..dict.len()).map(|e| test(dict.get_bytes(e))).collect();
+        let codes = d.codes();
+        prim::for_each_lane(sel, n, |i| out[i] = verdicts[codes[i] as usize]);
+    } else {
+        prim::for_each_lane(sel, n, |i| out[i] = test(d.get_bytes(i)));
     }
-
-    #[inline]
-    fn matches(&self, s: &[u8]) -> bool {
-        match *self {
-            LikeMatcher::Exact(lit) => s == lit,
-            LikeMatcher::Prefix(lit) => s.starts_with(lit),
-            LikeMatcher::Suffix(lit) => s.ends_with(lit),
-            LikeMatcher::Contains(lit) => contains_bytes(s, lit),
-            LikeMatcher::General(pat) => vw_plan::expr::like_match(pat, s),
-        }
-    }
-}
-
-/// Substring search: scan for the needle's first byte, then compare the
-/// rest. Needles are a few bytes and haystacks a few dozen.
-fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
-    let Some((&first, rest)) = needle.split_first() else {
-        return true;
-    };
-    if hay.len() < needle.len() {
-        return false;
-    }
-    // Starts from which the whole needle still fits.
-    let starts = &hay[..=hay.len() - needle.len()];
-    let mut from = 0;
-    while let Some(off) = starts[from..].iter().position(|&b| b == first) {
-        let at = from + off;
-        if &hay[at + 1..at + needle.len()] == rest {
-            return true;
-        }
-        from = at + 1;
-    }
-    false
+    out
 }
 
 fn eval_in_list(
@@ -886,6 +874,15 @@ fn eval_in_list(
                 if !hit && list_has_null {
                     extra_null[i] = true;
                 }
+            });
+        }
+        ColumnData::Dict(d) => {
+            let items = list.iter().filter_map(|x| x.as_str()).map(str::as_bytes);
+            let items: Vec<&[u8]> = items.collect();
+            let hits = dict_lanes(d, sel, |s| items.contains(&s));
+            prim::for_each_lane(sel, n, |i| {
+                vals[i] = hits[i] != negated;
+                extra_null[i] = !hits[i] && list_has_null;
             });
         }
         ColumnData::I64(_) | ColumnData::I32(_) | ColumnData::Bool(_) => {
@@ -955,14 +952,14 @@ fn eval_case(
             }
         }
         if !taken.is_empty() {
-            let v = eval_rec(value, schema, batch, Some(&taken))?;
+            let v = eval_rec(value, schema, batch, Some(&taken))?.materialize();
             branch_results.push((v, taken));
         }
         undecided = rest;
     }
     if let Some(e) = otherwise {
         if !undecided.is_empty() {
-            let v = eval_rec(e, schema, batch, Some(&undecided))?;
+            let v = eval_rec(e, schema, batch, Some(&undecided))?.materialize();
             branch_results.push((v, undecided.clone()));
             undecided.clear();
         }
@@ -1323,52 +1320,5 @@ mod tests {
             e,
             vec![Value::I32(1996), Value::I32(1997), Value::I32(1998)],
         );
-    }
-
-    #[test]
-    fn like_patterns_classify_by_shape() {
-        use LikeMatcher::*;
-        assert_eq!(LikeMatcher::new("%special%"), Contains(b"special"));
-        assert_eq!(LikeMatcher::new("%%special%%"), Contains(b"special"));
-        assert_eq!(LikeMatcher::new("PROMO%"), Prefix(b"PROMO"));
-        assert_eq!(LikeMatcher::new("%BRASS"), Suffix(b"BRASS"));
-        assert_eq!(LikeMatcher::new("SHIP"), Exact(b"SHIP"));
-        assert_eq!(LikeMatcher::new(""), Exact(b""));
-        assert_eq!(LikeMatcher::new("%"), Contains(b""));
-        assert_eq!(LikeMatcher::new("%%"), Contains(b""));
-        assert_eq!(LikeMatcher::new("a%b"), General(b"a%b"));
-        assert_eq!(LikeMatcher::new("%a%b%"), General(b"%a%b%"));
-        assert_eq!(LikeMatcher::new("SH_P"), General(b"SH_P"));
-        assert_eq!(LikeMatcher::new("%_"), General(b"%_"));
-    }
-
-    /// Pieces the LIKE property test draws patterns and strings from: both
-    /// wildcards, ASCII that repeats (so partial matches and backtracking
-    /// happen), and two- and four-byte UTF-8.
-    const LIKE_PIECES: [&str; 8] = ["%", "_", "a", "b", "ab", "é", "𝄞", " "];
-
-    fn from_pieces(picks: &[usize]) -> String {
-        picks.iter().map(|&i| LIKE_PIECES[i]).collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
-
-        /// Whatever shape the classifier picks, it answers as `like_match`
-        /// does. Strings draw from the wildcard-free pieces only.
-        #[test]
-        fn classified_like_equals_like_match(
-            pattern in proptest::collection::vec(0usize..LIKE_PIECES.len(), 0..7),
-            string in proptest::collection::vec(2usize..LIKE_PIECES.len(), 0..9),
-        ) {
-            let (pattern, string) = (from_pieces(&pattern), from_pieces(&string));
-            proptest::prop_assert_eq!(
-                LikeMatcher::new(&pattern).matches(string.as_bytes()),
-                vw_plan::expr::like_match(pattern.as_bytes(), string.as_bytes()),
-                "pattern {:?} string {:?}",
-                pattern,
-                string
-            );
-        }
     }
 }

@@ -12,6 +12,7 @@
 
 use std::fmt;
 use vw_common::date::{add_months, month_of, year_of};
+use vw_common::like::like_match;
 use vw_common::{DataType, Result, Schema, Value, VwError};
 
 /// Binary operators.
@@ -451,6 +452,28 @@ impl Expr {
         self.columns(&mut cols);
         cols.is_empty()
     }
+
+    /// Can evaluating this expression fail on some row — a division, or a
+    /// cast (narrowing, or parsing a string)? A conjunction evaluates such
+    /// conjuncts last, over the rows the others left (DESIGN.md, "Compressed
+    /// execution": the conjunct-order rule).
+    pub fn can_raise(&self) -> bool {
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => false,
+            Expr::Cast(..) | Expr::Placeholder => true,
+            Expr::Binary { op, l, r } => *op == BinOp::Div || l.can_raise() || r.can_raise(),
+            Expr::Unary { e, .. }
+            | Expr::Like { e, .. }
+            | Expr::InList { e, .. }
+            | Expr::Substr { e, .. }
+            | Expr::Extract { e, .. }
+            | Expr::AddMonths { e, .. } => e.can_raise(),
+            Expr::Case { whens, otherwise } => {
+                whens.iter().any(|(c, t)| c.can_raise() || t.can_raise())
+                    || otherwise.as_ref().is_some_and(|e| e.can_raise())
+            }
+        }
+    }
 }
 
 fn eval_binary(op: BinOp, l: &Expr, r: &Expr, row: &[Value]) -> Result<Value> {
@@ -549,33 +572,6 @@ fn eval_binary(op: BinOp, l: &Expr, r: &Expr, row: &[Value]) -> Result<Value> {
             }
         }
     }
-}
-
-/// SQL LIKE matcher: `%` = any run, `_` = any single byte. Works on bytes;
-/// patterns in our workloads are ASCII.
-pub fn like_match(pattern: &[u8], s: &[u8]) -> bool {
-    // Iterative two-pointer with backtracking on the last `%`.
-    let (mut p, mut i) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while i < s.len() {
-        if p < pattern.len() && (pattern[p] == b'_' || pattern[p] == s[i]) {
-            p += 1;
-            i += 1;
-        } else if p < pattern.len() && pattern[p] == b'%' {
-            star = Some((p, i));
-            p += 1;
-        } else if let Some((sp, si)) = star {
-            p = sp + 1;
-            i = si + 1;
-            star = Some((sp, si + 1));
-        } else {
-            return false;
-        }
-    }
-    while p < pattern.len() && pattern[p] == b'%' {
-        p += 1;
-    }
-    p == pattern.len()
 }
 
 /// SQL SUBSTRING on characters, 1-based.
@@ -839,23 +835,6 @@ mod tests {
             e: Box::new(Expr::col(1)),
         };
         assert_eq!(isn.eval_row(&r).unwrap(), Value::Bool(true));
-    }
-
-    #[test]
-    fn like_patterns() {
-        assert!(like_match(b"%SHIP%", b"AIR SHIPMENT"));
-        assert!(like_match(b"SHIP", b"SHIP"));
-        assert!(!like_match(b"SHIP", b"SHIPS"));
-        assert!(like_match(b"SH_P", b"SHIP"));
-        assert!(!like_match(b"SH_P", b"SHOP2"));
-        assert!(like_match(b"%", b""));
-        assert!(like_match(b"%%", b"x"));
-        assert!(like_match(b"a%b%c", b"aXXbYYc"));
-        assert!(!like_match(b"a%b%c", b"aXXbYY"));
-        assert!(like_match(
-            b"%special%requests%",
-            b"the special deposit requests"
-        ));
     }
 
     #[test]

@@ -261,23 +261,26 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 let start = i;
                 i += 1;
                 let mut s = String::new();
+                // The literal is copied as UTF-8 slices of the source between
+                // quotes: a quote is ASCII, so it never falls inside a
+                // multi-byte character and every slice boundary is valid.
+                let mut run = i;
                 loop {
                     if i >= bytes.len() {
                         return Err(err(start, "unterminated string literal"));
                     }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        // copy raw byte; SQL text is UTF-8 and quotes are
-                        // ASCII so byte-wise copying preserves validity
-                        s.push(bytes[i] as char);
+                    if bytes[i] != b'\'' {
                         i += 1;
+                        continue;
+                    }
+                    s.push_str(&sql[run..i]);
+                    if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
+                        s.push('\'');
+                        i += 2;
+                        run = i;
+                    } else {
+                        i += 1;
+                        break;
                     }
                 }
                 tokens.push(Token {
@@ -398,6 +401,26 @@ mod tests {
         assert_eq!(kinds("'it''s'")[0], TokenKind::Str("it's".into()));
         assert_eq!(kinds("''")[0], TokenKind::Str("".into()));
         assert!(tokenize("'unterminated").is_err());
+    }
+
+    /// Literals keep their multi-byte characters: two-, three- and four-byte
+    /// UTF-8, beside an escaped quote, and the error for a literal that never
+    /// closes still names the opening quote.
+    #[test]
+    fn non_ascii_string_literals_survive() {
+        assert_eq!(kinds("'é'")[0], TokenKind::Str("é".into()));
+        assert_eq!(kinds("'𝄞'")[0], TokenKind::Str("𝄞".into()));
+        assert_eq!(kinds("'n''é'")[0], TokenKind::Str("n'é".into()));
+        assert_eq!(
+            kinds("SELECT '€uro', 'x'")[1..4],
+            [
+                TokenKind::Str("€uro".into()),
+                TokenKind::Comma,
+                TokenKind::Str("x".into())
+            ]
+        );
+        let e = tokenize("SELECT 'é𝄞 never closed").unwrap_err();
+        assert!(e.to_string().contains("at byte 7"), "{}", e);
     }
 
     #[test]

@@ -91,6 +91,9 @@ impl MinMax {
             }
             // Booleans as ints 0/1.
             ColumnData::Bool(v) => int_minmax(non_null.map(|i| v[i] as i64)),
+            // Stats are taken of columns being stored, which are never in
+            // dictionary form; claiming nothing is always safe.
+            ColumnData::Dict(_) => MinMax::None,
         }
     }
 

@@ -9,6 +9,7 @@
 //! holding a "safe" value at NULL positions plus a separate indicator bitmap,
 //! so kernels never branch on NULL.
 
+use std::sync::Arc;
 use vw_common::{BitVec, DataType, Value, VwError};
 
 /// Variable-length string column: concatenated bytes plus offsets.
@@ -79,6 +80,91 @@ impl StrColumn {
     }
 }
 
+/// A string vector still in dictionary form: one `u32` code per value into
+/// a shared, immutable dictionary — how a scan hands out a PDICT block
+/// without building its strings. A vector has exactly one dictionary, and
+/// every code was checked against its length when the vector was made, so
+/// readers index the dictionary without a check of their own. The codes of
+/// two vectors mean the same strings only if they share the dictionary
+/// ([`DictColumn::same_dict`]); anything that combines vectors of different
+/// dictionaries goes through [`DictColumn::materialize`] first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DictColumn {
+    codes: Vec<u32>,
+    dict: Arc<StrColumn>,
+}
+
+impl DictColumn {
+    /// `None` when a code lies outside the dictionary.
+    pub fn new(codes: Vec<u32>, dict: Arc<StrColumn>) -> Option<DictColumn> {
+        // One branch-free pass; an empty vector needs no dictionary entry.
+        let top = codes.iter().fold(0, |m, &c| m.max(c)) as usize;
+        (codes.is_empty() || top < dict.len()).then_some(DictColumn { codes, dict })
+    }
+
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    pub fn dict(&self) -> &Arc<StrColumn> {
+        &self.dict
+    }
+
+    pub fn same_dict(&self, other: &DictColumn) -> bool {
+        Arc::ptr_eq(&self.dict, &other.dict)
+    }
+
+    /// The bytes of value `i`.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        self.dict.get_bytes(self.codes[i] as usize)
+    }
+
+    /// An empty vector over the same dictionary, with room for `n` codes.
+    pub fn empty_like(&self, n: usize) -> DictColumn {
+        DictColumn {
+            codes: Vec::with_capacity(n),
+            dict: Arc::clone(&self.dict),
+        }
+    }
+
+    /// Append the listed positions of `src` (all of it without a list),
+    /// which must share this vector's dictionary.
+    pub fn extend_from(&mut self, src: &DictColumn, positions: Option<&[u32]>) {
+        assert!(self.same_dict(src), "codes of two dictionaries never mix");
+        match positions {
+            Some(p) => self.codes.extend(p.iter().map(|&i| src.codes[i as usize])),
+            None => self.codes.extend_from_slice(&src.codes),
+        }
+    }
+
+    /// Heap bytes of the codes, by capacity. The dictionary is shared with
+    /// the block cursor that made it and is not this vector's to count.
+    pub fn heap_bytes(&self) -> usize {
+        self.codes.capacity() * 4
+    }
+
+    /// The strings the codes stand for: the one place a dictionary vector
+    /// turns into a string column.
+    pub fn materialize(&self) -> StrColumn {
+        let bytes = self.codes.iter().map(|&c| self.dict.get_bytes(c as usize));
+        let mut out = StrColumn::with_capacity(self.len(), bytes.clone().map(<[u8]>::len).sum());
+        for b in bytes {
+            out.bytes.extend_from_slice(b);
+            out.offsets.push(out.bytes.len() as u32);
+        }
+        out
+    }
+}
+
 /// A dense, typed, uncompressed column chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
@@ -87,6 +173,9 @@ pub enum ColumnData {
     I64(Vec<i64>),
     F64(Vec<f64>),
     Str(StrColumn),
+    /// A string column in dictionary form; see [`DictColumn`]. Made by scans
+    /// only: a column being built is always `Str`.
+    Dict(DictColumn),
 }
 
 impl ColumnData {
@@ -117,11 +206,21 @@ impl ColumnData {
             ColumnData::I64(v) => v.len(),
             ColumnData::F64(v) => v.len(),
             ColumnData::Str(v) => v.len(),
+            ColumnData::Dict(v) => v.len(),
         }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The same column with a dictionary vector turned into its strings;
+    /// every other column as it is.
+    pub fn materialize(self) -> ColumnData {
+        match self {
+            ColumnData::Dict(d) => ColumnData::Str(d.materialize()),
+            other => other,
+        }
     }
 
     /// The "safe" placeholder stored at NULL positions (paper §I-B): any
@@ -133,6 +232,7 @@ impl ColumnData {
             ColumnData::I64(v) => v.push(0),
             ColumnData::F64(v) => v.push(0.0),
             ColumnData::Str(v) => v.push(""),
+            ColumnData::Dict(_) => panic!("a dictionary vector is never built by value"),
         }
     }
 
@@ -173,6 +273,7 @@ impl ColumnData {
             ColumnData::I64(v) => Value::I64(v[i]),
             ColumnData::F64(v) => Value::F64(v[i]),
             ColumnData::Str(v) => Value::Str(v.get(i).to_string()),
+            ColumnData::Dict(v) => Value::Str(v.dict.get(v.codes[i] as usize).to_string()),
         }
     }
 
@@ -183,6 +284,7 @@ impl ColumnData {
             ColumnData::I64(_) => "i64",
             ColumnData::F64(_) => "f64",
             ColumnData::Str(_) => "str",
+            ColumnData::Dict(_) => "dict",
         }
     }
 
@@ -201,6 +303,10 @@ impl ColumnData {
                     bytes: v.bytes[lo as usize..hi as usize].to_vec(),
                 })
             }
+            ColumnData::Dict(v) => ColumnData::Dict(DictColumn {
+                codes: v.codes[from..to].to_vec(),
+                dict: Arc::clone(&v.dict),
+            }),
         }
     }
 
@@ -239,6 +345,11 @@ impl ColumnData {
                 }
                 ColumnData::Str(out)
             }
+            ColumnData::Dict(v) => {
+                let mut out = v.empty_like(positions.len());
+                out.extend_from(v, Some(positions));
+                ColumnData::Dict(out)
+            }
         }
     }
 
@@ -250,6 +361,7 @@ impl ColumnData {
             ColumnData::I64(v) => v.len() * 8,
             ColumnData::F64(v) => v.len() * 8,
             ColumnData::Str(v) => v.bytes.len() + v.offsets.len() * 4,
+            ColumnData::Dict(v) => v.len() * 4,
         }
     }
 }

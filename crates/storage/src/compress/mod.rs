@@ -130,6 +130,8 @@ pub fn compress_data(col: &ColumnData) -> (CompressionScheme, Vec<u8>) {
                 (CompressionScheme::Plain, out)
             }
         },
+        // Stored blocks carry their own dictionary, built from the strings.
+        ColumnData::Dict(d) => compress_data(&ColumnData::Str(d.materialize())),
     }
 }
 

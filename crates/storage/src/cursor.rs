@@ -16,15 +16,28 @@
 //!   dictionary-code space once per block (a bitmap over codes); each value
 //!   then costs a bit-packed code load and one bitmap probe.
 //!
+//! - **PLAIN strings**: compared, and `LIKE`-matched, in place over the
+//!   block's bytes; a `%lit%` pattern is searched over the whole vector's
+//!   contiguous byte range at once and the hits mapped back to rows.
+//!
+//! A conjunction narrows one candidate list: the first conjunct of a vector
+//! goes through [`BlockCursor::eval_pred`], every later one through
+//! [`BlockCursor::narrow`], which visits only the positions still in the list
+//! (or, while the list is dense, evaluates the whole vector into a mask and
+//! filters the list by it). [`BlockCursor::vector`] then materializes what
+//! survived, a PDICT block as codes over its dictionary.
+//!
 //! [`Pred::decide`] additionally lets callers skip a block (or drop a
 //! predicate) when the catalog MinMax already decides it.
 
 use crate::block::{MinMax, PruneOp};
-use crate::column::{ColumnData, NullableColumn, StrColumn};
+use crate::column::{ColumnData, DictColumn, NullableColumn, StrColumn};
 use crate::compress::bitpack::{packed_len, unpack_at, unpack_range};
 use crate::compress::{CompressionScheme, PHYS_BOOL, PHYS_F64, PHYS_I32, PHYS_I64, PHYS_STR};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
+use vw_common::like::{find, LikePattern, LikeShape};
 use vw_common::{BitVec, Result, Value, VwError};
 
 fn err(msg: &str) -> VwError {
@@ -76,11 +89,30 @@ impl PredOp {
 }
 
 /// A predicate simple enough to push into the scan and evaluate inside the
-/// codec cursor: `col <op> literal`, or a string IN-list.
+/// codec cursor: `col <op> literal`, a string IN-list, or `[NOT] LIKE` with
+/// a literal pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pred {
     Cmp { op: PredOp, value: Value },
     InStr { values: Vec<String>, negated: bool },
+    Like { pattern: LikePattern, negated: bool },
+}
+
+impl Pred {
+    /// Does a non-NULL string satisfy this predicate? An error for a
+    /// comparison whose literal is no string.
+    #[inline]
+    fn matches_str(&self, s: &[u8]) -> Result<bool> {
+        Ok(match self {
+            Pred::Cmp { op, value } => {
+                let l = value.as_str().ok_or_else(|| type_err("str"))?;
+                // Byte order is string order for UTF-8.
+                op.matches_ord(s.cmp(l.as_bytes()))
+            }
+            Pred::InStr { values, negated } => values.iter().any(|v| v.as_bytes() == s) != *negated,
+            Pred::Like { pattern, negated } => pattern.matches(s) != *negated,
+        })
+    }
 }
 
 impl Pred {
@@ -131,9 +163,36 @@ impl Pred {
                 }
                 None
             }
+            // What a pattern admits is not a range of the string order.
+            Pred::Like { .. } => None,
         }
     }
 }
+
+/// `$run!(test)` with `test` the closure `|v| v <op> $lit`: the operator is
+/// matched once, outside the per-value loop `$run` expands to.
+macro_rules! match_op {
+    ($op:expr, $lit:expr, $run:ident) => {
+        match $op {
+            PredOp::Eq => $run!(|v| v == $lit),
+            PredOp::Ne => $run!(|v| v != $lit),
+            PredOp::Lt => $run!(|v| v < $lit),
+            PredOp::Le => $run!(|v| v <= $lit),
+            PredOp::Gt => $run!(|v| v > $lit),
+            PredOp::Ge => $run!(|v| v >= $lit),
+        }
+    };
+}
+
+/// [`BlockCursor::narrow`] over bit-packed values (PFOR deltas, PDICT codes)
+/// has two ways to test the candidates of a vector: unpack each one by
+/// random access, or unpack the whole vector in one sequential pass into a
+/// mask and filter the list by it. The pass costs the same whatever the
+/// list holds — about what random access costs for two candidates in three —
+/// so it wins once at least this share of the vector's rows, in percent, is
+/// still a candidate: by a quarter when all are (EXPERIMENTS.md E14 has the
+/// sweep over PFOR and PDICT blocks of lineitem).
+const DENSE_PCT: usize = 67;
 
 /// Parsed PFOR frame: everything needed to decode any sub-range.
 struct Frame {
@@ -146,6 +205,27 @@ struct Frame {
 }
 
 impl Frame {
+    /// `lit` translated into delta space, to compare packed deltas with as
+    /// unsigned ints. `Err(all)` when it lies outside the packed domain:
+    /// every non-exception value then compares the same way, `all`.
+    fn delta_literal(&self, op: PredOp, lit: i64) -> std::result::Result<u64, bool> {
+        let t = lit as i128 - self.base as i128;
+        let limit: i128 = if self.width == 64 {
+            u64::MAX as i128
+        } else {
+            (1i128 << self.width) - 1
+        };
+        if (0..=limit).contains(&t) {
+            return Ok(t as u64);
+        }
+        Err(match op {
+            PredOp::Eq => false,
+            PredOp::Ne => true,
+            PredOp::Lt | PredOp::Le => t > limit,
+            PredOp::Gt | PredOp::Ge => t < 0,
+        })
+    }
+
     /// Index range into `exc_pos` / `exc_val` of the exceptions positioned
     /// in `[from, to)`.
     fn exceptions_in(&self, from: usize, to: usize) -> (usize, usize) {
@@ -163,12 +243,79 @@ struct DictState {
     width: u32,
     /// Per-predicate bitmap over dictionary codes, built once per block.
     pred_sets: Vec<(Pred, Vec<bool>)>,
+    /// `(conjunct id, index into pred_sets)`: a scan names its conjuncts,
+    /// so finding a set again compares no predicate.
+    by_conjunct: Vec<(usize, usize)>,
 }
 
 impl DictState {
     /// The packed codes of a block of `n` values.
     fn codes<'a>(&self, bytes: &'a [u8], n: usize) -> &'a [u8] {
         &bytes[self.codes_start..self.codes_start + packed_len(n, self.width)]
+    }
+
+    /// The bitmap over dictionary codes of `pred`, built on first use.
+    fn code_set(&mut self, conjunct: Option<usize>, pred: &Pred) -> Result<&[bool]> {
+        let known = conjunct.and_then(|c| self.by_conjunct.iter().find(|(id, _)| *id == c));
+        let at = match known {
+            Some(&(_, at)) => at,
+            None => {
+                let at = match self.pred_sets.iter().position(|(p, _)| p == pred) {
+                    Some(at) => at,
+                    None => {
+                        let set = build_code_set(&self.dict, pred)?;
+                        self.pred_sets.push((pred.clone(), set));
+                        self.pred_sets.len() - 1
+                    }
+                };
+                if let Some(c) = conjunct {
+                    self.by_conjunct.push((c, at));
+                }
+                at
+            }
+        };
+        debug_assert!(self.pred_sets[at].0 == *pred, "one predicate per id");
+        Ok(&self.pred_sets[at].1)
+    }
+}
+
+/// Where a PLAIN string block keeps its string bytes and its offsets array
+/// (absolute offsets into the block).
+#[derive(Clone, Copy)]
+struct StrLayout {
+    str_start: usize,
+    offs_start: usize,
+}
+
+impl StrLayout {
+    fn over(self, bytes: &[u8]) -> PlainStrs<'_> {
+        PlainStrs {
+            bytes,
+            str_start: self.str_start,
+            offs_start: self.offs_start,
+        }
+    }
+}
+
+/// The strings of a PLAIN string block, read in place.
+#[derive(Clone, Copy)]
+struct PlainStrs<'a> {
+    bytes: &'a [u8],
+    str_start: usize,
+    offs_start: usize,
+}
+
+impl<'a> PlainStrs<'a> {
+    /// Where string `i` starts within the string bytes (`n` = their end).
+    /// Offsets ascend and stay inside the bytes: checked at open.
+    #[inline]
+    fn off(&self, i: usize) -> usize {
+        u32::from_le_bytes(fixed_at(self.bytes, self.offs_start, i)) as usize
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &'a [u8] {
+        &self.bytes[self.str_start + self.off(i)..self.str_start + self.off(i + 1)]
     }
 }
 
@@ -198,11 +345,7 @@ enum State {
         width: usize,
     },
     PlainF64,
-    PlainStr {
-        /// Absolute offset of the string bytes / the offsets array.
-        str_start: usize,
-        offs_start: usize,
-    },
+    PlainStr(StrLayout),
     Rle {
         vals: Vec<[u8; 8]>,
         /// Cumulative run starts; `starts.len() == vals.len() + 1`.
@@ -231,6 +374,9 @@ pub struct BlockCursor {
     body: usize,
     nulls: Option<BitVec>,
     state: State,
+    /// Scratch of [`BlockCursor::narrow`]'s dense path: one verdict per row
+    /// of the vector in hand.
+    mask: Vec<bool>,
 }
 
 impl std::fmt::Debug for BlockCursor {
@@ -279,6 +425,7 @@ impl BlockCursor {
             body,
             nulls,
             state,
+            mask: Vec::new(),
         })
     }
 
@@ -322,24 +469,12 @@ impl BlockCursor {
                     .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
                     .collect(),
             ),
-            State::PlainStr {
-                str_start,
-                offs_start,
-            } => {
-                let (ss, os) = (*str_start, *offs_start);
-                let off_at = |i: usize| {
-                    u32::from_le_bytes(bytes[os + i * 4..os + i * 4 + 4].try_into().unwrap())
-                        as usize
-                };
-                let base = off_at(from);
-                let mut offsets = Vec::with_capacity(to - from + 1);
-                for i in from..=to {
-                    offsets.push((off_at(i) - base) as u32);
-                }
-                let end = off_at(to);
+            State::PlainStr(layout) => {
+                let strs = layout.over(bytes);
+                let (base, end) = (strs.off(from), strs.off(to));
                 ColumnData::Str(StrColumn {
-                    offsets,
-                    bytes: bytes[ss + base..ss + end].to_vec(),
+                    offsets: (from..=to).map(|i| (strs.off(i) - base) as u32).collect(),
+                    bytes: bytes[strs.str_start + base..strs.str_start + end].to_vec(),
                 })
             }
             State::Rle { vals, starts } => {
@@ -370,11 +505,16 @@ impl BlockCursor {
                 ColumnData::Str(out)
             }
         };
-        let nulls = self
-            .nulls
-            .as_ref()
-            .map(|b| (from..to).map(|i| b.get(i)).collect::<BitVec>());
-        Ok(NullableColumn::new(data, nulls).normalize())
+        Ok(NullableColumn::new(data, self.nulls_at(from, to, None)).normalize())
+    }
+
+    /// The NULL indicator of positions `from + sel[i]`, or of all of
+    /// `[from, to)`; `None` when the block has no NULLs.
+    fn nulls_at(&self, from: usize, to: usize, sel: Option<&[u32]>) -> Option<BitVec> {
+        self.nulls.as_ref().map(|b| match sel {
+            Some(sel) => sel.iter().map(|&p| b.get(from + p as usize)).collect(),
+            None => (from..to).map(|i| b.get(i)).collect(),
+        })
     }
 
     /// Decode only the positions `from + sel[i]` of `[from, to)`, in the
@@ -413,18 +553,12 @@ impl BlockCursor {
                     .map(|p| f64::from_le_bytes(fixed_at(bytes, self.body, at(p))))
                     .collect(),
             ),
-            State::PlainStr {
-                str_start,
-                offs_start,
-            } => {
-                let off_at = |i| u32::from_le_bytes(fixed_at(bytes, *offs_start, i)) as usize;
+            State::PlainStr(layout) => {
+                let strs = layout.over(bytes);
                 let mut out = StrColumn::with_capacity(sel.len(), 0);
                 for p in sel {
-                    let i = at(p);
                     // Offsets and UTF-8 were validated when the block opened.
-                    out.bytes.extend_from_slice(
-                        &bytes[str_start + off_at(i)..str_start + off_at(i + 1)],
-                    );
+                    out.bytes.extend_from_slice(strs.get(at(p)));
                     out.offsets.push(out.bytes.len() as u32);
                 }
                 ColumnData::Str(out)
@@ -445,11 +579,7 @@ impl BlockCursor {
                 return Ok(self.decode_slice(from, to)?.gather(sel));
             }
         };
-        let nulls = self
-            .nulls
-            .as_ref()
-            .map(|b| sel.iter().map(|p| b.get(at(p))).collect::<BitVec>());
-        Ok(NullableColumn::new(data, nulls).normalize())
+        Ok(NullableColumn::new(data, self.nulls_at(from, to, Some(sel))).normalize())
     }
 
     /// Evaluate a predicate over values `[from, to)` directly on the encoded
@@ -461,124 +591,211 @@ impl BlockCursor {
             return Err(err("slice out of range"));
         }
         let phys = self.phys;
-        // An integer column compared against a float literal (`quantity <
-        // 24.0`) is rewritten into integer space, so the encoded fast paths
-        // below apply and the fallback compares ints instead of converting
-        // every value to f64.
-        let norm;
-        let pred = match (phys, pred) {
-            (PHYS_I32 | PHYS_I64, Pred::Cmp { op, value }) => match value {
-                Value::F64(l) => match int_space_pred(*op, *l) {
-                    IntSpace::Pred(p) => {
-                        norm = p;
-                        &norm
-                    }
-                    IntSpace::Empty => return Ok(Vec::new()),
-                    IntSpace::All => {
-                        let all = (0..(to - from) as u32).collect();
-                        return Ok(filter_nulls(&self.nulls, from, all));
-                    }
-                    IntSpace::Keep => pred,
-                },
-                _ => pred,
-            },
-            _ => pred,
+        let pred = match int_space(phys, pred) {
+            IntSpace::Pred(p) => p,
+            IntSpace::Empty => return Ok(Vec::new()),
+            IntSpace::All => {
+                let all = (0..(to - from) as u32).collect();
+                return Ok(filter_nulls(&self.nulls, from, all));
+            }
         };
-        enum Fast {
-            Pfor,
-            Rle,
-            Pdict,
-            PlainF64,
-            No,
-        }
-        let fast = match (&self.state, pred) {
-            (State::Pfor(_), Pred::Cmp { value, .. })
+        let pred: &Pred = &pred;
+        let bytes: &[u8] = &self.bytes;
+        let on_encoded = match (&mut self.state, pred) {
+            (State::Pfor(f), Pred::Cmp { op, value })
                 if (phys == PHYS_I32 || phys == PHYS_I64) && value.as_i64().is_some() =>
             {
-                Fast::Pfor
+                Some(pfor_eval(f, bytes, *op, value.as_i64().unwrap(), from, to))
             }
-            (State::Rle { .. }, Pred::Cmp { .. }) => Fast::Rle,
-            (State::Pdict(_), _) => Fast::Pdict,
-            (State::PlainF64, Pred::Cmp { value, .. }) if value.as_f64().is_some() => {
-                Fast::PlainF64
+            (State::Rle { vals, starts }, Pred::Cmp { op, value }) => {
+                Some(rle_eval(vals, starts, phys, *op, value, from, to)?)
             }
-            _ => Fast::No,
+            (State::Pdict(d), _) => Some(pdict_eval(d, bytes, self.n, pred, from, to)?),
+            (State::PlainF64, Pred::Cmp { op, value }) if value.as_f64().is_some() => {
+                let lit = value.as_f64().unwrap();
+                Some(plain_f64_eval(bytes, self.body, *op, lit, from, to))
+            }
+            (State::PlainStr(layout), _) => {
+                Some(plain_str_eval(layout.over(bytes), pred, from, to)?)
+            }
+            _ => None,
         };
-        let raw = match fast {
-            Fast::Pfor => {
-                let State::Pfor(f) = &self.state else {
-                    unreachable!()
-                };
-                let Pred::Cmp { op, value } = pred else {
-                    unreachable!()
-                };
-                pfor_eval(f, &self.bytes, *op, value.as_i64().unwrap(), from, to)
-            }
-            Fast::Rle => {
-                let State::Rle { vals, starts } = &self.state else {
-                    unreachable!()
-                };
-                let Pred::Cmp { op, value } = pred else {
-                    unreachable!()
-                };
-                rle_eval(vals, starts, phys, *op, value, from, to)?
-            }
-            Fast::Pdict => {
-                let bytes = Arc::clone(&self.bytes);
-                let n = self.n;
-                let State::Pdict(d) = &mut self.state else {
-                    unreachable!()
-                };
-                pdict_eval(d, &bytes, n, pred, from, to)?
-            }
-            Fast::PlainF64 => {
-                let Pred::Cmp { op, value } = pred else {
-                    unreachable!()
-                };
-                plain_f64_eval(
-                    &self.bytes,
-                    self.body,
-                    *op,
-                    value.as_f64().unwrap(),
-                    from,
-                    to,
-                )
-            }
-            Fast::No => self.eval_generic(pred, from, to)?,
+        let raw = match on_encoded {
+            Some(sel) => sel,
+            None => self.eval_generic(pred, from, to)?,
         };
         Ok(filter_nulls(&self.nulls, from, raw))
     }
 
-    /// For PDICT blocks: the per-block dictionary plus the unpacked codes for
-    /// values `[from, to)` — the raw material for dictionary-aware consumers
-    /// (the fused aggregation path groups by code without materializing
-    /// strings). Returns `None` for any other encoding, or if a code is out
-    /// of the dictionary's range (the caller then decodes normally and gets
-    /// a proper corruption error).
-    pub fn dict_codes(&self, from: usize, to: usize) -> Option<(Vec<u32>, Arc<StrColumn>)> {
+    /// The later conjuncts of a conjunction: keep the positions of `cands`
+    /// — ascending, relative to `from`, as [`BlockCursor::eval_pred`] returns
+    /// them — whose value satisfies `pred`, so that the list afterwards is
+    /// `eval_pred(pred, from, to)` intersected with the list before. Only
+    /// the candidates are visited: PLAIN, PFOR and PDICT values by random
+    /// access (or, while the list is dense, one sequential pass over the
+    /// vector into a mask), RLE by walking the runs beside the list;
+    /// PFOR-DELTA and boolean blocks decode the slice first. `conjunct`
+    /// names the predicate for this cursor's lifetime (a PDICT block finds
+    /// its code set again by it) and must always come with the same `pred`.
+    pub fn narrow(
+        &mut self,
+        conjunct: usize,
+        pred: &Pred,
+        from: usize,
+        to: usize,
+        cands: &mut Vec<u32>,
+    ) -> Result<()> {
         if from > to || to > self.n {
-            return None;
+            return Err(err("slice out of range"));
         }
-        let State::Pdict(d) = &self.state else {
-            return None;
+        let n = to - from;
+        if cands.iter().any(|&p| p as usize >= n) {
+            return Err(err("candidate position out of range"));
+        }
+        let phys = self.phys;
+        let pred = match int_space(phys, pred) {
+            IntSpace::Pred(p) => p,
+            IntSpace::Empty => {
+                cands.clear();
+                return Ok(());
+            }
+            IntSpace::All => {
+                drop_nulls(&self.nulls, from, cands);
+                return Ok(());
+            }
         };
-        let mut codes = vec![0u32; to - from];
-        // Code widths are at most 32 bits (checked when the block opened).
-        unpack_range(d.codes(&self.bytes, self.n), from, to, d.width, |i, c| {
-            codes[i] = c as u32
-        });
-        if codes.iter().any(|&c| c as usize >= d.dict.len()) {
-            return None;
+        let pred: &Pred = &pred;
+        let bytes: &[u8] = &self.bytes;
+        let body = self.body;
+        // Unpacking the whole vector costs the same however few candidates
+        // are left; see `DENSE_PCT`.
+        let dense = cands.len() * 100 >= n * DENSE_PCT;
+        let mask = &mut self.mask;
+        let on_encoded = match (&mut self.state, pred) {
+            (State::Pfor(f), Pred::Cmp { op, value })
+                if (phys == PHYS_I32 || phys == PHYS_I64) && value.as_i64().is_some() =>
+            {
+                let lit = value.as_i64().unwrap();
+                pfor_narrow(f, bytes, *op, lit, from, to, cands, dense.then_some(mask));
+                true
+            }
+            (State::Rle { vals, starts }, Pred::Cmp { op, value }) => {
+                rle_narrow(vals, starts, phys, *op, value, from, cands)?;
+                true
+            }
+            (State::Pdict(d), _) => {
+                let codes = d.codes(bytes, self.n);
+                let width = d.width;
+                let set = d.code_set(Some(conjunct), pred)?;
+                // A code outside the dictionary is remembered, not branched on.
+                let mut corrupt = false;
+                let mut hit = |c: u64| match set.get(c as usize) {
+                    Some(&m) => m,
+                    None => {
+                        corrupt = true;
+                        false
+                    }
+                };
+                if dense {
+                    mask.clear();
+                    mask.resize(n, false);
+                    unpack_range(codes, from, to, width, |i, c| mask[i] = hit(c));
+                    retain_where(cands, |p| mask[p]);
+                } else {
+                    retain_where(cands, |p| hit(unpack_at(codes, from + p, width)));
+                }
+                if corrupt {
+                    return Err(err("pdict code"));
+                }
+                true
+            }
+            (State::PlainF64, Pred::Cmp { op, value }) if value.as_f64().is_some() => {
+                let lit = value.as_f64().unwrap();
+                macro_rules! run {
+                    ($test:expr) => {{
+                        let test = $test;
+                        retain_where(cands, |p| {
+                            test(f64::from_le_bytes(fixed_at(bytes, body, from + p)))
+                        })
+                    }};
+                }
+                match_op!(*op, lit, run);
+                true
+            }
+            (State::PlainInt { width }, Pred::Cmp { op, value }) if value.as_i64().is_some() => {
+                let lit = value.as_i64().unwrap();
+                let narrow = *width == 4;
+                macro_rules! run {
+                    ($test:expr) => {{
+                        let test = $test;
+                        if narrow {
+                            retain_where(cands, |p| {
+                                test(i32::from_le_bytes(fixed_at(bytes, body, from + p)) as i64)
+                            })
+                        } else {
+                            retain_where(cands, |p| {
+                                test(i64::from_le_bytes(fixed_at(bytes, body, from + p)))
+                            })
+                        }
+                    }};
+                }
+                match_op!(*op, lit, run);
+                true
+            }
+            (State::PlainStr(layout), _) => {
+                let strs = layout.over(bytes);
+                retain_checked(cands, |p| pred.matches_str(strs.get(from + p)))?;
+                true
+            }
+            _ => false,
+        };
+        if !on_encoded {
+            let col = self.decode_slice(from, to)?;
+            retain_checked(cands, |p| value_matches(&col.data, p, pred))?;
         }
-        Some((codes, Arc::clone(&d.dict)))
+        drop_nulls(&self.nulls, from, cands);
+        Ok(())
     }
 
-    /// NULL indicator for values `[from, to)`, widened to byte-per-value;
-    /// `None` when the block has no NULLs.
-    pub fn nulls_slice(&self, from: usize, to: usize) -> Option<Vec<bool>> {
-        self.nulls
-            .as_ref()
-            .map(|b| (from..to).map(|i| b.get(i)).collect())
+    /// What a scan materializes of one vector: the positions `from + sel[i]`
+    /// as [`BlockCursor::decode_selected`] returns them, or without a list
+    /// all of `[from, to)` as [`BlockCursor::decode_slice`] does — except
+    /// that a PDICT block comes back in dictionary form, its codes checked
+    /// against the dictionary, and no string is built.
+    pub fn vector(
+        &mut self,
+        from: usize,
+        to: usize,
+        sel: Option<&[u32]>,
+    ) -> Result<NullableColumn> {
+        let State::Pdict(d) = &self.state else {
+            return match sel {
+                Some(sel) => self.decode_selected(from, to, sel),
+                None => self.decode_slice(from, to),
+            };
+        };
+        if from > to || to > self.n {
+            return Err(err("slice out of range"));
+        }
+        if sel.is_some_and(|s| s.iter().any(|&p| p as usize >= to - from)) {
+            return Err(err("selected position out of range"));
+        }
+        let packed = d.codes(&self.bytes, self.n);
+        // Code widths are at most 32 bits (checked when the block opened).
+        let codes: Vec<u32> = match sel {
+            Some(sel) => sel
+                .iter()
+                .map(|&p| unpack_at(packed, from + p as usize, d.width) as u32)
+                .collect(),
+            None => {
+                let mut codes = vec![0u32; to - from];
+                unpack_range(packed, from, to, d.width, |i, c| codes[i] = c as u32);
+                codes
+            }
+        };
+        let data = DictColumn::new(codes, Arc::clone(&d.dict)).ok_or_else(|| err("pdict code"))?;
+        let nulls = self.nulls_at(from, to, sel);
+        Ok(NullableColumn::new(ColumnData::Dict(data), nulls).normalize())
     }
 
     /// Fallback: decode the slice and compare value by value. Still
@@ -766,6 +983,7 @@ fn parse_dict(b: &[u8], body: usize, n: usize) -> Result<State> {
         codes_start: body + off,
         width,
         pred_sets: Vec::new(),
+        by_conjunct: Vec::new(),
     }))
 }
 
@@ -788,10 +1006,10 @@ fn parse_plain_str(b: &[u8], body: usize, n: usize) -> Result<State> {
         prev = o;
     }
     std::str::from_utf8(&b[4..4 + nbytes]).map_err(|_| err("utf8"))?;
-    Ok(State::PlainStr {
+    Ok(State::PlainStr(StrLayout {
         str_start: body + 4,
         offs_start: body + 4 + nbytes,
-    })
+    }))
 }
 
 /// Widened i64 values back to their physical column type.
@@ -948,7 +1166,10 @@ fn delta_values(
 /// per value: every index is written and the output cursor advances by the
 /// test's result.
 #[inline(always)]
-fn select_where<T>(vals: impl ExactSizeIterator<Item = T>, test: impl Fn(T) -> bool) -> Vec<u32> {
+fn select_where<T>(
+    vals: impl ExactSizeIterator<Item = T>,
+    mut test: impl FnMut(T) -> bool,
+) -> Vec<u32> {
     let mut out = vec![0u32; vals.len()];
     let mut k = 0usize;
     for (i, v) in vals.enumerate() {
@@ -1010,42 +1231,31 @@ fn select_packed(
 /// PFOR predicate in delta space: translate the literal once, compare packed
 /// deltas as unsigned ints, decide exceptions with a real i64 compare.
 fn pfor_eval(f: &Frame, bytes: &[u8], op: PredOp, lit: i64, from: usize, to: usize) -> Vec<u32> {
-    let t = lit as i128 - f.base as i128;
-    let limit: i128 = if f.width == 64 {
-        u64::MAX as i128
-    } else {
-        (1i128 << f.width) - 1
-    };
     let (lo, hi) = f.exceptions_in(from, to);
     let exc_pos = &f.exc_pos[lo..hi];
     let exc_matches = |k: usize| op.matches_ord(f.exc_val[lo + k].cmp(&lit));
-    if !(0..=limit).contains(&t) {
-        // The literal is outside the packed domain, so every non-exception
-        // value compares the same way — no unpack needed at all.
-        let all = match op {
-            PredOp::Eq => false,
-            PredOp::Ne => true,
-            PredOp::Lt | PredOp::Le => t > limit,
-            PredOp::Gt | PredOp::Ge => t < 0,
-        };
-        let rel = |p: usize| (p - from) as u32;
-        let mut sel = Vec::with_capacity(if all { to - from } else { exc_pos.len() });
-        let mut start = from;
-        for (k, &p) in exc_pos.iter().enumerate() {
+    let tu = match f.delta_literal(op, lit) {
+        Ok(tu) => tu,
+        Err(all) => {
+            // No unpack needed at all.
+            let rel = |p: usize| (p - from) as u32;
+            let mut sel = Vec::with_capacity(if all { to - from } else { exc_pos.len() });
+            let mut start = from;
+            for (k, &p) in exc_pos.iter().enumerate() {
+                if all {
+                    sel.extend(rel(start)..rel(p as usize));
+                }
+                if exc_matches(k) {
+                    sel.push(rel(p as usize));
+                }
+                start = p as usize + 1;
+            }
             if all {
-                sel.extend(rel(start)..rel(p as usize));
+                sel.extend(rel(start)..rel(to));
             }
-            if exc_matches(k) {
-                sel.push(rel(p as usize));
-            }
-            start = p as usize + 1;
+            return sel;
         }
-        if all {
-            sel.extend(rel(start)..rel(to));
-        }
-        return sel;
-    }
-    let tu = t as u64;
+    };
     let packed = &bytes[f.packed.0..f.packed.1];
     // The operator is matched once, outside the per-value loop.
     macro_rules! run {
@@ -1053,14 +1263,125 @@ fn pfor_eval(f: &Frame, bytes: &[u8], op: PredOp, lit: i64, from: usize, to: usi
             select_packed(packed, f.width, from, to, exc_pos, exc_matches, $test)
         };
     }
-    match op {
-        PredOp::Eq => run!(|d| d == tu),
-        PredOp::Ne => run!(|d| d != tu),
-        PredOp::Lt => run!(|d| d < tu),
-        PredOp::Le => run!(|d| d <= tu),
-        PredOp::Gt => run!(|d| d > tu),
-        PredOp::Ge => run!(|d| d >= tu),
+    match_op!(op, tu, run)
+}
+
+/// [`BlockCursor::narrow`] in delta space. With `mask` the whole vector is
+/// unpacked once into it and the list filtered by it (the dense path);
+/// without, each candidate's delta is unpacked on its own. Exceptions are
+/// decided with a real i64 compare either way.
+#[allow(clippy::too_many_arguments)]
+fn pfor_narrow(
+    f: &Frame,
+    bytes: &[u8],
+    op: PredOp,
+    lit: i64,
+    from: usize,
+    to: usize,
+    cands: &mut Vec<u32>,
+    mask: Option<&mut Vec<bool>>,
+) {
+    let (lo, hi) = f.exceptions_in(from, to);
+    let exc_pos = &f.exc_pos[lo..hi];
+    let exc_matches = |k: usize| op.matches_ord(f.exc_val[lo + k].cmp(&lit));
+    let exception_at = |p: usize| exc_pos.binary_search(&((from + p) as u32));
+    let tu = match f.delta_literal(op, lit) {
+        Ok(tu) => tu,
+        Err(all) => {
+            match (exc_pos.is_empty(), all) {
+                (true, true) => {}
+                (true, false) => cands.clear(),
+                _ => retain_where(cands, |p| exception_at(p).map_or(all, exc_matches)),
+            }
+            return;
+        }
+    };
+    let packed = &bytes[f.packed.0..f.packed.1];
+    if let Some(mask) = mask {
+        mask.clear();
+        mask.resize(to - from, false);
+        macro_rules! run {
+            ($test:expr) => {{
+                let test = $test;
+                unpack_range(packed, from, to, f.width, |i, d| mask[i] = test(d))
+            }};
+        }
+        match_op!(op, tu, run);
+        for (k, &p) in exc_pos.iter().enumerate() {
+            mask[p as usize - from] = exc_matches(k);
+        }
+        retain_where(cands, |p| mask[p]);
+    } else if exc_pos.is_empty() {
+        macro_rules! run {
+            ($test:expr) => {{
+                let test = $test;
+                retain_where(cands, |p| test(unpack_at(packed, from + p, f.width)))
+            }};
+        }
+        match_op!(op, tu, run);
+    } else {
+        macro_rules! run {
+            ($test:expr) => {{
+                let test = $test;
+                retain_where(cands, |p| match exception_at(p) {
+                    Ok(k) => exc_matches(k),
+                    Err(_) => test(unpack_at(packed, from + p, f.width)),
+                })
+            }};
+        }
+        match_op!(op, tu, run);
     }
+}
+
+/// A predicate over the strings `[from, to)` of a PLAIN block, in place. A
+/// substring pattern is searched for over the vector's whole byte range —
+/// the strings lie back to back — and each hit is mapped to its row through
+/// the offsets; a hit that runs over the end of its row is no match.
+fn plain_str_eval(strs: PlainStrs<'_>, pred: &Pred, from: usize, to: usize) -> Result<Vec<u32>> {
+    let (needle, negated) = match pred {
+        Pred::Like { pattern, negated }
+            if pattern.shape() == LikeShape::Contains && !pattern.literal().is_empty() =>
+        {
+            (pattern.literal(), *negated)
+        }
+        _ => {
+            let mut bad = None;
+            let sel = select_where(from..to, |i| {
+                pred.matches_str(strs.get(i)).unwrap_or_else(|e| {
+                    bad.get_or_insert(e);
+                    false
+                })
+            });
+            return bad.map_or(Ok(sel), Err);
+        }
+    };
+    let (lo, hi) = (strs.off(from), strs.off(to));
+    let hay = &strs.bytes[strs.str_start + lo..strs.str_start + hi];
+    let mut sel = Vec::new();
+    // `next`: the first row not yet decided; a negated pattern selects the
+    // rows the search passes over.
+    let (mut row, mut next, mut at) = (from, from, 0usize);
+    while let Some(q) = find(hay, needle, at) {
+        while strs.off(row + 1) <= lo + q {
+            row += 1;
+        }
+        let row_end = strs.off(row + 1);
+        if lo + q + needle.len() > row_end {
+            at = q + 1;
+            continue;
+        }
+        if negated {
+            sel.extend((next - from) as u32..(row - from) as u32);
+        } else {
+            sel.push((row - from) as u32);
+        }
+        next = row + 1;
+        at = row_end - lo;
+    }
+    if negated {
+        sel.extend((next - from) as u32..(to - from) as u32);
+    }
+    Ok(sel)
 }
 
 /// RLE predicate: one comparison per run, O(runs) selection output.
@@ -1081,31 +1402,53 @@ fn rle_eval(
     while r < vals.len() && starts[r] < to {
         let lo = starts[r].max(from);
         let hi = starts[r + 1].min(to);
-        if lo < hi {
-            let m = match phys {
-                PHYS_F64 => {
-                    let b = value.as_f64().ok_or_else(|| type_err("f64"))?;
-                    op.matches_f64(f64::from_le_bytes(vals[r]), b)
-                }
-                PHYS_I32 | PHYS_I64 => {
-                    let v = i64::from_le_bytes(vals[r]);
-                    match value.as_i64() {
-                        Some(l) => op.matches_ord(v.cmp(&l)),
-                        None => {
-                            let b = value.as_f64().ok_or_else(|| type_err("int"))?;
-                            op.matches_f64(v as f64, b)
-                        }
-                    }
-                }
-                _ => return Err(err("rle physical type")),
-            };
-            if m {
-                sel.extend((lo - from) as u32..(hi - from) as u32);
-            }
+        if lo < hi && rle_matches(vals[r], phys, op, value)? {
+            sel.extend((lo - from) as u32..(hi - from) as u32);
         }
         r += 1;
     }
     Ok(sel)
+}
+
+/// Does the value of one run satisfy `<op> value`?
+fn rle_matches(run: [u8; 8], phys: u8, op: PredOp, value: &Value) -> Result<bool> {
+    match phys {
+        PHYS_F64 => {
+            let b = value.as_f64().ok_or_else(|| type_err("f64"))?;
+            Ok(op.matches_f64(f64::from_le_bytes(run), b))
+        }
+        PHYS_I32 | PHYS_I64 => int_matches(i64::from_le_bytes(run), op, value),
+        _ => Err(err("rle physical type")),
+    }
+}
+
+/// [`BlockCursor::narrow`] over runs: the list and the runs both ascend, so
+/// one walk serves both and each run met is compared once.
+fn rle_narrow(
+    vals: &[[u8; 8]],
+    starts: &[usize],
+    phys: u8,
+    op: PredOp,
+    value: &Value,
+    from: usize,
+    cands: &mut Vec<u32>,
+) -> Result<()> {
+    let Some(&first) = cands.first() else {
+        return Ok(());
+    };
+    // The run holding the first candidate; `starts` ends with the block's
+    // length, which every candidate is below.
+    let mut r = starts.partition_point(|&s| s <= from + first as usize) - 1;
+    let mut verdict = rle_matches(vals[r], phys, op, value);
+    retain_checked(cands, |p| {
+        if starts[r + 1] <= from + p {
+            while starts[r + 1] <= from + p {
+                r += 1;
+            }
+            verdict = rle_matches(vals[r], phys, op, value);
+        }
+        verdict.clone()
+    })
 }
 
 /// PDICT predicate: rewrite into code space once per (block, predicate),
@@ -1118,17 +1461,14 @@ fn pdict_eval(
     from: usize,
     to: usize,
 ) -> Result<Vec<u32>> {
-    if !d.pred_sets.iter().any(|(p, _)| p == pred) {
-        let set = build_code_set(&d.dict, pred)?;
-        d.pred_sets.push((pred.clone(), set));
-    }
-    let set = &d.pred_sets.iter().find(|(p, _)| p == pred).unwrap().1;
+    let (codes, width) = (d.codes(bytes, n), d.width);
+    let set = d.code_set(None, pred)?;
     // The bitmap answers every predicate shape, so the loop has no operator
     // to match; a code outside the dictionary is remembered, not branched on.
     let mut corrupt = false;
     let sel = select_packed(
-        d.codes(bytes, n),
-        d.width,
+        codes,
+        width,
         from,
         to,
         &[],
@@ -1148,46 +1488,49 @@ fn pdict_eval(
 }
 
 fn build_code_set(dict: &StrColumn, pred: &Pred) -> Result<Vec<bool>> {
-    let mut set = Vec::with_capacity(dict.len());
-    for i in 0..dict.len() {
-        let s = dict.get(i);
-        set.push(match pred {
-            Pred::Cmp { op, value } => {
-                let l = value.as_str().ok_or_else(|| type_err("str"))?;
-                op.matches_ord(s.cmp(l))
-            }
-            Pred::InStr { values, negated } => values.iter().any(|x| x == s) != *negated,
-        });
-    }
-    Ok(set)
+    (0..dict.len())
+        .map(|i| pred.matches_str(dict.get_bytes(i)))
+        .collect()
 }
 
-/// Result of rewriting an int-column-vs-float-literal comparison into pure
-/// integer space.
-enum IntSpace {
-    /// Equivalent integer predicate.
-    Pred(Pred),
+/// A predicate as the kernels take it: an integer column compared against a
+/// float literal (`quantity < 24.0`) is rewritten into integer space, so the
+/// encoded fast paths apply and the fallback compares ints instead of
+/// converting every value to f64.
+enum IntSpace<'a> {
+    /// The predicate itself, or its integer equivalent.
+    Pred(Cow<'a, Pred>),
     /// No integer can match (e.g. `x = 24.5`).
     Empty,
     /// Every non-NULL integer matches (e.g. `x != 24.5`).
     All,
-    /// Literal out of exact-i64 territory — keep the float comparison.
-    Keep,
 }
 
-fn int_space_pred(op: PredOp, l: f64) -> IntSpace {
+fn int_space(phys: u8, pred: &Pred) -> IntSpace<'_> {
+    let keep = IntSpace::Pred(Cow::Borrowed(pred));
+    let (op, l) = match (phys, pred) {
+        (
+            PHYS_I32 | PHYS_I64,
+            Pred::Cmp {
+                op,
+                value: Value::F64(l),
+            },
+        ) => (*op, *l),
+        _ => return keep,
+    };
     // Outside ±2^53 the floor/±1 arithmetic below loses exactness; those
-    // literals are vanishingly rare in predicates, so just fall back.
+    // literals are vanishingly rare in predicates, so the float comparison
+    // stays.
     if !l.is_finite() || l.abs() >= 9.0e15 {
-        return IntSpace::Keep;
+        return keep;
     }
     let fl = l.floor();
     let integral = fl == l;
     let ip = |op, k: f64| {
-        IntSpace::Pred(Pred::Cmp {
+        IntSpace::Pred(Cow::Owned(Pred::Cmp {
             op,
             value: Value::I64(k as i64),
-        })
+        }))
     };
     match op {
         PredOp::Lt => ip(PredOp::Le, if integral { l - 1.0 } else { fl }),
@@ -1226,34 +1569,57 @@ fn plain_f64_eval(
 
 fn value_matches(data: &ColumnData, i: usize, pred: &Pred) -> Result<bool> {
     match (data, pred) {
-        (ColumnData::I32(v), p) => int_matches(v[i] as i64, p),
-        (ColumnData::I64(v), p) => int_matches(v[i], p),
+        (ColumnData::I32(v), Pred::Cmp { op, value }) => int_matches(v[i] as i64, *op, value),
+        (ColumnData::I64(v), Pred::Cmp { op, value }) => int_matches(v[i], *op, value),
         (ColumnData::F64(v), Pred::Cmp { op, value }) => {
             let b = value.as_f64().ok_or_else(|| type_err("f64"))?;
             Ok(op.matches_f64(v[i], b))
         }
-        (ColumnData::Str(s), Pred::Cmp { op, value }) => {
-            let l = value.as_str().ok_or_else(|| type_err("str"))?;
-            Ok(op.matches_ord(s.get(i).cmp(l)))
-        }
-        (ColumnData::Str(s), Pred::InStr { values, negated }) => {
-            let x = s.get(i);
-            Ok(values.iter().any(|v| v == x) != *negated)
-        }
+        (ColumnData::Str(s), p) => p.matches_str(s.get_bytes(i)),
         _ => Err(type_err(data.type_name())),
     }
 }
 
-fn int_matches(v: i64, pred: &Pred) -> Result<bool> {
-    let Pred::Cmp { op, value } = pred else {
-        return Err(type_err("int"));
-    };
+fn int_matches(v: i64, op: PredOp, value: &Value) -> Result<bool> {
     match value.as_i64() {
         Some(l) => Ok(op.matches_ord(v.cmp(&l))),
         None => {
             let b = value.as_f64().ok_or_else(|| type_err("int"))?;
             Ok(op.matches_f64(v as f64, b))
         }
+    }
+}
+
+/// Keep the candidates that pass `test`, in place and in order, without a
+/// branch per candidate.
+#[inline(always)]
+fn retain_where(cands: &mut Vec<u32>, mut test: impl FnMut(usize) -> bool) {
+    let mut k = 0usize;
+    for j in 0..cands.len() {
+        let p = cands[j];
+        cands[k] = p;
+        k += test(p as usize) as usize;
+    }
+    cands.truncate(k);
+}
+
+/// [`retain_where`] with a test that can fail: the first error is returned
+/// (the list is then meaningless).
+fn retain_checked(cands: &mut Vec<u32>, mut test: impl FnMut(usize) -> Result<bool>) -> Result<()> {
+    let mut bad = None;
+    retain_where(cands, |p| {
+        test(p).unwrap_or_else(|e| {
+            bad.get_or_insert(e);
+            false
+        })
+    });
+    bad.map_or(Ok(()), Err)
+}
+
+/// Drop the candidates whose value is NULL.
+fn drop_nulls(nulls: &Option<BitVec>, from: usize, cands: &mut Vec<u32>) {
+    if let Some(b) = nulls {
+        retain_where(cands, |p| !b.get(from + p));
     }
 }
 
@@ -1339,16 +1705,26 @@ mod tests {
         }
         let full = expected_slice(col, from, to);
         for sel in sels {
+            let want = full.gather(&sel);
             assert_eq!(
                 cur.decode_selected(from, to, &sel).unwrap(),
-                full.gather(&sel),
+                want,
                 "range {}..{} sel {:?}",
                 from,
                 to,
                 sel
             );
+            assert_eq!(flat(cur.vector(from, to, Some(&sel)).unwrap()), want);
         }
+        assert_eq!(flat(cur.vector(from, to, None).unwrap()), full);
         assert!(cur.decode_selected(from, to, &[len]).is_err());
+        assert!(cur.vector(from, to, Some(&[len])).is_err());
+    }
+
+    /// A scan's vector with a dictionary column turned into its strings; a
+    /// PDICT block must have come in dictionary form.
+    fn flat(v: NullableColumn) -> NullableColumn {
+        NullableColumn::new(v.data.materialize(), v.nulls)
     }
 
     fn naive_sel(col: &NullableColumn, pred: &Pred, from: usize, to: usize) -> Vec<u32> {
@@ -1363,16 +1739,55 @@ mod tests {
         for pred in preds {
             for (a, b) in [(0, n), (n / 3, 2 * n / 3), (n / 2, n / 2 + 1), (0, 1)] {
                 let (a, b) = (a.min(n), b.min(n).max(a.min(n)));
+                let want = naive_sel(col, pred, a, b);
                 assert_eq!(
                     cur.eval_pred(pred, a, b).unwrap(),
-                    naive_sel(col, pred, a, b),
+                    want,
                     "pred {:?} range {}..{}",
                     pred,
                     a,
                     b
                 );
+                check_narrow(cur, pred, a, b, &want);
             }
         }
+    }
+
+    /// `narrow` from a candidate list ≡ `eval_pred` intersected with it:
+    /// the empty, full, first- and last-position lists and random ascending
+    /// ones on both sides of the dense cross-over. `hits` is what
+    /// `eval_pred` returns for the range.
+    fn check_narrow(cur: &mut BlockCursor, pred: &Pred, from: usize, to: usize, hits: &[u32]) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // A conjunct id names one predicate for a cursor's lifetime, and the
+        // tests put many predicates to one cursor.
+        static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let len = (to - from) as u32;
+        let mut r = Xoshiro256::seeded(id as u64 ^ len as u64);
+        let mut lists: Vec<Vec<u32>> = vec![vec![], (0..len).collect()];
+        if len > 0 {
+            lists.push(vec![0]);
+            lists.push(vec![len - 1]);
+            for keep in [0.03, 0.3, 0.55, 0.9] {
+                lists.push((0..len).filter(|_| r.chance(keep)).collect());
+            }
+        }
+        for cands in lists {
+            let want: Vec<u32> = cands
+                .iter()
+                .copied()
+                .filter(|p| hits.binary_search(p).is_ok())
+                .collect();
+            let mut got = cands.clone();
+            cur.narrow(id, pred, from, to, &mut got).unwrap();
+            assert_eq!(
+                got, want,
+                "pred {:?} range {}..{} candidates {:?}",
+                pred, from, to, cands
+            );
+        }
+        assert!(cur.narrow(id, pred, from, to, &mut vec![len]).is_err());
     }
 
     fn int_preds(lit: i64) -> Vec<Pred> {
@@ -1897,7 +2312,13 @@ mod tests {
         assert!(cur.decode_selected(0, 64, &[5, 59]).is_ok());
         assert!(cur.eval_pred(eq_a, 32, 64).is_err());
         assert!(cur.eval_pred(eq_a, 0, 60).is_ok());
-        assert!(cur.dict_codes(0, 64).is_none());
+        assert!(cur.vector(0, 64, None).is_err());
+        assert!(cur.vector(0, 64, Some(&[5, 61])).is_err());
+        assert!(cur.vector(0, 64, Some(&[5, 59])).is_ok());
+        // Narrowing meets the bad code on the dense and on the sparse path.
+        assert!(cur.narrow(0, eq_a, 32, 64, &mut (0..32).collect()).is_err());
+        assert!(cur.narrow(0, eq_a, 32, 64, &mut vec![1, 30]).is_err());
+        assert!(cur.narrow(0, eq_a, 32, 64, &mut vec![1, 27]).is_ok());
     }
 
     #[test]
@@ -1926,6 +2347,298 @@ mod tests {
         let mut bad = bytes.clone();
         bad[2] = 99; // scheme byte (after the 1-byte null flag)
         assert!(BlockCursor::new(Arc::new(bad)).is_err());
+    }
+
+    /// A block of `col` in `scheme` (`None`: the encoder's choice, the only
+    /// way to a string or boolean block), with the NULL framing by hand.
+    fn block_of(col: &NullableColumn, scheme: Option<CompressionScheme>) -> Vec<u8> {
+        let Some(scheme) = scheme else {
+            return encode_block(col).0;
+        };
+        let mut blk = match &col.nulls {
+            Some(b) => {
+                let mut out = vec![1u8];
+                out.extend_from_slice(&b.to_bytes());
+                out
+            }
+            None => vec![0u8],
+        };
+        blk.extend_from_slice(&compress_with(&col.data, scheme));
+        blk
+    }
+
+    /// Words the random strings are made of: a needle, its two halves (so a
+    /// pair of neighbouring rows can spell it across their boundary), ASCII
+    /// that repeats, and two- and four-byte characters.
+    const WORDS: [&str; 9] = ["special", "spe", "cial", "a", "b", "ab", "é", "𝄞", " "];
+
+    fn like(pattern: &str, negated: bool) -> Pred {
+        Pred::Like {
+            pattern: LikePattern::new(pattern),
+            negated,
+        }
+    }
+
+    /// A random column of one of the shapes the encoder tells apart, the
+    /// scheme to force on it, and predicates of every kind its type takes.
+    fn random_column(
+        r: &mut Xoshiro256,
+        n: usize,
+    ) -> (ColumnData, Option<CompressionScheme>, Vec<Pred>) {
+        use CompressionScheme::*;
+        let small: Vec<i64> = (0..n).map(|_| r.range_i64(-30, 30)).collect();
+        let narrow = |v: &[i64]| ColumnData::I32(v.iter().map(|&x| x as i32).collect());
+        let mut int_preds = all_ops(Value::I64(r.range_i64(-31, 31)));
+        int_preds.extend(all_ops(Value::F64(r.range_i64(-62, 62) as f64 / 2.0)));
+        let words = |r: &mut Xoshiro256, most: u64| -> String {
+            (0..r.next_below(most + 1))
+                .map(|_| WORDS[r.next_below(WORDS.len() as u64) as usize])
+                .collect()
+        };
+        match r.next_below(11) {
+            0 => (ColumnData::I64(small), Some(Plain), int_preds),
+            1 => (narrow(&small), Some(Plain), int_preds),
+            2 | 3 => {
+                // A few values far outside the frame become exceptions.
+                let mut v = small;
+                for x in v.iter_mut() {
+                    if r.chance(0.03) {
+                        *x = r.range_i64(-1_000_000, 1_000_000);
+                    }
+                }
+                match r.chance(0.5) {
+                    true => (ColumnData::I64(v), Some(Pfor), int_preds),
+                    false => (narrow(&v), Some(Pfor), int_preds),
+                }
+            }
+            4 => {
+                let mut acc = -20i64;
+                let sorted = (0..n).map(|_| {
+                    acc += r.range_i64(0, 1);
+                    acc
+                });
+                (
+                    ColumnData::I64(sorted.collect()),
+                    Some(PforDelta),
+                    int_preds,
+                )
+            }
+            5 => {
+                let mut v = 0;
+                let runs = (0..n).map(|_| {
+                    if r.chance(0.02) {
+                        v = r.range_i64(-30, 30);
+                    }
+                    v
+                });
+                (ColumnData::I64(runs.collect()), Some(Rle), int_preds)
+            }
+            6 => {
+                let mut v = 0.0;
+                let runs: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if r.chance(0.03) {
+                            v = r.range_i64(-8, 8) as f64 / 4.0;
+                        }
+                        v
+                    })
+                    .collect();
+                (ColumnData::F64(runs), None, all_ops(Value::F64(0.5)))
+            }
+            7 => {
+                let v = (0..n).map(|_| r.range_i64(-40, 40) as f64 / 8.0).collect();
+                let lit = r.range_i64(-40, 40) as f64 / 8.0;
+                (ColumnData::F64(v), None, all_ops(Value::F64(lit)))
+            }
+            8 => {
+                let v = (0..n).map(|_| r.chance(0.4)).collect();
+                // No predicate is pushed to a boolean column; the decoding
+                // fallback still answers, here with a type error.
+                (ColumnData::Bool(v), None, Vec::new())
+            }
+            kind => {
+                // 9: a small domain, dictionary-coded; 10: long strings with
+                // a unique tail, stored plain.
+                let domain: Vec<String> = (0..12).map(|_| words(r, 3)).collect();
+                let strings: Vec<String> = (0..n)
+                    .map(|i| match kind {
+                        9 => domain[r.next_below(domain.len() as u64) as usize].clone(),
+                        _ if r.chance(0.5) => format!("{}{}", words(r, 5), i),
+                        _ => words(r, 5),
+                    })
+                    .collect();
+                let lit = strings[r.next_below(n as u64) as usize].clone();
+                let mut preds = all_ops(Value::Str(lit.clone()));
+                for negated in [false, true] {
+                    preds.push(Pred::InStr {
+                        values: vec![lit.clone(), "nope".into(), words(r, 2)],
+                        negated,
+                    });
+                    let head: String = lit.chars().take(2).collect();
+                    let tail: String = lit
+                        .chars()
+                        .skip(lit.chars().count().saturating_sub(2))
+                        .collect();
+                    for pattern in [
+                        lit.clone(),
+                        format!("{head}%"),
+                        format!("%{tail}"),
+                        "%special%".to_string(),
+                        format!("%{}%", words(r, 2)),
+                        "%".to_string(),
+                        format!("_{}%", tail),
+                        format!("%{}_%{}", head, tail),
+                    ] {
+                        preds.push(like(&pattern, negated));
+                    }
+                }
+                let col = StrColumn::from_iter(strings.iter().map(|s| s.as_str()));
+                (ColumnData::Str(col), None, preds)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Every codec × physical type × NULL density × predicate kind, over
+        /// vectors that include the last, partial one of the block:
+        /// `eval_pred` is the row-at-a-time answer, `narrow` from any
+        /// candidate list is `eval_pred` intersected with the list, and the
+        /// scan's `vector` is the decoded slice.
+        #[test]
+        fn narrowing_equals_eval_pred_on_the_candidates(seed in 0u64..1_000_000) {
+            let mut r = Xoshiro256::seeded(seed);
+            let n = 1 + r.next_below(2600) as usize;
+            let (data, scheme, preds) = random_column(&mut r, n);
+            let null_share = [0.0, 0.05, 0.6][r.next_below(3) as usize];
+            let nulls: BitVec = (0..n).map(|_| r.chance(null_share)).collect();
+            let col = NullableColumn::new(data, Some(nulls)).normalize();
+            let mut cur = BlockCursor::new(Arc::new(block_of(&col, scheme))).unwrap();
+            if let Some(s) = scheme {
+                proptest::prop_assert_eq!(cur.scheme(), s);
+            }
+            let vs = [1024, 300][r.next_below(2) as usize];
+            for from in (0..n).step_by(vs) {
+                let to = (from + vs).min(n);
+                check_selected(&col, &mut cur, &mut r, from, to);
+                for pred in &preds {
+                    let want = naive_sel(&col, pred, from, to);
+                    proptest::prop_assert_eq!(
+                        &cur.eval_pred(pred, from, to).unwrap(),
+                        &want,
+                        "{:?} on {:?} rows {}..{}",
+                        pred,
+                        cur.scheme(),
+                        from,
+                        to
+                    );
+                    check_narrow(&mut cur, pred, from, to, &want);
+                }
+            }
+        }
+    }
+
+    /// A substring that only exists across the boundary of two rows is in
+    /// neither; one row holding it twice is selected once; empty rows and
+    /// NULL rows among the hits do not shift the mapping.
+    #[test]
+    fn substring_hits_map_to_their_rows() {
+        let rows = [
+            "spe",
+            "cial",
+            "",
+            "special",
+            "",
+            "",
+            "xspecialspecial",
+            "specia",
+            "l",
+            "a special b",
+        ];
+        let mut long: Vec<String> = rows.iter().map(|s| s.to_string()).collect();
+        // Unique tails keep the block PLAIN.
+        long.extend((0..40).map(|i| format!("filler row number {i} spe")));
+        let nulls: BitVec = (0..long.len()).map(|i| i == 3).collect();
+        let col = NullableColumn::new(
+            ColumnData::Str(StrColumn::from_iter(long.iter().map(|s| s.as_str()))),
+            Some(nulls),
+        );
+        let (mut cur, scheme) = cursor_of(&col);
+        assert_eq!(scheme, CompressionScheme::Plain);
+        let n = col.len();
+        assert_eq!(
+            cur.eval_pred(&like("%special%", false), 0, n).unwrap(),
+            vec![6, 9]
+        );
+        let not: Vec<u32> = (0..n as u32).filter(|p| ![3, 6, 9].contains(p)).collect();
+        assert_eq!(cur.eval_pred(&like("%special%", true), 0, n).unwrap(), not);
+        assert_eq!(
+            cur.eval_pred(&like("%special%", false), 7, n).unwrap(),
+            vec![2]
+        );
+        let mut preds = vec![];
+        for negated in [false, true] {
+            for p in ["%special%", "%spe", "spe%", "%l%", "%e%c%", "_", "%", ""] {
+                preds.push(like(p, negated));
+            }
+        }
+        check_preds(&col, &mut cur, &preds);
+    }
+
+    /// Truncated at any length and with any byte changed, a block of any
+    /// codec either fails to open or answers every entry point with a value
+    /// or an error — it never panics or reads out of bounds.
+    #[test]
+    fn truncated_and_corrupt_blocks_never_panic() {
+        let mut r = Xoshiro256::seeded(29);
+        let n = 700;
+        let exercise = |bytes: Vec<u8>, preds: &[Pred]| {
+            let Ok(mut cur) = BlockCursor::new(Arc::new(bytes)) else {
+                return;
+            };
+            let n = cur.n().min(4 * n);
+            for (from, to) in [(0, n), (n / 2, n)] {
+                let _ = cur.decode_slice(from, to);
+                let _ = cur.vector(from, to, None);
+                let sparse: Vec<u32> = (0..(to - from) as u32).step_by(9).collect();
+                let _ = cur.decode_selected(from, to, &sparse);
+                let _ = cur.vector(from, to, Some(&sparse));
+                for (id, pred) in preds.iter().enumerate() {
+                    let _ = cur.eval_pred(pred, from, to);
+                    let _ = cur.narrow(id, pred, from, to, &mut sparse.clone());
+                    let _ = cur.narrow(id, pred, from, to, &mut (0..(to - from) as u32).collect());
+                }
+            }
+        };
+        for kind in 0..11 {
+            // `random_column` draws its kind first: retry until it is ours.
+            let (data, scheme, preds) = loop {
+                let mut probe = Xoshiro256::seeded(r.next_u64());
+                if probe.clone().next_below(11) == kind {
+                    break random_column(&mut probe, n);
+                }
+            };
+            let nulls: BitVec = (0..n).map(|i| i % 13 == 5).collect();
+            let col = NullableColumn::new(data, Some(nulls));
+            let good = block_of(&col, scheme);
+            for len in 0..good.len().min(400) {
+                exercise(good[..len].to_vec(), &preds);
+            }
+            for len in (0..good.len()).step_by(97) {
+                exercise(good[..len].to_vec(), &preds);
+            }
+            for _ in 0..400 {
+                let mut bad = good.clone();
+                let at = r.next_below(bad.len().min(600) as u64) as usize;
+                bad[at] ^= 1 << r.next_below(8);
+                exercise(bad, &preds);
+                let mut bad = good.clone();
+                let at = r.next_below(bad.len() as u64) as usize;
+                bad[at] = r.next_u64() as u8;
+                exercise(bad, &preds);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod spill;
 pub mod table;
 
 pub use block::{ColumnBlock, MinMax, PruneOp};
-pub use column::{ColumnData, NullableColumn, StrColumn};
+pub use column::{ColumnData, DictColumn, NullableColumn, StrColumn};
 pub use compress::{compress_data, decompress_data, CompressionScheme};
 pub use cursor::{BlockCursor, Pred, PredOp};
 pub use simdisk::{DiskStats, SimDisk, SimDiskConfig};

@@ -160,16 +160,21 @@ fn encode_chunk(cols: &[SpillCol], rows: usize) -> Result<Vec<u8>> {
                     buf.extend_from_slice(&x.to_le_bytes());
                 }
             }
-            ColumnData::Str(s) => {
-                for i in 0..s.len() {
-                    let b = s.get_bytes(i);
-                    push_u32(&mut buf, b.len() as u32);
-                    buf.extend_from_slice(b);
-                }
-            }
+            ColumnData::Str(s) => push_strs(&mut buf, s),
+            // A spill file holds strings: it outlives the block whose
+            // dictionary the codes index.
+            ColumnData::Dict(d) => push_strs(&mut buf, &d.materialize()),
         }
     }
     Ok(buf)
+}
+
+fn push_strs(buf: &mut Vec<u8>, s: &StrColumn) {
+    for i in 0..s.len() {
+        let b = s.get_bytes(i);
+        push_u32(buf, b.len() as u32);
+        buf.extend_from_slice(b);
+    }
 }
 
 fn tag_of(data: &ColumnData) -> (u8, &'static str) {
@@ -178,7 +183,7 @@ fn tag_of(data: &ColumnData) -> (u8, &'static str) {
         ColumnData::I32(_) => (TAG_I32, "i32"),
         ColumnData::I64(_) => (TAG_I64, "i64"),
         ColumnData::F64(_) => (TAG_F64, "f64"),
-        ColumnData::Str(_) => (TAG_STR, "str"),
+        ColumnData::Str(_) | ColumnData::Dict(_) => (TAG_STR, "str"),
     }
 }
 

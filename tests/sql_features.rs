@@ -619,3 +619,124 @@ fn explain_analyze_reports_hash_table_and_sort_key_figures() {
         assert!(topn.contains(key), "{key} missing:\n{topn}");
     }
 }
+
+/// Strings beyond ASCII are the same strings whether they arrive as SQL
+/// literals or through the bulk-load API: rows of either origin compare
+/// equal under `=`, `IN` and `LIKE`, come back byte for byte, and count
+/// their characters alike (`_` in a pattern, `SUBSTRING`).
+#[test]
+fn non_ascii_strings_round_trip_through_sql_text() {
+    let d = Database::new().unwrap();
+    d.execute("CREATE TABLE u (id BIGINT NOT NULL, s VARCHAR)")
+        .unwrap();
+    let words = ["é", "𝄞", "n'é", "déjà vu", "€uro", "plain"];
+    d.bulk_load(
+        "u",
+        words
+            .iter()
+            .enumerate()
+            .map(|(i, w)| vec![Value::I64(i as i64), Value::Str(w.to_string())]),
+    )
+    .unwrap();
+    for (i, w) in words.iter().enumerate() {
+        let lit = w.replace('\'', "''");
+        d.execute(&format!("INSERT INTO u VALUES ({}, '{}')", 100 + i, lit))
+            .unwrap();
+        // The loaded row and the inserted one, under each predicate.
+        let both = vec![Value::I64(i as i64), Value::I64(100 + i as i64)];
+        for pred in [
+            format!("s = '{lit}'"),
+            format!("s IN ('{lit}', 'nothing')"),
+            format!("s LIKE '{lit}'"),
+            format!("'{lit}' = s"),
+        ] {
+            let sql = format!("SELECT id FROM u WHERE {pred} ORDER BY id");
+            assert_eq!(col(&d, &sql), both, "{sql}");
+        }
+        let back = col(&d, &format!("SELECT s FROM u WHERE id = {}", 100 + i));
+        assert_eq!(back, vec![Value::Str(w.to_string())]);
+    }
+    assert_eq!(
+        one(&d, "SELECT SUBSTRING(s FROM 1 FOR 1) FROM u WHERE id = 100"),
+        Value::Str("é".into())
+    );
+    // One character each, whatever its width in bytes: from both origins.
+    assert_eq!(
+        col(&d, "SELECT id FROM u WHERE s LIKE '_' ORDER BY id"),
+        [0, 1, 100, 101].map(Value::I64).to_vec()
+    );
+    assert_eq!(
+        col(&d, "SELECT id FROM u WHERE s LIKE 'd_j_ vu' ORDER BY id"),
+        [3, 103].map(Value::I64).to_vec()
+    );
+    assert_eq!(
+        col(&d, "SELECT id FROM u WHERE s LIKE '_uro' ORDER BY id"),
+        [4, 104].map(Value::I64).to_vec()
+    );
+    // The same after the rows have moved into compressed blocks.
+    d.checkpoint("u").unwrap();
+    assert_eq!(
+        col(&d, "SELECT id FROM u WHERE s LIKE '_' ORDER BY id"),
+        [0, 1, 100, 101].map(Value::I64).to_vec()
+    );
+    assert_eq!(
+        col(&d, "SELECT id FROM u WHERE s NOT LIKE '%é%' ORDER BY id"),
+        [1, 4, 5, 101, 104, 105].map(Value::I64).to_vec()
+    );
+}
+
+/// `_` in a `LIKE` pattern is one character, as `SUBSTRING` counts them,
+/// not one byte — over strings that only ever came through the load API,
+/// in the append tail and in compressed blocks (dictionary-coded, and
+/// plain where the values are all different).
+#[test]
+fn like_underscore_matches_one_character() {
+    let d = Database::new().unwrap();
+    d.execute("CREATE TABLE w (id BIGINT NOT NULL, few VARCHAR, many VARCHAR)")
+        .unwrap();
+    let few = ["é", "𝄞", "ab", "x", "€x"];
+    d.bulk_load(
+        "w",
+        (0..400i64).map(|i| {
+            let f = few[i as usize % few.len()];
+            vec![
+                Value::I64(i),
+                Value::Str(f.to_string()),
+                Value::Str(format!("{f}{i:03}")),
+            ]
+        }),
+    )
+    .unwrap();
+    let n = |sql: &str| one(&d, sql);
+    for _ in 0..2 {
+        // é, 𝄞 and x: one character each.
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE few LIKE '_'"),
+            Value::I64(240)
+        );
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE few LIKE '__'"),
+            Value::I64(160)
+        );
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE few NOT LIKE '_%_'"),
+            Value::I64(240)
+        );
+        // One character and three digits.
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE many LIKE '_0__'"),
+            Value::I64(60)
+        );
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE many LIKE '_x1%'"),
+            Value::I64(20)
+        );
+        assert_eq!(
+            n("SELECT COUNT(*) FROM w WHERE SUBSTRING(few FROM 1 FOR 1) = few"),
+            Value::I64(240)
+        );
+        d.execute("INSERT INTO w VALUES (1000, 'zz', 'zz')")
+            .unwrap();
+        d.execute("DELETE FROM w WHERE id = 1000").unwrap();
+    }
+}
