@@ -85,11 +85,99 @@ impl ScanState {
 #[derive(Default)]
 struct AbmState {
     scans: HashMap<ScanId, ScanState>,
+    /// Per block, the registered scans that still need it (have it in
+    /// `remaining`): its relevance, kept as scans register, take blocks and
+    /// release, so choosing what to load reads a count instead of asking
+    /// every scan.
+    need: HashMap<BlockId, usize>,
     cache: HashMap<BlockId, CachedBlock>,
     cache_bytes: usize,
     next_scan: ScanId,
     loads: u64,
     shared_hits: u64,
+}
+
+impl AbmState {
+    /// Scan `id` takes `block`, if it still needed it: the block leaves the
+    /// scan's remaining set, so no other worker of the registration is
+    /// handed it again.
+    fn take(&mut self, id: ScanId, block: BlockId) {
+        if let Some(scan) = self.scans.get_mut(&id) {
+            if scan.remaining.remove(&block) {
+                scan.consumed += 1;
+                self.unneed(block);
+            }
+        }
+    }
+
+    /// Undo [`AbmState::take`] after the load of `block` failed.
+    fn put_back(&mut self, id: ScanId, block: BlockId) {
+        if let Some(scan) = self.scans.get_mut(&id) {
+            if scan.remaining.insert(block) {
+                scan.consumed -= 1;
+                *self.need.entry(block).or_default() += 1;
+            }
+        }
+    }
+
+    fn unneed(&mut self, block: BlockId) {
+        if let Some(n) = self.need.get_mut(&block) {
+            *n -= 1;
+            if *n == 0 {
+                self.need.remove(&block);
+            }
+        }
+    }
+
+    /// The block scan `id` should load next: the one the most registered
+    /// scans still need; among those, one needed by the least-progressed
+    /// scan that needs any of them (a starvation bound); then the smallest
+    /// id, for determinism.
+    fn choose(&self, id: ScanId) -> Option<BlockId> {
+        let remaining = &self.scans.get(&id)?.remaining;
+        let relevance = |b: &BlockId| self.need.get(b).copied().unwrap_or(0);
+        let most = remaining.iter().map(relevance).max()?;
+        let top: Vec<BlockId> = remaining
+            .iter()
+            .copied()
+            .filter(|b| relevance(b) == most)
+            .collect();
+        let progress: Vec<(usize, &HashSet<BlockId>)> = self
+            .scans
+            .values()
+            .map(|s| (s.progress_units(), &s.remaining))
+            .collect();
+        let needs_top = |r: &HashSet<BlockId>| top.iter().any(|b| r.contains(b));
+        // Scan `id` needs every candidate, so some scan does.
+        let least = progress
+            .iter()
+            .filter(|(_, r)| needs_top(r))
+            .map(|(p, _)| *p)
+            .min()?;
+        top.iter()
+            .copied()
+            .filter(|b| progress.iter().any(|(p, r)| *p == least && r.contains(b)))
+            .min_by_key(|b| b.as_u64())
+    }
+
+    /// Keep `data` cached for the scans that still need `block`; a copy
+    /// another scan loaded at the same time is replaced.
+    fn cache(&mut self, block: BlockId, data: &Arc<Vec<u8>>) {
+        let needed_by: HashSet<ScanId> = self
+            .scans
+            .iter()
+            .filter(|(_, s)| s.remaining.contains(&block))
+            .map(|(sid, _)| *sid)
+            .collect();
+        let cached = CachedBlock {
+            data: data.clone(),
+            needed_by,
+        };
+        if let Some(old) = self.cache.insert(block, cached) {
+            self.cache_bytes -= old.data.len();
+        }
+        self.cache_bytes += data.len();
+    }
 }
 
 /// The Active Buffer Manager.
@@ -167,6 +255,9 @@ impl Abm {
         let id = g.next_scan;
         g.next_scan += 1;
         let remaining: HashSet<BlockId> = blocks.into_iter().collect();
+        for &bid in &remaining {
+            *g.need.entry(bid).or_default() += 1;
+        }
         // Blocks already cached become immediately relevant to this scan.
         for (bid, cb) in g.cache.iter_mut() {
             if remaining.contains(bid) {
@@ -191,18 +282,16 @@ impl Abm {
     }
 
     /// Produce the next block for scan `id`: cached-and-needed first, else
-    /// load the globally most relevant block this scan needs.
+    /// load the globally most relevant block this scan needs. The block is
+    /// taken from the scan before the lock drops for the load, so each
+    /// block reaches exactly one of the handles sharing a registration.
     fn next_for(&self, id: ScanId) -> Result<Option<(BlockId, Arc<Vec<u8>>)>> {
-        let chosen: BlockId;
-        {
+        let chosen = {
             let mut g = self.state.lock();
             let scan = g
                 .scans
                 .get(&id)
                 .ok_or_else(|| VwError::Invalid("scan not registered".into()))?;
-            if scan.remaining.is_empty() {
-                return Ok(None);
-            }
             // 1. A cached block we still need?
             let cached_hit = scan
                 .remaining
@@ -216,69 +305,29 @@ impl Abm {
                     cb.data.clone()
                 };
                 g.shared_hits += 1;
-                let scan = g.scans.get_mut(&id).unwrap();
-                scan.remaining.remove(&bid);
-                scan.consumed += 1;
+                g.take(id, bid);
                 Self::evict_consumed(&mut g, self.capacity_bytes);
                 return Ok(Some((bid, data)));
             }
-            // 2. Choose what to load: relevance = number of active scans that
-            // still need the block; ties broken toward blocks needed by the
-            // least-progressed scan (starvation bound), then by id for
-            // determinism.
-            let candidates: Vec<BlockId> = scan.remaining.iter().copied().collect();
-            let mut best: Option<(usize, usize, u64, BlockId)> = None;
-            for bid in candidates {
-                let relevance = g
-                    .scans
-                    .values()
-                    .filter(|s| s.remaining.contains(&bid))
-                    .count();
-                let min_progress = g
-                    .scans
-                    .values()
-                    .filter(|s| s.remaining.contains(&bid))
-                    .map(|s| s.progress_units())
-                    .min()
-                    .unwrap_or(usize::MAX);
-                // maximize relevance, minimize progress, then smallest id
-                let key = (
-                    relevance,
-                    usize::MAX - min_progress,
-                    u64::MAX - bid.as_u64(),
-                    bid,
-                );
-                if best
-                    .as_ref()
-                    .is_none_or(|b| (key.0, key.1, key.2) > (b.0, b.1, b.2))
-                {
-                    best = Some(key);
-                }
-            }
-            chosen = best.unwrap().3;
-        }
+            // 2. Choose what to load; `None` once nothing is left.
+            let Some(chosen) = g.choose(id) else {
+                return Ok(None);
+            };
+            g.take(id, chosen);
+            chosen
+        };
         // Load outside the lock (charges virtual I/O time).
-        let data = self.disk.read_block(chosen)?;
+        let data = match self.disk.read_block(chosen) {
+            Ok(data) => data,
+            Err(e) => {
+                self.state.lock().put_back(id, chosen);
+                return Err(e);
+            }
+        };
         let mut g = self.state.lock();
         g.loads += 1;
         // All scans that still need it share the load.
-        let needed_by: HashSet<ScanId> = g
-            .scans
-            .iter()
-            .filter(|(sid, s)| **sid != id && s.remaining.contains(&chosen))
-            .map(|(sid, _)| *sid)
-            .collect();
-        g.cache_bytes += data.len();
-        g.cache.insert(
-            chosen,
-            CachedBlock {
-                data: data.clone(),
-                needed_by,
-            },
-        );
-        let scan = g.scans.get_mut(&id).unwrap();
-        scan.remaining.remove(&chosen);
-        scan.consumed += 1;
+        g.cache(chosen, &data);
         Self::evict_consumed(&mut g, self.capacity_bytes);
         Ok(Some((chosen, data)))
     }
@@ -302,11 +351,7 @@ impl Abm {
                 cb.needed_by.remove(&id);
                 let data = cb.data.clone();
                 g.shared_hits += 1;
-                if let Some(scan) = g.scans.get_mut(&id) {
-                    if scan.remaining.remove(&block) {
-                        scan.consumed += 1;
-                    }
-                }
+                g.take(id, block);
                 Self::evict_consumed(&mut g, self.capacity_bytes);
                 return Ok(data);
             }
@@ -318,31 +363,10 @@ impl Abm {
         drop(io_timer);
         let mut g = self.state.lock();
         g.loads += 1;
-        if let Some(scan) = g.scans.get_mut(&id) {
-            if scan.remaining.remove(&block) {
-                scan.consumed += 1;
-            }
-        }
+        g.take(id, block);
         // Retain for the other scans that still need this block; if none do
         // it is evicted right away by the dead-block sweep below.
-        let needed_by: HashSet<ScanId> = g
-            .scans
-            .iter()
-            .filter(|(sid, s)| **sid != id && s.remaining.contains(&block))
-            .map(|(sid, _)| *sid)
-            .collect();
-        if let Some(old) = g.cache.insert(
-            block,
-            CachedBlock {
-                data: data.clone(),
-                needed_by,
-            },
-        ) {
-            // Concurrent double-load of the same block: don't double-count
-            // the replaced entry's bytes.
-            g.cache_bytes -= old.data.len();
-        }
-        g.cache_bytes += data.len();
+        g.cache(block, &data);
         Self::evict_consumed(&mut g, self.capacity_bytes);
         Ok(data)
     }
@@ -391,7 +415,11 @@ impl Abm {
             None => false,
         };
         if last {
-            g.scans.remove(&id);
+            if let Some(scan) = g.scans.remove(&id) {
+                for bid in scan.remaining {
+                    g.unneed(bid);
+                }
+            }
             for cb in g.cache.values_mut() {
                 cb.needed_by.remove(&id);
             }
@@ -712,14 +740,59 @@ mod tests {
             .flat_map(|h| h.join().unwrap())
             .collect();
         all.sort_by_key(|b| b.as_u64());
-        all.dedup();
         // One logical scan: every block delivered exactly once across ALL
         // workers, one disk pass total, and the shared counter saw them all.
-        assert_eq!(all.len(), 24, "blocks lost or duplicated across workers");
+        assert_eq!(all, ids, "blocks lost or duplicated across workers");
         assert_eq!(disk.stats().reads, 24);
         assert_eq!(progress.get(), 24);
         // Last clone gone -> registration fully released.
         assert!(abm.state.lock().scans.is_empty());
+    }
+
+    /// Four workers of one registration released at once by a barrier,
+    /// a thousand times, beside a second scan of the same blocks: each
+    /// worker set receives every block exactly once, and the scans' need
+    /// counts drain to nothing.
+    #[test]
+    fn workers_of_one_scan_never_share_a_block() {
+        let (disk, ids) = setup(16, 32);
+        let abm = Abm::new(disk.clone(), 16 * 32);
+        for round in 0..1000 {
+            let scan = abm.register_scan(ids.clone());
+            let mut other = abm.register_scan(ids.clone());
+            let start = std::sync::Barrier::new(4);
+            let mut got: Vec<BlockId> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        let mut worker = scan.clone();
+                        let start = &start;
+                        s.spawn(move || {
+                            start.wait();
+                            let mut got = Vec::new();
+                            while let Some((bid, _)) = worker.next().unwrap() {
+                                got.push(bid);
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                let mut seen = 0;
+                while other.next().unwrap().is_some() {
+                    seen += 1;
+                }
+                assert_eq!(seen, ids.len(), "round {}", round);
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap())
+                    .collect()
+            });
+            got.sort_by_key(|b| b.as_u64());
+            assert_eq!(got, ids, "round {}", round);
+            drop((scan, other));
+            let g = abm.state.lock();
+            assert!(g.scans.is_empty() && g.need.is_empty() && g.cache.is_empty());
+            assert_eq!(g.cache_bytes, 0, "round {}", round);
+        }
     }
 
     #[test]

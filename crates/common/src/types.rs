@@ -11,9 +11,11 @@ use std::fmt;
 
 /// The scalar types the engine supports.
 ///
-/// Decimals are represented as `I64` scaled by 100 (TPC-H money), which is
-/// how Vectorwise itself maps low-scale decimals onto integer kernels; the
-/// SQL layer handles the scaling. `Date` is `i32` days since epoch.
+/// There is no decimal type: SQL `DECIMAL(p,s)` is `F64`. Storage keeps a
+/// block of `F64` values that are all exact short decimals as scaled
+/// integers (`d / 10^s`, bit for bit) in a PFOR frame, so money columns are
+/// bit-packed on disk while every kernel above storage sees doubles. `Date`
+/// is `i32` days since epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Bool,

@@ -283,7 +283,8 @@ impl Parser {
             "BOOLEAN" => DataType::Bool,
             "DATE" => DataType::Date,
             "DECIMAL" => {
-                // DECIMAL(p, s) maps onto DOUBLE in this engine
+                // DECIMAL(p, s) maps onto DOUBLE in this engine; storage
+                // packs blocks of exact decimals as scaled integers.
                 if self.eat_kind(&TokenKind::LParen) {
                     self.bump();
                     if self.eat_kind(&TokenKind::Comma) {

@@ -39,59 +39,86 @@ pub fn pack(values: &[u64], width: u32) -> Vec<u8> {
 }
 
 /// Unpack `n` values of `width` bits from `bytes`.
-///
-/// Streams through the input with one 64-bit load per 8 bytes, keeping a
-/// 128-bit residue buffer — ~10x faster than per-value byte gathering, which
-/// matters because decompression sits on every scan's critical path (§I-A:
-/// decompression must be nearly free relative to I/O).
 pub fn unpack(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
-    assert!(width <= 64);
-    if width == 0 {
-        return vec![0; n];
-    }
-    assert!(bytes.len() >= packed_len(n, width), "truncated packed data");
-    let mask: u128 = if width == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << width) - 1
-    };
-    let mut out = Vec::with_capacity(n);
-    let mut buf: u128 = 0;
-    let mut bits: u32 = 0;
-    let mut pos = 0usize;
-    for _ in 0..n {
-        while bits < width {
-            if pos + 8 <= bytes.len() {
-                let w = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-                buf |= (w as u128) << bits;
-                bits += 64;
-                pos += 8;
-            } else if pos < bytes.len() {
-                buf |= (bytes[pos] as u128) << bits;
-                bits += 8;
-                pos += 1;
-            } else {
-                // trailing padding bits are zero by construction
-                bits = width;
-            }
-        }
-        out.push((buf & mask) as u64);
-        buf >>= width;
-        bits -= width;
-    }
+    let mut out = vec![0; n];
+    unpack_into(bytes, 0, width, &mut out);
     out
 }
 
-/// Visit values `from..to` of `width` bits from `bytes`, in order, as
-/// `f(i, value)` with `i` counting from 0, without touching the preceding
-/// packed data: the lazy-scan cursors decode and compare one ~1K-value
-/// vector slice out of a 64K-value block through this.
+/// Values `from..from + out.len()` of `width` bits from `bytes`, into `out`,
+/// without touching the preceding packed data: every PFOR and PDICT decode
+/// and every predicate on packed values runs through here, a ~1K-value
+/// vector slice out of a 64K-value block at a time, so it must be nearly
+/// free relative to I/O (§I-A).
 ///
-/// Widths up to 56 take one unaligned 64-bit load, a shift and a mask per
-/// value (a value starts at most 7 bits into its first byte, so it never
-/// leaves the loaded word); the last few values, whose 8-byte window would
-/// run past `bytes`, load through a zero-padded copy. Wider values keep the
-/// 128-bit residue buffer of [`unpack`].
+/// Each width up to 56 has a kernel of its own ([`unpack_width`]); one
+/// `match` per call picks it. Wider values, which only pathological frames
+/// have, are read one at a time.
+pub fn unpack_into(bytes: &[u8], from: usize, width: u32, out: &mut [u64]) {
+    assert!(width <= 64);
+    if width == 0 {
+        out.fill(0);
+        return;
+    }
+    assert!(
+        bytes.len() >= packed_len(from + out.len(), width),
+        "truncated packed data"
+    );
+    macro_rules! dispatch {
+        ($($w:literal)*) => {
+            match width {
+                $($w => unpack_width::<$w>(bytes, from, out),)*
+                _ => unpack_each(bytes, from, width, out),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+        29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56);
+}
+
+/// [`unpack_into`] for one width `W` ≤ 56. Eight values of `W` bits fill
+/// exactly `W` bytes, so a group of eight starts on a byte boundary and
+/// value `j` of it lies at the constant byte `j·W/8` and bit `j·W%8`: one
+/// unaligned 64-bit load, a constant shift and a mask each (a value starts
+/// at most 7 bits into its first byte, so it never leaves the loaded word).
+/// The values before the first group boundary, and the groups whose last
+/// load would run past `bytes`, are read one at a time.
+fn unpack_width<const W: usize>(bytes: &[u8], from: usize, out: &mut [u64]) {
+    let head = ((8 - from % 8) % 8).min(out.len());
+    let first = (from + head) / 8 * W;
+    // Group `g` reads bytes up to `first + (g + 1)·W + 8`.
+    let fit = bytes.len().saturating_sub(first + 8) / W;
+    let groups = ((out.len() - head) / 8).min(fit);
+    let (head_out, rest) = out.split_at_mut(head);
+    let (body, tail) = rest.split_at_mut(groups * 8);
+    unpack_each(bytes, from, W as u32, head_out);
+    for (g, group) in body.chunks_exact_mut(8).enumerate() {
+        let at = first + g * W;
+        let window = &bytes[at..at + W + 8];
+        let mask = (1u64 << W) - 1;
+        for (j, o) in group.iter_mut().enumerate() {
+            let bit = j * W;
+            let word = u64::from_le_bytes(window[bit / 8..bit / 8 + 8].try_into().unwrap());
+            *o = (word >> (bit % 8)) & mask;
+        }
+    }
+    unpack_each(bytes, from + head + groups * 8, W as u32, tail);
+}
+
+/// [`unpack_into`] one value at a time. Kept out of line: the kernels call
+/// it for at most a few values, and inlined it would be specialised, and
+/// unrolled, once per width.
+#[inline(never)]
+fn unpack_each(bytes: &[u8], from: usize, width: u32, out: &mut [u64]) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = unpack_at(bytes, from + i, width);
+    }
+}
+
+/// Visit values `from..to` of `width` bits from `bytes`, in order, as
+/// `f(i, value)` with `i` counting from 0: [`unpack_into`] a stack buffer
+/// at a time, so the kernels are instantiated once per width and never per
+/// caller.
 #[inline(always)]
 pub fn unpack_range(
     bytes: &[u8],
@@ -100,81 +127,17 @@ pub fn unpack_range(
     width: u32,
     mut f: impl FnMut(usize, u64),
 ) {
-    assert!(width <= 64);
     assert!(from <= to);
-    if width == 0 {
-        for i in 0..to - from {
-            f(i, 0);
+    let mut buf = [0u64; 256];
+    let mut at = from;
+    while at < to {
+        // Chunks end on group boundaries, so only the first has a head.
+        let k = (to - at).min(buf.len() - at % 8);
+        unpack_into(bytes, at, width, &mut buf[..k]);
+        for (j, &v) in buf[..k].iter().enumerate() {
+            f(at - from + j, v);
         }
-        return;
-    }
-    assert!(
-        bytes.len() >= packed_len(to, width),
-        "truncated packed data"
-    );
-    let w = width as usize;
-    if width <= 56 {
-        let mask = (1u64 << width) - 1;
-        // Value `v` starts in byte `v * w / 8`; its window fits while that
-        // byte is at most `len - 8`, i.e. for `v < ceil((len - 7) * 8 / w)`.
-        let fit = if bytes.len() >= 8 {
-            ((bytes.len() - 7) * 8).div_ceil(w)
-        } else {
-            0
-        };
-        let fast_to = to.min(fit).max(from);
-        let mut bit = from * w;
-        for i in 0..fast_to - from {
-            let byte = bit >> 3;
-            let word = u64::from_le_bytes(bytes[byte..byte + 8].try_into().unwrap());
-            f(i, (word >> (bit & 7)) & mask);
-            bit += w;
-        }
-        for i in fast_to - from..to - from {
-            let rest = &bytes[bit >> 3..];
-            let mut buf = [0u8; 8];
-            let take = rest.len().min(8);
-            buf[..take].copy_from_slice(&rest[..take]);
-            f(i, (u64::from_le_bytes(buf) >> (bit & 7)) & mask);
-            bit += w;
-        }
-        return;
-    }
-    let start_bit = from * w;
-    let mut pos = start_bit / 8;
-    let skip = (start_bit % 8) as u32;
-    let mask: u128 = if width == 64 {
-        u64::MAX as u128
-    } else {
-        (1u128 << width) - 1
-    };
-    // Prime the residue with the partial leading byte, pre-shifted so the
-    // first value's low bit sits at bit 0.
-    let mut buf: u128 = 0;
-    let mut bits: u32 = 0;
-    if skip > 0 {
-        buf = (bytes[pos] >> skip) as u128;
-        bits = 8 - skip;
-        pos += 1;
-    }
-    for i in 0..to - from {
-        while bits < width {
-            if pos + 8 <= bytes.len() {
-                let w = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-                buf |= (w as u128) << bits;
-                bits += 64;
-                pos += 8;
-            } else if pos < bytes.len() {
-                buf |= (bytes[pos] as u128) << bits;
-                bits += 8;
-                pos += 1;
-            } else {
-                bits = width;
-            }
-        }
-        f(i, (buf & mask) as u64);
-        buf >>= width;
-        bits -= width;
+        at += k;
     }
 }
 
@@ -297,6 +260,51 @@ mod tests {
             }
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(unpack_at(&packed, i, width), v, "width {} at {}", width, i);
+            }
+        }
+    }
+
+    /// Value `idx` of `width` bits, gathered one bit at a time.
+    fn bit_by_bit(bytes: &[u8], idx: usize, width: u32) -> u64 {
+        (0..width as usize).fold(0, |v, k| {
+            let bit = idx * width as usize + k;
+            v | (((bytes[bit / 8] >> (bit % 8)) & 1) as u64) << k
+        })
+    }
+
+    /// Every width, counts around the eight-value group, random ranges and
+    /// ranges ending within the last bytes of the buffer — exactly the
+    /// packed bytes, or followed by unrelated ones (as a frame's exception
+    /// list follows its packed values): each kernel equals the bit-by-bit
+    /// reference.
+    #[test]
+    fn kernels_match_bit_by_bit_reference() {
+        let mut r = vw_common::rng::Xoshiro256::seeded(13);
+        for width in 0..=64u32 {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            for n in [0usize, 1, 7, 8, 9, 63, 65, 300, 1031] {
+                let values: Vec<u64> = (0..n).map(|_| r.next_u64() & mask).collect();
+                let packed = pack(&values, width);
+                let mut ranges = vec![(0, n)];
+                for _ in 0..12 {
+                    let a = r.next_below(n as u64 + 1) as usize;
+                    ranges.push((a, r.range_i64(a as i64, n as i64) as usize));
+                }
+                for back in 0..10 {
+                    ranges.push((n.saturating_sub(back), n));
+                    ranges.push((n.saturating_sub(back + 9), n.saturating_sub(back)));
+                }
+                for trailing in [0usize, 1, 7, 8] {
+                    let mut bytes = packed.clone();
+                    bytes.extend((0..trailing).map(|_| r.next_u64() as u8));
+                    for &(a, b) in &ranges {
+                        let want: Vec<u64> = (a..b).map(|i| bit_by_bit(&bytes, i, width)).collect();
+                        assert_eq!(want, &values[a..b], "reference, width {}", width);
+                        let mut got = vec![u64::MAX; b - a];
+                        unpack_into(&bytes, a, width, &mut got);
+                        assert_eq!(got, want, "width {} range {}..{} of {}", width, a, b, n);
+                    }
+                }
             }
         }
     }

@@ -68,9 +68,18 @@ fn decode_raw(bytes: &[u8], n: usize) -> Option<Vec<[u8; 8]>> {
 
 /// Encoded size without materializing (for the scheme chooser).
 pub fn rle_size_i64(values: &[i64]) -> usize {
+    size_of_runs(values.iter().map(|&v| v as u64))
+}
+
+/// [`rle_size_i64`] for f64 runs (bit-pattern equality).
+pub fn rle_size_f64(values: &[f64]) -> usize {
+    size_of_runs(values.iter().map(|v| v.to_bits()))
+}
+
+fn size_of_runs(values: impl Iterator<Item = u64>) -> usize {
     let mut runs = 0usize;
-    let mut last: Option<i64> = None;
-    for &v in values {
+    let mut last: Option<u64> = None;
+    for v in values {
         if last != Some(v) {
             runs += 1;
             last = Some(v);

@@ -11,6 +11,10 @@
 //! - **PFOR**: the literal is translated into delta space once
 //!   (`lit - base`); packed deltas are compared as unsigned ints without
 //!   reconstructing values, and the rare exceptions are patched afterwards.
+//!   A DOUBLE block of exact decimals is such a frame over its scaled
+//!   integers `d = v·10^scale`: a float literal first becomes the integer
+//!   bound on `d` that selects the same rows (`int_space`), and only what a
+//!   scan materializes is divided back into doubles.
 //! - **RLE**: one comparison per run, emitting selection ranges in O(runs).
 //! - **PDICT**: string equality/IN/range predicates are rewritten into
 //!   dictionary-code space once per block (a bitmap over codes); each value
@@ -32,9 +36,10 @@
 
 use crate::block::{MinMax, PruneOp};
 use crate::column::{ColumnData, DictColumn, NullableColumn, StrColumn};
-use crate::compress::bitpack::{packed_len, unpack_at, unpack_range};
-use crate::compress::{CompressionScheme, PHYS_BOOL, PHYS_F64, PHYS_I32, PHYS_I64, PHYS_STR};
-use std::borrow::Cow;
+use crate::compress::bitpack::{packed_len, unpack_at, unpack_into, unpack_range};
+use crate::compress::{
+    decimal_value, pow10, CompressionScheme, PHYS_BOOL, PHYS_F64, PHYS_I32, PHYS_I64, PHYS_STR,
+};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use vw_common::like::{find, LikePattern, LikeShape};
@@ -202,7 +207,19 @@ struct Frame {
     packed: (usize, usize),
     exc_pos: Vec<u32>,
     exc_val: Vec<i64>,
+    /// `10^scale` of a DOUBLE block of scaled integers, whose value `d`
+    /// decodes to `d / pow10`; `None` for an integer column.
+    pow10: Option<f64>,
+    /// The double of every packed value of a decimal frame at most
+    /// [`TABLE_WIDTH`] bits wide, made on its first whole-slice decode: a
+    /// lookup instead of a division per value.
+    table: Option<Box<[f64; 1 << TABLE_WIDTH]>>,
+    /// Scratch of the whole-slice decodes: the packed deltas of a slice.
+    deltas: Vec<u64>,
 }
+
+/// Widest decimal frame [`Frame::table`] is made for (256 doubles).
+const TABLE_WIDTH: u32 = 8;
 
 impl Frame {
     /// `lit` translated into delta space, to compare packed deltas with as
@@ -224,6 +241,17 @@ impl Frame {
             PredOp::Lt | PredOp::Le => t > limit,
             PredOp::Gt | PredOp::Ge => t < 0,
         })
+    }
+
+    /// Unpack the deltas `[from, to)` into `self.deltas`.
+    fn unpack(&mut self, bytes: &[u8], from: usize, to: usize) {
+        self.deltas.resize(to - from, 0);
+        unpack_into(
+            &bytes[self.packed.0..self.packed.1],
+            from,
+            self.width,
+            &mut self.deltas,
+        );
     }
 
     /// Index range into `exc_pos` / `exc_val` of the exceptions positioned
@@ -365,6 +393,16 @@ enum State {
     Pdict(DictState),
 }
 
+impl State {
+    /// `10^scale` of a DOUBLE block of scaled integers.
+    fn decimal(&self) -> Option<f64> {
+        match self {
+            State::Pfor(frame) | State::PforDelta { frame, .. } => frame.pow10,
+            _ => None,
+        }
+    }
+}
+
 /// A positioned decoder over one encoded column block.
 pub struct BlockCursor {
     bytes: Arc<Vec<u8>>,
@@ -492,7 +530,10 @@ impl BlockCursor {
                 pos,
                 acc,
                 ck,
-            } => int_data(phys, delta_values(frame, bytes, pos, acc, ck, from, to))?,
+            } => {
+                let wide = delta_values(frame, bytes, pos, acc, ck, from, to);
+                frame_data(frame, phys, wide)?
+            }
             State::Pdict(d) => {
                 let mut out = StrColumn::with_capacity(to - from, 0);
                 let mut bad = false;
@@ -591,31 +632,47 @@ impl BlockCursor {
             return Err(err("slice out of range"));
         }
         let phys = self.phys;
-        let pred = match int_space(phys, pred) {
-            IntSpace::Pred(p) => p,
+        let int_pred;
+        let (pred, ints) = match int_space(phys, self.state.decimal(), pred) {
+            IntSpace::Values(p) => (p, None),
+            IntSpace::Ints(op, lit) => {
+                int_pred = Pred::Cmp {
+                    op,
+                    value: Value::I64(lit),
+                };
+                (&int_pred, Some((op, lit)))
+            }
             IntSpace::Empty => return Ok(Vec::new()),
             IntSpace::All => {
                 let all = (0..(to - from) as u32).collect();
                 return Ok(filter_nulls(&self.nulls, from, all));
             }
         };
-        let pred: &Pred = &pred;
         let bytes: &[u8] = &self.bytes;
-        let on_encoded = match (&mut self.state, pred) {
-            (State::Pfor(f), Pred::Cmp { op, value })
-                if (phys == PHYS_I32 || phys == PHYS_I64) && value.as_i64().is_some() =>
-            {
-                Some(pfor_eval(f, bytes, *op, value.as_i64().unwrap(), from, to))
+        let on_encoded = match (&mut self.state, pred, ints) {
+            (State::Pfor(f), _, Some((op, lit))) => Some(pfor_eval(f, bytes, op, lit, from, to)),
+            (
+                State::PforDelta {
+                    frame,
+                    pos,
+                    acc,
+                    ck,
+                },
+                _,
+                Some((op, lit)),
+            ) => {
+                let vals = delta_values(frame, bytes, pos, acc, ck, from, to);
+                Some(select_ints(vals.into_iter(), op, lit))
             }
-            (State::Rle { vals, starts }, Pred::Cmp { op, value }) => {
+            (State::Rle { vals, starts }, Pred::Cmp { op, value }, _) => {
                 Some(rle_eval(vals, starts, phys, *op, value, from, to)?)
             }
-            (State::Pdict(d), _) => Some(pdict_eval(d, bytes, self.n, pred, from, to)?),
-            (State::PlainF64, Pred::Cmp { op, value }) if value.as_f64().is_some() => {
+            (State::Pdict(d), _, _) => Some(pdict_eval(d, bytes, self.n, pred, from, to)?),
+            (State::PlainF64, Pred::Cmp { op, value }, _) if value.as_f64().is_some() => {
                 let lit = value.as_f64().unwrap();
                 Some(plain_f64_eval(bytes, self.body, *op, lit, from, to))
             }
-            (State::PlainStr(layout), _) => {
+            (State::PlainStr(layout), _, _) => {
                 Some(plain_str_eval(layout.over(bytes), pred, from, to)?)
             }
             _ => None,
@@ -653,8 +710,16 @@ impl BlockCursor {
             return Err(err("candidate position out of range"));
         }
         let phys = self.phys;
-        let pred = match int_space(phys, pred) {
-            IntSpace::Pred(p) => p,
+        let int_pred;
+        let (pred, ints) = match int_space(phys, self.state.decimal(), pred) {
+            IntSpace::Values(p) => (p, None),
+            IntSpace::Ints(op, lit) => {
+                int_pred = Pred::Cmp {
+                    op,
+                    value: Value::I64(lit),
+                };
+                (&int_pred, Some((op, lit)))
+            }
             IntSpace::Empty => {
                 cands.clear();
                 return Ok(());
@@ -664,26 +729,42 @@ impl BlockCursor {
                 return Ok(());
             }
         };
-        let pred: &Pred = &pred;
         let bytes: &[u8] = &self.bytes;
         let body = self.body;
         // Unpacking the whole vector costs the same however few candidates
         // are left; see `DENSE_PCT`.
         let dense = cands.len() * 100 >= n * DENSE_PCT;
         let mask = &mut self.mask;
-        let on_encoded = match (&mut self.state, pred) {
-            (State::Pfor(f), Pred::Cmp { op, value })
-                if (phys == PHYS_I32 || phys == PHYS_I64) && value.as_i64().is_some() =>
-            {
-                let lit = value.as_i64().unwrap();
-                pfor_narrow(f, bytes, *op, lit, from, to, cands, dense.then_some(mask));
+        let on_encoded = match (&mut self.state, pred, ints) {
+            (State::Pfor(f), _, Some((op, lit))) => {
+                pfor_narrow(f, bytes, op, lit, from, to, cands, dense.then_some(mask));
                 true
             }
-            (State::Rle { vals, starts }, Pred::Cmp { op, value }) => {
+            (
+                State::PforDelta {
+                    frame,
+                    pos,
+                    acc,
+                    ck,
+                },
+                _,
+                Some((op, lit)),
+            ) => {
+                let vals = delta_values(frame, bytes, pos, acc, ck, from, to);
+                macro_rules! run {
+                    ($test:expr) => {{
+                        let test = $test;
+                        retain_where(cands, |p| test(vals[p]))
+                    }};
+                }
+                match_op!(op, lit, run);
+                true
+            }
+            (State::Rle { vals, starts }, Pred::Cmp { op, value }, _) => {
                 rle_narrow(vals, starts, phys, *op, value, from, cands)?;
                 true
             }
-            (State::Pdict(d), _) => {
+            (State::Pdict(d), _, _) => {
                 let codes = d.codes(bytes, self.n);
                 let width = d.width;
                 let set = d.code_set(Some(conjunct), pred)?;
@@ -709,7 +790,7 @@ impl BlockCursor {
                 }
                 true
             }
-            (State::PlainF64, Pred::Cmp { op, value }) if value.as_f64().is_some() => {
+            (State::PlainF64, Pred::Cmp { op, value }, _) if value.as_f64().is_some() => {
                 let lit = value.as_f64().unwrap();
                 macro_rules! run {
                     ($test:expr) => {{
@@ -722,8 +803,7 @@ impl BlockCursor {
                 match_op!(*op, lit, run);
                 true
             }
-            (State::PlainInt { width }, Pred::Cmp { op, value }) if value.as_i64().is_some() => {
-                let lit = value.as_i64().unwrap();
+            (State::PlainInt { width }, _, Some((op, lit))) => {
                 let narrow = *width == 4;
                 macro_rules! run {
                     ($test:expr) => {{
@@ -739,10 +819,10 @@ impl BlockCursor {
                         }
                     }};
                 }
-                match_op!(*op, lit, run);
+                match_op!(op, lit, run);
                 true
             }
-            (State::PlainStr(layout), _) => {
+            (State::PlainStr(layout), _, _) => {
                 let strs = layout.over(bytes);
                 retain_checked(cands, |p| pred.matches_str(strs.get(from + p)))?;
                 true
@@ -803,9 +883,9 @@ impl BlockCursor {
     /// materializing `decode_slice` that usually follows is cheap.
     fn eval_generic(&mut self, pred: &Pred, from: usize, to: usize) -> Result<Vec<u32>> {
         let col = self.decode_slice(from, to)?;
-        // Integers against an integer literal — a key lookup on a sorted
-        // (PFOR-DELTA) column — compare without a branch per value; the
-        // caller drops NULL positions.
+        // Integers against an integer literal — a PLAIN integer column —
+        // compare without a branch per value; the caller drops NULL
+        // positions.
         if let Pred::Cmp { op, value } = pred {
             match (&col.data, value.as_i64()) {
                 (ColumnData::I64(v), Some(lit)) => {
@@ -855,13 +935,29 @@ fn parse_state(
             Ok(State::PlainInt { width })
         }
         (PHYS_I32 | PHYS_I64 | PHYS_F64, S::Rle) => parse_rle(b, n),
-        (PHYS_I32 | PHYS_I64, S::Pfor) => Ok(State::Pfor(parse_frame(b, body, n)?)),
-        (PHYS_I32 | PHYS_I64, S::PforDelta) => Ok(State::PforDelta {
-            frame: parse_frame(b, body, n)?,
-            pos: 0,
-            acc: 0,
-            ck: None,
-        }),
+        (PHYS_I32 | PHYS_I64 | PHYS_F64, S::Pfor | S::PforDelta) => {
+            // A DOUBLE frame is preceded by its decimal scale.
+            let (pow10, at) = match phys {
+                PHYS_F64 => {
+                    let scale = *b.first().ok_or_else(|| err("decimal scale"))?;
+                    (Some(pow10(scale).ok_or_else(|| err("decimal scale"))?), 1)
+                }
+                _ => (None, 0),
+            };
+            let frame = Frame {
+                pow10,
+                ..parse_frame(&b[at..], body + at, n)?
+            };
+            Ok(match scheme {
+                S::Pfor => State::Pfor(frame),
+                _ => State::PforDelta {
+                    frame,
+                    pos: 0,
+                    acc: 0,
+                    ck: None,
+                },
+            })
+        }
         (PHYS_F64, S::Plain) => {
             if b.len() < n * 8 {
                 return Err(err("plain f64"));
@@ -918,6 +1014,9 @@ fn parse_frame(b: &[u8], body: usize, n: usize) -> Result<Frame> {
         packed: (body + 13, body + 13 + plen),
         exc_pos,
         exc_val,
+        pow10: None,
+        table: None,
+        deltas: Vec::new(),
     })
 }
 
@@ -1051,12 +1150,14 @@ fn rle_slice(vals: &[[u8; 8]], starts: &[usize], from: usize, to: usize) -> Vec<
 
 /// Decode frame values `[from, to)`: unpack the delta range, add the base,
 /// patch exceptions.
-fn frame_values(f: &Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
-    let mut vals = vec![0i64; to - from];
+fn frame_values(f: &mut Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
+    f.unpack(bytes, from, to);
     // Wrapping: a width-64 delta reaches past `i64::MAX - base`.
-    unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width, |i, d| {
-        vals[i] = f.base.wrapping_add(d as i64)
-    });
+    let mut vals: Vec<i64> = f
+        .deltas
+        .iter()
+        .map(|&d| f.base.wrapping_add(d as i64))
+        .collect();
     let (lo, hi) = f.exceptions_in(from, to);
     for k in lo..hi {
         vals[f.exc_pos[k] as usize - from] = f.exc_val[k];
@@ -1070,18 +1171,56 @@ fn frame_fits_i32(f: &Frame) -> bool {
     f.width < 32 && f.base >= i32::MIN as i64 && f.base + ((1i64 << f.width) - 1) <= i32::MAX as i64
 }
 
-/// Frame values `[from, to)` in the column's physical type. An i32 column
-/// whose frame fits i32 unpacks, adds the base and narrows in one pass into
-/// one allocation, checking only the patched exceptions for overflow;
-/// otherwise every value is checked after patching.
-fn frame_column(f: &Frame, bytes: &[u8], phys: u8, from: usize, to: usize) -> Result<ColumnData> {
-    if phys != PHYS_I32 || !frame_fits_i32(f) {
-        return int_data(phys, frame_values(f, bytes, from, to));
+/// Frame values in the column's physical type: a decimal frame's scaled
+/// integers as their doubles.
+fn frame_data(f: &Frame, phys: u8, wide: Vec<i64>) -> Result<ColumnData> {
+    match f.pow10 {
+        // In place: the doubles reuse the integers' allocation.
+        Some(p) => Ok(ColumnData::F64(
+            wide.into_iter().map(|d| decimal_value(d, p)).collect(),
+        )),
+        None => int_data(phys, wide),
     }
-    let mut vals = vec![0i32; to - from];
-    unpack_range(&bytes[f.packed.0..f.packed.1], from, to, f.width, |i, d| {
-        vals[i] = (f.base + d as i64) as i32
-    });
+}
+
+/// Frame values `[from, to)` in the column's physical type. A decimal frame
+/// narrow enough looks every delta up in its table of doubles, and an i32
+/// column whose frame fits i32 narrows, each in one pass over the deltas
+/// with only the patched exceptions checked; otherwise every value is
+/// widened, patched and then converted.
+fn frame_column(
+    f: &mut Frame,
+    bytes: &[u8],
+    phys: u8,
+    from: usize,
+    to: usize,
+) -> Result<ColumnData> {
+    if let Some(p) = f.pow10.filter(|_| f.width <= TABLE_WIDTH) {
+        f.unpack(bytes, from, to);
+        let base = f.base;
+        let table = f.table.get_or_insert_with(|| {
+            Box::new(std::array::from_fn(|d| {
+                decimal_value(base.wrapping_add(d as i64), p)
+            }))
+        });
+        // A delta is below 2^width ≤ 2^TABLE_WIDTH: the cast loses nothing.
+        let mut vals: Vec<f64> = f.deltas.iter().map(|&d| table[d as u8 as usize]).collect();
+        let (lo, hi) = f.exceptions_in(from, to);
+        for k in lo..hi {
+            vals[f.exc_pos[k] as usize - from] = decimal_value(f.exc_val[k], p);
+        }
+        return Ok(ColumnData::F64(vals));
+    }
+    if phys != PHYS_I32 || !frame_fits_i32(f) {
+        let wide = frame_values(f, bytes, from, to);
+        return frame_data(f, phys, wide);
+    }
+    f.unpack(bytes, from, to);
+    let mut vals: Vec<i32> = f
+        .deltas
+        .iter()
+        .map(|&d| (f.base + d as i64) as i32)
+        .collect();
     let (lo, hi) = f.exceptions_in(from, to);
     for k in lo..hi {
         vals[f.exc_pos[k] as usize - from] =
@@ -1117,13 +1256,13 @@ fn frame_selected(
             })
             .collect()
     };
-    int_data(phys, wide)
+    frame_data(f, phys, wide)
 }
 
 /// Decode PFOR-DELTA values `[from, to)`, resuming the prefix sum from the
 /// cursor position (or its checkpoint) when possible.
 fn delta_values(
-    frame: &Frame,
+    frame: &mut Frame,
     bytes: &[u8],
     pos: &mut usize,
     acc: &mut i64,
@@ -1493,54 +1632,79 @@ fn build_code_set(dict: &StrColumn, pred: &Pred) -> Result<Vec<bool>> {
         .collect()
 }
 
-/// A predicate as the kernels take it: an integer column compared against a
-/// float literal (`quantity < 24.0`) is rewritten into integer space, so the
-/// encoded fast paths apply and the fallback compares ints instead of
-/// converting every value to f64.
+/// A predicate as the kernels take it. A comparison on a block of integers
+/// — an integer column, or a DOUBLE block of scaled decimals — becomes one
+/// on those integers, so the packed fast paths apply and the fallback
+/// compares ints instead of converting every value to f64.
 enum IntSpace<'a> {
-    /// The predicate itself, or its integer equivalent.
-    Pred(Cow<'a, Pred>),
-    /// No integer can match (e.g. `x = 24.5`).
+    /// Not a comparison on integers: the predicate over the decoded values.
+    Values(&'a Pred),
+    /// `<op> lit` over the block's integers.
+    Ints(PredOp, i64),
+    /// No value can match (e.g. `x = 24.5` on integers).
     Empty,
-    /// Every non-NULL integer matches (e.g. `x != 24.5`).
+    /// Every non-NULL value matches (e.g. `x != 24.5` on integers).
     All,
 }
 
-fn int_space(phys: u8, pred: &Pred) -> IntSpace<'_> {
-    let keep = IntSpace::Pred(Cow::Borrowed(pred));
-    let (op, l) = match (phys, pred) {
-        (
-            PHYS_I32 | PHYS_I64,
-            Pred::Cmp {
-                op,
-                value: Value::F64(l),
-            },
-        ) => (*op, *l),
-        _ => return keep,
+/// Translate `pred` into integer space for a column of physical type `phys`,
+/// given `10^scale` when the block holds a decimal frame. An integer column
+/// takes an integer literal as it is; a float literal `l` against values
+/// `v = d / 10^scale` (scale 0 for an integer column) becomes a bound on
+/// `d`. Division by `10^scale` is correctly rounded and so monotone in `d`:
+/// `v >= l` holds exactly for `d` from the smallest `d` whose value is
+/// `>= l`, found from `round(l·10^scale)` by checking its neighbours. The
+/// literal is the `f64` the PLAIN kernel compares with, so a decimal block
+/// selects the rows a PLAIN block of the same values does.
+fn int_space(phys: u8, decimal: Option<f64>, pred: &Pred) -> IntSpace<'_> {
+    let Pred::Cmp { op, value } = pred else {
+        return IntSpace::Values(pred);
     };
-    // Outside ±2^53 the floor/±1 arithmetic below loses exactness; those
-    // literals are vanishingly rare in predicates, so the float comparison
-    // stays.
-    if !l.is_finite() || l.abs() >= 9.0e15 {
-        return keep;
+    let (l, p) = match (phys, value, decimal) {
+        (PHYS_I32 | PHYS_I64, Value::F64(l), _) => (*l, 1.0),
+        (PHYS_I32 | PHYS_I64, v, _) => {
+            return v
+                .as_i64()
+                .map_or(IntSpace::Values(pred), |lit| IntSpace::Ints(*op, lit))
+        }
+        (PHYS_F64, v, Some(p)) if v.as_f64().is_some() => (v.as_f64().unwrap(), p),
+        _ => return IntSpace::Values(pred),
+    };
+    // NaN, and literals whose scaled value is near or past ±2^53, where the
+    // rounding below loses exactness: rare enough to compare as floats.
+    if l.is_nan() || l.abs() * p >= 9.0e15 {
+        return IntSpace::Values(pred);
     }
-    let fl = l.floor();
-    let integral = fl == l;
-    let ip = |op, k: f64| {
-        IntSpace::Pred(Cow::Owned(Pred::Cmp {
-            op,
-            value: Value::I64(k as i64),
-        }))
+    let passes = |d: i64, strict: bool| {
+        let v = decimal_value(d, p);
+        if strict {
+            v > l
+        } else {
+            v >= l
+        }
     };
+    // The smallest `d` whose value is `>= l` (`> l` when `strict`).
+    let bound = |strict: bool| {
+        let mut d = (l * p).round() as i64;
+        while passes(d - 1, strict) {
+            d -= 1;
+        }
+        while !passes(d, strict) {
+            d += 1;
+        }
+        d
+    };
+    let (ge, gt) = (bound(false), bound(true));
     match op {
-        PredOp::Lt => ip(PredOp::Le, if integral { l - 1.0 } else { fl }),
-        PredOp::Le => ip(PredOp::Le, fl),
-        PredOp::Gt => ip(PredOp::Ge, if integral { l + 1.0 } else { l.ceil() }),
-        PredOp::Ge => ip(PredOp::Ge, l.ceil()),
-        PredOp::Eq if integral => ip(PredOp::Eq, l),
-        PredOp::Eq => IntSpace::Empty,
-        PredOp::Ne if integral => ip(PredOp::Ne, l),
-        PredOp::Ne => IntSpace::All,
+        PredOp::Ge => IntSpace::Ints(PredOp::Ge, ge),
+        PredOp::Gt => IntSpace::Ints(PredOp::Ge, gt),
+        PredOp::Lt => IntSpace::Ints(PredOp::Lt, ge),
+        PredOp::Le => IntSpace::Ints(PredOp::Lt, gt),
+        PredOp::Eq if ge == gt => IntSpace::Empty,
+        PredOp::Ne if ge == gt => IntSpace::All,
+        PredOp::Eq | PredOp::Ne if gt == ge + 1 => IntSpace::Ints(*op, ge),
+        // Several integers round to `l`: only next to ±2^53 / 10^scale.
+        PredOp::Eq | PredOp::Ne => IntSpace::Values(pred),
     }
 }
 
@@ -1554,17 +1718,16 @@ fn plain_f64_eval(
     from: usize,
     to: usize,
 ) -> Vec<u32> {
-    let n = to - from;
-    let start = body + from * 8;
-    let mut out = vec![0u32; n];
-    let mut k = 0usize;
-    for i in 0..n {
-        let v = f64::from_le_bytes(bytes[start + i * 8..start + i * 8 + 8].try_into().unwrap());
-        out[k] = i as u32;
-        k += op.matches_f64(v, lit) as usize;
+    let vals = bytes[body + from * 8..body + to * 8]
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+    // The operator is matched once, outside the per-value loop.
+    macro_rules! run {
+        ($test:expr) => {
+            select_where(vals, $test)
+        };
     }
-    out.truncate(k);
-    out
+    match_op!(op, lit, run)
 }
 
 fn value_matches(data: &ColumnData, i: usize, pred: &Pred) -> Result<bool> {
@@ -1638,6 +1801,7 @@ mod tests {
     use super::*;
     use crate::block::{decode_block, encode_block};
     use crate::compress::compress_with;
+    use crate::compress::tests::decimal_shaped;
     use vw_common::rng::Xoshiro256;
     use vw_common::DataType;
 
@@ -2014,8 +2178,9 @@ mod tests {
         let col = NullableColumn::not_null(ColumnData::F64(
             (0..400).map(|i| i as f64 * 0.25 - 20.0).collect(),
         ));
-        let (mut cur, scheme) = cursor_of(&col);
-        assert_eq!(scheme, CompressionScheme::Plain);
+        let bytes = forced_block(&col.data, CompressionScheme::Plain);
+        let mut cur = BlockCursor::new(Arc::new(bytes)).unwrap();
+        assert_eq!(cur.scheme(), CompressionScheme::Plain);
         check_slices(&col, &mut cur);
         let preds: Vec<Pred> = vec![
             Pred::Cmp {
@@ -2379,6 +2544,9 @@ mod tests {
         }
     }
 
+    /// How many shapes [`random_column`] draws from.
+    const COLUMN_KINDS: u64 = 12;
+
     /// A random column of one of the shapes the encoder tells apart, the
     /// scheme to force on it, and predicates of every kind its type takes.
     fn random_column(
@@ -2395,7 +2563,7 @@ mod tests {
                 .map(|_| WORDS[r.next_below(WORDS.len() as u64) as usize])
                 .collect()
         };
-        match r.next_below(11) {
+        match r.next_below(COLUMN_KINDS) {
             0 => (ColumnData::I64(small), Some(Plain), int_preds),
             1 => (narrow(&small), Some(Plain), int_preds),
             2 | 3 => {
@@ -2455,6 +2623,17 @@ mod tests {
                 // No predicate is pushed to a boolean column; the decoding
                 // fallback still answers, here with a type error.
                 (ColumnData::Bool(v), None, Vec::new())
+            }
+            11 => {
+                // Decimals of any scale as PLAIN doubles or as a frame of
+                // their scaled integers, against float and integer literals.
+                let v = decimal_shaped(r, n, 0.0);
+                let lit = v[r.next_below(n as u64) as usize];
+                let mut preds = all_ops(Value::F64(lit));
+                preds.extend(all_ops(Value::F64(f64::from_bits(lit.to_bits() + 1))));
+                preds.extend(all_ops(Value::I64(lit.round() as i64)));
+                let scheme = [Plain, Pfor, PforDelta][r.next_below(3) as usize];
+                (ColumnData::F64(v), Some(scheme), preds)
             }
             kind => {
                 // 9: a small domain, dictionary-coded; 10: long strings with
@@ -2586,6 +2765,126 @@ mod tests {
         check_preds(&col, &mut cur, &preds);
     }
 
+    /// Literals around the values of a decimal block of scale `e`: values it
+    /// holds, the doubles on either side of them, points between two of its
+    /// decimals and a decimal one scale finer, integers; the signed zeros,
+    /// the infinities, NaN, the integer extremes, and numbers either side of
+    /// where the translation stops (`9e15 / 10^e`) and of `2^53 / 10^e`.
+    fn literals_around(r: &mut Xoshiro256, values: &[f64], e: u8) -> Vec<Value> {
+        let p = 10f64.powi(e as i32);
+        let mut lits: Vec<Value> = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+            .into_iter()
+            .chain([8.99e15, 9.01e15, 2f64.powi(53), -2f64.powi(53)].map(|x| x / p))
+            .map(Value::F64)
+            .collect();
+        lits.extend([i64::MIN, i64::MAX, 0].map(Value::I64));
+        for _ in 0..2 {
+            let v = values[r.next_below(values.len() as u64) as usize];
+            let toward_zero = match v == 0.0 {
+                true => -f64::from_bits(1),
+                false => f64::from_bits(v.to_bits() - 1),
+            };
+            let near = [
+                v,
+                f64::from_bits(v.to_bits() + 1),
+                toward_zero,
+                v + 0.5 / p,
+                v - 0.5 / p,
+                v + 0.1 / p,
+            ];
+            lits.extend(near.map(Value::F64));
+            lits.extend([v.round() as i64, v.floor() as i64 + 1].map(Value::I64));
+        }
+        lits
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Decimals of any scale stored as a frame of scaled integers — the
+        /// encoder's choice, PFOR or PFOR-DELTA — decode to the bits of the
+        /// same values stored PLAIN, a selection equal to the slice then a
+        /// gather; and `eval_pred` and `narrow` (sparse and dense) of every
+        /// operator and literal select exactly what the PLAIN-f64 kernel
+        /// selects.
+        #[test]
+        fn decimal_frames_select_what_plain_doubles_select(seed in 0u64..1_000_000) {
+            use CompressionScheme::*;
+            let mut r = Xoshiro256::seeded(seed);
+            let n = 1 + r.next_below(2600) as usize;
+            let values = decimal_shaped(&mut r, n, 0.0);
+            let (e, _) = crate::compress::tests::reference_scale(&values).unwrap();
+            let null_share = [0.0, 0.05, 0.6][r.next_below(3) as usize];
+            let nulls: BitVec = (0..n).map(|_| r.chance(null_share)).collect();
+            let col = NullableColumn::new(ColumnData::F64(values.clone()), Some(nulls)).normalize();
+            let open = |s| BlockCursor::new(Arc::new(block_of(&col, s))).unwrap();
+            let mut plain = open(Some(Plain));
+            let mut frames = [open(None), open(Some(Pfor)), open(Some(PforDelta))];
+            proptest::prop_assert_eq!(frames[1].scheme(), Pfor);
+            proptest::prop_assert_eq!(frames[2].scheme(), PforDelta);
+            let preds: Vec<Pred> = literals_around(&mut r, &values, e)
+                .into_iter()
+                .flat_map(all_ops)
+                .collect();
+            let bits = |c: NullableColumn| match c.data {
+                ColumnData::F64(v) => (v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), c.nulls),
+                _ => panic!("f64 column expected"),
+            };
+            let vs = [1024, 300][r.next_below(2) as usize];
+            for from in (0..n).step_by(vs) {
+                let to = (from + vs).min(n);
+                let sel: Vec<u32> = (0..(to - from) as u32).filter(|_| r.chance(0.3)).collect();
+                let slice = plain.decode_slice(from, to).unwrap();
+                let gathered = bits(slice.gather(&sel));
+                let slice = bits(slice);
+                for cur in frames.iter_mut() {
+                    proptest::prop_assert_eq!(&bits(cur.decode_slice(from, to).unwrap()), &slice);
+                    let picked = cur.decode_selected(from, to, &sel).unwrap();
+                    proptest::prop_assert_eq!(&bits(picked), &gathered);
+                    let vector = cur.vector(from, to, Some(&sel)).unwrap();
+                    proptest::prop_assert_eq!(&bits(vector), &gathered);
+                }
+                for pred in &preds {
+                    let want = plain.eval_pred(pred, from, to).unwrap();
+                    for cur in frames.iter_mut() {
+                        proptest::prop_assert_eq!(
+                            &cur.eval_pred(pred, from, to).unwrap(),
+                            &want,
+                            "{:?} on {:?} rows {}..{}",
+                            pred,
+                            cur.scheme(),
+                            from,
+                            to
+                        );
+                        check_narrow(cur, pred, from, to, &want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A decimal frame's scale byte must name a scale the encoder writes.
+    #[test]
+    fn decimal_scale_byte_is_checked() {
+        let col = NullableColumn::not_null(ColumnData::F64(
+            (0..500).map(|i| (i * 31 % 700) as f64 / 100.0).collect(),
+        ));
+        let (bytes, scheme) = encode_block(&col);
+        assert_eq!(scheme, CompressionScheme::PforDelta);
+        // No nulls flag, then the 6-byte header, then the scale.
+        assert_eq!(bytes[7], 2);
+        for scale in 0..=u8::MAX {
+            let mut bad = bytes.clone();
+            bad[7] = scale;
+            let opened = BlockCursor::new(Arc::new(bad.clone()));
+            assert_eq!(opened.is_ok(), scale <= crate::compress::MAX_SCALE);
+            assert_eq!(
+                decode_block(&bad).is_ok(),
+                scale <= crate::compress::MAX_SCALE
+            );
+        }
+    }
+
     /// Truncated at any length and with any byte changed, a block of any
     /// codec either fails to open or answers every entry point with a value
     /// or an error — it never panics or reads out of bounds.
@@ -2611,11 +2910,11 @@ mod tests {
                 }
             }
         };
-        for kind in 0..11 {
+        for kind in 0..COLUMN_KINDS {
             // `random_column` draws its kind first: retry until it is ours.
             let (data, scheme, preds) = loop {
                 let mut probe = Xoshiro256::seeded(r.next_u64());
-                if probe.clone().next_below(11) == kind {
+                if probe.clone().next_below(COLUMN_KINDS) == kind {
                     break random_column(&mut probe, n);
                 }
             };

@@ -8,7 +8,8 @@
 //! * [`column`] — uncompressed in-memory column representation (the form the
 //!   execution engine consumes),
 //! * [`compress`] — PFOR, PFOR-DELTA, PDICT, RLE and plain codecs with a
-//!   cost-based per-block scheme chooser,
+//!   cost-based per-block scheme chooser; DOUBLE blocks of exact decimals
+//!   become PFOR frames of scaled integers,
 //! * [`block`] — self-describing serialized column blocks with MinMax stats,
 //! * [`cursor`] — lazy per-block cursors: vector-granular decode and
 //!   predicate evaluation directly on the encoded data,
@@ -27,7 +28,7 @@ pub mod table;
 
 pub use block::{ColumnBlock, MinMax, PruneOp};
 pub use column::{ColumnData, DictColumn, NullableColumn, StrColumn};
-pub use compress::{compress_data, decompress_data, CompressionScheme};
+pub use compress::{compress_data, decimal_scale_of, decompress_data, CompressionScheme};
 pub use cursor::{BlockCursor, Pred, PredOp};
 pub use simdisk::{DiskStats, SimDisk, SimDiskConfig};
 pub use spill::{SpillCol, SpillFile, SpilledCol};

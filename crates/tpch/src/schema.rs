@@ -1,5 +1,7 @@
 //! TPC-H table schemas, mapped onto the engine's types: DECIMAL → DOUBLE,
-//! fixed/variable CHAR → VARCHAR, DATE → DATE.
+//! fixed/variable CHAR → VARCHAR, DATE → DATE. The money and quantity
+//! columns are doubles to every operator; storage packs each block of them
+//! whose values are all exact decimals as scaled integers.
 
 use vw_common::{DataType, Field, Schema};
 

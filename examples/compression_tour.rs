@@ -1,13 +1,18 @@
 //! Compression tour: which lightweight scheme each TPC-H column gets, the
 //! ratios achieved, and why decompression is cheap relative to I/O (§I-A,
-//! the PFOR family of reference [2]).
+//! the PFOR family of reference [2]). The money and quantity columns are
+//! DOUBLE (`DECIMAL`); where every value is an exact decimal they are stored
+//! as scaled integers in a PFOR frame, and the `scale` column shows `e` of
+//! `d / 10^e`.
 //!
 //! ```sh
 //! cargo run --release --example compression_tour
 //! ```
 
 use std::time::Instant;
-use vectorwise::storage::{compress_data, decompress_data, ColumnData, NullableColumn, StrColumn};
+use vectorwise::storage::{
+    compress_data, decimal_scale_of, decompress_data, ColumnData, NullableColumn, StrColumn,
+};
 use vectorwise::tpch::{tpch_schema, TpchGenerator};
 use vectorwise::Value;
 
@@ -21,8 +26,8 @@ fn main() {
     let rows = generator.rows("lineitem");
     println!("lineitem at SF 0.02: {} rows\n", rows.len());
     println!(
-        "{:<16} {:>12} {:>12} {:>7}  {:<10} {:>12}",
-        "column", "raw bytes", "compressed", "ratio", "scheme", "decomp MB/s"
+        "{:<16} {:>12} {:>12} {:>7}  {:<10} {:>5} {:>12}",
+        "column", "raw bytes", "compressed", "ratio", "scheme", "scale", "decomp MB/s"
     );
 
     let mut total_raw = 0usize;
@@ -41,13 +46,15 @@ fn main() {
         }
         let dt = t.elapsed().as_secs_f64() / reps as f64;
         let mbps = raw as f64 / dt / 1e6;
+        let scale = decimal_scale_of(&bytes).map_or(String::new(), |e| e.to_string());
         println!(
-            "{:<16} {:>12} {:>12} {:>6.2}x  {:<10} {:>12.0}",
+            "{:<16} {:>12} {:>12} {:>6.2}x  {:<10} {:>5} {:>12.0}",
             field.name,
             raw,
             bytes.len(),
             raw as f64 / bytes.len() as f64,
             scheme.name(),
+            scale,
             mbps
         );
         total_raw += raw;
