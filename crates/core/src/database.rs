@@ -33,9 +33,9 @@ use vw_common::waits::{WaitClass, WaitSnapshot};
 use vw_common::{DataType, Result, Schema, TableId, TableLayout, Value, VwError};
 use vw_pdt::Pdt;
 use vw_plan::{
-    apply_interesting_orders, estimate_rows, fingerprint, fold_constants, optimize_with_feedback,
-    parallelize, prune_columns, push_down_filters, recordable, CardFeedback, Expr, LogicalPlan,
-    TableStats,
+    apply_interesting_orders, estimate_rows, estimate_rows_with, fingerprint, fold_constants,
+    optimize_with_feedback, parallelize, prune_columns, push_down_filters, recordable,
+    CardFeedback, Expr, LogicalPlan, TableStats,
 };
 use vw_sql::{bind, parse_statement, BoundStatement, CatalogView, SetScope};
 use vw_storage::{SimDisk, SimDiskConfig, TableBuilder, TableStorage};
@@ -44,6 +44,29 @@ use vw_txn::{checkpoint_table, Transaction, TxnManager};
 /// Admission waits at or above this emit an `admission_wait` event into the
 /// structured log (shorter stalls still show in `vw_waits` and the timeline).
 const ADMISSION_EVENT_THRESHOLD_NS: u64 = 1_000_000;
+
+/// Rows [`Database::analyze`] samples per table (all of a smaller table).
+/// Enough that a key column's repeats show in the singleton count the
+/// distinct estimate rests on.
+const ANALYZE_SAMPLE_ROWS: usize = 4096;
+
+/// `k` distinct positions in `0..n`, ascending, drawn uniformly by selection
+/// sampling from a generator seeded with `seed` (so `analyze` is repeatable).
+fn sample_positions(n: usize, k: usize, seed: u64) -> Vec<usize> {
+    let mut rng = vw_common::rng::Xoshiro256::seeded(0x0061_6e61_6c79_7a65 ^ seed);
+    let mut need = k.min(n);
+    let mut picks = Vec::with_capacity(need);
+    for i in 0..n {
+        if need == 0 {
+            break;
+        }
+        if rng.next_below((n - i) as u64) < need as u64 {
+            picks.push(i);
+            need -= 1;
+        }
+    }
+    picks
+}
 
 /// Lifecycle marks accumulated before [`Database::run_query`] takes over:
 /// the instant the statement arrived plus the parse/bind durations measured
@@ -762,6 +785,11 @@ impl Database {
         }
         let profiling = force || ctx.config.profiling;
         let root = profiling.then(|| OpProfile::from_plan(&plan));
+        if let Some(root) = &root {
+            let stats = self.stats.read();
+            let fb = ctx.config.adaptivity.then(|| self.card_feedback.lock());
+            annotate_estimates(&plan, root, &stats, fb.as_deref());
+        }
         ctx.profile = root.clone();
         ctx.metrics = Some(self.metrics.clone());
         // The trace rides the profiling switch: same amortization argument,
@@ -1679,29 +1707,41 @@ impl Database {
     }
 
     /// Build optimizer statistics for a table from a sample of its stable
-    /// image.
+    /// image: four or five row groups spread over the table, and inside them
+    /// the same pseudo-random rows of every column — a uniform sample of the
+    /// groups read, [`ANALYZE_SAMPLE_ROWS`] rows in all. A stride would step
+    /// over the runs of a clustered key and make every value look unique.
     pub fn analyze(&self, name: &str) -> Result<()> {
         let id = self.table_id(name)?;
         let version = self.txn.read().current(id)?;
         let storage = version.storage.read();
         let schema = storage.schema().clone();
         let n_rows = version.pdt.current_rows();
-        // Sample up to ~4 row groups.
-        let mut samples: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
         let step = (storage.group_count() / 4).max(1);
-        for g in (0..storage.group_count()).step_by(step) {
+        let groups: Vec<usize> = (0..storage.group_count()).step_by(step).collect();
+        let rows_read: usize = groups.iter().map(|&g| storage.group(g).n_rows).sum();
+        let rate = (ANALYZE_SAMPLE_ROWS as f64 / rows_read.max(1) as f64).min(1.0);
+        // samples[c][k]: column c's values at the rows drawn from groups[k].
+        let mut samples: Vec<Vec<Vec<Value>>> = vec![Vec::new(); schema.len()];
+        for &g in &groups {
+            let rows = storage.group(g).n_rows;
+            let picks = sample_positions(rows, (rows as f64 * rate).round() as usize, g as u64);
             for (c, sample) in samples.iter_mut().enumerate() {
                 let col = storage.read_column(g, c)?;
-                let stride = (col.len() / 256).max(1);
-                for i in (0..col.len()).step_by(stride) {
-                    sample.push(col.get_value(i, schema.field(c).ty));
-                }
+                let ty = schema.field(c).ty;
+                sample.push(picks.iter().map(|&i| col.get_value(i, ty)).collect());
             }
         }
         let types: Vec<DataType> = schema.fields().iter().map(|f| f.ty).collect();
-        let stats = TableStats::build(n_rows, &types, &samples);
+        let stats = TableStats::build(n_rows, rows_read as u64, &types, &samples);
         self.stats.write().insert(id, stats);
         Ok(())
+    }
+
+    /// The statistics [`Database::analyze`] last built for a table, if any.
+    pub fn table_stats(&self, name: &str) -> Result<Option<TableStats>> {
+        let id = self.table_id(name)?;
+        Ok(self.stats.read().get(&id).cloned())
     }
 
     /// Simulate a crash: throw away all in-memory transaction state and
@@ -1829,6 +1869,27 @@ fn record_actuals(
     }
     for (i, c) in plan.children().into_iter().enumerate() {
         record_actuals(c, prof.child(i), stats, fb);
+    }
+}
+
+/// Give every Scan and Join node of the profile an `est_rows` extra: the
+/// optimizer's cardinality estimate for it, to read against the actual
+/// `rows` beside it.
+fn annotate_estimates(
+    plan: &LogicalPlan,
+    prof: &OpProfile,
+    stats: &HashMap<TableId, TableStats>,
+    fb: Option<&CardFeedback>,
+) {
+    if matches!(
+        plan,
+        LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } | LogicalPlan::MergeJoin { .. }
+    ) {
+        let est = estimate_rows_with(plan, stats, fb);
+        prof.add_extra("est_rows", est.round() as u64);
+    }
+    for (i, c) in plan.children().into_iter().enumerate() {
+        annotate_estimates(c, prof.child(i), stats, fb);
     }
 }
 

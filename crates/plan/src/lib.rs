@@ -14,9 +14,10 @@
 //! * [`rewrite`] — the rule-based rewriter: constant folding, predicate
 //!   pushdown, and the Volcano-style `parallelize` rule that introduces
 //!   Exchange operators and splits aggregates into partial/final pairs.
-//! * [`stats`] + [`optimizer`] — equi-width histograms, selectivity
-//!   estimation and greedy join ordering (standing in for Ingres' histogram
-//!   optimizer).
+//! * [`stats`] + [`optimizer`] — equi-width histograms and sampled distinct
+//!   counts, cardinality estimation, and cost-based join enumeration with
+//!   build-side choice and semi-join pushdown (standing in for Ingres'
+//!   histogram optimizer).
 
 pub mod expr;
 pub mod feedback;
@@ -27,7 +28,7 @@ pub mod stats;
 
 pub use expr::{AggExpr, AggFunc, BinOp, DatePart, Expr, UnOp};
 pub use feedback::{fingerprint, recordable, AppliedCorrection, CardFeedback};
-pub use optimizer::{estimate_rows, optimize, optimize_with_feedback};
+pub use optimizer::{estimate_rows, estimate_rows_with, optimize, optimize_with_feedback};
 pub use plan::{JoinKind, LogicalPlan, SortKey};
 pub use rewrite::{
     apply_interesting_orders, fold_constants, parallelize, prune_columns, push_down_filters,

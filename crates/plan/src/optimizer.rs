@@ -1,23 +1,29 @@
-//! Cardinality estimation and plan optimization.
+//! Cardinality estimation and cost-based join enumeration.
 //!
 //! Mirrors the division of labour in the product (§I-B): the front-end
 //! optimizer (Ingres there, this module here) uses histogram statistics to
-//! estimate selectivities and choose join strategy, while rule-based
-//! rewriting happens separately in [`crate::rewrite`].
+//! estimate cardinalities and decide join order and build sides before the
+//! engine runs the plan, while rule-based rewriting happens separately in
+//! [`crate::rewrite`].
 //!
-//! Two optimizations are implemented:
-//!
-//! * **Greedy join ordering** ([`order_relations`]) — used by the SQL binder
-//!   *before* the positional join tree is built, which is where ordering is
-//!   cheap (name-level, no column remapping).
-//! * **Build-side selection** ([`optimize`]) — hash joins in this system
-//!   build on the right input and stream the left; when the estimated left
-//!   cardinality is smaller, the optimizer swaps the inputs (and restores
-//!   column order with a projection).
+//! * **Estimates** ([`estimate_rows_with`]) — histogram selectivities for
+//!   filters, join sizes from the distinct counts of the key columns traced to
+//!   their base tables, semi-join and group counts from the same distinct
+//!   counts, each node optionally corrected by execution history
+//!   ([`crate::feedback`]). `EXPLAIN ANALYZE`, feedback recording and the
+//!   enumerator all read this one function.
+//! * **Join enumeration** ([`optimize_with_feedback`]) — semi/anti joins are
+//!   first pushed onto the table they filter; then every region of inner
+//!   joins is reordered by dynamic programming over its join graph (greedy
+//!   pair-merging for very large regions), which also picks each join's build
+//!   side. See the `joins` module for the region model and the cost.
+
+mod joins;
 
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::feedback::{self, CardFeedback};
 use crate::plan::{JoinKind, LogicalPlan};
+use crate::rewrite::pushdown::push_down_semi_joins;
 use crate::stats::TableStats;
 use std::collections::HashMap;
 use vw_common::{Schema, TableId, Value};
@@ -190,6 +196,7 @@ fn estimate_rows_static(
     stats: &HashMap<TableId, TableStats>,
     fb: Option<&CardFeedback>,
 ) -> f64 {
+    let est = |p: &LogicalPlan| estimate_rows_with(p, stats, fb);
     match plan {
         LogicalPlan::Scan {
             table_id,
@@ -212,160 +219,172 @@ fn estimate_rows_static(
                 None => base,
             }
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let in_rows = estimate_rows_with(input, stats, fb);
-            let schema = input.schema().unwrap_or_default();
-            in_rows * selectivity(predicate, &schema, None, &|i| Some(i))
-        }
-        LogicalPlan::Project { input, .. } => estimate_rows_with(input, stats, fb),
+        // Inner joins, and filters over them, are costed as one region.
         LogicalPlan::Join {
-            left, right, kind, ..
-        } => {
-            let l = estimate_rows_with(left, stats, fb);
-            let r = estimate_rows_with(right, stats, fb);
-            match kind {
-                // Classic FK-join guess: |L ⋈ R| ≈ max input size.
-                JoinKind::Inner | JoinKind::Left => (l * r / l.max(r).max(1.0)).max(1.0),
-                JoinKind::Semi => l * 0.5,
-                JoinKind::Anti => l * 0.5,
-            }
+            kind: JoinKind::Inner,
+            ..
         }
-        LogicalPlan::MergeJoin { left, right, .. } => {
-            let l = estimate_rows_with(left, stats, fb);
-            let r = estimate_rows_with(right, stats, fb);
-            // Same FK-join guess as the inner hash join it replaces.
-            (l * r / l.max(r).max(1.0)).max(1.0)
+        | LogicalPlan::MergeJoin { .. } => joins::region_rows(plan, stats, fb),
+        LogicalPlan::Filter { input, .. } if joins::in_region(input) => {
+            joins::region_rows(plan, stats, fb)
+        }
+        LogicalPlan::Filter { input, predicate } => est(input) * conjunct_selectivity(predicate),
+        LogicalPlan::Project { input, .. } => est(input),
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+            residual,
+        } => {
+            let l = est(left);
+            match kind {
+                JoinKind::Semi => l * semi_fraction(left, right, on, stats, fb),
+                JoinKind::Anti => l * (1.0 - semi_fraction(left, right, on, stats, fb)),
+                // Every left row of a LEFT join comes out at least once.
+                _ => joins::pair_rows(left, right, on, residual, stats, fb).max(l),
+            }
         }
         LogicalPlan::Aggregate {
             input, group_by, ..
         } => {
-            let in_rows = estimate_rows_with(input, stats, fb);
+            let in_rows = est(input);
             if group_by.is_empty() {
-                1.0
-            } else {
-                // Square-root rule of thumb for group count.
-                in_rows.sqrt().max(1.0)
+                return 1.0;
+            }
+            // As many groups as key combinations, at most one per input row;
+            // the square-root rule of thumb when a key has no statistics.
+            let combos: Option<f64> = group_by
+                .iter()
+                .map(|&g| column_ndv(input, g, stats, fb))
+                .product();
+            match combos {
+                Some(c) => c.min(in_rows).max(1.0),
+                None => in_rows.sqrt().max(1.0),
             }
         }
-        LogicalPlan::Sort { input, .. } | LogicalPlan::Exchange { input, .. } => {
-            estimate_rows_with(input, stats, fb)
-        }
-        LogicalPlan::Limit { input, fetch, .. } => {
-            estimate_rows_with(input, stats, fb).min(*fetch as f64)
-        }
+        LogicalPlan::Sort { input, .. } | LogicalPlan::Exchange { input, .. } => est(input),
+        LogicalPlan::Limit { input, fetch, .. } => est(input).min(*fetch as f64),
     }
 }
 
-/// Greedy join ordering over a relation graph. `sizes[i]` is the estimated
-/// (post-filter) cardinality of relation `i`; `edges` are join-predicate
-/// pairs. Returns an ordering starting from the smallest relation that
-/// prefers connected, size-minimizing expansions — the shape the binder then
-/// builds left-deep (probe side = accumulated prefix, build = next smallest).
-pub fn order_relations(sizes: &[f64], edges: &[(usize, usize)]) -> Vec<usize> {
-    let n = sizes.len();
-    if n == 0 {
-        return vec![];
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    // Start at the largest relation: it becomes the probe (streaming) side
-    // of the left-deep pipeline; dimensions hash-build on the right.
-    let first = (0..n)
-        .max_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-        .unwrap();
-    order.push(first);
-    used[first] = true;
-    while order.len() < n {
-        // Connected candidates first.
-        let connected: Vec<usize> = (0..n)
-            .filter(|&i| !used[i])
-            .filter(|&i| {
-                edges
-                    .iter()
-                    .any(|&(a, b)| (a == i && used[b]) || (b == i && used[a]))
-            })
-            .collect();
-        let pool = if connected.is_empty() {
-            (0..n).filter(|&i| !used[i]).collect::<Vec<_>>()
-        } else {
-            connected
+/// Selectivity of a predicate with no statistics at hand: the product of its
+/// conjuncts' default selectivities. Filters above scans and join residuals
+/// are costed this way; the join enumerator costs each conjunct it places
+/// with the same function.
+fn conjunct_selectivity(e: &Expr) -> f64 {
+    selectivity(e, &Schema::default(), None, &|i| Some(i))
+}
+
+/// Fraction of left rows a semi join keeps: distinct right keys over
+/// distinct left keys, at most 1 (every right key is assumed to occur on the
+/// left). One half when the left key has no statistics.
+fn semi_fraction(
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    on: &[(usize, usize)],
+    stats: &HashMap<TableId, TableStats>,
+    fb: Option<&CardFeedback>,
+) -> f64 {
+    let (l_rows, r_rows) = (
+        estimate_rows_with(left, stats, fb),
+        estimate_rows_with(right, stats, fb),
+    );
+    let (mut l_keys, mut r_keys) = (1.0, 1.0);
+    for &(l, r) in on {
+        let Some(d) = column_ndv(left, l, stats, fb) else {
+            return 0.5;
         };
-        let next = pool
-            .into_iter()
-            .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]))
-            .unwrap();
-        order.push(next);
-        used[next] = true;
+        l_keys *= d;
+        r_keys *= column_ndv(right, r, stats, fb).unwrap_or(r_rows);
     }
-    order
+    (r_keys.min(r_rows) / l_keys.min(l_rows).max(1.0)).min(1.0)
 }
 
-/// Cost-based plan tweaks: currently build-side selection for inner joins.
+/// Distinct values of output column `col` of `plan`, traced through
+/// projections, filters, joins and group keys to the base table's
+/// statistics and capped by every node's estimated rows on the way up —
+/// except inner joins, which pass their inputs' counts through so that a key
+/// is costed by the leaf it comes from. `None` when the column is computed or
+/// its table has no statistics.
+fn column_ndv(
+    plan: &LogicalPlan,
+    col: usize,
+    stats: &HashMap<TableId, TableStats>,
+    fb: Option<&CardFeedback>,
+) -> Option<f64> {
+    let capped = |d: Option<f64>| d.map(|d| d.min(estimate_rows_with(plan, stats, fb)));
+    match plan {
+        LogicalPlan::Scan {
+            table_id,
+            projection,
+            ..
+        } => {
+            let c = match projection {
+                Some(p) => *p.get(col)?,
+                None => col,
+            };
+            let ndv = stats.get(table_id)?.cols.get(c)?.n_distinct as f64;
+            capped(Some(ndv))
+        }
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Limit { input, .. } => {
+            capped(column_ndv(input, col, stats, fb))
+        }
+        LogicalPlan::Sort { input, .. } | LogicalPlan::Exchange { input, .. } => {
+            column_ndv(input, col, stats, fb)
+        }
+        LogicalPlan::Project { input, exprs } => match exprs.get(col)?.0 {
+            Expr::Col(j) => capped(column_ndv(input, j, stats, fb)),
+            _ => None,
+        },
+        LogicalPlan::Join {
+            left, right, kind, ..
+        } => {
+            let lw = left.width();
+            match kind {
+                JoinKind::Semi | JoinKind::Anti => capped(column_ndv(left, col, stats, fb)),
+                _ if col < lw => column_ndv(left, col, stats, fb),
+                _ => column_ndv(right, col - lw, stats, fb),
+            }
+        }
+        LogicalPlan::MergeJoin { left, right, .. } => {
+            let lw = left.width();
+            if col < lw {
+                column_ndv(left, col, stats, fb)
+            } else {
+                column_ndv(right, col - lw, stats, fb)
+            }
+        }
+        LogicalPlan::Aggregate {
+            input, group_by, ..
+        } => capped(column_ndv(input, *group_by.get(col)?, stats, fb)),
+    }
+}
+
+/// Weight of a hash-join build row against a probe row in the enumerator's
+/// cost: the operator ladder's `core.join.build_mrows_per_s` over
+/// `probe_mrows_per_s`, 163 / 42 (SF 0.1, 2-core x86-64 host). Above 1, it
+/// makes building on the smaller input the cheaper orientation of every
+/// join, so the cost and the build-side rule agree.
+const BUILD_ROW_WEIGHT: f64 = 163.0 / 42.0;
+
+/// Cost-based plan optimization without execution history; see
+/// [`optimize_with_feedback`].
 pub fn optimize(plan: LogicalPlan, stats: &HashMap<TableId, TableStats>) -> LogicalPlan {
     optimize_with_feedback(plan, stats, None)
 }
 
-/// [`optimize`], with cardinality estimates corrected by execution history.
-/// A learned factor that pushes a child estimate across the swap threshold
-/// flips the join build side that static stats chose.
+/// The optimizer pass: push every semi/anti join onto the input it filters,
+/// then order each inner-join region and pick its build sides (see
+/// the `joins` module). Cardinalities come from [`estimate_rows_with`], so a learned
+/// history correction on a leaf can change the order and flip a build side
+/// that static statistics chose.
 pub fn optimize_with_feedback(
     plan: LogicalPlan,
     stats: &HashMap<TableId, TableStats>,
     fb: Option<&CardFeedback>,
 ) -> LogicalPlan {
-    let children: Vec<LogicalPlan> = plan
-        .children()
-        .into_iter()
-        .map(|c| optimize_with_feedback(c.clone(), stats, fb))
-        .collect();
-    let node = plan.with_children(children);
-    let LogicalPlan::Join {
-        left,
-        right,
-        kind: JoinKind::Inner,
-        on,
-        residual,
-    } = node
-    else {
-        return node;
-    };
-    let l_rows = estimate_rows_with(&left, stats, fb);
-    let r_rows = estimate_rows_with(&right, stats, fb);
-    // Build happens on the right; if the left is (much) smaller, swap and
-    // restore output column order with a projection.
-    if l_rows * 1.5 < r_rows {
-        let l_schema = left.schema().unwrap_or_default();
-        let r_schema = right.schema().unwrap_or_default();
-        let ln = l_schema.len();
-        let rn = r_schema.len();
-        let swapped = LogicalPlan::Join {
-            left: right,
-            right: left,
-            kind: JoinKind::Inner,
-            on: on.iter().map(|&(l, r)| (r, l)).collect(),
-            residual: residual.map(|e| e.remap_columns(&|i| if i < ln { rn + i } else { i - ln })),
-        };
-        // Output of swapped join: right ++ left; restore left ++ right.
-        let mut exprs: Vec<(Expr, String)> = Vec::with_capacity(ln + rn);
-        for (i, f) in l_schema.fields().iter().enumerate() {
-            exprs.push((Expr::col(rn + i), f.name.clone()));
-        }
-        for (i, f) in r_schema.fields().iter().enumerate() {
-            exprs.push((Expr::col(i), f.name.clone()));
-        }
-        LogicalPlan::Project {
-            input: Box::new(swapped),
-            exprs,
-        }
-    } else {
-        LogicalPlan::Join {
-            left,
-            right,
-            kind: JoinKind::Inner,
-            on,
-            residual,
-        }
-    }
+    joins::reorder(push_down_semi_joins(plan), stats, fb)
 }
 
 #[cfg(test)]
@@ -440,29 +459,6 @@ mod tests {
         assert!(estimate_rows(&agg, &stats) < rows);
         let lim = scan.limit(0, 10);
         assert_eq!(estimate_rows(&lim, &stats), 10.0);
-    }
-
-    #[test]
-    fn greedy_order_starts_large_then_connected_small() {
-        // fact (0) huge, dims 1..3 small, star edges 0-1, 0-2, 0-3
-        let sizes = [1_000_000.0, 100.0, 5000.0, 10.0];
-        let edges = [(0, 1), (0, 2), (0, 3)];
-        let order = order_relations(&sizes, &edges);
-        assert_eq!(order[0], 0);
-        // dims follow smallest-first
-        assert_eq!(order[1], 3);
-        assert_eq!(order[2], 1);
-        assert_eq!(order[3], 2);
-    }
-
-    #[test]
-    fn order_handles_disconnected() {
-        let sizes = [10.0, 20.0, 5.0];
-        let order = order_relations(&sizes, &[]);
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], 1); // largest first
-        let empty: Vec<usize> = order_relations(&[], &[]);
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -598,5 +594,168 @@ mod tests {
         );
         // Kill switch: without feedback the plan is untouched.
         assert_eq!(optimize_with_feedback(join.clone(), &stats, None), join);
+    }
+
+    /// A table `name` of `rows` rows whose column `i` holds `ndv[i]` distinct
+    /// values spread evenly over 0..=100.
+    fn table(id: u64, name: &str, rows: u64, ndv: &[u64]) -> (LogicalPlan, TableStats) {
+        let samples: Vec<f64> = (0..=100).map(|i| i as f64).collect();
+        let schema = Schema::new(
+            (0..ndv.len())
+                .map(|i| Field::new(format!("{name}{i}"), DataType::I64))
+                .collect(),
+        );
+        let cols = ndv
+            .iter()
+            .map(|&n| ColStats {
+                n_distinct: n,
+                null_fraction: 0.0,
+                histogram: Histogram::build(&samples),
+            })
+            .collect();
+        (
+            LogicalPlan::scan(name, TableId::new(id), schema),
+            TableStats { n_rows: rows, cols },
+        )
+    }
+
+    /// E12's Q9 shape: a fact table, a 1 000-row dimension (supplier), a
+    /// 25-row dimension behind it (nation) and a 5%-filtered dimension
+    /// (part), joined in the binder's left-deep written order.
+    fn star() -> (LogicalPlan, HashMap<TableId, TableStats>) {
+        let (f, fs) = table(1, "fact", 600_000, &[1000, 20_000, 1000]);
+        let (s, ss) = table(2, "supp", 1000, &[1000, 25]);
+        let (n, ns) = table(3, "nation", 25, &[25, 25]);
+        let (p, ps) = table(4, "part", 20_000, &[20_000, 101]);
+        let stats = [(1, fs), (2, ss), (3, ns), (4, ps)]
+            .into_iter()
+            .map(|(id, s)| (TableId::new(id), s))
+            .collect();
+        let part = p.filter(Expr::binary(
+            BinOp::Lt,
+            Expr::col(1),
+            Expr::lit(Value::I64(5)),
+        ));
+        let part = crate::rewrite::push_down_filters(part);
+        // fact 0..3, supp 3..5, nation 5..7, part 7..9
+        let plan = f
+            .join(s, JoinKind::Inner, vec![(0, 0)])
+            .join(n, JoinKind::Inner, vec![(4, 0)])
+            .join(part, JoinKind::Inner, vec![(1, 0)]);
+        (plan, stats)
+    }
+
+    fn tables(p: &LogicalPlan, out: &mut Vec<String>) {
+        if let LogicalPlan::Scan { table, .. } = p {
+            out.push(table.clone());
+        }
+        for c in p.children() {
+            tables(c, out);
+        }
+    }
+
+    fn has_table(p: &LogicalPlan, name: &str) -> bool {
+        let mut t = Vec::new();
+        tables(p, &mut t);
+        t.iter().any(|t| t == name)
+    }
+
+    #[test]
+    fn fact_pipeline_is_never_the_build_side() {
+        let (plan, stats) = star();
+        let opt = optimize(plan.clone(), &stats);
+        fn check(p: &LogicalPlan) {
+            if let LogicalPlan::Join { right, .. } = p {
+                assert!(!has_table(right, "fact"), "builds on the fact pipeline");
+            }
+            p.children().into_iter().for_each(check);
+        }
+        check(&opt);
+        // The filtered dimension meets the fact table first.
+        let mut lowest = &opt;
+        loop {
+            match lowest {
+                LogicalPlan::Project { input, .. } => lowest = input,
+                LogicalPlan::Join { left, right, .. } => {
+                    match [left, right].into_iter().find(|c| has_table(c, "fact")) {
+                        Some(c) if matches!(&**c, LogicalPlan::Join { .. }) => lowest = c,
+                        _ => break,
+                    }
+                }
+                other => panic!("unexpected node:\n{}", other.explain()),
+            }
+        }
+        let mut joined = Vec::new();
+        tables(lowest, &mut joined);
+        joined.sort();
+        assert_eq!(joined, ["fact", "part"], "\n{}", opt.explain());
+        assert_eq!(opt.schema().unwrap(), plan.schema().unwrap());
+    }
+
+    #[test]
+    fn foreign_key_join_is_as_large_as_the_fact_side() {
+        let (f, fs) = table(1, "fact", 600_000, &[1000, 20_000, 1000]);
+        let (s, ss) = table(2, "supp", 1000, &[1000, 25]);
+        let stats = HashMap::from([(TableId::new(1), fs), (TableId::new(2), ss)]);
+        let join = f.join(s, JoinKind::Inner, vec![(0, 0)]);
+        let rows = estimate_rows(&join, &stats);
+        assert!((rows - 600_000.0).abs() < 1.0, "rows {rows}");
+    }
+
+    #[test]
+    fn region_estimate_does_not_depend_on_the_join_order() {
+        let (plan, stats) = star();
+        let written = estimate_rows(&plan, &stats);
+        let opt = optimize(plan.clone(), &stats);
+        let reordered = estimate_rows(&opt, &stats);
+        assert!(
+            (written - reordered).abs() <= 1e-9 * written,
+            "{written} vs {reordered}"
+        );
+        // Fact rows whose part survived the filter; supplier and nation keep
+        // them all.
+        let LogicalPlan::Join { right: part, .. } = &plan else {
+            unreachable!()
+        };
+        let part_rows = estimate_rows(part, &stats);
+        assert!((part_rows - 1000.0).abs() < 200.0, "part {part_rows}");
+        let want = 600_000.0 * part_rows / 20_000.0;
+        assert!((written - want).abs() < 1e-6 * want, "rows {written}");
+        // The same numbers in every plan: deterministic.
+        assert_eq!(opt, optimize(plan, &stats));
+    }
+
+    #[test]
+    fn semi_and_anti_joins_use_key_counts() {
+        let (plan, stats) = star();
+        let LogicalPlan::Join { right: part, .. } = plan else {
+            unreachable!()
+        };
+        let (f, _) = table(1, "fact", 600_000, &[1000, 20_000, 1000]);
+        // The part keys that survive the filter, out of 20 000.
+        let kept = 600_000.0 * estimate_rows(&part, &stats) / 20_000.0;
+        let semi = f.clone().join(*part.clone(), JoinKind::Semi, vec![(1, 0)]);
+        let anti = f.join(*part, JoinKind::Anti, vec![(1, 0)]);
+        assert!((estimate_rows(&semi, &stats) - kept).abs() < 1e-6 * kept);
+        assert!((estimate_rows(&anti, &stats) - (600_000.0 - kept)).abs() < 1e-6 * kept);
+    }
+
+    #[test]
+    fn group_count_is_the_product_of_key_counts() {
+        let (f, fs) = table(1, "fact", 600_000, &[1000, 20_000, 1000]);
+        let stats = HashMap::from([(TableId::new(1), fs)]);
+        let by = |keys: Vec<usize>| estimate_rows(&f.clone().aggregate(keys, vec![]), &stats);
+        assert_eq!(by(vec![0]), 1000.0);
+        // capped by the input rows
+        assert_eq!(by(vec![0, 1]), 600_000.0);
+        // a computed key has no statistics: the square-root rule
+        let computed = f
+            .clone()
+            .project(vec![(
+                Expr::binary(BinOp::Add, Expr::col(0), Expr::col(1)),
+                "k",
+            )])
+            .aggregate(vec![0], vec![]);
+        assert!((estimate_rows(&computed, &stats) - 600_000f64.sqrt()).abs() < 1e-6);
     }
 }

@@ -238,6 +238,11 @@ impl LogicalPlan {
         }
     }
 
+    /// Number of output columns (0 when the schema does not resolve).
+    pub fn width(&self) -> usize {
+        self.schema().map(|s| s.len()).unwrap_or(0)
+    }
+
     /// Child nodes (0, 1 or 2).
     pub fn children(&self) -> Vec<&LogicalPlan> {
         match self {
@@ -314,6 +319,69 @@ impl LogicalPlan {
             LogicalPlan::Exchange { partitions, .. } => LogicalPlan::Exchange {
                 input: Box::new(children.remove(0)),
                 partitions: *partitions,
+            },
+        }
+    }
+
+    /// Rebuild this node with `f` applied to each child, moving rather than
+    /// cloning the node's own fields.
+    pub fn map_children(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut g = |b: Box<LogicalPlan>| Box::new(f(*b));
+        match self {
+            LogicalPlan::Scan { .. } => self,
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: g(input),
+                predicate,
+            },
+            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
+                input: g(input),
+                exprs,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+                residual,
+            } => LogicalPlan::Join {
+                left: g(left),
+                right: g(right),
+                kind,
+                on,
+                residual,
+            },
+            LogicalPlan::MergeJoin { left, right, on } => LogicalPlan::MergeJoin {
+                left: g(left),
+                right: g(right),
+                on,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+                phase,
+            } => LogicalPlan::Aggregate {
+                input: g(input),
+                group_by,
+                aggs,
+                phase,
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: g(input),
+                keys,
+            },
+            LogicalPlan::Limit {
+                input,
+                offset,
+                fetch,
+            } => LogicalPlan::Limit {
+                input: g(input),
+                offset,
+                fetch,
+            },
+            LogicalPlan::Exchange { input, partitions } => LogicalPlan::Exchange {
+                input: g(input),
+                partitions,
             },
         }
     }

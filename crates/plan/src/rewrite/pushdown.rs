@@ -4,7 +4,9 @@
 //! references allow: through Project (rewriting column refs to the underlying
 //! expressions when they are pure column references), through the matching
 //! side of a Join, and finally *into* Scan nodes where the storage layer can
-//! apply zone-map pruning before reading blocks.
+//! apply zone-map pruning before reading blocks. Semi and anti joins (bound
+//! from `IN (SELECT …)`) are pushed the same way, onto the input they filter
+//! ([`push_down_semi_joins`]).
 
 use crate::expr::{BinOp, Expr};
 use crate::plan::{JoinKind, LogicalPlan};
@@ -183,6 +185,96 @@ fn push_conjuncts(input: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
     }
 }
 
+/// Move every semi/anti join down onto the input that owns its left keys and
+/// the left-side columns of its residual: below Filters, into either side of
+/// an inner join, and into the preserved side of a LEFT join — never into a
+/// LEFT join's nullable side. Whether a row survives depends only on that
+/// row's own columns and the subquery, so the rows that come out are the
+/// same; an `IN (SELECT …)` then filters its table before any join does, and
+/// the join enumerator sees `table ⋉ subquery` as one small leaf.
+pub fn push_down_semi_joins(plan: LogicalPlan) -> LogicalPlan {
+    match plan.map_children(push_down_semi_joins) {
+        LogicalPlan::Join {
+            left,
+            right,
+            kind: kind @ (JoinKind::Semi | JoinKind::Anti),
+            on,
+            residual,
+        } => sink_semi(*left, *right, kind, on, residual),
+        other => other,
+    }
+}
+
+/// Place the semi/anti join `left ⋉ right` as deep inside `left` as its
+/// left-side columns allow.
+fn sink_semi(
+    left: LogicalPlan,
+    right: LogicalPlan,
+    kind: JoinKind,
+    on: Vec<(usize, usize)>,
+    residual: Option<Expr>,
+) -> LogicalPlan {
+    let lw = left.width();
+    let mut cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+    if let Some(r) = &residual {
+        let mut rc = Vec::new();
+        r.columns(&mut rc);
+        cols.extend(rc.into_iter().filter(|&c| c < lw));
+    }
+    let stay = |left: LogicalPlan,
+                right: LogicalPlan,
+                on: Vec<(usize, usize)>,
+                residual: Option<Expr>| LogicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        kind,
+        on,
+        residual,
+    };
+    match left {
+        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+            input: Box::new(sink_semi(*input, right, kind, on, residual)),
+            predicate,
+        },
+        LogicalPlan::Join {
+            left: a,
+            right: b,
+            kind: jk @ (JoinKind::Inner | JoinKind::Left),
+            on: j_on,
+            residual: j_res,
+        } => {
+            let aw = a.width();
+            let (a, b) = if cols.iter().all(|&c| c < aw) {
+                // The subquery's columns follow the new left input directly.
+                let residual =
+                    residual.map(|e| e.remap_columns(&|i| if i < lw { i } else { i - (lw - aw) }));
+                (sink_semi(*a, right, kind, on, residual), *b)
+            } else if jk == JoinKind::Inner && cols.iter().all(|&c| c >= aw) {
+                let on = on.into_iter().map(|(l, r)| (l - aw, r)).collect();
+                let residual = residual.map(|e| e.remap_columns(&|i| i - aw));
+                (*a, sink_semi(*b, right, kind, on, residual))
+            } else {
+                let join = LogicalPlan::Join {
+                    left: a,
+                    right: b,
+                    kind: jk,
+                    on: j_on,
+                    residual: j_res,
+                };
+                return stay(join, right, on, residual);
+            };
+            LogicalPlan::Join {
+                left: Box::new(a),
+                right: Box::new(b),
+                kind: jk,
+                on: j_on,
+                residual: j_res,
+            }
+        }
+        other => stay(other, right, on, residual),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,5 +418,95 @@ mod tests {
         split_conjunction(&back, &mut parts2);
         assert_eq!(parts2.len(), 3);
         assert!(conjoin(vec![]).is_none());
+    }
+
+    /// `l ⋈ r` (inner, on l.a = r.a) with a semi/anti join on `col` above it.
+    fn semi_over(kind: JoinKind, join: JoinKind, col: usize) -> LogicalPlan {
+        scan("l")
+            .join(scan("r"), join, vec![(0, 0)])
+            .join(scan("sub"), kind, vec![(col, 0)])
+    }
+
+    #[test]
+    fn semi_join_moves_onto_the_table_it_filters() {
+        // keys on the right input of the inner join
+        let out = push_down_semi_joins(semi_over(JoinKind::Semi, JoinKind::Inner, 3));
+        match &out {
+            LogicalPlan::Join {
+                kind: JoinKind::Inner,
+                left,
+                right,
+                ..
+            } => {
+                assert!(matches!(&**left, LogicalPlan::Scan { table, .. } if table == "l"));
+                match &**right {
+                    LogicalPlan::Join {
+                        kind: JoinKind::Semi,
+                        left,
+                        on,
+                        ..
+                    } => {
+                        assert!(matches!(&**left, LogicalPlan::Scan { table, .. } if table == "r"));
+                        assert_eq!(on, &vec![(1, 0)]);
+                    }
+                    other => panic!("{}", other.explain()),
+                }
+            }
+            other => panic!("{}", other.explain()),
+        }
+        assert_eq!(
+            out.schema().unwrap(),
+            semi_over(JoinKind::Semi, JoinKind::Inner, 3)
+                .schema()
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn anti_join_stays_off_the_nullable_side() {
+        // The preserved side of a LEFT join takes it ...
+        let out = push_down_semi_joins(semi_over(JoinKind::Anti, JoinKind::Left, 1));
+        assert!(matches!(
+            &out,
+            LogicalPlan::Join { kind: JoinKind::Left, left, .. }
+                if matches!(&**left, LogicalPlan::Join { kind: JoinKind::Anti, .. })
+        ));
+        // ... the padded side does not.
+        let plan = semi_over(JoinKind::Anti, JoinKind::Left, 3);
+        assert_eq!(push_down_semi_joins(plan.clone()), plan);
+    }
+
+    #[test]
+    fn semi_join_residual_follows_its_columns() {
+        // residual: l.b < sub.b, i.e. #1 < #5 over (l ++ r) ++ sub
+        let plan = LogicalPlan::Join {
+            left: Box::new(scan("l").join(scan("r"), JoinKind::Inner, vec![(0, 0)])),
+            right: Box::new(scan("sub")),
+            kind: JoinKind::Semi,
+            on: vec![(0, 0)],
+            residual: Some(Expr::binary(BinOp::Lt, Expr::col(1), Expr::col(5))),
+        };
+        match push_down_semi_joins(plan) {
+            LogicalPlan::Join { left, .. } => match *left {
+                LogicalPlan::Join { residual, .. } => {
+                    // over l ++ sub now: sub.b is #3
+                    assert_eq!(
+                        residual,
+                        Some(Expr::binary(BinOp::Lt, Expr::col(1), Expr::col(3)))
+                    )
+                }
+                other => panic!("{}", other.explain()),
+            },
+            other => panic!("{}", other.explain()),
+        }
+        // A residual reading both inner-join inputs keeps the join above them.
+        let both = LogicalPlan::Join {
+            left: Box::new(scan("l").join(scan("r"), JoinKind::Inner, vec![(0, 0)])),
+            right: Box::new(scan("sub")),
+            kind: JoinKind::Semi,
+            on: vec![(0, 0)],
+            residual: Some(Expr::binary(BinOp::Lt, Expr::col(3), Expr::col(5))),
+        };
+        assert_eq!(push_down_semi_joins(both.clone()), both);
     }
 }

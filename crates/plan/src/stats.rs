@@ -5,6 +5,7 @@
 //! load/analyze time and consumed by the selectivity estimator in
 //! [`crate::optimizer`].
 
+use std::collections::HashMap;
 use vw_common::{DataType, Value};
 
 /// Number of buckets in an equi-width histogram.
@@ -93,28 +94,73 @@ pub struct ColStats {
 }
 
 impl ColStats {
-    /// Build from a value sample.
+    /// Build from a sample that is the whole column.
     pub fn build(ty: DataType, samples: &[Value]) -> ColStats {
-        let n = samples.len().max(1);
-        let nulls = samples.iter().filter(|v| v.is_null()).count();
-        let mut distinct: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for v in samples {
-            if !v.is_null() {
-                distinct.insert(v.to_string());
+        let n = samples.len() as u64;
+        ColStats::from_groups(ty, &[samples], n, n)
+    }
+
+    /// Build from a uniform sample of some of a table's row groups:
+    /// `groups[g]` is the sample of the g-th group read, the groups read hold
+    /// `rows_read` of the table's `n_rows` rows.
+    ///
+    /// The distinct count is the Haas–Stokes Duj1 estimate
+    /// `d / (1 − (1 − n/N)·f1/n)` (`d` distinct values and `f1` singletons
+    /// among `n` sampled values of a population of `N`), clamped to `[d, N]`.
+    /// A column whose sampled groups share no values is a clustered key
+    /// (`l_orderkey` in a table loaded in key order): the unread groups hold
+    /// values of their own, so its estimate is made for the rows read and
+    /// scaled to the table. Any other column is estimated against the whole
+    /// table.
+    pub fn from_groups(ty: DataType, groups: &[&[Value]], rows_read: u64, n_rows: u64) -> ColStats {
+        // value → (occurrences, group first seen in, seen in a second group)
+        let mut seen: HashMap<&Value, (u32, usize, bool)> = HashMap::new();
+        let (mut sampled, mut nulls) = (0usize, 0usize);
+        for (g, sample) in groups.iter().enumerate() {
+            sampled += sample.len();
+            for v in sample.iter() {
+                if v.is_null() {
+                    nulls += 1;
+                    continue;
+                }
+                let e = seen.entry(v).or_insert((0, g, false));
+                e.0 += 1;
+                e.2 |= e.1 != g;
             }
         }
-        let numeric: Vec<f64> = samples
-            .iter()
-            .filter_map(|v| v.as_f64().or_else(|| v.as_i64().map(|x| x as f64)))
-            .collect();
+        let null_fraction = nulls as f64 / sampled.max(1) as f64;
+        let n = (sampled - nulls) as f64;
+        let d = seen.len() as f64;
+        let f1 = seen.values().filter(|e| e.0 == 1).count() as f64;
+        let shared = seen.values().filter(|e| e.2).count() as f64;
+        let duj1 = |population: f64| {
+            if n == 0.0 || population <= 0.0 {
+                return d;
+            }
+            let unseen = (1.0 - n / population).max(0.0) * f1 / n;
+            (d / (1.0 - unseen)).clamp(d, population.max(d))
+        };
+        let non_null = |rows: u64| rows as f64 * (1.0 - null_fraction);
+        let clustered = groups.len() > 1 && rows_read < n_rows && shared * 100.0 <= d;
+        let estimate = if clustered {
+            duj1(non_null(rows_read)) * n_rows as f64 / rows_read.max(1) as f64
+        } else {
+            duj1(non_null(n_rows))
+        };
+        let estimate = estimate.clamp(d, non_null(n_rows).max(d));
         let histogram = if ty.is_numeric() || ty == DataType::Date {
+            let numeric: Vec<f64> = groups
+                .iter()
+                .flat_map(|s| s.iter())
+                .filter_map(|v| v.as_f64().or_else(|| v.as_i64().map(|x| x as f64)))
+                .collect();
             Histogram::build(&numeric)
         } else {
             None
         };
         ColStats {
-            n_distinct: distinct.len().max(1) as u64,
-            null_fraction: nulls as f64 / n as f64,
+            n_distinct: (estimate.round() as u64).max(1),
+            null_fraction,
             histogram,
         }
     }
@@ -128,14 +174,24 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Build from per-column samples (each inner Vec is one column's sample).
-    pub fn build(n_rows: u64, types: &[DataType], samples: &[Vec<Value>]) -> TableStats {
+    /// Build from per-column samples of some row groups: `samples[c][g]` is
+    /// column `c`'s sample of the g-th group read; see
+    /// [`ColStats::from_groups`].
+    pub fn build(
+        n_rows: u64,
+        rows_read: u64,
+        types: &[DataType],
+        samples: &[Vec<Vec<Value>>],
+    ) -> TableStats {
         TableStats {
             n_rows,
             cols: types
                 .iter()
                 .zip(samples)
-                .map(|(t, s)| ColStats::build(*t, s))
+                .map(|(t, groups)| {
+                    let groups: Vec<&[Value]> = groups.iter().map(Vec::as_slice).collect();
+                    ColStats::from_groups(*t, &groups, rows_read, n_rows)
+                })
                 .collect(),
         }
     }
@@ -219,5 +275,33 @@ mod tests {
         assert_eq!(s.cols.len(), 3);
         assert_eq!(s.n_rows, 1000);
         assert_eq!(s.cols[0].n_distinct, 100);
+    }
+
+    #[test]
+    fn duj1_sees_a_unique_column_through_a_small_sample() {
+        // 1 000 sampled values of a 100 000-row key: all singletons.
+        let vals: Vec<Value> = (0..1000).map(|i| Value::I64(i * 97)).collect();
+        let s = ColStats::from_groups(DataType::I64, &[&vals], 100_000, 100_000);
+        assert_eq!(s.n_distinct, 100_000);
+        // Every value seen again and again: the domain was all sampled.
+        let vals: Vec<Value> = (0..4096).map(|i| Value::I64(i % 50)).collect();
+        let s = ColStats::from_groups(DataType::I64, &[&vals], 1_000_000, 1_000_000);
+        assert_eq!(s.n_distinct, 50);
+    }
+
+    #[test]
+    fn clustered_key_scales_to_the_groups_not_read() {
+        // Four groups of 4 000 rows, 1 000 values four times each; groups 0
+        // and 2 are read in full. They share no values, so the unread two
+        // hold as many again.
+        let group =
+            |g: i64| -> Vec<Value> { (0..4000).map(|i| Value::I64(g * 1000 + i / 4)).collect() };
+        let (g0, g2) = (group(0), group(2));
+        let s = ColStats::from_groups(DataType::I64, &[&g0, &g2], 8000, 16_000);
+        assert_eq!(s.n_distinct, 4000);
+        // The same values in every group: what was read is all there is.
+        let g2 = group(0);
+        let s = ColStats::from_groups(DataType::I64, &[&g0, &g2], 8000, 16_000);
+        assert_eq!(s.n_distinct, 1000);
     }
 }

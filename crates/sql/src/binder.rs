@@ -4,7 +4,6 @@
 use crate::ast::*;
 use std::collections::HashMap;
 use vw_common::{bind_err, DataType, Result, Schema, TableId, Value, VwError};
-use vw_plan::optimizer::order_relations;
 use vw_plan::rewrite::pushdown::{conjoin, split_conjunction};
 use vw_plan::{AggExpr, AggFunc, BinOp, DatePart, Expr, JoinKind, LogicalPlan, SortKey, UnOp};
 
@@ -12,7 +11,7 @@ use vw_plan::{AggExpr, AggFunc, BinOp, DatePart, Expr, JoinKind, LogicalPlan, So
 pub trait CatalogView {
     /// Resolve a table name to its id and schema.
     fn resolve_table(&self, name: &str) -> Option<(TableId, Schema)>;
-    /// Estimated row count (for comma-join ordering); `None` = unknown.
+    /// Current row count of a table; `None` = unknown.
     fn table_rows(&self, _id: TableId) -> Option<u64> {
         None
     }
@@ -532,7 +531,7 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogView) -> Result<Logic
         let (filters, subs) = partition_where(stmt, &scope)?;
         (plan, scope, filters, subs)
     } else {
-        bind_comma_joins(stmt, parts, catalog)?
+        bind_comma_joins(stmt, parts)?
     };
 
     // 3. IN-subqueries become semi/anti joins.
@@ -658,11 +657,11 @@ fn split_ast_conjuncts(e: &AstExpr) -> Vec<AstExpr> {
     }
 }
 
-/// Comma-join binding with greedy reordering.
+/// Comma-join binding: a left-deep tree whose keys are the WHERE equalities
+/// between FROM items. The join order is the optimizer's to choose.
 fn bind_comma_joins(
     stmt: &SelectStmt,
     parts: Vec<FromResult>,
-    catalog: &dyn CatalogView,
 ) -> Result<(LogicalPlan, Scope, Vec<Expr>, Vec<SubqueryCond>)> {
     // Scope covering everything, in written order, for WHERE binding.
     let mut full_scope = Scope::default();
@@ -705,26 +704,25 @@ fn bind_comma_joins(
         rest.push(c);
     }
 
-    // Order relations by estimated size.
-    let sizes: Vec<f64> = parts
-        .iter()
-        .map(|p| {
-            // use the base table row count of the first relation in the part
-            p.scope
-                .relations
-                .first()
-                .and_then(|(q, _, _)| {
-                    catalog.resolve_table(q).or({
-                        // alias: fall back to unknown
-                        None
-                    })
+    // Written order, except that each next relation is the first one
+    // connected to those already joined (the optimizer picks the real order).
+    let mut order: Vec<usize> = vec![0];
+    while order.len() < parts.len() {
+        let next = (0..parts.len()).find(|i| {
+            !order.contains(i)
+                && edges.iter().any(|&(a, _, b, _)| {
+                    (a == *i && order.contains(&b)) || (b == *i && order.contains(&a))
                 })
-                .and_then(|(tid, _)| catalog.table_rows(tid))
-                .unwrap_or(1000) as f64
-        })
-        .collect();
-    let edge_pairs: Vec<(usize, usize)> = edges.iter().map(|&(a, _, b, _)| (a, b)).collect();
-    let order = order_relations(&sizes, &edge_pairs);
+        });
+        match next {
+            Some(i) => order.push(i),
+            None => {
+                return Err(bind_err!(
+                    "cross join between FROM items is not supported (no join predicate)"
+                ))
+            }
+        }
+    }
 
     // Build the join tree in that order; maintain a map from written-order
     // global columns to current plan columns.
@@ -759,29 +757,22 @@ fn bind_comma_joins(
             }
             Some(left) => {
                 // join keys: all unused edges between `joined` and `rel`
+                // (at least one: `rel` was picked for being connected)
                 let mut on = Vec::new();
                 for (k, &(ra, ca, rb, cb)) in edges.iter().enumerate() {
                     if used_edges[k] {
                         continue;
                     }
-                    let (other, rel_col, other_col) = if ra == rel && joined.contains(&rb) {
-                        (rb, ca, cb)
+                    let (rel_col, other_col) = if ra == rel && joined.contains(&rb) {
+                        (ca, cb)
                     } else if rb == rel && joined.contains(&ra) {
-                        (ra, cb, ca)
+                        (cb, ca)
                     } else {
                         continue;
                     };
-                    let _ = other;
                     // left key = already-joined side, right key = new rel
-                    let l_col = col_map[&other_col];
-                    let r_col = rel_col - base;
-                    on.push((l_col, r_col));
+                    on.push((col_map[&other_col], rel_col - base));
                     used_edges[k] = true;
-                }
-                if on.is_empty() {
-                    return Err(bind_err!(
-                        "cross join between FROM items is not supported (no join predicate)"
-                    ));
                 }
                 scope = scope.merged(&part.scope);
                 plan = Some(LogicalPlan::Join {
@@ -1224,7 +1215,7 @@ mod tests {
     use vw_common::Field;
 
     struct TestCatalog {
-        tables: HashMap<String, (TableId, Schema, u64)>,
+        tables: HashMap<String, (TableId, Schema)>,
     }
 
     impl TestCatalog {
@@ -1241,7 +1232,6 @@ mod tests {
                         Field::new("shipdate", DataType::Date),
                         Field::new("flag", DataType::Str),
                     ]),
-                    60000,
                 ),
             );
             tables.insert(
@@ -1253,7 +1243,6 @@ mod tests {
                         Field::new("custkey", DataType::I64),
                         Field::nullable("comment", DataType::Str),
                     ]),
-                    15000,
                 ),
             );
             tables.insert(
@@ -1264,7 +1253,6 @@ mod tests {
                         Field::new("custkey", DataType::I64),
                         Field::new("name", DataType::Str),
                     ]),
-                    1500,
                 ),
             );
             TestCatalog { tables }
@@ -1273,14 +1261,7 @@ mod tests {
 
     impl CatalogView for TestCatalog {
         fn resolve_table(&self, name: &str) -> Option<(TableId, Schema)> {
-            self.tables.get(name).map(|(id, s, _)| (*id, s.clone()))
-        }
-
-        fn table_rows(&self, id: TableId) -> Option<u64> {
-            self.tables
-                .values()
-                .find(|(i, _, _)| *i == id)
-                .map(|(_, _, n)| *n)
+            self.tables.get(name).cloned()
         }
     }
 
@@ -1351,16 +1332,19 @@ mod tests {
     }
 
     #[test]
-    fn comma_join_reorders_by_size() {
+    fn comma_join_builds_in_written_order() {
+        // Written order, except that each next item must connect to the ones
+        // already joined: lineitem links only to orders, so it comes last.
         let p = plan_of(
-            "SELECT l.orderkey FROM customer c, orders o, lineitem l \
+            "SELECT l.orderkey FROM customer c, lineitem l, orders o \
              WHERE c.custkey = o.custkey AND o.orderkey = l.orderkey",
         );
         let text = p.explain();
-        // largest (lineitem) should be the outermost probe side
-        let li_pos = text.find("Scan lineitem").unwrap();
-        let cu_pos = text.find("Scan customer").unwrap();
-        assert!(li_pos < cu_pos, "{}", text);
+        let pos = |t: &str| text.find(&format!("Scan {t}")).unwrap();
+        assert!(pos("customer") < pos("orders"), "{}", text);
+        assert!(pos("orders") < pos("lineitem"), "{}", text);
+        assert!(text.contains("INNERJoin on l#0=r#1"), "{}", text);
+        assert!(text.contains("INNERJoin on l#2=r#0"), "{}", text);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   `CAST`, date literals (`DATE '1995-01-01'`) and
 //!   `INTERVAL 'n' MONTH|YEAR` arithmetic.
 //!
-//! The binder resolves names against a [`CatalogView`], performs
-//! comma-join ordering through `vw_plan::optimizer::order_relations`, and
-//! emits engine-neutral [`vw_plan::LogicalPlan`]s.
+//! The binder resolves names against a [`CatalogView`] and emits
+//! engine-neutral [`vw_plan::LogicalPlan`]s, comma joins in written order;
+//! `vw_plan::optimizer` chooses the join order.
 
 pub mod ast;
 pub mod binder;
