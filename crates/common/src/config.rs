@@ -4,8 +4,7 @@
 //! the number of tuples processed per primitive invocation. X100 found ~1K
 //! tuples to be the sweet spot — large enough to amortize interpretation
 //! overhead over a whole vector, small enough that all vectors touched by a
-//! query pipeline stay resident in the CPU cache. The `vector_size` bench
-//! (experiment E2) sweeps this knob and reproduces both cliffs.
+//! query pipeline stay resident in the CPU cache.
 
 /// Default number of tuples per vector.
 pub const VECTOR_SIZE: usize = 1024;
@@ -40,33 +39,9 @@ pub fn parse_byte_size(s: &str) -> Option<usize> {
 
 /// Environment variable consulted by `EngineConfig::default()` for the
 /// execution-memory budget (e.g. `VW_MEM_BUDGET=16MiB`). Lets the whole
-/// test suite and the qph harness run memory-governed without code changes
-/// (used by the low-memory CI job). `0` or `unbounded` mean no limit.
+/// test suite run memory-governed without code changes (used by the
+/// low-memory CI job). `0` or `unbounded` mean no limit.
 pub const MEM_BUDGET_ENV: &str = "VW_MEM_BUDGET";
-
-/// Environment variable selecting the aggregation path
-/// (`VW_AGG_PATH=generic` forces the generic hash table everywhere; the
-/// generic-path CI leg uses this to keep both paths covered by the full
-/// suite). Anything else — including unset — means automatic selection.
-pub const AGG_PATH_ENV: &str = "VW_AGG_PATH";
-
-/// Which aggregation implementation `compile` may pick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AggPath {
-    /// Use the perfect-hash (direct-array) path when the key domain allows
-    /// it, falling back to the generic hash table at runtime otherwise.
-    #[default]
-    Auto,
-    /// Always use the generic hash table.
-    Generic,
-}
-
-fn env_agg_path(var: &str) -> AggPath {
-    match std::env::var(var) {
-        Ok(v) if v.eq_ignore_ascii_case("generic") => AggPath::Generic,
-        _ => AggPath::Auto,
-    }
-}
 
 /// Environment variable giving tables created without an explicit
 /// `PARTITION BY` clause a default range-partitioned layout with this many
@@ -82,40 +57,6 @@ pub fn env_default_partitions() -> Option<usize> {
     match v.trim().parse::<usize>() {
         Ok(n) if n > 1 => Some(n),
         _ => None,
-    }
-}
-
-/// Environment variable acting as the global adaptivity kill switch
-/// (`VW_ADAPT=off` disables micro-adaptive predicate ordering,
-/// history-corrected cardinalities, and the self-tuning aggregation-path
-/// choice — the `adaptivity-off` CI leg uses this). Anything else —
-/// including unset — leaves adaptivity on.
-pub const ADAPT_ENV: &str = "VW_ADAPT";
-
-fn env_adaptivity(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => {
-            !(v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("0"))
-        }
-        _ => true,
-    }
-}
-
-/// Environment variable acting as the structured-event-log kill switch
-/// (`VW_LOG=off` disables event recording entirely, so the ring buffer is
-/// never touched). Anything else — including unset — leaves it on.
-pub const LOG_ENV: &str = "VW_LOG";
-
-fn env_event_log(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => {
-            !(v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("0"))
-        }
-        _ => true,
     }
 }
 
@@ -165,8 +106,8 @@ pub struct EngineConfig {
     pub vector_size: usize,
     /// Degree of parallelism the `parallelize` rewrite rule targets.
     pub parallelism: usize,
-    /// Whether the null-decompose rewrite runs (kept on in production;
-    /// switchable so the E8 bench can compare against naive NULL handling).
+    /// Whether the null-decompose rewrite runs (on by default; off selects
+    /// the naive per-value NULL checks the rewrite replaces).
     pub rewrite_nulls: bool,
     /// Whether queries record a per-operator profile. On by default: with
     /// ~1K-tuple vectors the bookkeeping is one timestamp pair and a few
@@ -184,14 +125,6 @@ pub struct EngineConfig {
     /// `DecodeCache` rung from it; retire it with the
     /// `bufman.decode_cache.*` rungs.
     pub decode_cache_bytes: usize,
-    /// Aggregation path selection; defaults from `VW_AGG_PATH` if set.
-    pub agg_path: AggPath,
-    /// Master switch for runtime adaptivity (micro-adaptive predicate
-    /// ordering, history-corrected cardinality estimates, self-tuning
-    /// aggregation paths). Every query snapshots this at start, so a
-    /// `SET adaptivity` mid-stream never changes a running query's
-    /// behaviour. Defaults on; `VW_ADAPT=off` disables.
-    pub adaptivity: bool,
     /// Slow-query threshold in nanoseconds for the structured event log:
     /// queries whose wall time meets or exceeds it emit a `slow_query`
     /// event. `None` (default) disables slow-query logging. Set via
@@ -201,10 +134,6 @@ pub struct EngineConfig {
     /// are counted in the `history_evicted_total` metric. Set via
     /// `SET query_history = N` (clamped to [`QUERY_HISTORY_MAX`]).
     pub query_history: usize,
-    /// Master switch for the structured event log. Defaults on (recording
-    /// is a handful of events per *query*, never per vector); `VW_LOG=off`
-    /// disables it so the ring is never touched.
-    pub event_log: bool,
 }
 
 impl Default for EngineConfig {
@@ -216,37 +145,8 @@ impl Default for EngineConfig {
             profiling: true,
             mem_budget_bytes: env_byte_size(MEM_BUDGET_ENV),
             decode_cache_bytes: 32 << 20,
-            agg_path: env_agg_path(AGG_PATH_ENV),
-            adaptivity: env_adaptivity(ADAPT_ENV),
             log_min_duration_ns: None,
             query_history: QUERY_HISTORY_DEFAULT,
-            event_log: env_event_log(LOG_ENV),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Config with a specific vector size (used by the vector-size sweep).
-    pub fn with_vector_size(vector_size: usize) -> Self {
-        EngineConfig {
-            vector_size,
-            ..Default::default()
-        }
-    }
-
-    /// Config with a specific degree of parallelism.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        EngineConfig {
-            parallelism,
-            ..Default::default()
-        }
-    }
-
-    /// Config with a specific execution-memory budget (`None` = unbounded).
-    pub fn with_mem_budget(mem_budget_bytes: Option<usize>) -> Self {
-        EngineConfig {
-            mem_budget_bytes,
-            ..Default::default()
         }
     }
 }
@@ -262,18 +162,10 @@ mod tests {
         assert_eq!(c.parallelism, 1);
         assert!(c.rewrite_nulls);
         assert!(c.profiling);
+        assert_eq!(c.query_history, QUERY_HISTORY_DEFAULT);
+        assert_eq!(c.log_min_duration_ns, None);
         assert!(VECTOR_SIZE.is_power_of_two());
         assert!(BLOCK_VALUES.is_multiple_of(VECTOR_SIZE));
-    }
-
-    #[test]
-    fn builders() {
-        assert_eq!(EngineConfig::with_vector_size(16).vector_size, 16);
-        assert_eq!(EngineConfig::with_parallelism(4).parallelism, 4);
-        assert_eq!(
-            EngineConfig::with_mem_budget(Some(1 << 20)).mem_budget_bytes,
-            Some(1 << 20)
-        );
     }
 
     #[test]
@@ -301,39 +193,6 @@ mod tests {
         assert_eq!(parse_duration_ns("x"), None);
         assert_eq!(parse_duration_ns("5m"), None);
         assert_eq!(parse_duration_ns(""), None);
-    }
-
-    #[test]
-    fn event_log_tracks_env() {
-        // CI legs may run the whole suite with VW_LOG=off, so assert
-        // consistency with the environment rather than a fixed value.
-        let expected = match std::env::var(LOG_ENV) {
-            Ok(v) => {
-                !(v.eq_ignore_ascii_case("off")
-                    || v.eq_ignore_ascii_case("false")
-                    || v.eq_ignore_ascii_case("0"))
-            }
-            _ => true,
-        };
-        assert_eq!(EngineConfig::default().event_log, expected);
-        assert_eq!(EngineConfig::default().query_history, QUERY_HISTORY_DEFAULT);
-        assert_eq!(EngineConfig::default().log_min_duration_ns, None);
-    }
-
-    #[test]
-    fn adaptivity_tracks_env() {
-        // The adaptivity-off CI job runs the whole suite with VW_ADAPT=off,
-        // so assert consistency with the environment rather than a fixed
-        // value.
-        let expected = match std::env::var(ADAPT_ENV) {
-            Ok(v) => {
-                !(v.eq_ignore_ascii_case("off")
-                    || v.eq_ignore_ascii_case("false")
-                    || v.eq_ignore_ascii_case("0"))
-            }
-            _ => true,
-        };
-        assert_eq!(EngineConfig::default().adaptivity, expected);
     }
 
     #[test]

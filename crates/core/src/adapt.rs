@@ -96,7 +96,7 @@ pub struct AdaptiveOrder {
 impl AdaptiveOrder {
     /// `n` conjuncts in their static (plan) order; re-rank every `period`
     /// ticks. When `enabled` is false the order stays static forever and
-    /// observation is skipped (the kill switch costs nothing).
+    /// observation is skipped (a static operator pays nothing for it).
     pub fn new(n: usize, period: u64, enabled: bool) -> AdaptiveOrder {
         AdaptiveOrder {
             stats: vec![ConjunctStats::default(); n],

@@ -20,7 +20,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vw_bufman::{Abm, CoopScanHandle};
-use vw_common::config::{AggPath, EngineConfig};
+use vw_common::config::EngineConfig;
 use vw_common::metrics::{MetricsRegistry, LATENCY_BUCKETS_NS};
 use vw_common::{Result, Schema, TableId, VwError};
 use vw_plan::{Expr, LogicalPlan};
@@ -68,8 +68,8 @@ pub struct ExecContext {
     /// registry lock while executing.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Cross-query aggregation-path feedback (observed group counts,
-    /// perfect-hash refusals). Attached by the database when adaptivity is
-    /// on; `None` keeps the static path choice.
+    /// perfect-hash refusals). Attached by the database to every query;
+    /// `None` keeps the static path choice.
     pub agg_feedback: Option<Arc<AggFeedback>>,
     /// This context's Exchange worker index (0 for the coordinator / serial
     /// execution). Scans use it as their home lane in a partition-aware
@@ -157,7 +157,7 @@ fn compile_rec(
                 child,
                 predicate.clone(),
                 naive,
-                ctx.config.adaptivity,
+                true,
             )?)
         }
         LogicalPlan::Project { input, exprs } => {
@@ -222,50 +222,47 @@ fn compile_rec(
             if let Some(p) = prof {
                 agg.set_waits(p.waits().clone());
             }
-            if ctx.config.agg_path == AggPath::Auto {
-                // Where a group key is a stored column handed up unchanged,
-                // its zone maps bound the key domain: integer keys become
-                // eligible for the direct-array path. Bool and
-                // low-cardinality string keys are eligible without.
-                let sources: Vec<Option<(TableId, usize)>> =
-                    group_by.iter().map(|&g| stored_column(input, g)).collect();
-                let hints = sources
-                    .iter()
-                    .map(|src| {
-                        let (table, col) = (*src)?;
-                        int_key_hint(&ctx.provider(table).ok()?.storage, col)
-                    })
-                    .collect::<Vec<_>>();
-                // The aggregation's shape across queries: the table and the
-                // stored columns grouped on, whatever the projection above.
-                let shape = sources
-                    .iter()
-                    .copied()
-                    .collect::<Option<Vec<_>>>()
-                    .filter(|keys| !keys.is_empty() && keys.iter().all(|k| k.0 == keys[0].0))
-                    .map(|keys| {
-                        let cols: Vec<usize> = keys.iter().map(|k| k.1).collect();
-                        (keys[0].0.as_u64(), cols)
-                    });
-                let feedback = ctx.agg_feedback.as_ref().filter(|_| ctx.config.adaptivity);
-                // History veto: if this (table, key-set) has already refused
-                // the perfect-hash path (budget) or blown past its domain,
-                // skip the speculative attempt and go generic from batch one.
-                let mut veto = false;
-                if let (Some(fb), Some((table, cols))) = (feedback, shape) {
-                    veto = fb.veto_perfect(table, cols.clone(), perfect::MAX_SLOTS as u64);
-                    agg.set_agg_feedback(fb.clone(), table, cols);
+            // Where a group key is a stored column handed up unchanged, its
+            // zone maps bound the key domain: integer keys become eligible
+            // for the direct-array path. Bool and low-cardinality string
+            // keys are eligible without.
+            let sources: Vec<Option<(TableId, usize)>> =
+                group_by.iter().map(|&g| stored_column(input, g)).collect();
+            let hints = sources
+                .iter()
+                .map(|src| {
+                    let (table, col) = (*src)?;
+                    int_key_hint(&ctx.provider(table).ok()?.storage, col)
+                })
+                .collect::<Vec<_>>();
+            // The aggregation's shape across queries: the table and the
+            // stored columns grouped on, whatever the projection above.
+            let shape = sources
+                .iter()
+                .copied()
+                .collect::<Option<Vec<_>>>()
+                .filter(|keys| !keys.is_empty() && keys.iter().all(|k| k.0 == keys[0].0))
+                .map(|keys| {
+                    let cols: Vec<usize> = keys.iter().map(|k| k.1).collect();
+                    (keys[0].0.as_u64(), cols)
+                });
+            // History veto: if this (table, key-set) has already refused the
+            // perfect-hash path (budget) or blown past its domain, skip the
+            // speculative attempt and go generic from batch one.
+            let mut veto = false;
+            if let (Some(fb), Some((table, cols))) = (&ctx.agg_feedback, shape) {
+                veto = fb.veto_perfect(table, cols.clone(), perfect::MAX_SLOTS as u64);
+                agg.set_agg_feedback(fb.clone(), table, cols);
+            }
+            if veto {
+                // History overrode the static choice; surface it in the
+                // profile so EXPLAIN ANALYZE (and the agg_path_switches_total
+                // counter) can say why.
+                if let Some(p) = prof {
+                    p.add_extra("agg_adapt_veto", 1);
                 }
-                if veto {
-                    // The adaptive path overrode the static choice; surface
-                    // it in the profile so EXPLAIN ANALYZE (and the
-                    // agg_path_switches_total counter) can say why.
-                    if let Some(p) = prof {
-                        p.add_extra("agg_adapt_veto", 1);
-                    }
-                } else {
-                    agg.enable_perfect(&hints);
-                }
+            } else {
+                agg.enable_perfect(&hints);
             }
             Box::new(agg)
         }
@@ -453,7 +450,7 @@ fn compile_scan(
         ctx.config.vector_size,
         morsels,
         !ctx.config.rewrite_nulls,
-        ctx.config.adaptivity,
+        true,
     )?;
     if let Some(c) = coop {
         scan.set_coop(c);

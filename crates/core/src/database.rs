@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vw_common::config::{AggPath, EngineConfig, QUERY_HISTORY_MAX};
+use vw_common::config::{EngineConfig, QUERY_HISTORY_MAX};
 use vw_common::metrics::{Counter, Histogram, MetricsRegistry, LATENCY_BUCKETS_NS};
 use vw_common::waits::{WaitClass, WaitSnapshot};
 use vw_common::{DataType, Result, Schema, TableId, TableLayout, Value, VwError};
@@ -273,8 +273,7 @@ pub struct Database {
     sched: Arc<Scheduler>,
     next_session_id: AtomicU64,
     /// History-learned cardinality corrections keyed by normalized plan
-    /// shape. Consulted at optimize time, fed after every profiled query
-    /// (adaptivity on).
+    /// shape. Consulted at optimize time, fed after every profiled query.
     card_feedback: Mutex<CardFeedback>,
     /// Cross-query aggregation-path feedback (group counts, perfect-hash
     /// refusals), shared into running aggregates.
@@ -321,7 +320,6 @@ impl Database {
             metrics.register_polled(name, "", move || f(&sched.stats()) as f64);
         }
         let ledger = Arc::new(MemBudget::new(config.mem_budget_bytes));
-        let event_log_on = config.event_log;
         Ok(Database {
             disk,
             tables: RwLock::new(HashMap::new()),
@@ -342,7 +340,7 @@ impl Database {
             next_session_id: AtomicU64::new(1),
             card_feedback: Mutex::new(CardFeedback::new()),
             agg_feedback: Arc::new(crate::adapt::AggFeedback::new()),
-            events: Arc::new(EventLog::new(EVENT_LOG_CAP, event_log_on)),
+            events: Arc::new(EventLog::new(EVENT_LOG_CAP, true)),
         })
     }
 
@@ -642,19 +640,14 @@ impl Database {
     /// Rewrites run *before* the optimizer: after constant folding and
     /// predicate pushdown the optimizer costs the same node shapes that
     /// execute, which is what lets history fingerprints recorded from
-    /// executed plans match the shapes being costed here. With adaptivity on,
-    /// the cost model multiplies in any history-learned correction factors —
-    /// this is where a repeat query's join build side can flip.
+    /// executed plans match the shapes being costed here. The cost model
+    /// multiplies in any history-learned correction factors — this is where
+    /// a repeat query's join build side can flip.
     fn optimize_plan_with(&self, plan: LogicalPlan, config: &EngineConfig) -> LogicalPlan {
         let stats = self.stats.read().clone();
         let plan = fold_constants(plan);
         let plan = push_down_filters(plan);
-        let plan = if config.adaptivity {
-            let fb = self.card_feedback.lock();
-            optimize_with_feedback(plan, &stats, Some(&fb))
-        } else {
-            optimize_with_feedback(plan, &stats, None)
-        };
+        let plan = optimize_with_feedback(plan, &stats, Some(&self.card_feedback.lock()));
         let plan = prune_columns(plan);
         // Ordering-properties pass: serial plans only — at dop>1 the
         // Exchange re-partitions row order anyway, and keeping the plan
@@ -728,11 +721,7 @@ impl Database {
         let plan = self.optimize_plan_with(plan, &config);
         // The corrections the feedback store actually applied to this plan
         // (for the metrics counter and the EXPLAIN ANALYZE feedback line).
-        let corrections = if config.adaptivity {
-            self.card_feedback.lock().applicable(&plan)
-        } else {
-            Vec::new()
-        };
+        let corrections = self.card_feedback.lock().applicable(&plan);
         let schema = plan.schema()?;
         // Everything since the statement arrived that wasn't parse/bind is
         // the optimize phase (rewrites, feedback lookup, schema check).
@@ -779,16 +768,12 @@ impl Database {
             // concurrent queries see each other's memory pressure.
             ctx.mem = Arc::new(MemBudget::chained(ctx.config.mem_budget_bytes, ledger));
         }
-        self.provide_system_tables(&plan, &mut ctx)?;
-        if ctx.config.adaptivity {
-            ctx.agg_feedback = Some(self.agg_feedback.clone());
-        }
+        ctx.agg_feedback = Some(self.agg_feedback.clone());
         let profiling = force || ctx.config.profiling;
         let root = profiling.then(|| OpProfile::from_plan(&plan));
         if let Some(root) = &root {
             let stats = self.stats.read();
-            let fb = ctx.config.adaptivity.then(|| self.card_feedback.lock());
-            annotate_estimates(&plan, root, &stats, fb.as_deref());
+            annotate_estimates(&plan, root, &stats, &self.card_feedback.lock());
         }
         ctx.profile = root.clone();
         ctx.metrics = Some(self.metrics.clone());
@@ -803,13 +788,34 @@ impl Database {
         }
         let disk_before = self.disk.stats();
         let buf_before = self.buffer.read().as_ref().map(|a| a.stats());
-        let mut op = compile_plan(&plan, &ctx)?;
-        let rows = collect_rows(op.as_mut())?;
-        drop(op); // flush profile extras from operators cut short by LIMIT
-                  // Wall covers the full lifecycle (parse → drain); the execute phase
-                  // is the remainder after the five earlier phases, so the timeline
-                  // sums to wall exactly.
+        // The operators drop before the clock stops, which flushes the
+        // profile extras of any a LIMIT cut short. A statement that fails
+        // here still closes its `query_start` in the log.
+        let executed = self
+            .provide_system_tables(&plan, &mut ctx)
+            .and_then(|()| compile_plan(&plan, &ctx))
+            .and_then(|mut op| collect_rows(op.as_mut()));
+        // Wall covers the full lifecycle (parse → drain); the execute phase
+        // is the remainder after the five earlier phases, so the timeline
+        // sums to wall exactly.
         let wall = lifecycle.epoch.elapsed();
+        let wall_ms = wall.as_secs_f64() * 1e3;
+        let rows = match executed {
+            Ok(rows) => rows,
+            Err(e) => {
+                self.events.emit(
+                    Severity::Warn,
+                    "query_finish",
+                    query_id,
+                    session,
+                    vec![
+                        ("wall_ms", format!("{wall_ms:.3}")),
+                        ("error", e.to_string()),
+                    ],
+                );
+                return Err(e);
+            }
+        };
         let timeline = Timeline {
             parse_ns: lifecycle.parse_ns,
             bind_ns: lifecycle.bind_ns,
@@ -870,11 +876,8 @@ impl Database {
         if let Some(p) = &profile {
             // Feed the history stores and fold adaptive counters into the
             // registry; profiled queries are the feedback loop's sensors.
-            if ctx.config.adaptivity {
-                let stats = self.stats.read().clone();
-                let mut fb = self.card_feedback.lock();
-                record_actuals(&plan, &p.root, &stats, &mut fb);
-            }
+            let stats = self.stats.read().clone();
+            record_actuals(&plan, &p.root, &stats, &mut self.card_feedback.lock());
             let mut reorders = 0u64;
             let mut switches = 0u64;
             for n in p.nodes() {
@@ -910,90 +913,87 @@ impl Database {
         m.morsels_claimed.add(ctx.stats.morsels_claimed() as u64);
         m.join_builds.add(ctx.stats.builds_executed() as u64);
         m.query_wall.record(wall.as_nanos() as u64);
-        if self.events.enabled() {
-            let wall_ms = wall.as_secs_f64() * 1e3;
+        self.events.emit(
+            Severity::Info,
+            "query_finish",
+            query_id,
+            session,
+            vec![
+                ("wall_ms", format!("{wall_ms:.3}")),
+                ("rows", rows.len().to_string()),
+            ],
+        );
+        if let Some(min) = ctx.config.log_min_duration_ns {
+            if wall.as_nanos() as u64 >= min {
+                self.events.emit(
+                    Severity::Warn,
+                    "slow_query",
+                    query_id,
+                    session,
+                    match sql {
+                        Some(s) => vec![
+                            ("wall_ms", format!("{wall_ms:.3}")),
+                            ("sql", truncate_sql(s)),
+                        ],
+                        None => vec![("wall_ms", format!("{wall_ms:.3}"))],
+                    },
+                );
+            }
+        }
+        if mem.spill_events > 0 {
             self.events.emit(
-                Severity::Info,
-                "query_finish",
+                Severity::Warn,
+                "spill",
                 query_id,
                 session,
                 vec![
-                    ("wall_ms", format!("{wall_ms:.3}")),
-                    ("rows", rows.len().to_string()),
+                    ("events", mem.spill_events.to_string()),
+                    ("bytes", mem.spill_bytes.to_string()),
                 ],
             );
-            if let Some(min) = ctx.config.log_min_duration_ns {
-                if wall.as_nanos() as u64 >= min {
-                    self.events.emit(
-                        Severity::Warn,
-                        "slow_query",
-                        query_id,
-                        session,
-                        match sql {
-                            Some(s) => vec![
-                                ("wall_ms", format!("{wall_ms:.3}")),
-                                ("sql", truncate_sql(s)),
-                            ],
-                            None => vec![("wall_ms", format!("{wall_ms:.3}"))],
-                        },
-                    );
-                }
-            }
-            if mem.spill_events > 0 {
-                self.events.emit(
-                    Severity::Warn,
-                    "spill",
-                    query_id,
-                    session,
-                    vec![
-                        ("events", mem.spill_events.to_string()),
-                        ("bytes", mem.spill_bytes.to_string()),
-                    ],
-                );
-            }
-            if let Some(p) = &profile {
-                let mut vetoes = 0u64;
-                let mut fallbacks = 0u64;
-                for n in p.nodes() {
-                    for (k, v) in n.extras() {
-                        match k {
-                            "agg_adapt_veto" => vetoes += v,
-                            "agg_fallback" => fallbacks += v,
-                            _ => {}
-                        }
+        }
+        if let Some(p) = &profile {
+            let mut vetoes = 0u64;
+            let mut fallbacks = 0u64;
+            for n in p.nodes() {
+                for (k, v) in n.extras() {
+                    match k {
+                        "agg_adapt_veto" => vetoes += v,
+                        "agg_fallback" => fallbacks += v,
+                        _ => {}
                     }
                 }
-                if vetoes > 0 {
-                    self.events.emit(
-                        Severity::Info,
-                        "agg_veto",
-                        query_id,
-                        session,
-                        vec![("count", vetoes.to_string())],
-                    );
-                }
-                if fallbacks > 0 {
-                    self.events.emit(
-                        Severity::Info,
-                        "agg_fallback",
-                        query_id,
-                        session,
-                        vec![("count", fallbacks.to_string())],
-                    );
-                }
             }
-            for c in &corrections {
+            if vetoes > 0 {
                 self.events.emit(
                     Severity::Info,
-                    "plan_correction",
+                    "agg_veto",
                     query_id,
                     session,
-                    vec![
-                        ("node", c.node.to_string()),
-                        ("factor", format!("{:.2}", c.factor)),
-                    ],
+                    vec![("count", vetoes.to_string())],
                 );
             }
+            if fallbacks > 0 {
+                self.events.emit(
+                    Severity::Info,
+                    "agg_fallback",
+                    query_id,
+                    session,
+                    vec![("count", fallbacks.to_string())],
+                );
+            }
+        }
+        for c in &corrections {
+            self.events.emit(
+                Severity::Info,
+                "plan_correction",
+                query_id,
+                session,
+                vec![
+                    ("node", c.node.to_string()),
+                    ("factor", format!("{:.2}", c.factor)),
+                ],
+            );
         }
         let record = QueryRecord {
             id: query_id,
@@ -1008,16 +1008,9 @@ impl Database {
             waits,
             profile: profile.clone(),
         };
-        // The ring cap is the *global* `query_history` setting (a session
-        // `SET` changes only that session's config snapshot, but eviction is
-        // a database-wide concern).
-        let cap = self.config.read().query_history.max(1);
         let mut history = self.history.lock();
-        while history.len() >= cap {
-            history.pop_front();
-            self.core_metrics.history_evicted.inc();
-        }
         history.push_back(record);
+        self.trim_history(&mut history);
         drop(history);
         Ok(QueryOutcome {
             result: QueryResult { schema, rows },
@@ -1271,14 +1264,7 @@ impl Database {
     /// Execute one SQL statement, optionally on behalf of a [`Session`]
     /// (which scopes config snapshots, `SET`, and profile/trace slots).
     pub(crate) fn execute_opts(&self, sql: &str, session: Option<&Session>) -> Result<QueryResult> {
-        // Parse and bind separately so the lifecycle timeline can attribute
-        // each phase; `epoch` anchors the whole query's timeline.
-        let mut lifecycle = Lifecycle::start();
-        let stmt = parse_statement(sql)?;
-        lifecycle.parse_ns = lifecycle.epoch.elapsed().as_nanos() as u64;
-        let bound = bind(&stmt, self)?;
-        lifecycle.bind_ns =
-            (lifecycle.epoch.elapsed().as_nanos() as u64).saturating_sub(lifecycle.parse_ns);
+        let (bound, lifecycle) = self.front_end(sql)?;
         // One config snapshot per statement, taken at admission.
         let config = session.map_or_else(|| self.config(), |s| s.config());
         let sid = session.map_or(0, |s| s.id());
@@ -1350,134 +1336,64 @@ impl Database {
                 self.create_table_with_layout(&name, schema, layout)?;
                 Ok(empty_result("created"))
             }
-            BoundStatement::Insert { table, rows } => {
-                check_writable(table)?;
+            dml @ (BoundStatement::Insert { .. }
+            | BoundStatement::Update { .. }
+            | BoundStatement::Delete { .. }) => {
                 let mut txn = self.begin();
-                let n = rows.len();
-                txn.append_many(table, rows)?;
+                let result = self.apply_dml(&mut txn, dml)?;
                 self.commit(txn)?;
-                Ok(count_result("inserted", n))
-            }
-            BoundStatement::Update {
-                table,
-                assignments,
-                predicate,
-            } => {
-                check_writable(table)?;
-                let mut txn = self.begin();
-                let n = self.apply_update(&mut txn, table, &assignments, predicate.as_ref())?;
-                self.commit(txn)?;
-                Ok(count_result("updated", n))
-            }
-            BoundStatement::Delete { table, predicate } => {
-                check_writable(table)?;
-                let mut txn = self.begin();
-                let n = self.apply_delete(&mut txn, table, predicate.as_ref())?;
-                self.commit(txn)?;
-                Ok(count_result("deleted", n))
+                Ok(result)
             }
             BoundStatement::Set { name, value, scope } => {
-                match (scope, session) {
+                let session = match (scope, session) {
                     // No session: plain SET has always been global here.
-                    (SetScope::Global, _) | (SetScope::Default, None) => {
-                        self.apply_set(&name, &value)?
-                    }
+                    (SetScope::Global, _) | (SetScope::Default, None) => None,
                     (SetScope::Local, None) => {
                         return Err(VwError::Invalid(
                             "SET LOCAL requires a session (use Database::session())".into(),
                         ))
                     }
                     // With a session, plain SET scopes to the session.
-                    (SetScope::Default | SetScope::Local, Some(s)) => {
-                        self.apply_set_session(s, &name, &value)?
-                    }
-                }
+                    (SetScope::Default | SetScope::Local, Some(s)) => Some(s),
+                };
+                self.apply_set(session, &name, &value)?;
                 Ok(empty_result("set"))
             }
         }
     }
 
-    /// Apply a `SET <name> = <value>` option globally (database scope).
-    fn apply_set(&self, name: &str, value: &Value) -> Result<()> {
+    /// Parse and bind one statement, timing both for the lifecycle timeline
+    /// (`epoch` anchors the whole statement's timeline).
+    fn front_end(&self, sql: &str) -> Result<(BoundStatement, Lifecycle)> {
+        let mut lifecycle = Lifecycle::start();
+        let stmt = parse_statement(sql)?;
+        lifecycle.parse_ns = lifecycle.epoch.elapsed().as_nanos() as u64;
+        let bound = bind(&stmt, self)?;
+        lifecycle.bind_ns =
+            (lifecycle.epoch.elapsed().as_nanos() as u64).saturating_sub(lifecycle.parse_ns);
+        Ok((bound, lifecycle))
+    }
+
+    /// Apply `SET <name> = <value>` to a session's config, or with no
+    /// session to the database's. The query-history ring is one per
+    /// database, so its cap is global even from a session's `SET`.
+    fn apply_set(&self, session: Option<&Session>, name: &str, value: &Value) -> Result<()> {
+        if let Some(s) = session.filter(|_| name != "query_history") {
+            return s.update_config(|c| set_option(c, name, value));
+        }
+        set_option(&mut self.config.write(), name, value)?;
         match name {
-            "memory_budget" | "mem_budget" => self.set_mem_budget(set_byte_size(value)?),
-            "parallelism" | "dop" => self.set_parallelism(set_usize(value)?),
-            "vector_size" => self.set_vector_size(set_usize(value)?),
-            "profiling" => self.set_profiling(set_bool(value)?),
-            "rewrite_nulls" => self.set_rewrite_nulls(set_bool(value)?),
-            "agg_path" => self.config.write().agg_path = set_agg_path(value)?,
-            "adaptivity" => self.config.write().adaptivity = set_bool(value)?,
-            "log_min_duration" => self.config.write().log_min_duration_ns = set_duration_ns(value)?,
-            "query_history" => self.set_query_history(set_usize(value)?),
-            "event_log" => {
-                let on = set_bool(value)?;
-                self.config.write().event_log = on;
-                self.events.set_enabled(on);
-            }
-            other => {
-                return Err(VwError::Invalid(format!("unknown SET option '{}'", other)));
-            }
+            "memory_budget" | "mem_budget" => self.rebuild_ledger(),
+            "query_history" => self.trim_history(&mut self.history.lock()),
+            _ => {}
         }
         Ok(())
     }
 
-    /// Apply a `SET` option to one session's config.
-    fn apply_set_session(&self, session: &Session, name: &str, value: &Value) -> Result<()> {
-        match name {
-            "memory_budget" | "mem_budget" => {
-                let bytes = set_byte_size(value)?;
-                session.update_config(|c| c.mem_budget_bytes = bytes);
-            }
-            "parallelism" | "dop" => {
-                let dop = set_usize(value)?;
-                session.update_config(|c| c.parallelism = dop.max(1));
-            }
-            "vector_size" => {
-                let vs = set_usize(value)?;
-                session.update_config(|c| c.vector_size = vs.max(1));
-            }
-            "profiling" => {
-                let on = set_bool(value)?;
-                session.update_config(|c| c.profiling = on);
-            }
-            "rewrite_nulls" => {
-                let on = set_bool(value)?;
-                session.update_config(|c| c.rewrite_nulls = on);
-            }
-            "agg_path" => {
-                let path = set_agg_path(value)?;
-                session.update_config(|c| c.agg_path = path);
-            }
-            "adaptivity" => {
-                let on = set_bool(value)?;
-                session.update_config(|c| c.adaptivity = on);
-            }
-            "log_min_duration" => {
-                let ns = set_duration_ns(value)?;
-                session.update_config(|c| c.log_min_duration_ns = ns);
-            }
-            // The history ring is shared by every session, so its cap is
-            // global even from a session-scoped SET.
-            "query_history" => self.set_query_history(set_usize(value)?),
-            // The event log is likewise one shared ring.
-            "event_log" => {
-                let on = set_bool(value)?;
-                self.config.write().event_log = on;
-                self.events.set_enabled(on);
-            }
-            other => {
-                return Err(VwError::Invalid(format!("unknown SET option '{}'", other)));
-            }
-        }
-        Ok(())
-    }
-
-    /// Resize the query-history ring (clamped to `1..=QUERY_HISTORY_MAX`),
-    /// trimming oldest records immediately and counting each eviction.
-    fn set_query_history(&self, n: usize) {
-        let cap = n.clamp(1, QUERY_HISTORY_MAX);
-        self.config.write().query_history = cap;
-        let mut history = self.history.lock();
+    /// Evict the oldest queries beyond the global `query_history` cap,
+    /// counting each eviction.
+    fn trim_history(&self, history: &mut VecDeque<QueryRecord>) {
+        let cap = self.config.read().query_history.max(1);
         while history.len() > cap {
             history.pop_front();
             self.core_metrics.history_evicted.inc();
@@ -1486,12 +1402,7 @@ impl Database {
 
     /// Execute a SQL statement inside an open transaction (DML + queries).
     pub fn execute_in(&self, txn: &mut Transaction, sql: &str) -> Result<QueryResult> {
-        let mut lifecycle = Lifecycle::start();
-        let stmt = parse_statement(sql)?;
-        lifecycle.parse_ns = lifecycle.epoch.elapsed().as_nanos() as u64;
-        let bound = bind(&stmt, self)?;
-        lifecycle.bind_ns =
-            (lifecycle.epoch.elapsed().as_nanos() as u64).saturating_sub(lifecycle.parse_ns);
+        let (bound, lifecycle) = self.front_end(sql)?;
         match bound {
             BoundStatement::Query(plan) => self
                 .run_query(
@@ -1504,6 +1415,13 @@ impl Database {
                     lifecycle,
                 )
                 .map(|o| o.result),
+            dml => self.apply_dml(txn, dml),
+        }
+    }
+
+    /// INSERT, UPDATE or DELETE inside `txn`; the count of rows changed.
+    fn apply_dml(&self, txn: &mut Transaction, stmt: BoundStatement) -> Result<QueryResult> {
+        match stmt {
             BoundStatement::Insert { table, rows } => {
                 check_writable(table)?;
                 let n = rows.len();
@@ -1558,7 +1476,7 @@ impl Database {
             config.vector_size,
             None,
             !config.rewrite_nulls,
-            config.adaptivity,
+            true,
         )?;
         scan.set_emit_rids();
         Ok((scan, slot))
@@ -1667,11 +1585,6 @@ impl Database {
         self.txn.read().abort_count()
     }
 
-    /// Control WAL flushing (group commit experiments).
-    pub fn set_sync_on_commit(&self, sync: bool) {
-        self.txn.read().set_sync_on_commit(sync);
-    }
-
     // ---------------------------------------------------------- maintenance
 
     /// Fold a table's PDT into its stable storage: build the next image
@@ -1755,7 +1668,23 @@ impl Database {
 }
 
 // ------------------------------------------------------ SET value parsing
-// (shared by the global and the session-scoped apply paths)
+
+/// Apply one `SET` option to `config` (the database's or a session's).
+fn set_option(config: &mut EngineConfig, name: &str, value: &Value) -> Result<()> {
+    match name {
+        "memory_budget" | "mem_budget" => config.mem_budget_bytes = set_byte_size(value)?,
+        "parallelism" | "dop" => config.parallelism = set_usize(value)?,
+        "vector_size" => config.vector_size = set_usize(value)?,
+        "profiling" => config.profiling = set_bool(value)?,
+        "rewrite_nulls" => config.rewrite_nulls = set_bool(value)?,
+        "log_min_duration" => config.log_min_duration_ns = set_duration_ns(value)?,
+        "query_history" => config.query_history = set_usize(value)?.min(QUERY_HISTORY_MAX),
+        other => {
+            return Err(VwError::Invalid(format!("unknown SET option '{}'", other)));
+        }
+    }
+    Ok(())
+}
 
 /// Byte-size options accept integers (bytes) or strings ('16MiB');
 /// 0, NULL, 'unbounded' and 'none' lift the memory budget.
@@ -1796,17 +1725,6 @@ fn set_bool(v: &Value) -> Result<bool> {
         Value::I64(n) => Ok(*n != 0),
         other => Err(VwError::Invalid(format!(
             "expected a boolean, got {}",
-            other
-        ))),
-    }
-}
-
-fn set_agg_path(v: &Value) -> Result<AggPath> {
-    match v {
-        Value::Str(s) if s.eq_ignore_ascii_case("auto") => Ok(AggPath::Auto),
-        Value::Str(s) if s.eq_ignore_ascii_case("generic") => Ok(AggPath::Generic),
-        other => Err(VwError::Invalid(format!(
-            "agg_path must be 'auto' or 'generic', got {}",
             other
         ))),
     }
@@ -1879,13 +1797,13 @@ fn annotate_estimates(
     plan: &LogicalPlan,
     prof: &OpProfile,
     stats: &HashMap<TableId, TableStats>,
-    fb: Option<&CardFeedback>,
+    fb: &CardFeedback,
 ) {
     if matches!(
         plan,
         LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } | LogicalPlan::MergeJoin { .. }
     ) {
-        let est = estimate_rows_with(plan, stats, fb);
+        let est = estimate_rows_with(plan, stats, Some(fb));
         prof.add_extra("est_rows", est.round() as u64);
     }
     for (i, c) in plan.children().into_iter().enumerate() {
@@ -2358,12 +2276,27 @@ mod tests {
         // Scans decode into their own vectors: there is no cache to size.
         let err = db.execute("SET decode_cache = '1MiB'").unwrap_err();
         assert!(err.to_string().contains("unknown SET option"), "{}", err);
-        db.execute("SET agg_path = generic").unwrap();
-        assert_eq!(db.config().agg_path, AggPath::Generic);
-        db.execute("SET agg_path = 'auto'").unwrap();
-        assert_eq!(db.config().agg_path, AggPath::Auto);
-        assert!(db.execute("SET agg_path = 'fast'").is_err());
-        assert!(db.execute("SET nosuch_option = 1").is_err());
+        // Adaptive execution, the aggregation path and the event log have
+        // no switch: the names (folded to lower case like any identifier)
+        // are as unknown as any other, globally and in a session.
+        for set in [
+            "SET ADAPTIVITY = off",
+            "SET GLOBAL AGG_PATH = 'generic'",
+            "SET EVENT_LOG = 'off'",
+            "SET nosuch_option = 1",
+        ] {
+            let err = db.execute(set).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown SET option"),
+                "{set}: {err}"
+            );
+            let session = Arc::new(sample_db()).session();
+            let err = session.execute(set).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown SET option"),
+                "{set}: {err}"
+            );
+        }
         assert!(db.execute("SET memory_budget = 'garbage'").is_err());
         // SET is session-level: rejected inside a transaction.
         let mut t = db.begin();
@@ -2702,7 +2635,7 @@ mod tests {
             let wall_ns = p.wall.as_nanos() as u64;
             let sum = p.timeline.total_ns();
             // The execute phase is defined as the remainder, so the phases
-            // sum to wall exactly (well inside the 5% criterion).
+            // sum to wall exactly (well inside the 5% bound).
             assert!(
                 sum.abs_diff(wall_ns) * 20 <= wall_ns.max(20),
                 "dop {dop}: timeline sums to {sum} ns but wall is {wall_ns} ns"
@@ -2835,7 +2768,7 @@ mod tests {
     // --------------------------------------------------- structured events
 
     #[test]
-    fn event_log_records_query_start_and_finish() {
+    fn events_record_query_start_and_finish() {
         let db = sample_db();
         let before = db.events().len();
         db.execute("SELECT COUNT(*) FROM items").unwrap();
@@ -2854,16 +2787,34 @@ mod tests {
         assert!(finish.detail().contains("rows=1"));
     }
 
+    /// A statement that fails while it executes — after admission, so after
+    /// its `query_start` — still logs the `query_finish` that closes it,
+    /// with the error.
     #[test]
-    fn set_event_log_toggles_recording() {
+    fn failed_query_still_logs_its_finish() {
         let db = sample_db();
-        db.execute("SET event_log = 'off'").unwrap();
-        let before = db.events().len();
-        db.execute("SELECT COUNT(*) FROM items").unwrap();
-        assert_eq!(db.events().len(), before, "disabled log recorded events");
-        db.execute("SET event_log = 'on'").unwrap();
-        db.execute("SELECT COUNT(*) FROM items").unwrap();
-        assert!(db.events().len() > before, "re-enabled log stayed silent");
+        let err = db
+            .execute("SELECT qty / (qty - qty) FROM items")
+            .unwrap_err();
+        let events = db.events().snapshot();
+        let start = events
+            .iter()
+            .rfind(|e| e.event == "query_start")
+            .expect("query_start event");
+        assert!(start.detail().contains("qty / (qty - qty)"), "{start:?}");
+        let finish = events
+            .iter()
+            .find(|e| e.event == "query_finish" && e.query_id == start.query_id)
+            .expect("the failed query's query_start is never closed");
+        assert_eq!(finish.severity, Severity::Warn);
+        let error = finish.fields.iter().find(|(k, _)| *k == "error");
+        assert_eq!(
+            error.map(|(_, v)| v.as_str()),
+            Some(err.to_string().as_str())
+        );
+        // The database answers the next statement as usual.
+        let r = db.execute("SELECT COUNT(*) FROM items").unwrap();
+        assert_eq!(r.rows[0][0], Value::I64(5));
     }
 
     #[test]

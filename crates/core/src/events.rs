@@ -10,12 +10,11 @@
 //! counted), never reallocated.
 //!
 //! Recording is one short mutex hold per *event*, and events are per-query
-//! (never per vector), so the log is always-on by default; `VW_LOG=off`
-//! short-circuits `emit` before any allocation or locking.
+//! (never per vector), so a database's log is always on.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Event severity (rendered lower-case in `vw_log`).
@@ -82,7 +81,7 @@ pub struct EventLog {
     ring: Mutex<Ring>,
     cap: usize,
     epoch: Instant,
-    enabled: AtomicBool,
+    enabled: bool,
     /// Internal cursor for the `tail -f`-style [`EventLog::drain`].
     drain_cursor: AtomicU64,
 }
@@ -100,21 +99,9 @@ impl EventLog {
             }),
             cap: cap.max(1),
             epoch: Instant::now(),
-            enabled: AtomicBool::new(enabled),
+            enabled,
             drain_cursor: AtomicU64::new(0),
         }
-    }
-
-    /// Whether events are being recorded (`VW_LOG=off` starts the database
-    /// with this off; `SET event_log` flips it at runtime).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle recording. Disabling keeps already-recorded events readable.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Append one event; returns its sequence number (0 when disabled).
@@ -126,7 +113,7 @@ impl EventLog {
         session: u64,
         fields: Vec<(&'static str, String)>,
     ) -> u64 {
-        if !self.enabled() {
+        if !self.enabled {
             return 0;
         }
         let ts_ms = self.epoch.elapsed().as_secs_f64() * 1e3;

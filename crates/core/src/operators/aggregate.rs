@@ -137,7 +137,7 @@ pub struct HashAggregate {
     /// The perfect-hash path started but fell back to the generic table.
     perfect_fallback: bool,
     /// Cross-query aggregation-path feedback store and this aggregate's
-    /// shape key, when the database attached one (adaptivity on).
+    /// shape key, when the database attached one.
     feedback: Option<(Arc<AggFeedback>, AggShapeKey)>,
     /// Bytes reserved against the budget for the resident generic table.
     table_bytes: usize,

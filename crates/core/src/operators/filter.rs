@@ -9,7 +9,7 @@
 //! conjunct is false or NULL, the set a single three-valued `AND` evaluation
 //! keeps out. Conjuncts that can raise an error (a division, a cast) run
 //! last, in plan order, so no reordering can make a statement fail that the
-//! written order lets pass; with adaptivity on, the others are re-ranked by
+//! written order lets pass; an adaptive filter re-ranks the others by
 //! observed cost and selectivity (see [`crate::adapt`]).
 
 use crate::adapt::{

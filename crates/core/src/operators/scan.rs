@@ -665,8 +665,8 @@ impl VecScan {
         // `narrowed`: `cands` lists the rows still standing; before the
         // first live conjunct every row of the vector is.
         let mut narrowed = false;
-        // One clock reading per conjunct serves the step's total and, with
-        // adaptivity on, each conjunct's cost.
+        // One clock reading per conjunct serves the step's total and, when
+        // the order adapts, each conjunct's cost.
         let mut clock = (profiled || self.adapt.enabled()).then(Instant::now);
         for at in 0..self.pushed.len() {
             let cid = self.adapt.order()[at];

@@ -387,7 +387,7 @@ pub struct QueryProfile {
     /// for this query (all operators, all workers).
     pub mem: crate::mem::MemStats,
     /// History-learned cardinality corrections the optimizer applied to this
-    /// plan, one human-readable entry per corrected node (adaptivity on).
+    /// plan, one human-readable entry per corrected node.
     pub plan_feedback: Option<String>,
     /// Lifecycle phase timeline (parse → bind → optimize → admission →
     /// checkpoint-interference → execute); phases sum to `wall`.

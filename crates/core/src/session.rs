@@ -90,8 +90,8 @@ impl Session {
         self.config.write().profiling = on;
     }
 
-    pub(crate) fn update_config(&self, f: impl FnOnce(&mut EngineConfig)) {
-        f(&mut self.config.write());
+    pub(crate) fn update_config<R>(&self, f: impl FnOnce(&mut EngineConfig) -> R) -> R {
+        f(&mut self.config.write())
     }
 
     /// Execute one SQL statement in this session (autocommit).

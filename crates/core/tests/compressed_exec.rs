@@ -751,9 +751,7 @@ fn dictionary_vectors_reach_the_aggregate_from_sql_text() {
     assert_eq!(scan["vec_coded"], 2 * vectors, "d and e travel as codes");
     assert_eq!(scan["vec_decoded"], 2 * vectors, "g and v are decoded");
     let agg = extras_of(&db, "Aggregate");
-    if db.config().agg_path == vw_common::config::AggPath::Auto {
-        assert_eq!(agg.get("agg_path_perfect"), Some(&1), "{agg:?}");
-    }
+    assert_eq!(agg.get("agg_path_perfect"), Some(&1), "{agg:?}");
 
     let like = db
         .execute("SELECT COUNT(*) FROM f WHERE d LIKE '%an%' AND v < 50")
@@ -820,5 +818,57 @@ fn dictionary_keyed_aggregate_and_join_spill_correctly() {
             assert!(spilled > 0, "{op} at dop {dop}: 48 KiB must force a spill");
         }
         db.set_parallelism(1);
+    }
+}
+
+/// A dictionary column with more distinct strings than the perfect-hash
+/// coder takes (32): the first run starts on the direct array and falls back
+/// to the generic table mid-stream; history then vetoes the direct array, so
+/// the second run groups the dictionary vectors in the generic table from
+/// the first vector — per-entry hashing, byte-wise verify and key interning.
+/// Both answer as the row engine does, at every vector size and dop.
+#[test]
+fn wide_dictionary_group_by_takes_the_generic_table_and_matches_the_row_engine() {
+    let db = Database::new().unwrap();
+    db.execute(
+        "CREATE TABLE w (k BIGINT NOT NULL, d VARCHAR, v BIGINT NOT NULL) \
+         PARTITION BY RANGE(k) PARTITIONS 1",
+    )
+    .unwrap();
+    let mut r = Xoshiro256::seeded(41);
+    let n = 5000;
+    db.bulk_load(
+        "w",
+        (0..n).map(|k| {
+            let d = if r.chance(0.03) {
+                Value::Null
+            } else {
+                Value::Str(format!("w{:02}", r.next_below(60)))
+            };
+            vec![Value::I64(k), d, Value::I64(r.range_i64(0, 100))]
+        }),
+    )
+    .unwrap();
+    let sql = "SELECT d, COUNT(*), SUM(v), MIN(k), MAX(d) FROM w GROUP BY d";
+    let want = sorted_rows(row_engine(&db, sql));
+    assert_eq!(want.len(), 61, "60 strings and NULL");
+    for (run, path) in [(0, "agg_fallback"), (1, "agg_adapt_veto")] {
+        let got = sorted_rows(db.execute(sql).unwrap().rows);
+        assert!(same_rows(&got, &want), "run {run}: {got:?}");
+        assert!(
+            extras_of(&db, "Scan")["vec_coded"] > 0,
+            "d travels as codes"
+        );
+        let agg = extras_of(&db, "Aggregate");
+        assert!(
+            agg.contains_key(path),
+            "run {run} should report {path}: {agg:?}"
+        );
+    }
+    for (vs, dop) in [(7, 1), (1024, 2), (64, 4)] {
+        db.set_vector_size(vs);
+        db.set_parallelism(dop);
+        let got = sorted_rows(db.execute(sql).unwrap().rows);
+        assert!(same_rows(&got, &want), "vectors of {vs}, dop {dop}");
     }
 }

@@ -367,8 +367,8 @@ fn dml_matches_the_model_across_full_size_groups() {
 /// through, whether the rows it meets sit in a clean group (conjuncts
 /// narrowed on the encoded blocks), in a group an `UPDATE` of another
 /// column has made dirty (decoded whole), or in the append tail; whichever
-/// way round the conjuncts were written; with the conjunct order learned or
-/// static; and as a `Filter` above a join just the same.
+/// way round the conjuncts were written; before and after the conjunct
+/// order is learned; and as a `Filter` above a join just the same.
 #[test]
 fn a_guarded_division_answers_the_same_clean_dirty_and_appended() {
     let db = Database::new().unwrap();
@@ -408,19 +408,15 @@ fn a_guarded_division_answers_the_same_clean_dirty_and_appended() {
     let check = |want: i64, when: &str| {
         for vector_size in [7, 1024] {
             db.set_vector_size(vector_size);
-            for adaptivity in ["on", "off"] {
-                db.execute(&format!("SET adaptivity = '{adaptivity}'"))
-                    .unwrap();
-                for sql in statements {
-                    // Twice: the second run starts from what the first learned.
-                    for _ in 0..2 {
-                        let got = db.execute(sql).map(|r| r.rows[0][0].clone());
-                        assert_eq!(
-                            got.as_ref().ok(),
-                            Some(&Value::I64(want)),
-                            "{sql} ({when}, adaptivity {adaptivity}, vectors of {vector_size}): {got:?}"
-                        );
-                    }
+            for sql in statements {
+                // Twice: the second run starts from what the first learned.
+                for _ in 0..2 {
+                    let got = db.execute(sql).map(|r| r.rows[0][0].clone());
+                    assert_eq!(
+                        got.as_ref().ok(),
+                        Some(&Value::I64(want)),
+                        "{sql} ({when}, vectors of {vector_size}): {got:?}"
+                    );
                 }
             }
         }

@@ -14,10 +14,12 @@
 //! aggregate re-associates its partial sums, so those runs compare as sorted
 //! multisets (over doubles that add exactly).
 
+mod common;
+
+use common::run_generic;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use vw_baselines::{collect_row_engine, compile_row};
-use vw_common::config::AggPath;
 use vw_common::rng::Xoshiro256;
 use vw_common::{DataType, Field, RangePartitionSpec, Schema, TableLayout, Value};
 use vw_core::operators::collect_rows;
@@ -127,22 +129,18 @@ fn load(db: &Database, name: &str, schema: Schema, rows: &[Vec<Value>]) -> Logic
 }
 
 /// Run `plan` as written (no optimizer: build sides stay where the test put
-/// them) on the vectorized engine; returns the rows and the bytes spilled.
+/// them) on the vectorized engine, an aggregate on the generic hash table;
+/// returns the rows and the bytes spilled.
 fn run_vectorized(
     db: &Database,
     plan: &LogicalPlan,
     vector_size: usize,
     budget: Option<usize>,
-    agg_path: AggPath,
 ) -> (Vec<Vec<Value>>, u64) {
     let mut cfg = db.config();
     cfg.vector_size = vector_size;
     cfg.mem_budget_bytes = budget;
-    cfg.agg_path = agg_path;
-    let ctx = db.exec_context_with(None, cfg).unwrap();
-    let mut op = compile_plan(plan, &ctx).expect("compile");
-    let rows = collect_rows(op.as_mut()).expect("vectorized run");
-    (rows, ctx.mem.stats().spill_bytes)
+    run_generic(db, plan, cfg)
 }
 
 fn run_row_engine(db: &Database, plan: &LogicalPlan) -> Vec<Vec<Value>> {
@@ -273,9 +271,9 @@ proptest! {
                         (pid / vs as i64, bid == Some(None), pid, bid.flatten())
                     });
                     let tag = format!("{keys:?} {kind:?} vs={vs} sel={selective} res={}", residual.is_some());
-                    let (got, _) = run_vectorized(&db, &plan, vs, None, AggPath::Generic);
+                    let (got, _) = run_vectorized(&db, &plan, vs, None);
                     prop_assert_eq!(widened(got), want, "{}", tag);
-                    let (got, spilled) = run_vectorized(&db, &plan, vs, Some(2048), AggPath::Generic);
+                    let (got, spilled) = run_vectorized(&db, &plan, vs, Some(2048));
                     prop_assert_eq!(sorted(widened(got)), want_sorted.clone(), "grace {}", tag);
                     prop_assert!(nb < 150 || spilled > 0, "grace {}: 2 KiB must not hold the build", tag);
                 }
@@ -391,11 +389,11 @@ proptest! {
                     for vs in VECTOR_SIZES {
                         let tag = format!("{keys:?} {phase:?} vs={vs} sel={selective} spill={spill}");
                         if !spill {
-                            let (got, _) = run_vectorized(&db, &plan, vs, None, AggPath::Generic);
+                            let (got, _) = run_vectorized(&db, &plan, vs, None);
                             prop_assert_eq!(got, want.clone(), "{}", tag);
                             continue;
                         }
-                        let (got, spilled) = run_vectorized(&db, &plan, vs, Some(4096), AggPath::Generic);
+                        let (got, spilled) = run_vectorized(&db, &plan, vs, Some(4096));
                         prop_assert_eq!(sorted(got), sorted(want.clone()), "{}", tag);
                         prop_assert!(groups < 64 || spilled > 0, "{}: 4 KiB must not hold {} groups", tag, groups);
                     }
@@ -437,7 +435,10 @@ proptest! {
         let distinct: HashSet<&Value> = rows.iter().map(|row| &row[0]).collect();
         prop_assert!(distinct.len() > 40, "the domain must outgrow the coder's 32 strings");
         for vs in [7, 1024] {
-            let (got, _) = run_vectorized(&db, &plan, vs, None, AggPath::Auto);
+            let mut cfg = db.config();
+            cfg.vector_size = vs;
+            let ctx = db.exec_context_with(None, cfg).unwrap();
+            let got = collect_rows(compile_plan(&plan, &ctx).unwrap().as_mut()).unwrap();
             prop_assert_eq!(sorted(got), want.clone(), "vs={}", vs);
         }
     }

@@ -3,9 +3,9 @@
 //! The direct-array aggregation path (`operators::perfect`) must be
 //! observationally identical to the generic hash path for every input it
 //! accepts — including the inputs that make it bail out halfway. Each
-//! property runs the same random aggregate twice, once with
-//! `AggPath::Generic` forced and once with `AggPath::Auto`, and compares
-//! rows:
+//! property runs the same random aggregate twice, once on a `HashAggregate`
+//! built without the perfect-hash attempt and once as the engine compiles
+//! it, and compares rows:
 //!
 //! * random group keys (low-cardinality strings with NULLs, small ints,
 //!   bools) under COUNT/SUM/MIN/MAX/AVG, at dop 1 and dop 4;
@@ -16,8 +16,9 @@
 //! * a key domain that blows past the perfect coder's string cap
 //!   mid-stream, forcing the runtime fallback merge.
 
+mod common;
+
 use proptest::prelude::*;
-use vw_common::config::AggPath;
 use vw_common::rng::Xoshiro256;
 use vw_common::{DataType, Field, Schema, Value};
 use vw_core::Database;
@@ -49,13 +50,16 @@ fn sort_canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Run the plan with one aggregation path forced.
-fn run_path(db: &Database, plan: &LogicalPlan, path: AggPath, dop: usize) -> Vec<Vec<Value>> {
-    let mut cfg = db.config();
-    cfg.agg_path = path;
-    cfg.parallelism = dop;
-    db.set_config(cfg);
-    db.run_plan(plan.clone()).expect("aggregate runs").rows
+/// The plan's rows from the generic hash table alone, serial.
+fn generic(db: &Database, plan: &LogicalPlan) -> Vec<Vec<Value>> {
+    sort_canonical(common::run_generic(db, plan, db.config()).0)
+}
+
+/// The plan's rows as the engine runs it at `dop`: the perfect-hash path
+/// wherever the key domain and history allow it.
+fn engine(db: &Database, plan: &LogicalPlan, dop: usize) -> Vec<Vec<Value>> {
+    db.set_parallelism(dop);
+    sort_canonical(db.run_plan(plan.clone()).expect("aggregate runs").rows)
 }
 
 fn load(db: &Database, schema: Schema, rows: Vec<Vec<Value>>) -> (vw_common::TableId, Schema) {
@@ -120,9 +124,9 @@ proptest! {
                 agg(AggFunc::Max, Some(3), "mx"),
             ],
         );
+        let want = generic(&db, &plan);
         for dop in [1usize, 4] {
-            let want = sort_canonical(run_path(&db, &plan, AggPath::Generic, dop));
-            let got = sort_canonical(run_path(&db, &plan, AggPath::Auto, dop));
+            let got = engine(&db, &plan, dop);
             prop_assert!(
                 rows_equiv(&got, &want),
                 "dop={} perfect diverged:\n  got  {:?}\n  want {:?}",
@@ -165,8 +169,8 @@ proptest! {
                 agg(AggFunc::Max, Some(1), "mx"),
             ],
         );
-        let want = sort_canonical(run_path(&db, &plan, AggPath::Generic, 1));
-        let got = sort_canonical(run_path(&db, &plan, AggPath::Auto, 1));
+        let want = generic(&db, &plan);
+        let got = engine(&db, &plan, 1);
         prop_assert!(
             rows_equiv(&got, &want),
             "NaN/±0.0 edges diverged:\n  got  {:?}\n  want {:?}",
@@ -206,9 +210,9 @@ fn tiny_budget_degrades_to_generic_and_matches() {
             agg(AggFunc::Avg, Some(2), "a"),
         ],
     );
-    let want = sort_canonical(run_path(&db, &plan, AggPath::Generic, 1));
+    let want = generic(&db, &plan);
     db.set_mem_budget(Some(32 * 1024));
-    let got = sort_canonical(run_path(&db, &plan, AggPath::Auto, 1));
+    let got = engine(&db, &plan, 1);
     assert!(
         rows_equiv(&got, &want),
         "budgeted run diverged:\n  got  {:?}\n  want {:?}",
@@ -250,8 +254,8 @@ fn over_cap_key_domain_falls_back_mid_stream() {
             agg(AggFunc::Avg, Some(1), "a"),
         ],
     );
-    let want = sort_canonical(run_path(&db, &plan, AggPath::Generic, 1));
-    let got = sort_canonical(run_path(&db, &plan, AggPath::Auto, 1));
+    let want = generic(&db, &plan);
+    let got = engine(&db, &plan, 1);
     assert_eq!(got.len(), 100, "one row per distinct group");
     assert!(
         rows_equiv(&got, &want),

@@ -592,7 +592,7 @@ mod tests {
             "expected history-corrected swap, got:\n{}",
             opt.explain()
         );
-        // Kill switch: without feedback the plan is untouched.
+        // Without feedback the plan is untouched.
         assert_eq!(optimize_with_feedback(join.clone(), &stats, None), join);
     }
 

@@ -121,11 +121,6 @@ impl TxnManager {
         })
     }
 
-    /// Toggle per-commit flushing (benchmarks compare both).
-    pub fn set_sync_on_commit(&self, sync: bool) {
-        self.inner.lock().wal.sync_on_commit = sync;
-    }
-
     /// Start a table's history from `image` with an empty master PDT: a new
     /// table, or a bulk load into an empty one. Log records written so far
     /// do not apply to this image.

@@ -71,9 +71,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub struct Wal {
     path: PathBuf,
     writer: BufWriter<File>,
-    /// Flush (model fsync) on every commit. Off = group-commit style
-    /// batching flushed by the OS / on drop; used by throughput benches.
-    pub sync_on_commit: bool,
     records_written: u64,
     /// Position of the last record appended (0 = none yet).
     last_lsn: u64,
@@ -108,7 +105,6 @@ impl Wal {
         Ok(Wal {
             path,
             writer: BufWriter::new(file),
-            sync_on_commit: true,
             records_written: 0,
             last_lsn,
         })
@@ -135,21 +131,13 @@ impl Wal {
     }
 
     /// Append a commit record at the next position; durable once this
-    /// returns (when `sync_on_commit` is set).
+    /// returns (every commit flushes, modelling an fsync).
     pub fn append_commit(&mut self, txn_id: TxnId, tables: &[(TableId, Vec<u8>)]) -> Result<()> {
         self.writer
             .write_all(&encode_record(self.last_lsn + 1, txn_id, tables))?;
-        if self.sync_on_commit {
-            self.writer.flush()?;
-        }
+        self.writer.flush()?;
         self.last_lsn += 1;
         self.records_written += 1;
-        Ok(())
-    }
-
-    /// Force buffered records to the file (group-commit boundary).
-    pub fn flush(&mut self) -> Result<()> {
-        self.writer.flush()?;
         Ok(())
     }
 
@@ -366,7 +354,6 @@ mod tests {
         wal.truncate().unwrap();
         assert_eq!(Wal::replay(&path).unwrap().len(), 0);
         wal.append_commit(TxnId::new(2), &[]).unwrap();
-        wal.flush().unwrap();
         let recs = Wal::replay(&path).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].txn_id, TxnId::new(2));

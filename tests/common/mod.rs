@@ -9,6 +9,7 @@ use std::sync::Arc;
 use vectorwise::engine::compile_plan;
 use vectorwise::engine::operators::collect_rows;
 use vectorwise::plan::LogicalPlan;
+use vectorwise::sql::{compile_sql, BoundStatement};
 use vectorwise::tpch::{tpch_schema, TpchCatalog, TpchGenerator, TPCH_TABLES};
 use vectorwise::{Database, Value};
 
@@ -27,6 +28,14 @@ pub fn tpch_db(sf: f64) -> (Database, TpchCatalog) {
     })
     .unwrap();
     (db, cat)
+}
+
+/// Bind a SQL query against the database's catalog (no execution).
+pub fn bind_query(db: &Database, sql: &str) -> LogicalPlan {
+    match compile_sql(sql, db).expect("bind") {
+        BoundStatement::Query(plan) => plan,
+        other => panic!("expected a query, got {:?}", std::mem::discriminant(&other)),
+    }
 }
 
 /// Run a plan on the vectorized engine (optionally through the optimizer /

@@ -6,17 +6,8 @@ mod common;
 use common::*;
 use vectorwise::engine::operators::collect_rows;
 use vectorwise::engine::{compile_plan, validate_chrome_json};
-use vectorwise::sql::{compile_sql, BoundStatement};
 use vectorwise::tpch::all_queries;
 use vectorwise::{Database, Value};
-
-/// Bind a SQL query against the database's catalog (no execution).
-fn bind_query(db: &Database, sql: &str) -> vectorwise::plan::LogicalPlan {
-    match compile_sql(sql, db).expect("bind") {
-        BoundStatement::Query(plan) => plan,
-        other => panic!("expected a query, got {:?}", std::mem::discriminant(&other)),
-    }
-}
 
 #[test]
 fn vw_queries_counts_match_in_both_engines() {
@@ -120,4 +111,60 @@ fn every_system_table_is_queryable_after_a_workload() {
         "histogram count missing or too low: {:?}",
         r.rows
     );
+}
+
+/// Sums of the profile extras named `key` over every node called `op`.
+fn extra_sum(profile: &vectorwise::engine::QueryProfile, op: &str, key: &str) -> u64 {
+    profile
+        .nodes()
+        .into_iter()
+        .filter(|n| n.op_name() == op)
+        .flat_map(|n| n.extras())
+        .filter(|(k, _)| *k == key)
+        .map(|(_, v)| v)
+        .sum()
+}
+
+/// TPC-H Q1 serial and at dop 4: its group keys (returnflag × linestatus)
+/// fit the direct-array domain, so the perfect-hash path engages; the
+/// profile's root reports the rows the client received; and without a
+/// memory budget nothing spills.
+#[test]
+fn tpch_q1_profile_takes_the_perfect_path_at_dop_1_and_4() {
+    let (db, cat) = tpch_db(0.01);
+    let (_, q1) = all_queries(&cat).swap_remove(0);
+    for dop in [1usize, 4] {
+        db.set_parallelism(dop);
+        let rows = db.run_plan(q1.clone()).expect("Q1 run").rows;
+        let profile = db.profile_last_query().expect("profiling is on by default");
+        assert_eq!(profile.dop, dop);
+        assert_eq!(profile.root.rows_out(), rows.len() as u64, "dop {dop}");
+        let perfect = extra_sum(&profile, "Aggregate", "agg_path_perfect");
+        assert!(
+            perfect >= 1,
+            "Q1 at dop {dop} should aggregate on the direct array"
+        );
+        if profile.mem.limit.is_none() {
+            assert_eq!(profile.mem.spill_bytes, 0, "Q1 at dop {dop} spilled");
+        }
+    }
+}
+
+/// A range over about 1% of `l_orderkey`, which ascends in load order: the
+/// scan rejects most vectors in encoded form and decodes none of their
+/// columns. When `VW_PARTITIONS` range-partitions every table on its first
+/// column — `l_orderkey` here — whole partitions drop out before any zone
+/// map is read.
+#[test]
+fn selective_orderkey_scan_skips_vectors_and_default_partitions() {
+    let (db, _) = tpch_db(0.01);
+    let sql = "SELECT COUNT(*), SUM(l_extendedprice) FROM lineitem WHERE l_orderkey < 150";
+    let want = run_row_engine(&db, &bind_query(&db, sql));
+    assert_rows_match(sql, &db.execute(sql).unwrap().rows, &want);
+    let profile = db.profile_last_query().expect("profiling is on by default");
+    assert!(extra_sum(&profile, "Scan", "vec_skipped") > 0);
+    if vectorwise::common::config::env_default_partitions().is_some() {
+        let pruned = extra_sum(&profile, "Scan", "partitions_pruned");
+        assert!(pruned > 0, "no partition pruned for l_orderkey < 150");
+    }
 }
