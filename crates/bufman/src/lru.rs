@@ -1,7 +1,6 @@
 //! Capacity-bounded LRU buffer pool — the baseline policy Cooperative Scans
 //! is compared against (experiment E6).
 
-use crate::BlockReader;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,10 +82,10 @@ impl LruPool {
             inner.stats.evictions += 1;
         }
     }
-}
 
-impl BlockReader for LruPool {
-    fn read(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
+    /// The bytes of block `id`: from the pool on a hit, else read off the
+    /// disk and installed, evicting least-recently-used blocks to fit.
+    pub fn read(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
         {
             let mut g = self.inner.lock();
             g.clock += 1;

@@ -76,6 +76,24 @@ impl BitVec {
         self.words.iter().any(|&w| w != 0)
     }
 
+    /// Bits `[from, to)` as a bit vector of their own, copied a word at a
+    /// time: how a block cursor hands out the NULL indicator of a vector.
+    pub fn slice(&self, from: usize, to: usize) -> BitVec {
+        assert!(from <= to && to <= self.len, "bit slice out of range");
+        let len = to - from;
+        let (first, shift) = (from / 64, from % 64);
+        let mut words: Vec<u64> = (first..first + len.div_ceil(64))
+            .map(|w| match shift {
+                0 => self.words[w],
+                s => self.words[w] >> s | self.words.get(w + 1).map_or(0, |&h| h << (64 - s)),
+            })
+            .collect();
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last &= (1u64 << (len % 64)) - 1;
+        }
+        BitVec { words, len }
+    }
+
     /// Iterator over all bits in order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -233,6 +251,20 @@ mod tests {
         // Truncated input fails cleanly.
         assert!(BitVec::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(BitVec::from_bytes(&[]).is_none());
+    }
+
+    #[test]
+    fn slices_match_bit_by_bit_copies() {
+        let bv: BitVec = (0..300).map(|i| (i * 11) % 7 < 3).collect();
+        for from in [0, 1, 5, 63, 64, 65, 127, 200, 300] {
+            for to in [from, from + 1, from + 63, from + 64, from + 130, 300] {
+                if to > 300 {
+                    continue;
+                }
+                let want: BitVec = (from..to).map(|i| bv.get(i)).collect();
+                assert_eq!(bv.slice(from, to), want, "[{}, {})", from, to);
+            }
+        }
     }
 
     #[test]

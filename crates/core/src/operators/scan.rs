@@ -492,13 +492,8 @@ impl VecScan {
                 let entries = &self.pdt.entries()[lo..hi];
                 let mut cols = Vec::with_capacity(self.projection.len());
                 for &c in &self.projection {
-                    let mut col = match &self.coop {
-                        Some(h) => {
-                            let bytes = h.fetch(guard.column_block_id(g, c)?)?;
-                            guard.decode_column_from(g, c, &bytes)?
-                        }
-                        None => guard.read_column(g, c)?,
-                    };
+                    let fetched = fetch_block(&guard, self.coop.as_ref(), g, c)?;
+                    let mut col = guard.decode_column(g, c, fetched)?;
                     if !entries.is_empty() {
                         col = merge_column(&col, c, entries, grp_start)?;
                     }
@@ -780,6 +775,18 @@ impl VecScan {
     }
 }
 
+/// The bytes of column `col` of row group `group` when a cooperative-scan
+/// registration fetches them; `None` when the storage reads them itself.
+fn fetch_block(
+    storage: &TableStorage,
+    coop: Option<&CoopScanHandle>,
+    group: usize,
+    col: usize,
+) -> Result<Option<Arc<Vec<u8>>>> {
+    coop.map(|h| h.fetch(storage.column_block_id(group, col)?))
+        .transpose()
+}
+
 /// Open (once) and return the cursor of projected column `k`.
 fn cursor_at<'a>(
     storage: &Arc<RwLock<TableStorage>>,
@@ -790,15 +797,9 @@ fn cursor_at<'a>(
     k: usize,
 ) -> Result<&'a mut BlockCursor> {
     if cursors[k].is_none() {
-        let guard = storage.read();
-        let cursor = match coop {
-            Some(h) => {
-                let bytes = h.fetch(guard.column_block_id(group, projection[k])?)?;
-                guard.column_cursor_from(group, projection[k], bytes)?
-            }
-            None => guard.read_column_cursor(group, projection[k])?,
-        };
-        cursors[k] = Some(cursor);
+        let (guard, col) = (storage.read(), projection[k]);
+        let fetched = fetch_block(&guard, coop, group, col)?;
+        cursors[k] = Some(guard.column_cursor(group, col, fetched)?);
     }
     Ok(cursors[k].as_mut().unwrap())
 }
@@ -1481,6 +1482,34 @@ mod tests {
         assert_eq!(rows, want);
         assert_eq!(plain, 4, "the dirty group's four vectors");
         assert_eq!(extra(&scan, "enc_evals"), 8);
+    }
+
+    /// A block that opens cleanly but fails to decode — a PDICT code past
+    /// its dictionary — is an error naming the block when a dirty group
+    /// decodes it whole.
+    #[test]
+    fn undecodable_blocks_of_dirty_groups_name_the_block() {
+        use vw_storage::compress::{compress_with, CompressionScheme};
+        use vw_storage::StrColumn;
+        let t = make_table(200, 100);
+        let tags = StrColumn::from_iter((0..100).map(|i| ["a", "b", "c"][i % 3]));
+        // No NULL indicator, then the payload. Its last byte holds the last
+        // four 2-bit codes: 0xFF makes each point past the three entries.
+        let payload = compress_with(&ColumnData::Str(tags), CompressionScheme::Pdict);
+        let mut block = [vec![0], payload].concat();
+        *block.last_mut().unwrap() = 0xFF;
+        let guard = t.read();
+        let id = guard.column_block_id(1, 2).unwrap();
+        guard.disk().overwrite_block(id, block).unwrap();
+        drop(guard);
+        let mut pdt = Pdt::new(200);
+        pdt.modify_at(150, 1, Value::I64(7)).unwrap();
+        let mut scan =
+            VecScan::new(t, Arc::new(pdt), vec![0, 2], None, 64, None, false, true).unwrap();
+        let msg = collect_rows(&mut scan).unwrap_err().to_string();
+        for part in ["column 'tag'", "row-group 1", "pdict code"] {
+            assert!(msg.contains(part), "msg: {}", msg);
+        }
     }
 
     /// The acceptance shape for adaptivity: the selective conjunct is LAST

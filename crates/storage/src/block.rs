@@ -6,11 +6,12 @@
 //! without reading them — Vectorwise's MinMax indexes (§I-A, [3]).
 
 use crate::column::{ColumnData, NullableColumn};
-use crate::compress::{compress_data, decompress_data, CompressionScheme};
+use crate::compress::{compress_data, CompressionScheme};
+use crate::cursor::BlockCursor;
 use crate::simdisk::SimDisk;
 use std::cmp::Ordering;
 use std::sync::Arc;
-use vw_common::{BitVec, BlockId, Result, Value, VwError};
+use vw_common::{BlockId, Result, Value};
 
 /// Min/max statistics over the *non-null* values of a block.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,25 +248,10 @@ pub fn encode_block(col: &NullableColumn) -> (Vec<u8>, CompressionScheme) {
     (out, scheme)
 }
 
-/// Decode a payload produced by [`encode_block`].
+/// Decode a payload produced by [`encode_block`]: the block cursor's
+/// full-range decode, reading the payload in place.
 pub fn decode_block(bytes: &[u8]) -> Result<NullableColumn> {
-    if bytes.is_empty() {
-        return Err(VwError::Storage("empty block".into()));
-    }
-    let (nulls, off) = if bytes[0] == 1 {
-        let (bits, used) = BitVec::from_bytes(&bytes[1..])
-            .ok_or_else(|| VwError::Storage("corrupt null indicator".into()))?;
-        (Some(bits), 1 + used)
-    } else {
-        (None, 1)
-    };
-    let data = decompress_data(&bytes[off..])?;
-    if let Some(n) = &nulls {
-        if n.len() != data.len() {
-            return Err(VwError::Storage("indicator/data length mismatch".into()));
-        }
-    }
-    Ok(NullableColumn::new(data, nulls))
+    BlockCursor::new(bytes)?.decode_all()
 }
 
 #[cfg(test)]

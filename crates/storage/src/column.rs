@@ -80,6 +80,9 @@ impl StrColumn {
     }
 }
 
+/// Bytes [`DictColumn::materialize`] copies per move.
+const MOVE: usize = 16;
+
 /// A string vector still in dictionary form: one `u32` code per value into
 /// a shared, immutable dictionary — how a scan hands out a PDICT block
 /// without building its strings. A vector has exactly one dictionary, and
@@ -153,15 +156,38 @@ impl DictColumn {
     }
 
     /// The strings the codes stand for: the one place a dictionary vector
-    /// turns into a string column.
+    /// turns into a string column. The offsets are summed first, so the
+    /// bytes are allocated once. Unless the dictionary outweighs the
+    /// strings, it is then copied once with [`MOVE`] bytes of padding and
+    /// each string copied in whole [`MOVE`]-byte moves out of that copy:
+    /// what a move writes past its string's end, the next string overwrites
+    /// or the final truncation cuts off.
     pub fn materialize(&self) -> StrColumn {
-        let bytes = self.codes.iter().map(|&c| self.dict.get_bytes(c as usize));
-        let mut out = StrColumn::with_capacity(self.len(), bytes.clone().map(<[u8]>::len).sum());
-        for b in bytes {
-            out.bytes.extend_from_slice(b);
-            out.offsets.push(out.bytes.len() as u32);
+        let (dict, mut end) = (&*self.dict, 0usize);
+        let mut offsets = Vec::with_capacity(self.len() + 1);
+        offsets.push(0);
+        offsets.extend(self.codes.iter().map(|&c| {
+            end += dict.get_bytes(c as usize).len();
+            end as u32
+        }));
+        if dict.bytes.len() > end {
+            let mut bytes = Vec::with_capacity(end);
+            for &c in &self.codes {
+                bytes.extend_from_slice(dict.get_bytes(c as usize));
+            }
+            return StrColumn { offsets, bytes };
         }
-        out
+        let padded = [&dict.bytes[..], &[0; MOVE]].concat();
+        let mut bytes = vec![0u8; end + MOVE];
+        for (i, &c) in self.codes.iter().enumerate() {
+            let (mut src, mut at) = (dict.offsets[c as usize] as usize, offsets[i] as usize);
+            while at < offsets[i + 1] as usize {
+                bytes[at..at + MOVE].copy_from_slice(&padded[src..src + MOVE]);
+                (src, at) = (src + MOVE, at + MOVE);
+            }
+        }
+        bytes.truncate(end);
+        StrColumn { offsets, bytes }
     }
 }
 
@@ -547,6 +573,31 @@ mod tests {
         bits.set(0, true);
         let c = NullableColumn::new(data, Some(bits)).normalize();
         assert!(c.nulls.is_some());
+    }
+
+    /// Both ways a dictionary vector is copied out — in whole moves out of a
+    /// padded dictionary, and string by string when the dictionary
+    /// outweighs the strings — give the strings the codes stand for,
+    /// whatever their lengths around the move size and wherever they lie.
+    #[test]
+    fn dictionary_vectors_materialize_to_their_strings() {
+        let long = "x".repeat(40);
+        let entries = [
+            "",
+            "a",
+            "ü",
+            &"b".repeat(15),
+            &"c".repeat(16),
+            &"d".repeat(17),
+            &long,
+        ];
+        let dict = Arc::new(StrColumn::from_iter(entries));
+        let many: Vec<u32> = (0..200).map(|i| (i * 5 % 7) as u32).collect();
+        for codes in [many, vec![6, 0, 6], vec![2], vec![0], vec![]] {
+            let want = StrColumn::from_iter(codes.iter().map(|&c| entries[c as usize]));
+            let v = DictColumn::new(codes.clone(), Arc::clone(&dict)).unwrap();
+            assert_eq!(v.materialize(), want, "codes {:?}", codes);
+        }
     }
 
     #[test]

@@ -38,13 +38,6 @@ pub fn pack(values: &[u64], width: u32) -> Vec<u8> {
     out
 }
 
-/// Unpack `n` values of `width` bits from `bytes`.
-pub fn unpack(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
-    let mut out = vec![0; n];
-    unpack_into(bytes, 0, width, &mut out);
-    out
-}
-
 /// Values `from..from + out.len()` of `width` bits from `bytes`, into `out`,
 /// without touching the preceding packed data: every PFOR and PDICT decode
 /// and every predicate on packed values runs through here, a ~1K-value
@@ -175,6 +168,13 @@ pub fn unpack_at(bytes: &[u8], idx: usize, width: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unpack `n` values of `width` bits from `bytes`.
+    fn unpack(bytes: &[u8], n: usize, width: u32) -> Vec<u64> {
+        let mut out = vec![0; n];
+        unpack_into(bytes, 0, width, &mut out);
+        out
+    }
 
     fn collect_range(bytes: &[u8], from: usize, to: usize, width: u32) -> Vec<u64> {
         let mut out = vec![0u64; to - from];

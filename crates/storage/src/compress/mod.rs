@@ -7,6 +7,9 @@
 //! real Vectorwise does the same, which is why a sorted date column ends up
 //! PFOR-DELTA while the `l_comment` column stays plain.
 //!
+//! This module holds the encoders, the scheme chooser and the wire layouts;
+//! decoding, [`decompress_data`] included, is the block cursor's alone.
+//!
 //! A DOUBLE block whose values are all exact short decimals (`DECIMAL` maps
 //! onto DOUBLE, so money and quantities are) is stored as the integers
 //! `d = v·10^e` in a PFOR or PFOR-DELTA frame behind one scale byte, and
@@ -17,8 +20,9 @@ pub mod pdict;
 pub mod pfor;
 pub mod rle;
 
-use crate::column::{ColumnData, StrColumn};
-use vw_common::{Result, VwError};
+use crate::column::ColumnData;
+use crate::cursor::BlockCursor;
+use vw_common::Result;
 
 /// Identifies how a block payload is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,137 +317,27 @@ fn choose_ints(values: &[i64], plain_width: usize) -> (CompressionScheme, Vec<u8
     (best.0, body)
 }
 
-fn err(msg: &str) -> VwError {
-    VwError::Storage(format!("corrupt block: {}", msg))
-}
-
-/// Decompress a payload produced by [`compress_data`] / [`compress_with`].
+/// Decompress a payload produced by [`compress_data`] / [`compress_with`]:
+/// the block cursor's full-range decode, reading the payload in place.
 pub fn decompress_data(bytes: &[u8]) -> Result<ColumnData> {
-    if bytes.len() < 6 {
-        return Err(err("short header"));
-    }
-    let phys = bytes[0];
-    let scheme = CompressionScheme::from_u8(bytes[1]).ok_or_else(|| err("bad scheme"))?;
-    let n = u32::from_le_bytes(bytes[2..6].try_into().unwrap()) as usize;
-    let body = &bytes[6..];
-    match phys {
-        PHYS_BOOL => {
-            let (bits, _) = vw_common::BitVec::from_bytes(body).ok_or_else(|| err("bitmap"))?;
-            if bits.len() != n {
-                return Err(err("bitmap length"));
-            }
-            Ok(ColumnData::Bool(bits.iter().collect()))
-        }
-        PHYS_I32 | PHYS_I64 => {
-            let width = if phys == PHYS_I32 { 4 } else { 8 };
-            let wide: Vec<i64> = match scheme {
-                CompressionScheme::Plain => {
-                    if body.len() < n * width {
-                        return Err(err("plain ints"));
-                    }
-                    (0..n)
-                        .map(|i| {
-                            let mut buf = [0u8; 8];
-                            buf[..width].copy_from_slice(&body[i * width..(i + 1) * width]);
-                            let mut v = i64::from_le_bytes(buf);
-                            // sign-extend 4-byte values
-                            if width == 4 {
-                                v = (v as i32) as i64;
-                            }
-                            v
-                        })
-                        .collect()
-                }
-                CompressionScheme::Rle => {
-                    rle::rle_decode_i64(body, n).ok_or_else(|| err("rle ints"))?
-                }
-                CompressionScheme::Pfor => pfor::pfor_decode(body, n).ok_or_else(|| err("pfor"))?,
-                CompressionScheme::PforDelta => {
-                    pfor::pfor_delta_decode(body, n).ok_or_else(|| err("pfor-delta"))?
-                }
-                CompressionScheme::Pdict => return Err(err("pdict on ints")),
-            };
-            if phys == PHYS_I32 {
-                let narrow: Option<Vec<i32>> =
-                    wide.iter().map(|&v| i32::try_from(v).ok()).collect();
-                Ok(ColumnData::I32(narrow.ok_or_else(|| err("i32 overflow"))?))
-            } else {
-                Ok(ColumnData::I64(wide))
-            }
-        }
-        PHYS_F64 => {
-            let vals = match scheme {
-                CompressionScheme::Plain => {
-                    if body.len() < n * 8 {
-                        return Err(err("plain f64"));
-                    }
-                    (0..n)
-                        .map(|i| f64::from_le_bytes(body[i * 8..i * 8 + 8].try_into().unwrap()))
-                        .collect()
-                }
-                CompressionScheme::Rle => {
-                    rle::rle_decode_f64(body, n).ok_or_else(|| err("rle f64"))?
-                }
-                CompressionScheme::Pfor | CompressionScheme::PforDelta => {
-                    let (&scale, frame) = body.split_first().ok_or_else(|| err("scale"))?;
-                    let p = pow10(scale).ok_or_else(|| err("scale"))?;
-                    let ints = match scheme {
-                        CompressionScheme::Pfor => pfor::pfor_decode(frame, n),
-                        _ => pfor::pfor_delta_decode(frame, n),
-                    };
-                    let ints = ints.ok_or_else(|| err("decimal frame"))?;
-                    ints.into_iter().map(|d| decimal_value(d, p)).collect()
-                }
-                CompressionScheme::Pdict => return Err(err("bad f64 scheme")),
-            };
-            Ok(ColumnData::F64(vals))
-        }
-        PHYS_STR => match scheme {
-            CompressionScheme::Pdict => Ok(ColumnData::Str(
-                pdict::pdict_decode(body, n).ok_or_else(|| err("pdict"))?,
-            )),
-            CompressionScheme::Plain => {
-                if body.len() < 4 {
-                    return Err(err("plain str header"));
-                }
-                let nbytes = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-                let need = 4 + nbytes + (n + 1) * 4;
-                if body.len() < need {
-                    return Err(err("plain str body"));
-                }
-                let bytes_part = body[4..4 + nbytes].to_vec();
-                let mut offsets = Vec::with_capacity(n + 1);
-                let obase = 4 + nbytes;
-                for i in 0..=n {
-                    offsets.push(u32::from_le_bytes(
-                        body[obase + i * 4..obase + i * 4 + 4].try_into().unwrap(),
-                    ));
-                }
-                // Validate offsets are monotone and in range.
-                let mut prev = 0u32;
-                for &o in &offsets {
-                    if o < prev || o as usize > bytes_part.len() {
-                        return Err(err("str offsets"));
-                    }
-                    prev = o;
-                }
-                let col = StrColumn {
-                    offsets,
-                    bytes: bytes_part,
-                };
-                std::str::from_utf8(&col.bytes).map_err(|_| err("utf8"))?;
-                Ok(ColumnData::Str(col))
-            }
-            _ => Err(err("bad str scheme")),
-        },
-        _ => Err(err("bad physical type")),
-    }
+    Ok(BlockCursor::open(bytes, false)?.decode_all()?.data)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use vw_common::rng::Xoshiro256;
+
+    /// Decode `body` as the payload of a block of `n` values of `phys`
+    /// stored as `scheme`.
+    pub(crate) fn decode_body(
+        phys: u8,
+        scheme: CompressionScheme,
+        n: usize,
+        body: &[u8],
+    ) -> Result<ColumnData> {
+        decompress_data(&with_header(phys, scheme, n, body))
+    }
 
     fn roundtrip(col: &ColumnData) -> CompressionScheme {
         let (scheme, bytes) = compress_data(col);

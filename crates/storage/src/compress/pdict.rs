@@ -12,7 +12,7 @@
 //! [width: u8][packed codes]
 //! ```
 
-use super::bitpack::{bits_needed, pack, packed_len, unpack};
+use super::bitpack::{bits_needed, pack, packed_len};
 use crate::column::StrColumn;
 use std::collections::HashMap;
 
@@ -56,51 +56,20 @@ pub fn pdict_encode(col: &StrColumn) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// Decode a PDICT block of `n` values.
-pub fn pdict_decode(bytes: &[u8], n: usize) -> Option<StrColumn> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let n_dict = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    let dict_bytes_len = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-    let mut off = 8;
-    if bytes.len() < off + dict_bytes_len + (n_dict + 1) * 4 + 1 {
-        return None;
-    }
-    let dict_bytes = &bytes[off..off + dict_bytes_len];
-    off += dict_bytes_len;
-    let mut offsets = Vec::with_capacity(n_dict + 1);
-    for i in 0..=n_dict {
-        offsets.push(
-            u32::from_le_bytes(bytes[off + i * 4..off + i * 4 + 4].try_into().ok()?) as usize,
-        );
-    }
-    off += (n_dict + 1) * 4;
-    let width = bytes[off] as u32;
-    off += 1;
-    if width > 32 || bytes.len() < off + packed_len(n, width) {
-        return None;
-    }
-    let codes = unpack(&bytes[off..], n, width);
-    // Validate the dictionary once; code expansion is then a bounds check
-    // and a byte copy per value.
-    let mut dict: Vec<&str> = Vec::with_capacity(n_dict);
-    for c in 0..n_dict {
-        if offsets[c] > offsets[c + 1] || offsets[c + 1] > dict_bytes.len() {
-            return None;
-        }
-        dict.push(std::str::from_utf8(&dict_bytes[offsets[c]..offsets[c + 1]]).ok()?);
-    }
-    let mut out = StrColumn::with_capacity(n, dict_bytes_len * 2);
-    for c in codes {
-        out.push(dict.get(c as usize)?);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
+    use crate::compress::tests::decode_body;
+    use crate::compress::{CompressionScheme, PHYS_STR};
+
+    /// A PDICT body read back through the block cursor, as a block of `n`.
+    fn read(body: &[u8], n: usize) -> Option<StrColumn> {
+        match decode_body(PHYS_STR, CompressionScheme::Pdict, n, body) {
+            Ok(ColumnData::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
 
     fn low_card_column(n: usize) -> StrColumn {
         let domain = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG AIR"];
@@ -118,7 +87,7 @@ mod tests {
             enc.len(),
             plain
         );
-        let back = pdict_decode(&enc, col.len()).unwrap();
+        let back = read(&enc, col.len()).unwrap();
         assert_eq!(back, col);
     }
 
@@ -139,24 +108,24 @@ mod tests {
         let col = StrColumn::from_iter(std::iter::repeat_n("N", 1000));
         let enc = pdict_encode(&col).unwrap();
         assert!(enc.len() < 32, "enc {}", enc.len());
-        assert_eq!(pdict_decode(&enc, 1000).unwrap(), col);
+        assert_eq!(read(&enc, 1000).unwrap(), col);
     }
 
     #[test]
     fn empty_strings_and_unicode() {
         let col = StrColumn::from_iter(["", "ü", "", "ü", "", "ü", "", "ü", "", "ü"]);
         let enc = pdict_encode(&col).unwrap();
-        assert_eq!(pdict_decode(&enc, col.len()).unwrap(), col);
+        assert_eq!(read(&enc, col.len()).unwrap(), col);
     }
 
     #[test]
     fn truncated_fails() {
         let col = low_card_column(100);
         let enc = pdict_encode(&col).unwrap();
-        assert!(pdict_decode(&enc[..enc.len() - 1], 100).is_none());
-        assert!(pdict_decode(&[], 100).is_none());
+        assert!(read(&enc[..enc.len() - 1], 100).is_none());
+        assert!(read(&[], 100).is_none());
         // wrong n: more codes than packed data holds may still decode if
         // packed_len allows, but must never panic
-        let _ = pdict_decode(&enc, 99);
+        let _ = read(&enc, 99);
     }
 }

@@ -22,7 +22,7 @@
 //! [exc_val: n_exc * i64 LE]  original values
 //! ```
 
-use super::bitpack::{bits_needed, pack, packed_len, unpack};
+use super::bitpack::{bits_needed, pack, packed_len};
 
 /// Cost in bytes of one exception entry (position + value).
 const EXC_COST: usize = 4 + 8;
@@ -135,57 +135,11 @@ fn encode_frame(values: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_frame(bytes: &[u8], n: usize) -> Option<Vec<i64>> {
-    if bytes.len() < 13 {
-        return None;
-    }
-    let base = i64::from_le_bytes(bytes[0..8].try_into().ok()?);
-    let width = bytes[8] as u32;
-    if width > 64 {
-        return None;
-    }
-    let n_exc = u32::from_le_bytes(bytes[9..13].try_into().ok()?) as usize;
-    let plen = packed_len(n, width);
-    let need = 13 + plen + n_exc * EXC_COST;
-    if bytes.len() < need {
-        return None;
-    }
-    let deltas = unpack(&bytes[13..13 + plen], n, width);
-    let mut values: Vec<i64> = deltas
-        .iter()
-        .map(|&d| (base as i128 + d as i128) as i64)
-        .collect();
-    let pos_start = 13 + plen;
-    let val_start = pos_start + n_exc * 4;
-    for i in 0..n_exc {
-        let p = u32::from_le_bytes(
-            bytes[pos_start + i * 4..pos_start + i * 4 + 4]
-                .try_into()
-                .ok()?,
-        ) as usize;
-        let v = i64::from_le_bytes(
-            bytes[val_start + i * 8..val_start + i * 8 + 8]
-                .try_into()
-                .ok()?,
-        );
-        if p >= n {
-            return None;
-        }
-        values[p] = v;
-    }
-    Some(values)
-}
-
 /// Encode with plain PFOR.
 pub fn pfor_encode(values: &[i64]) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame(values, &mut out);
     out
-}
-
-/// Decode plain PFOR. `n` is the value count from the block header.
-pub fn pfor_decode(bytes: &[u8], n: usize) -> Option<Vec<i64>> {
-    decode_frame(bytes, n)
 }
 
 /// Encode with PFOR-DELTA: PFOR over consecutive differences.
@@ -205,22 +159,29 @@ pub fn pfor_delta_encode(values: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Decode PFOR-DELTA.
-pub fn pfor_delta_decode(bytes: &[u8], n: usize) -> Option<Vec<i64>> {
-    let deltas = decode_frame(bytes, n)?;
-    let mut out = Vec::with_capacity(n);
-    let mut acc = 0i64;
-    for d in deltas {
-        acc = acc.wrapping_add(d);
-        out.push(acc);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
+    use crate::compress::tests::decode_body;
+    use crate::compress::{CompressionScheme, PHYS_I64};
     use vw_common::rng::Xoshiro256;
+
+    /// A frame read back through the block cursor, as an I64 block of `n`.
+    fn read(scheme: CompressionScheme, frame: &[u8], n: usize) -> Option<Vec<i64>> {
+        match decode_body(PHYS_I64, scheme, n, frame) {
+            Ok(ColumnData::I64(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn pfor_read(frame: &[u8], n: usize) -> Option<Vec<i64>> {
+        read(CompressionScheme::Pfor, frame, n)
+    }
+
+    fn delta_read(frame: &[u8], n: usize) -> Option<Vec<i64>> {
+        read(CompressionScheme::PforDelta, frame, n)
+    }
 
     #[test]
     fn roundtrip_uniform_small_range() {
@@ -229,7 +190,7 @@ mod tests {
         let enc = pfor_encode(&values);
         // 256-value range => 8-bit packing ≈ n bytes, far below 8n.
         assert!(enc.len() < values.len() * 2, "enc {} bytes", enc.len());
-        assert_eq!(pfor_decode(&enc, values.len()).unwrap(), values);
+        assert_eq!(pfor_read(&enc, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -248,7 +209,7 @@ mod tests {
         let enc = pfor_encode(&values);
         // ~7 bits/value + ~100 exceptions * 12B ≈ 10 KB, far below plain 80 KB.
         assert!(enc.len() < values.len() * 2, "enc {} bytes", enc.len());
-        assert_eq!(pfor_decode(&enc, values.len()).unwrap(), values);
+        assert_eq!(pfor_read(&enc, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -259,7 +220,7 @@ mod tests {
         values[500] = i64::MIN;
         let enc = pfor_encode(&values);
         assert!(enc.len() < 1200, "enc {} bytes", enc.len());
-        assert_eq!(pfor_decode(&enc, values.len()).unwrap(), values);
+        assert_eq!(pfor_read(&enc, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -267,7 +228,7 @@ mod tests {
         let values: Vec<i64> = (0..10_000i64).map(|i| 1_000_000 + i * 3).collect();
         let plain = pfor_encode(&values);
         let delta = pfor_delta_encode(&values);
-        assert_eq!(pfor_delta_decode(&delta, values.len()).unwrap(), values);
+        assert_eq!(delta_read(&delta, values.len()).unwrap(), values);
         assert!(
             delta.len() * 4 < plain.len(),
             "delta {} vs pfor {}",
@@ -280,11 +241,11 @@ mod tests {
     fn extremes_roundtrip() {
         let values = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX];
         assert_eq!(
-            pfor_decode(&pfor_encode(&values), values.len()).unwrap(),
+            pfor_read(&pfor_encode(&values), values.len()).unwrap(),
             values
         );
         assert_eq!(
-            pfor_delta_decode(&pfor_delta_encode(&values), values.len()).unwrap(),
+            delta_read(&pfor_delta_encode(&values), values.len()).unwrap(),
             values
         );
     }
@@ -296,7 +257,7 @@ mod tests {
         // exceptions.
         let values = vec![i64::MAX, i64::MIN, i64::MAX, i64::MIN];
         assert_eq!(
-            pfor_decode(&pfor_encode(&values), values.len()).unwrap(),
+            pfor_read(&pfor_encode(&values), values.len()).unwrap(),
             values
         );
     }
@@ -307,27 +268,21 @@ mod tests {
         let enc = pfor_encode(&values);
         // width 0: header only.
         assert!(enc.len() <= 16, "enc {} bytes", enc.len());
-        assert_eq!(pfor_decode(&enc, values.len()).unwrap(), values);
+        assert_eq!(pfor_read(&enc, values.len()).unwrap(), values);
     }
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(
-            pfor_decode(&pfor_encode(&[]), 0).unwrap(),
-            Vec::<i64>::new()
-        );
-        assert_eq!(pfor_decode(&pfor_encode(&[7]), 1).unwrap(), vec![7]);
-        assert_eq!(
-            pfor_delta_decode(&pfor_delta_encode(&[-7]), 1).unwrap(),
-            vec![-7]
-        );
+        assert_eq!(pfor_read(&pfor_encode(&[]), 0).unwrap(), Vec::<i64>::new());
+        assert_eq!(pfor_read(&pfor_encode(&[7]), 1).unwrap(), vec![7]);
+        assert_eq!(delta_read(&pfor_delta_encode(&[-7]), 1).unwrap(), vec![-7]);
     }
 
     #[test]
     fn truncated_input_fails_cleanly() {
         let enc = pfor_encode(&[1, 2, 3, 1000]);
-        assert!(pfor_decode(&enc[..enc.len() - 1], 4).is_none());
-        assert!(pfor_decode(&[], 4).is_none());
+        assert!(pfor_read(&enc[..enc.len() - 1], 4).is_none());
+        assert!(pfor_read(&[], 4).is_none());
     }
 
     #[test]
@@ -356,13 +311,13 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                pfor_decode(&pfor_encode(&values), n).unwrap(),
+                pfor_read(&pfor_encode(&values), n).unwrap(),
                 values,
                 "pfor trial {}",
                 trial
             );
             assert_eq!(
-                pfor_delta_decode(&pfor_delta_encode(&values), n).unwrap(),
+                delta_read(&pfor_delta_encode(&values), n).unwrap(),
                 values,
                 "delta trial {}",
                 trial

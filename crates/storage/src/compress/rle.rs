@@ -11,19 +11,9 @@ pub fn rle_encode_i64(values: &[i64]) -> Vec<u8> {
     encode_raw(values.iter().map(|v| v.to_le_bytes()))
 }
 
-/// Decode i64 runs; `n` is the expected value count.
-pub fn rle_decode_i64(bytes: &[u8], n: usize) -> Option<Vec<i64>> {
-    decode_raw(bytes, n).map(|raw| raw.into_iter().map(i64::from_le_bytes).collect())
-}
-
 /// Encode f64 runs (bit-pattern equality).
 pub fn rle_encode_f64(values: &[f64]) -> Vec<u8> {
     encode_raw(values.iter().map(|v| v.to_le_bytes()))
-}
-
-/// Decode f64 runs.
-pub fn rle_decode_f64(bytes: &[u8], n: usize) -> Option<Vec<f64>> {
-    decode_raw(bytes, n).map(|raw| raw.into_iter().map(f64::from_le_bytes).collect())
 }
 
 fn encode_raw(values: impl Iterator<Item = [u8; 8]>) -> Vec<u8> {
@@ -41,29 +31,6 @@ fn encode_raw(values: impl Iterator<Item = [u8; 8]>) -> Vec<u8> {
         out.extend_from_slice(&count.to_le_bytes());
     }
     out
-}
-
-fn decode_raw(bytes: &[u8], n: usize) -> Option<Vec<[u8; 8]>> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let n_runs = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    if bytes.len() < 4 + n_runs * 12 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n_runs {
-        let s = 4 + i * 12;
-        let v: [u8; 8] = bytes[s..s + 8].try_into().ok()?;
-        let count = u32::from_le_bytes(bytes[s + 8..s + 12].try_into().ok()?) as usize;
-        for _ in 0..count {
-            out.push(v);
-        }
-    }
-    if out.len() != n {
-        return None;
-    }
-    Some(out)
 }
 
 /// Encoded size without materializing (for the scheme chooser).
@@ -91,12 +58,27 @@ fn size_of_runs(values: impl Iterator<Item = u64>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
+    use crate::compress::tests::decode_body;
+    use crate::compress::{CompressionScheme, PHYS_F64, PHYS_I64};
+
+    /// Runs read back through the block cursor, as a block of `n` values.
+    fn read(phys: u8, runs: &[u8], n: usize) -> Option<ColumnData> {
+        decode_body(phys, CompressionScheme::Rle, n, runs).ok()
+    }
+
+    fn read_i64(runs: &[u8], n: usize) -> Option<Vec<i64>> {
+        match read(PHYS_I64, runs, n)? {
+            ColumnData::I64(v) => Some(v),
+            _ => None,
+        }
+    }
 
     #[test]
     fn roundtrip_runs() {
         let values = vec![5i64, 5, 5, 7, 7, 5, 9, 9, 9, 9];
         let enc = rle_encode_i64(&values);
-        assert_eq!(rle_decode_i64(&enc, values.len()).unwrap(), values);
+        assert_eq!(read_i64(&enc, values.len()).unwrap(), values);
         assert_eq!(rle_size_i64(&values), enc.len());
     }
 
@@ -105,7 +87,7 @@ mod tests {
         let values = vec![1i64; 100_000];
         let enc = rle_encode_i64(&values);
         assert_eq!(enc.len(), 16); // header + one run
-        assert_eq!(rle_decode_i64(&enc, values.len()).unwrap(), values);
+        assert_eq!(read_i64(&enc, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -113,14 +95,16 @@ mod tests {
         let values: Vec<i64> = (0..100).collect();
         let enc = rle_encode_i64(&values);
         assert_eq!(enc.len(), 4 + 100 * 12);
-        assert_eq!(rle_decode_i64(&enc, 100).unwrap(), values);
+        assert_eq!(read_i64(&enc, 100).unwrap(), values);
     }
 
     #[test]
     fn f64_including_nan() {
         let values = vec![1.5f64, 1.5, f64::NAN, f64::NAN, -0.0, 0.0];
         let enc = rle_encode_f64(&values);
-        let back = rle_decode_f64(&enc, values.len()).unwrap();
+        let Some(ColumnData::F64(back)) = read(PHYS_F64, &enc, values.len()) else {
+            panic!("f64 runs decoded to another type");
+        };
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -131,14 +115,14 @@ mod tests {
     #[test]
     fn count_mismatch_rejected() {
         let enc = rle_encode_i64(&[1, 1, 2]);
-        assert!(rle_decode_i64(&enc, 4).is_none());
-        assert!(rle_decode_i64(&enc, 2).is_none());
-        assert!(rle_decode_i64(&enc[..enc.len() - 1], 3).is_none());
+        assert!(read_i64(&enc, 4).is_none());
+        assert!(read_i64(&enc, 2).is_none());
+        assert!(read_i64(&enc[..enc.len() - 1], 3).is_none());
     }
 
     #[test]
     fn empty() {
         let enc = rle_encode_i64(&[]);
-        assert_eq!(rle_decode_i64(&enc, 0).unwrap(), Vec::<i64>::new());
+        assert_eq!(read_i64(&enc, 0).unwrap(), Vec::<i64>::new());
     }
 }

@@ -1,12 +1,15 @@
-//! Lazy block cursors: vector-granular decode and predicate evaluation on
-//! encoded data.
+//! Block cursors: the one decoder of the block format, with vector-granular
+//! decode and predicate evaluation on encoded data.
 //!
-//! The eager path (`decode_block`) decompresses a whole 64K-value block
-//! before the first predicate runs. A [`BlockCursor`] instead parses the
-//! block header once and then decodes one ~1K-row vector slice at a time
-//! (`decode_slice`), so a selective scan never materializes vectors it is
-//! about to discard. [`BlockCursor::eval_pred`] goes further and evaluates
-//! simple predicates directly on the encoded form:
+//! A [`BlockCursor`] parses the NULL indicator, the block header and the
+//! codec state once, and then decodes any range of values on demand. A
+//! whole-block read — `decompress_data`, `decode_block`,
+//! `TableStorage::read_column` — is its full-range decode
+//! ([`BlockCursor::decode_all`]); a scan decodes one ~1K-row vector slice at
+//! a time ([`BlockCursor::decode_slice`]), so a selective scan never
+//! materializes vectors it is about to discard. [`BlockCursor::eval_pred`]
+//! goes further and evaluates simple predicates directly on the encoded
+//! form:
 //!
 //! - **PFOR**: the literal is translated into delta space once
 //!   (`lit - base`); packed deltas are compared as unsigned ints without
@@ -41,6 +44,7 @@ use crate::compress::{
     decimal_value, pow10, CompressionScheme, PHYS_BOOL, PHYS_F64, PHYS_I32, PHYS_I64, PHYS_STR,
 };
 use std::cmp::Ordering;
+use std::ops::Deref;
 use std::sync::Arc;
 use vw_common::like::{find, LikePattern, LikeShape};
 use vw_common::{BitVec, Result, Value, VwError};
@@ -214,8 +218,6 @@ struct Frame {
     /// [`TABLE_WIDTH`] bits wide, made on its first whole-slice decode: a
     /// lookup instead of a division per value.
     table: Option<Box<[f64; 1 << TABLE_WIDTH]>>,
-    /// Scratch of the whole-slice decodes: the packed deltas of a slice.
-    deltas: Vec<u64>,
 }
 
 /// Widest decimal frame [`Frame::table`] is made for (256 doubles).
@@ -243,15 +245,17 @@ impl Frame {
         })
     }
 
-    /// Unpack the deltas `[from, to)` into `self.deltas`.
-    fn unpack(&mut self, bytes: &[u8], from: usize, to: usize) {
-        self.deltas.resize(to - from, 0);
+    /// The packed deltas `[from, to)`, in a buffer of their own that the
+    /// values they decode to can take over in place.
+    fn deltas(&self, bytes: &[u8], from: usize, to: usize) -> Vec<u64> {
+        let mut deltas = vec![0; to - from];
         unpack_into(
             &bytes[self.packed.0..self.packed.1],
             from,
             self.width,
-            &mut self.deltas,
+            &mut deltas,
         );
+        deltas
     }
 
     /// Index range into `exc_pos` / `exc_val` of the exceptions positioned
@@ -280,6 +284,32 @@ impl DictState {
     /// The packed codes of a block of `n` values.
     fn codes<'a>(&self, bytes: &'a [u8], n: usize) -> &'a [u8] {
         &bytes[self.codes_start..self.codes_start + packed_len(n, self.width)]
+    }
+
+    /// The values `from + sel[i]`, or all of `[from, to)`, as codes over
+    /// the dictionary, each checked against it.
+    fn vector(
+        &self,
+        bytes: &[u8],
+        n: usize,
+        from: usize,
+        to: usize,
+        sel: Option<&[u32]>,
+    ) -> Result<DictColumn> {
+        let packed = self.codes(bytes, n);
+        // Code widths are at most 32 bits (checked when the block opened).
+        let codes: Vec<u32> = match sel {
+            Some(sel) => sel
+                .iter()
+                .map(|&p| unpack_at(packed, from + p as usize, self.width) as u32)
+                .collect(),
+            None => {
+                let mut codes = vec![0u32; to - from];
+                unpack_range(packed, from, to, self.width, |i, c| codes[i] = c as u32);
+                codes
+            }
+        };
+        DictColumn::new(codes, Arc::clone(&self.dict)).ok_or_else(|| err("pdict code"))
     }
 
     /// The bitmap over dictionary codes of `pred`, built on first use.
@@ -354,19 +384,6 @@ fn fixed_at<const N: usize>(bytes: &[u8], base: usize, idx: usize) -> [u8; N] {
     bytes[at..at + N].try_into().unwrap()
 }
 
-/// Append dictionary entry `code` to `out`; `false` when the code lies
-/// outside the dictionary. The entry's bytes are copied as they are: the
-/// dictionary was checked to be UTF-8 when the block was opened.
-#[inline]
-fn push_entry(out: &mut StrColumn, dict: &StrColumn, code: usize) -> bool {
-    if code >= dict.len() {
-        return false;
-    }
-    out.bytes.extend_from_slice(dict.get_bytes(code));
-    out.offsets.push(out.bytes.len() as u32);
-    true
-}
-
 enum State {
     Bool(BitVec),
     PlainInt {
@@ -403,9 +420,10 @@ impl State {
     }
 }
 
-/// A positioned decoder over one encoded column block.
-pub struct BlockCursor {
-    bytes: Arc<Vec<u8>>,
+/// A positioned decoder over one encoded column block: the bytes as stored
+/// (shared with the buffer pool, the default) or a borrowed payload.
+pub struct BlockCursor<B = Arc<Vec<u8>>> {
+    bytes: B,
     n: usize,
     phys: u8,
     scheme: CompressionScheme,
@@ -417,7 +435,13 @@ pub struct BlockCursor {
     mask: Vec<bool>,
 }
 
-impl std::fmt::Debug for BlockCursor {
+/// The bytes under a cursor, borrowed from the field alone so that the
+/// codec state can be borrowed mutably beside them.
+fn raw<B: Deref<Target: AsRef<[u8]>>>(bytes: &B) -> &[u8] {
+    (**bytes).as_ref()
+}
+
+impl<B> std::fmt::Debug for BlockCursor<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCursor")
             .field("n", &self.n)
@@ -428,33 +452,39 @@ impl std::fmt::Debug for BlockCursor {
     }
 }
 
-impl BlockCursor {
+impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
     /// Parse the block framing and codec header without decoding values.
     /// Accepts exactly the payloads produced by `encode_block`.
-    pub fn new(bytes: Arc<Vec<u8>>) -> Result<BlockCursor> {
-        if bytes.is_empty() {
-            return Err(VwError::Storage("empty block".into()));
-        }
-        let (nulls, off) = if bytes[0] == 1 {
-            let (bits, used) = BitVec::from_bytes(&bytes[1..])
-                .ok_or_else(|| VwError::Storage("corrupt null indicator".into()))?;
-            (Some(bits), 1 + used)
-        } else {
-            (None, 1)
+    pub fn new(bytes: B) -> Result<Self> {
+        Self::open(bytes, true)
+    }
+
+    /// Parse the NULL indicator (unless `bytes` is a payload of
+    /// `compress_data`, which has none), the block header and the codec
+    /// state; every check a decode relies on is made here.
+    pub(crate) fn open(bytes: B, indicator: bool) -> Result<Self> {
+        let b = raw(&bytes);
+        let (nulls, off) = match (indicator, b.first()) {
+            (false, _) => (None, 0),
+            (true, None) => return Err(VwError::Storage("empty block".into())),
+            (true, Some(1)) => {
+                let (bits, used) = BitVec::from_bytes(&b[1..])
+                    .ok_or_else(|| VwError::Storage("corrupt null indicator".into()))?;
+                (Some(bits), 1 + used)
+            }
+            (true, Some(_)) => (None, 1),
         };
-        if bytes.len() < off + 6 {
+        if b.len() < off + 6 {
             return Err(err("short header"));
         }
-        let phys = bytes[off];
-        let scheme = CompressionScheme::from_u8(bytes[off + 1]).ok_or_else(|| err("bad scheme"))?;
-        let n = u32::from_le_bytes(bytes[off + 2..off + 6].try_into().unwrap()) as usize;
-        if let Some(b) = &nulls {
-            if b.len() != n {
-                return Err(VwError::Storage("indicator/data length mismatch".into()));
-            }
+        let phys = b[off];
+        let scheme = CompressionScheme::from_u8(b[off + 1]).ok_or_else(|| err("bad scheme"))?;
+        let n = u32::from_le_bytes(b[off + 2..off + 6].try_into().unwrap()) as usize;
+        if nulls.as_ref().is_some_and(|bits| bits.len() != n) {
+            return Err(VwError::Storage("indicator/data length mismatch".into()));
         }
         let body = off + 6;
-        let state = parse_state(&bytes, body, phys, scheme, n)?;
+        let state = parse_state(b, body, phys, scheme, n)?;
         Ok(BlockCursor {
             bytes,
             n,
@@ -465,6 +495,14 @@ impl BlockCursor {
             state,
             mask: Vec::new(),
         })
+    }
+
+    /// Decode the whole block: what every whole-block read is. The NULL
+    /// indicator parsed at open is handed over as it is.
+    pub fn decode_all(mut self) -> Result<NullableColumn> {
+        let nulls = self.nulls.take();
+        let data = self.decode_slice(0, self.n)?.data;
+        Ok(NullableColumn::new(data, nulls).normalize())
     }
 
     /// Values in the block.
@@ -485,7 +523,7 @@ impl BlockCursor {
         if from > to || to > self.n {
             return Err(err("slice out of range"));
         }
-        let bytes: &[u8] = &self.bytes;
+        let bytes = raw(&self.bytes);
         let phys = self.phys;
         let data = match &mut self.state {
             State::Bool(bits) => ColumnData::Bool((from..to).map(|i| bits.get(i)).collect()),
@@ -510,18 +548,20 @@ impl BlockCursor {
             State::PlainStr(layout) => {
                 let strs = layout.over(bytes);
                 let (base, end) = (strs.off(from), strs.off(to));
+                let offs = &bytes[layout.offs_start + from * 4..layout.offs_start + to * 4 + 4];
                 ColumnData::Str(StrColumn {
-                    offsets: (from..=to).map(|i| (strs.off(i) - base) as u32).collect(),
+                    offsets: offs
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()) - base as u32)
+                        .collect(),
                     bytes: bytes[strs.str_start + base..strs.str_start + end].to_vec(),
                 })
             }
             State::Rle { vals, starts } => {
-                let raw = rle_slice(vals, starts, from, to);
+                let runs = (&vals[..], &starts[..]);
                 match phys {
-                    PHYS_F64 => {
-                        ColumnData::F64(raw.iter().map(|b| f64::from_le_bytes(*b)).collect())
-                    }
-                    _ => int_data(phys, raw.iter().map(|b| i64::from_le_bytes(*b)).collect())?,
+                    PHYS_F64 => ColumnData::F64(rle_slice(runs, from, to, f64::from_le_bytes)),
+                    _ => int_data(phys, rle_slice(runs, from, to, i64::from_le_bytes))?,
                 }
             }
             State::Pfor(f) => frame_column(f, bytes, phys, from, to)?,
@@ -535,15 +575,7 @@ impl BlockCursor {
                 frame_data(frame, phys, wide)?
             }
             State::Pdict(d) => {
-                let mut out = StrColumn::with_capacity(to - from, 0);
-                let mut bad = false;
-                unpack_range(d.codes(bytes, self.n), from, to, d.width, |_, c| {
-                    bad |= !push_entry(&mut out, &d.dict, c as usize);
-                });
-                if bad {
-                    return Err(err("pdict code"));
-                }
-                ColumnData::Str(out)
+                ColumnData::Str(d.vector(bytes, self.n, from, to, None)?.materialize())
             }
         };
         Ok(NullableColumn::new(data, self.nulls_at(from, to, None)).normalize())
@@ -554,7 +586,7 @@ impl BlockCursor {
     fn nulls_at(&self, from: usize, to: usize, sel: Option<&[u32]>) -> Option<BitVec> {
         self.nulls.as_ref().map(|b| match sel {
             Some(sel) => sel.iter().map(|&p| b.get(from + p as usize)).collect(),
-            None => (from..to).map(|i| b.get(i)).collect(),
+            None => b.slice(from, to),
         })
     }
 
@@ -576,7 +608,7 @@ impl BlockCursor {
         if sel.iter().any(|&p| p as usize >= to - from) {
             return Err(err("selected position out of range"));
         }
-        let bytes: &[u8] = &self.bytes;
+        let bytes = raw(&self.bytes);
         let at = |p: &u32| from + *p as usize;
         let data = match &self.state {
             State::PlainInt { width: 4 } => ColumnData::I32(
@@ -606,15 +638,7 @@ impl BlockCursor {
             }
             State::Pfor(f) => frame_selected(f, bytes, self.phys, from, to, sel)?,
             State::Pdict(d) => {
-                let codes = d.codes(bytes, self.n);
-                let mut out = StrColumn::with_capacity(sel.len(), 0);
-                for p in sel {
-                    let c = unpack_at(codes, at(p), d.width) as usize;
-                    if !push_entry(&mut out, &d.dict, c) {
-                        return Err(err("pdict code"));
-                    }
-                }
-                ColumnData::Str(out)
+                ColumnData::Str(d.vector(bytes, self.n, from, to, Some(sel))?.materialize())
             }
             State::Bool(_) | State::Rle { .. } | State::PforDelta { .. } => {
                 return Ok(self.decode_slice(from, to)?.gather(sel));
@@ -648,7 +672,7 @@ impl BlockCursor {
                 return Ok(filter_nulls(&self.nulls, from, all));
             }
         };
-        let bytes: &[u8] = &self.bytes;
+        let bytes = raw(&self.bytes);
         let on_encoded = match (&mut self.state, pred, ints) {
             (State::Pfor(f), _, Some((op, lit))) => Some(pfor_eval(f, bytes, op, lit, from, to)),
             (
@@ -729,7 +753,7 @@ impl BlockCursor {
                 return Ok(());
             }
         };
-        let bytes: &[u8] = &self.bytes;
+        let bytes = raw(&self.bytes);
         let body = self.body;
         // Unpacking the whole vector costs the same however few candidates
         // are left; see `DENSE_PCT`.
@@ -860,20 +884,7 @@ impl BlockCursor {
         if sel.is_some_and(|s| s.iter().any(|&p| p as usize >= to - from)) {
             return Err(err("selected position out of range"));
         }
-        let packed = d.codes(&self.bytes, self.n);
-        // Code widths are at most 32 bits (checked when the block opened).
-        let codes: Vec<u32> = match sel {
-            Some(sel) => sel
-                .iter()
-                .map(|&p| unpack_at(packed, from + p as usize, d.width) as u32)
-                .collect(),
-            None => {
-                let mut codes = vec![0u32; to - from];
-                unpack_range(packed, from, to, d.width, |i, c| codes[i] = c as u32);
-                codes
-            }
-        };
-        let data = DictColumn::new(codes, Arc::clone(&d.dict)).ok_or_else(|| err("pdict code"))?;
+        let data = d.vector(raw(&self.bytes), self.n, from, to, sel)?;
         let nulls = self.nulls_at(from, to, sel);
         Ok(NullableColumn::new(ColumnData::Dict(data), nulls).normalize())
     }
@@ -1016,7 +1027,6 @@ fn parse_frame(b: &[u8], body: usize, n: usize) -> Result<Frame> {
         exc_val,
         pow10: None,
         table: None,
-        deltas: Vec::new(),
     })
 }
 
@@ -1131,17 +1141,23 @@ fn int_data(phys: u8, wide: Vec<i64>) -> Result<ColumnData> {
     }
 }
 
-fn rle_slice(vals: &[[u8; 8]], starts: &[usize], from: usize, to: usize) -> Vec<[u8; 8]> {
+/// Values `[from, to)` of the runs `(vals, starts)`, each run's value
+/// converted once and repeated.
+fn rle_slice<T: Copy>(
+    (vals, starts): (&[[u8; 8]], &[usize]),
+    from: usize,
+    to: usize,
+    value: impl Fn([u8; 8]) -> T,
+) -> Vec<T> {
     let mut out = Vec::with_capacity(to - from);
     if from == to {
         return out;
     }
     let mut r = starts.partition_point(|&s| s <= from) - 1;
     while r < vals.len() && starts[r] < to {
-        let lo = starts[r].max(from);
-        let hi = starts[r + 1].min(to);
-        for _ in lo..hi {
-            out.push(vals[r]);
+        let v = value(vals[r]);
+        for _ in starts[r].max(from)..starts[r + 1].min(to) {
+            out.push(v);
         }
         r += 1;
     }
@@ -1150,13 +1166,12 @@ fn rle_slice(vals: &[[u8; 8]], starts: &[usize], from: usize, to: usize) -> Vec<
 
 /// Decode frame values `[from, to)`: unpack the delta range, add the base,
 /// patch exceptions.
-fn frame_values(f: &mut Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
-    f.unpack(bytes, from, to);
-    // Wrapping: a width-64 delta reaches past `i64::MAX - base`.
+fn frame_values(f: &Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
+    // In place; wrapping: a width-64 delta reaches past `i64::MAX - base`.
     let mut vals: Vec<i64> = f
-        .deltas
-        .iter()
-        .map(|&d| f.base.wrapping_add(d as i64))
+        .deltas(bytes, from, to)
+        .into_iter()
+        .map(|d| f.base.wrapping_add(d as i64))
         .collect();
     let (lo, hi) = f.exceptions_in(from, to);
     for k in lo..hi {
@@ -1196,7 +1211,7 @@ fn frame_column(
     to: usize,
 ) -> Result<ColumnData> {
     if let Some(p) = f.pow10.filter(|_| f.width <= TABLE_WIDTH) {
-        f.unpack(bytes, from, to);
+        let deltas = f.deltas(bytes, from, to);
         let base = f.base;
         let table = f.table.get_or_insert_with(|| {
             Box::new(std::array::from_fn(|d| {
@@ -1204,7 +1219,10 @@ fn frame_column(
             }))
         });
         // A delta is below 2^width ≤ 2^TABLE_WIDTH: the cast loses nothing.
-        let mut vals: Vec<f64> = f.deltas.iter().map(|&d| table[d as u8 as usize]).collect();
+        let mut vals: Vec<f64> = deltas
+            .into_iter()
+            .map(|d| table[d as u8 as usize])
+            .collect();
         let (lo, hi) = f.exceptions_in(from, to);
         for k in lo..hi {
             vals[f.exc_pos[k] as usize - from] = decimal_value(f.exc_val[k], p);
@@ -1215,11 +1233,10 @@ fn frame_column(
         let wide = frame_values(f, bytes, from, to);
         return frame_data(f, phys, wide);
     }
-    f.unpack(bytes, from, to);
     let mut vals: Vec<i32> = f
-        .deltas
-        .iter()
-        .map(|&d| (f.base + d as i64) as i32)
+        .deltas(bytes, from, to)
+        .into_iter()
+        .map(|d| (f.base + d as i64) as i32)
         .collect();
     let (lo, hi) = f.exceptions_in(from, to);
     for k in lo..hi {
@@ -1262,7 +1279,7 @@ fn frame_selected(
 /// Decode PFOR-DELTA values `[from, to)`, resuming the prefix sum from the
 /// cursor position (or its checkpoint) when possible.
 fn delta_values(
-    frame: &mut Frame,
+    frame: &Frame,
     bytes: &[u8],
     pos: &mut usize,
     acc: &mut i64,
@@ -1274,31 +1291,24 @@ fn delta_values(
         return Vec::new();
     }
     if from < *pos {
-        match *ck {
-            Some((ci, ca)) if ci <= from => {
-                *pos = ci;
-                *acc = ca;
-            }
-            _ => {
-                *pos = 0;
-                *acc = 0;
-            }
-        }
+        (*pos, *acc) = match *ck {
+            Some((ci, ca)) if ci <= from => (ci, ca),
+            _ => (0, 0),
+        };
     }
-    let deltas = frame_values(frame, bytes, *pos, to);
-    let mut out = Vec::with_capacity(to - from);
-    for (k, &d) in deltas.iter().enumerate() {
-        let i = *pos + k;
-        if i == from {
-            *ck = Some((from, *acc));
-        }
-        *acc = acc.wrapping_add(d);
-        if i >= from {
-            out.push(*acc);
-        }
+    if *pos < from {
+        let skipped = frame_values(frame, bytes, *pos, from);
+        *acc = skipped.into_iter().fold(*acc, i64::wrapping_add);
+    }
+    *ck = Some((from, *acc));
+    // The deltas become the values in place.
+    let mut vals = frame_values(frame, bytes, from, to);
+    for v in &mut vals {
+        *acc = acc.wrapping_add(*v);
+        *v = *acc;
     }
     *pos = to;
-    out
+    vals
 }
 
 /// Positions of the values passing `test`, ascending, built without a branch

@@ -7,12 +7,13 @@
 //!
 //! * [`column`] — uncompressed in-memory column representation (the form the
 //!   execution engine consumes),
-//! * [`compress`] — PFOR, PFOR-DELTA, PDICT, RLE and plain codecs with a
+//! * [`compress`] — PFOR, PFOR-DELTA, PDICT, RLE and plain encoders with a
 //!   cost-based per-block scheme chooser; DOUBLE blocks of exact decimals
 //!   become PFOR frames of scaled integers,
 //! * [`block`] — self-describing serialized column blocks with MinMax stats,
-//! * [`cursor`] — lazy per-block cursors: vector-granular decode and
-//!   predicate evaluation directly on the encoded data,
+//! * [`cursor`] — the one decoder of the block format: per-block cursors
+//!   with vector-granular decode and predicate evaluation directly on the
+//!   encoded data; a whole-block read is a cursor's full-range decode,
 //! * [`simdisk`] — a deterministic simulated disk that charges virtual I/O
 //!   time (substitute for the paper's real disk arrays; see DESIGN.md),
 //! * [`table`] — PAX-grouped table storage: row groups of column blocks,

@@ -11,7 +11,7 @@
 //! system; a checkpoint derives the next image from the current one with
 //! [`TableStorage::next_image`], sharing every block it does not rewrite.
 
-use crate::block::{decode_block, encode_block, BlockLease, ColumnBlock, MinMax, PruneOp};
+use crate::block::{encode_block, BlockLease, ColumnBlock, MinMax, PruneOp};
 use crate::column::NullableColumn;
 use crate::cursor::BlockCursor;
 use crate::simdisk::SimDisk;
@@ -407,47 +407,45 @@ impl TableStorage {
 
     /// Read and decode one column of one row group from its disk.
     pub fn read_column(&self, group: usize, col: usize) -> Result<NullableColumn> {
-        let id = self.block_at(group, col)?.block_id();
-        let bytes = self.disk_for_group(group).read_block(id)?;
-        self.decode_column_from(group, col, &bytes)
+        self.decode_column(group, col, None)
     }
 
-    /// Decode a column block whose encoded bytes were fetched externally
-    /// (e.g. through the buffer manager's demand-fetch path).
-    pub fn decode_column_from(
+    /// Decode one column block whole from `fetched` bytes, or else off its
+    /// disk; an error opening or decoding it names the block.
+    pub fn decode_column(
         &self,
         group: usize,
         col: usize,
-        bytes: &[u8],
+        fetched: Option<Arc<Vec<u8>>>,
     ) -> Result<NullableColumn> {
-        let decoded = decode_block(bytes).map_err(|e| self.block_context(group, col, e))?;
-        if decoded.len() != self.row_groups[group].n_rows {
-            return Err(self.block_context(
-                group,
-                col,
-                VwError::Storage("block row-count mismatch".into()),
-            ));
-        }
-        Ok(decoded)
+        self.column_cursor(group, col, fetched)?
+            .decode_all()
+            .map_err(|e| self.block_context(group, col, e))
     }
 
-    /// Read one column block and open a lazy [`BlockCursor`] over it instead
-    /// of decoding eagerly. The compressed-execution scan path uses this to
-    /// decode vector slices on demand and evaluate predicates on the encoded
-    /// form.
+    /// Read one column block and open a lazy [`BlockCursor`] over it. The
+    /// compressed-execution scan path uses this to decode vector slices on
+    /// demand and evaluate predicates on the encoded form.
     pub fn read_column_cursor(&self, group: usize, col: usize) -> Result<BlockCursor> {
-        let id = self.block_at(group, col)?.block_id();
-        let bytes = self.disk_for_group(group).read_block(id)?;
-        self.column_cursor_from(group, col, bytes)
+        self.column_cursor(group, col, None)
     }
 
-    /// Open a lazy [`BlockCursor`] over externally-fetched block bytes.
-    pub fn column_cursor_from(
+    /// Open a [`BlockCursor`] over one column block's `fetched` bytes (e.g.
+    /// through the buffer manager), or else over the block read off its
+    /// disk. Its row count is checked before anything is decoded.
+    pub fn column_cursor(
         &self,
         group: usize,
         col: usize,
-        bytes: Arc<Vec<u8>>,
+        fetched: Option<Arc<Vec<u8>>>,
     ) -> Result<BlockCursor> {
+        let bytes = match fetched {
+            Some(bytes) => bytes,
+            None => {
+                let id = self.block_at(group, col)?.block_id();
+                self.disk_for_group(group).read_block(id)?
+            }
+        };
         let cursor = BlockCursor::new(bytes).map_err(|e| self.block_context(group, col, e))?;
         if cursor.n() != self.row_groups[group].n_rows {
             return Err(self.block_context(
@@ -885,7 +883,7 @@ mod tests {
     use super::*;
     use crate::column::ColumnData;
     use crate::simdisk::SimDiskConfig;
-    use vw_common::{DataType, Field};
+    use vw_common::{BitVec, DataType, Field};
 
     fn disk() -> Arc<SimDisk> {
         Arc::new(SimDisk::new(SimDiskConfig::default()))
@@ -1204,22 +1202,35 @@ mod tests {
 
     #[test]
     fn lazy_cursor_matches_eager_read() {
+        let rows = build_rows(250);
         let mut b = TableBuilder::with_group_size(lineitem_like_schema(), disk(), 100);
-        for r in build_rows(250) {
+        for r in rows.clone() {
             b.push_row(r).unwrap();
         }
         let t = b.finish().unwrap();
         for g in 0..t.group_count() {
+            let start = t.group(g).start_row as usize;
             for c in 0..t.schema().len() {
-                let eager = t.read_column(g, c).unwrap();
+                let ty = t.schema().field(c).ty;
+                let whole = t.read_column(g, c).unwrap();
                 let mut cur = t.read_column_cursor(g, c).unwrap();
-                assert_eq!(cur.n(), eager.len());
-                let mid = eager.len() / 2;
-                let sliced = cur.decode_slice(0, mid).unwrap();
-                for i in 0..mid {
+                let n = cur.n();
+                assert_eq!(n, t.group(g).n_rows);
+                assert_eq!(whole.len(), n);
+                let mid = n / 2;
+                let halves = [
+                    cur.decode_slice(0, mid).unwrap(),
+                    cur.decode_slice(mid, n).unwrap(),
+                ];
+                for (i, row) in rows[start..start + n].iter().enumerate() {
+                    let sliced = match i < mid {
+                        true => halves[0].get_value(i, ty),
+                        false => halves[1].get_value(i - mid, ty),
+                    };
+                    assert_eq!(sliced, row[c], "group {} col {} row {}", g, c, i);
                     assert_eq!(
-                        sliced.get_value(i, t.schema().field(c).ty),
-                        eager.get_value(i, t.schema().field(c).ty),
+                        whole.get_value(i, ty),
+                        row[c],
                         "group {} col {} row {}",
                         g,
                         c,
@@ -1230,8 +1241,14 @@ mod tests {
         }
     }
 
+    /// A block cut short, and blocks claiming more values than their row
+    /// group holds — a width-0 PFOR frame whose header claims `u32::MAX`
+    /// values, a run of `u32::MAX` values in a block of 100 — are storage
+    /// errors naming the block. The claims are refused before anything is
+    /// decoded: decoding first would allocate for what the block claims.
     #[test]
     fn decode_errors_carry_block_coordinates() {
+        use crate::compress::{compress_with, CompressionScheme};
         let d = disk();
         let mut b = TableBuilder::with_group_size(lineitem_like_schema(), d.clone(), 100);
         for r in build_rows(100) {
@@ -1241,14 +1258,142 @@ mod tests {
         t.set_name("lineitem");
         // Corrupt the quantity block of group 0 on disk.
         let blk = t.group(0).columns[1].block_id();
-        let bytes = d.read_block(blk).unwrap();
-        d.overwrite_block(blk, bytes[..2].to_vec()).unwrap();
-        let msg = t.read_column(0, 1).unwrap_err().to_string();
-        assert!(msg.contains("'lineitem'"), "msg: {}", msg);
-        assert!(msg.contains("'quantity'"), "msg: {}", msg);
-        assert!(msg.contains("row-group 0"), "msg: {}", msg);
-        let msg = t.read_column_cursor(0, 1).unwrap_err().to_string();
-        assert!(msg.contains("'quantity'"), "msg: {}", msg);
+        let cut = d.read_block(blk).unwrap()[..2].to_vec();
+        let quantity = ColumnData::I64(vec![7; 100]);
+        // Framing: the NULL flag, then phys, scheme and `n` at bytes 3..7.
+        let mut pfor = vec![0u8];
+        pfor.extend(compress_with(&quantity, CompressionScheme::Pfor));
+        assert_eq!(pfor[1 + 6 + 8], 0, "a width-0 frame");
+        pfor[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
+        // One run: its length is the block's last four bytes.
+        let mut rle = vec![0u8];
+        rle.extend(compress_with(&quantity, CompressionScheme::Rle));
+        let at = rle.len() - 4;
+        rle[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        for bytes in [cut, pfor, rle] {
+            d.overwrite_block(blk, bytes).unwrap();
+            let msg = match t.read_column(0, 1) {
+                Err(VwError::Storage(msg)) => msg,
+                other => panic!("expected a storage error, got {:?}", other),
+            };
+            assert!(msg.contains("'lineitem'"), "msg: {}", msg);
+            assert!(msg.contains("'quantity'"), "msg: {}", msg);
+            assert!(msg.contains("row-group 0"), "msg: {}", msg);
+            let msg = t.read_column_cursor(0, 1).unwrap_err().to_string();
+            assert!(msg.contains("'quantity'"), "msg: {}", msg);
+        }
+    }
+
+    /// Every physical type in every scheme `compress_with` can force on it,
+    /// with and without NULLs, at 0, 1, 1 023 and 65 536 values: a payload
+    /// decodes through `decompress_data` to the values encoded, and a stored
+    /// block through `read_column` to the values with their NULLs.
+    #[test]
+    fn every_scheme_decodes_whole_blocks_to_what_was_encoded() {
+        use crate::column::StrColumn;
+        use crate::compress::{compress_with, decompress_data, CompressionScheme as S};
+        use std::collections::BTreeSet;
+        use vw_common::rng::Xoshiro256;
+        let d = disk();
+        let mut seen = BTreeSet::new();
+        for n in [0usize, 1, 1023, 65_536] {
+            let mut r = Xoshiro256::seeded(n as u64);
+            // Short runs of small values, now and then an outlier: every
+            // scheme applies, and PFOR has exceptions to patch.
+            let ints: Vec<i64> = (0..n)
+                .map(|i| match r.chance(0.01) {
+                    true => r.next_u64() as i32 as i64,
+                    false => (i / 5 % 40) as i64 - 20,
+                })
+                .collect();
+            let modes = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG AIR"];
+            let unique: Vec<String> = (0..n).map(|i| format!("comment {}", i * 7919)).collect();
+            let columns = [
+                (
+                    DataType::Bool,
+                    ColumnData::Bool(ints.iter().map(|&v| v > 0).collect()),
+                ),
+                (
+                    DataType::I32,
+                    ColumnData::I32(ints.iter().map(|&v| v as i32).collect()),
+                ),
+                (
+                    DataType::I64,
+                    ColumnData::I64(ints.iter().map(|&v| v << 20).collect()),
+                ),
+                (
+                    DataType::F64,
+                    ColumnData::F64(ints.iter().map(|&v| v as f64 / 100.0).collect()),
+                ),
+                (
+                    DataType::Str,
+                    ColumnData::Str(StrColumn::from_iter(
+                        ints.iter()
+                            .map(|&v| modes[v.unsigned_abs() as usize % modes.len()]),
+                    )),
+                ),
+                (
+                    DataType::Str,
+                    ColumnData::Str(StrColumn::from_iter(unique.iter().map(|s| s.as_str()))),
+                ),
+            ];
+            for (ty, col) in &columns {
+                for scheme in [S::Plain, S::Rle, S::Pfor, S::PforDelta, S::Pdict] {
+                    let payload = compress_with(col, scheme);
+                    seen.insert((ty.name(), S::from_u8(payload[1]).unwrap().name()));
+                    assert_eq!(
+                        &decompress_data(&payload).unwrap(),
+                        col,
+                        "{} {:?} n {}",
+                        ty,
+                        scheme,
+                        n
+                    );
+                    for with_nulls in [false, true] {
+                        let nulls = with_nulls
+                            .then(|| (0..n).map(|i| i == 0 || r.chance(0.2)).collect::<BitVec>());
+                        let want = NullableColumn::new(col.clone(), nulls.clone()).normalize();
+                        let mut block = match &want.nulls {
+                            Some(bits) => [vec![1], bits.to_bytes()].concat(),
+                            None => vec![0],
+                        };
+                        block.extend_from_slice(&payload);
+                        let mut t = TableStorage::new(
+                            Schema::new(vec![Field::nullable("v", *ty)]),
+                            d.clone(),
+                        );
+                        t.row_groups.push(RowGroup {
+                            n_rows: n,
+                            start_row: 0,
+                            columns: vec![ColumnBlock {
+                                encoded_bytes: block.len(),
+                                block: BlockLease::write(&d, block),
+                                n_values: n,
+                                scheme,
+                                minmax: MinMax::None,
+                                has_nulls: want.nulls.is_some(),
+                                raw_bytes: 0,
+                            }],
+                        });
+                        let tag = format!("{} {:?} n {} nulls {}", ty, scheme, n, with_nulls);
+                        assert_eq!(t.read_column(0, 0).unwrap(), want, "{}", tag);
+                    }
+                }
+            }
+        }
+        // The forcing took effect wherever a scheme applies.
+        let ints = [S::Plain, S::Rle, S::Pfor, S::PforDelta];
+        let want: BTreeSet<_> = [
+            (DataType::Bool, &[S::Plain][..]),
+            (DataType::I32, &ints),
+            (DataType::I64, &ints),
+            (DataType::F64, &ints),
+            (DataType::Str, &[S::Plain, S::Pdict]),
+        ]
+        .iter()
+        .flat_map(|(ty, schemes)| schemes.iter().map(|s| (ty.name(), s.name())))
+        .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -11,13 +11,21 @@
 
 use std::time::Instant;
 use vectorwise::storage::{
-    compress_data, decimal_scale_of, decompress_data, ColumnData, NullableColumn, StrColumn,
+    compress_data, decimal_scale_of, decompress_data, ColumnData, CompressionScheme,
+    NullableColumn, StrColumn,
 };
 use vectorwise::tpch::{tpch_schema, TpchGenerator};
 use vectorwise::Value;
 
 fn to_column(ty: vectorwise::DataType, values: Vec<Value>) -> ColumnData {
     NullableColumn::from_values(ty, &values).unwrap().data
+}
+
+/// `compress_data`, checked to decode back to `col`.
+fn roundtrip(col: &ColumnData) -> (CompressionScheme, Vec<u8>) {
+    let (scheme, bytes) = compress_data(col);
+    assert_eq!(&decompress_data(&bytes).unwrap(), col, "{}", scheme.name());
+    (scheme, bytes)
 }
 
 fn main() {
@@ -36,13 +44,12 @@ fn main() {
         let values: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
         let col = to_column(field.ty, values);
         let raw = col.uncompressed_bytes();
-        let (scheme, bytes) = compress_data(&col);
+        let (scheme, bytes) = roundtrip(&col);
         // decompression throughput
         let t = Instant::now();
         let reps = 20;
         for _ in 0..reps {
-            let back = decompress_data(&bytes).unwrap();
-            assert_eq!(back.len(), col.len());
+            assert_eq!(decompress_data(&bytes).unwrap().len(), col.len());
         }
         let dt = t.elapsed().as_secs_f64() / reps as f64;
         let mbps = raw as f64 / dt / 1e6;
@@ -69,16 +76,23 @@ fn main() {
 
     println!("\n== scheme showcase on synthetic shapes ==");
     let sorted_keys = ColumnData::I64((0..100_000).collect());
-    let (s, b) = compress_data(&sorted_keys);
+    let (s, b) = roundtrip(&sorted_keys);
     println!(
         "sorted keys       -> {:<10} ({:.1}x)",
         s.name(),
         800_000.0 / b.len() as f64
     );
     let constants = ColumnData::I64(vec![42; 100_000]);
-    let (s, b) = compress_data(&constants);
+    let (s, b) = roundtrip(&constants);
     println!(
         "constant column   -> {:<10} ({:.0}x)",
+        s.name(),
+        800_000.0 / b.len() as f64
+    );
+    let clustered = ColumnData::F64((0..100_000).map(|i| ((i / 1000) as f64).sqrt()).collect());
+    let (s, b) = roundtrip(&clustered);
+    println!(
+        "clustered doubles -> {:<10} ({:.0}x)",
         s.name(),
         800_000.0 / b.len() as f64
     );
@@ -90,7 +104,7 @@ fn main() {
         }
     })));
     let raw = flags.uncompressed_bytes();
-    let (s, b) = compress_data(&flags);
+    let (s, b) = roundtrip(&flags);
     println!(
         "two-value strings -> {:<10} ({:.1}x)",
         s.name(),
@@ -98,7 +112,7 @@ fn main() {
     );
     let mut r = vectorwise::common::rng::Xoshiro256::seeded(1);
     let noise = ColumnData::I64((0..100_000).map(|_| r.next_u64() as i64).collect());
-    let (s, b) = compress_data(&noise);
+    let (s, b) = roundtrip(&noise);
     println!(
         "incompressible    -> {:<10} ({:.2}x — falls back gracefully)",
         s.name(),

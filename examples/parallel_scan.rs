@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use vectorwise::bufman::{Abm, BlockReader, LruPool};
+use vectorwise::bufman::{Abm, LruPool};
 use vectorwise::storage::{SimDisk, SimDiskConfig};
 use vectorwise::{Database, Value};
 
