@@ -14,7 +14,6 @@
 use vw_common::{Result, Schema, VwError};
 use vw_core::batch::Batch;
 use vw_core::compile::ExecContext;
-use vw_core::mem::MemTracker;
 use vw_core::operators::{
     drain_to_single_batch, BatchSource, BoxedOperator, HashAggregate, HashJoin, Operator,
     VecFilter, VecLimit, VecProject, VecScan, VecSort,
@@ -91,7 +90,6 @@ fn compile_rec(plan: &LogicalPlan, ctx: &ExecContext) -> Result<BoxedOperator> {
                 projection,
                 filter.clone(),
                 ctx.config.vector_size,
-                None,
                 naive,
                 false,
             )?))
@@ -114,10 +112,7 @@ fn compile_rec(plan: &LogicalPlan, ctx: &ExecContext) -> Result<BoxedOperator> {
             let l = compile_rec(left, ctx)?;
             let r = compile_rec(right, ctx)?;
             let mut join = HashJoin::new(l, r, *kind, on.clone(), residual.clone(), naive)?;
-            join.set_mem_tracker(MemTracker::new(ctx.mem.clone()));
-            if let Some(d) = &ctx.spill_disk {
-                join.set_spill_disk(d.clone());
-            }
+            join.set_env(ctx.query_env(None));
             barrier(Box::new(join))
         }
         // The materialized baseline has no streaming merge join; an inner
@@ -127,10 +122,7 @@ fn compile_rec(plan: &LogicalPlan, ctx: &ExecContext) -> Result<BoxedOperator> {
             let l = compile_rec(left, ctx)?;
             let r = compile_rec(right, ctx)?;
             let mut join = HashJoin::new(l, r, JoinKind::Inner, on.clone(), None, naive)?;
-            join.set_mem_tracker(MemTracker::new(ctx.mem.clone()));
-            if let Some(d) = &ctx.spill_disk {
-                join.set_spill_disk(d.clone());
-            }
+            join.set_env(ctx.query_env(None));
             barrier(Box::new(join))
         }
         LogicalPlan::Aggregate {
@@ -148,19 +140,13 @@ fn compile_rec(plan: &LogicalPlan, ctx: &ExecContext) -> Result<BoxedOperator> {
                 ctx.config.vector_size,
                 naive,
             )?;
-            agg.set_mem_tracker(MemTracker::new(ctx.mem.clone()));
-            if let Some(d) = &ctx.spill_disk {
-                agg.set_spill_disk(d.clone());
-            }
+            agg.set_env(ctx.query_env(None));
             barrier(Box::new(agg))
         }
         LogicalPlan::Sort { input, keys } => {
             let child = compile_rec(input, ctx)?;
             let mut sort = VecSort::new(child, keys.clone(), ctx.config.vector_size);
-            sort.set_mem_tracker(MemTracker::new(ctx.mem.clone()));
-            if let Some(d) = &ctx.spill_disk {
-                sort.set_spill_disk(d.clone());
-            }
+            sort.set_env(ctx.query_env(None));
             barrier(Box::new(sort))
         }
         LogicalPlan::Limit {

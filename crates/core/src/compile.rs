@@ -8,18 +8,19 @@
 
 use crate::adapt::AggFeedback;
 use crate::mem::{MemBudget, MemTracker};
-use crate::morsel::{ExecStats, Morsel, MorselQueue, SharedExec};
+use crate::morsel::{ExecStats, SharedExec};
 use crate::operators::perfect;
 use crate::operators::{
     BoxedOperator, Exchange, HashAggregate, HashJoin, MergeJoin, TopN, VecFilter, VecLimit,
     VecProject, VecScan, VecSort,
 };
 use crate::profile::{OpProfile, ProfiledOp};
+use crate::spill::QueryEnv;
 use crate::trace::TraceHandle;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use vw_bufman::{Abm, CoopScanHandle};
+use vw_bufman::Abm;
 use vw_common::config::EngineConfig;
 use vw_common::metrics::{MetricsRegistry, LATENCY_BUCKETS_NS};
 use vw_common::{Result, Schema, TableId, VwError};
@@ -47,10 +48,12 @@ pub struct ExecContext {
     /// on the same plan). Exchange workers all carry `Arc`s to the same
     /// subtree, which is what merges dop>1 stats per plan node.
     pub profile: Option<Arc<OpProfile>>,
-    /// Cooperative-scan buffer manager: when attached, table scans register
-    /// their block sets and fetch through it, so concurrent queries scanning
-    /// the same table share disk bandwidth (system tables are exempt — they
-    /// live on private scratch disks).
+    /// Cooperative-scan buffer manager: when attached, every table scan a
+    /// plan compiles to registers the blocks of its morsel queue when it
+    /// plans the queue on its first `next()`, and fetches through it, so
+    /// concurrent queries scanning the same table share disk bandwidth. A
+    /// scan that never runs registers nothing; system tables are exempt —
+    /// they live on private scratch disks.
     pub buffer: Option<Arc<Abm>>,
     /// Query-wide execution-memory budget. One instance per query, shared by
     /// every operator tracker and every Exchange worker (the context is
@@ -96,9 +99,16 @@ impl ExecContext {
         }
     }
 
-    /// A fresh per-operator tracker charging this query's budget.
-    fn tracker(&self) -> MemTracker {
-        MemTracker::new(self.mem.clone())
+    /// The environment of a spilling operator at plan node `prof`: a fresh
+    /// tracker charging this query's budget, the query's spill disk and
+    /// trace, and the node's wait ledger when profiling.
+    pub fn query_env(&self, prof: Option<&Arc<OpProfile>>) -> QueryEnv {
+        QueryEnv {
+            mem: MemTracker::new(self.mem.clone()),
+            spill_disk: self.spill_disk.clone(),
+            trace: self.trace.clone(),
+            waits: prof.map(|p| p.waits().clone()),
+        }
     }
 
     fn provider(&self, id: TableId) -> Result<&TableProvider> {
@@ -191,16 +201,7 @@ fn compile_rec(
                 join.set_shared_build(shared.build_slot(occ));
             }
             join.set_stats(ctx.stats.clone());
-            join.set_mem_tracker(ctx.tracker());
-            if let Some(d) = &ctx.spill_disk {
-                join.set_spill_disk(d.clone());
-            }
-            if let Some(t) = &ctx.trace {
-                join.set_trace(t.clone());
-            }
-            if let Some(p) = prof {
-                join.set_waits(p.waits().clone());
-            }
+            join.set_env(ctx.query_env(prof));
             Box::new(join)
         }
         LogicalPlan::Aggregate {
@@ -212,16 +213,7 @@ fn compile_rec(
             let child = compile_rec(input, ctx, state, child_prof(0))?;
             let mut agg =
                 HashAggregate::new(child, group_by.clone(), aggs.clone(), *phase, vs, naive)?;
-            agg.set_mem_tracker(ctx.tracker());
-            if let Some(d) = &ctx.spill_disk {
-                agg.set_spill_disk(d.clone());
-            }
-            if let Some(t) = &ctx.trace {
-                agg.set_trace(t.clone());
-            }
-            if let Some(p) = prof {
-                agg.set_waits(p.waits().clone());
-            }
+            agg.set_env(ctx.query_env(prof));
             // Where a group key is a stored column handed up unchanged, its
             // zone maps bound the key domain: integer keys become eligible
             // for the direct-array path. Bool and low-cardinality string
@@ -274,16 +266,7 @@ fn compile_rec(
         LogicalPlan::Sort { input, keys } => {
             let child = compile_rec(input, ctx, state, child_prof(0))?;
             let mut sort = VecSort::new(child, keys.clone(), vs);
-            sort.set_mem_tracker(ctx.tracker());
-            if let Some(d) = &ctx.spill_disk {
-                sort.set_spill_disk(d.clone());
-            }
-            if let Some(t) = &ctx.trace {
-                sort.set_trace(t.clone());
-            }
-            if let Some(p) = prof {
-                sort.set_waits(p.waits().clone());
-            }
+            sort.set_env(ctx.query_env(prof));
             Box::new(sort)
         }
         LogicalPlan::Limit {
@@ -305,16 +288,7 @@ fn compile_rec(
                     let grandchild_prof = child_prof(0).map(|p| p.child(0));
                     let child = compile_rec(sort_input, ctx, state, grandchild_prof)?;
                     let mut topn = TopN::new(child, keys.clone(), *offset, *fetch, vs);
-                    topn.set_mem_tracker(ctx.tracker());
-                    if let Some(d) = &ctx.spill_disk {
-                        topn.set_spill_disk(d.clone());
-                    }
-                    if let Some(t) = &ctx.trace {
-                        topn.set_trace(t.clone());
-                    }
-                    if let Some(p) = prof {
-                        topn.set_waits(p.waits().clone());
-                    }
+                    topn.set_env(ctx.query_env(prof));
                     return Ok(finish_op(Box::new(topn), ctx, prof));
                 }
             }
@@ -357,7 +331,9 @@ fn finish_op(op: BoxedOperator, ctx: &ExecContext, prof: Option<&Arc<OpProfile>>
     }
 }
 
-/// Compile one `LogicalPlan::Scan` node into a [`VecScan`].
+/// Compile one `LogicalPlan::Scan` node into a [`VecScan`]. The scan plans
+/// its morsel queue when it first runs: the Exchange's shared one inside an
+/// Exchange, a private one anywhere else.
 fn compile_scan(
     ctx: &ExecContext,
     state: &mut CompileState,
@@ -372,122 +348,36 @@ fn compile_scan(
         Some(p) => p.clone(),
         None => (0..schema.len()).collect(),
     };
-    // Cooperative scans: user tables register with the ABM when one is
-    // attached; system tables are exempt (they live on scratch SimDisks the
-    // ABM's disk handle knows nothing about).
-    let abm = ctx
-        .buffer
-        .as_ref()
-        .filter(|_| !crate::systab::is_system_table(table_id));
-    let mut coop: Option<CoopScanHandle> = None;
-    let morsels = match &ctx.shared {
-        Some(shared) => {
-            let occ = state.scan_occurrence.entry(table_id).or_insert(0);
-            let key = *occ;
-            *occ += 1;
-            let q = shared.morsel_queue(table_id, key, || {
-                let su = VecScan::plan_units_pruned(
-                    &provider.storage,
-                    &provider.pdt,
-                    &projection,
-                    filter.as_ref(),
-                );
-                // The shared unit list is planned exactly once per
-                // Exchange, so the prune count is recorded here (not
-                // by each worker's scan instance).
-                if let (Some(p), true) = (prof, su.groups_pruned > 0) {
-                    p.add_extra("pruned", su.groups_pruned as u64);
-                }
-                if let (Some(p), true) = (prof, su.partitions_pruned > 0) {
-                    p.add_extra("partitions", su.partitions as u64);
-                    p.add_extra("partitions_pruned", su.partitions_pruned as u64);
-                }
-                Ok((su.units, su.lanes))
-            })?;
-            if let Some(abm) = abm {
-                // ONE registration per queue: every worker gets a clone, so
-                // the ABM's relevance policy sees P threads as one scan whose
-                // progress is the queue's claim counter.
-                coop = Some(q.coop_or_register(|| {
-                    abm.register_scan_with_progress(
-                        coop_blocks(&provider.storage, q.units(), &projection),
-                        Some(q.progress()),
-                    )
-                }));
-            }
-            Some(q)
-        }
-        None => match abm {
-            Some(abm) => {
-                // Serial coop scan: plan the pruned unit list up front so the
-                // registration covers exactly the blocks the scan will touch.
-                let su = VecScan::plan_units_pruned(
-                    &provider.storage,
-                    &provider.pdt,
-                    &projection,
-                    filter.as_ref(),
-                );
-                if let (Some(p), true) = (prof, su.groups_pruned > 0) {
-                    p.add_extra("pruned", su.groups_pruned as u64);
-                }
-                if let (Some(p), true) = (prof, su.partitions_pruned > 0) {
-                    p.add_extra("partitions", su.partitions as u64);
-                    p.add_extra("partitions_pruned", su.partitions_pruned as u64);
-                }
-                let q = MorselQueue::new(su.units);
-                coop =
-                    Some(abm.register_scan(coop_blocks(&provider.storage, q.units(), &projection)));
-                Some(q)
-            }
-            None => None,
-        },
-    };
     let mut scan = VecScan::new(
         provider.storage.clone(),
         provider.pdt.clone(),
         projection,
         filter.clone(),
         ctx.config.vector_size,
-        morsels,
         !ctx.config.rewrite_nulls,
         true,
     )?;
-    if let Some(c) = coop {
-        scan.set_coop(c);
+    if let Some(shared) = &ctx.shared {
+        let occurrence = state.scan_occurrence.entry(table_id).or_insert(0);
+        scan.set_exchange(shared.clone(), table_id, *occurrence, ctx.worker);
+        *occurrence += 1;
+    }
+    // Cooperative scans: user tables read through the ABM when one is
+    // attached; system tables are exempt (they live on scratch SimDisks the
+    // ABM's disk handle knows nothing about).
+    let abm = ctx.buffer.as_ref();
+    if let Some(abm) = abm.filter(|_| !crate::systab::is_system_table(table_id)) {
+        scan.set_buffer(abm.clone());
     }
     if let Some(t) = &ctx.trace {
         scan.set_trace(t.clone());
     }
     if let Some(p) = prof {
-        // Hands the node's WaitStats to the scan AND its coop handle, so
-        // block I/O, slice decodes and morsel contention all land on this
-        // plan node's wait ledger.
+        // The node's WaitStats take the scan's and its coop handle's blocked
+        // time: block I/O, slice decodes and morsel contention.
         scan.set_waits(p.waits().clone());
     }
-    scan.set_worker(ctx.worker);
     Ok(scan)
-}
-
-/// Block ids of every `(scan unit × projected column)` — the registration
-/// set for a cooperative scan. The PDT append tail is memory-resident and
-/// contributes no blocks.
-fn coop_blocks(
-    storage: &Arc<RwLock<TableStorage>>,
-    units: &[Morsel],
-    projection: &[usize],
-) -> Vec<vw_common::BlockId> {
-    let st = storage.read();
-    let mut out = Vec::with_capacity(units.len() * projection.len());
-    for u in units {
-        if let Morsel::Group(g) = u {
-            for &c in projection {
-                if let Ok(b) = st.column_block_id(*g, c) {
-                    out.push(b);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The stored column that output column `col` of `plan` hands up unchanged:

@@ -1474,7 +1474,6 @@ impl Database {
             projection,
             predicate.map(|p| p.remap_columns(&slot)),
             config.vector_size,
-            None,
             !config.rewrite_nulls,
             true,
         )?;

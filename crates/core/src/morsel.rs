@@ -1,15 +1,16 @@
 //! Morsel-driven parallel execution state (shared across Exchange workers).
 //!
-//! The original Exchange gave each worker a static `(worker, P)` modulo slice
-//! of a table's row groups. That partitioning is brittle: one oversized or
-//! unpruned group serializes the whole query behind a single worker, and the
-//! build side of every hash join was re-executed P times. This module holds
-//! the shared state that replaces it, in the spirit of morsel-driven
-//! parallelism (Leis et al., SIGMOD 2014) grafted onto the Vectorwise
-//! Volcano-style Exchange:
+//! Every table scan claims its units from a [`MorselQueue`], planned when
+//! the scan first runs. Inside an Exchange the queue is shared: the P
+//! workers' scans of one plan position pull from it, in the spirit of
+//! morsel-driven parallelism (Leis et al., SIGMOD 2014) grafted onto the
+//! Vectorwise Volcano-style Exchange, instead of owning a static `(worker,
+//! P)` modulo slice of the row groups — one oversized or unpruned group no
+//! longer serializes the query behind a single worker. Any other scan plans
+//! a private queue of one lane. This module holds:
 //!
 //! * [`MorselQueue`] — a work-stealing queue of scan units (row groups + the
-//!   PDT append tail) behind an atomic cursor. Workers claim the next unit
+//!   PDT append tail) behind atomic cursors. Workers claim the next unit
 //!   when they are ready, so skewed group sizes self-balance and every unit
 //!   is scanned exactly once.
 //! * [`SharedBuild`] — a once-cell for a hash join's build side: the first
@@ -23,10 +24,12 @@
 //! * [`ExecStats`] — atomic counters observable from tests ("the build ran
 //!   exactly once", "every morsel was claimed").
 //!
-//! The queue also carries a [`ScanProgress`] counter: registered with the
-//! buffer manager's cooperative scans (`vw_bufman::Abm`), it lets P workers
-//! appear as ONE logical scan whose progress is the number of morsels
-//! claimed, feeding the ABM's relevance/starvation policy.
+//! Every queue carries a [`ScanProgress`] counter and at most one
+//! cooperative-scan registration with the buffer manager
+//! (`vw_bufman::Abm`), whose progress is that counter: the P workers of a
+//! shared queue clone the one registration, so the ABM's relevance and
+//! starvation policy sees them as ONE logical scan whose progress is the
+//! number of morsels claimed.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -85,11 +88,12 @@ struct Lane {
 /// list order; *which worker* gets a unit is decided entirely by runtime
 /// readiness, which is what balances skew.
 ///
-/// For range-partitioned tables the units are split into per-partition
-/// **lanes**. [`MorselQueue::claim_for`] keeps each worker inside its home
+/// For range-partitioned tables an Exchange's queue splits the units into
+/// per-partition **lanes**. [`MorselQueue::claim_for`] keeps each worker inside its home
 /// lane (`worker % lanes`) while it has work — so a worker streams one
 /// device sequentially instead of ping-ponging across disks — and steals
-/// from the next non-drained lane only once its own runs dry.
+/// from the next non-drained lane only once its own runs dry. A private
+/// queue is one lane, so it hands out its units in storage order.
 pub struct MorselQueue {
     units: Vec<Morsel>,
     lanes: Vec<Lane>,
@@ -102,29 +106,15 @@ pub struct MorselQueue {
 }
 
 impl MorselQueue {
-    pub fn new(units: Vec<Morsel>) -> Arc<MorselQueue> {
-        Self::with_progress(units, ScanProgress::new(), None)
-    }
-
-    pub fn with_progress(
+    /// A queue over `units`, split into partition lanes: `lanes` are
+    /// `(start, end)` index ranges into `units`, in order; an empty list is
+    /// one lane over every unit, which hands them out in list order to any
+    /// worker. Claims count into `stats` when given.
+    pub fn new(
         units: Vec<Morsel>,
-        progress: Arc<ScanProgress>,
+        mut lanes: Vec<(usize, usize)>,
         stats: Option<Arc<ExecStats>>,
     ) -> Arc<MorselQueue> {
-        let len = units.len();
-        Self::with_lanes(units, vec![(0, len)], progress, stats)
-    }
-
-    /// A queue whose units are pre-split into partition lanes. `lanes` are
-    /// `(start, end)` index ranges into `units`, in order; an empty or
-    /// single-range list degenerates to the unpartitioned queue.
-    pub fn with_lanes(
-        units: Vec<Morsel>,
-        lanes: Vec<(usize, usize)>,
-        progress: Arc<ScanProgress>,
-        stats: Option<Arc<ExecStats>>,
-    ) -> Arc<MorselQueue> {
-        let mut lanes = lanes;
         if lanes.is_empty() {
             lanes.push((0, units.len()));
         }
@@ -139,15 +129,10 @@ impl MorselQueue {
         Arc::new(MorselQueue {
             units,
             lanes,
-            progress,
+            progress: ScanProgress::new(),
             stats,
             coop: Mutex::new(None),
         })
-    }
-
-    /// Claim the next unclaimed unit; `None` once the queue is drained.
-    pub fn claim(&self) -> Option<Morsel> {
-        self.claim_for(0)
     }
 
     /// Claim for a specific worker: its home partition lane first, stealing
@@ -305,22 +290,18 @@ impl SharedExec {
     }
 
     /// The morsel queue for the `occurrence`-th scan of `table` in the plan,
-    /// creating it from `units` on first touch.
+    /// planned by `plan` on first touch (with this Exchange's counters to
+    /// count claims into).
     pub fn morsel_queue(
         &self,
         table: TableId,
         occurrence: usize,
-        units: impl FnOnce() -> Result<(Vec<Morsel>, Vec<(usize, usize)>)>,
-    ) -> Result<Arc<MorselQueue>> {
+        plan: impl FnOnce(Arc<ExecStats>) -> Arc<MorselQueue>,
+    ) -> Arc<MorselQueue> {
         let mut g = self.morsels.lock();
-        if let Some(q) = g.get(&(table, occurrence)) {
-            return Ok(q.clone());
-        }
-        let (units, lanes) = units()?;
-        let q =
-            MorselQueue::with_lanes(units, lanes, ScanProgress::new(), Some(self.stats.clone()));
-        g.insert((table, occurrence), q.clone());
-        Ok(q)
+        g.entry((table, occurrence))
+            .or_insert_with(|| plan(self.stats.clone()))
+            .clone()
     }
 
     /// The shared build slot for the `occurrence`-th join in the plan.
@@ -337,13 +318,13 @@ mod tests {
     #[test]
     fn queue_hands_each_unit_exactly_once() {
         let units: Vec<Morsel> = (0..100).map(Morsel::Group).collect();
-        let q = MorselQueue::new(units);
+        let q = MorselQueue::new(units, Vec::new(), None);
         let mut handles = Vec::new();
-        for _ in 0..4 {
+        for worker in 0..4 {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some(m) = q.claim() {
+                while let Some(m) = q.claim_for(worker) {
                     got.push(m);
                 }
                 got
@@ -361,19 +342,14 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 100, "a unit was claimed twice");
         assert_eq!(q.progress().get(), 100);
-        assert!(q.claim().is_none());
+        assert!(q.claim_for(0).is_none());
     }
 
     #[test]
     fn lanes_keep_workers_home_until_drained() {
         // 3 lanes of 4 units each.
         let units: Vec<Morsel> = (0..12).map(Morsel::Group).collect();
-        let q = MorselQueue::with_lanes(
-            units,
-            vec![(0, 4), (4, 8), (8, 12)],
-            ScanProgress::new(),
-            None,
-        );
+        let q = MorselQueue::new(units, vec![(0, 4), (4, 8), (8, 12)], None);
         assert_eq!(q.lane_count(), 3);
         // Worker 1 drains its home lane (units 4..8) first.
         let mut w1 = Vec::new();
@@ -473,7 +449,7 @@ mod tests {
             .map(|i| disk.write_block(vec![i as u8; 64]))
             .collect();
         let abm = Abm::new(disk, 1 << 20);
-        let q = MorselQueue::new((0..6).map(Morsel::Group).collect());
+        let q = MorselQueue::new((0..6).map(Morsel::Group).collect(), Vec::new(), None);
         // One logical scan for the whole Exchange gang: the registration's
         // progress IS the queue's claim counter, and worker handles are
         // clones of one registration.
@@ -481,8 +457,8 @@ mod tests {
         let mut workers = [handle.clone(), handle];
         let mut seen = std::collections::HashSet::new();
         'outer: loop {
-            for w in workers.iter_mut() {
-                if q.claim().is_none() {
+            for (worker, w) in workers.iter_mut().enumerate() {
+                if q.claim_for(worker).is_none() {
                     break 'outer;
                 }
                 let (id, _) = w.next().unwrap().expect("block for claimed morsel");
@@ -502,19 +478,17 @@ mod tests {
     fn shared_exec_keys_are_stable() {
         let shared = SharedExec::new(4, Arc::new(ExecStats::default()));
         let t = TableId::new(7);
-        let q1 = shared
-            .morsel_queue(t, 0, || Ok((vec![Morsel::Group(0)], vec![])))
-            .unwrap();
-        let q2 = shared
-            .morsel_queue(t, 0, || panic!("must reuse existing queue"))
-            .unwrap();
+        let plan = |n: usize| {
+            move |stats| MorselQueue::new((0..n).map(Morsel::Group).collect(), vec![], Some(stats))
+        };
+        let q1 = shared.morsel_queue(t, 0, plan(1));
+        let q2 = shared.morsel_queue(t, 0, |_| panic!("must reuse existing queue"));
         assert!(Arc::ptr_eq(&q1, &q2));
-        let other = shared
-            .morsel_queue(t, 1, || {
-                Ok((vec![Morsel::Group(0), Morsel::Group(1)], vec![]))
-            })
-            .unwrap();
+        let other = shared.morsel_queue(t, 1, plan(2));
         assert!(!Arc::ptr_eq(&q1, &other));
+        // Claims on a planned queue count into the Exchange's counters.
+        assert_eq!(other.claim_for(3), Some(Morsel::Group(0)));
+        assert_eq!(shared.stats().morsels_claimed(), 1);
         let b1 = shared.build_slot(0);
         let b2 = shared.build_slot(0);
         assert!(Arc::ptr_eq(&b1, &b2));

@@ -27,22 +27,21 @@
 //! — correct for Single, Partial and Final alike. The reservation is the
 //! table's heap footprint by capacity (buckets, chains, hashes, interned
 //! keys, accumulator columns), trued up after every vector.
+//!
+//! [`MemTracker`]: crate::mem::MemTracker
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::adapt::{AggFeedback, AggShapeKey};
 use crate::batch::{Batch, ExecVector};
-use crate::mem::MemTracker;
-use crate::spill::{read_batch, spill_disk, write_batch};
-use crate::trace::TraceHandle;
+use crate::spill::{read_batch, write_batch, QueryEnv};
 use crate::vexpr::ExprEvaluator;
-use vw_common::waits::WaitStats;
 use vw_common::{DataType, Field, Result, Schema, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::rewrite::parallel::partial_avg_count_columns;
 use vw_plan::{AggExpr, AggFunc};
-use vw_storage::{SimDisk, SpillFile};
+use vw_storage::SpillFile;
 
 use super::hash_table::GroupIndex;
 use super::perfect::{self, Accumulators, KeyCoderSpec, PerfectTable};
@@ -118,18 +117,15 @@ pub struct HashAggregate {
     hidden_in: Vec<(usize, usize)>,
     /// Indices (into `aggs`) of the AVG aggregates, in order.
     avg_idxs: Vec<usize>,
-    mem: MemTracker,
-    disk: Option<Arc<SimDisk>>,
+    /// The query's environment: table spills become trace events, and
+    /// partial-aggregate spill I/O is blocked time.
+    env: QueryEnv,
     /// Spill partitions, created on first pressure.
     partitions: Option<Vec<SpillFile>>,
     /// Partitions still to drain (popped from the back).
     drain: Vec<SpillFile>,
     done: bool,
     output: Vec<Batch>,
-    /// Query trace: table spills become timeline events.
-    trace: Option<TraceHandle>,
-    /// Wait-state sink of the owning plan node (None = profiling off).
-    waits: Option<Arc<WaitStats>>,
     /// Perfect-hash coder plan, when `enable_perfect` accepted the key set.
     perfect_specs: Option<Vec<KeyCoderSpec>>,
     /// The run completed entirely on the perfect-hash path.
@@ -227,14 +223,11 @@ impl HashAggregate {
             vector_size: vector_size.max(1),
             hidden_in,
             avg_idxs,
-            mem: MemTracker::detached(),
-            disk: None,
+            env: QueryEnv::default(),
             partitions: None,
             drain: Vec::new(),
             done: false,
             output: Vec::new(),
-            trace: None,
-            waits: None,
             perfect_specs: None,
             ran_perfect: false,
             perfect_fallback: false,
@@ -244,9 +237,10 @@ impl HashAggregate {
         })
     }
 
-    /// Attach a tracker onto the query's shared memory budget.
-    pub fn set_mem_tracker(&mut self, mem: MemTracker) {
-        self.mem = mem;
+    /// Run in the query's environment: its memory budget, its disk to
+    /// spill to, its trace and the plan node's wait ledger.
+    pub fn set_env(&mut self, env: QueryEnv) {
+        self.env = env;
     }
 
     /// Allow the perfect-hash (direct-array) path when the group-key domain
@@ -295,21 +289,6 @@ impl HashAggregate {
         }
     }
 
-    /// Spill to this disk (the database's SimDisk, so spill I/O is counted).
-    pub fn set_spill_disk(&mut self, disk: Arc<SimDisk>) {
-        self.disk = Some(disk);
-    }
-
-    /// Record table spills into the query trace timeline.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attribute partial-aggregate spill I/O as blocked time.
-    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
-        self.waits = Some(waits);
-    }
-
     fn key_types(&self) -> Vec<DataType> {
         let types = self.group_by.iter();
         types.map(|&g| self.in_schema.field(g).ty).collect()
@@ -338,12 +317,12 @@ impl HashAggregate {
         hidden: &[Option<&ExecVector>],
         force: bool,
     ) -> Result<()> {
-        let timed = self.waits.is_some();
+        let timed = self.env.waits.is_some();
         let (lookup, update) = table.absorb(keys, lanes, combine, args, hidden, timed)?;
         self.stats.lookup_ns += lookup;
         self.stats.update_ns += update;
         let want = table.heap_bytes();
-        if !self.mem.resize(&mut self.table_bytes, want, force) {
+        if !self.env.mem.resize(&mut self.table_bytes, want, force) {
             self.spill_table(table)?;
         }
         Ok(())
@@ -367,7 +346,7 @@ impl HashAggregate {
                 &key_types,
                 &self.aggs,
                 &self.arg_types,
-                &mut self.mem,
+                &mut self.env.mem,
             )
         });
         // A planned-but-refused table (budget said no) is a refusal the
@@ -412,7 +391,7 @@ impl HashAggregate {
                 let partial = t.batch(&t.occupied_slots(), AggPhase::Partial);
                 let reserved = t.reserved_bytes;
                 drop(t);
-                self.mem.shrink(reserved);
+                self.env.mem.shrink(reserved);
                 self.merge_partial_batch(&mut table, &partial, false)?;
             }
 
@@ -430,7 +409,7 @@ impl HashAggregate {
             self.output = chunks.rev().map(|c| t.batch(c, self.phase)).collect();
             let reserved = t.reserved_bytes;
             drop(t);
-            self.mem.shrink(reserved);
+            self.env.mem.shrink(reserved);
             return Ok(());
         }
 
@@ -453,7 +432,7 @@ impl HashAggregate {
         }
         self.feedback_groups(table.groups.len() as u64);
         self.emit(&table);
-        self.mem.shrink(std::mem::take(&mut self.table_bytes));
+        self.env.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
 
@@ -478,7 +457,7 @@ impl HashAggregate {
     /// Write every resident group as a partial row into its hash partition,
     /// then restart the table empty and release its reservation.
     fn spill_table(&mut self, table: &mut GroupTable) -> Result<()> {
-        let disk = spill_disk(&self.disk);
+        let disk = self.env.spill_disk();
         let parts = self.partitions.get_or_insert_with(|| {
             let files = (0..SPILL_PARTITIONS).map(|_| SpillFile::new(disk.clone()));
             files.collect()
@@ -487,7 +466,7 @@ impl HashAggregate {
         for (g, h) in table.groups.table().hashes().iter().enumerate() {
             part_ids[(h >> 61) as usize].push(g as u32);
         }
-        let span = self.trace.as_ref().map(|t| t.start());
+        let span = self.env.trace.as_ref().map(|t| t.start());
         let mut spilled = 0u64;
         for (p, ids) in part_ids
             .iter()
@@ -495,16 +474,16 @@ impl HashAggregate {
             .filter(|(_, ids)| !ids.is_empty())
         {
             let b = table.batch(ids, AggPhase::Partial);
-            let bytes = write_batch(&mut parts[p], &b, self.waits.as_deref())?;
-            self.mem.note_spill(bytes);
+            let bytes = write_batch(&mut parts[p], &b, self.env.waits.as_deref())?;
+            self.env.mem.note_spill(bytes);
             spilled += bytes;
         }
-        if let (Some(t), Some(start)) = (&self.trace, span) {
+        if let (Some(t), Some(start)) = (&self.env.trace, span) {
             t.span_arg("spill write", "spill", start, Some(("bytes", spilled)));
         }
         self.note_table(table);
         *table = self.new_table();
-        self.mem.shrink(std::mem::take(&mut self.table_bytes));
+        self.env.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
 
@@ -536,11 +515,11 @@ impl HashAggregate {
     fn drain_partition(&mut self, file: SpillFile) -> Result<()> {
         let mut table = self.new_table();
         for c in 0..file.chunk_count() {
-            let batch = read_batch(&file, c, self.waits.as_deref())?;
+            let batch = read_batch(&file, c, self.env.waits.as_deref())?;
             self.merge_partial_batch(&mut table, &batch, true)?;
         }
         self.emit(&table);
-        self.mem.shrink(std::mem::take(&mut self.table_bytes));
+        self.env.mem.shrink(std::mem::take(&mut self.table_bytes));
         Ok(())
     }
 }
@@ -585,7 +564,7 @@ impl Operator for HashAggregate {
     }
 
     fn profile_extras(&self) -> Vec<(&'static str, u64)> {
-        let mut ex = vec![("peak_bytes", self.mem.peak())];
+        let mut ex = vec![("peak_bytes", self.env.mem.peak())];
         if self.done {
             if self.ran_perfect {
                 ex.push(("agg_path_perfect", 1));
@@ -600,15 +579,15 @@ impl Operator for HashAggregate {
                 ex.push(("groups", st.groups));
                 ex.push(("ht_slots", st.ht_slots));
                 ex.push(("ht_rehashes", st.ht_rehashes));
-                if self.waits.is_some() {
+                if self.env.waits.is_some() {
                     ex.push(("lookup_ns", st.lookup_ns));
                     ex.push(("update_ns", st.update_ns));
                 }
             }
         }
-        if self.mem.spill_events() > 0 {
-            ex.push(("spill_parts", self.mem.spill_events()));
-            ex.push(("spill_bytes", self.mem.spill_bytes()));
+        if self.env.mem.spill_events() > 0 {
+            ex.push(("spill_parts", self.env.mem.spill_events()));
+            ex.push(("spill_bytes", self.env.mem.spill_bytes()));
         }
         ex
     }
@@ -905,7 +884,6 @@ mod tests {
     /// groups as the unbounded run, for every phase, AVG and NULLs included.
     #[test]
     fn spilled_aggregate_matches_unbounded_all_phases() {
-        use crate::mem::{MemBudget, MemTracker};
         let schema = Schema::new(vec![
             Field::nullable("g", DataType::Str),
             Field::nullable("x", DataType::I64),
@@ -943,9 +921,7 @@ mod tests {
             let src = Box::new(BatchSource::from_rows(schema.clone(), &data, 64).unwrap());
             let mut tiny =
                 HashAggregate::new(src, vec![0], aggs.clone(), phase, 32, false).unwrap();
-            tiny.set_mem_tracker(MemTracker::new(std::sync::Arc::new(MemBudget::new(Some(
-                2048,
-            )))));
+            tiny.set_env(QueryEnv::bounded(2048));
             let got = sorted(collect_rows(&mut tiny).unwrap());
             assert_eq!(got, want, "phase {:?}", phase);
             let extras: std::collections::BTreeMap<_, _> =
@@ -959,7 +935,6 @@ mod tests {
     /// finished output against the in-memory Final run.
     #[test]
     fn spilled_final_phase_matches() {
-        use crate::mem::{MemBudget, MemTracker};
         let aggs = vec![
             agg(AggFunc::CountStar, None, "n"),
             agg(AggFunc::Avg, Some(Expr::col(1)), "a"),
@@ -996,9 +971,7 @@ mod tests {
         let src = Box::new(BatchSource::from_rows(pschema, &partials, 64).unwrap());
         let mut tiny =
             HashAggregate::new(src, vec![0], final_aggs, AggPhase::Final, 32, false).unwrap();
-        tiny.set_mem_tracker(MemTracker::new(std::sync::Arc::new(MemBudget::new(Some(
-            1024,
-        )))));
+        tiny.set_env(QueryEnv::bounded(1024));
         let got = sorted(collect_rows(&mut tiny).unwrap());
         assert_eq!(got, want);
     }

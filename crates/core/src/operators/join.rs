@@ -25,7 +25,7 @@
 use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
 use crate::morsel::{ExecStats, SharedBuild};
-use crate::spill::{batch_bytes, read_batch, spill_disk, write_batch};
+use crate::spill::{batch_bytes, read_batch, write_batch, QueryEnv};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ use std::time::Instant;
 use vw_common::waits::{WaitClass, WaitStats};
 use vw_common::{Result, Schema, VwError};
 use vw_plan::{Expr, JoinKind};
-use vw_storage::{ColumnData, SimDisk, SpillFile};
+use vw_storage::{ColumnData, SpillFile};
 
 use super::hash_table::{hash_keys, null_key_mask, verify_keys, FlatTable};
 use super::{concat_batches, empty_columns, lap, BoxedOperator, Operator};
@@ -60,15 +60,12 @@ pub struct HashJoin {
     /// Whether *this* worker's instance executed the build (vs reusing a
     /// sibling worker's shared build) — surfaced by `EXPLAIN ANALYZE`.
     build_executed: bool,
-    /// Probe-side memory ledger (probe partitioning + loaded partitions).
-    mem: MemTracker,
-    disk: Option<Arc<SimDisk>>,
+    /// The query's environment. Its tracker is the probe side's ledger
+    /// (probe partitioning + loaded partitions); the trace gets build and
+    /// build-wait spans and spill writes.
+    env: QueryEnv,
     /// Probe progress against a spilled build (None until needed).
     grace: Option<GraceProbe>,
-    /// Query trace: build/build-wait spans and spill writes.
-    trace: Option<TraceHandle>,
-    /// Wait-state sink of the owning plan node (None = profiling off).
-    waits: Option<Arc<WaitStats>>,
     /// Lanes of the probe vector in flight, reused across vectors.
     scratch: Scratch,
     prof: JoinProfile,
@@ -155,30 +152,30 @@ impl BuildData {
     }
 
     /// Drain `right` and hash its rows on the `on` keys, reserving against
-    /// `mem` and switching to hash-partitioned spill files under pressure —
-    /// when a batch, or at the end the table over all of them, does not fit.
+    /// `env`'s tracker and switching to hash-partitioned spill files under
+    /// pressure — when a batch, or at the end the table over all of them,
+    /// does not fit.
     fn from_operator(
         right: &mut dyn Operator,
         on: &[(usize, usize)],
-        mut mem: MemTracker,
-        disk: &Option<Arc<SimDisk>>,
-        waits: Option<&WaitStats>,
+        mut env: QueryEnv,
     ) -> Result<BuildData> {
         let key_cols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
         let mut pending: Vec<Batch> = Vec::new();
         let mut parts: Option<Vec<SpillFile>> = None;
         let mut rows_total = 0u64;
         // Go grace: partition everything resident, release its reservation.
-        let mut spill_pending = |pending: &mut Vec<Batch>, mem: &mut MemTracker| {
+        let mut spill_pending = |pending: &mut Vec<Batch>, env: &mut QueryEnv| {
             let files = parts.get_or_insert_with(|| {
-                let d = spill_disk(disk);
+                let d = env.spill_disk();
                 let files = (0..SPILL_PARTITIONS).map(|_| SpillFile::new(d.clone()));
                 files.collect()
             });
             for b in pending.drain(..) {
-                spill_partitioned(&b, &key_cols, false, files, mem, waits, None)?;
+                let waits = env.waits.as_deref();
+                spill_partitioned(&b, &key_cols, false, files, &mut env.mem, waits, None)?;
             }
-            mem.release_all();
+            env.mem.release_all();
             Ok::<bool, VwError>(true)
         };
         let mut spilled = false;
@@ -190,16 +187,16 @@ impl BuildData {
                 continue;
             }
             rows_total += b.rows as u64;
-            let fits = !spilled && mem.try_grow(batch_bytes(&b));
+            let fits = !spilled && env.mem.try_grow(batch_bytes(&b));
             pending.push(b);
             if !fits {
-                spilled = spill_pending(&mut pending, &mut mem)?;
+                spilled = spill_pending(&mut pending, &mut env)?;
             }
         }
         // The table over the resident rows is the last thing that must fit.
         let rows: usize = pending.iter().map(|b| b.rows).sum();
-        if rows > 0 && !mem.try_grow(FlatTable::bytes_for(rows)) {
-            spill_pending(&mut pending, &mut mem)?;
+        if rows > 0 && !env.mem.try_grow(FlatTable::bytes_for(rows)) {
+            spill_pending(&mut pending, &mut env)?;
         }
         let repr = match parts {
             Some(files) => BuildRepr::Spilled(files),
@@ -207,15 +204,15 @@ impl BuildData {
             None => {
                 let batch = concat_batches(pending, right.schema().len());
                 let mt = MemTable::build(batch.columns, batch.rows, on);
-                let mut held = mem.reserved() as usize;
-                mem.resize(&mut held, mt.heap_bytes(), true);
+                let mut held = env.mem.reserved() as usize;
+                env.mem.resize(&mut held, mt.heap_bytes(), true);
                 BuildRepr::Mem(mt)
             }
         };
         Ok(BuildData {
             repr,
             rows: rows_total,
-            mem,
+            mem: env.mem,
         })
     }
 
@@ -354,11 +351,8 @@ impl HashJoin {
             shared: None,
             stats: None,
             build_executed: false,
-            mem: MemTracker::detached(),
-            disk: None,
+            env: QueryEnv::default(),
             grace: None,
-            trace: None,
-            waits: None,
             scratch: Scratch::default(),
             prof: JoinProfile::default(),
         })
@@ -374,37 +368,22 @@ impl HashJoin {
         self.stats = Some(stats);
     }
 
-    /// Charge this operator's memory against a query budget. The build side
-    /// gets its own tracker against the same budget (it may outlive this
-    /// worker's instance when shared across an Exchange).
-    pub fn set_mem_tracker(&mut self, mem: MemTracker) {
-        self.mem = mem;
-    }
-
-    /// Spill target; defaults to a private scratch SimDisk when unset.
-    pub fn set_spill_disk(&mut self, disk: Arc<SimDisk>) {
-        self.disk = Some(disk);
-    }
-
-    /// Record build(-wait) spans and spill writes into the query trace.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attribute build-wait and spill I/O blocked time to `waits`.
-    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
-        self.waits = Some(waits);
+    /// Run in the query's environment. The build side gets a tracker of
+    /// its own on the same budget (it may outlive this worker's instance
+    /// when shared across an Exchange).
+    pub fn set_env(&mut self, env: QueryEnv) {
+        self.env = env;
     }
 
     /// A lap clock, running only while profiling.
     fn clock(&self) -> Option<Instant> {
-        self.waits.as_ref().map(|_| Instant::now())
+        self.env.waits.as_ref().map(|_| Instant::now())
     }
 
     /// Record the shape of a table this instance built or loaded.
     fn note_table(&mut self, mt: &MemTable) {
         self.prof.ht_slots = self.prof.ht_slots.max(mt.table.slots() as u64);
-        if self.waits.is_some() {
+        if self.env.waits.is_some() {
             self.prof.ht_max_chain = self.prof.ht_max_chain.max(mt.table.max_chain());
         }
     }
@@ -413,9 +392,7 @@ impl HashJoin {
         let mut right = self.right.take().expect("build called twice");
         let on = self.on.clone();
         let stats = self.stats.clone();
-        let mem = MemTracker::new(self.mem.budget().clone());
-        let disk = self.disk.clone();
-        let waits = self.waits.clone();
+        let env = self.env.fork();
         let executed = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let executed_in = executed.clone();
         let make = move || {
@@ -423,16 +400,16 @@ impl HashJoin {
             if let Some(s) = &stats {
                 s.note_build();
             }
-            BuildData::from_operator(right.as_mut(), &on, mem, &disk, waits.as_deref())
+            BuildData::from_operator(right.as_mut(), &on, env)
         };
-        let span = self.trace.as_ref().map(|t| t.start());
+        let span = self.env.trace.as_ref().map(|t| t.start());
         let t0 = self.clock();
         let data = match &self.shared {
             Some(slot) => slot.clone().get_or_build(make)?,
             None => Arc::new(make()?),
         };
         self.build_executed = executed.load(std::sync::atomic::Ordering::Relaxed);
-        if let (Some(w), Some(t0)) = (&self.waits, t0) {
+        if let (Some(w), Some(t0)) = (&self.env.waits, t0) {
             // Workers that arrived while a sibling built were *blocked*; the
             // executing worker's time is build compute, not a wait.
             let ns = t0.elapsed().as_nanos() as u64;
@@ -445,7 +422,7 @@ impl HashJoin {
         if let (true, BuildRepr::Mem(mt)) = (self.build_executed, &data.repr) {
             self.note_table(mt);
         }
-        if let (Some(t), Some(start)) = (&self.trace, span) {
+        if let (Some(t), Some(start)) = (&self.env.trace, span) {
             // The same call site is a build on the executing worker and a
             // blocked wait on every worker that arrived while it ran.
             let name = if self.build_executed {
@@ -547,7 +524,7 @@ impl HashJoin {
     /// Drain the probe input into hash partitions aligned with the spilled
     /// build.
     fn init_grace(&mut self) -> Result<GraceProbe> {
-        let d = spill_disk(&self.disk);
+        let d = self.env.spill_disk();
         let mut files: Vec<SpillFile> = (0..SPILL_PARTITIONS)
             .map(|_| SpillFile::new(d.clone()))
             .collect();
@@ -556,8 +533,10 @@ impl HashJoin {
         while let Some(b) = self.left.next()? {
             let b = b.compact();
             if b.rows > 0 {
-                let (waits, trace) = (self.waits.as_deref(), self.trace.as_ref());
-                let mem = &mut self.mem;
+                let QueryEnv {
+                    mem, trace, waits, ..
+                } = &mut self.env;
+                let (waits, trace) = (waits.as_deref(), trace.as_ref());
                 spill_partitioned(&b, &key_cols, keep_null, &mut files, mem, waits, trace)?;
             }
         }
@@ -585,7 +564,7 @@ impl HashJoin {
                 let mut clock = self.clock();
                 let f = &build_files[g.part];
                 let chunks = (0..f.chunk_count())
-                    .map(|ci| read_batch(f, ci, self.waits.as_deref()))
+                    .map(|ci| read_batch(f, ci, self.env.waits.as_deref()))
                     .collect::<Result<Vec<Batch>>>()?;
                 let mt = if chunks.is_empty() {
                     MemTable::empty(&self.right_schema)
@@ -596,7 +575,7 @@ impl HashJoin {
                 // One resident build partition is the join's minimal working
                 // unit — reserve it unconditionally so every plan completes.
                 g.loaded_bytes = mt.heap_bytes();
-                self.mem.force_grow(g.loaded_bytes);
+                self.env.mem.force_grow(g.loaded_bytes);
                 self.note_table(&mt);
                 g.loaded = Some(mt);
                 g.chunk = 0;
@@ -604,12 +583,12 @@ impl HashJoin {
             }
             if g.chunk >= g.probe_parts[g.part].chunk_count() {
                 g.loaded = None;
-                self.mem.shrink(g.loaded_bytes);
+                self.env.mem.shrink(g.loaded_bytes);
                 g.loaded_bytes = 0;
                 g.part += 1;
                 continue;
             }
-            let probe = read_batch(&g.probe_parts[g.part], g.chunk, self.waits.as_deref())?;
+            let probe = read_batch(&g.probe_parts[g.part], g.chunk, self.env.waits.as_deref())?;
             g.chunk += 1;
             if probe.rows == 0 {
                 continue;
@@ -629,8 +608,8 @@ impl Operator for HashJoin {
 
     fn profile_extras(&self) -> Vec<(&'static str, u64)> {
         let mut ex = Vec::new();
-        let mut peak = self.mem.peak();
-        let mut spill_bytes = self.mem.spill_bytes();
+        let mut peak = self.env.mem.peak();
+        let mut spill_bytes = self.env.mem.spill_bytes();
         let mut spill_parts = 0u64;
         match &self.build {
             // Summed per plan node across workers: at dop=N with a shared
@@ -657,7 +636,7 @@ impl Operator for HashJoin {
         if p.ht_slots > 0 {
             ex.push(("ht_slots", p.ht_slots));
         }
-        if self.waits.is_some() {
+        if self.env.waits.is_some() {
             ex.push(("ht_max_chain", p.ht_max_chain));
             ex.push(("build_ns", p.build_ns));
             ex.push(("probe_ns", p.probe_ns));
@@ -928,8 +907,6 @@ mod tests {
 
     // --- grace spill -----------------------------------------------------
 
-    use crate::mem::MemBudget;
-
     /// Probe side: 300 rows, keys 0..150 twice (so every key matches twice
     /// when present on the build side), a NULL key row, and keys ≥ 1000 that
     /// never match. ~One third of build keys have duplicates.
@@ -975,7 +952,7 @@ mod tests {
         let (left, right) = spill_inputs();
         let mut j = HashJoin::new(left, right, kind, vec![(1, 0)], residual, false).unwrap();
         if let Some(b) = budget {
-            j.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(b)))));
+            j.set_env(QueryEnv::bounded(b));
         }
         let rows = sorted(collect_rows(&mut j).unwrap());
         if budget.is_some() {
@@ -1017,7 +994,7 @@ mod tests {
     fn grace_join_reports_spill_in_profile() {
         let (left, right) = spill_inputs();
         let mut j = HashJoin::new(left, right, JoinKind::Inner, vec![(1, 0)], None, false).unwrap();
-        j.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(2048)))));
+        j.set_env(QueryEnv::bounded(2048));
         let _ = collect_rows(&mut j).unwrap();
         let extras: std::collections::HashMap<_, _> = j.profile_extras().into_iter().collect();
         assert!(extras["spill_bytes"] > 0);

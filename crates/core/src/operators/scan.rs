@@ -6,20 +6,27 @@
 //! predicates, slices groups into engine-sized vectors, and evaluates the
 //! pushed-down filter producing selection vectors.
 //!
-//! Parallelism is morsel-driven: inside an Exchange, every worker's scan
-//! pulls units from one shared [`MorselQueue`] instead of owning a static
-//! `g % P == worker` slice. Which worker decodes a group is decided by
+//! Every scan claims its units — row groups, and the PDT append tail — from
+//! a [`MorselQueue`] it plans when it first runs. Planning is the one place
+//! a scan prunes groups, charges their blocks as skipped I/O and registers
+//! with the cooperative-scan buffer manager, so a scan that never runs plans
+//! nothing. Inside an Exchange every worker's scan pulls from one shared
+//! queue, planned by the first worker to claim, instead of owning a static
+//! `g % P == worker` slice: which worker decodes a group is decided by
 //! runtime readiness, so a skewed group-size distribution (one giant group,
 //! many tiny ones) no longer serializes the query behind one thread, and no
-//! worker exits while unclaimed work remains.
+//! worker exits while unclaimed work remains. Any other scan — a serial
+//! plan, a join's build side (compiled by every Exchange worker, run by
+//! one), a DML scan — plans a private queue of one lane, which hands out
+//! its units in storage order.
 //!
 //! Pruning vs PDTs: a row group's MinMax stats describe its stable rows
 //! only, so a group with PDT changes is skipped when the stats exclude a
 //! conjunct *and* no change can add a row that satisfies it — a delete never
 //! can, a modify only by writing the conjunct's column, an insert only by
 //! its own value there. Appended rows (inserts at `sid == stable_rows`) form
-//! a virtual tail group that is never pruned; in morsel mode the tail is one
-//! queue unit claimed by exactly one worker.
+//! a virtual tail group that is never pruned, one queue unit claimed by
+//! exactly one worker.
 //!
 //! Filtering: the filter's conjuncts form one chain, and a conjunct only ever
 //! sees the rows that survived the conjuncts before it. Conjuncts a codec
@@ -46,37 +53,30 @@ use crate::adapt::{
     SCAN_RERANK_VECTORS,
 };
 use crate::batch::{Batch, ExecVector};
-use crate::morsel::{Morsel, MorselQueue};
+use crate::morsel::{Morsel, MorselQueue, SharedExec};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
 use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Instant;
-use vw_bufman::CoopScanHandle;
+use vw_bufman::{Abm, CoopScanHandle};
 use vw_common::like::LikePattern;
 use vw_common::waits::{WaitClass, WaitStats, WaitTimer};
-use vw_common::{DataType, Result, Schema, Value};
+use vw_common::{BlockId, DataType, Result, Schema, TableId, Value};
 use vw_pdt::{Change, Entry, Pdt};
 use vw_plan::{BinOp, Expr};
 use vw_storage::block::{MinMax, PruneOp};
 use vw_storage::{BlockCursor, ColumnData, Pred, PredOp, TableStorage};
 use vw_txn::merge_column;
 
-/// Where the scan's units come from: a private list (serial scan) or the
-/// shared work-stealing queue of the surrounding Exchange.
-enum UnitSource {
-    Local(std::vec::IntoIter<Morsel>),
-    /// Shared queue + this worker's index (its home partition lane).
-    Queue(Arc<MorselQueue>, usize),
-}
-
-impl UnitSource {
-    fn next(&mut self) -> Option<Morsel> {
-        match self {
-            UnitSource::Local(it) => it.next(),
-            UnitSource::Queue(q, worker) => q.claim_for(*worker),
-        }
-    }
+/// A scan inside an Exchange: the gang's registry, the scan's plan
+/// position there (the `occurrence`-th scan of `table`) and the worker it
+/// runs on, whose home partition lane it claims from first.
+struct ExchangeSlot {
+    shared: Arc<SharedExec>,
+    table: TableId,
+    occurrence: usize,
+    worker: usize,
 }
 
 /// A vector whose pushed predicates keep at most one row in this many is
@@ -172,18 +172,25 @@ pub struct VecScan {
     /// The candidate list of the vector in hand.
     cands: Vec<u32>,
     vector_size: usize,
-    units: UnitSource,
+    /// `col <op> literal` conjuncts of the filter, by output column: what
+    /// zone maps and partition bounds can rule groups out on.
+    prune: Vec<(usize, PruneOp, Value)>,
+    /// The queue this scan claims units from, planned on its first `next()`
+    /// by [`VecScan::plan_queue`].
+    queue: Option<Arc<MorselQueue>>,
+    /// Set inside an Exchange: where the gang's shared queue is found.
+    exchange: Option<ExchangeSlot>,
+    /// The cooperative-scan buffer manager to register with, if any.
+    buffer: Option<Arc<Abm>>,
     current: Option<Unit>,
     counters: LazyCounters,
     /// Units this operator instance actually claimed (profiling).
     units_claimed: u64,
-    /// Row groups skipped by zone-map pruning. Set for serial scans; for
-    /// queue scans the count is recorded once at queue creation (the prune
-    /// decision happens when the shared unit list is planned, not per
-    /// worker).
+    /// Row groups skipped by zone maps: when this instance planned the
+    /// queue, and when a pushed predicate ruled out a unit it claimed.
     groups_pruned: u64,
     /// Range partitions of the table / partitions ruled out wholesale by
-    /// range predicates. Same recording rule as `groups_pruned`.
+    /// range predicates, when this instance planned the queue.
     partitions: u64,
     partitions_pruned: u64,
     /// Micro-adaptive ordering of the pushed conjuncts: observed per-vector
@@ -193,8 +200,9 @@ pub struct VecScan {
     adapt: AdaptiveOrder,
     /// Query trace: morsel claims become per-worker instant events.
     trace: Option<TraceHandle>,
-    /// Cooperative-scan registration: when set, block reads go through the
-    /// ABM so overlapping scans of the same table share disk loads.
+    /// Cooperative-scan registration, a clone of the queue's one: when set,
+    /// block reads go through the ABM so overlapping scans of the same table
+    /// share disk loads.
     coop: Option<CoopScanHandle>,
     /// Wait-state sink (the owning plan node's [`WaitStats`]). `None` when
     /// profiling is off — no timestamps are taken then.
@@ -203,46 +211,169 @@ pub struct VecScan {
     rids: Option<Vec<u64>>,
 }
 
-/// A planned scan-unit list plus the zone-map pruning outcome.
-pub struct ScanUnits {
-    pub units: Vec<Morsel>,
-    /// Row groups skipped entirely thanks to MinMax stats (includes the
-    /// groups of range-pruned partitions).
-    pub groups_pruned: usize,
-    /// Range partitions of the table (1 = unpartitioned).
-    pub partitions: usize,
-    /// Partitions eliminated wholesale by range predicates on the
-    /// partitioning column, before any per-group zone-map check.
-    pub partitions_pruned: usize,
-    /// Per-partition `(start, end)` index ranges into `units` — the lanes of
-    /// a partition-aware [`MorselQueue`]. One range when unpartitioned.
-    pub lanes: Vec<(usize, usize)>,
-}
-
 impl VecScan {
-    /// The scan-unit list for one table snapshot: zone-map-pruned row groups
-    /// plus the PDT append tail. This is what a serial scan iterates and what
-    /// an Exchange publishes as the shared [`MorselQueue`].
-    pub fn plan_units(
-        storage: &Arc<RwLock<TableStorage>>,
-        pdt: &Pdt,
-        projection: &[usize],
-        filter: Option<&Expr>,
-    ) -> Vec<Morsel> {
-        Self::plan_units_pruned(storage, pdt, projection, filter).units
+    /// Create a scan. It plans nothing until its first `next()`.
+    ///
+    /// * `projection` — storage columns to produce (output order),
+    /// * `filter` — predicate over the projected schema (optional),
+    /// * `naive_nulls` — use the naive NULL interpreter (experiment E8),
+    /// * `adaptive` — enable micro-adaptive ordering of pushed conjuncts.
+    pub fn new(
+        storage: Arc<RwLock<TableStorage>>,
+        pdt: Arc<Pdt>,
+        projection: Vec<usize>,
+        filter: Option<Expr>,
+        vector_size: usize,
+        naive_nulls: bool,
+        adaptive: bool,
+    ) -> Result<VecScan> {
+        let out_schema = storage.read().schema().project(&projection);
+        let mut parts = Vec::new();
+        if let Some(f) = &filter {
+            vw_plan::rewrite::pushdown::split_conjunction(f, &mut parts);
+        }
+        let prune = parts.iter().filter_map(prunable).collect();
+        // The filter as a chain. The naive mode (experiment E8) models an
+        // engine without compressed execution: nothing is pushed, and every
+        // conjunct runs through the row-at-a-time interpreter.
+        let (mut pushed, mut rest) = (Vec::new(), Vec::new());
+        for e in parts {
+            match pushable_pred(&e, &out_schema).filter(|_| !naive_nulls) {
+                Some((col, pred)) => {
+                    let eval = ExprEvaluator::new(e, &out_schema, naive_nulls)?;
+                    pushed.push(Pushed { col, pred, eval })
+                }
+                None => rest.push(e),
+            }
+        }
+        // Stable: plan order within those that can raise and those that
+        // cannot. No pushable conjunct can.
+        rest.sort_by_key(|e| e.can_raise());
+        let rest = rest
+            .into_iter()
+            .map(|e| ExprEvaluator::new(e, &out_schema, naive_nulls))
+            .collect::<Result<Vec<_>>>()?;
+        // One conjunct can't be reordered; keep the machinery off entirely.
+        let adapt = AdaptiveOrder::new(
+            pushed.len(),
+            SCAN_RERANK_VECTORS,
+            adaptive && pushed.len() > 1,
+        );
+        Ok(VecScan {
+            storage,
+            pdt,
+            projection,
+            out_schema,
+            pushed,
+            rest,
+            cands: Vec::new(),
+            vector_size: vector_size.max(1),
+            prune,
+            queue: None,
+            exchange: None,
+            buffer: None,
+            current: None,
+            counters: LazyCounters::default(),
+            units_claimed: 0,
+            groups_pruned: 0,
+            partitions: 0,
+            partitions_pruned: 0,
+            adapt,
+            trace: None,
+            coop: None,
+            waits: None,
+            rids: None,
+        })
     }
 
-    /// Like [`VecScan::plan_units`], but also reports how many row groups
-    /// zone-map pruning eliminated (surfaced by `EXPLAIN ANALYZE`).
-    pub fn plan_units_pruned(
-        storage: &Arc<RwLock<TableStorage>>,
-        pdt: &Pdt,
-        projection: &[usize],
-        filter: Option<&Expr>,
-    ) -> ScanUnits {
-        let guard = storage.read();
-        // Candidate prune predicates from the filter's conjuncts.
-        let prune = filter.map(prunable_conjuncts).unwrap_or_default();
+    /// Report the RID of every row produced: after each `next()`,
+    /// [`VecScan::rids`] holds one per physical row of the batch.
+    pub fn set_emit_rids(&mut self) {
+        self.rids = Some(Vec::new());
+    }
+
+    /// RIDs of the physical rows of the batch `next()` just returned (its
+    /// selection, if any, indexes this slice like it does the columns).
+    /// Empty unless [`VecScan::set_emit_rids`] was called.
+    pub fn rids(&self) -> &[u64] {
+        self.rids.as_deref().unwrap_or(&[])
+    }
+
+    /// Record morsel claims into the query trace timeline.
+    pub fn set_trace(&mut self, trace: TraceHandle) {
+        self.trace = Some(trace);
+    }
+
+    /// Claim from the shared queue of the surrounding Exchange: the one
+    /// planned for the `occurrence`-th scan of `table` in the plan, starting
+    /// from `worker`'s home partition lane.
+    pub fn set_exchange(
+        &mut self,
+        shared: Arc<SharedExec>,
+        table: TableId,
+        occurrence: usize,
+        worker: usize,
+    ) {
+        self.exchange = Some(ExchangeSlot {
+            shared,
+            table,
+            occurrence,
+            worker,
+        });
+    }
+
+    /// Read blocks through a cooperative-scan buffer manager: the scan
+    /// registers the blocks of its queue when it plans it.
+    pub fn set_buffer(&mut self, abm: Arc<Abm>) {
+        self.buffer = Some(abm);
+    }
+
+    /// Attribute this scan's blocked time (block I/O, slice decodes,
+    /// contention on an Exchange's queue) to `waits`.
+    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
+        self.waits = Some(waits);
+    }
+
+    /// Plan the scan's morsel queue, on its first `next()`: the one place a
+    /// scan prunes row groups, charges their blocks as skipped I/O, records
+    /// the pruning counts and registers with the buffer manager. Inside an
+    /// Exchange, the first worker to get here plans the gang's shared queue,
+    /// split into partition lanes, and the others find it planned; any other
+    /// scan plans a private queue of one lane, which hands out its units in
+    /// storage order. Every scan of a queue takes a clone of the queue's one
+    /// registration, so the ABM sees one logical scan.
+    fn plan_queue(&mut self) -> Arc<MorselQueue> {
+        let slot = self
+            .exchange
+            .as_ref()
+            .map(|x| (x.shared.clone(), x.table, x.occurrence));
+        let queue = match slot {
+            Some((shared, table, occurrence)) => shared.morsel_queue(table, occurrence, |stats| {
+                let (units, lanes) = self.prune_groups();
+                MorselQueue::new(units, lanes, Some(stats))
+            }),
+            None => MorselQueue::new(self.prune_groups().0, Vec::new(), None),
+        };
+        if let Some(abm) = &self.buffer {
+            let mut coop = queue.coop_or_register(|| {
+                let blocks = coop_blocks(&self.storage.read(), queue.units(), &self.projection);
+                abm.register_scan_with_progress(blocks, Some(queue.progress()))
+            });
+            if let Some(w) = &self.waits {
+                coop.set_waits(w.clone());
+            }
+            self.coop = Some(coop);
+        }
+        self.queue = Some(queue.clone());
+        queue
+    }
+
+    /// The units of this table snapshot that zone maps and partition bounds
+    /// leave (row groups, then the PDT append tail), and their partition
+    /// lanes: `(start, end)` index ranges into the units, one per partition.
+    fn prune_groups(&mut self) -> (Vec<Morsel>, Vec<(usize, usize)>) {
+        let (guard, pdt, projection) = (self.storage.read(), &self.pdt, &self.projection);
+        let prune = &self.prune;
         let n_groups = guard.group_count();
         let mut units: Vec<Morsel> = Vec::new();
         let mut groups_pruned = 0usize;
@@ -331,150 +462,10 @@ impl VecScan {
                 l.1 = units.len();
             }
         }
-        if lanes.is_empty() {
-            lanes.push((0, units.len()));
-        }
-        ScanUnits {
-            units,
-            groups_pruned,
-            partitions: nparts,
-            partitions_pruned,
-            lanes,
-        }
-    }
-
-    /// Create a scan.
-    ///
-    /// * `projection` — storage columns to produce (output order),
-    /// * `filter` — predicate over the projected schema (optional),
-    /// * `morsels` — shared work queue when running inside an Exchange
-    ///   worker; `None` for a serial scan over all units,
-    /// * `naive_nulls` — use the naive NULL interpreter (experiment E8),
-    /// * `adaptive` — enable micro-adaptive ordering of pushed conjuncts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        storage: Arc<RwLock<TableStorage>>,
-        pdt: Arc<Pdt>,
-        projection: Vec<usize>,
-        filter: Option<Expr>,
-        vector_size: usize,
-        morsels: Option<Arc<MorselQueue>>,
-        naive_nulls: bool,
-        adaptive: bool,
-    ) -> Result<VecScan> {
-        let out_schema = storage.read().schema().project(&projection);
-        let mut groups_pruned = 0u64;
-        let mut partitions = 0u64;
-        let mut partitions_pruned = 0u64;
-        let units = match morsels {
-            Some(q) => UnitSource::Queue(q, 0),
-            None => {
-                let su = Self::plan_units_pruned(&storage, &pdt, &projection, filter.as_ref());
-                groups_pruned = su.groups_pruned as u64;
-                partitions = su.partitions as u64;
-                partitions_pruned = su.partitions_pruned as u64;
-                UnitSource::Local(su.units.into_iter())
-            }
-        };
-        // The filter as a chain. The naive mode (experiment E8) models an
-        // engine without compressed execution: nothing is pushed, and every
-        // conjunct runs through the row-at-a-time interpreter.
-        let mut parts = Vec::new();
-        if let Some(f) = &filter {
-            vw_plan::rewrite::pushdown::split_conjunction(f, &mut parts);
-        }
-        let (mut pushed, mut rest) = (Vec::new(), Vec::new());
-        for e in parts {
-            match pushable_pred(&e, &out_schema).filter(|_| !naive_nulls) {
-                Some((col, pred)) => {
-                    let eval = ExprEvaluator::new(e, &out_schema, naive_nulls)?;
-                    pushed.push(Pushed { col, pred, eval })
-                }
-                None => rest.push(e),
-            }
-        }
-        // Stable: plan order within those that can raise and those that
-        // cannot. No pushable conjunct can.
-        rest.sort_by_key(|e| e.can_raise());
-        let rest = rest
-            .into_iter()
-            .map(|e| ExprEvaluator::new(e, &out_schema, naive_nulls))
-            .collect::<Result<Vec<_>>>()?;
-        // One conjunct can't be reordered; keep the machinery off entirely.
-        let adapt = AdaptiveOrder::new(
-            pushed.len(),
-            SCAN_RERANK_VECTORS,
-            adaptive && pushed.len() > 1,
-        );
-        Ok(VecScan {
-            storage,
-            pdt,
-            projection,
-            out_schema,
-            pushed,
-            rest,
-            cands: Vec::new(),
-            vector_size: vector_size.max(1),
-            units,
-            current: None,
-            counters: LazyCounters::default(),
-            units_claimed: 0,
-            groups_pruned,
-            partitions,
-            partitions_pruned,
-            adapt,
-            trace: None,
-            coop: None,
-            waits: None,
-            rids: None,
-        })
-    }
-
-    /// Report the RID of every row produced: after each `next()`,
-    /// [`VecScan::rids`] holds one per physical row of the batch.
-    pub fn set_emit_rids(&mut self) {
-        self.rids = Some(Vec::new());
-    }
-
-    /// RIDs of the physical rows of the batch `next()` just returned (its
-    /// selection, if any, indexes this slice like it does the columns).
-    /// Empty unless [`VecScan::set_emit_rids`] was called.
-    pub fn rids(&self) -> &[u64] {
-        self.rids.as_deref().unwrap_or(&[])
-    }
-
-    /// Record morsel claims into the query trace timeline.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Tell a queue-fed scan which Exchange worker it runs on, so claims
-    /// start from that worker's home partition lane. No-op for serial scans.
-    pub fn set_worker(&mut self, worker: usize) {
-        if let UnitSource::Queue(_, w) = &mut self.units {
-            *w = worker;
-        }
-    }
-
-    /// Route block reads through a cooperative-scan registration. Workers of
-    /// one Exchange must pass clones of the SAME handle (one logical scan).
-    pub fn set_coop(&mut self, coop: CoopScanHandle) {
-        self.coop = Some(coop);
-        if let (Some(c), Some(w)) = (&mut self.coop, &self.waits) {
-            c.set_waits(w.clone());
-        }
-    }
-
-    /// Attribute this scan's blocked time (block I/O, slice decodes,
-    /// morsel-queue contention) to `waits`. Call order with [`set_coop`] is
-    /// immaterial: whichever comes second completes the plumbing.
-    ///
-    /// [`set_coop`]: VecScan::set_coop
-    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
-        if let Some(c) = &mut self.coop {
-            c.set_waits(waits.clone());
-        }
-        self.waits = Some(waits);
+        self.groups_pruned += groups_pruned as u64;
+        self.partitions = nparts as u64;
+        self.partitions_pruned = partitions_pruned as u64;
+        (units, lanes)
     }
 
     /// Load the columns of a scan unit, merging PDT changes.
@@ -787,6 +778,23 @@ fn fetch_block(
         .transpose()
 }
 
+/// Block ids of every `(scan unit × projected column)` — the registration
+/// set for a cooperative scan. The PDT append tail is memory-resident and
+/// contributes no blocks.
+fn coop_blocks(storage: &TableStorage, units: &[Morsel], projection: &[usize]) -> Vec<BlockId> {
+    let mut out = Vec::with_capacity(units.len() * projection.len());
+    for u in units {
+        if let Morsel::Group(g) = u {
+            for &c in projection {
+                if let Ok(b) = storage.column_block_id(*g, c) {
+                    out.push(b);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Open (once) and return the cursor of projected column `k`.
 fn cursor_at<'a>(
     storage: &Arc<RwLock<TableStorage>>,
@@ -912,24 +920,16 @@ fn entry_may_match(e: &Entry, col: usize, op: PruneOp, bound: &Value) -> bool {
     !v.is_null() && MinMax::of_value(v).may_match(op, bound)
 }
 
-/// Extract `col <op> literal` conjuncts usable for zone-map pruning.
-fn prunable_conjuncts(filter: &Expr) -> Vec<(usize, PruneOp, Value)> {
-    let mut conjuncts = Vec::new();
-    vw_plan::rewrite::pushdown::split_conjunction(filter, &mut conjuncts);
-    let mut out = Vec::new();
-    for c in conjuncts {
-        if let Expr::Binary { op, l, r } = &c {
-            let mapped = match (&**l, &**r) {
-                (Expr::Col(i), Expr::Lit(v)) => prune_op(*op).map(|p| (*i, p, v.clone())),
-                (Expr::Lit(v), Expr::Col(i)) => prune_op(flip(*op)).map(|p| (*i, p, v.clone())),
-                _ => None,
-            };
-            if let Some(m) = mapped {
-                out.push(m);
-            }
-        }
+/// A `col <op> literal` conjunct, as zone-map pruning uses it.
+fn prunable(conjunct: &Expr) -> Option<(usize, PruneOp, Value)> {
+    let Expr::Binary { op, l, r } = conjunct else {
+        return None;
+    };
+    match (&**l, &**r) {
+        (Expr::Col(i), Expr::Lit(v)) => prune_op(*op).map(|p| (*i, p, v.clone())),
+        (Expr::Lit(v), Expr::Col(i)) => prune_op(flip(*op)).map(|p| (*i, p, v.clone())),
+        _ => None,
     }
-    out
 }
 
 fn prune_op(op: BinOp) -> Option<PruneOp> {
@@ -1009,15 +1009,18 @@ impl super::Operator for VecScan {
     fn next(&mut self) -> Result<Option<Batch>> {
         loop {
             if self.current.is_none() {
-                // Time the claim only for shared queues: contention on the
-                // queue lock is morsel starvation, a local iterator is not.
-                let t = match (&self.units, self.waits.as_deref()) {
-                    (UnitSource::Queue(..), Some(w)) => {
-                        Some(WaitTimer::start(w, WaitClass::Morsel))
-                    }
+                let queue = match &self.queue {
+                    Some(q) => q.clone(),
+                    None => self.plan_queue(),
+                };
+                // Time the claim only on an Exchange's shared queue:
+                // contention there is morsel starvation, while a private
+                // queue has one claimant.
+                let t = match (&self.exchange, self.waits.as_deref()) {
+                    (Some(_), Some(w)) => Some(WaitTimer::start(w, WaitClass::Morsel)),
                     _ => None,
                 };
-                let claimed = self.units.next();
+                let claimed = queue.claim_for(self.exchange.as_ref().map_or(0, |x| x.worker));
                 drop(t);
                 match claimed {
                     Some(unit) => {
@@ -1091,7 +1094,6 @@ mod tests {
             projection,
             filter,
             vs,
-            None,
             false,
             true,
         )
@@ -1116,7 +1118,7 @@ mod tests {
         let pdt = Arc::new(Pdt::new(10));
         let rows = scan_all(&t, &pdt, vec![1, 0], None, 4);
         assert_eq!(rows[3], vec![Value::I64(3), Value::I64(3)]);
-        let s = VecScan::new(t, pdt, vec![1, 0], None, 4, None, false, true).unwrap();
+        let s = VecScan::new(t, pdt, vec![1, 0], None, 4, false, true).unwrap();
         assert_eq!(s.schema().field(0).name, "q");
         assert_eq!(s.schema().field(1).name, "k");
     }
@@ -1184,10 +1186,23 @@ mod tests {
         assert_eq!(rows.len(), 3);
     }
 
-    /// Units the planner keeps for `k <op> bound` over column 0.
-    fn kept_units(t: &Arc<RwLock<TableStorage>>, pdt: &Pdt, op: BinOp, bound: i64) -> Vec<Morsel> {
+    /// How many units the planner keeps for `k <op> bound` over column 0:
+    /// a serial scan claims every unit of its queue.
+    fn kept_units(t: &Arc<RwLock<TableStorage>>, pdt: Pdt, op: BinOp, bound: i64) -> u64 {
         let f = Expr::binary(op, Expr::col(0), Expr::lit(Value::I64(bound)));
-        VecScan::plan_units(t, pdt, &[0, 1], Some(&f))
+        let mut scan = VecScan::new(
+            t.clone(),
+            Arc::new(pdt),
+            vec![0, 1],
+            Some(f),
+            64,
+            false,
+            true,
+        )
+        .unwrap();
+        collect_rows(&mut scan).unwrap();
+        let extras = scan.profile_extras();
+        extras.iter().find(|(k, _)| *k == "morsels").unwrap().1
     }
 
     /// A dirty group is pruned when its zone map excludes the predicate and
@@ -1196,36 +1211,35 @@ mod tests {
     fn dirty_groups_are_pruned_when_no_entry_can_qualify() {
         let t = make_table(300, 100); // k = 0..299 in three groups
         let row = |k: i64| vec![Value::I64(k), Value::I64(0), Value::Null];
-        let only_group_0 = vec![Morsel::Group(0)];
-        let groups_0_and_1 = vec![Morsel::Group(0), Morsel::Group(1)];
+        let (only_group_0, groups_0_and_1) = (1, 2);
 
         // A delete adds no row.
         let mut pdt = Pdt::new(300);
         pdt.delete_at(150).unwrap();
-        assert_eq!(kept_units(&t, &pdt, BinOp::Lt, 50), only_group_0);
+        assert_eq!(kept_units(&t, pdt, BinOp::Lt, 50), only_group_0);
 
         // A modify of another column leaves k inside the zone map.
         let mut pdt = Pdt::new(300);
         pdt.modify_at(150, 1, Value::I64(7)).unwrap();
-        assert_eq!(kept_units(&t, &pdt, BinOp::Lt, 50), only_group_0);
+        assert_eq!(kept_units(&t, pdt, BinOp::Lt, 50), only_group_0);
 
         // A modify of k counts by its new value: 60 does not qualify, NULL
         // never does, 7 does.
         for (new_k, kept) in [
-            (Value::I64(60), &only_group_0),
-            (Value::Null, &only_group_0),
-            (Value::I64(7), &groups_0_and_1),
+            (Value::I64(60), only_group_0),
+            (Value::Null, only_group_0),
+            (Value::I64(7), groups_0_and_1),
         ] {
             let mut pdt = Pdt::new(300);
             pdt.modify_at(150, 0, new_k).unwrap();
-            assert_eq!(&kept_units(&t, &pdt, BinOp::Lt, 50), kept);
+            assert_eq!(kept_units(&t, pdt, BinOp::Lt, 50), kept);
         }
 
         // An insert counts by its own value.
-        for (k, kept) in [(60, &only_group_0), (7, &groups_0_and_1)] {
+        for (k, kept) in [(60, only_group_0), (7, groups_0_and_1)] {
             let mut pdt = Pdt::new(300);
             pdt.insert_at(150, row(k)).unwrap();
-            assert_eq!(&kept_units(&t, &pdt, BinOp::Lt, 50), kept);
+            assert_eq!(kept_units(&t, pdt, BinOp::Lt, 50), kept);
         }
 
         // Pruned or not, the rows are the same as without zone maps.
@@ -1297,7 +1311,6 @@ mod tests {
                     vec![1, 0],
                     filter.clone().map(|f| f.remap_columns(&|c| 1 - c)),
                     vs,
-                    None,
                     false,
                     true,
                 )
@@ -1327,26 +1340,28 @@ mod tests {
         pdt.insert_at(500, vec![Value::I64(9999), Value::I64(0), Value::Null])
             .unwrap();
         let pdt = Arc::new(pdt);
-        // Three scans share one morsel queue — together they must cover every
-        // row (including the append tail) exactly once, whatever the claim
-        // interleaving.
-        let units = VecScan::plan_units(&t, &pdt, &[0], None);
-        assert_eq!(units.len(), 11); // 10 groups + append tail
-        let q = MorselQueue::new(units);
+        // Three workers' scans of one plan position share the Exchange's
+        // queue, planned by whichever claims first — together they must
+        // cover every row (including the append tail) exactly once.
+        let stats = Arc::new(crate::morsel::ExecStats::default());
+        let shared = SharedExec::new(3, stats.clone());
+        let mut scans: Vec<VecScan> = (0..3)
+            .map(|worker| {
+                let mut scan =
+                    VecScan::new(t.clone(), pdt.clone(), vec![0], None, 64, false, true).unwrap();
+                scan.set_exchange(shared.clone(), TableId::new(1), 0, worker);
+                scan
+            })
+            .collect();
         let mut all: Vec<Vec<Value>> = Vec::new();
-        for _ in 0..3 {
-            let mut scan = VecScan::new(
-                t.clone(),
-                pdt.clone(),
-                vec![0],
-                None,
-                64,
-                Some(q.clone()),
-                false,
-                true,
-            )
-            .unwrap();
-            all.extend(collect_rows(&mut scan).unwrap());
+        while !scans.is_empty() {
+            scans.retain_mut(|scan| match scan.next().unwrap() {
+                Some(b) => {
+                    all.extend(b.materialize().to_rows(scan.schema()));
+                    true
+                }
+                None => false,
+            });
         }
         assert_eq!(all.len(), 501);
         let mut keys: Vec<i64> = all
@@ -1359,7 +1374,7 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 501); // disjoint coverage
-        assert_eq!(q.progress().get(), 11); // every unit claimed
+        assert_eq!(stats.morsels_claimed(), 11); // 10 groups + append tail
     }
 
     #[test]
@@ -1386,7 +1401,6 @@ mod tests {
                 vec![0, 1, 2],
                 Some(f),
                 100,
-                None,
                 false,
                 true,
             )
@@ -1416,17 +1430,8 @@ mod tests {
         };
         let coded = |b: &Batch| matches!(b.columns[1].data, ColumnData::Dict(_));
         let clean = Arc::new(Pdt::new(3000));
-        let mut scan = VecScan::new(
-            t.clone(),
-            clean.clone(),
-            vec![0, 2],
-            None,
-            256,
-            None,
-            false,
-            true,
-        )
-        .unwrap();
+        let mut scan =
+            VecScan::new(t.clone(), clean.clone(), vec![0, 2], None, 256, false, true).unwrap();
         let mut rows = 0;
         while let Some(b) = scan.next().unwrap() {
             assert!(coded(&b) && b.rows <= 256);
@@ -1449,7 +1454,6 @@ mod tests {
             vec![0, 2],
             Some(like.clone()),
             256,
-            None,
             false,
             true,
         )
@@ -1463,17 +1467,8 @@ mod tests {
         // The second group dirty: its batches are decoded strings.
         let mut pdt = Pdt::new(3000);
         pdt.modify_at(1500, 1, Value::I64(7)).unwrap();
-        let mut scan = VecScan::new(
-            t,
-            Arc::new(pdt),
-            vec![0, 2],
-            Some(like),
-            256,
-            None,
-            false,
-            true,
-        )
-        .unwrap();
+        let mut scan =
+            VecScan::new(t, Arc::new(pdt), vec![0, 2], Some(like), 256, false, true).unwrap();
         let (mut rows, mut plain) = (0, 0);
         while let Some(b) = scan.next().unwrap() {
             rows += b.len();
@@ -1504,8 +1499,7 @@ mod tests {
         drop(guard);
         let mut pdt = Pdt::new(200);
         pdt.modify_at(150, 1, Value::I64(7)).unwrap();
-        let mut scan =
-            VecScan::new(t, Arc::new(pdt), vec![0, 2], None, 64, None, false, true).unwrap();
+        let mut scan = VecScan::new(t, Arc::new(pdt), vec![0, 2], None, 64, false, true).unwrap();
         let msg = collect_rows(&mut scan).unwrap_err().to_string();
         for part in ["column 'tag'", "row-group 1", "pdict code"] {
             assert!(msg.contains(part), "msg: {}", msg);
@@ -1528,8 +1522,7 @@ mod tests {
                 Expr::binary(BinOp::Le, Expr::col(1), Expr::lit(Value::I64(8))),
                 Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(Value::I64(40))),
             );
-            let mut scan =
-                VecScan::new(t, pdt, vec![0, 1], Some(f), 64, None, false, adaptive).unwrap();
+            let mut scan = VecScan::new(t, pdt, vec![0, 1], Some(f), 64, false, adaptive).unwrap();
             let rows = collect_rows(&mut scan).unwrap();
             let extras = scan.profile_extras();
             let get = |key: &str| {

@@ -17,17 +17,15 @@
 //! so the merge reproduces the in-memory sort's input-order tiebreak exactly.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
-use crate::spill::{batch_bytes, read_batch, spill_disk, write_batch};
-use crate::trace::TraceHandle;
+use crate::spill::{batch_bytes, read_batch, write_batch, QueryEnv};
 use vw_common::waits::WaitStats;
 use vw_common::{DataType, Result, Schema};
 use vw_plan::SortKey;
-use vw_storage::{ColumnData, SimDisk, SpillFile};
+use vw_storage::{ColumnData, SpillFile};
 
 use super::{concat_batches, empty_columns, lap, BatchSource, BoxedOperator, Operator, VecLimit};
 
@@ -280,12 +278,10 @@ pub struct VecSort {
     keys: Vec<SortKey>,
     schema: Schema,
     vector_size: usize,
-    mem: MemTracker,
-    disk: Option<Arc<SimDisk>>,
+    /// The query's environment: run spills become trace events, and their
+    /// reads and writes blocked time.
+    env: QueryEnv,
     state: State,
-    trace: Option<TraceHandle>,
-    /// Wait-state sink of the owning plan node (None = profiling off).
-    waits: Option<Arc<WaitStats>>,
     prof: SortProfile,
 }
 
@@ -309,33 +305,16 @@ impl VecSort {
             keys,
             schema,
             vector_size: vector_size.max(1),
-            mem: MemTracker::detached(),
-            disk: None,
+            env: QueryEnv::default(),
             state: State::Pending,
-            trace: None,
-            waits: None,
             prof: SortProfile::default(),
         }
     }
 
-    /// Attribute run spill reads/writes as blocked time.
-    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
-        self.waits = Some(waits);
-    }
-
-    /// Record run spills into the query trace timeline.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attach a tracker onto the query's shared memory budget.
-    pub fn set_mem_tracker(&mut self, mem: MemTracker) {
-        self.mem = mem;
-    }
-
-    /// Spill to this disk (the database's SimDisk, so spill I/O is counted).
-    pub fn set_spill_disk(&mut self, disk: Arc<SimDisk>) {
-        self.disk = Some(disk);
+    /// Run in the query's environment: its memory budget, its disk to
+    /// spill to, its trace and the plan node's wait ledger.
+    pub fn set_env(&mut self, env: QueryEnv) {
+        self.env = env;
     }
 
     /// The layout of a sort over `batches`: a NULL flag only on the key
@@ -352,7 +331,7 @@ impl VecSort {
     /// `batch`'s row numbers in output order — encode its rows, number them
     /// `0..`, sort — the shared kernel of the in-memory and the run path.
     fn sorted_order(&mut self, batch: &Batch, layout: &KeyLayout) -> Vec<u32> {
-        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
         let s = layout.stride();
         let mut keys = Vec::new();
         layout.encode(&batch.columns, batch.rows, &mut keys);
@@ -369,21 +348,21 @@ impl VecSort {
     /// Sort the buffered batches into one run and spill it. The run's key
     /// buffer is part of the minimal working unit.
     fn flush_run(&mut self, pending: &mut Vec<Batch>, runs: &mut Vec<SpillFile>) -> Result<()> {
-        let span = self.trace.as_ref().map(|t| t.start());
+        let span = self.env.trace.as_ref().map(|t| t.start());
         let layout = self.layout_for(pending);
         let batch = concat_batches(std::mem::take(pending), self.schema.len());
-        self.mem.force_grow(layout.sort_bytes(batch.rows));
+        self.env.mem.force_grow(layout.sort_bytes(batch.rows));
         let order = self.sorted_order(&batch, &layout);
-        let mut file = SpillFile::new(spill_disk(&self.disk));
+        let mut file = SpillFile::new(self.env.spill_disk());
         for chunk in order.chunks(self.vector_size) {
             let chunk = Batch::new(batch.columns.iter().map(|c| c.gather(chunk)).collect());
-            write_batch(&mut file, &chunk, self.waits.as_deref())?;
+            write_batch(&mut file, &chunk, self.env.waits.as_deref())?;
         }
-        self.mem.note_spill(file.bytes());
-        if let (Some(t), Some(start)) = (&self.trace, span) {
+        self.env.mem.note_spill(file.bytes());
+        if let (Some(t), Some(start)) = (&self.env.trace, span) {
             t.span_arg("spill write", "spill", start, Some(("bytes", file.bytes())));
         }
-        self.mem.release_all();
+        self.env.mem.release_all();
         runs.push(file);
         Ok(())
     }
@@ -397,21 +376,21 @@ impl VecSort {
                 continue;
             }
             let bytes = batch_bytes(&b);
-            if !self.mem.try_grow(bytes) {
+            if !self.env.mem.try_grow(bytes) {
                 if !pending.is_empty() {
                     self.flush_run(&mut pending, &mut runs)?;
                 }
-                if !self.mem.try_grow(bytes) {
+                if !self.env.mem.try_grow(bytes) {
                     // A single input batch larger than the whole budget is
                     // the minimal working unit — take it anyway.
-                    self.mem.force_grow(bytes);
+                    self.env.mem.force_grow(bytes);
                 }
             }
             pending.push(b);
         }
         let rows: usize = pending.iter().map(|b| b.rows).sum();
         let layout = self.layout_for(&pending);
-        if runs.is_empty() && self.mem.try_grow(layout.sort_bytes(rows)) {
+        if runs.is_empty() && self.env.mem.try_grow(layout.sort_bytes(rows)) {
             // Never pressured, key buffer included: the in-memory sort.
             let batch = match pending.is_empty() {
                 true => Batch::new(empty_columns(&self.schema)),
@@ -420,8 +399,8 @@ impl VecSort {
             let order = self.sorted_order(&batch, &layout);
             let held =
                 batch.columns.iter().map(|c| c.heap_bytes()).sum::<usize>() + order.capacity() * 4;
-            let mut reserved = self.mem.reserved() as usize;
-            self.mem.resize(&mut reserved, held, true);
+            let mut reserved = self.env.mem.reserved() as usize;
+            self.env.mem.resize(&mut reserved, held, true);
             return Ok(State::InMem {
                 batch,
                 order,
@@ -432,10 +411,10 @@ impl VecSort {
             self.flush_run(&mut pending, &mut runs)?;
         }
         let layout = KeyLayout::new(&self.keys, &self.schema, &vec![true; self.keys.len()]);
-        let waits = self.waits.clone();
+        let QueryEnv { mem, waits, .. } = &mut self.env;
         let cursors = runs
             .into_iter()
-            .map(|file| RunCursor::open(file, &layout, &mut self.mem, waits.as_deref()))
+            .map(|file| RunCursor::open(file, &layout, mem, waits.as_deref()))
             .collect::<Result<Vec<_>>>()?;
         Ok(State::Merge(MergeState { layout, cursors }))
     }
@@ -595,19 +574,19 @@ impl Operator for VecSort {
             State::Merge(m) => m.next_batch(
                 &self.schema,
                 self.vector_size,
-                &mut self.mem,
-                self.waits.as_deref(),
+                &mut self.env.mem,
+                self.env.waits.as_deref(),
             ),
         }
     }
 
     fn profile_extras(&self) -> Vec<(&'static str, u64)> {
-        let mut ex = vec![("peak_bytes", self.mem.peak())];
-        if self.mem.spill_events() > 0 {
-            ex.push(("spill_runs", self.mem.spill_events()));
-            ex.push(("spill_bytes", self.mem.spill_bytes()));
+        let mut ex = vec![("peak_bytes", self.env.mem.peak())];
+        if self.env.mem.spill_events() > 0 {
+            ex.push(("spill_runs", self.env.mem.spill_events()));
+            ex.push(("spill_bytes", self.env.mem.spill_bytes()));
         }
-        self.prof.extras(self.waits.is_some(), &mut ex);
+        self.prof.extras(self.env.waits.is_some(), &mut ex);
         ex
     }
 }
@@ -631,11 +610,8 @@ pub struct TopN {
     vector_size: usize,
     offset: usize,
     n: usize,
-    mem: MemTracker,
-    disk: Option<Arc<SimDisk>>,
-    trace: Option<TraceHandle>,
-    /// Wait-state sink of the owning plan node (None = profiling off).
-    waits: Option<Arc<WaitStats>>,
+    /// The query's environment, handed on whole to the fallback sort.
+    env: QueryEnv,
     state: TopNState,
     fell_back: bool,
     prof: SortProfile,
@@ -700,10 +676,7 @@ impl TopN {
             vector_size: vector_size.max(1),
             offset: offset as usize,
             n,
-            mem: MemTracker::detached(),
-            disk: None,
-            trace: None,
-            waits: None,
+            env: QueryEnv::default(),
             state: TopNState::Pending,
             fell_back: false,
             prof: SortProfile::default(),
@@ -711,26 +684,14 @@ impl TopN {
         }
     }
 
-    /// Attribute fallback-sort spill I/O as blocked time.
-    pub fn set_waits(&mut self, waits: Arc<WaitStats>) {
-        self.waits = Some(waits);
-    }
-
-    pub fn set_mem_tracker(&mut self, mem: MemTracker) {
-        self.mem = mem;
-    }
-
-    pub fn set_spill_disk(&mut self, disk: Arc<SimDisk>) {
-        self.disk = Some(disk);
-    }
-
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Run in the query's environment; the fallback sort inherits it.
+    pub fn set_env(&mut self, env: QueryEnv) {
+        self.env = env;
     }
 
     /// Append to the pool the rows of dense `b` that can still make the cut.
     fn admit(&mut self, pool: &mut Pool, b: &Batch, scratch: &mut Vec<u64>) {
-        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
         // A key column turned out to hold NULLs: it needs a flag bit, so
         // re-encode the pool under the wider layout.
         let nullable = nullable_keys(&self.keys, &b.columns);
@@ -806,13 +767,13 @@ impl TopN {
             self.admit(&mut pool, &b, &mut scratch);
             let want = pool.cols.iter().map(|c| c.heap_bytes()).sum::<usize>()
                 + (pool.keys.capacity() + scratch.capacity()) * 8;
-            if self.mem.resize(&mut held, want, false) {
+            if self.env.mem.resize(&mut held, want, false) {
                 continue;
             }
             // Budget pressure: hand the pool and the rest of the input to an
             // external sort (equal keys are pooled in arrival order, so its
             // stable order is the same).
-            self.mem.shrink(held);
+            self.env.mem.shrink(held);
             self.fell_back = true;
             let pooled = Box::new(BatchSource::new(
                 self.schema.clone(),
@@ -824,21 +785,12 @@ impl TopN {
                 rest: input,
             });
             let mut sort = VecSort::new(chained, self.keys.clone(), self.vector_size);
-            sort.set_mem_tracker(std::mem::replace(&mut self.mem, MemTracker::detached()));
-            if let Some(d) = &self.disk {
-                sort.set_spill_disk(d.clone());
-            }
-            if let Some(t) = &self.trace {
-                sort.set_trace(t.clone());
-            }
-            if let Some(w) = &self.waits {
-                sort.set_waits(w.clone());
-            }
+            sort.set_env(self.env.hand_over());
             let fetch = (self.n - self.offset) as u64;
             let limited = VecLimit::new(Box::new(sort), self.offset as u64, fetch);
             return Ok(TopNState::Fallback(Box::new(limited)));
         }
-        let mut clock = self.waits.as_ref().map(|_| Instant::now());
+        let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
         pool.cut_to(self.n);
         lap(&mut clock, &mut self.prof.sort_ns);
         self.prof.key_bytes = pool.layout.words as u64 * 8;
@@ -896,10 +848,10 @@ impl Operator for TopN {
         if self.fell_back {
             ex.push(("topn_fallback", 1));
         } else {
-            ex.push(("peak_bytes", self.mem.peak()));
+            ex.push(("peak_bytes", self.env.mem.peak()));
         }
         ex.push(("topn_cut_rows", self.cut_rows));
-        self.prof.extras(self.waits.is_some(), &mut ex);
+        self.prof.extras(self.env.waits.is_some(), &mut ex);
         ex
     }
 }
@@ -907,7 +859,6 @@ impl Operator for TopN {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemBudget;
     use crate::operators::{collect_rows, BatchSource};
     use vw_common::{DataType, Field, Value};
 
@@ -1005,7 +956,7 @@ mod tests {
 
         let src = Box::new(BatchSource::from_rows(schema, &rows, 32).unwrap());
         let mut tiny = VecSort::new(src, keys, 64);
-        tiny.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(2048)))));
+        tiny.set_env(QueryEnv::bounded(2048));
         let got = collect_rows(&mut tiny).unwrap();
 
         assert_eq!(got, want, "spilled sort must match in-memory sort exactly");
@@ -1038,7 +989,7 @@ mod tests {
 
         let src = Box::new(BatchSource::from_rows(schema, &rows, 16).unwrap());
         let mut tiny = VecSort::new(src, keys, 50);
-        tiny.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(1024)))));
+        tiny.set_env(QueryEnv::bounded(1024));
         let got = collect_rows(&mut tiny).unwrap();
         assert_eq!(got, want);
     }
@@ -1126,7 +1077,7 @@ mod tests {
         let want = sort_then_limit(schema.clone(), &rows, keys.clone(), 5, 30);
         let src = Box::new(BatchSource::from_rows(schema, &rows, 32).unwrap());
         let mut topn = TopN::new(src, keys, 5, 30, 64);
-        topn.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(512)))));
+        topn.set_env(QueryEnv::bounded(512));
         let got = collect_rows(&mut topn).unwrap();
         assert_eq!(got, want, "fallback path must match sort+limit");
         let extras: std::collections::BTreeMap<_, _> = topn.profile_extras().into_iter().collect();
@@ -1175,7 +1126,7 @@ mod tests {
             let mut topn = TopN::new(src(), keys.clone(), 0, 40, 64);
             assert_eq!(collect_rows(&mut topn).unwrap(), want[..40], "{keys:?}");
             let mut tiny = VecSort::new(src(), keys.clone(), 64);
-            tiny.set_mem_tracker(MemTracker::new(Arc::new(MemBudget::new(Some(16 << 10)))));
+            tiny.set_env(QueryEnv::bounded(16 << 10));
             assert_eq!(collect_rows(&mut tiny).unwrap(), want, "{keys:?}");
         }
     }

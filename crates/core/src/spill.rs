@@ -12,6 +12,8 @@ use vw_common::Result;
 use vw_storage::{SimDisk, SimDiskConfig, SpillCol, SpillFile};
 
 use crate::batch::{Batch, ExecVector};
+use crate::mem::MemTracker;
+use crate::trace::TraceHandle;
 
 /// Estimated resident size of a dense batch: uncompressed column bytes plus
 /// one byte per value of widened NULL indicator.
@@ -58,14 +60,74 @@ pub fn read_batch(file: &SpillFile, i: usize, waits: Option<&WaitStats>) -> Resu
     Ok(b)
 }
 
-/// The spill disk for an operator: the database's SimDisk when compiled
-/// through `ExecContext` (so spill I/O lands in the query's `DiskStats`),
-/// else a lazily created private disk (directly constructed operators in
-/// tests and benches).
-pub fn spill_disk(configured: &Option<Arc<SimDisk>>) -> Arc<SimDisk> {
-    configured
-        .clone()
-        .unwrap_or_else(|| Arc::new(SimDisk::new(SimDiskConfig::default())))
+/// What a spilling operator (hash join, hash aggregate, sort, Top-N) takes
+/// from the query it runs in: its ledger on the query's memory budget, the
+/// disk it spills to, the trace timeline it records spills into and the
+/// wait ledger of its plan node. [`ExecContext::query_env`] builds it for a
+/// compiled operator; the default — a detached tracker, a private scratch
+/// disk on first spill, no trace and no waits (profiling off) — is what a
+/// directly constructed operator runs with.
+///
+/// [`ExecContext::query_env`]: crate::compile::ExecContext::query_env
+pub struct QueryEnv {
+    pub(crate) mem: MemTracker,
+    /// `None` opens a private scratch disk on first spill.
+    pub(crate) spill_disk: Option<Arc<SimDisk>>,
+    pub(crate) trace: Option<TraceHandle>,
+    pub(crate) waits: Option<Arc<WaitStats>>,
+}
+
+impl Default for QueryEnv {
+    fn default() -> Self {
+        QueryEnv {
+            mem: MemTracker::detached(),
+            spill_disk: None,
+            trace: None,
+            waits: None,
+        }
+    }
+}
+
+impl QueryEnv {
+    /// The disk to spill to: the database's, so spill I/O lands in the
+    /// query's `DiskStats`, else a new private one.
+    pub(crate) fn spill_disk(&self) -> Arc<SimDisk> {
+        self.spill_disk
+            .clone()
+            .unwrap_or_else(|| Arc::new(SimDisk::new(SimDiskConfig::default())))
+    }
+
+    /// The same environment with a tracker of its own on the same budget.
+    pub(crate) fn fork(&self) -> QueryEnv {
+        self.with_mem(MemTracker::new(self.mem.budget().clone()))
+    }
+
+    /// The environment handed on to an operator that takes over this one's
+    /// work: this tracker, reservations and all, moves with it.
+    pub(crate) fn hand_over(&mut self) -> QueryEnv {
+        let mem = std::mem::replace(&mut self.mem, MemTracker::detached());
+        self.with_mem(mem)
+    }
+
+    /// The default environment on a budget of its own, capped at `limit`
+    /// bytes (operator unit tests).
+    #[cfg(test)]
+    pub(crate) fn bounded(limit: usize) -> QueryEnv {
+        let budget = crate::mem::MemBudget::new(Some(limit));
+        QueryEnv {
+            mem: MemTracker::new(Arc::new(budget)),
+            ..QueryEnv::default()
+        }
+    }
+
+    fn with_mem(&self, mem: MemTracker) -> QueryEnv {
+        QueryEnv {
+            mem,
+            spill_disk: self.spill_disk.clone(),
+            trace: self.trace.clone(),
+            waits: self.waits.clone(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -85,7 +147,7 @@ mod tests {
             vec![Value::I64(3), Value::Str("".into())],
         ];
         let b = Batch::from_rows(&schema, &rows).unwrap();
-        let mut f = SpillFile::new(spill_disk(&None));
+        let mut f = SpillFile::new(QueryEnv::default().spill_disk());
         let est = batch_bytes(&b);
         let written = write_batch(&mut f, &b, None).unwrap();
         // Strings are length-prefixed rather than offset-encoded, so the
@@ -100,7 +162,7 @@ mod tests {
         let schema = Schema::new(vec![]);
         let b = Batch::from_rows(&schema, &[vec![], vec![]]).unwrap();
         assert_eq!(b.rows, 2);
-        let mut f = SpillFile::new(spill_disk(&None));
+        let mut f = SpillFile::new(QueryEnv::default().spill_disk());
         write_batch(&mut f, &b, None).unwrap();
         let back = read_batch(&f, 0, None).unwrap();
         assert_eq!(back.rows, 2);

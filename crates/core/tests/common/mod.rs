@@ -3,7 +3,7 @@
 use vw_common::config::EngineConfig;
 use vw_common::Value;
 use vw_core::operators::{collect_rows, BoxedOperator, HashAggregate};
-use vw_core::{compile_plan, Database, MemTracker};
+use vw_core::{compile_plan, Database};
 use vw_plan::LogicalPlan;
 
 /// Run `plan` as written (no optimizer) on the vectorized engine under
@@ -33,10 +33,7 @@ pub fn run_generic(
                 !ctx.config.rewrite_nulls,
             )
             .expect("aggregate");
-            agg.set_mem_tracker(MemTracker::new(ctx.mem.clone()));
-            if let Some(d) = &ctx.spill_disk {
-                agg.set_spill_disk(d.clone());
-            }
+            agg.set_env(ctx.query_env(None));
             Box::new(agg)
         }
         _ => compile_plan(plan, &ctx).expect("compile"),

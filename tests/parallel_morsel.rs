@@ -210,3 +210,63 @@ fn filtered_skew_scan_matches_serial() {
         assert_eq!(got, want, "dop={}", dop);
     }
 }
+
+/// Every scan plans its morsel queue once, when it first runs. Each Exchange
+/// worker compiles its own copy of a join's build side, but only one runs
+/// it, so the build-side scan's zone-map pruning — its `pruned` extra and
+/// the bytes charged as skipped — is the same at every dop, with or without
+/// the cooperative-scan buffer manager. A scan outside an Exchange claims
+/// from a private queue, which never times a claim as a `morsel` wait.
+#[test]
+fn build_side_pruning_is_counted_once_at_every_dop() {
+    use vectorwise::common::waits::WaitClass;
+    const N: i64 = 300_000;
+    let sql = "SELECT u.d, COUNT(*), SUM(t.b) FROM t, u \
+               WHERE t.a = u.c AND u.c < 30000 GROUP BY u.d";
+    let mut want = None;
+    for coop in [false, true] {
+        let db = vectorwise::Database::new().unwrap();
+        db.execute("CREATE TABLE t (a BIGINT NOT NULL, b BIGINT NOT NULL)")
+            .unwrap();
+        db.execute("CREATE TABLE u (c BIGINT NOT NULL, d BIGINT NOT NULL)")
+            .unwrap();
+        // `t.a` is scattered, so zone maps prune nothing of `t`; `u.c`
+        // ascends, so `u.c < 30000` prunes every row group of `u` but one.
+        let t_rows = (0..N).map(|i| vec![Value::I64(i * 7919 % N), Value::I64(i)]);
+        db.bulk_load("t", t_rows).unwrap();
+        db.bulk_load("u", (0..N).map(|i| vec![Value::I64(i), Value::I64(i % 7)]))
+            .unwrap();
+        if coop {
+            db.enable_cooperative_scans(64 << 20);
+        }
+        for dop in [1, 2, 4] {
+            db.set_parallelism(dop);
+            let rows = canonical(db.execute(sql).unwrap().rows);
+            let profile = db.profile_last_query().unwrap();
+            let build_scan = profile
+                .nodes()
+                .into_iter()
+                .find(|n| n.label().starts_with("Scan u"))
+                .expect("a scan of u");
+            let pruned = build_scan
+                .extras()
+                .into_iter()
+                .find(|(k, _)| *k == "pruned")
+                .map_or(0, |(_, v)| v);
+            let got = (rows, pruned, profile.disk.bytes_skipped);
+            let tag = format!("dop {dop}, cooperative scans {coop}");
+            assert!(got.1 > 0, "{tag}: nothing of u pruned");
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(&got, w, "{tag}: rows, pruned, bytes skipped"),
+            }
+            if dop == 1 {
+                assert_eq!(
+                    profile.waits.count(WaitClass::Morsel),
+                    0,
+                    "{tag}: a private queue timed a claim"
+                );
+            }
+        }
+    }
+}

@@ -99,17 +99,26 @@ fn all_tpch_queries_byte_identical_across_layouts() {
     // aggregates may differ in the last ULPs — partitioned storage draws
     // different row-group boundaries, so parallel partials combine in a
     // different order (the same tolerance every parallel suite here uses).
-    for dop in [1usize, 4] {
-        plain.set_parallelism(dop);
-        physical.set_parallelism(dop);
-        for (n, plan) in all_queries(&cat) {
-            let a = run_vectorized(&plain, &plan);
-            let b = run_vectorized(&physical, &plan);
-            let what = format!("Q{n} dop={dop}");
-            if dop == 1 {
-                assert_identical(&a, &b, &what);
-            } else {
-                assert_rows_match(&what, &b, &a);
+    // The second round reads the partitioned, ordered tables through the
+    // cooperative-scan buffer manager: a serial scan's private queue still
+    // hands out its row groups in storage order, which sort elision and
+    // merge joins rely on.
+    for coop in [false, true] {
+        if coop {
+            physical.enable_cooperative_scans(64 << 20);
+        }
+        for dop in [1usize, 4] {
+            plain.set_parallelism(dop);
+            physical.set_parallelism(dop);
+            for (n, plan) in all_queries(&cat) {
+                let a = run_vectorized(&plain, &plan);
+                let b = run_vectorized(&physical, &plan);
+                let what = format!("Q{n} dop={dop} cooperative scans {coop}");
+                if dop == 1 {
+                    assert_identical(&a, &b, &what);
+                } else {
+                    assert_rows_match(&what, &b, &a);
+                }
             }
         }
     }
