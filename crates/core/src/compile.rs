@@ -11,8 +11,8 @@ use crate::mem::{MemBudget, MemTracker};
 use crate::morsel::{ExecStats, SharedExec};
 use crate::operators::perfect;
 use crate::operators::{
-    BoxedOperator, Exchange, HashAggregate, HashJoin, MergeJoin, TopN, VecFilter, VecLimit,
-    VecProject, VecScan, VecSort,
+    BoxedOperator, Exchange, HashAggregate, HashJoin, MergeJoin, RuntimeFilters, TopN, VecFilter,
+    VecLimit, VecProject, VecScan, VecSort,
 };
 use crate::profile::{OpProfile, ProfiledOp};
 use crate::spill::QueryEnv;
@@ -129,6 +129,9 @@ impl ExecContext {
 struct CompileState {
     scan_occurrence: HashMap<TableId, usize>,
     join_occurrence: usize,
+    /// The runtime-filter inbox of each probe-side scan still to compile,
+    /// by the address of its plan node.
+    runtime_filters: HashMap<*const LogicalPlan, Arc<RuntimeFilters>>,
 }
 
 /// Compile a logical plan into a vectorized operator tree.
@@ -158,9 +161,13 @@ fn compile_rec(
             projection,
             filter,
             ..
-        } => Box::new(compile_scan(
-            ctx, state, *table_id, schema, projection, filter, prof,
-        )?),
+        } => {
+            let mut scan = compile_scan(ctx, state, *table_id, schema, projection, filter, prof)?;
+            if let Some(inbox) = state.runtime_filters.remove(&(plan as *const _)) {
+                scan.set_runtime_filters(inbox);
+            }
+            Box::new(scan)
+        }
         LogicalPlan::Filter { input, predicate } => {
             let child = compile_rec(input, ctx, state, child_prof(0))?;
             Box::new(VecFilter::with_adaptivity(
@@ -181,6 +188,19 @@ fn compile_rec(
             on,
             residual,
         } => {
+            // Runtime filters: every probe key that the probe side's scan
+            // hands up unchanged can get the key set of the finished build
+            // (the join decides whether it does). The scan is compiled with
+            // the left side, so its inbox goes first.
+            let inbox = Arc::new(RuntimeFilters::default());
+            let mut filter_keys = Vec::new();
+            for (k, &(lc, _)) in on.iter().enumerate() {
+                if let Some((scan, col)) = scan_column(left, lc) {
+                    let scan = scan as *const LogicalPlan;
+                    state.runtime_filters.insert(scan, inbox.clone());
+                    filter_keys.push((k, col));
+                }
+            }
             let l = compile_rec(left, ctx, state, child_prof(0))?;
             // The build (right) side executes ONCE per Exchange: it compiles
             // serial (own state, no shared queues — its scans cover the whole
@@ -202,6 +222,9 @@ fn compile_rec(
             }
             join.set_stats(ctx.stats.clone());
             join.set_env(ctx.query_env(prof));
+            if !filter_keys.is_empty() {
+                join.set_runtime_filters(inbox, filter_keys);
+            }
             Box::new(join)
         }
         LogicalPlan::Aggregate {
@@ -380,30 +403,39 @@ fn compile_scan(
     Ok(scan)
 }
 
-/// The stored column that output column `col` of `plan` hands up unchanged:
-/// through projections that pass it on as a plain column reference (the
-/// shape the binder gives every `GROUP BY` of SQL text) and through filters,
-/// down to the scan.
-fn stored_column(plan: &LogicalPlan, col: usize) -> Option<(TableId, usize)> {
+/// The scan, and its output column, that output column `col` of `plan`
+/// hands up unchanged: through projections that pass it on as a plain
+/// column reference (the shape the binder gives every `GROUP BY` of SQL
+/// text) and through filters.
+fn scan_column(plan: &LogicalPlan, col: usize) -> Option<(&LogicalPlan, usize)> {
     match plan {
-        LogicalPlan::Scan {
-            table_id,
-            projection,
-            ..
-        } => {
-            let stored = match projection {
-                Some(p) => *p.get(col)?,
-                None => col,
-            };
-            Some((*table_id, stored))
-        }
+        LogicalPlan::Scan { .. } => Some((plan, col)),
         LogicalPlan::Project { input, exprs } => match exprs.get(col)?.0 {
-            Expr::Col(c) => stored_column(input, c),
+            Expr::Col(c) => scan_column(input, c),
             _ => None,
         },
-        LogicalPlan::Filter { input, .. } => stored_column(input, col),
+        LogicalPlan::Filter { input, .. } => scan_column(input, col),
         _ => None,
     }
+}
+
+/// The stored column that output column `col` of `plan` hands up unchanged
+/// (see [`scan_column`]).
+fn stored_column(plan: &LogicalPlan, col: usize) -> Option<(TableId, usize)> {
+    let (scan, col) = scan_column(plan, col)?;
+    let LogicalPlan::Scan {
+        table_id,
+        projection,
+        ..
+    } = scan
+    else {
+        unreachable!("scan_column ends at a scan")
+    };
+    let stored = match projection {
+        Some(p) => *p.get(col)?,
+        None => col,
+    };
+    Some((*table_id, stored))
 }
 
 /// The `(min, max)` of an integer-typed stored column, folded from its

@@ -1767,7 +1767,8 @@ fn truncate_sql(s: &str) -> String {
 /// are walked in lockstep: each recordable node that actually ran pairs its
 /// static estimate with the observed row count. Limit subtrees are skipped —
 /// an early cut-off makes every downstream "actual" an artifact of the fetch
-/// count, not of the data.
+/// count, not of the data — and so are counts a join's runtime filters cut
+/// short (see [`rows_without_runtime_filters`]).
 fn record_actuals(
     plan: &LogicalPlan,
     prof: &Arc<OpProfile>,
@@ -1778,14 +1779,45 @@ fn record_actuals(
         return;
     }
     if recordable(plan) && prof.next_calls() > 0 {
-        fb.record(
-            fingerprint(plan),
-            estimate_rows(plan, stats),
-            prof.rows_out() as f64,
-        );
+        if let Some(rows) = rows_without_runtime_filters(plan, prof) {
+            fb.record(fingerprint(plan), estimate_rows(plan, stats), rows as f64);
+        }
     }
     for (i, c) in plan.children().into_iter().enumerate() {
         record_actuals(c, prof.child(i), stats, fb);
+    }
+}
+
+/// The rows a node would have produced without the runtime filters a join
+/// put into the scan below it, which the optimizer knows nothing of. A scan
+/// runs them after its own conjuncts, so that is what it emitted plus what
+/// they dropped. `None` where that count is unknown: a filter above such a
+/// scan never saw the rows they dropped.
+fn rows_without_runtime_filters(plan: &LogicalPlan, prof: &OpProfile) -> Option<u64> {
+    let extra = |key: &str| {
+        let found = prof.extras().into_iter().find(|(k, _)| *k == key);
+        found.map_or(0, |(_, v)| v)
+    };
+    match plan {
+        LogicalPlan::Scan { .. } => Some(prof.rows_out() + extra("rtf_dropped")),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. }
+            if scan_has_runtime_filters(input, prof.child(0)) =>
+        {
+            None
+        }
+        _ => Some(prof.rows_out()),
+    }
+}
+
+/// Did runtime filters run in the scan that `plan` reaches through filters
+/// and projections?
+fn scan_has_runtime_filters(plan: &LogicalPlan, prof: &OpProfile) -> bool {
+    match plan {
+        LogicalPlan::Scan { .. } => prof.extras().iter().any(|&(k, n)| k == "rtf" && n > 0),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            scan_has_runtime_filters(input, prof.child(0))
+        }
+        _ => false,
     }
 }
 

@@ -21,10 +21,20 @@
 //! working unit, force-reserved), stream its probe partition through the
 //! ordinary match/residual/kind pipeline, release, move on. Equal keys hash
 //! equal, so matches can only occur within a partition.
+//!
+//! Runtime filters: an inner or semi join whose probe keys are integer
+//! columns its probe-side scan hands up unchanged derives, from an
+//! in-memory build, the [`KeySet`] of each such key — `[lo, hi]` over the
+//! non-NULL build keys and a bitmap over it when that takes at most 1 MiB —
+//! and leaves it for the scan before pulling the first probe vector. A
+//! probe row outside the set cannot match, so the scan drops it before it
+//! is decoded. LEFT and ANTI joins must see every probe row, and a spilled
+//! build publishes nothing.
 
 use crate::batch::{Batch, ExecVector};
 use crate::mem::MemTracker;
 use crate::morsel::{ExecStats, SharedBuild};
+use crate::operators::RuntimeFilters;
 use crate::spill::{batch_bytes, read_batch, write_batch, QueryEnv};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
@@ -33,7 +43,7 @@ use std::time::Instant;
 use vw_common::waits::{WaitClass, WaitStats};
 use vw_common::{Result, Schema, VwError};
 use vw_plan::{Expr, JoinKind};
-use vw_storage::{ColumnData, SpillFile};
+use vw_storage::{ColumnData, KeySet, SpillFile};
 
 use super::hash_table::{hash_keys, null_key_mask, verify_keys, FlatTable};
 use super::{concat_batches, empty_columns, lap, BoxedOperator, Operator};
@@ -60,6 +70,8 @@ pub struct HashJoin {
     /// Whether *this* worker's instance executed the build (vs reusing a
     /// sibling worker's shared build) — surfaced by `EXPLAIN ANALYZE`.
     build_executed: bool,
+    /// Where the finished build leaves its key sets for the probe side.
+    probe_filters: Option<ProbeFilters>,
     /// The query's environment. Its tracker is the probe side's ledger
     /// (probe partitioning + loaded partitions); the trace gets build and
     /// build-wait spans and spill writes.
@@ -69,6 +81,13 @@ pub struct HashJoin {
     /// Lanes of the probe vector in flight, reused across vectors.
     scratch: Scratch,
     prof: JoinProfile,
+}
+
+/// The probe-side scan's inbox for key sets, and the `(key, scan column)`
+/// pairs to fill it with: `key` indexes `on`.
+struct ProbeFilters {
+    inbox: Arc<RuntimeFilters>,
+    keys: Vec<(usize, usize)>,
 }
 
 /// Key hashes of one probe vector, its `(probe row, build row)` candidate
@@ -138,6 +157,9 @@ enum BuildRepr {
 pub struct BuildData {
     repr: BuildRepr,
     rows: u64,
+    /// `(key, set)`: the key set of `on[key]`'s build column, for each key
+    /// asked for whose column holds integers; none for a spilled build.
+    filters: Vec<(usize, Arc<KeySet>)>,
     mem: MemTracker,
 }
 
@@ -147,6 +169,7 @@ impl BuildData {
         BuildData {
             repr: BuildRepr::Mem(MemTable::empty(&Schema::new(Vec::new()))),
             rows: 0,
+            filters: Vec::new(),
             mem: MemTracker::detached(),
         }
     }
@@ -154,10 +177,12 @@ impl BuildData {
     /// Drain `right` and hash its rows on the `on` keys, reserving against
     /// `env`'s tracker and switching to hash-partitioned spill files under
     /// pressure — when a batch, or at the end the table over all of them,
-    /// does not fit.
+    /// does not fit. An in-memory build also derives the key set of each
+    /// `on` key listed in `filter_keys`.
     fn from_operator(
         right: &mut dyn Operator,
         on: &[(usize, usize)],
+        filter_keys: &[usize],
         mut env: QueryEnv,
     ) -> Result<BuildData> {
         let key_cols: Vec<usize> = on.iter().map(|&(_, rc)| rc).collect();
@@ -209,9 +234,18 @@ impl BuildData {
                 BuildRepr::Mem(mt)
             }
         };
+        let mut filters = Vec::new();
+        if let BuildRepr::Mem(mt) = &repr {
+            for &k in filter_keys {
+                if let Some(set) = key_set(&mt.columns[on[k].1], &mut env.mem) {
+                    filters.push((k, Arc::new(set)));
+                }
+            }
+        }
         Ok(BuildData {
             repr,
             rows: rows_total,
+            filters,
             mem: env.mem,
         })
     }
@@ -219,6 +253,32 @@ impl BuildData {
     /// True if this build spilled to partition files.
     pub fn spilled(&self) -> bool {
         matches!(self.repr, BuildRepr::Spilled(_))
+    }
+}
+
+/// The key set of a build key column: its non-NULL values, compared as i64
+/// exactly as [`verify_keys`] compares integer keys. A bitmap when their
+/// range fits [`KeySet::MAX_BITS`] values and `mem` grants its bytes, else
+/// the bare range. `None` for a column of no integer type.
+fn key_set(col: &ExecVector, mem: &mut MemTracker) -> Option<KeySet> {
+    fn of<I: Iterator<Item = i64>>(keys: impl Fn() -> I, mem: &mut MemTracker) -> KeySet {
+        let (lo, hi) = keys().fold((i64::MAX, i64::MIN), |(l, h), k| (l.min(k), h.max(k)));
+        if lo > hi {
+            return KeySet::empty();
+        }
+        match KeySet::bitmap_bytes(lo, hi) {
+            Some(bytes) if mem.try_grow(bytes) => KeySet::bitmap(lo, hi, keys()),
+            _ => KeySet::range(lo, hi),
+        }
+    }
+    let present = |i: &usize| !col.is_null(*i);
+    match &col.data {
+        ColumnData::I32(v) => Some(of(
+            || (0..v.len()).filter(present).map(|i| v[i] as i64),
+            mem,
+        )),
+        ColumnData::I64(v) => Some(of(|| (0..v.len()).filter(present).map(|i| v[i]), mem)),
+        _ => None,
     }
 }
 
@@ -351,6 +411,7 @@ impl HashJoin {
             shared: None,
             stats: None,
             build_executed: false,
+            probe_filters: None,
             env: QueryEnv::default(),
             grace: None,
             scratch: Scratch::default(),
@@ -361,6 +422,17 @@ impl HashJoin {
     /// Share the build side through `slot` with the other Exchange workers.
     pub fn set_shared_build(&mut self, slot: Arc<SharedBuild>) {
         self.shared = Some(slot);
+    }
+
+    /// Leave, in the probe-side scan's `inbox`, the key set of each `(key,
+    /// scan column)` pair once the build is done: `key` indexes `on`, and
+    /// the scan produces `on[key]`'s probe column as its output column
+    /// `scan column`. Only inner and semi joins take them: LEFT and ANTI
+    /// joins must see every probe row.
+    pub fn set_runtime_filters(&mut self, inbox: Arc<RuntimeFilters>, keys: Vec<(usize, usize)>) {
+        if matches!(self.kind, JoinKind::Inner | JoinKind::Semi) {
+            self.probe_filters = Some(ProbeFilters { inbox, keys });
+        }
     }
 
     /// Record build executions in `stats` (observability for tests).
@@ -391,6 +463,10 @@ impl HashJoin {
     fn build_side(&mut self) -> Result<()> {
         let mut right = self.right.take().expect("build called twice");
         let on = self.on.clone();
+        let filter_keys: Vec<usize> = match &self.probe_filters {
+            Some(pf) => pf.keys.iter().map(|&(k, _)| k).collect(),
+            None => Vec::new(),
+        };
         let stats = self.stats.clone();
         let env = self.env.fork();
         let executed = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -400,7 +476,7 @@ impl HashJoin {
             if let Some(s) = &stats {
                 s.note_build();
             }
-            BuildData::from_operator(right.as_mut(), &on, env)
+            BuildData::from_operator(right.as_mut(), &on, &filter_keys, env)
         };
         let span = self.env.trace.as_ref().map(|t| t.start());
         let t0 = self.clock();
@@ -437,6 +513,14 @@ impl HashJoin {
                     "spill",
                     Some(("bytes", data.mem.spill_bytes())),
                 );
+            }
+        }
+        // Before the first probe vector is pulled: the scan has not run.
+        if let Some(pf) = &self.probe_filters {
+            for &(k, col) in &pf.keys {
+                if let Some((_, set)) = data.filters.iter().find(|(fk, _)| *fk == k) {
+                    pf.inbox.publish(col, set.clone());
+                }
             }
         }
         self.build = Some(data);

@@ -24,7 +24,7 @@ pub use join::{BuildData, HashJoin};
 pub use limit::VecLimit;
 pub use merge_join::MergeJoin;
 pub use project::VecProject;
-pub use scan::VecScan;
+pub use scan::{RuntimeFilters, VecScan};
 pub use sort::{TopN, VecSort};
 
 use crate::batch::{Batch, ExecVector};

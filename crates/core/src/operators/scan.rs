@@ -41,6 +41,20 @@
 //! tail) run the same chain with every conjunct evaluated by the vectorized
 //! kernels.
 //!
+//! Runtime filters: a hash join whose probe side is this scan (reached
+//! through filters and projections that hand the key column up unchanged)
+//! leaves a [`KeySet`] of its finished build's keys in the scan's
+//! [`RuntimeFilters`] before it pulls the first probe vector. The scan takes
+//! them when it first runs, before it plans its queue, and adds them to its
+//! chain as `Pred::InSet` conjuncts: zone maps skip row groups that hold no
+//! key of the build, and rows whose key is not in the set are dropped on the
+//! encoded blocks, so they are never decoded and never probed. They come
+//! after the plan's own conjuncts, so the rows they drop are exactly those
+//! the plan would have produced and the join thrown away: the scan's rows
+//! plus those are what cardinality feedback records. `EXPLAIN ANALYZE` shows
+//! how many the scan took (`rtf`) and how many rows they removed
+//! (`rtf_dropped`).
+//!
 //! Row ids: the rows a unit produces before filtering are consecutive in
 //! the merged image, starting at [`Pdt::first_rid_from`] of the unit's first
 //! stable row — known without touching data. A scan asked to
@@ -56,17 +70,17 @@ use crate::batch::{Batch, ExecVector};
 use crate::morsel::{Morsel, MorselQueue, SharedExec};
 use crate::trace::TraceHandle;
 use crate::vexpr::ExprEvaluator;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 use std::time::Instant;
 use vw_bufman::{Abm, CoopScanHandle};
 use vw_common::like::LikePattern;
 use vw_common::waits::{WaitClass, WaitStats, WaitTimer};
-use vw_common::{BlockId, DataType, Result, Schema, TableId, Value};
+use vw_common::{BlockId, DataType, Result, Schema, TableId, Value, VwError};
 use vw_pdt::{Change, Entry, Pdt};
 use vw_plan::{BinOp, Expr};
 use vw_storage::block::{MinMax, PruneOp};
-use vw_storage::{BlockCursor, ColumnData, Pred, PredOp, TableStorage};
+use vw_storage::{BlockCursor, ColumnData, KeySet, Pred, PredOp, RowGroup, TableStorage};
 use vw_txn::merge_column;
 
 /// A scan inside an Exchange: the gang's registry, the scan's plan
@@ -98,8 +112,38 @@ struct Pushed {
     /// encoded blocks.
     col: usize,
     pred: Pred,
-    /// The same conjunct over decoded vectors, for units decoded whole.
-    eval: ExprEvaluator,
+    /// The same conjunct over decoded vectors, for units decoded whole;
+    /// `None` for a runtime filter, which has no expression.
+    eval: Option<ExprEvaluator>,
+}
+
+impl Pushed {
+    /// The conjunct over a decoded batch: a chain step like
+    /// [`ExprEvaluator::narrow`], returning the survivors' count.
+    fn narrow(&self, batch: &mut Batch) -> Result<usize> {
+        match (&self.eval, &self.pred) {
+            (Some(e), _) => e.narrow(batch),
+            (None, Pred::InSet(set)) => narrow_by_set(batch, self.col, set),
+            (None, _) => Err(VwError::Exec("pushed conjunct without evaluator".into())),
+        }
+    }
+}
+
+/// Where a hash join leaves the key sets of its finished build for its
+/// probe-side scan: `(output column of the scan, set)` pairs, taken by the
+/// scan when it first runs.
+#[derive(Default)]
+pub struct RuntimeFilters(Mutex<Vec<(usize, Arc<KeySet>)>>);
+
+impl RuntimeFilters {
+    /// Hand the scan a key set on its output column `col`.
+    pub fn publish(&self, col: usize, set: Arc<KeySet>) {
+        self.0.lock().push((col, set));
+    }
+
+    fn take(&self) -> Vec<(usize, Arc<KeySet>)> {
+        std::mem::take(&mut self.0.lock())
+    }
 }
 
 /// The unit the scan is currently draining, vector by vector.
@@ -131,9 +175,10 @@ struct LazyGroup {
     cursors: Vec<Option<BlockCursor>>,
     /// Encoded size per projected column (skipped-bytes accounting).
     enc_bytes: Vec<u64>,
-    /// Per pushed conjunct (by conjunct id): does this group still have to
-    /// evaluate it, or did its zone map already say every row passes?
-    /// Evaluation order is decided per vector, not here.
+    /// Per pushed conjunct (by conjunct id; the runtime filters follow the
+    /// plan's conjuncts): does this group still have to evaluate it, or did
+    /// its zone map already say every row passes? Evaluation order is
+    /// decided per vector, not here.
     live: Vec<bool>,
 }
 
@@ -155,6 +200,9 @@ struct LazyCounters {
     pred_ns: u64,
     decode_ns: u64,
     residual_ns: u64,
+    /// Rows the runtime filters removed: those of the row groups their zone
+    /// maps ruled out, and those that failed them.
+    rtf_dropped: u64,
 }
 
 /// The vectorized scan operator.
@@ -169,6 +217,15 @@ pub struct VecScan {
     /// plan order, those that can raise an error last.
     pushed: Vec<Pushed>,
     rest: Vec<ExprEvaluator>,
+    /// The probing join's key sets, installed when the scan first runs and
+    /// evaluated after the plan's conjuncts — on the encoded blocks when
+    /// `rest` is empty, else on the decoded batch; their conjunct ids follow
+    /// those of `pushed`.
+    runtime: Vec<Pushed>,
+    runtime_inbox: Option<Arc<RuntimeFilters>>,
+    /// The naive mode of experiment E8: nothing is pushed, runtime filters
+    /// included.
+    naive: bool,
     /// The candidate list of the vector in hand.
     cands: Vec<u32>,
     vector_size: usize,
@@ -240,7 +297,7 @@ impl VecScan {
         for e in parts {
             match pushable_pred(&e, &out_schema).filter(|_| !naive_nulls) {
                 Some((col, pred)) => {
-                    let eval = ExprEvaluator::new(e, &out_schema, naive_nulls)?;
+                    let eval = Some(ExprEvaluator::new(e, &out_schema, naive_nulls)?);
                     pushed.push(Pushed { col, pred, eval })
                 }
                 None => rest.push(e),
@@ -266,6 +323,9 @@ impl VecScan {
             out_schema,
             pushed,
             rest,
+            runtime: Vec::new(),
+            runtime_inbox: None,
+            naive: naive_nulls,
             cands: Vec::new(),
             vector_size: vector_size.max(1),
             prune,
@@ -334,6 +394,31 @@ impl VecScan {
         self.waits = Some(waits);
     }
 
+    /// Take the key sets a probing hash join leaves in `inbox`: the scan
+    /// installs what is there when it first runs.
+    pub fn set_runtime_filters(&mut self, inbox: Arc<RuntimeFilters>) {
+        self.runtime_inbox = Some(inbox);
+    }
+
+    /// Install the key sets handed over, on integer columns only (they
+    /// compare as i64), unless nothing is pushed at all (E8's naive mode).
+    fn install_runtime_filters(&mut self) {
+        let Some(inbox) = self.runtime_inbox.take() else {
+            return;
+        };
+        for (col, set) in inbox.take() {
+            let ty = self.out_schema.field(col).ty;
+            if !self.naive && matches!(ty, DataType::I32 | DataType::I64 | DataType::Date) {
+                let pred = Pred::InSet(set);
+                self.runtime.push(Pushed {
+                    col,
+                    pred,
+                    eval: None,
+                });
+            }
+        }
+    }
+
     /// Plan the scan's morsel queue, on its first `next()`: the one place a
     /// scan prunes row groups, charges their blocks as skipped I/O, records
     /// the pruning counts and registers with the buffer manager. Inside an
@@ -343,6 +428,7 @@ impl VecScan {
     /// storage order. Every scan of a queue takes a clone of the queue's one
     /// registration, so the ABM sees one logical scan.
     fn plan_queue(&mut self) -> Arc<MorselQueue> {
+        self.install_runtime_filters();
         let slot = self
             .exchange
             .as_ref()
@@ -374,6 +460,7 @@ impl VecScan {
     fn prune_groups(&mut self) -> (Vec<Morsel>, Vec<(usize, usize)>) {
         let (guard, pdt, projection) = (self.storage.read(), &self.pdt, &self.projection);
         let prune = &self.prune;
+        let mut rtf_dropped = 0u64;
         let n_groups = guard.group_count();
         let mut units: Vec<Morsel> = Vec::new();
         let mut groups_pruned = 0usize;
@@ -440,6 +527,15 @@ impl VecScan {
                     continue;
                 }
             }
+            if !dirty && self.runtime_prunes(grp) {
+                groups_pruned += 1;
+                rtf_dropped += grp.n_rows as u64;
+                let d = guard.partition_disk(guard.partition_of_group(g));
+                for &c in projection {
+                    d.note_skipped(grp.columns[c].encoded_bytes as u64);
+                }
+                continue;
+            }
             if nparts > 1 {
                 let p = guard.partition_of_group(g);
                 if lane_part != Some(p) {
@@ -463,9 +559,25 @@ impl VecScan {
             }
         }
         self.groups_pruned += groups_pruned as u64;
+        self.counters.rtf_dropped += rtf_dropped;
         self.partitions = nparts as u64;
         self.partitions_pruned = partitions_pruned as u64;
         (units, lanes)
+    }
+
+    /// Does a runtime filter rule out clean group `grp` by its zone map,
+    /// while the zone maps also say the plan's conjuncts keep every row
+    /// there? Only then is the group skipped for it: the rows it drops —
+    /// all of the group's — are known, and counted, without reading a block.
+    fn runtime_prunes(&self, grp: &RowGroup) -> bool {
+        let verdict = |c: &Pushed| {
+            let cb = &grp.columns[self.projection[c.col]];
+            c.pred.decide(&cb.minmax, cb.has_nulls)
+        };
+        !self.runtime.is_empty()
+            && self.rest.is_empty()
+            && self.pushed.iter().all(|c| verdict(c) == Some(true))
+            && self.runtime.iter().any(|c| verdict(c) == Some(false))
     }
 
     /// Load the columns of a scan unit, merging PDT changes.
@@ -553,23 +665,34 @@ impl VecScan {
         if grp.n_rows == 0 {
             return Ok(None);
         }
-        let mut live = vec![true; self.pushed.len()];
-        for (cid, c) in self.pushed.iter().enumerate() {
+        let np = self.pushed.len();
+        let mut live = vec![true; np + self.runtime.len()];
+        let verdicts = self.pushed.iter().chain(&self.runtime).map(|c| {
             let cb = &grp.columns[self.projection[c.col]];
-            match c.pred.decide(&cb.minmax, cb.has_nulls) {
-                Some(false) => {
-                    // The blocks live on the group's partition shard.
-                    let disk = guard.partition_disk(guard.partition_of_group(g));
-                    for &c in &self.projection {
-                        disk.note_skipped(grp.columns[c].encoded_bytes as u64);
-                    }
-                    drop(guard);
-                    self.groups_pruned += 1;
-                    return Ok(None);
-                }
+            c.pred.decide(&cb.minmax, cb.has_nulls)
+        });
+        let mut skip = false;
+        for (cid, verdict) in verdicts.enumerate() {
+            match verdict {
+                // A runtime filter skips the group only where `runtime_prunes`
+                // lets it; otherwise it drops the rows one by one.
+                Some(false) if cid < np => skip = true,
                 Some(true) => live[cid] = false,
-                None => {}
+                _ => {}
             }
+        }
+        if skip || self.runtime_prunes(grp) {
+            if !skip {
+                self.counters.rtf_dropped += grp.n_rows as u64;
+            }
+            // The blocks live on the group's partition shard.
+            let disk = guard.partition_disk(guard.partition_of_group(g));
+            for &c in &self.projection {
+                disk.note_skipped(grp.columns[c].encoded_bytes as u64);
+            }
+            drop(guard);
+            self.groups_pruned += 1;
+            return Ok(None);
         }
         let enc_bytes = self
             .projection
@@ -618,14 +741,25 @@ impl VecScan {
         let mut batch = Batch::new(slice);
         batch.rows = n;
         // The chain of a clean group, the pushed conjuncts in the same
-        // learned order, every one over decoded vectors.
+        // learned order, every one over decoded vectors, then the runtime
+        // filters.
         let mut clock = self.waits.as_ref().map(|_| Instant::now());
-        let pushed = self.adapt.order().iter().map(|&cid| &self.pushed[cid].eval);
-        for conjunct in pushed.chain(&self.rest) {
-            if conjunct.narrow(&mut batch)? == 0 {
+        let pushed = self.adapt.order().iter().map(|&cid| &self.pushed[cid]);
+        let mut rows = n;
+        for c in pushed {
+            rows = c.narrow(&mut batch)?;
+            if rows == 0 {
                 break;
             }
         }
+        if rows > 0 {
+            for conjunct in &self.rest {
+                if conjunct.narrow(&mut batch)? == 0 {
+                    break;
+                }
+            }
+        }
+        self.narrow_runtime(&mut batch)?;
         lap(&mut clock, &mut self.counters.residual_ns);
         Ok((!batch.is_empty()).then_some(batch))
     }
@@ -654,12 +788,27 @@ impl VecScan {
         // One clock reading per conjunct serves the step's total and, when
         // the order adapts, each conjunct's cost.
         let mut clock = (profiled || self.adapt.enabled()).then(Instant::now);
-        for at in 0..self.pushed.len() {
-            let cid = self.adapt.order()[at];
+        // The plan's conjuncts in their learned order, then the runtime
+        // filters — here when no conjunct needs the decoded batch, else
+        // after those (`narrow_runtime`).
+        let np = self.pushed.len();
+        let nr = if self.rest.is_empty() {
+            self.runtime.len()
+        } else {
+            0
+        };
+        for at in 0..np + nr {
+            let (cid, conjunct) = match at.checked_sub(np) {
+                None => {
+                    let cid = self.adapt.order()[at];
+                    (cid, &self.pushed[cid])
+                }
+                Some(k) => (at, &self.runtime[k]),
+            };
             if !lg.live[cid] {
                 continue; // every row of this group passes it
             }
-            let Pushed { col, pred, .. } = &self.pushed[cid];
+            let Pushed { col, pred, .. } = conjunct;
             let cur = cursor_at(
                 &self.storage,
                 self.coop.as_ref(),
@@ -681,7 +830,11 @@ impl VecScan {
             let mut ns = 0;
             lap(&mut clock, &mut ns);
             ctr.pred_ns += ns;
-            self.adapt.observe(cid, rows_in, self.cands.len(), ns);
+            if cid < np {
+                self.adapt.observe(cid, rows_in, self.cands.len(), ns);
+            } else {
+                ctr.rtf_dropped += (rows_in - self.cands.len()) as u64;
+            }
             if self.cands.is_empty() {
                 break;
             }
@@ -741,15 +894,32 @@ impl VecScan {
                 batch.sel = Some(std::mem::take(&mut self.cands));
             }
         }
-        for conjunct in &self.rest {
-            if conjunct.narrow(&mut batch)? == 0 {
-                break;
+        if !self.rest.is_empty() {
+            for conjunct in &self.rest {
+                if conjunct.narrow(&mut batch)? == 0 {
+                    break;
+                }
             }
+            self.narrow_runtime(&mut batch)?;
         }
         if profiled {
             lap(&mut clock, &mut self.counters.residual_ns);
         }
         Ok((!batch.is_empty()).then_some(batch))
+    }
+
+    /// The runtime filters over a decoded batch that every conjunct of the
+    /// plan has narrowed, counting the rows they drop.
+    fn narrow_runtime(&mut self, batch: &mut Batch) -> Result<()> {
+        for c in &self.runtime {
+            let rows_in = batch.len();
+            if rows_in == 0 {
+                break;
+            }
+            let kept = c.narrow(batch)?;
+            self.counters.rtf_dropped += (rows_in - kept) as u64;
+        }
+        Ok(())
     }
 
     /// Account the blocks a finished lazy group never opened as skipped I/O.
@@ -814,7 +984,8 @@ fn cursor_at<'a>(
 
 /// A conjunct the codec cursors evaluate with the exact semantics of the
 /// vectorized kernels: `col <op> literal` over a compatible type pair, a
-/// NULL-free string IN-list, or `[NOT] LIKE` over a string column.
+/// NULL-free string IN-list or integer `IN` list, or `[NOT] LIKE` over a
+/// string column.
 fn pushable_pred(e: &Expr, schema: &Schema) -> Option<(usize, Pred)> {
     match e {
         Expr::Binary { op, l, r } => {
@@ -851,11 +1022,22 @@ fn pushable_pred(e: &Expr, schema: &Schema) -> Option<(usize, Pred)> {
         }
         Expr::InList { e, list, negated } => {
             let Expr::Col(i) = &**e else { return None };
-            if schema.field(*i).ty != DataType::Str {
-                return None;
-            }
             // A NULL in the list changes the result of non-matches to NULL;
-            // only NULL-free string lists keep set-membership semantics.
+            // only NULL-free lists keep set-membership semantics.
+            match schema.field(*i).ty {
+                DataType::Str => {}
+                // Integers compare as i64 with integer literals: the key set
+                // of the list, when its range fits a bitmap.
+                DataType::I32 | DataType::I64 | DataType::Date if !negated => {
+                    let keys = list.iter().map(|v| match v {
+                        Value::I32(_) | Value::I64(_) | Value::Date(_) => v.as_i64(),
+                        _ => None,
+                    });
+                    let set = KeySet::exact(&keys.collect::<Option<Vec<i64>>>()?)?;
+                    return Some((*i, Pred::InSet(Arc::new(set))));
+                }
+                _ => return None,
+            }
             let mut values = Vec::with_capacity(list.len());
             for v in list {
                 match v {
@@ -901,6 +1083,33 @@ fn pred_cmp_op(op: BinOp) -> Option<PredOp> {
         BinOp::Ge => PredOp::Ge,
         _ => return None,
     })
+}
+
+/// Keep, in the batch's selection, the rows whose value in column `col` is a
+/// member of `set` (a NULL never is); the survivors' count.
+fn narrow_by_set(batch: &mut Batch, col: usize, set: &KeySet) -> Result<usize> {
+    let v = &batch.columns[col];
+    let member = |i: usize| {
+        !v.is_null(i)
+            && match &v.data {
+                ColumnData::I32(x) => set.contains(x[i] as i64),
+                ColumnData::I64(x) => set.contains(x[i]),
+                _ => false,
+            }
+    };
+    if !matches!(v.data, ColumnData::I32(_) | ColumnData::I64(_)) {
+        let ty = v.data.type_name();
+        return Err(VwError::Exec(format!("key set over {} column", ty)));
+    }
+    let sel: Vec<u32> = match &batch.sel {
+        Some(s) => s.iter().copied().filter(|&i| member(i as usize)).collect(),
+        None => (0..batch.rows as u32)
+            .filter(|&i| member(i as usize))
+            .collect(),
+    };
+    let kept = sel.len();
+    batch.sel = (kept < batch.rows).then_some(sel);
+    Ok(kept)
 }
 
 /// Could this PDT entry put a row satisfying `col <op> bound` into its
@@ -979,6 +1188,10 @@ impl super::Operator for VecScan {
         }
         if c.vec_coded > 0 {
             v.push(("vec_coded", c.vec_coded));
+        }
+        if !self.runtime.is_empty() {
+            v.push(("rtf", self.runtime.len() as u64));
+            v.push(("rtf_dropped", c.rtf_dropped));
         }
         if self.waits.is_some() {
             v.push(("pred_ns", c.pred_ns));

@@ -872,3 +872,63 @@ fn wide_dictionary_group_by_takes_the_generic_table_and_matches_the_row_engine()
         assert!(same_rows(&got, &want), "vectors of {vs}, dop {dop}");
     }
 }
+
+/// An integer `IN` list is pushed into the scan as a key set: the zone maps
+/// of a clustered key skip the row groups that hold none of its keys, the
+/// encoded blocks are tested against its bits, and the rows are the row
+/// engine's — on BIGINT, INT and DATE columns with NULLs. Lists that must
+/// stay residual (`NOT IN`, a NULL in the list, keys too far apart for a
+/// bitmap) give the same rows.
+#[test]
+fn integer_in_lists_are_pushed_as_key_sets() {
+    let db = Database::new().unwrap();
+    db.execute(
+        "CREATE TABLE t (k BIGINT NOT NULL, i INT, d DATE, v BIGINT NOT NULL) \
+         ORDER BY (k) PARTITION BY RANGE(k) PARTITIONS 4",
+    )
+    .unwrap();
+    let or_null = |i: i64, every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
+    db.bulk_load(
+        "t",
+        (0..8000i64).map(|k| {
+            vec![
+                Value::I64(k),
+                or_null(k, 11, Value::I32((k % 97 - 40) as i32)),
+                or_null(k, 13, Value::Date(9000 + (k % 400) as i32)),
+                Value::I64(k % 5),
+            ]
+        }),
+    )
+    .unwrap();
+    let run = |sql: &str| {
+        let got = sorted_rows(db.execute(sql).unwrap().rows);
+        let want = sorted_rows(row_engine(&db, sql));
+        assert!(same_rows(&got, &want), "{sql}: {got:?} vs {want:?}");
+        let scan = extras_of(&db, "Scan");
+        let get = |k: &str| scan.get(k).copied().unwrap_or(0);
+        (got.len(), get("pruned"), get("enc_evals"))
+    };
+    // The clustered key: only the first of four partitions holds a key.
+    let (rows, pruned, evals) = run("SELECT k, v FROM t WHERE k IN (3, 17, 1999)");
+    assert_eq!((rows, pruned), (3, 3));
+    assert!(evals > 0);
+    // The same test computed: nothing pushed, nothing pruned.
+    let (rows, pruned, evals) = run("SELECT k, v FROM t WHERE k + 0 IN (3, 17, 1999)");
+    assert_eq!((rows, pruned, evals), (3, 0, 0));
+    for sql in [
+        "SELECT k, i FROM t WHERE i IN (-3, 0, 56)",
+        "SELECT k, d FROM t WHERE d IN (DATE '1994-08-23', DATE '1995-01-01')",
+        "SELECT k, i FROM t WHERE i IN (5) AND v = 2",
+    ] {
+        let (rows, _, evals) = run(sql);
+        assert!(rows > 0 && evals > 0, "{sql}");
+    }
+    for sql in [
+        "SELECT k, i FROM t WHERE i NOT IN (1, 2)",
+        "SELECT k, i FROM t WHERE i IN (1, NULL)",
+        "SELECT k, v FROM t WHERE k IN (5, 100000000000)",
+    ] {
+        let (rows, _, _) = run(sql);
+        assert!(rows > 0, "{sql}");
+    }
+}

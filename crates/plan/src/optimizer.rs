@@ -238,9 +238,17 @@ fn estimate_rows_static(
             residual,
         } => {
             let l = est(left);
+            // A left row is matched when a right row has its keys and passes
+            // the residual with it.
+            let matched = || {
+                let res = residual.as_ref().map_or(1.0, conjunct_selectivity);
+                semi_fraction(left, right, on, stats, fb) * res
+            };
             match kind {
-                JoinKind::Semi => l * semi_fraction(left, right, on, stats, fb),
-                JoinKind::Anti => l * (1.0 - semi_fraction(left, right, on, stats, fb)),
+                // At least one row: an estimate of zero makes every join
+                // above it zero too.
+                JoinKind::Semi => (l * matched()).max(1.0),
+                JoinKind::Anti => (l * (1.0 - matched())).max(1.0),
                 // Every left row of a LEFT join comes out at least once.
                 _ => joins::pair_rows(left, right, on, residual, stats, fb).max(l),
             }
@@ -738,6 +746,40 @@ mod tests {
         let anti = f.join(*part, JoinKind::Anti, vec![(1, 0)]);
         assert!((estimate_rows(&semi, &stats) - kept).abs() < 1e-6 * kept);
         assert!((estimate_rows(&anti, &stats) - (600_000.0 - kept)).abs() < 1e-6 * kept);
+    }
+
+    /// Q21's shape: lineitem anti-joined with itself on the order key, a
+    /// supplier other than the row's own in the residual. Every key
+    /// matches, so without the residual the estimate was zero rows, and
+    /// zero again for every join above it.
+    #[test]
+    fn semi_and_anti_joins_fold_in_the_residual() {
+        let (f, fs) = table(1, "fact", 600_000, &[150_000, 1000]);
+        let (s, ss) = table(2, "supp", 1000, &[1000, 25]);
+        let stats = HashMap::from([(TableId::new(1), fs), (TableId::new(2), ss)]);
+        // fact 0..2, its copy 2..4: another supplier of the same order.
+        let other_supplier = Expr::binary(BinOp::Ne, Expr::col(1), Expr::col(3));
+        let join = |kind| LogicalPlan::Join {
+            left: Box::new(f.clone()),
+            right: Box::new(f.clone()),
+            kind,
+            on: vec![(0, 0)],
+            residual: Some(other_supplier.clone()),
+        };
+        let res = conjunct_selectivity(&other_supplier);
+        assert!(res > 0.0 && res < 1.0, "residual selectivity {res}");
+        let anti = estimate_rows(&join(JoinKind::Anti), &stats);
+        assert!(
+            (anti - 600_000.0 * (1.0 - res)).abs() < 1e-6 * anti,
+            "anti {anti}"
+        );
+        let semi = estimate_rows(&join(JoinKind::Semi), &stats);
+        assert!((semi - 600_000.0 * res).abs() < 1e-6 * semi, "semi {semi}");
+        let above = join(JoinKind::Anti).join(s, JoinKind::Inner, vec![(1, 0)]);
+        assert!(estimate_rows(&above, &stats) >= 1.0);
+        // Never below one row, even when every left row is matched.
+        let all = f.clone().join(f.clone(), JoinKind::Anti, vec![(0, 0)]);
+        assert_eq!(estimate_rows(&all, &stats), 1.0);
     }
 
     #[test]

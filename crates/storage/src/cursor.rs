@@ -26,6 +26,10 @@
 //! - **PLAIN strings**: compared, and `LIKE`-matched, in place over the
 //!   block's bytes; a `%lit%` pattern is searched over the whole vector's
 //!   contiguous byte range at once and the hits mapped back to rows.
+//! - **Key sets** ([`Pred::InSet`]): membership of an integer column in a
+//!   [`KeySet`] — a range, or a bitmap over it — is tested on PFOR's packed
+//!   deltas (the frame's distance to the set's `lo` added once), per run on
+//!   RLE and in place on PLAIN blocks.
 //!
 //! A conjunction narrows one candidate list: the first conjunct of a vector
 //! goes through [`BlockCursor::eval_pred`], every later one through
@@ -98,13 +102,14 @@ impl PredOp {
 }
 
 /// A predicate simple enough to push into the scan and evaluate inside the
-/// codec cursor: `col <op> literal`, a string IN-list, or `[NOT] LIKE` with
-/// a literal pattern.
+/// codec cursor: `col <op> literal`, a string IN-list, `[NOT] LIKE` with a
+/// literal pattern, or membership of an integer column in a [`KeySet`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pred {
     Cmp { op: PredOp, value: Value },
     InStr { values: Vec<String>, negated: bool },
     Like { pattern: LikePattern, negated: bool },
+    InSet(Arc<KeySet>),
 }
 
 impl Pred {
@@ -120,8 +125,147 @@ impl Pred {
             }
             Pred::InStr { values, negated } => values.iter().any(|v| v.as_bytes() == s) != *negated,
             Pred::Like { pattern, negated } => pattern.matches(s) != *negated,
+            Pred::InSet(_) => return Err(type_err("str")),
         })
     }
+}
+
+/// A set of integer keys, compared as i64 whatever the column's width: the
+/// range `[lo, hi]` and, when present, a bitmap with one bit per value of
+/// it. Without a bitmap every value of the range is a member. It is what a
+/// finished hash-join build knows of its keys (a superset of them when their
+/// range is too wide for a bitmap), and what an integer `IN` list is.
+#[derive(Clone, PartialEq, Eq)]
+pub struct KeySet {
+    lo: i64,
+    /// `hi - lo` as an unsigned distance.
+    span: u64,
+    bits: Option<Box<[u64]>>,
+}
+
+impl std::fmt::Debug for KeySet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeySet")
+            .field("lo", &self.lo)
+            .field("hi", &self.hi())
+            .field("bitmap", &self.bits.is_some())
+            .finish()
+    }
+}
+
+impl KeySet {
+    /// Widest range a bitmap is made for: 8 Mbit, 1 MiB.
+    pub const MAX_BITS: u64 = 8 << 20;
+
+    /// The empty set: the one value of `[0, 0]`, its bit clear.
+    pub fn empty() -> KeySet {
+        KeySet {
+            lo: 0,
+            span: 0,
+            bits: Some(vec![0].into_boxed_slice()),
+        }
+    }
+
+    /// Every value of `[lo, hi]` (`lo <= hi`).
+    pub fn range(lo: i64, hi: i64) -> KeySet {
+        debug_assert!(lo <= hi);
+        KeySet {
+            lo,
+            span: hi.wrapping_sub(lo) as u64,
+            bits: None,
+        }
+    }
+
+    /// Heap bytes of a bitmap over `[lo, hi]`, or `None` when the range is
+    /// wider than [`KeySet::MAX_BITS`] values.
+    pub fn bitmap_bytes(lo: i64, hi: i64) -> Option<usize> {
+        let span = hi.wrapping_sub(lo) as u64;
+        (lo <= hi && span < Self::MAX_BITS).then(|| (span / 64 + 1) as usize * 8)
+    }
+
+    /// Exactly `keys`, every one inside `[lo, hi]`, a range
+    /// [`KeySet::bitmap_bytes`] accepts.
+    pub fn bitmap(lo: i64, hi: i64, keys: impl Iterator<Item = i64>) -> KeySet {
+        let words = KeySet::bitmap_bytes(lo, hi).expect("range within the bitmap cap") / 8;
+        let mut bits = vec![0u64; words].into_boxed_slice();
+        for k in keys {
+            debug_assert!((lo..=hi).contains(&k));
+            let i = k.wrapping_sub(lo) as u64;
+            bits[(i >> 6) as usize] |= 1 << (i & 63);
+        }
+        KeySet {
+            lo,
+            span: hi.wrapping_sub(lo) as u64,
+            bits: Some(bits),
+        }
+    }
+
+    /// Exactly the values of `keys`, or `None` when their range is too wide
+    /// for a bitmap.
+    pub fn exact(keys: &[i64]) -> Option<KeySet> {
+        let (Some(&lo), Some(&hi)) = (keys.iter().min(), keys.iter().max()) else {
+            return Some(KeySet::empty());
+        };
+        KeySet::bitmap_bytes(lo, hi)?;
+        Some(KeySet::bitmap(lo, hi, keys.iter().copied()))
+    }
+
+    fn hi(&self) -> i64 {
+        self.lo.wrapping_add(self.span as i64)
+    }
+
+    /// Is `v` a member?
+    #[inline]
+    pub fn contains(&self, v: i64) -> bool {
+        self.hit((v as u64).wrapping_sub(self.lo as u64))
+    }
+
+    /// Is the value at distance `k` above `lo` a member?
+    #[inline(always)]
+    fn hit(&self, k: u64) -> bool {
+        match &self.bits {
+            Some(bits) => bit_at(bits, k),
+            None => k <= self.span,
+        }
+    }
+
+    /// What the set says of a block whose values lie in `[min, max]`:
+    /// `None` when no member lies there, `Some(true)` when every value
+    /// there is one, `Some(false)` otherwise.
+    fn cover(&self, min: i64, max: i64) -> Option<bool> {
+        let (lo, hi) = (self.lo.max(min), self.hi().min(max));
+        if lo > hi {
+            return None;
+        }
+        let whole = lo == min && hi == max;
+        let Some(bits) = &self.bits else {
+            return Some(whole);
+        };
+        let (a, b) = (
+            lo.wrapping_sub(self.lo) as u64,
+            hi.wrapping_sub(self.lo) as u64,
+        );
+        // Bits `a..=b`, a word at a time.
+        let (mut any, mut all) = (false, true);
+        for w in a >> 6..=b >> 6 {
+            let from = if w == a >> 6 { a & 63 } else { 0 };
+            let to = if w == b >> 6 { b & 63 } else { 63 };
+            let mask = (u64::MAX >> (63 - to)) & (u64::MAX << from);
+            let got = bits[w as usize] & mask;
+            any |= got != 0;
+            all &= got == mask;
+        }
+        any.then_some(whole && all)
+    }
+}
+
+/// Bit `k` of a key set's bitmap. The bits past its range are clear and
+/// the words past its end read as clear, so this is also the range check.
+#[inline(always)]
+fn bit_at(bits: &[u64], k: u64) -> bool {
+    let word = usize::try_from(k >> 6).ok().and_then(|i| bits.get(i));
+    let word = word.map_or(0, |w| *w);
+    (word >> (k & 63)) & 1 != 0
 }
 
 impl Pred {
@@ -174,8 +318,56 @@ impl Pred {
             }
             // What a pattern admits is not a range of the string order.
             Pred::Like { .. } => None,
+            Pred::InSet(set) => {
+                let MinMax::Int { min, max } = mm else {
+                    return None;
+                };
+                match set.cover(*min, *max) {
+                    None => Some(false),
+                    Some(true) if !has_nulls => Some(true),
+                    Some(_) => None,
+                }
+            }
         }
     }
+}
+
+/// `$run!(test)` with `test` the closure `|d| base + d ∈ set` over packed
+/// values `d` of a frame whose values sit `off = base - set.lo` above the
+/// set's `lo`: whether the set has a bitmap is matched once, outside the
+/// per-value loop `$run` expands to.
+macro_rules! match_set {
+    ($set:expr, $off:expr, $run:ident) => {{
+        let (span, off) = ($set.span, $off);
+        match &$set.bits {
+            Some(bits) => $run!(|d: u64| bit_at(bits, d.wrapping_add(off))),
+            None => $run!(|d: u64| d.wrapping_add(off) <= span),
+        }
+    }};
+}
+
+/// The positions of `vals` in `set`, like [`select_where`], with the set's
+/// shape matched once outside the loop.
+fn select_set(vals: impl ExactSizeIterator<Item = i64>, set: &KeySet) -> Vec<u32> {
+    macro_rules! run {
+        ($test:expr) => {{
+            let test = $test;
+            select_where(vals, |v| test(v as u64))
+        }};
+    }
+    match_set!(set, (set.lo as u64).wrapping_neg(), run)
+}
+
+/// Keep the candidates whose `value(p)` is in `set`, like [`retain_where`],
+/// with the set's shape matched once outside the loop.
+fn retain_set(cands: &mut Vec<u32>, set: &KeySet, value: impl Fn(usize) -> i64) {
+    macro_rules! run {
+        ($test:expr) => {{
+            let test = $test;
+            retain_where(cands, |p| test(value(p) as u64))
+        }};
+    }
+    match_set!(set, (set.lo as u64).wrapping_neg(), run)
 }
 
 /// `$run!(test)` with `test` the closure `|v| v <op> $lit`: the operator is
@@ -399,15 +591,46 @@ enum State {
     Pfor(Frame),
     PforDelta {
         frame: Frame,
-        /// Prefix-sum resume point: `acc` is the running value through
-        /// delta `pos - 1`. `ck` checkpoints the start of the last slice so
-        /// an `eval_pred` immediately followed by `decode_slice` of the same
-        /// vector does not re-walk the prefix.
-        pos: usize,
-        acc: i64,
-        ck: Option<(usize, i64)>,
+        run: DeltaRun,
     },
     Pdict(DictState),
+}
+
+/// Where a PFOR-DELTA cursor stands in its prefix sum.
+#[derive(Default)]
+struct DeltaRun {
+    /// Prefix-sum resume point: `acc` is the running value through delta
+    /// `pos - 1`. `ck` checkpoints the start of the last slice so that a
+    /// slice decoded again does not re-walk the prefix.
+    pos: usize,
+    acc: i64,
+    ck: Option<(usize, i64)>,
+    /// `(from, values)` of the slice a predicate was last evaluated on: the
+    /// decode of the same vector that usually follows takes them.
+    last: Option<(usize, Vec<i64>)>,
+}
+
+impl DeltaRun {
+    /// Values `[from, to)`, kept as the last slice.
+    fn slice(&mut self, frame: &Frame, bytes: &[u8], from: usize, to: usize) -> &[i64] {
+        if !self.holds(from, to) {
+            let vals = delta_values(frame, bytes, self, from, to);
+            self.last = Some((from, vals));
+        }
+        &self.last.as_ref().expect("the slice was just kept").1
+    }
+
+    /// Values `[from, to)`, taking the last slice when it is that one.
+    fn take(&mut self, frame: &Frame, bytes: &[u8], from: usize, to: usize) -> Vec<i64> {
+        match self.holds(from, to) {
+            true => self.last.take().expect("holds the slice").1,
+            false => delta_values(frame, bytes, self, from, to),
+        }
+    }
+
+    fn holds(&self, from: usize, to: usize) -> bool {
+        matches!(&self.last, Some((f, v)) if *f == from && v.len() == to - from)
+    }
 }
 
 impl State {
@@ -565,14 +788,8 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
                 }
             }
             State::Pfor(f) => frame_column(f, bytes, phys, from, to)?,
-            State::PforDelta {
-                frame,
-                pos,
-                acc,
-                ck,
-            } => {
-                let wide = delta_values(frame, bytes, pos, acc, ck, from, to);
-                frame_data(frame, phys, wide)?
+            State::PforDelta { frame, run } => {
+                frame_data(frame, phys, run.take(frame, bytes, from, to))?
             }
             State::Pdict(d) => {
                 ColumnData::Str(d.vector(bytes, self.n, from, to, None)?.materialize())
@@ -595,7 +812,8 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
     /// predicates left few survivors in the vector. Equal to `decode_slice`
     /// followed by a gather, but PLAIN, PFOR and PDICT blocks are read by
     /// random access, so the cost follows `sel.len()` and not `to - from`;
-    /// RLE, PFOR-DELTA and boolean blocks decode the slice and gather.
+    /// PFOR-DELTA gathers from the slice its predicate was evaluated on (or
+    /// decodes it), RLE and boolean blocks decode the slice and gather.
     pub fn decode_selected(
         &mut self,
         from: usize,
@@ -610,7 +828,7 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
         }
         let bytes = raw(&self.bytes);
         let at = |p: &u32| from + *p as usize;
-        let data = match &self.state {
+        let data = match &mut self.state {
             State::PlainInt { width: 4 } => ColumnData::I32(
                 sel.iter()
                     .map(|p| i32::from_le_bytes(fixed_at(bytes, self.body, at(p))))
@@ -637,10 +855,15 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
                 ColumnData::Str(out)
             }
             State::Pfor(f) => frame_selected(f, bytes, self.phys, from, to, sel)?,
+            State::PforDelta { frame, run } => {
+                let vals = run.slice(frame, bytes, from, to);
+                let wide = sel.iter().map(|&p| vals[p as usize]).collect();
+                frame_data(frame, self.phys, wide)?
+            }
             State::Pdict(d) => {
                 ColumnData::Str(d.vector(bytes, self.n, from, to, Some(sel))?.materialize())
             }
-            State::Bool(_) | State::Rle { .. } | State::PforDelta { .. } => {
+            State::Bool(_) | State::Rle { .. } => {
                 return Ok(self.decode_slice(from, to)?.gather(sel));
             }
         };
@@ -675,21 +898,30 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
         let bytes = raw(&self.bytes);
         let on_encoded = match (&mut self.state, pred, ints) {
             (State::Pfor(f), _, Some((op, lit))) => Some(pfor_eval(f, bytes, op, lit, from, to)),
-            (
-                State::PforDelta {
-                    frame,
-                    pos,
-                    acc,
-                    ck,
-                },
-                _,
-                Some((op, lit)),
-            ) => {
-                let vals = delta_values(frame, bytes, pos, acc, ck, from, to);
-                Some(select_ints(vals.into_iter(), op, lit))
+            (State::PforDelta { frame, run }, _, Some((op, lit))) => {
+                let vals = run.slice(frame, bytes, from, to);
+                Some(select_ints(vals.iter().copied(), op, lit))
             }
-            (State::Rle { vals, starts }, Pred::Cmp { op, value }, _) => {
-                Some(rle_eval(vals, starts, phys, *op, value, from, to)?)
+            (State::Pfor(f), Pred::InSet(set), _) if f.pow10.is_none() => {
+                Some(pfor_set_eval(f, bytes, set, from, to))
+            }
+            (State::PforDelta { frame, run }, Pred::InSet(set), _) if frame.pow10.is_none() => {
+                let vals = run.slice(frame, bytes, from, to);
+                Some(select_set(vals.iter().copied(), set))
+            }
+            (State::PlainInt { width }, Pred::InSet(set), _) => {
+                let (body, w) = (self.body, *width);
+                let ints = bytes[body + from * w..body + to * w].chunks_exact(w);
+                Some(if w == 4 {
+                    let ints = ints.map(|c| i32::from_le_bytes(c.try_into().unwrap()) as i64);
+                    select_set(ints, set)
+                } else {
+                    let ints = ints.map(|c| i64::from_le_bytes(c.try_into().unwrap()));
+                    select_set(ints, set)
+                })
+            }
+            (State::Rle { vals, starts }, Pred::Cmp { .. } | Pred::InSet(_), _) => {
+                Some(rle_eval(vals, starts, phys, pred, from, to)?)
             }
             (State::Pdict(d), _, _) => Some(pdict_eval(d, bytes, self.n, pred, from, to)?),
             (State::PlainF64, Pred::Cmp { op, value }, _) if value.as_f64().is_some() => {
@@ -764,17 +996,8 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
                 pfor_narrow(f, bytes, op, lit, from, to, cands, dense.then_some(mask));
                 true
             }
-            (
-                State::PforDelta {
-                    frame,
-                    pos,
-                    acc,
-                    ck,
-                },
-                _,
-                Some((op, lit)),
-            ) => {
-                let vals = delta_values(frame, bytes, pos, acc, ck, from, to);
+            (State::PforDelta { frame, run }, _, Some((op, lit))) => {
+                let vals = run.slice(frame, bytes, from, to);
                 macro_rules! run {
                     ($test:expr) => {{
                         let test = $test;
@@ -784,8 +1007,29 @@ impl<B: Deref<Target: AsRef<[u8]>>> BlockCursor<B> {
                 match_op!(op, lit, run);
                 true
             }
-            (State::Rle { vals, starts }, Pred::Cmp { op, value }, _) => {
-                rle_narrow(vals, starts, phys, *op, value, from, cands)?;
+            (State::Pfor(f), Pred::InSet(set), _) if f.pow10.is_none() => {
+                pfor_set_narrow(f, bytes, set, from, to, cands, dense.then_some(mask));
+                true
+            }
+            (State::PforDelta { frame, run }, Pred::InSet(set), _) if frame.pow10.is_none() => {
+                let vals = run.slice(frame, bytes, from, to);
+                retain_set(cands, set, |p| vals[p]);
+                true
+            }
+            (State::PlainInt { width: 4 }, Pred::InSet(set), _) => {
+                retain_set(cands, set, |p| {
+                    i32::from_le_bytes(fixed_at(bytes, body, from + p)) as i64
+                });
+                true
+            }
+            (State::PlainInt { .. }, Pred::InSet(set), _) => {
+                retain_set(cands, set, |p| {
+                    i64::from_le_bytes(fixed_at(bytes, body, from + p))
+                });
+                true
+            }
+            (State::Rle { vals, starts }, Pred::Cmp { .. } | Pred::InSet(_), _) => {
+                rle_narrow(vals, starts, phys, pred, from, cands)?;
                 true
             }
             (State::Pdict(d), _, _) => {
@@ -963,9 +1207,7 @@ fn parse_state(
                 S::Pfor => State::Pfor(frame),
                 _ => State::PforDelta {
                     frame,
-                    pos: 0,
-                    acc: 0,
-                    ck: None,
+                    run: DeltaRun::default(),
                 },
             })
         }
@@ -1281,12 +1523,11 @@ fn frame_selected(
 fn delta_values(
     frame: &Frame,
     bytes: &[u8],
-    pos: &mut usize,
-    acc: &mut i64,
-    ck: &mut Option<(usize, i64)>,
+    run: &mut DeltaRun,
     from: usize,
     to: usize,
 ) -> Vec<i64> {
+    let DeltaRun { pos, acc, ck, .. } = run;
     if from == to {
         return Vec::new();
     }
@@ -1482,6 +1723,68 @@ fn pfor_narrow(
     }
 }
 
+/// Membership of PFOR values in a key set, tested on the packed deltas:
+/// the frame's distance to the set's `lo` is added to each delta once, no
+/// value is reconstructed. Exceptions are tested as values.
+fn pfor_set_eval(f: &Frame, bytes: &[u8], set: &KeySet, from: usize, to: usize) -> Vec<u32> {
+    let (lo, hi) = f.exceptions_in(from, to);
+    let exc_pos = &f.exc_pos[lo..hi];
+    let exc_matches = |k: usize| set.contains(f.exc_val[lo + k]);
+    let packed = &bytes[f.packed.0..f.packed.1];
+    let off = (f.base as u64).wrapping_sub(set.lo as u64);
+    macro_rules! run {
+        ($test:expr) => {
+            select_packed(packed, f.width, from, to, exc_pos, exc_matches, $test)
+        };
+    }
+    match_set!(set, off, run)
+}
+
+/// [`BlockCursor::narrow`] by a key set on the packed deltas, dense (one
+/// pass into `mask`) or by random access, like [`pfor_narrow`].
+fn pfor_set_narrow(
+    f: &Frame,
+    bytes: &[u8],
+    set: &KeySet,
+    from: usize,
+    to: usize,
+    cands: &mut Vec<u32>,
+    mask: Option<&mut Vec<bool>>,
+) {
+    let (lo, hi) = f.exceptions_in(from, to);
+    let exc_pos = &f.exc_pos[lo..hi];
+    let exc_matches = |k: usize| set.contains(f.exc_val[lo + k]);
+    let packed = &bytes[f.packed.0..f.packed.1];
+    let off = (f.base as u64).wrapping_sub(set.lo as u64);
+    if let Some(mask) = mask {
+        mask.clear();
+        mask.resize(to - from, false);
+        macro_rules! run {
+            ($test:expr) => {{
+                let test = $test;
+                unpack_range(packed, from, to, f.width, |i, d| mask[i] = test(d))
+            }};
+        }
+        match_set!(set, off, run);
+        for (k, &p) in exc_pos.iter().enumerate() {
+            mask[p as usize - from] = exc_matches(k);
+        }
+        retain_where(cands, |p| mask[p]);
+    } else {
+        let exception_at = |p: usize| exc_pos.binary_search(&((from + p) as u32));
+        macro_rules! run {
+            ($test:expr) => {{
+                let test = $test;
+                retain_where(cands, |p| match exception_at(p) {
+                    Ok(k) => exc_matches(k),
+                    Err(_) => test(unpack_at(packed, from + p, f.width)),
+                })
+            }};
+        }
+        match_set!(set, off, run);
+    }
+}
+
 /// A predicate over the strings `[from, to)` of a PLAIN block, in place. A
 /// substring pattern is searched for over the vector's whole byte range —
 /// the strings lie back to back — and each hit is mapped to its row through
@@ -1533,13 +1836,12 @@ fn plain_str_eval(strs: PlainStrs<'_>, pred: &Pred, from: usize, to: usize) -> R
     Ok(sel)
 }
 
-/// RLE predicate: one comparison per run, O(runs) selection output.
+/// RLE predicate: one test per run, O(runs) selection output.
 fn rle_eval(
     vals: &[[u8; 8]],
     starts: &[usize],
     phys: u8,
-    op: PredOp,
-    value: &Value,
+    pred: &Pred,
     from: usize,
     to: usize,
 ) -> Result<Vec<u32>> {
@@ -1551,7 +1853,7 @@ fn rle_eval(
     while r < vals.len() && starts[r] < to {
         let lo = starts[r].max(from);
         let hi = starts[r + 1].min(to);
-        if lo < hi && rle_matches(vals[r], phys, op, value)? {
+        if lo < hi && rle_matches(vals[r], phys, pred)? {
             sel.extend((lo - from) as u32..(hi - from) as u32);
         }
         r += 1;
@@ -1559,14 +1861,18 @@ fn rle_eval(
     Ok(sel)
 }
 
-/// Does the value of one run satisfy `<op> value`?
-fn rle_matches(run: [u8; 8], phys: u8, op: PredOp, value: &Value) -> Result<bool> {
-    match phys {
-        PHYS_F64 => {
+/// Does the value of one run satisfy a comparison or set predicate?
+fn rle_matches(run: [u8; 8], phys: u8, pred: &Pred) -> Result<bool> {
+    match (phys, pred) {
+        (PHYS_F64, Pred::Cmp { op, value }) => {
             let b = value.as_f64().ok_or_else(|| type_err("f64"))?;
             Ok(op.matches_f64(f64::from_le_bytes(run), b))
         }
-        PHYS_I32 | PHYS_I64 => int_matches(i64::from_le_bytes(run), op, value),
+        (PHYS_I32 | PHYS_I64, Pred::Cmp { op, value }) => {
+            int_matches(i64::from_le_bytes(run), *op, value)
+        }
+        (PHYS_I32 | PHYS_I64, Pred::InSet(set)) => Ok(set.contains(i64::from_le_bytes(run))),
+        (PHYS_F64, _) => Err(type_err("f64")),
         _ => Err(err("rle physical type")),
     }
 }
@@ -1577,8 +1883,7 @@ fn rle_narrow(
     vals: &[[u8; 8]],
     starts: &[usize],
     phys: u8,
-    op: PredOp,
-    value: &Value,
+    pred: &Pred,
     from: usize,
     cands: &mut Vec<u32>,
 ) -> Result<()> {
@@ -1588,13 +1893,13 @@ fn rle_narrow(
     // The run holding the first candidate; `starts` ends with the block's
     // length, which every candidate is below.
     let mut r = starts.partition_point(|&s| s <= from + first as usize) - 1;
-    let mut verdict = rle_matches(vals[r], phys, op, value);
+    let mut verdict = rle_matches(vals[r], phys, pred);
     retain_checked(cands, |p| {
         if starts[r + 1] <= from + p {
             while starts[r + 1] <= from + p {
                 r += 1;
             }
-            verdict = rle_matches(vals[r], phys, op, value);
+            verdict = rle_matches(vals[r], phys, pred);
         }
         verdict.clone()
     })
@@ -1748,6 +2053,8 @@ fn value_matches(data: &ColumnData, i: usize, pred: &Pred) -> Result<bool> {
             let b = value.as_f64().ok_or_else(|| type_err("f64"))?;
             Ok(op.matches_f64(v[i], b))
         }
+        (ColumnData::I32(v), Pred::InSet(set)) => Ok(set.contains(v[i] as i64)),
+        (ColumnData::I64(v), Pred::InSet(set)) => Ok(set.contains(v[i])),
         (ColumnData::Str(s), p) => p.matches_str(s.get_bytes(i)),
         _ => Err(type_err(data.type_name())),
     }
@@ -2993,5 +3300,137 @@ mod tests {
         };
         assert_eq!(instr_hit.decide(&smm, false), None);
         assert_eq!(eq(1).decide(&MinMax::None, false), None);
+    }
+
+    /// Membership in a key set, on every integer scheme (PFOR with
+    /// exceptions, PFOR-DELTA, RLE, PLAIN; i32 and i64; with NULLs), is a
+    /// lookup per value through `eval_pred` and `narrow` alike: bitmap sets,
+    /// bare ranges, the empty set and a range over all of i64.
+    #[test]
+    fn key_sets_on_every_integer_scheme() {
+        use std::collections::HashSet;
+        let mut r = Xoshiro256::seeded(28);
+        let n = 3000;
+        let pfor: Vec<i64> = (0..n)
+            .map(|_| {
+                if r.chance(0.02) {
+                    r.range_i64(i64::MIN / 2, i64::MAX / 2)
+                } else {
+                    r.range_i64(500, 900)
+                }
+            })
+            .collect();
+        let sorted: Vec<i64> = (0..n as i64).map(|i| 100 + i * 3).collect();
+        let runs: Vec<i64> = (0..n as i64).map(|i| i / 97 * 5).collect();
+        let small: Vec<i64> = (0..n).map(|_| r.range_i64(-50, 50)).collect();
+        let with_nulls = |vals: &[i64], ty: DataType, r: &mut Xoshiro256| {
+            let vals: Vec<Value> = vals
+                .iter()
+                .map(|&v| match (r.chance(0.1), ty) {
+                    (true, _) => Value::Null,
+                    (false, DataType::I32) => Value::I32(v as i32),
+                    _ => Value::I64(v),
+                })
+                .collect();
+            NullableColumn::from_values(ty, &vals).unwrap()
+        };
+        use CompressionScheme::*;
+        let cols = [
+            (
+                NullableColumn::not_null(ColumnData::I64(pfor.clone())),
+                Pfor,
+            ),
+            (with_nulls(&pfor, DataType::I64, &mut r), Pfor),
+            (NullableColumn::not_null(ColumnData::I64(sorted)), PforDelta),
+            (NullableColumn::not_null(ColumnData::I64(runs.clone())), Rle),
+            (with_nulls(&runs, DataType::I64, &mut r), Rle),
+            (with_nulls(&small, DataType::I32, &mut r), Pfor),
+            (with_nulls(&small, DataType::I32, &mut r), Plain),
+            (with_nulls(&pfor, DataType::I64, &mut r), Plain),
+        ];
+        // Sets, each with the membership test it must agree with.
+        let picked: Vec<i64> = (0..200).map(|_| r.range_i64(-60, 1000)).collect();
+        let exc = pfor
+            .iter()
+            .copied()
+            .find(|v| !(500..=900).contains(v))
+            .unwrap();
+        let keys: HashSet<i64> = picked.iter().copied().chain([exc]).collect();
+        type Member<'a> = Box<dyn Fn(i64) -> bool + 'a>;
+        let sets: Vec<(KeySet, Member)> = vec![
+            (
+                KeySet::exact(&picked).unwrap(),
+                Box::new(|v| picked.contains(&v)),
+            ),
+            (KeySet::exact(&[exc]).unwrap(), Box::new(move |v| v == exc)),
+            (KeySet::empty(), Box::new(|_| false)),
+            (
+                KeySet::range(550, 700),
+                Box::new(|v| (550..=700).contains(&v)),
+            ),
+            (KeySet::range(i64::MIN, i64::MAX), Box::new(|_| true)),
+            (KeySet::range(-5, 5), Box::new(|v| (-5..=5).contains(&v))),
+        ];
+        assert!(KeySet::exact(&[0, KeySet::MAX_BITS as i64]).is_none());
+        assert!(keys
+            .iter()
+            .all(|&k| KeySet::exact(&picked).unwrap().contains(k) == picked.contains(&k)));
+        for (col, scheme) in &cols {
+            let bytes = block_of(col, Some(*scheme));
+            let mut cur = BlockCursor::new(Arc::new(bytes)).unwrap();
+            assert_eq!(cur.scheme(), *scheme);
+            for (set, member) in &sets {
+                let pred = Pred::InSet(Arc::new(set.clone()));
+                for (a, b) in [(0, n), (n / 3, 2 * n / 3), (n / 2, n / 2 + 1), (5, 5)] {
+                    let value = |i: usize| match &col.data {
+                        ColumnData::I32(v) => v[i] as i64,
+                        ColumnData::I64(v) => v[i],
+                        _ => unreachable!(),
+                    };
+                    let want: Vec<u32> = (a..b)
+                        .filter(|&i| !col.is_null(i) && member(value(i)))
+                        .map(|i| (i - a) as u32)
+                        .collect();
+                    let got = cur.eval_pred(&pred, a, b).unwrap();
+                    assert_eq!(got, want, "{:?} {:?} {}..{}", scheme, set, a, b);
+                    check_narrow(&mut cur, &pred, a, b, &want);
+                }
+            }
+        }
+        // Strings and doubles hold no keys.
+        let strs = NullableColumn::not_null(ColumnData::Str(StrColumn::from_iter(["a", "b"])));
+        let (mut cur, _) = cursor_of(&strs);
+        let pred = Pred::InSet(Arc::new(KeySet::range(0, 1)));
+        assert!(cur.eval_pred(&pred, 0, 2).is_err());
+        let dbl = NullableColumn::not_null(ColumnData::F64(vec![0.5, 1.0]));
+        let (mut cur, _) = cursor_of(&dbl);
+        assert!(cur.eval_pred(&pred, 0, 2).is_err());
+    }
+
+    /// A zone map decides a key set from its bits: no member in the block's
+    /// range skips it, a range of members only (and no NULL) drops it.
+    #[test]
+    fn key_sets_decide_from_zone_maps() {
+        let mm = |min, max| MinMax::Int { min, max };
+        // Members 100..=163 and 300, over a bitmap spanning several words.
+        let keys: Vec<i64> = (100..164).chain([300]).collect();
+        let set = Pred::InSet(Arc::new(KeySet::exact(&keys).unwrap()));
+        assert_eq!(set.decide(&mm(0, 99), false), Some(false));
+        assert_eq!(set.decide(&mm(164, 299), false), Some(false));
+        assert_eq!(set.decide(&mm(301, 1000), false), Some(false));
+        assert_eq!(set.decide(&mm(99, 100), false), None);
+        assert_eq!(set.decide(&mm(100, 163), false), Some(true));
+        assert_eq!(set.decide(&mm(110, 150), true), None);
+        assert_eq!(set.decide(&mm(120, 300), false), None);
+        assert_eq!(set.decide(&mm(300, 300), false), Some(true));
+        assert_eq!(set.decide(&MinMax::None, false), None);
+        let empty = Pred::InSet(Arc::new(KeySet::empty()));
+        assert_eq!(empty.decide(&mm(i64::MIN, i64::MAX), false), Some(false));
+        let range = Pred::InSet(Arc::new(KeySet::range(10, 20)));
+        assert_eq!(range.decide(&mm(12, 20), false), Some(true));
+        assert_eq!(range.decide(&mm(12, 21), false), None);
+        assert_eq!(range.decide(&mm(21, 30), false), Some(false));
+        let all = Pred::InSet(Arc::new(KeySet::range(i64::MIN, i64::MAX)));
+        assert_eq!(all.decide(&mm(i64::MIN, i64::MAX), false), Some(true));
     }
 }

@@ -30,7 +30,7 @@ pub mod table;
 pub use block::{ColumnBlock, MinMax, PruneOp};
 pub use column::{ColumnData, DictColumn, NullableColumn, StrColumn};
 pub use compress::{compress_data, decimal_scale_of, decompress_data, CompressionScheme};
-pub use cursor::{BlockCursor, Pred, PredOp};
+pub use cursor::{BlockCursor, KeySet, Pred, PredOp};
 pub use simdisk::{DiskStats, SimDisk, SimDiskConfig};
 pub use spill::{SpillCol, SpillFile, SpilledCol};
 pub use table::{

@@ -3,6 +3,11 @@
 //! * Random join graphs run through the optimizer on the vectorized engine
 //!   and *unoptimized* on the row engine: a wrong reorder, a lost predicate or
 //!   a semi join moved where it changes rows shows as different results.
+//!   Some tables span several row groups and vectors, and some carry pending
+//!   inserts, updates and deletes, so the joins' runtime filters meet zone
+//!   maps, dirty groups and the append tail.
+//! * Runtime filters: which joins install them, what they skip, and that
+//!   they change no row and teach the optimizer nothing false.
 //! * TPC-H: comma-form Q5 against its explicit-JOIN form, and the plan shapes
 //!   of Q9 and Q18 on analyzed tables.
 //! * The sampled distinct counts `analyze` reports for TPC-H keys.
@@ -10,7 +15,7 @@
 mod common;
 
 use common::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use vectorwise::common::rng::Xoshiro256;
 use vectorwise::plan::{JoinKind, LogicalPlan};
 use vectorwise::sql::{compile_sql, BoundStatement};
@@ -21,11 +26,23 @@ use vectorwise::{Database, Value};
 
 /// `n` small tables `t0..tn` with nullable join keys `k0, k1` over a domain
 /// of six values, so joins match often and NULL keys occur on every side.
+/// Some tables are range-partitioned on `k0` (row groups of disjoint key
+/// ranges, which a join's key set can rule out), some get pending changes
+/// after the load (dirty groups, an append tail), and some databases use
+/// vectors of a few rows.
 fn random_tables(r: &mut Xoshiro256, n: usize) -> Database {
     let db = Database::new().unwrap();
+    if r.chance(0.3) {
+        db.set_vector_size(2 + r.next_below(4) as usize);
+    }
     for t in 0..n {
+        let layout = if r.chance(0.3) {
+            " ORDER BY (k0) PARTITION BY RANGE(k0) PARTITIONS 3"
+        } else {
+            ""
+        };
         db.execute(&format!(
-            "CREATE TABLE t{t} (k0 BIGINT, k1 BIGINT, v BIGINT, f DOUBLE NOT NULL)"
+            "CREATE TABLE t{t} (k0 BIGINT, k1 BIGINT, v BIGINT, f DOUBLE NOT NULL){layout}"
         ))
         .unwrap();
         let rows = 3 + r.next_below(25);
@@ -49,6 +66,18 @@ fn random_tables(r: &mut Xoshiro256, n: usize) -> Database {
         db.bulk_load(&format!("t{t}"), data).unwrap();
         if r.chance(0.5) {
             db.analyze(&format!("t{t}")).unwrap();
+        }
+        if r.chance(0.3) {
+            let k = |r: &mut Xoshiro256| r.range_i64(0, 5);
+            for sql in [
+                format!("UPDATE t{t} SET k0 = {} WHERE v > {}", k(r), k(r)),
+                format!("UPDATE t{t} SET v = v + 1 WHERE k1 = {}", k(r)),
+                format!("DELETE FROM t{t} WHERE v < {}", r.range_i64(-20, -10)),
+                format!("INSERT INTO t{t} VALUES ({}, NULL, {}, 0.5)", k(r), k(r)),
+                format!("INSERT INTO t{t} VALUES (NULL, {}, NULL, -1.5)", k(r)),
+            ] {
+                db.execute(&sql).unwrap();
+            }
         }
     }
     db
@@ -153,13 +182,231 @@ fn reordered_joins_match_the_row_engine_on_the_bound_plan() {
             BoundStatement::Query(p) => p,
             other => panic!("{other:?}"),
         };
-        let want = canonical(run_row_engine(&db, &bound));
+        let mut got = Vec::new();
         for dop in [1, 4] {
             db.set_parallelism(dop);
-            let got = canonical(db.execute(&sql).unwrap().rows);
+            got.push((dop, canonical(db.execute(&sql).unwrap().rows)));
+        }
+        // The row engine reads the stable images: fold the pending changes
+        // in first.
+        for t in 0..n {
+            db.checkpoint(&format!("t{t}")).unwrap();
+        }
+        let want = canonical(run_row_engine(&db, &bound));
+        for (dop, got) in got {
             assert_rows_match(&format!("seed {seed} dop {dop}: {sql}"), &got, &want);
         }
     }
+}
+
+// ------------------------------------------------------ runtime filters
+
+/// `f`, the probe side: `n` rows, keys `fk` ascending over four range
+/// partitions (row groups of disjoint key ranges), a NULL key every 50th
+/// row (sorted first, into the first partition). `d`: every 10th key below
+/// `n / 5`, so only `f`'s first partition holds keys of a join with it.
+/// `g`: `f` with its keys as INT.
+fn rtf_tables(n: i64) -> Database {
+    let db = Database::new().unwrap();
+    for ddl in [
+        "CREATE TABLE f (fk BIGINT, fv BIGINT NOT NULL) \
+         ORDER BY (fk) PARTITION BY RANGE(fk) PARTITIONS 4",
+        "CREATE TABLE d (dk BIGINT, dv BIGINT NOT NULL)",
+        "CREATE TABLE g (gk INT, gv BIGINT NOT NULL)",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    let key = |i: i64| {
+        if i % 50 == 7 {
+            Value::Null
+        } else {
+            Value::I64(i)
+        }
+    };
+    db.bulk_load("f", (0..n).map(|i| vec![key(i), Value::I64(i % 13)]))
+        .unwrap();
+    let dim = (0..n / 5).step_by(10);
+    db.bulk_load("d", dim.map(|i| vec![Value::I64(i), Value::I64(i % 7)]))
+        .unwrap();
+    let g = (0..n).map(|i| match key(i) {
+        Value::I64(k) => vec![Value::I32(k as i32), Value::I64(i % 13)],
+        null => vec![null, Value::I64(i % 13)],
+    });
+    db.bulk_load("g", g).unwrap();
+    db
+}
+
+/// `sql` on the vectorized engine and, as the bound plan, on the row engine.
+fn vectorized_and_row(db: &Database, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+    let got = canonical(db.execute(sql).unwrap().rows);
+    let bound = match compile_sql(sql, db).unwrap() {
+        BoundStatement::Query(p) => p,
+        other => panic!("{other:?}"),
+    };
+    (got, canonical(run_row_engine(db, &bound)))
+}
+
+/// Extras of the last query's scans of `table`, summed over workers.
+fn scan_extras(db: &Database, table: &str) -> BTreeMap<&'static str, u64> {
+    let prof = db.profile_last_query().expect("profiling is on");
+    let mut sum = BTreeMap::new();
+    let label = format!("Scan {table} ");
+    for node in prof
+        .nodes()
+        .into_iter()
+        .filter(|n| n.label().starts_with(&label))
+    {
+        for (k, v) in node.extras() {
+            *sum.entry(k).or_insert(0) += v;
+        }
+    }
+    sum
+}
+
+#[test]
+fn inner_and_semi_probes_take_runtime_filters_left_and_anti_do_not() {
+    let db = rtf_tables(4000);
+    for (sql, filtered) in [
+        ("SELECT fk, fv, dv FROM f, d WHERE fk = dk", true),
+        ("SELECT fk, fv FROM f WHERE fk IN (SELECT dk FROM d)", true),
+        ("SELECT fk, fv, dv FROM f LEFT JOIN d ON fk = dk", false),
+        (
+            "SELECT fk, fv FROM f WHERE fk NOT IN (SELECT dk FROM d)",
+            false,
+        ),
+    ] {
+        let (got, want) = vectorized_and_row(&db, sql);
+        assert_rows_match(sql, &got, &want);
+        let f = scan_extras(&db, "f");
+        assert_eq!(f.contains_key("rtf"), filtered, "{sql}: {f:?}");
+        assert!(!scan_extras(&db, "d").contains_key("rtf"), "{sql}");
+        if filtered {
+            // The NULL keys and the keys no row of `d` has, the last three
+            // partitions without reading them.
+            assert_eq!(f["rtf_dropped"], 4000 - got.len() as u64, "{sql}");
+            assert_eq!(f["pruned"], 3, "{sql}: {f:?}");
+        }
+    }
+}
+
+#[test]
+fn an_empty_build_reads_no_block_of_the_probe_side() {
+    let db = rtf_tables(4000);
+    let ctx = db.exec_context(None).unwrap();
+    let f = ctx
+        .tables
+        .values()
+        .find(|p| p.storage.read().schema().field(0).name == "fk")
+        .expect("table f")
+        .storage
+        .clone();
+    // Skipped bytes on the disks holding `f`'s blocks.
+    let skipped = || {
+        let st = f.read();
+        let parts = st.partition_disks();
+        match parts.is_empty() {
+            true => st.disk().stats().bytes_skipped,
+            false => parts.iter().map(|d| d.stats().bytes_skipped).sum(),
+        }
+    };
+    let table_bytes: u64 = {
+        let st = f.read();
+        (0..st.group_count())
+            .flat_map(|g| st.group(g).columns.iter().map(|c| c.encoded_bytes as u64))
+            .sum()
+    };
+    // No row of `d` passes, and its filter is not one zone maps decide.
+    let sql = "SELECT fk, fv FROM f, d WHERE fk = dk AND dv * 2 > 100";
+    let before = skipped();
+    let (got, want) = vectorized_and_row(&db, sql);
+    assert!(got.is_empty() && want.is_empty());
+    let f_scan = scan_extras(&db, "f");
+    assert_eq!(f_scan["rtf_dropped"], 4000, "{f_scan:?}");
+    assert_eq!(f_scan["pruned"], 4, "{f_scan:?}");
+    assert_eq!(f_scan["morsels"], 0, "{f_scan:?}");
+    // `d` decodes every vector it reads, so it skips nothing on a disk it
+    // shares with `f`.
+    assert_eq!(skipped() - before, table_bytes);
+}
+
+#[test]
+fn runtime_filters_drop_the_same_rows_at_every_dop() {
+    let db = rtf_tables(20_000);
+    let sql = "SELECT dv, COUNT(*), SUM(fv) FROM f, d WHERE fk = dk AND dv < 5 GROUP BY dv";
+    let mut first = None;
+    for dop in [1, 2, 4] {
+        db.set_parallelism(dop);
+        let (got, want) = vectorized_and_row(&db, sql);
+        assert_rows_match(&format!("dop {dop}"), &got, &want);
+        let f = scan_extras(&db, "f");
+        assert_eq!(f["rtf"], dop as u64, "one per worker: {f:?}");
+        let dropped = f["rtf_dropped"];
+        match first {
+            None => first = Some(dropped),
+            Some(d) => assert_eq!(dropped, d, "dop {dop}"),
+        }
+    }
+    assert!(first.unwrap() > 19_000);
+}
+
+/// INT keys against BIGINT ones compare as integers, as the join's key
+/// check does (the row engine tells the two types apart, so the reference
+/// is the same join over `f`, whose keys are BIGINT).
+#[test]
+fn an_int_probe_key_meets_a_bigint_build_key() {
+    let db = rtf_tables(4000);
+    let widen = |rows: Vec<Vec<Value>>| {
+        let int = |v: Value| match v {
+            Value::I32(k) => Value::I64(k as i64),
+            v => v,
+        };
+        canonical(
+            rows.into_iter()
+                .map(|r| r.into_iter().map(int).collect())
+                .collect(),
+        )
+    };
+    for (sql, reference) in [
+        (
+            "SELECT gk, gv, dv FROM g, d WHERE gk = dk",
+            "SELECT fk, fv, dv FROM f, d WHERE fk = dk",
+        ),
+        (
+            "SELECT gk, gv FROM g WHERE gk IN (SELECT dk FROM d)",
+            "SELECT fk, fv FROM f WHERE fk IN (SELECT dk FROM d)",
+        ),
+    ] {
+        let want = widen(db.execute(reference).unwrap().rows);
+        let got = widen(db.execute(sql).unwrap().rows);
+        assert_eq!(got.len(), 80, "{sql}");
+        assert_rows_match(sql, &got, &want);
+        let g = scan_extras(&db, "g");
+        assert_eq!(g["rtf"], 1, "{sql}: {g:?}");
+        assert_eq!(g["rtf_dropped"], 3920, "{sql}: {g:?}");
+    }
+}
+
+#[test]
+fn a_spilled_build_publishes_no_runtime_filter() {
+    let db = rtf_tables(4000);
+    // A budget `d`'s 80 rows outgrow: the build goes grace.
+    db.execute("SET memory_budget = '1KiB'").unwrap();
+    let sql = "SELECT fk, fv, dv FROM f, d WHERE fk = dk";
+    let (got, want) = vectorized_and_row(&db, sql);
+    assert_eq!(got.len(), 80);
+    assert_rows_match(sql, &got, &want);
+    let prof = db.profile_last_query().unwrap();
+    let join = prof
+        .nodes()
+        .into_iter()
+        .find(|n| n.op_name() == "Join")
+        .unwrap();
+    let spilled = join
+        .extras()
+        .iter()
+        .any(|&(k, v)| k == "spill_bytes" && v > 0);
+    assert!(spilled, "the build did not spill:\n{}", prof.render());
+    assert!(!scan_extras(&db, "f").contains_key("rtf"));
 }
 
 // ------------------------------------------------------------- TPC-H
@@ -198,6 +445,23 @@ const Q18: &str = "SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalpri
     AND c_custkey = o_custkey AND o_orderkey = l_orderkey \
     GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice \
     ORDER BY o_totalprice DESC, o_orderdate, o_orderkey LIMIT 100";
+
+const Q3: &str = "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, \
+    o_orderdate, o_shippriority FROM customer, orders, lineitem \
+    WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey \
+    AND l_orderkey = o_orderkey AND o_orderdate < DATE '1995-03-15' \
+    AND l_shipdate > DATE '1995-03-15' \
+    GROUP BY l_orderkey, o_orderdate, o_shippriority \
+    ORDER BY revenue DESC, o_orderdate, l_orderkey LIMIT 10";
+
+const Q10: &str = "SELECT c_custkey, c_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue, \
+    c_acctbal, n_name, c_address, c_phone, c_comment \
+    FROM customer, orders, lineitem, nation \
+    WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey \
+    AND o_orderdate >= DATE '1993-10-01' AND o_orderdate < DATE '1994-01-01' \
+    AND l_returnflag = 'R' AND c_nationkey = n_nationkey \
+    GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment \
+    ORDER BY revenue DESC, c_custkey LIMIT 20";
 
 fn analyzed_tpch(sf: f64) -> (Database, vectorwise::tpch::TpchCatalog) {
     let (db, cat) = tpch_db(sf);
@@ -317,6 +581,72 @@ fn q9_joins_part_first_and_q18_filters_orders_first() {
     );
     let hand_built = run_vectorized(&db, &vectorwise::tpch::queries::q18(&cat, 300.0));
     assert_rows_match("Q18", &db.execute(Q18).unwrap().rows, &hand_built);
+}
+
+/// Cardinality feedback sees a scan's rows before the runtime filters a
+/// join put into it: repeating the join templates teaches the optimizer
+/// nothing that moves a plan, and no correction for lineitem scanned whole
+/// (which the filters cut to a few percent in Q5, Q9 and Q18). Every table
+/// is one extent whatever `VW_PARTITIONS` says: over four partitions the
+/// feedback on Q9's joins alone, runtime filters or none, moves its plan.
+#[test]
+fn runtime_filters_teach_the_optimizer_nothing_false() {
+    use vectorwise::common::{RangePartitionSpec, TableLayout};
+    let db = Database::new().unwrap();
+    let generator = TpchGenerator::new(0.01);
+    for table in TPCH_TABLES {
+        let one_extent = TableLayout {
+            order: Vec::new(),
+            partition: Some(RangePartitionSpec {
+                col: 0,
+                partitions: 1,
+            }),
+        };
+        db.create_table_with_layout(table, tpch_schema(table).unwrap(), one_extent)
+            .unwrap();
+        db.bulk_load(table, generator.rows(table)).unwrap();
+        db.analyze(table).unwrap();
+    }
+    let templates = [Q3, Q5_JOINS, Q9, Q10, Q18];
+    let explain = |sql: &str| {
+        let rows = db.execute(&format!("EXPLAIN {sql}")).unwrap().rows;
+        rows.iter()
+            .map(|r| r[0].as_str().unwrap().to_string())
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let first: Vec<String> = templates.iter().map(|sql| explain(sql)).collect();
+    for _ in 0..10 {
+        for sql in templates {
+            db.execute(sql).unwrap();
+        }
+    }
+    // Lineitem scanned whole: the probe side of Q5's lowest join.
+    fn whole_lineitem(p: &LogicalPlan) -> Option<&LogicalPlan> {
+        match p {
+            LogicalPlan::Scan {
+                table,
+                filter: None,
+                ..
+            } if table == "lineitem" => Some(p),
+            _ => p.children().into_iter().find_map(whole_lineitem),
+        }
+    }
+    let plan = optimized(&db, Q5_JOINS);
+    let scan = whole_lineitem(&plan).expect("Q5 scans lineitem whole");
+    let shape = format!("(shape {:016x})", vectorwise::plan::fingerprint(scan));
+    for (sql, first) in templates.iter().zip(first) {
+        assert_eq!(explain(sql), first, "the plan moved:\n{sql}");
+        let text = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().rows;
+        let lines: Vec<&str> = text.iter().filter_map(|r| r[0].as_str()).collect();
+        let scans = lines.iter().filter(|l| l.contains("rtf=")).count();
+        assert!(scans > 0, "no runtime filter in\n{}", lines.join("\n"));
+        let feedback = lines.iter().find(|l| l.starts_with("vw_plan_feedback"));
+        assert!(
+            feedback.is_none_or(|l| !l.contains(&shape)),
+            "a correction for lineitem scanned whole: {feedback:?}"
+        );
+    }
 }
 
 // ------------------------------------------------ sampled distinct counts
