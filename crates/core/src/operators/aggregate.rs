@@ -3,9 +3,10 @@
 //!
 //! A vector's group keys are mapped to a `gid` vector by the shared flat hash
 //! table ([`GroupIndex`]: group ids dense in first-seen order, keys interned
-//! in typed columns) and the `gid`s address the same struct-of-arrays
-//! [`Accumulators`] the perfect-hash path addresses with composed key codes —
-//! the two paths differ only in how a slot is computed. Results leave as
+//! in typed columns) and the `gid`s address the same [`Accumulators`] the
+//! perfect-hash path addresses with composed key codes — one row of shared
+//! COUNT/SUM/AVG lanes per group, updated in one pass per vector — so the
+//! two paths differ only in how a slot is computed. Results leave as
 //! columns gathered from the key and accumulator columns. A group key in
 //! dictionary form is consumed as it comes on both paths: the perfect table
 //! maps dictionary codes to its key codes through one small table per
@@ -13,7 +14,8 @@
 //! stores a key's bytes when its group is born.
 //! Aggregate arguments are evaluated vector-at-a-time with the batch's
 //! selection vector, so the classic `Scan → Filter → Aggregate` pipeline
-//! never materializes survivors.
+//! never materializes survivors; a column-reference argument is read from
+//! the batch, not copied.
 //!
 //! Under a [`MemTracker`] budget the table **spills**: when reserving more
 //! group state fails, every resident group is serialized as a
@@ -30,6 +32,7 @@
 //!
 //! [`MemTracker`]: crate::mem::MemTracker
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,14 +40,14 @@ use crate::adapt::{AggFeedback, AggShapeKey};
 use crate::batch::{Batch, ExecVector};
 use crate::spill::{read_batch, write_batch, QueryEnv};
 use crate::vexpr::ExprEvaluator;
-use vw_common::{DataType, Field, Result, Schema, VwError};
+use vw_common::{DataType, Field, Result, Schema, Value, VwError};
 use vw_plan::plan::AggPhase;
 use vw_plan::rewrite::parallel::partial_avg_count_columns;
 use vw_plan::{AggExpr, AggFunc};
 use vw_storage::SpillFile;
 
 use super::hash_table::GroupIndex;
-use super::perfect::{self, Accumulators, KeyCoderSpec, PerfectTable};
+use super::perfect::{self, AccLayout, Accumulators, KeyCoderSpec, PerfectTable};
 use super::{BoxedOperator, Operator};
 
 /// Spill fan-out: partitions are selected by the top 3 bits of the group
@@ -65,9 +68,9 @@ impl GroupTable {
         self.groups.heap_bytes() + self.accs.heap_bytes() + self.gids.capacity() * 4
     }
 
-    /// Fold rows `lanes` in: key columns to group ids, then one pass per
-    /// aggregate over its accumulator column. Returns `(lookup, update)`
-    /// nanoseconds when `timed`.
+    /// Fold rows `lanes` in: key columns to group ids, then one pass over
+    /// the groups' accumulator rows. Returns `(lookup, update)` nanoseconds
+    /// when `timed`.
     fn absorb(
         &mut self,
         keys: &[&ExecVector],
@@ -107,7 +110,8 @@ pub struct HashAggregate {
     group_by: Vec<usize>,
     aggs: Vec<AggExpr>,
     arg_evals: Vec<Option<ExprEvaluator>>,
-    arg_types: Vec<Option<DataType>>,
+    /// The accumulator row both paths keep per group.
+    layout: Arc<AccLayout>,
     phase: AggPhase,
     out_schema: Schema,
     in_schema: Schema,
@@ -143,8 +147,8 @@ pub struct HashAggregate {
 
 /// Generic-path counters: groups emitted, the largest bucket array and the
 /// bucket-array doublings over every table the run held (a spill restarts
-/// the table), and (profiling on) time mapping keys to group ids vs updating
-/// accumulators, summed per vector.
+/// the table); and (profiling on, both paths) time mapping keys to slots vs
+/// updating accumulators, summed per vector.
 #[derive(Default)]
 struct TableStats {
     groups: u64,
@@ -179,6 +183,14 @@ impl HashAggregate {
                 }
             }
         }
+        // Partial rows come with NULLs whatever the input declared.
+        let nullfree: Vec<bool> = aggs
+            .iter()
+            .map(|a| {
+                phase != AggPhase::Final && a.arg.as_ref().is_some_and(|e| !e.nullable(&in_schema))
+            })
+            .collect();
+        let layout = Arc::new(AccLayout::new(&aggs, &arg_types, &nullfree));
         let mut fields: Vec<Field> = group_by
             .iter()
             .map(|&g| in_schema.field(g).clone())
@@ -216,7 +228,7 @@ impl HashAggregate {
             group_by,
             aggs,
             arg_evals,
-            arg_types,
+            layout,
             phase,
             out_schema: Schema::new(fields),
             in_schema,
@@ -297,7 +309,7 @@ impl HashAggregate {
     fn new_table(&self) -> GroupTable {
         GroupTable {
             groups: GroupIndex::new(&self.key_types()),
-            accs: Accumulators::new(&self.aggs, &self.arg_types, 0),
+            accs: Accumulators::new(Arc::clone(&self.layout), 0),
             gids: Vec::new(),
         }
     }
@@ -341,13 +353,7 @@ impl HashAggregate {
         // Arm the direct-array table. A refused reservation means the
         // generic path from batch one.
         let mut pt: Option<PerfectTable> = self.perfect_specs.as_ref().and_then(|specs| {
-            PerfectTable::try_new(
-                specs,
-                &key_types,
-                &self.aggs,
-                &self.arg_types,
-                &mut self.env.mem,
-            )
+            PerfectTable::try_new(specs, &key_types, &self.layout, &mut self.env.mem)
         });
         // A planned-but-refused table (budget said no) is a refusal the
         // feedback store should remember; never having planned one isn't.
@@ -355,14 +361,16 @@ impl HashAggregate {
             self.feedback_refusal();
         }
 
+        let timed = self.env.waits.is_some();
         while let Some(batch) = self.input.next()? {
-            // Evaluate aggregate argument expressions with the selection.
-            let args: Vec<Option<ExecVector>> = self
+            // Evaluate aggregate argument expressions with the selection; a
+            // column reference is the batch's own vector.
+            let vals: Vec<Option<Cow<ExecVector>>> = self
                 .arg_evals
                 .iter()
-                .map(|ev| ev.as_ref().map(|e| e.eval(&batch)).transpose())
+                .map(|ev| ev.as_ref().map(|e| e.eval_ref(&batch)).transpose())
                 .collect::<Result<_>>()?;
-            let args: Vec<Option<&ExecVector>> = args.iter().map(|a| a.as_ref()).collect();
+            let args: Vec<Option<&ExecVector>> = vals.iter().map(|v| v.as_deref()).collect();
             if combine && args.iter().any(|a| a.is_none()) {
                 return Err(VwError::Exec("final agg needs arg".into()));
             }
@@ -376,7 +384,7 @@ impl HashAggregate {
 
             // Direct-array fast path: compose slots, accumulate, next batch.
             if let Some(t) = pt.as_mut() {
-                if t.absorb(&keys, lanes, &args, self.phase, &hidden)? {
+                if t.absorb(&keys, lanes, &args, self.phase, &hidden, timed)? {
                     continue;
                 }
             }
@@ -388,6 +396,8 @@ impl HashAggregate {
                 // generically.
                 self.perfect_fallback = true;
                 self.feedback_refusal();
+                self.stats.lookup_ns += t.lookup_ns;
+                self.stats.update_ns += t.update_ns;
                 let partial = t.batch(&t.occupied_slots(), AggPhase::Partial);
                 let reserved = t.reserved_bytes;
                 drop(t);
@@ -403,10 +413,12 @@ impl HashAggregate {
         if let Some(t) = pt.take() {
             self.ran_perfect = true;
             self.feedback_success();
+            self.stats.lookup_ns += t.lookup_ns;
+            self.stats.update_ns += t.update_ns;
             let slots = t.occupied_slots();
-            self.feedback_groups(slots.len() as u64);
             let chunks = slots.chunks(self.vector_size);
             self.output = chunks.rev().map(|c| t.batch(c, self.phase)).collect();
+            self.finish_scalar(slots.len())?;
             let reserved = t.reserved_bytes;
             drop(t);
             self.env.mem.shrink(reserved);
@@ -425,14 +437,35 @@ impl HashAggregate {
             return Ok(());
         }
 
-        // Scalar aggregate over empty input still yields one row.
-        if table.groups.is_empty() && self.group_by.is_empty() {
-            table.groups.find_or_insert(&[], &[], &mut table.gids);
-            table.accs.resize(1);
-        }
-        self.feedback_groups(table.groups.len() as u64);
         self.emit(&table);
+        self.finish_scalar(table.groups.len())?;
         self.env.mem.shrink(std::mem::take(&mut self.table_bytes));
+        Ok(())
+    }
+
+    /// Record how many groups an in-memory run produced and, for a scalar
+    /// aggregate over no input, queue its one row: counts 0, every other
+    /// aggregate NULL (and, emitting partials, hidden AVG counts 0). Slots
+    /// exist only once a row arrives, so no accumulator holds this row.
+    fn finish_scalar(&mut self, groups: usize) -> Result<()> {
+        if groups == 0 && self.group_by.is_empty() {
+            let count = |a: &AggExpr| matches!(a.func, AggFunc::Count | AggFunc::CountStar);
+            let aggs = self.aggs.iter().map(|a| match count(a) {
+                true => Value::I64(0),
+                false => Value::Null,
+            });
+            let hidden = match self.phase {
+                AggPhase::Partial => self.avg_idxs.len(),
+                _ => 0,
+            };
+            let row: Vec<Value> = aggs
+                .chain(std::iter::repeat_n(Value::I64(0), hidden))
+                .collect();
+            self.output
+                .push(Batch::from_rows(&self.out_schema, &[row])?);
+            self.stats.groups += 1;
+        }
+        self.feedback_groups(groups.max(usize::from(self.group_by.is_empty())) as u64);
         Ok(())
     }
 
@@ -574,15 +607,16 @@ impl Operator for HashAggregate {
             if self.perfect_fallback {
                 ex.push(("agg_fallback", 1));
             }
+            ex.push(("agg_accs", self.layout.width() as u64));
+            let st = &self.stats;
             if !self.ran_perfect {
-                let st = &self.stats;
                 ex.push(("groups", st.groups));
                 ex.push(("ht_slots", st.ht_slots));
                 ex.push(("ht_rehashes", st.ht_rehashes));
-                if self.env.waits.is_some() {
-                    ex.push(("lookup_ns", st.lookup_ns));
-                    ex.push(("update_ns", st.update_ns));
-                }
+            }
+            if self.env.waits.is_some() {
+                ex.push(("lookup_ns", st.lookup_ns));
+                ex.push(("update_ns", st.update_ns));
             }
         }
         if self.env.mem.spill_events() > 0 {

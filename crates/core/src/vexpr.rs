@@ -64,13 +64,39 @@ impl ExprEvaluator {
     /// Evaluate over the batch's selected lanes; output has the batch's
     /// physical length, with meaningful values at selected lanes.
     pub fn eval(&self, batch: &Batch) -> Result<ExecVector> {
+        let v = self.eval_unfinished(batch)?;
+        self.finish(v, batch.sel.as_deref())
+    }
+
+    /// [`Self::eval`] short of its last step, the cast to the output type:
+    /// the vector this expression hands its parent when it is a subtree of
+    /// a larger one. [`Self::finish`] completes it.
+    pub fn eval_unfinished(&self, batch: &Batch) -> Result<ExecVector> {
         let sel = batch.sel.as_deref();
         if self.naive {
             eval_naive(&self.expr, &self.schema, batch, sel, self.out_type)
         } else {
-            let v = eval_rec(&self.expr, &self.schema, batch, sel)?;
-            coerce_to(v, self.out_type, sel)
+            eval_rec(&self.expr, &self.schema, batch, sel)
         }
+    }
+
+    /// Cast an [`Self::eval_unfinished`] result to the output type.
+    pub fn finish(&self, v: ExecVector, sel: Option<&[u32]>) -> Result<ExecVector> {
+        coerce_to(v, self.out_type, sel)
+    }
+
+    /// [`Self::eval`], borrowing the batch's own vector when the expression
+    /// is a bare column reference of the output's physical type: an
+    /// aggregate's argument is read, never kept, so it need not be copied.
+    pub fn eval_ref<'a>(&self, batch: &'a Batch) -> Result<Cow<'a, ExecVector>> {
+        if let (Expr::Col(i), false) = (&self.expr, self.naive) {
+            if let Some(v) = batch.columns.get(*i) {
+                if physical_type(&v.data) == ColumnData::physical_type(self.out_type) {
+                    return Ok(Cow::Borrowed(v));
+                }
+            }
+        }
+        self.eval(batch).map(Cow::Owned)
     }
 
     /// Evaluate with an explicit selection (operators with custom lanes).
@@ -151,18 +177,22 @@ fn eval_naive(
     ExecVector::from_values(out_type, &coerced)
 }
 
-/// Make sure the produced vector physically matches `ty` (e.g. arith on two
-/// I32 columns runs on i64 kernels and narrows back here).
-fn coerce_to(v: ExecVector, ty: DataType, sel: Option<&[u32]>) -> Result<ExecVector> {
-    let want = ColumnData::physical_type(ty);
-    let have = match &v.data {
+/// The physical type a vector holds.
+fn physical_type(data: &ColumnData) -> DataType {
+    match data {
         ColumnData::Bool(_) => DataType::Bool,
         ColumnData::I32(_) => DataType::I32,
         ColumnData::I64(_) => DataType::I64,
         ColumnData::F64(_) => DataType::F64,
         ColumnData::Str(_) | ColumnData::Dict(_) => DataType::Str,
-    };
-    if want == have {
+    }
+}
+
+/// Make sure the produced vector physically matches `ty` (e.g. arith on two
+/// I32 columns runs on i64 kernels and narrows back here).
+fn coerce_to(v: ExecVector, ty: DataType, sel: Option<&[u32]>) -> Result<ExecVector> {
+    let want = ColumnData::physical_type(ty);
+    if want == physical_type(&v.data) {
         return Ok(v);
     }
     match (&v.data, want) {
@@ -211,7 +241,11 @@ fn coerce_to(v: ExecVector, ty: DataType, sel: Option<&[u32]>) -> Result<ExecVec
             prim::cast_i64_i32(&wide, safe_sel.as_deref(), &mut out)?;
             Ok(ExecVector::new(ColumnData::I32(out), v.nulls))
         }
-        _ => Err(VwError::Exec(format!("cannot coerce {} to {}", have, ty))),
+        _ => Err(VwError::Exec(format!(
+            "cannot coerce {} to {}",
+            physical_type(&v.data),
+            ty
+        ))),
     }
 }
 

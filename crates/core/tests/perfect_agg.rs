@@ -15,12 +15,25 @@
 //!   reservation and must degrade to the generic path, not fail;
 //! * a key domain that blows past the perfect coder's string cap
 //!   mid-stream, forcing the runtime fallback merge.
+//!
+//! Both paths fold into the same accumulator rows, so the last group of
+//! tests compares them with the row engine instead, byte for byte: COUNT,
+//! SUM and AVG sharing lanes over nullable and NULL-free arguments, a group
+//! whose argument is all NULL, an integer SUM beside an AVG of the same
+//! column, NULLs a LEFT JOIN or an IN list holding NULL makes, ±0.0 and NaN,
+//! and more groups than the direct array holds — serial, at dop 4 and under
+//! budgets that spill.
 
 mod common;
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use vw_baselines::{collect_row_engine, compile_row};
 use vw_common::rng::Xoshiro256;
 use vw_common::{DataType, Field, Schema, Value};
+use vw_core::operators::perfect;
 use vw_core::Database;
 use vw_plan::{AggExpr, AggFunc, Expr, LogicalPlan};
 
@@ -275,5 +288,288 @@ fn over_cap_key_domain_falls_back_mid_stream() {
         extras.iter().any(|&(k, _)| k == "agg_fallback"),
         "fallback should be reported in extras: {:?}",
         extras
+    );
+}
+
+/// Rows equal with doubles compared by their bits.
+fn rows_identical(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    let same = |x: &Value, y: &Value| match (x, y) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => x == y,
+    };
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(ra, rb)| ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| same(x, y)))
+}
+
+/// The plan's rows from the row engine.
+fn row_engine(db: &Database, plan: &LogicalPlan) -> Vec<Vec<Value>> {
+    let ctx = db.exec_context(None).unwrap();
+    let tables: HashMap<_, _> = ctx
+        .tables
+        .iter()
+        .map(|(id, p)| (*id, Arc::clone(&p.storage)))
+        .collect();
+    let mut op = compile_row(plan, &tables).expect("row compile");
+    sort_canonical(collect_row_engine(op.as_mut()).expect("row run"))
+}
+
+/// Every aggregate shape the shared lanes have: COUNT(*), and COUNT, SUM and
+/// AVG over the nullable double `x`, the nullable integer `i` (an integer
+/// SUM beside an f64 AVG) and the NULL-free integer `k`, plus MIN/MAX.
+fn shared_lane_aggs(x: usize, i: usize, k: usize) -> Vec<AggExpr> {
+    vec![
+        agg(AggFunc::CountStar, None, "n"),
+        agg(AggFunc::Count, Some(x), "nx"),
+        agg(AggFunc::Sum, Some(x), "sx"),
+        agg(AggFunc::Avg, Some(x), "ax"),
+        agg(AggFunc::Sum, Some(i), "si"),
+        agg(AggFunc::Avg, Some(i), "ai"),
+        agg(AggFunc::Count, Some(i), "ni"),
+        agg(AggFunc::Sum, Some(k), "sk"),
+        agg(AggFunc::Avg, Some(k), "ak"),
+        agg(AggFunc::Min, Some(x), "mnx"),
+        agg(AggFunc::Max, Some(i), "mxi"),
+    ]
+}
+
+/// `t(g, h, x, i, k)`: `g` a short string (group "none" has every `x` and
+/// `i` NULL), `h` spread over 6 000 values, `x` a nullable multiple of 0.25
+/// (exact sums in any order), `i` a nullable and `k` a NULL-free integer.
+fn shared_lane_table(db: &Database, seed: u64) -> (vw_common::TableId, Schema) {
+    let mut r = Xoshiro256::seeded(seed);
+    let groups = ["a", "b", "c", "none"];
+    let rows: Vec<Vec<Value>> = (0..12_000)
+        .map(|_| {
+            let g = groups[r.next_below(4) as usize];
+            let none = g == "none";
+            vec![
+                Value::Str(g.into()),
+                Value::I64(r.range_i64(0, 6_000)),
+                if none || r.chance(0.1) {
+                    Value::Null
+                } else {
+                    Value::F64(r.range_i64(-400, 400) as f64 / 4.0)
+                },
+                if none || r.chance(0.1) {
+                    Value::Null
+                } else {
+                    Value::I64(r.range_i64(-1_000, 1_000))
+                },
+                Value::I64(r.range_i64(0, 50)),
+            ]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Str),
+        Field::new("h", DataType::I64),
+        Field::nullable("x", DataType::F64),
+        Field::nullable("i", DataType::I64),
+        Field::new("k", DataType::I64),
+    ]);
+    load(db, schema, rows)
+}
+
+/// `plan` on the engine at dop 1 and 4 and under a 16 MiB and a 256 KiB
+/// budget equals the row engine's rows byte for byte; with `spills`, the
+/// 256 KiB run must have spilled.
+fn assert_matches_row_engine(db: &Database, plan: &LogicalPlan, spills: bool) {
+    let want = row_engine(db, plan);
+    for (dop, budget) in [
+        (1, None),
+        (4, None),
+        (1, Some(16 << 20)),
+        (1, Some(256 << 10)),
+    ] {
+        db.set_mem_budget(budget);
+        let got = engine(db, plan, dop);
+        assert!(
+            rows_identical(&got, &want),
+            "dop {dop}, budget {budget:?} diverged from the row engine:\n  got  {got:?}\n  want {want:?}"
+        );
+        if spills && budget == Some(256 << 10) {
+            let prof = db.profile_last_query().expect("profiling on by default");
+            assert!(prof.mem.spill_bytes > 0, "the 256 KiB run should spill");
+        }
+    }
+    db.set_mem_budget(None);
+    db.set_parallelism(1);
+}
+
+/// Few groups (the direct array) and no groups (one slot), with a group
+/// whose arguments are all NULL and with the scalar aggregate over no rows.
+#[test]
+fn shared_lanes_match_the_row_engine_on_the_direct_array() {
+    let db = Database::new().unwrap();
+    let (tid, schema) = shared_lane_table(&db, 11);
+    let scan = || LogicalPlan::scan("t", tid, schema.clone());
+    let by_g = scan().aggregate(vec![0], shared_lane_aggs(2, 3, 4));
+    assert_matches_row_engine(&db, &by_g, false);
+    let rows = engine(&db, &by_g, 1);
+    let none = rows
+        .iter()
+        .find(|r| r[0] == Value::Str("none".into()))
+        .unwrap();
+    assert_eq!(
+        &none[2..8],
+        &[
+            Value::I64(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::I64(0)
+        ]
+    );
+    let scalar = scan().aggregate(vec![], shared_lane_aggs(2, 3, 4));
+    assert_matches_row_engine(&db, &scalar, false);
+    let nothing = Expr::binary(vw_plan::BinOp::Lt, Expr::col(1), Expr::lit(Value::I64(0)));
+    let empty = scan()
+        .filter(nothing)
+        .aggregate(vec![], shared_lane_aggs(2, 3, 4));
+    assert_matches_row_engine(&db, &empty, false);
+}
+
+/// More groups than the direct array holds: the generic table, which the
+/// smallest budget makes spill and merge partial rows.
+#[test]
+fn shared_lanes_match_the_row_engine_on_the_generic_table() {
+    let db = Database::new().unwrap();
+    let (tid, schema) = shared_lane_table(&db, 12);
+    let plan = LogicalPlan::scan("t", tid, schema).aggregate(vec![1], shared_lane_aggs(2, 3, 4));
+    assert!(engine(&db, &plan, 1).len() > perfect::MAX_SLOTS);
+    assert_matches_row_engine(&db, &plan, true);
+}
+
+/// A LEFT JOIN's unmatched rows bring NULLs into columns the joined table
+/// declares NOT NULL; the aggregate above must count and sum them as NULLs.
+#[test]
+fn shared_lanes_count_left_join_nulls() {
+    let db = Database::new().unwrap();
+    let (tid, schema) = shared_lane_table(&db, 13);
+    let u_schema = Schema::new(vec![
+        Field::new("uh", DataType::I64),
+        Field::new("y", DataType::F64),
+        Field::new("j", DataType::I64),
+    ]);
+    let u_rows: Vec<Vec<Value>> = (0..6_000)
+        .filter(|h| h % 3 != 0)
+        .map(|h| {
+            vec![
+                Value::I64(h),
+                Value::F64(h as f64 / 4.0),
+                Value::I64(h % 17),
+            ]
+        })
+        .collect();
+    let uid = db.create_table("u", u_schema.clone()).unwrap();
+    db.bulk_load("u", u_rows).unwrap();
+    let joined = LogicalPlan::scan("t", tid, schema).join(
+        LogicalPlan::scan("u", uid, u_schema),
+        vw_plan::JoinKind::Left,
+        vec![(1, 0)],
+    );
+    // t's five columns, then u's: y is column 6 and j column 7.
+    let plan = joined.aggregate(vec![0], shared_lane_aggs(6, 7, 4));
+    let rows = engine(&db, &plan, 1);
+    assert!(
+        rows.iter().all(|r| r[1].as_i64() > r[2].as_i64()),
+        "some y are NULL"
+    );
+    assert_matches_row_engine(&db, &plan, false);
+}
+
+/// ±0.0 and NaN under shared SUM/AVG lanes, serial: the fold adds 0.0 for a
+/// NULL, which must leave every sum's bits as the row engine has them.
+#[test]
+fn shared_lanes_keep_the_bits_of_signed_zero_and_nan() {
+    let db = Database::new().unwrap();
+    let mut r = Xoshiro256::seeded(5);
+    // Group 0 sees only ±0.0 and NULLs, so its sums stay zeros.
+    let rows: Vec<Vec<Value>> = (0..3_000)
+        .map(|_| {
+            let g = r.range_i64(0, 6);
+            let x = match r.next_below(if g == 0 { 3 } else { 6 }) {
+                0 => Value::F64(0.0),
+                1 => Value::F64(-0.0),
+                2 => Value::Null,
+                3 => Value::F64(f64::NAN),
+                _ => Value::F64(-(r.range_i64(0, 100) as f64) / 4.0),
+            };
+            vec![Value::I64(g), x]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::I64),
+        Field::nullable("x", DataType::F64),
+    ]);
+    let (tid, schema) = load(&db, schema, rows);
+    let plan = LogicalPlan::scan("t", tid, schema).aggregate(
+        vec![0],
+        vec![
+            agg(AggFunc::Sum, Some(1), "s"),
+            agg(AggFunc::Avg, Some(1), "a"),
+            agg(AggFunc::Count, Some(1), "n"),
+            agg(AggFunc::CountStar, None, "rows"),
+        ],
+    );
+    let want = row_engine(&db, &plan);
+    let got = engine(&db, &plan, 1);
+    assert!(
+        rows_identical(&got, &want),
+        "±0.0/NaN bits diverged:\n  got  {got:?}\n  want {want:?}"
+    );
+}
+
+/// `k IN (1, NULL)` is NULL wherever `k` is not 1, though `k` is NOT NULL:
+/// COUNT over it counts only the rows where `k` is 1, whether the test is
+/// the aggregate's own argument or a column a projection computed.
+#[test]
+fn shared_lanes_count_nulls_an_in_list_makes() {
+    let db = Database::new().unwrap();
+    let (tid, schema) = shared_lane_table(&db, 14);
+    let scan = || LogicalPlan::scan("t", tid, schema.clone());
+    let in_list = |negated| Expr::InList {
+        e: Box::new(Expr::col(4)),
+        list: vec![Value::I64(1), Value::Null],
+        negated,
+    };
+    let count = |arg: Expr, name: &str| AggExpr {
+        func: AggFunc::Count,
+        arg: Some(arg),
+        name: name.into(),
+    };
+    let direct = scan().aggregate(
+        vec![0],
+        vec![
+            count(in_list(false), "n_in"),
+            count(in_list(true), "n_not_in"),
+            agg(AggFunc::CountStar, None, "n"),
+            agg(AggFunc::Sum, Some(4), "sk"),
+            agg(AggFunc::Avg, Some(4), "ak"),
+        ],
+    );
+    assert_matches_row_engine(&db, &direct, false);
+    let projected = scan()
+        .project(vec![
+            (Expr::col(0), "g"),
+            (in_list(false), "p"),
+            (Expr::col(4), "k"),
+        ])
+        .aggregate(
+            vec![0],
+            vec![
+                agg(AggFunc::Count, Some(1), "n_in"),
+                agg(AggFunc::CountStar, None, "n"),
+                agg(AggFunc::Sum, Some(2), "sk"),
+                agg(AggFunc::Avg, Some(2), "ak"),
+            ],
+        );
+    assert_matches_row_engine(&db, &projected, false);
+    let rows = engine(&db, &projected, 1);
+    assert!(
+        rows.iter().all(|r| r[1].as_i64() < r[2].as_i64()),
+        "COUNT(k IN (1, NULL)) counts only k = 1: {rows:?}"
     );
 }

@@ -202,50 +202,51 @@ impl Expr {
     pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> Expr {
         match self {
             Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Placeholder => Expr::Placeholder,
-            Expr::Cast(e, t) => Expr::Cast(Box::new(e.remap_columns(map)), *t),
-            Expr::Unary { op, e } => Expr::Unary {
-                op: *op,
-                e: Box::new(e.remap_columns(map)),
-            },
+            e => e.map_children(&mut |c| c.remap_columns(map)),
+        }
+    }
+
+    /// This node over its children rewritten by `f`.
+    pub fn map_children(&self, f: &mut dyn FnMut(&Expr) -> Expr) -> Expr {
+        let mut b = |e: &Expr| Box::new(f(e));
+        match self {
+            Expr::Col(_) | Expr::Lit(_) | Expr::Placeholder => self.clone(),
+            Expr::Cast(e, t) => Expr::Cast(b(e), *t),
+            Expr::Unary { op, e } => Expr::Unary { op: *op, e: b(e) },
             Expr::Binary { op, l, r } => Expr::Binary {
                 op: *op,
-                l: Box::new(l.remap_columns(map)),
-                r: Box::new(r.remap_columns(map)),
+                l: b(l),
+                r: b(r),
             },
             Expr::Case { whens, otherwise } => Expr::Case {
-                whens: whens
-                    .iter()
-                    .map(|(c, t)| (c.remap_columns(map), t.remap_columns(map)))
-                    .collect(),
-                otherwise: otherwise.as_ref().map(|e| Box::new(e.remap_columns(map))),
+                whens: whens.iter().map(|(c, t)| (f(c), f(t))).collect(),
+                otherwise: otherwise.as_ref().map(|e| Box::new(f(e))),
             },
             Expr::Like {
                 e,
                 pattern,
                 negated,
             } => Expr::Like {
-                e: Box::new(e.remap_columns(map)),
+                e: b(e),
                 pattern: pattern.clone(),
                 negated: *negated,
             },
             Expr::InList { e, list, negated } => Expr::InList {
-                e: Box::new(e.remap_columns(map)),
+                e: b(e),
                 list: list.clone(),
                 negated: *negated,
             },
             Expr::Substr { e, start, len } => Expr::Substr {
-                e: Box::new(e.remap_columns(map)),
+                e: b(e),
                 start: *start,
                 len: *len,
             },
             Expr::Extract { part, e } => Expr::Extract {
                 part: *part,
-                e: Box::new(e.remap_columns(map)),
+                e: b(e),
             },
             Expr::AddMonths { e, months } => Expr::AddMonths {
-                e: Box::new(e.remap_columns(map)),
+                e: b(e),
                 months: *months,
             },
         }
@@ -324,8 +325,9 @@ impl Expr {
                 whens.iter().any(|(_, v)| v.nullable(input))
                     || otherwise.as_ref().is_none_or(|e| e.nullable(input))
             }
+            // `x IN (.., NULL, ..)` is NULL wherever `x` matches no item.
+            Expr::InList { e, list, .. } => e.nullable(input) || list.iter().any(Value::is_null),
             Expr::Like { e, .. }
-            | Expr::InList { e, .. }
             | Expr::Substr { e, .. }
             | Expr::Extract { e, .. }
             | Expr::AddMonths { e, .. } => e.nullable(input),
@@ -780,6 +782,16 @@ mod tests {
             otherwise: None
         }
         .nullable(&s));
+        // A NULL in an IN list makes the test NULL for a non-matching value.
+        let in_list = |list: Vec<Value>| Expr::InList {
+            e: Box::new(Expr::col(0)),
+            list,
+            negated: false,
+        };
+        assert!(!in_list(vec![Value::I64(1), Value::I64(2)]).nullable(&s));
+        let with_null = in_list(vec![Value::I64(1), Value::Null]);
+        assert!(with_null.nullable(&s));
+        assert_eq!(with_null.eval_row(&row()).unwrap(), Value::Null);
     }
 
     #[test]

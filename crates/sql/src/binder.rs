@@ -981,15 +981,18 @@ fn bind_aggregate_select(
     for (i, (_, ge)) in group_bound.iter().enumerate() {
         pre.push((ge.clone(), format!("__g{}", i)));
     }
+    // One column per distinct argument: aggregates over the same bound
+    // expression read the same column.
     let mut agg_arg_cols: Vec<Option<usize>> = Vec::new();
-    for (_, arg) in &aggs {
-        match arg {
-            Some(a) => {
-                agg_arg_cols.push(Some(pre.len()));
-                pre.push((a.clone(), format!("__a{}", agg_arg_cols.len() - 1)));
-            }
-            None => agg_arg_cols.push(None),
-        }
+    for (j, (_, arg)) in aggs.iter().enumerate() {
+        let col = arg.as_ref().map(|a| {
+            let earlier = pre[k..].iter().position(|(e, _)| e == a);
+            earlier.map(|c| k + c).unwrap_or_else(|| {
+                pre.push((a.clone(), format!("__a{j}")));
+                pre.len() - 1
+            })
+        });
+        agg_arg_cols.push(col);
     }
     // keep at least one column for COUNT(*)-only queries
     if pre.is_empty() {
@@ -1275,6 +1278,64 @@ mod tests {
             BoundStatement::Query(p) => p,
             other => panic!("{:?}", other),
         }
+    }
+
+    /// TPC-H Q1 pre-projects one column per distinct aggregate argument:
+    /// AVG(l_quantity) and AVG(l_extendedprice) read the columns of the SUMs
+    /// over the same expressions, so the Project under the Aggregate holds
+    /// the two keys and five arguments, not seven.
+    #[test]
+    fn q1_pre_projection_has_one_column_per_distinct_argument() {
+        struct Q1Catalog;
+        impl CatalogView for Q1Catalog {
+            fn resolve_table(&self, name: &str) -> Option<(TableId, Schema)> {
+                let f = |n: &str, ty| Field::new(n, ty);
+                let schema = Schema::new(vec![
+                    f("l_quantity", DataType::F64),
+                    f("l_extendedprice", DataType::F64),
+                    f("l_discount", DataType::F64),
+                    f("l_tax", DataType::F64),
+                    f("l_returnflag", DataType::Str),
+                    f("l_linestatus", DataType::Str),
+                    f("l_shipdate", DataType::Date),
+                ]);
+                (name == "lineitem").then(|| (TableId::new(1), schema))
+            }
+        }
+        let sql = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+                   SUM(l_extendedprice) AS sum_base_price, \
+                   SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, \
+                   SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge, \
+                   AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, \
+                   AVG(l_discount) AS avg_disc, COUNT(*) AS count_order \
+                   FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+                   GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus";
+        let BoundStatement::Query(plan) = bind(&parse_statement(sql).unwrap(), &Q1Catalog).unwrap()
+        else {
+            panic!("a query");
+        };
+        let mut nodes = vec![&plan];
+        let (aggs, pre) = loop {
+            let node = nodes.pop().expect("an Aggregate over a Project");
+            match node {
+                LogicalPlan::Aggregate { aggs, input, .. } => match input.as_ref() {
+                    LogicalPlan::Project { exprs, .. } => break (aggs, exprs),
+                    other => panic!("pre-projection expected, got {other:?}"),
+                },
+                other => nodes.extend(other.children()),
+            }
+        };
+        let names: Vec<&str> = pre.iter().map(|(_, n)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["__g0", "__g1", "__a0", "__a1", "__a2", "__a3", "__a6"]
+        );
+        let args: Vec<Option<Expr>> = aggs.iter().map(|a| a.arg.clone()).collect();
+        let col = |c| Some(Expr::col(c));
+        assert_eq!(
+            args,
+            [col(2), col(3), col(4), col(5), col(2), col(3), col(6), None]
+        );
     }
 
     #[test]

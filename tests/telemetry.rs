@@ -150,6 +150,52 @@ fn tpch_q1_profile_takes_the_perfect_path_at_dop_1_and_4() {
     }
 }
 
+/// `EXPLAIN ANALYZE` of TPC-H Q1 as SQL: the pre-aggregate Project has one
+/// column per distinct argument (two keys, five arguments), the aggregate
+/// keeps six accumulator lanes per group (five sums and the row count that
+/// COUNT(*) and the three AVGs share), and the direct-array path splits its
+/// time into key coding and accumulator update.
+#[test]
+fn tpch_q1_explain_shows_shared_accumulators_and_split_time() {
+    let (db, _) = tpch_db(0.01);
+    let q1 = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+              SUM(l_extendedprice) AS sum_base_price, \
+              SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, \
+              SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge, \
+              AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price, \
+              AVG(l_discount) AS avg_disc, COUNT(*) AS count_order \
+              FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+              GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus";
+    let want = run_row_engine(&db, &bind_query(&db, q1));
+    assert_eq!(db.execute(q1).unwrap().rows, want);
+    let text: Vec<String> = db
+        .execute(&format!("EXPLAIN ANALYZE {q1}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect();
+    let at = text
+        .iter()
+        .position(|l| l.contains("Aggregate"))
+        .expect("an Aggregate");
+    let (agg, pre) = (&text[at], &text[at + 1]);
+    assert!(agg.contains("agg_path_perfect=1"), "{agg}");
+    assert!(agg.contains("agg_accs=6,"), "{agg}");
+    let ns = |key: &str| {
+        let from = agg
+            .find(&format!("{key}="))
+            .unwrap_or_else(|| panic!("{key} in {agg}"));
+        let digits = agg[from + key.len() + 1..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next();
+        digits.unwrap().parse::<u64>().unwrap()
+    };
+    assert!(ns("lookup_ns") > 0 && ns("update_ns") > 0, "{agg}");
+    assert!(pre.trim_start().starts_with("Project"), "{pre}");
+    assert_eq!(pre.matches(" AS __").count(), 7, "{pre}");
+}
+
 /// A range over about 1% of `l_orderkey`, which ascends in load order: the
 /// scan rejects most vectors in encoded form and decodes none of their
 /// columns. When `VW_PARTITIONS` range-partitions every table on its first
