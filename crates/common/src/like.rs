@@ -14,6 +14,10 @@
 //! equality, prefix, suffix or substring test and never enter the general
 //! matcher. [`find`] is the substring search under the last of those; the
 //! cursors also run it over a whole vector's contiguous string bytes.
+//! Several literals between `%` alone (`%special%requests%`) are a chain of
+//! those tests: each literal is found leftmost after the previous one
+//! ends, which is exact when no `_` is involved — a match further left
+//! never leaves less room for the literals after it.
 
 /// Bytes of the UTF-8 scalar value that starts with `lead`.
 #[inline]
@@ -71,7 +75,10 @@ pub enum LikeShape {
     Suffix,
     /// `%lit%`
     Contains,
-    /// Anything with `_`, or a `%` inside the literal.
+    /// Two or more literals separated by `%`, with or without `%` at either
+    /// end: `a%b`, `%special%requests%`.
+    Segments,
+    /// Anything with `_`.
     General,
 }
 
@@ -82,6 +89,8 @@ pub struct LikePattern {
     shape: LikeShape,
     /// Byte range of the literal within `pattern`.
     lit: (usize, usize),
+    /// [`LikeShape::Segments`]: byte ranges of the literals, in order.
+    segs: Vec<(usize, usize)>,
 }
 
 impl LikePattern {
@@ -99,8 +108,10 @@ impl LikePattern {
         } else {
             let trail = pat.iter().rev().take_while(|&&b| b == b'%').count();
             let lit = (lead, pat.len() - trail);
-            if pat[lit.0..lit.1].iter().any(|&b| b == b'%' || b == b'_') {
+            if pat.contains(&b'_') {
                 (LikeShape::General, (0, pat.len()))
+            } else if pat[lit.0..lit.1].contains(&b'%') {
+                (LikeShape::Segments, (0, pat.len()))
             } else {
                 let shape = match (lead > 0, trail > 0) {
                     (false, false) => LikeShape::Exact,
@@ -111,10 +122,21 @@ impl LikePattern {
                 (shape, lit)
             }
         };
+        let mut segs = Vec::new();
+        if shape == LikeShape::Segments {
+            let mut at = 0;
+            for part in pat.split(|&b| b == b'%') {
+                if !part.is_empty() {
+                    segs.push((at, at + part.len()));
+                }
+                at += part.len() + 1;
+            }
+        }
         LikePattern {
             pattern: pattern.to_string(),
             shape,
             lit,
+            segs,
         }
     }
 
@@ -122,8 +144,8 @@ impl LikePattern {
         self.shape
     }
 
-    /// The wildcard-free literal of the four literal shapes; the whole
-    /// pattern for [`LikeShape::General`].
+    /// The wildcard-free literal of the four one-literal shapes; the whole
+    /// pattern for [`LikeShape::Segments`] and [`LikeShape::General`].
     pub fn literal(&self) -> &[u8] {
         &self.pattern.as_bytes()[self.lit.0..self.lit.1]
     }
@@ -136,8 +158,38 @@ impl LikePattern {
             LikeShape::Prefix => s.starts_with(lit),
             LikeShape::Suffix => s.ends_with(lit),
             LikeShape::Contains => find(s, lit, 0).is_some(),
+            LikeShape::Segments => self.segments_match(s),
             LikeShape::General => like_match(lit, s),
         }
+    }
+
+    /// [`LikeShape::Segments`]: an anchored first literal is a prefix, an
+    /// anchored last literal a suffix past the middle ones, and each middle
+    /// literal is found leftmost from where the one before it ended.
+    fn segments_match(&self, s: &[u8]) -> bool {
+        let pat = self.pattern.as_bytes();
+        let lit = |&(from, to): &(usize, usize)| &pat[from..to];
+        let mut segs = &self.segs[..];
+        let mut at = 0;
+        if pat[0] != b'%' {
+            let (first, rest) = segs.split_first().expect("two or more literals");
+            if !s.starts_with(lit(first)) {
+                return false;
+            }
+            (segs, at) = (rest, first.1 - first.0);
+        }
+        let mut last = None;
+        if pat[pat.len() - 1] != b'%' {
+            let (end, rest) = segs.split_last().expect("two or more literals");
+            (segs, last) = (rest, Some(lit(end)));
+        }
+        for seg in segs {
+            match find(s, lit(seg), at) {
+                Some(q) => at = q + (seg.1 - seg.0),
+                None => return false,
+            }
+        }
+        last.is_none_or(|end| s.len() >= at + end.len() && s.ends_with(end))
     }
 }
 
@@ -240,10 +292,31 @@ mod tests {
         assert_eq!(shape(""), (Exact, "".into()));
         assert_eq!(shape("%"), (Contains, "".into()));
         assert_eq!(shape("%%"), (Contains, "".into()));
-        assert_eq!(shape("a%b"), (General, "a%b".into()));
-        assert_eq!(shape("%a%b%"), (General, "%a%b%".into()));
+        assert_eq!(shape("a%b"), (Segments, "a%b".into()));
+        assert_eq!(shape("%a%b%"), (Segments, "%a%b%".into()));
+        assert_eq!(shape("%a%%b"), (Segments, "%a%%b".into()));
+        assert_eq!(shape("a%_b"), (General, "a%_b".into()));
         assert_eq!(shape("SH_P"), (General, "SH_P".into()));
         assert_eq!(shape("%_"), (General, "%_".into()));
+    }
+
+    /// Segments match greedily, leftmost, and never overlap.
+    #[test]
+    fn segments_never_overlap() {
+        let matches = |p: &str, s: &str| LikePattern::new(p).matches(s.as_bytes());
+        assert!(!matches("%aa%aa%", "aaa"));
+        assert!(matches("%aa%aa%", "aaaa"));
+        assert!(!matches("ab%ba", "aba"));
+        assert!(matches("ab%ba", "abba"));
+        assert!(matches(
+            "%special%requests%",
+            "the special deposit requests"
+        ));
+        assert!(!matches("%special%requests%", "requests special"));
+        assert!(matches("é%𝄞%é", "é𝄞é"));
+        assert!(!matches("é%é", "é"));
+        assert!(matches("a%b%c", "abc"));
+        assert!(!matches("a%b%c", "acb"));
     }
 
     #[test]

@@ -297,17 +297,19 @@ fn compile_rec(
             offset,
             fetch,
         } => {
-            // Top-N fusion: a small Limit directly over a Sort keeps only the
-            // best offset+fetch rows instead of sorting the whole input. The
-            // fused operator compiles at the Limit's plan position (its
-            // `topn=1` extra surfaces there); the Sort node stays in the plan
-            // but executes as part of the fusion.
+            // Top-N fusion: a Limit directly over a Sort keeps only the best
+            // offset+fetch rows instead of sorting the whole input, whatever
+            // that number. A Limit without a fetch (OFFSET alone) has no N
+            // and outputs every row, so it stays a sort. The fused operator
+            // compiles at the Limit's plan position (its `topn=1` extra
+            // surfaces there); the Sort node stays in the plan but executes
+            // as part of the fusion.
             if let LogicalPlan::Sort {
                 input: sort_input,
                 keys,
             } = &**input
             {
-                if !keys.is_empty() && offset.saturating_add(*fetch) <= TopN::MAX_N {
+                if !keys.is_empty() && *fetch != u64::MAX {
                     let grandchild_prof = child_prof(0).map(|p| p.child(0));
                     let child = compile_rec(sort_input, ctx, state, grandchild_prof)?;
                     let mut topn = TopN::new(child, keys.clone(), *offset, *fetch, vs);

@@ -17,6 +17,7 @@
 //! so the merge reproduces the in-memory sort's input-order tiebreak exactly.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::time::Instant;
 
 use crate::batch::{Batch, ExecVector};
@@ -28,6 +29,9 @@ use vw_plan::SortKey;
 use vw_storage::{ColumnData, SpillFile};
 
 use super::{concat_batches, empty_columns, lap, BatchSource, BoxedOperator, Operator, VecLimit};
+
+/// The bits of a key-buffer row's last word that hold its row number.
+const ROW: u64 = u32::MAX as u64;
 
 /// A bit field inside a key: `word`, and the left shift of its lowest bit.
 #[derive(Clone, Copy)]
@@ -58,11 +62,15 @@ struct KeyPart {
 /// | f64 | 64 | `-0.0` → `0.0`; sign bit flipped if positive, all bits if negative |
 /// | string | 64 | first 8 bytes, big-endian, zero-padded; ties need the full compare |
 ///
-/// DESC inverts the value field. A key is `words` words; buffers carry one
-/// more word per row — its number — so equal keys keep input order.
+/// DESC inverts the value field. A key is `words` words. Buffers carry each
+/// row's number after its key, so equal keys keep input order: in the low
+/// 32 bits of the last key word when the fields leave them free, else in
+/// one more word.
 pub(crate) struct KeyLayout {
     parts: Vec<KeyPart>,
     words: usize,
+    /// Whether row numbers ride in the last key word.
+    packed: bool,
     /// `(word after a string prefix, its key index)`: comparison must stop
     /// there for the full string compare before looking further.
     str_ends: Vec<(usize, usize)>,
@@ -105,13 +113,34 @@ impl KeyLayout {
         KeyLayout {
             parts,
             words: bit.div_ceil(64),
+            packed: bit.next_multiple_of(64) - bit >= 32,
             str_ends,
         }
     }
 
-    /// Words per row in a key buffer: the key, then the row number.
+    /// This layout with row numbers in a word of their own: a merge
+    /// compares key words alone across runs.
+    fn unpacked(self) -> KeyLayout {
+        KeyLayout {
+            packed: false,
+            ..self
+        }
+    }
+
+    /// Words per row in a key buffer: the key, then the row number unless
+    /// the key holds it.
     fn stride(&self) -> usize {
-        self.words + 1
+        self.words + !self.packed as usize
+    }
+
+    /// The row number of key-buffer row `k`.
+    fn row(&self, k: &[u64]) -> usize {
+        (k[self.stride() - 1] & ROW) as usize
+    }
+
+    fn set_row(&self, k: &mut [u64], row: usize) {
+        let w = &mut k[self.stride() - 1];
+        *w = *w & !ROW | row as u64;
     }
 
     /// Bytes of the key buffer and the `u32` row order a sort of `rows` rows
@@ -120,49 +149,80 @@ impl KeyLayout {
         rows * (self.stride() * 8 + 4)
     }
 
-    /// Append the keys of the dense `rows` of `cols` to `out` (row-number
-    /// word left 0), each key column's type matched once.
-    fn encode(&self, cols: &[ExecVector], rows: usize, out: &mut Vec<u64>) {
+    /// Words a comparison with a bound settles alone: up to the end of the
+    /// first string prefix, whose tie needs the full strings.
+    fn decided(&self) -> usize {
+        self.str_ends.first().map_or(self.words, |e| e.0)
+    }
+
+    /// Append to `out` the key-buffer rows of rows `rows` of `cols`, each
+    /// numbered by its row.
+    fn encode(&self, cols: &[ExecVector], rows: Range<usize>, out: &mut Vec<u64>) {
+        self.encode_rows(cols, rows.len(), |i| rows.start + i, out);
+    }
+
+    /// Append to `out` the key-buffer rows of the `n` rows `at(0..n)` of
+    /// `cols`, each numbered by its row.
+    fn encode_rows<F>(&self, cols: &[ExecVector], n: usize, at: F, out: &mut Vec<u64>)
+    where
+        F: Fn(usize) -> usize + Copy,
+    {
+        let s = self.stride();
         let base = out.len();
-        out.resize(base + rows * self.stride(), 0);
+        out.resize(base + n * s, 0);
         let out = &mut out[base..];
-        for p in &self.parts {
-            let col = &cols[p.key.col];
-            let inv = if p.key.asc { 0 } else { p.mask };
-            match &col.data {
-                ColumnData::Bool(v) => self.put(out, p, col, |r| v[r] as u64 ^ inv),
-                ColumnData::I32(v) => {
-                    self.put(out, p, col, |r| (v[r] as u32 ^ 0x8000_0000) as u64 ^ inv)
-                }
-                ColumnData::I64(v) => self.put(out, p, col, |r| v[r] as u64 ^ (1 << 63) ^ inv),
-                ColumnData::F64(v) => self.put(out, p, col, |r| {
-                    let b = (if v[r] == 0.0 { 0.0 } else { v[r] }).to_bits();
-                    (if b >> 63 == 1 { !b } else { b | 1 << 63 }) ^ inv
-                }),
-                ColumnData::Str(v) => self.put(out, p, col, |r| {
-                    let s = v.get_bytes(r);
-                    let mut prefix = [0u8; 8];
-                    prefix[..s.len().min(8)].copy_from_slice(&s[..s.len().min(8)]);
-                    u64::from_be_bytes(prefix) ^ inv
-                }),
-                ColumnData::Dict(_) => unreachable!("sort input is materialized"),
-            }
+        self.fill(cols, at, s, self.words, out);
+        for (i, k) in out.chunks_exact_mut(s).enumerate() {
+            self.set_row(k, at(i));
         }
     }
 
-    fn put(&self, out: &mut [u64], p: &KeyPart, col: &ExecVector, val: impl Fn(usize) -> u64) {
-        let rows = out.chunks_exact_mut(self.stride()).enumerate();
-        let Some(flag) = p.flag else {
-            debug_assert!(!col.nulls.as_ref().is_some_and(|n| n.contains(&true)));
-            return rows.for_each(|(r, k)| k[p.value.word] |= val(r) << p.value.shift);
+    /// Overwrite `out` with word 0 alone of the keys of the `n` rows
+    /// `at(0..n)` of `cols`, one word per row.
+    fn encode_lead<F>(&self, cols: &[ExecVector], n: usize, at: F, out: &mut Vec<u64>)
+    where
+        F: Fn(usize) -> usize + Copy,
+    {
+        out.clear();
+        out.resize(n, 0);
+        self.fill(cols, at, 1, 1, out);
+    }
+
+    /// Write the key fields that lie in words `0..words` of rows `at(i)` of
+    /// `cols` into the zeroed rows of `stride` words of `out`, each key
+    /// column's type matched once.
+    fn fill<F>(&self, cols: &[ExecVector], at: F, stride: usize, words: usize, out: &mut [u64])
+    where
+        F: Fn(usize) -> usize + Copy,
+    {
+        let prefix = |s: &[u8]| {
+            let mut prefix = [0u8; 8];
+            prefix[..s.len().min(8)].copy_from_slice(&s[..s.len().min(8)]);
+            u64::from_be_bytes(prefix)
         };
-        let (null_bit, value_bit) = if p.key.nulls_first { (0, 1) } else { (1, 0) };
-        for (r, k) in rows {
-            if col.is_null(r) {
-                k[flag.word] |= null_bit << flag.shift;
-            } else {
-                k[flag.word] |= value_bit << flag.shift;
-                k[p.value.word] |= val(r) << p.value.shift;
+        for p in &self.parts {
+            // A flag precedes its value, so it is in range when the value is.
+            if p.flag.unwrap_or(p.value).word >= words {
+                continue;
+            }
+            let col = &cols[p.key.col];
+            let inv = if p.key.asc { 0 } else { p.mask };
+            let out = Rows {
+                out: &mut *out,
+                stride,
+                at,
+                value: p.value.word < words,
+            };
+            match &col.data {
+                ColumnData::Bool(v) => out.put(p, col, |r| v[r] as u64 ^ inv),
+                ColumnData::I32(v) => out.put(p, col, |r| (v[r] as u32 ^ 0x8000_0000) as u64 ^ inv),
+                ColumnData::I64(v) => out.put(p, col, |r| v[r] as u64 ^ (1 << 63) ^ inv),
+                ColumnData::F64(v) => out.put(p, col, |r| {
+                    let b = (if v[r] == 0.0 { 0.0 } else { v[r] }).to_bits();
+                    (if b >> 63 == 1 { !b } else { b | 1 << 63 }) ^ inv
+                }),
+                ColumnData::Str(v) => out.put(p, col, |r| prefix(v.get_bytes(r)) ^ inv),
+                ColumnData::Dict(v) => out.put(p, col, |r| prefix(v.get_bytes(r)) ^ inv),
             }
         }
     }
@@ -207,35 +267,128 @@ impl KeyLayout {
     }
 
     /// Sort the rows of a key buffer over `cols` in place: by key, then row
-    /// number. Keys of up to four words sort as fixed-size arrays.
+    /// number.
     fn sort(&self, keys: &mut [u64], cols: &[ExecVector]) {
-        fn sort_n<const N: usize>(layout: &KeyLayout, keys: &mut [u64], cols: &[ExecVector]) {
+        self.arrange(keys, cols, None);
+    }
+
+    /// Select in place: row `nth` of the key buffer becomes the one a sort
+    /// would put there, rows before it its betters, rows after it the rest.
+    fn select(&self, keys: &mut [u64], cols: &[ExecVector], nth: usize) {
+        self.arrange(keys, cols, Some(nth));
+    }
+
+    /// Sort a key buffer, or select its row `nth`. Keys of up to four words
+    /// are ordered as fixed-size arrays.
+    fn arrange(&self, keys: &mut [u64], cols: &[ExecVector], nth: Option<usize>) {
+        fn arrange_n<const N: usize>(
+            layout: &KeyLayout,
+            keys: &mut [u64],
+            cols: &[ExecVector],
+            nth: Option<usize>,
+        ) {
             let (rows, _) = keys.as_chunks_mut::<N>();
             if layout.str_ends.is_empty() {
-                return rows.sort_unstable();
+                return match nth {
+                    None => rows.sort_unstable(),
+                    Some(k) => select_nth(rows, k, Ord::cmp),
+                };
             }
-            let tie = |a: &[u64; N], b: &[u64; N], key| {
-                layout.str_tie(key, cols, a[N - 1] as usize, cols, b[N - 1] as usize)
+            let cmp = |a: &[u64; N], b: &[u64; N]| {
+                let (i, j) = (layout.row(a), layout.row(b));
+                layout.cmp_rows(a, b, |key| layout.str_tie(key, cols, i, cols, j))
             };
-            rows.sort_unstable_by(|a, b| layout.cmp_rows(a, b, |key| tie(a, b, key)));
+            match nth {
+                None => rows.sort_unstable_by(cmp),
+                Some(k) => select_nth(rows, k, cmp),
+            }
         }
         match self.stride() {
-            2 => sort_n::<2>(self, keys, cols),
-            3 => sort_n::<3>(self, keys, cols),
-            4 => sort_n::<4>(self, keys, cols),
-            5 => sort_n::<5>(self, keys, cols),
+            2 => arrange_n::<2>(self, keys, cols, nth),
+            3 => arrange_n::<3>(self, keys, cols, nth),
+            4 => arrange_n::<4>(self, keys, cols, nth),
+            5 => arrange_n::<5>(self, keys, cols, nth),
             s => {
-                // Wider keys: sort row positions, then permute the buffer.
+                // Wider keys: order row positions, then permute the buffer.
                 let row = |i: &u32| &keys[*i as usize * s..][..s];
                 let mut order: Vec<u32> = (0..(keys.len() / s) as u32).collect();
-                order.sort_unstable_by(|i, j| {
+                let cmp = |i: &u32, j: &u32| {
                     let (a, b) = (row(i), row(j));
-                    let tie =
-                        |key| self.str_tie(key, cols, a[s - 1] as usize, cols, b[s - 1] as usize);
+                    let tie = |key| self.str_tie(key, cols, self.row(a), cols, self.row(b));
                     self.cmp_rows(a, b, tie)
-                });
+                };
+                match nth {
+                    None => order.sort_unstable_by(cmp),
+                    Some(k) => select_nth(&mut order, k, cmp),
+                }
                 let sorted: Vec<u64> = order.iter().flat_map(|i| row(i).iter().copied()).collect();
                 keys.copy_from_slice(&sorted);
+            }
+        }
+    }
+}
+
+/// `select_nth_unstable_by(k, cmp)`, narrowed first when it keeps few of
+/// many: one partition around a pivot from an even sample, ranked so that
+/// about `2(k + 1)` rows fall at or below it, passes over the rows once
+/// where a quickselect passes several times. Should fewer than `k + 1` rows
+/// fall there, the whole (reordered) slice is selected.
+fn select_nth<T: Copy>(rows: &mut [T], k: usize, cmp: impl Fn(&T, &T) -> Ordering) {
+    const SAMPLE: usize = 1024;
+    let len = rows.len();
+    if len / 8 > k + 1 && len >= 4 * SAMPLE {
+        let step = len / SAMPLE;
+        let mut sample: Vec<T> = (0..SAMPLE).map(|i| rows[i * step]).collect();
+        let rank = ((k + 1) * 2 * SAMPLE / len + 8).min(SAMPLE - 1);
+        let pivot = *sample.select_nth_unstable_by(rank, &cmp).1;
+        let mut below = 0;
+        for i in 0..len {
+            if cmp(&rows[i], &pivot) != Ordering::Greater {
+                rows.swap(below, i);
+                below += 1;
+            }
+        }
+        if below > k {
+            rows[..below].select_nth_unstable_by(k, cmp);
+            return;
+        }
+    }
+    rows.select_nth_unstable_by(k, cmp);
+}
+
+/// Rows of `stride` words being filled with one key column's fields, row
+/// `i` from source row `at(i)`; `value` says whether the value field lies in
+/// range too, or only the NULL flag.
+struct Rows<'a, F> {
+    out: &'a mut [u64],
+    stride: usize,
+    at: F,
+    value: bool,
+}
+
+impl<F: Fn(usize) -> usize + Copy> Rows<'_, F> {
+    fn put(self, p: &KeyPart, col: &ExecVector, val: impl Fn(usize) -> u64) {
+        let Rows {
+            out,
+            stride,
+            at,
+            value,
+        } = self;
+        let rows = out.chunks_exact_mut(stride).enumerate();
+        let rows = rows.map(|(i, k)| (at(i), k));
+        let Some(flag) = p.flag else {
+            debug_assert!(!col.nulls.as_ref().is_some_and(|n| n.contains(&true)));
+            return rows.for_each(|(r, k)| k[p.value.word] |= val(r) << p.value.shift);
+        };
+        let (null_bit, value_bit) = if p.key.nulls_first { (0, 1) } else { (1, 0) };
+        for (r, k) in rows {
+            if col.is_null(r) {
+                k[flag.word] |= null_bit << flag.shift;
+            } else {
+                k[flag.word] |= value_bit << flag.shift;
+                if value {
+                    k[p.value.word] |= val(r) << p.value.shift;
+                }
             }
         }
     }
@@ -287,14 +440,25 @@ pub struct VecSort {
 
 enum State {
     Pending,
-    /// The whole input and its row numbers in output order; chunks are
-    /// gathered as they are pulled, so a LIMIT above pays for what it takes.
-    InMem {
-        batch: Batch,
-        order: Vec<u32>,
-        pos: usize,
-    },
+    InMem(Sorted),
     Merge(MergeState),
+}
+
+/// Rows and their row numbers in output order, from `pos` on. Chunks are
+/// gathered as they are pulled, so a LIMIT above pays for what it takes.
+struct Sorted {
+    cols: Vec<ExecVector>,
+    order: Vec<u32>,
+    pos: usize,
+}
+
+impl Sorted {
+    fn next_chunk(&mut self, vector_size: usize) -> Option<Batch> {
+        let chunk = &self.order[self.pos..(self.pos + vector_size).min(self.order.len())];
+        self.pos += chunk.len();
+        let cols = self.cols.iter().map(|c| c.gather(chunk));
+        (!chunk.is_empty()).then(|| Batch::new(cols.collect()))
+    }
 }
 
 impl VecSort {
@@ -334,15 +498,12 @@ impl VecSort {
         let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
         let s = layout.stride();
         let mut keys = Vec::new();
-        layout.encode(&batch.columns, batch.rows, &mut keys);
-        for (r, k) in keys.chunks_exact_mut(s).enumerate() {
-            k[s - 1] = r as u64;
-        }
+        layout.encode(&batch.columns, 0..batch.rows, &mut keys);
         lap(&mut clock, &mut self.prof.encode_ns);
         layout.sort(&mut keys, &batch.columns);
         lap(&mut clock, &mut self.prof.sort_ns);
         self.prof.key_bytes = self.prof.key_bytes.max(layout.words as u64 * 8);
-        keys.chunks_exact(s).map(|k| k[s - 1] as u32).collect()
+        keys.chunks_exact(s).map(|k| layout.row(k) as u32).collect()
     }
 
     /// Sort the buffered batches into one run and spill it. The run's key
@@ -401,16 +562,17 @@ impl VecSort {
                 batch.columns.iter().map(|c| c.heap_bytes()).sum::<usize>() + order.capacity() * 4;
             let mut reserved = self.env.mem.reserved() as usize;
             self.env.mem.resize(&mut reserved, held, true);
-            return Ok(State::InMem {
-                batch,
+            return Ok(State::InMem(Sorted {
+                cols: batch.columns,
                 order,
                 pos: 0,
-            });
+            }));
         }
         if !pending.is_empty() {
             self.flush_run(&mut pending, &mut runs)?;
         }
-        let layout = KeyLayout::new(&self.keys, &self.schema, &vec![true; self.keys.len()]);
+        let layout =
+            KeyLayout::new(&self.keys, &self.schema, &vec![true; self.keys.len()]).unpacked();
         let QueryEnv { mem, waits, .. } = &mut self.env;
         let cursors = runs
             .into_iter()
@@ -465,7 +627,7 @@ impl RunCursor {
         if self.next_chunk < self.file.chunk_count() {
             let b = read_batch(&self.file, self.next_chunk, waits)?;
             self.next_chunk += 1;
-            layout.encode(&b.columns, b.rows, &mut self.keys);
+            layout.encode(&b.columns, 0..b.rows, &mut self.keys);
             resident = batch_bytes(&b) + self.keys.capacity() * 8;
             self.pos = 0;
             self.batch = Some(b);
@@ -565,12 +727,7 @@ impl Operator for VecSort {
         }
         match &mut self.state {
             State::Pending => unreachable!(),
-            State::InMem { batch, order, pos } => {
-                let chunk = &order[*pos..(*pos + self.vector_size).min(order.len())];
-                *pos += chunk.len();
-                let cols = batch.columns.iter().map(|c| c.gather(chunk));
-                Ok((!chunk.is_empty()).then(|| Batch::new(cols.collect())))
-            }
+            State::InMem(sorted) => Ok(sorted.next_chunk(self.vector_size)),
             State::Merge(m) => m.next_batch(
                 &self.schema,
                 self.vector_size,
@@ -591,13 +748,25 @@ impl Operator for VecSort {
     }
 }
 
-/// Bounded Top-N: the fused form of `Limit(offset, fetch)` over
-/// `Sort(keys)`. It keeps a pool of candidate rows — columns plus normalized
-/// keys — and compares each incoming vector's keys with the current N-th key:
-/// only rows that can still make the cut are copied into the pool, which is
-/// sorted and cut back to N whenever it reaches 2N rows. Pool order is
-/// arrival order among equal keys, so ties keep the first arrivals and the
-/// kept prefix is exactly what a full stable sort would emit first.
+/// Top-N: the fused form of `Limit(offset, fetch)` over `Sort(keys)`, at
+/// any `N = offset + fetch`. It keeps a pool of candidate rows — columns in
+/// arrival order plus their key-buffer rows, numbered by pool position.
+///
+/// - **Cuts select, they do not sort.** When the pool reaches its
+///   threshold (2N rows, at least 1024), `select_nth_unstable` moves the N
+///   best rows to the front; the N-th becomes the *bound*. One sweep puts
+///   the kept rows back in arrival order, so equal keys keep the first
+///   arrivals and the kept rows are exactly what a full stable sort would
+///   emit first. Only the final pool, cut to N, is sorted.
+/// - **Word 0 decides first.** An arriving row is compared with the bound
+///   on key word 0 alone; only a tie there encodes the rest of its key, and
+///   only a row that can still beat the bound is copied into the pool.
+/// - **The threshold adapts to input order.** A cut pays for itself by the
+///   rows its bound rejects. When the bound has rejected less than a
+///   quarter of the rows offered since the last cut — input that arrives
+///   worst first, such as `ORDER BY <clustered key> DESC` — the pool doubles
+///   its threshold instead of cutting again, so that shape costs about one
+///   selection over the buffered input.
 ///
 /// Memory-safe: the pool is charged to the query's [`MemTracker`]; if the
 /// reservation fails the operator falls back to a full external [`VecSort`]
@@ -608,33 +777,46 @@ pub struct TopN {
     keys: Vec<SortKey>,
     schema: Schema,
     vector_size: usize,
-    offset: usize,
+    offset: u64,
+    fetch: u64,
+    /// `offset + fetch`, saturating.
     n: usize,
     /// The query's environment, handed on whole to the fallback sort.
     env: QueryEnv,
     state: TopNState,
     fell_back: bool,
     prof: SortProfile,
-    /// Input rows the cut-off dropped before they were materialised.
+    /// Input rows the bound rejected before they were copied.
     cut_rows: u64,
+    /// Selections that cut the pool back to N rows, the final one included.
+    cuts: u64,
+    /// Largest pool, in rows.
+    pool_rows: u64,
 }
 
 enum TopNState {
     Pending,
-    InMem(Vec<Batch>),
+    InMem(Sorted),
     Fallback(BoxedOperator),
 }
 
-/// Top-N's candidate rows: `cols` holds them in arrival order (after a cut:
-/// sorted order, later arrivals behind), `keys` their key-buffer rows
-/// numbered by pool position.
+/// Top-N's candidate rows: `cols` in arrival order, `keys` the key-buffer
+/// rows of the first of them, numbered by pool position. The rows admitted
+/// since the last cut get theirs when the pool is next cut, in one piece.
 struct Pool {
     cols: Vec<ExecVector>,
     keys: Vec<u64>,
     layout: KeyLayout,
     flagged: Vec<bool>,
-    /// Whether the pool was cut: row `n - 1` then holds the N-th best key.
-    cut: bool,
+    /// Pool position of the N-th best row at the last cut: every arriving
+    /// row must beat its key.
+    bound: Option<usize>,
+    /// Rows the pool may hold before it is cut.
+    threshold: usize,
+    /// Rows offered since the last cut, and how many of them the bound
+    /// rejected.
+    offered: usize,
+    rejected: usize,
 }
 
 impl Pool {
@@ -642,24 +824,155 @@ impl Pool {
         self.cols.first().map_or(0, |c| c.len())
     }
 
-    /// Sort the pool and keep its best `n` rows, in order.
-    fn cut_to(&mut self, n: usize) {
-        let s = self.layout.stride();
-        self.layout.sort(&mut self.keys, &self.cols);
-        self.keys.truncate(n * s);
-        let order: Vec<u32> = self.keys.chunks_exact(s).map(|k| k[s - 1] as u32).collect();
-        self.cols = self.cols.iter().map(|c| c.gather(&order)).collect();
-        for (r, k) in self.keys.chunks_exact_mut(s).enumerate() {
-            k[s - 1] = r as u64;
+    /// Bytes held, counting the keys the rows since the last cut will get.
+    fn heap_bytes(&self) -> usize {
+        let cols = self.cols.iter().map(|c| c.heap_bytes()).sum::<usize>();
+        let unencoded = self.rows() - self.keys.len() / self.layout.stride();
+        cols + (self.keys.capacity() + unencoded * self.layout.stride()) * 8
+    }
+
+    /// Give key columns that turn out to hold NULLs in `cols` a flag bit:
+    /// the pool's keys, the bound's among them, are re-encoded under the
+    /// wider layout.
+    fn widen(&mut self, keys: &[SortKey], schema: &Schema, cols: &[ExecVector]) {
+        let nullable = nullable_keys(keys, cols);
+        if nullable.iter().zip(&self.flagged).all(|(&n, &f)| f || !n) {
+            return;
         }
+        let flagged = self.flagged.iter_mut().zip(nullable);
+        flagged.for_each(|(f, n)| *f |= n);
+        let encoded = self.keys.len() / self.layout.stride();
+        self.layout = KeyLayout::new(keys, schema, &self.flagged);
+        self.keys.clear();
+        self.layout.encode(&self.cols, 0..encoded, &mut self.keys);
+    }
+
+    /// Encode the keys of the rows admitted since the last cut.
+    fn encode_rest(&mut self) {
+        let (s, rows) = (self.layout.stride(), self.rows());
+        let from = self.keys.len() / s;
+        self.keys.reserve_exact((rows - from) * s);
+        self.layout.encode(&self.cols, from..rows, &mut self.keys);
+    }
+
+    /// Keep the best `n` rows, in arrival order, and make the N-th the bound.
+    fn cut(&mut self, n: usize) {
+        self.encode_rest();
+        let s = self.layout.stride();
+        self.layout.select(&mut self.keys, &self.cols, n - 1);
+        let nth = self.layout.row(&self.keys[(n - 1) * s..]);
+        // slot[position] = the kept key row of the row at that position.
+        let mut slot = vec![u32::MAX; self.rows()];
+        for (i, k) in self.keys[..n * s].chunks_exact(s).enumerate() {
+            slot[self.layout.row(k)] = i as u32;
+        }
+        let kept = (0..slot.len() as u32).filter(|&r| slot[r as usize] != u32::MAX);
+        let order: Vec<u32> = kept.collect();
+        let mut keys = vec![0; n * s];
+        for (at, (k, &r)) in keys.chunks_exact_mut(s).zip(&order).enumerate() {
+            let from = slot[r as usize] as usize * s;
+            k.copy_from_slice(&self.keys[from..][..s]);
+            self.layout.set_row(k, at);
+            if r as usize == nth {
+                self.bound = Some(at);
+            }
+        }
+        self.keys = keys;
+        self.cols = self.cols.iter().map(|c| c.gather(&order)).collect();
+        (self.offered, self.rejected) = (0, 0);
+    }
+
+    /// The pool positions of the best `n` rows, in output order. The one
+    /// full sort: of at most `n` rows.
+    fn finish(&mut self, n: usize) -> Vec<u32> {
+        self.encode_rest();
+        let s = self.layout.stride();
+        if self.rows() > n {
+            self.layout.select(&mut self.keys, &self.cols, n - 1);
+            self.keys.truncate(n * s);
+        }
+        self.layout.sort(&mut self.keys, &self.cols);
+        let rows = self.keys.chunks_exact(s);
+        rows.map(|k| self.layout.row(k) as u32).collect()
+    }
+}
+
+/// Buffers [`TopN`] reuses from one input vector to the next.
+#[derive(Default)]
+struct Scratch {
+    /// Key word 0 of each arriving row.
+    lead: Vec<u64>,
+    /// The rows that may still beat the bound.
+    lanes: Vec<u32>,
+    /// Rows tied with the bound on word 0, and their full keys.
+    ties: Vec<u32>,
+    tie_keys: Vec<u64>,
+    /// The bound's key words.
+    bound: Vec<u64>,
+}
+
+impl Scratch {
+    fn heap_bytes(&self) -> usize {
+        let words = self.lead.capacity() + self.tie_keys.capacity() + self.bound.capacity();
+        words * 8 + (self.lanes.capacity() + self.ties.capacity()) * 4
+    }
+
+    /// Fill `lanes` with the rows among the `n` rows `at(0..n)` of `cols`
+    /// that can still beat `bound`, or return `true` when all of them can.
+    /// A later row loses a full tie with the bound, and only a tie on a
+    /// string prefix leaves the comparison open.
+    fn survivors<F>(&mut self, layout: &KeyLayout, cols: &[ExecVector], n: usize, at: F) -> bool
+    where
+        F: Fn(usize) -> usize + Copy,
+    {
+        let Scratch {
+            lead,
+            lanes,
+            ties,
+            tie_keys,
+            bound,
+        } = self;
+        let (decided, open) = (layout.decided(), !layout.str_ends.is_empty());
+        layout.encode_lead(cols, n, at, lead);
+        // A tie on word 0 is settled by the words after it, if there are.
+        let (b0, tie_kept) = (bound[0], decided > 1 || open);
+        if lead.iter().all(|&w| w < b0) {
+            return true;
+        }
+        lanes.resize(n, 0);
+        let (mut kept, mut tied) = (0, 0);
+        for (i, &w) in lead.iter().enumerate() {
+            lanes[kept] = i as u32;
+            kept += (w < b0 || (w == b0 && tie_kept)) as usize;
+            tied += (w == b0) as usize;
+        }
+        lanes.truncate(kept);
+        if decided > 1 && tied > 0 {
+            ties.clear();
+            let tie_rows = lanes.iter().filter(|&&i| lead[i as usize] == b0);
+            ties.extend(tie_rows.map(|&i| at(i as usize) as u32));
+            tie_keys.clear();
+            layout.encode_rows(cols, ties.len(), |j| ties[j] as usize, tie_keys);
+            let mut tie_keys = tie_keys.chunks_exact_mut(layout.stride());
+            lanes.retain(|&i| {
+                if lead[i as usize] != b0 {
+                    return true;
+                }
+                let k = tie_keys.next().expect("one key per tie");
+                layout.set_row(k, 0);
+                match k[..decided].cmp(&bound[..decided]) {
+                    Ordering::Less => true,
+                    Ordering::Equal => open,
+                    Ordering::Greater => false,
+                }
+            });
+        }
+        lanes.iter_mut().for_each(|l| *l = at(*l as usize) as u32);
+        false
     }
 }
 
 impl TopN {
-    /// Largest `offset + fetch` the planner fuses into a Top-N; above this a
-    /// full sort pipes into a plain limit.
-    pub const MAX_N: u64 = 8192;
-
     pub fn new(
         input: BoxedOperator,
         keys: Vec<SortKey>,
@@ -668,19 +981,22 @@ impl TopN {
         vector_size: usize,
     ) -> TopN {
         let schema = input.schema().clone();
-        let n = offset.saturating_add(fetch) as usize;
+        let n = usize::try_from(offset.saturating_add(fetch)).unwrap_or(usize::MAX);
         TopN {
             input: Some(input),
             keys,
             schema,
             vector_size: vector_size.max(1),
-            offset: offset as usize,
+            offset,
+            fetch,
             n,
             env: QueryEnv::default(),
             state: TopNState::Pending,
             fell_back: false,
             prof: SortProfile::default(),
             cut_rows: 0,
+            cuts: 0,
+            pool_rows: 0,
         }
     }
 
@@ -689,62 +1005,51 @@ impl TopN {
         self.env = env;
     }
 
-    /// Append to the pool the rows of dense `b` that can still make the cut.
-    fn admit(&mut self, pool: &mut Pool, b: &Batch, scratch: &mut Vec<u64>) {
+    /// Append to the pool the rows of `b` that can still make the cut, then
+    /// cut the pool or raise its threshold if it is full.
+    fn admit(&mut self, pool: &mut Pool, b: &Batch, scratch: &mut Scratch) {
         let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
-        // A key column turned out to hold NULLs: it needs a flag bit, so
-        // re-encode the pool under the wider layout.
-        let nullable = nullable_keys(&self.keys, &b.columns);
-        if nullable.iter().zip(&pool.flagged).any(|(&n, &f)| n && !f) {
-            pool.flagged
-                .iter_mut()
-                .zip(nullable)
-                .for_each(|(f, n)| *f |= n);
-            pool.layout = KeyLayout::new(&self.keys, &self.schema, &pool.flagged);
-            pool.keys.clear();
-            pool.layout.encode(&pool.cols, pool.rows(), &mut pool.keys);
-            let s = pool.layout.stride();
-            for (r, k) in pool.keys.chunks_exact_mut(s).enumerate() {
-                k[s - 1] = r as u64;
+        pool.widen(&self.keys, &self.schema, &b.columns);
+        let s = pool.layout.stride();
+        let lanes = match (pool.bound, &b.sel) {
+            (None, sel) => sel.as_deref(),
+            (Some(at), sel) => {
+                scratch.bound.clear();
+                scratch.bound.extend_from_slice(&pool.keys[at * s..][..s]);
+                pool.layout.set_row(&mut scratch.bound, 0);
+                let all = match sel {
+                    None => scratch.survivors(&pool.layout, &b.columns, b.rows, |i| i),
+                    Some(sel) => {
+                        let at = |i: usize| sel[i] as usize;
+                        scratch.survivors(&pool.layout, &b.columns, sel.len(), at)
+                    }
+                };
+                if all {
+                    sel.as_deref()
+                } else {
+                    Some(&scratch.lanes[..])
+                }
             }
-        }
-        let (layout, s) = (&pool.layout, pool.layout.stride());
-        scratch.clear();
-        layout.encode(&b.columns, b.rows, scratch);
-        // Against the N-th key a later row loses a full tie, and only a tie
-        // on a string prefix leaves the comparison open.
-        let decided = layout.str_ends.first().map_or(layout.words, |e| e.0);
-        let bound = pool
-            .cut
-            .then(|| pool.keys[(self.n - 1) * s..][..decided].to_vec());
-        let survives = |k: &[u64]| {
-            bound
-                .as_ref()
-                .is_none_or(|bound| match k[..decided].cmp(bound) {
-                    Ordering::Less => true,
-                    Ordering::Equal => !layout.str_ends.is_empty(),
-                    Ordering::Greater => false,
-                })
         };
-        let keys = scratch.chunks_exact(s).enumerate();
-        let lanes: Vec<u32> = keys
-            .filter(|(_, k)| survives(k))
-            .map(|(r, _)| r as u32)
-            .collect();
-        self.cut_rows += (b.rows - lanes.len()) as u64;
-        for (at, &r) in (pool.rows()..).zip(&lanes) {
-            pool.keys
-                .extend_from_slice(&scratch[r as usize * s..][..s - 1]);
-            pool.keys.push(at as u64); // numbered by pool position
-        }
+        let admitted = lanes.map_or(b.rows, |l| l.len());
+        let rejected = b.len() - admitted;
         for (p, c) in pool.cols.iter_mut().zip(&b.columns) {
-            p.extend_from(c, Some(&lanes));
+            p.extend_from(c, lanes);
         }
+        (pool.offered, pool.rejected) = (pool.offered + b.len(), pool.rejected + rejected);
+        self.cut_rows += rejected as u64;
+        self.pool_rows = self.pool_rows.max(pool.rows() as u64);
         lap(&mut clock, &mut self.prof.encode_ns);
-        if pool.rows() >= (2 * self.n).max(1024) {
-            pool.cut_to(self.n);
-            pool.cut = pool.rows() == self.n;
-            lap(&mut clock, &mut self.prof.sort_ns);
+        if pool.rows() >= pool.threshold {
+            if pool.bound.is_some() && pool.rejected * 4 < pool.offered {
+                // The last bound barely rejects: the input is arriving worst
+                // first, and cutting again would buy nothing.
+                pool.threshold = pool.threshold.saturating_mul(2);
+            } else {
+                pool.cut(self.n);
+                self.cuts += 1;
+                lap(&mut clock, &mut self.prof.sort_ns);
+            }
         }
     }
 
@@ -756,17 +1061,18 @@ impl TopN {
             keys: Vec::new(),
             layout: KeyLayout::new(&self.keys, &self.schema, &flagged),
             flagged,
-            cut: false,
+            bound: None,
+            threshold: self.n.saturating_mul(2).max(1024),
+            offered: 0,
+            rejected: 0,
         };
-        let (mut scratch, mut held) = (Vec::new(), 0usize);
+        let (mut scratch, mut held) = (Scratch::default(), 0usize);
         while let Some(b) = input.next()? {
-            let b = b.materialize();
-            if b.rows == 0 || self.n == 0 {
+            if b.is_empty() || self.n == 0 {
                 continue;
             }
             self.admit(&mut pool, &b, &mut scratch);
-            let want = pool.cols.iter().map(|c| c.heap_bytes()).sum::<usize>()
-                + (pool.keys.capacity() + scratch.capacity()) * 8;
+            let want = pool.heap_bytes() + scratch.heap_bytes();
             if self.env.mem.resize(&mut held, want, false) {
                 continue;
             }
@@ -786,19 +1092,21 @@ impl TopN {
             });
             let mut sort = VecSort::new(chained, self.keys.clone(), self.vector_size);
             sort.set_env(self.env.hand_over());
-            let fetch = (self.n - self.offset) as u64;
-            let limited = VecLimit::new(Box::new(sort), self.offset as u64, fetch);
+            let limited = VecLimit::new(Box::new(sort), self.offset, self.fetch);
             return Ok(TopNState::Fallback(Box::new(limited)));
         }
         let mut clock = self.env.waits.as_ref().map(|_| Instant::now());
-        pool.cut_to(self.n);
+        self.cuts += (pool.rows() > self.n) as u64;
+        let order = pool.finish(self.n);
+
         lap(&mut clock, &mut self.prof.sort_ns);
         self.prof.key_bytes = pool.layout.words as u64 * 8;
-        let kept: Vec<u32> = (self.offset.min(pool.rows()) as u32..pool.rows() as u32).collect();
-        let chunks = kept.chunks(self.vector_size).rev();
-        let gather =
-            |chunk: &[u32]| Batch::new(pool.cols.iter().map(|c| c.gather(chunk)).collect());
-        Ok(TopNState::InMem(chunks.map(gather).collect()))
+        let pos = usize::try_from(self.offset).map_or(order.len(), |o| o.min(order.len()));
+        Ok(TopNState::InMem(Sorted {
+            cols: pool.cols,
+            order,
+            pos,
+        }))
     }
 }
 
@@ -838,7 +1146,7 @@ impl Operator for TopN {
         }
         match &mut self.state {
             TopNState::Pending => unreachable!(),
-            TopNState::InMem(out) => Ok(out.pop()),
+            TopNState::InMem(sorted) => Ok(sorted.next_chunk(self.vector_size)),
             TopNState::Fallback(op) => op.next(),
         }
     }
@@ -851,6 +1159,8 @@ impl Operator for TopN {
             ex.push(("peak_bytes", self.env.mem.peak()));
         }
         ex.push(("topn_cut_rows", self.cut_rows));
+        ex.push(("topn_cuts", self.cuts));
+        ex.push(("topn_pool_rows", self.pool_rows));
         self.prof.extras(self.env.waits.is_some(), &mut ex);
         ex
     }

@@ -556,7 +556,7 @@ fn dict_statement(r: &mut Xoshiro256) -> (String, bool) {
     let p = dict_predicate(r);
     let case = "CASE WHEN d = 'apple' THEN 1 WHEN d LIKE 'b%' THEN 2 \
                 WHEN d IN ('fig', 'é') THEN 3 WHEN d IS NULL THEN 4 ELSE 0 END";
-    // Below and above Top-N's cut-off (8192 rows): a heap, or a full sort.
+    // A Top-N cut many times, or one whose N exceeds the matching rows.
     let limit = [7, 9000][r.next_below(2) as usize];
     match r.next_below(16) {
         0 => (format!("SELECT k, d, e FROM f WHERE {p}"), false),

@@ -393,6 +393,48 @@ fn order_by_variants_limit_offset() {
     assert_eq!(ids, vec![Value::I64(6)]);
 }
 
+/// `LIMIT 9223372036854775807` is a Top-N whose N exceeds any table, with
+/// sizes that saturate rather than overflow; `OFFSET` alone has no N and
+/// stays a full sort. Both return what the row engine returns.
+#[test]
+fn huge_limit_and_offset_alone_match_the_row_engine() {
+    use vectorwise::sql::{bind, parse_statement, BoundStatement};
+    use vectorwise::{DataType, Field, Schema};
+    // Bulk-loaded: the row engine reads the stable image alone.
+    let d = Database::new().unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::I64),
+        Field::nullable("g", DataType::I64),
+    ]);
+    d.create_table("t", schema).unwrap();
+    let g = |i: i64| {
+        if i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::I64(i % 5)
+        }
+    };
+    d.bulk_load("t", (0..3000).map(|i| vec![Value::I64(i), g(i)]))
+        .unwrap();
+    let huge = "SELECT id, g FROM t ORDER BY g DESC, id LIMIT 9223372036854775807";
+    let offset = "SELECT id, g FROM t ORDER BY g, id DESC OFFSET 2";
+    for sql in [huge, offset, &format!("{huge} OFFSET 9223372036854775807")] {
+        let BoundStatement::Query(plan) = bind(&parse_statement(sql).unwrap(), &d).unwrap() else {
+            panic!("not a query: {sql}")
+        };
+        let want = common::run_row_engine(&d, &d.optimize_plan(plan));
+        assert_eq!(d.execute(sql).unwrap().rows, want, "{sql}");
+        assert!(want.len() >= 2998 || sql.ends_with("OFFSET 9223372036854775807"));
+    }
+    let limit_line = |sql: &str| {
+        let rows = d.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().rows;
+        let lines = rows.iter().map(|r| r[0].to_string());
+        lines.into_iter().find(|l| l.starts_with("Limit")).unwrap()
+    };
+    assert!(limit_line(huge).contains("topn=1"));
+    assert!(!limit_line(offset).contains("topn=1"));
+}
+
 #[test]
 fn insert_variants() {
     let d = db();

@@ -214,3 +214,53 @@ fn selective_orderkey_scan_skips_vectors_and_default_partitions() {
         assert!(pruned > 0, "no partition pruned for l_orderkey < 150");
     }
 }
+
+/// `EXPLAIN ANALYZE` of the fused Top-N line. `vwbench`'s full sort (N =
+/// 10 000 of about 60K lineitem rows, in random order of its key) cuts its
+/// pool at least once, and its `Sort` node, fused into the `Limit`, has no
+/// time of its own. Ordered by `l_orderkey` descending, the input, which
+/// ascends in load order, arrives worst first: the first cut's bound
+/// rejects nothing, so the pool raises its threshold instead of cutting
+/// again — one cut, then the final selection.
+#[test]
+fn topn_explains_its_cuts_and_adapts_to_worst_first_input() {
+    let (db, _) = tpch_db(0.01);
+    let explain = |sql: &str| -> Vec<String> {
+        let rows = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().rows;
+        rows.iter().map(|r| r[0].to_string()).collect()
+    };
+    let extra = |line: &str, key: &str| -> u64 {
+        let from = line
+            .find(&format!(" {key}="))
+            .unwrap_or_else(|| panic!("{key} in {line}"));
+        let digits = line[from + key.len() + 2..].split(|c: char| !c.is_ascii_digit());
+        digits.into_iter().next().unwrap().parse().unwrap()
+    };
+    let full_sort = "SELECT l_orderkey, l_linenumber, l_extendedprice FROM lineitem \
+                     ORDER BY l_extendedprice DESC, l_orderkey, l_linenumber LIMIT 10000";
+    let text = explain(full_sort);
+    let limit = text
+        .iter()
+        .find(|l| l.starts_with("Limit"))
+        .expect("a Limit");
+    let sort = text
+        .iter()
+        .find(|l| l.trim_start().starts_with("Sort"))
+        .expect("a Sort");
+    assert_eq!(extra(limit, "topn"), 1, "{limit}");
+    assert!(extra(limit, "topn_cuts") >= 1, "{limit}");
+    assert!(extra(limit, "topn_pool_rows") < 30_000, "{limit}");
+    assert!(sort.contains("[0.000 ms, 0 vec, 0 rows"), "{sort}");
+
+    let worst_first = "SELECT l_orderkey, l_linenumber FROM lineitem \
+                       ORDER BY l_orderkey DESC, l_linenumber DESC LIMIT 10000";
+    let text = explain(worst_first);
+    let limit = text
+        .iter()
+        .find(|l| l.starts_with("Limit"))
+        .expect("a Limit");
+    assert_eq!(extra(limit, "topn_cut_rows"), 0, "{limit}");
+    assert!(extra(limit, "topn_cuts") <= 2, "{limit}");
+    let want = run_row_engine(&db, &bind_query(&db, worst_first));
+    assert_eq!(db.execute(worst_first).unwrap().rows, want);
+}
